@@ -13,6 +13,17 @@ terms dropped, and candidates disqualified (infinite distance) when any
 needed candidate value is missing. Search is pure and independent per
 (location, test init, lead) and may be partitioned arbitrarily over
 locations.
+
+``search_analogs`` scores each location in one pass over all of its leads,
+in blocks of test inits sized so that one (rows, n_lead, n_cand) float64
+buffer holds about ``BLOCK_BYTES``; three such buffers, allocated once per
+call, bound its working memory whatever the number of test inits. Per
+predictor it squares the differences for every lead at once, builds each
+lead's window sum by adding shifted lead slabs left to right, and adds the
+scaled square roots into the total in predictor order: the same operations in
+the same order as the scalar ``similarity``, so distances match it bit for
+bit. With missing target terms zeroed, a NaN total marks exactly a
+disqualified candidate.
 """
 
 from __future__ import annotations
@@ -243,32 +254,53 @@ class AnalogIndexSet:
                    LeadTimeAxis(sec["lead_times"]), sec["members"], search, dist)
 
 
-def _distance_block(values, loc, lead, test_idx, cand_idx, sigma_ld, weights,
-                    half_window, sigma_epsilon, n_leads):
-    """Distances (n_test, n_cand) for one (location, lead)."""
-    win = _window(lead, half_window, n_leads)
-    total = np.zeros((len(test_idx), len(cand_idx)))
-    for p in range(len(weights)):
-        w = weights[p]
-        s = sigma_ld[p]
-        if w == 0.0 or not np.isfinite(s) or s < sigma_epsilon:
-            continue
-        t = values[p, loc, test_idx, win]  # (n_test, W)
-        c = values[p, loc, cand_idx, win]  # (n_cand, W)
-        t_miss = np.isnan(t)
-        c_miss = np.isnan(c)
-        d2 = (t[:, None, :] - c[None, :, :]) ** 2
-        d2 = np.where(t_miss[:, None, :], 0.0, d2)
-        # left-to-right accumulation over the window: no reassociation, so
-        # distances match a scalar evaluation of the metric bit for bit
-        acc = d2[:, :, 0].copy()
-        for k in range(1, d2.shape[2]):
-            acc += d2[:, :, k]
-        with np.errstate(invalid="ignore"):
-            total += (w / s) * np.sqrt(acc)
-        disq = (c_miss[None, :, :] & ~t_miss[:, None, :]).any(axis=2)
-        total[disq] = np.inf
-    return total
+# Bytes of one (rows, n_lead, n_cand) float64 work buffer of search_analogs,
+# which holds three: small enough to stay in cache while it is reused.
+BLOCK_BYTES = 1 << 20
+
+
+def _window_sums(d2, acc, half_window):
+    """Window sums over the lead axis of a (rows, n_lead, n_cand) block.
+
+    ``acc[:, l]`` becomes ``d2[:, lo] + d2[:, lo + 1] + ... + d2[:, hi]`` over
+    the clipped window of lead l, added left to right exactly as the scalar
+    metric adds them, so the sums match it bit for bit.
+    """
+    n = d2.shape[1]
+    if half_window == 0:
+        return d2
+    # first term of each window: lead max(0, l - hw)
+    if half_window < n:
+        acc[:, half_window:] = d2[:, : n - half_window]
+    acc[:, : min(half_window, n)] = d2[:, :1]
+    # later terms, in order of offset k: lead l + k wherever it lies in
+    # 1 .. n-1 (lead 0 only ever opens a window)
+    for k in range(max(1 - half_window, 2 - n), min(half_window, n - 1) + 1):
+        lo, hi = max(0, 1 - k), min(n, n - k)
+        acc[:, lo:hi] += d2[:, lo + k : hi + k]
+    return acc
+
+
+def _top_members(dist, members):
+    """Column indices and values of the ``members`` smallest entries per row
+    of ``dist`` (rows, n_cand), ascending, ties going to the lower column."""
+    n_cand = dist.shape[1]
+    if n_cand <= members:
+        cols = np.broadcast_to(np.arange(n_cand), dist.shape)
+    else:
+        kth = np.partition(dist, members - 1, axis=1)[:, members - 1 : members]
+        chosen = dist <= kth
+        over = chosen.sum(axis=1) > members
+        if over.any():
+            # too many ties at the M-th value: keep only the earliest of them
+            sub, sub_kth = dist[over], kth[over]
+            ties = sub == sub_kth
+            room = members - (sub < sub_kth).sum(axis=1)
+            chosen[over] = (sub < sub_kth) | (ties & (np.cumsum(ties, axis=1) <= room[:, None]))
+        cols = np.nonzero(chosen)[1].reshape(len(dist), members)
+    values = np.take_along_axis(dist, cols, axis=1)
+    order = np.argsort(values, axis=1, kind="stable")
+    return np.take_along_axis(cols, order, axis=1), np.take_along_axis(values, order, axis=1)
 
 
 def search_analogs(forecasts: ForecastTensor, config: AnEnConfig, test_range,
@@ -302,42 +334,68 @@ def search_analogs(forecasts: ForecastTensor, config: AnEnConfig, test_range,
     if sigma is None:
         sigma = compute_sigma(forecasts, search)
 
-    n_loc = len(forecasts.locations)
-    n_lead = len(forecasts.lead_times)
+    values = forecasts.values
+    n_pred, n_loc, _, n_lead = values.shape
+    n_test = len(test)
     m = config.members
-    test_idx = np.arange(test.start, test.stop)
-    if config.operational:
-        cand_idx = np.arange(search.start, test.stop)
-    else:
-        cand_idx = np.arange(search.start, search.stop)
+    cand = slice(search.start, test.stop if config.operational else search.stop)
+    n_cand = cand.stop - cand.start
 
-    out_idx = np.full((n_loc, len(test_idx), n_lead, m), MISSING)
-    out_dist = np.full((n_loc, len(test_idx), n_lead, m), MISSING)
+    weights = config.weights[:, None, None]
+    sig = sigma.values
+    with np.errstate(invalid="ignore", divide="ignore"):
+        active = (weights != 0.0) & np.isfinite(sig) & (sig >= config.sigma_epsilon)
+        scale = weights / sig  # (P, L, J); read only where active
+
+    rows = min(n_test, max(1, BLOCK_BYTES // (8 * n_lead * n_cand)))
+    d2, acc, total = (np.empty((rows, n_lead, n_cand)) for _ in range(3))
+    out_idx = np.full((n_loc, n_test, n_lead, m), MISSING)
+    out_dist = np.full((n_loc, n_test, n_lead, m), MISSING)
+    found = np.empty((n_test, n_lead), dtype=np.int64)
 
     for loc in range(n_loc):
-        for lead in range(n_lead):
-            dist = _distance_block(
-                forecasts.values, loc, lead, test_idx, cand_idx,
-                sigma.values[:, loc, lead], config.weights,
-                config.half_window, config.sigma_epsilon, n_lead,
-            )
+        preds = [p for p in range(n_pred) if active[p, loc].any()]
+        cand_t = {p: np.ascontiguousarray(values[p, loc, cand].T) for p in preds}  # (J, C)
+        for r0 in range(0, n_test, rows):
+            r1 = min(r0 + rows, n_test)
+            blk_d2, blk_acc, blk_total = d2[: r1 - r0], acc[: r1 - r0], total[: r1 - r0]
+            blk_total.fill(0.0)
+            for p in preds:
+                target = values[p, loc, test.start + r0 : test.start + r1]  # (rows, J)
+                np.subtract(target[:, :, None], cand_t[p][None], out=blk_d2)
+                np.multiply(blk_d2, blk_d2, out=blk_d2)
+                target_missing = np.isnan(target)
+                if target_missing.any():
+                    blk_d2[target_missing] = 0.0
+                sums = _window_sums(blk_d2, blk_acc, config.half_window)
+                np.sqrt(sums, out=sums)
+                on = active[p, loc]
+                where = True if on.all() else on[None, :, None]
+                np.multiply(sums, scale[p, loc][None, :, None], out=sums, where=where)
+                np.add(blk_total, sums, out=blk_total, where=where)
+            # with target-missing terms zeroed, a NaN total is exactly a
+            # candidate missing a value the target has: disqualified
+            blk_total[np.isnan(blk_total)] = np.inf
             if config.operational:
-                dist[cand_idx[None, :] >= test_idx[:, None]] = np.inf
-            order = np.argsort(dist, axis=1, kind="stable")
-            ranked = np.take_along_axis(dist, order, axis=1)
-            for row in range(len(test_idx)):
-                finite = np.isfinite(ranked[row])
-                available = int(finite.sum())
-                take = min(m, available)
-                if available < m and not config.allow_partial:
-                    raise InsufficientCandidatesError(
-                        f"{available} finite-distance candidates for location {loc}, "
-                        f"test init {test_idx[row]}, lead {lead}; need {m}"
-                    )
-                out_idx[loc, row, lead, :take] = cand_idx[order[row, :take]]
-                out_dist[loc, row, lead, :take] = ranked[row, :take]
+                for i in range(r1 - r0):
+                    blk_total[i, :, test.start + r0 + i - cand.start :] = np.inf
+            cols, dist = _top_members(blk_total.reshape(-1, n_cand), m)
+            ok = np.isfinite(dist)
+            take = cols.shape[1]
+            shape = (r1 - r0, n_lead, take)
+            out_idx[loc, r0:r1, :, :take] = np.where(ok, cols + cand.start, MISSING).reshape(shape)
+            out_dist[loc, r0:r1, :, :take] = np.where(ok, dist, MISSING).reshape(shape)
+            found[r0:r1] = ok.sum(axis=1).reshape(r1 - r0, n_lead)
+        if not config.allow_partial:
+            short = found < m
+            if short.any():
+                lead, row = np.argwhere(short.T)[0]
+                raise InsufficientCandidatesError(
+                    f"{found[row, lead]} finite-distance candidates for location {loc}, "
+                    f"test init {test.start + row}, lead {lead}; need {m}"
+                )
 
-    return AnalogIndexSet(forecasts.locations, forecasts.init_times, test_idx,
+    return AnalogIndexSet(forecasts.locations, forecasts.init_times, np.arange(test.start, test.stop),
                           forecasts.lead_times, m, out_idx, out_dist)
 
 

@@ -27,8 +27,14 @@ import numpy as np
 import yaml
 
 from . import driver, synth, tensorio, verify, weights, workflow
-from .anen import AnEnConfig, compute_sigma, equal_weights, search_analogs
-from .coredata import LocationSet
+from .anen import (
+    AnEnConfig,
+    build_multivariate_ensemble,
+    compute_sigma,
+    equal_weights,
+    search_analogs,
+)
+from .coredata import LocationSet, align_observations
 from .errors import AnensolarError, ConfigValidationError
 from .pvchain import SystemConfig, load_module_catalog, load_module_specs
 from .solar import precompute_solar
@@ -368,7 +374,8 @@ def cmd_anen(run: Runner, args) -> int:
     sigma = compute_sigma(forecasts, search)
     if per_loc is None:
         indices = search_analogs(forecasts, config, test, search, sigma)
-        ensemble = driver.anen_weather_ensemble(forecasts, analysis, config, test, search, sigma)
+        aligned = align_observations(analysis, forecasts.init_times, forecasts.lead_times)
+        ensemble = build_multivariate_ensemble(indices, aligned)
         analog_path = run.path("analogs")
         indices.write(analog_path)
         run.register_output(analog_path)

@@ -129,6 +129,13 @@ def _check_shape(values: np.ndarray, expected: tuple, what: str):
         )
 
 
+def _check_no_inf(values: np.ndarray, what: str):
+    # +-inf is neither missing nor a usable value: inf - inf would give a NaN
+    # distance that silently drops an analog candidate
+    if np.isinf(values).any():
+        raise TensorFormatError(f"{what} values contain +-inf; encode missing data as NaN")
+
+
 @dataclass(frozen=True)
 class ForecastTensor:
     """Deterministic forecast archive: predictor x location x init x lead."""
@@ -147,6 +154,7 @@ class ForecastTensor:
             (len(self.predictor_names), len(self.locations), len(self.init_times), len(self.lead_times)),
             "forecast",
         )
+        _check_no_inf(self.values, "forecast")
 
     @property
     def shape(self):
@@ -176,6 +184,7 @@ class ObservationTensor:
             (len(self.variable_names), len(self.locations), len(self.valid_times)),
             "observation",
         )
+        _check_no_inf(self.values, "observation")
 
     @property
     def shape(self):

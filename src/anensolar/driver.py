@@ -9,6 +9,7 @@ points and merged by index.
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 import numpy as np
@@ -112,14 +113,7 @@ def anen_weather_ensemble(forecasts: ForecastTensor, analysis: ObservationTensor
 
     pieces = []
     for loc in range(len(forecasts.locations)):
-        cfg = AnEnConfig(
-            weights=per_location_weights[loc],
-            members=config.members,
-            half_window=config.half_window,
-            operational=config.operational,
-            allow_partial=config.allow_partial,
-            sigma_epsilon=config.sigma_epsilon,
-        )
+        cfg = dataclasses.replace(config, weights=per_location_weights[loc])
         fc = slice_forecast_location(forecasts, loc)
         sg = None
         if sigma is not None:
@@ -196,14 +190,7 @@ class WeightObjective:
 
     def evaluate(self, weights, loc: int) -> float:
         fc, sg, aligned, cache, truth_power, daylight = self._artifacts(loc)
-        cfg = AnEnConfig(
-            weights=np.asarray(weights, dtype=float),
-            members=self.base.members,
-            half_window=self.base.half_window,
-            operational=self.base.operational,
-            allow_partial=self.base.allow_partial,
-            sigma_epsilon=self.base.sigma_epsilon,
-        )
+        cfg = dataclasses.replace(self.base, weights=np.asarray(weights, dtype=float))
         indices = search_analogs(fc, cfg, self.test_range, self.search_range, sg)
         weather = build_multivariate_ensemble(indices, aligned)
         power = simulate_ensemble(weather, cache, [self.spec], self.system).values[0]

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .coredata import (
     ForecastTensor,
@@ -91,6 +90,10 @@ class SynthConfig:
 
 
 def _ar1(rng, n: int, coeff: float, scale: float) -> np.ndarray:
+    # imported here: scipy takes about a second to load, and no CLI command
+    # but synth needs it
+    from scipy.signal import lfilter
+
     innov = rng.standard_normal(n) * scale
     return lfilter([1.0], [1.0, -coeff], innov)
 

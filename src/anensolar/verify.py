@@ -14,7 +14,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .coredata import TimeAxis
 from .errors import EmptySeriesError
@@ -255,6 +254,8 @@ def paired_significance(errors_a, errors_b, level: float = 0.05):
     diff = a**2 - b**2
     if np.all(diff == 0.0):
         return False, 1.0
+    from scipy import stats  # imported here so that loading the CLI does not load scipy
+
     result = stats.wilcoxon(diff, alternative="two-sided")
     p = float(result.pvalue)
     return p < level, p

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from anensolar import anen
 from anensolar.anen import (
     AnalogIndexSet,
     AnEnConfig,
@@ -312,6 +313,113 @@ class TestSearchAnalogs:
         out = search_analogs(fc, cfg, (24, 30), (0, 24))
         diffs = np.diff(out.distance, axis=-1)
         assert np.all(diffs[np.isfinite(diffs)] >= 0)
+
+
+def assert_matches_oracle(fc, cfg, test, search, sigma):
+    out = search_analogs(fc, cfg, test, search, sigma)
+    idx, dist = brute_force_search(
+        fc.values, cfg.weights, cfg.members, cfg.half_window, cfg.sigma_epsilon,
+        test, search, cfg.operational, sigma.values, allow_partial=cfg.allow_partial,
+    )
+    np.testing.assert_array_equal(out.search_index, idx)
+    np.testing.assert_array_equal(out.distance, dist)
+    return out
+
+
+class TestSearchKernelEdges:
+    """Cases where the blocked all-leads search could part from a scalar loop."""
+
+    def test_ties_across_member_boundary_go_to_earlier_init(self):
+        # distances to the last init: (2, 1, 3, 1, 1); the M-th value is tied
+        vals = np.array([2.0, 1.0, 3.0, -1.0, 1.0, 0.0]).reshape(1, 1, 6, 1)
+        fc = tiny_forecast(vals)
+        for members, expected in [(2, [1.0, 3.0]), (3, [1.0, 3.0, 4.0]), (4, [1.0, 3.0, 4.0, 0.0])]:
+            cfg = AnEnConfig(weights=np.array([1.0]), members=members, half_window=0)
+            out = search_analogs(fc, cfg, (5, 6), (0, 5), unit_sigma(fc))
+            assert out.search_index[0, 0, 0].tolist() == expected
+
+    def test_many_ties_match_oracle(self):
+        r = np.random.default_rng(101)
+        fc = tiny_forecast(r.integers(0, 3, size=(2, 2, 30, 4)).astype(float))
+        sigma = compute_sigma(fc, range(0, 24))
+        for members in (1, 5, 12):
+            for operational in (False, True):
+                cfg = AnEnConfig(weights=equal_weights(2), members=members, half_window=1,
+                                 operational=operational)
+                assert_matches_oracle(fc, cfg, range(24, 30), range(0, 24), sigma)
+
+    def test_predictor_skipped_at_some_leads_only(self):
+        fc = make_forecast(n_pred=3, n_loc=2, n_init=20, n_lead=5, seed=102)
+        values = fc.values.copy()
+        values[1, 0, [3, 7], 2] = MISSING
+        values[0, 1, 16, 1] = MISSING
+        fc = tiny_forecast(values)
+        base = compute_sigma(fc, range(0, 14)).values.copy()
+        base[1, 0, 2] = 1e-9   # below sigma_epsilon at one lead
+        base[2, 1, 0] = 0.0
+        base[0, 1, 4] = MISSING
+        sigma = SigmaTensor(fc.predictor_names, fc.locations, fc.lead_times, base)
+        cfg = AnEnConfig(weights=np.array([0.5, 0.3, 0.2]), members=4, half_window=1,
+                         allow_partial=True)
+        assert_matches_oracle(fc, cfg, range(14, 20), range(0, 14), sigma)
+
+    def test_half_window_beyond_lead_axis(self):
+        fc = make_forecast(n_pred=2, n_loc=1, n_init=16, n_lead=3, seed=103)
+        sigma = compute_sigma(fc, range(0, 12))
+        for half_window in (3, 4, 7):
+            cfg = AnEnConfig(weights=equal_weights(2), members=3, half_window=half_window)
+            assert_matches_oracle(fc, cfg, range(12, 16), range(0, 12), sigma)
+
+    def test_members_at_least_candidates_with_partial_lists(self):
+        fc = make_forecast(n_pred=2, n_loc=2, n_init=9, n_lead=3, seed=104)
+        values = fc.values.copy()
+        values[0, 1, 2, 1] = MISSING
+        fc = tiny_forecast(values)
+        sigma = compute_sigma(fc, range(0, 5))
+        for members in (5, 8):
+            for operational in (False, True):
+                cfg = AnEnConfig(weights=equal_weights(2), members=members, half_window=1,
+                                 operational=operational, allow_partial=True)
+                out = assert_matches_oracle(fc, cfg, range(5, 9), range(0, 5), sigma)
+                pool = np.arange(5, 9) if operational else np.full(4, 5)
+                assert np.all(out.member_count() <= pool[None, :, None])
+
+    def test_row_blocks_match_one_search_per_test_row(self):
+        r = np.random.default_rng(105)
+        n_lead, n_search = 6, 2500
+        n_cand = n_search + 40
+        rows_per_block = max(1, anen.BLOCK_BYTES // (8 * n_lead * n_cand))
+        n_test = 3 * rows_per_block + 1  # at least three blocks of test rows
+        values = r.normal(0, 1, size=(2, 1, n_search + n_test, n_lead))
+        values[r.random(values.shape) < 0.01] = MISSING
+        fc = tiny_forecast(values)
+        test = range(n_search, n_search + n_test)
+        sigma = compute_sigma(fc, range(0, n_search))
+        cfg = AnEnConfig(weights=np.array([0.7, 0.3]), members=5, half_window=2, operational=True)
+        out = search_analogs(fc, cfg, test, (0, n_search), sigma)
+        for row, t in enumerate(test):
+            one = search_analogs(fc, cfg, (t, t + 1), (0, n_search), sigma)
+            np.testing.assert_array_equal(out.search_index[:, row], one.search_index[:, 0])
+            np.testing.assert_array_equal(out.distance[:, row], one.distance[:, 0])
+
+    def test_insufficient_candidates_names_first_cell_in_lead_order(self):
+        # short lists at (row 0, lead 2) and (row 2, lead 0): the lead-major
+        # order of a per-lead scan names lead 0 first, whatever the row blocks
+        n_cand = anen.BLOCK_BYTES // 8  # at least a whole block per test row
+        values = np.zeros((1, 1, n_cand + 3, 3))
+        values[0, 0, 1:n_cand, 0] = MISSING
+        values[0, 0, 1:n_cand, 2] = MISSING
+        values[0, 0, n_cand:, 0] = MISSING
+        values[0, 0, n_cand:, 2] = MISSING
+        values[0, 0, n_cand + 2, 0] = 1.0
+        values[0, 0, n_cand, 2] = 1.0
+        fc = tiny_forecast(values)
+        cfg = AnEnConfig(weights=np.array([1.0]), members=2, half_window=0)
+        with pytest.raises(InsufficientCandidatesError) as err:
+            search_analogs(fc, cfg, (n_cand, n_cand + 3), (0, n_cand), unit_sigma(fc))
+        assert str(err.value) == (
+            f"1 finite-distance candidates for location 0, test init {n_cand + 2}, lead 0; need 2"
+        )
 
 
 def aligned_from(fc, obs_values):

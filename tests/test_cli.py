@@ -1,10 +1,17 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import anensolar
+from anensolar import anen, cli, driver, tensorio
 from anensolar.cli import main
+from anensolar.coredata import align_observations
 
 SMALL = [
     "--set", "synth.n_locations=4",
@@ -146,6 +153,33 @@ class TestCommands:
         for row in rows[1:]:
             np.testing.assert_allclose([float(v) for v in row[1:]], 0.2)
 
+    def test_anen_searches_once(self, outdir, monkeypatch):
+        assert run_cli(["-o", outdir, *SMALL, "synth"]) == 0
+        calls = []
+
+        def counting_search(*args, **kwargs):
+            calls.append(args)
+            return anen.search_analogs(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "search_analogs", counting_search)
+        monkeypatch.setattr(driver, "search_analogs", counting_search)
+        assert run_cli(["-o", outdir, *SMALL, "anen"]) == 0
+        assert len(calls) == 1
+
+        forecasts = tensorio.read_tensor(outdir / "forecasts.ansr")
+        analysis = tensorio.read_tensor(outdir / "observations.ansr")
+        config = anen.AnEnConfig(weights=anen.equal_weights(5), members=8, half_window=1,
+                                 operational=True)
+        indices = anen.search_analogs(forecasts, config, range(24, 30), range(0, 24))
+        aligned = align_observations(analysis, forecasts.init_times, forecasts.lead_times)
+        expected = outdir / "expected"
+        expected.mkdir()
+        indices.write(expected / "analogs.ansr")
+        tensorio.write_tensor(anen.build_multivariate_ensemble(indices, aligned),
+                              expected / "ensemble.ansr")
+        for name in ("analogs.ansr", "ensemble.ansr"):
+            assert (outdir / name).read_bytes() == (expected / name).read_bytes()
+
     def test_anen_with_weights_file(self, outdir):
         assert run_cli(["-o", outdir, *SMALL, "synth"]) == 0
         assert run_cli(["-o", outdir, *SMALL, "optimize-weights", "--strategy", "EW"]) == 0
@@ -245,3 +279,15 @@ class TestCommands:
         )
         rc = run_cli(["-o", outdir, "workflow", "run", wf])
         assert rc == 1
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy takes about a second to import; every CLI process would pay it
+    src = str(Path(anensolar.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    code = ("import anensolar.cli, sys; "
+            "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

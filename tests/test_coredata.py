@@ -84,6 +84,19 @@ class TestTensors:
         with pytest.raises(IndexError):
             fc.values[0, 0, 6, 0]
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_values_rejected(self, bad):
+        fc = make_forecast()
+        values = fc.values.copy()
+        values[1, 0, 2, 3] = bad
+        with pytest.raises(TensorFormatError, match="inf"):
+            ForecastTensor(fc.predictor_names, fc.locations, fc.init_times, fc.lead_times, values)
+        obs = make_observation()
+        values = obs.values.copy()
+        values[0, 1, 5] = bad
+        with pytest.raises(TensorFormatError, match="inf"):
+            ObservationTensor(obs.variable_names, obs.locations, obs.valid_times, values)
+
     def test_predictor_index(self):
         fc = make_forecast(n_pred=3)
         assert fc.predictor_index("p1") == 1

@@ -13,6 +13,7 @@ from anensolar.errors import (
     AxisMonotonicityError,
     DimensionMismatchError,
     DuplicateNameError,
+    TensorFormatError,
     TensorHeaderError,
 )
 from anensolar.tensorio import read_tensor, write_tensor
@@ -113,6 +114,20 @@ def test_payload_size_mismatch_is_dimension_error(tmp_path):
     bad_path = tmp_path / "bad.ansr"
     bad_path.write_bytes(raw[:-8])
     with pytest.raises(DimensionMismatchError):
+        read_tensor(bad_path)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+@pytest.mark.parametrize("tensor", [make_forecast(), make_observation()], ids=["forecast", "observation"])
+def test_infinite_payload_value_rejected(tmp_path, tensor, bad):
+    path = tmp_path / "t.ansr"
+    write_tensor(tensor, path)
+    raw = path.read_bytes()
+    # the payload is the trailing block of little-endian float64 values
+    cell = len(raw) - 8 * (tensor.values.size // 2)
+    bad_path = tmp_path / "bad.ansr"
+    bad_path.write_bytes(raw[:cell] + np.array([bad], dtype="<f8").tobytes() + raw[cell + 8 :])
+    with pytest.raises(TensorFormatError, match="inf"):
         read_tensor(bad_path)
 
 
