@@ -23,7 +23,10 @@ lead's window sum by adding shifted lead slabs left to right, and adds the
 scaled square roots into the total in predictor order: the same operations in
 the same order as the scalar ``similarity``, so distances match it bit for
 bit. With missing target terms zeroed, a NaN total marks exactly a
-disqualified candidate.
+disqualified candidate. Its steps (``check_split``, ``active_scale``,
+``window_roots``, ``add_scaled``, ``rank_candidates``, ``require_members``)
+are shared with the weight objective in ``driver``, which caches the window
+roots once per location and re-weights them per vector.
 """
 
 from __future__ import annotations
@@ -303,6 +306,97 @@ def _top_members(dist, members):
     return np.take_along_axis(cols, order, axis=1), np.take_along_axis(values, order, axis=1)
 
 
+def check_split(test_range, search_range, n_init: int, operational: bool):
+    """Validate a (test, search) init split; return it as ranges with the
+    candidate pool as a slice.
+
+    Both ranges must be non-empty and inside ``0..n_init``, and disjoint
+    unless ``operational`` is set; the pool is the search range in fixed mode
+    and search start up to test stop in operational mode.
+    """
+    test = _as_range(test_range)
+    search = _as_range(search_range)
+    if len(search) == 0:
+        raise ValueError("search range is empty")
+    if len(test) == 0:
+        raise ValueError("test range is empty")
+    if test.start < 0 or test.stop > n_init or search.start < 0 or search.stop > n_init:
+        raise ValueError("init ranges out of bounds")
+    if not operational and range(max(test.start, search.start), min(test.stop, search.stop)):
+        raise ValueError("test and search ranges overlap; enable operational mode")
+    return test, search, slice(search.start, test.stop if operational else search.stop)
+
+
+def active_scale(weights, sigma_values, sigma_epsilon):
+    """Where each predictor counts, and its ``w / sigma`` factor.
+
+    ``sigma_values`` is (P, L, J); both results are (P, L, J), and the scale
+    is meaningful only where active (w != 0, sigma finite and >= epsilon).
+    """
+    w = np.asarray(weights, dtype=float)[:, None, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        active = (w != 0.0) & np.isfinite(sigma_values) & (sigma_values >= sigma_epsilon)
+        scale = w / sigma_values
+    return active, scale
+
+
+def window_roots(target, cand_t, half_window, d2, acc):
+    """One predictor's ``sqrt(window sum of squared differences)``.
+
+    ``target`` is (rows, J) test values, ``cand_t`` is (J, C) candidate
+    values, ``d2`` and ``acc`` are (rows, J, C) buffers; the result is one of
+    them. Terms where the target is missing are zeroed, so a NaN result marks
+    exactly a candidate missing a value the target has.
+    """
+    np.subtract(target[:, :, None], cand_t[None], out=d2)
+    np.multiply(d2, d2, out=d2)
+    target_missing = np.isnan(target)
+    if target_missing.any():
+        d2[target_missing] = 0.0
+    roots = _window_sums(d2, acc, half_window)
+    np.sqrt(roots, out=roots)
+    return roots
+
+
+def add_scaled(total, roots, scale, on, out):
+    """``total += roots * scale`` on the leads where ``on`` is set.
+
+    ``scale`` and ``on`` are per lead; ``out`` is a (rows, J, C) buffer for
+    the product and may be ``roots`` itself.
+    """
+    where = True if on.all() else on[None, :, None]
+    np.multiply(roots, scale[None, :, None], out=out, where=where)
+    np.add(total, out, out=total, where=where)
+
+
+def rank_candidates(total, members, first_row, cand_start, operational):
+    """Top-M candidates of a (rows, J, C) distance total, row ``i`` being
+    test init ``first_row + i``.
+
+    Disqualified (NaN) distances become +inf, and in operational mode so does
+    every candidate at or after the row's own init (all of them for a test
+    init before the pool); ``total`` is overwritten. Returns candidate
+    columns and distances, each (rows * J, <= M), ascending.
+    """
+    total[np.isnan(total)] = np.inf
+    if operational:
+        for i in range(len(total)):
+            total[i, :, max(0, first_row + i - cand_start) :] = np.inf
+    return _top_members(total.reshape(-1, total.shape[2]), members)
+
+
+def require_members(found, members, location, first_row):
+    """Raise InsufficientCandidatesError naming the first short (lead, row)
+    cell of a (rows, J) count table, in lead-major order."""
+    short = found < members
+    if short.any():
+        lead, row = np.argwhere(short.T)[0]
+        raise InsufficientCandidatesError(
+            f"{found[row, lead]} finite-distance candidates for location {location}, "
+            f"test init {first_row + row}, lead {lead}; need {members}"
+        )
+
+
 def search_analogs(forecasts: ForecastTensor, config: AnEnConfig, test_range,
                    search_range, sigma: SigmaTensor | None = None) -> AnalogIndexSet:
     """Find the M nearest historical forecasts per (location, test init, lead).
@@ -318,17 +412,8 @@ def search_analogs(forecasts: ForecastTensor, config: AnEnConfig, test_range,
     Raises InsufficientCandidatesError when fewer than M finite-distance
     candidates exist and partial lists are not allowed.
     """
-    test = _as_range(test_range)
-    search = _as_range(search_range)
-    n_init = len(forecasts.init_times)
-    if len(search) == 0:
-        raise ValueError("search range is empty")
-    if len(test) == 0:
-        raise ValueError("test range is empty")
-    if test.start < 0 or test.stop > n_init or search.start < 0 or search.stop > n_init:
-        raise ValueError("init ranges out of bounds")
-    if not config.operational and range(max(test.start, search.start), min(test.stop, search.stop)):
-        raise ValueError("test and search ranges overlap; enable operational mode")
+    test, search, cand = check_split(test_range, search_range, len(forecasts.init_times),
+                                     config.operational)
     validate_weights(config.weights, len(forecasts.predictor_names))
 
     if sigma is None:
@@ -338,14 +423,8 @@ def search_analogs(forecasts: ForecastTensor, config: AnEnConfig, test_range,
     n_pred, n_loc, _, n_lead = values.shape
     n_test = len(test)
     m = config.members
-    cand = slice(search.start, test.stop if config.operational else search.stop)
     n_cand = cand.stop - cand.start
-
-    weights = config.weights[:, None, None]
-    sig = sigma.values
-    with np.errstate(invalid="ignore", divide="ignore"):
-        active = (weights != 0.0) & np.isfinite(sig) & (sig >= config.sigma_epsilon)
-        scale = weights / sig  # (P, L, J); read only where active
+    active, scale = active_scale(config.weights, sigma.values, config.sigma_epsilon)
 
     rows = min(n_test, max(1, BLOCK_BYTES // (8 * n_lead * n_cand)))
     d2, acc, total = (np.empty((rows, n_lead, n_cand)) for _ in range(3))
@@ -362,24 +441,10 @@ def search_analogs(forecasts: ForecastTensor, config: AnEnConfig, test_range,
             blk_total.fill(0.0)
             for p in preds:
                 target = values[p, loc, test.start + r0 : test.start + r1]  # (rows, J)
-                np.subtract(target[:, :, None], cand_t[p][None], out=blk_d2)
-                np.multiply(blk_d2, blk_d2, out=blk_d2)
-                target_missing = np.isnan(target)
-                if target_missing.any():
-                    blk_d2[target_missing] = 0.0
-                sums = _window_sums(blk_d2, blk_acc, config.half_window)
-                np.sqrt(sums, out=sums)
-                on = active[p, loc]
-                where = True if on.all() else on[None, :, None]
-                np.multiply(sums, scale[p, loc][None, :, None], out=sums, where=where)
-                np.add(blk_total, sums, out=blk_total, where=where)
-            # with target-missing terms zeroed, a NaN total is exactly a
-            # candidate missing a value the target has: disqualified
-            blk_total[np.isnan(blk_total)] = np.inf
-            if config.operational:
-                for i in range(r1 - r0):
-                    blk_total[i, :, test.start + r0 + i - cand.start :] = np.inf
-            cols, dist = _top_members(blk_total.reshape(-1, n_cand), m)
+                roots = window_roots(target, cand_t[p], config.half_window, blk_d2, blk_acc)
+                add_scaled(blk_total, roots, scale[p, loc], active[p, loc], roots)
+            cols, dist = rank_candidates(blk_total, m, test.start + r0, cand.start,
+                                         config.operational)
             ok = np.isfinite(dist)
             take = cols.shape[1]
             shape = (r1 - r0, n_lead, take)
@@ -387,13 +452,7 @@ def search_analogs(forecasts: ForecastTensor, config: AnEnConfig, test_range,
             out_dist[loc, r0:r1, :, :take] = np.where(ok, dist, MISSING).reshape(shape)
             found[r0:r1] = ok.sum(axis=1).reshape(r1 - r0, n_lead)
         if not config.allow_partial:
-            short = found < m
-            if short.any():
-                lead, row = np.argwhere(short.T)[0]
-                raise InsufficientCandidatesError(
-                    f"{found[row, lead]} finite-distance candidates for location {loc}, "
-                    f"test init {test.start + row}, lead {lead}; need {m}"
-                )
+            require_members(found, m, loc, test.start)
 
     return AnalogIndexSet(forecasts.locations, forecasts.init_times, np.arange(test.start, test.stop),
                           forecasts.lead_times, m, out_idx, out_dist)

@@ -18,11 +18,19 @@ from .anen import (
     AnalogIndexSet,
     AnEnConfig,
     SigmaTensor,
+    active_scale,
+    add_scaled,
     build_multivariate_ensemble,
+    check_split,
     compute_sigma,
+    rank_candidates,
+    require_members,
     search_analogs,
+    validate_weights,
+    window_roots,
 )
 from .coredata import (
+    MISSING,
     EnsembleTensor,
     ForecastTensor,
     LocationSet,
@@ -143,15 +151,45 @@ def power_from_weather(weather: EnsembleTensor, specs, system: SystemConfig,
     return simulate_ensemble(weather, cache, specs, system)
 
 
+@dataclasses.dataclass(frozen=True)
+class _LocationTables:
+    """Weight-independent tables of one location (see ``WeightObjective``)."""
+
+    sigma: np.ndarray        # (N, 1, J) for N predictors
+    roots: dict              # predictor -> (T, J, C) window roots, in predictor order
+    test_start: int          # init index of test row 0
+    cand_start: int          # init index of candidate column 0
+    power: np.ndarray        # (T * J, C) member power P
+    truth_power: np.ndarray  # (1, T, J)
+    daylight: np.ndarray     # (1, T, J)
+
+
 class WeightObjective:
     """CRPS-of-simulated-power objective for the weight grid search.
 
-    ``evaluate(weights, location)`` runs the analog search for one location
-    over the optimization split, simulates power for every member with the
-    configured module, and returns the mean CRPS against the analysis-driven
-    truth over daylight cells. Per-location artifacts (sigma, aligned
-    analysis, solar cache, truth power) are built once and cached; the
-    closure is pure per weight vector.
+    ``evaluate(weights, location)`` returns the mean CRPS, over daylight
+    cells, of the power ensemble that the analog search with ``weights``
+    gives at one location over the optimization split, against the
+    analysis-driven truth. It equals, bit for bit, running
+    ``search_analogs`` on the single-location slice, gathering the members
+    with ``build_multivariate_ensemble``, simulating them with the
+    configured module and scoring with ``crps_field``.
+
+    Nothing but the weighted sum of the search depends on the weights, so
+    the first call at a location builds its sigma, truth power, daylight
+    mask and two tables once (under a lock, so concurrent callers share one
+    build), and every vector is then a scan of the tables:
+
+    - per predictor, ``sqrt(window sum of squared differences)`` over
+      (test init, lead, candidate), built by the search's own kernel;
+    - the member power ``P[t, j, s]``: the PV chain applied to the analysis
+      at (candidate s, lead j) under the sun of test cell (t, j), from one
+      ``simulate_ensemble`` call whose member axis holds the candidates.
+
+    A vector then costs the ``w_p / sigma_p`` multiply-adds in predictor
+    order, top-M selection, a gather from ``P`` and the CRPS. A cached
+    location holds ``(N + 1) * T * J * C`` float64 values for N predictors,
+    T test inits, J leads and C candidates (about 46 MB at 5 x 90 x 24 x 450).
     """
 
     def __init__(self, forecasts: ForecastTensor, analysis: ObservationTensor,
@@ -164,40 +202,73 @@ class WeightObjective:
         self.search_range = opt_search_range
         self.spec = spec
         self.system = system
-        self._sigma = compute_sigma(forecasts, opt_search_range)
         self._lock = threading.Lock()
         self._per_location = {}
 
     def _artifacts(self, loc: int):
         with self._lock:
             cached = self._per_location.get(loc)
-        if cached is not None:
-            return cached
+            if cached is None:
+                cached = self._per_location[loc] = self._build(loc)
+        return cached
+
+    def _build(self, loc: int):
+        test, search, cand = check_split(self.test_range, self.search_range,
+                                         len(self.forecasts.init_times), self.base.operational)
         fc = slice_forecast_location(self.forecasts, loc)
-        sg = SigmaTensor(self._sigma.predictor_names, fc.locations, self._sigma.lead_times,
-                         self._sigma.values[:, loc : loc + 1])
+        sigma = compute_sigma(fc, search).values  # per location, so only sampled ones pay
         an = slice_observation_location(self.analysis, loc)
-        aligned = align_observations(an, fc.init_times, fc.lead_times)
-        test = range(self.test_range.start, self.test_range.stop)
         truth_weather = analysis_weather_ensemble(an, fc.init_times, fc.lead_times, test)
         cache = precompute_solar(fc.locations, truth_weather.init_times, fc.lead_times)
         truth_power = simulate_ensemble(truth_weather, cache, [self.spec], self.system).values[0, ..., 0]
-        daylight = cache.daylight_mask()
-        entry = (fc, sg, aligned, cache, truth_power, daylight)
-        with self._lock:
-            self._per_location[loc] = entry
-        return entry
+
+        # (a) per-predictor window roots, for predictors active at some lead
+        # under some weight vector
+        usable = np.isfinite(sigma[:, 0]) & (sigma[:, 0] >= self.base.sigma_epsilon)
+        shape = (len(test), len(fc.lead_times), cand.stop - cand.start)
+        roots = {}
+        for p in np.flatnonzero(usable.any(axis=1)):
+            values = fc.values[p, 0]
+            table = window_roots(values[test.start : test.stop], np.ascontiguousarray(values[cand].T),
+                                 self.base.half_window, np.empty(shape), np.empty(shape))
+            table.setflags(write=False)
+            roots[int(p)] = table
+
+        # (b) member power: candidate weather under each test cell's sun
+        aligned = align_observations(an, fc.init_times, fc.lead_times).values[:, :, cand]
+        members = np.broadcast_to(aligned.transpose(0, 1, 3, 2)[:, :, None],
+                                  (aligned.shape[0], 1) + shape)
+        weather = EnsembleTensor(an.variable_names, fc.locations, truth_weather.init_times,
+                                 fc.lead_times, shape[2], members)
+        power = simulate_ensemble(weather, cache, [self.spec], self.system).values[0, 0]
+        power = power.reshape(-1, shape[2])  # (T * J, C)
+        return _LocationTables(sigma, roots, test.start, cand.start, power, truth_power,
+                               cache.daylight_mask())
 
     def evaluate(self, weights, loc: int) -> float:
-        fc, sg, aligned, cache, truth_power, daylight = self._artifacts(loc)
+        tab = self._artifacts(loc)
         cfg = dataclasses.replace(self.base, weights=np.asarray(weights, dtype=float))
-        indices = search_analogs(fc, cfg, self.test_range, self.search_range, sg)
-        weather = build_multivariate_ensemble(indices, aligned)
-        power = simulate_ensemble(weather, cache, [self.spec], self.system).values[0]
-        scores = crps_field(power, truth_power)
-        ok = daylight & np.isfinite(scores) & np.isfinite(truth_power)
+        validate_weights(cfg.weights, len(self.forecasts.predictor_names))
+        active, scale = active_scale(cfg.weights, tab.sigma, cfg.sigma_epsilon)
+        n_test, n_lead = tab.truth_power.shape[1:]
+        total = np.zeros((n_test, n_lead, tab.power.shape[1]))
+        product = np.empty_like(total)
+        for p, roots in tab.roots.items():
+            if active[p, 0].any():
+                add_scaled(total, roots, scale[p, 0], active[p, 0], product)
+        cols, dist = rank_candidates(total, cfg.members, tab.test_start, tab.cand_start,
+                                     cfg.operational)
+        ok = np.isfinite(dist)
+        if not cfg.allow_partial:
+            # the message names location 0, as a search of the one-location slice does
+            require_members(ok.sum(axis=1).reshape(n_test, n_lead), cfg.members, 0, tab.test_start)
+        members = np.full((n_test * n_lead, cfg.members), MISSING)
+        members[:, : cols.shape[1]] = np.where(ok, np.take_along_axis(tab.power, cols, axis=1), MISSING)
+        scores = crps_field(members.reshape(1, n_test, n_lead, cfg.members), tab.truth_power)
+        ok = tab.daylight & np.isfinite(scores) & np.isfinite(tab.truth_power)
         if not ok.any():
             return float("inf")
         return float(scores[ok].mean())
 
     __call__ = evaluate
+

@@ -144,13 +144,16 @@ def _encode_block(values: np.ndarray) -> bytes:
     return np.ascontiguousarray(values, dtype="<f8").tobytes()
 
 
-def _decode_block(payload: bytes, shape: tuple) -> np.ndarray:
+def _decode_block(payload: memoryview, shape: tuple, copy: bool) -> np.ndarray:
+    """The float64 block as an array of ``shape``: a read-only view of
+    ``payload`` for a constructor that copies it, or one owned copy."""
     expected = int(np.prod(shape)) * 8
     if len(payload) != expected:
         raise DimensionMismatchError(
             f"binary block is {len(payload)} bytes, header shape {shape} needs {expected}"
         )
-    return np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
+    block = np.frombuffer(payload, dtype="<f8").reshape(shape)
+    return block.astype(np.float64) if copy else block
 
 
 def write_tensor(tensor, path):
@@ -199,7 +202,8 @@ def read_tensor(path):
         header = raw[:sep].decode("utf-8")
     except UnicodeDecodeError:
         raise TensorHeaderError("header is not valid UTF-8") from None
-    payload = raw[sep + 2 :]
+    # a view: each returned array is the one copy of the payload
+    payload = memoryview(raw)[sep + 2 :]
     r = _HeaderReader(header)
     if r.next_line() != MAGIC:
         raise TensorHeaderError(f"bad magic line, expected {MAGIC}")
@@ -213,14 +217,14 @@ def read_tensor(path):
         init = TimeAxis(r.axis("init_times"))
         lead = LeadTimeAxis(r.axis("lead_times"))
         r.done()
-        values = _decode_block(payload, (len(names), len(locs), len(init), len(lead)))
+        values = _decode_block(payload, (len(names), len(locs), len(init), len(lead)), copy=False)
         return ForecastTensor(names, locs, init, lead, values)
     if kind == "observation":
         names = r.names("variables")
         locs = r.locations()
         valid = TimeAxis(r.axis("valid_times"))
         r.done()
-        values = _decode_block(payload, (len(names), len(locs), len(valid)))
+        values = _decode_block(payload, (len(names), len(locs), len(valid)), copy=False)
         return ObservationTensor(names, locs, valid, values)
     if kind == "ensemble":
         names = r.names("variables")
@@ -229,7 +233,7 @@ def read_tensor(path):
         lead = LeadTimeAxis(r.axis("lead_times"))
         members = r.section("members")
         r.done()
-        values = _decode_block(payload, (len(names), len(locs), len(init), len(lead), members))
+        values = _decode_block(payload, (len(names), len(locs), len(init), len(lead), members), copy=False)
         return EnsembleTensor(names, locs, init, lead, members, values)
     if kind in ("analogs", "sigma", "solar"):
         return _read_extended(kind, r, payload)
@@ -256,7 +260,7 @@ def write_extended(kind, path, *, field_names, locations, sections, values):
         fh.write(_encode_block(values))
 
 
-def _read_extended(kind, r: _HeaderReader, payload: bytes):
+def _read_extended(kind, r: _HeaderReader, payload: memoryview):
     fields = r.names("fields")
     locs = r.locations()
     sections = {}
@@ -276,7 +280,7 @@ def _read_extended(kind, r: _HeaderReader, payload: bytes):
         sections["lead_times"] = r.axis("lead_times")
         dims = (len(fields), len(locs), len(sections["init_times"]), len(sections["lead_times"]))
     r.done()
-    values = _decode_block(payload, dims)
+    values = _decode_block(payload, dims, copy=True)
     return {"kind": kind, "fields": fields, "locations": locs, "sections": sections, "values": values}
 
 

@@ -28,6 +28,11 @@ DAYPART_SLOTS = {"morning": (8, 10), "noon": (11, 13), "afternoon": (14, 16)}
 
 GROUPINGS = ("lead", "location", "region", "season", "daypart")
 
+# Bytes of the (locations, I, J, M, M) pairwise temporary of one crps_field
+# call in aggregate, which scores the field in location chunks of about this
+# size (at least one location).
+CRPS_CHUNK_BYTES = 1 << 23
+
 
 def _paired(pred, truth):
     pred = np.asarray(pred, dtype=float).ravel()
@@ -153,7 +158,9 @@ def aggregate(ensemble: np.ndarray, truth: np.ndarray, grouping: str, *,
     MAM/JJA/SON from the init time), "daypart" (aligned slots 8-10, 11-13,
     14-16). Cells outside daylight, with missing truth, or with any missing
     member are excluded. Group metrics recombine: bias, CRPS, spread, and
-    squared RMSE are count-weighted means.
+    squared RMSE are count-weighted means. CRPS is computed in location
+    chunks (``CRPS_CHUNK_BYTES``), which bounds its pairwise-member
+    temporary; every cell's value is the same as from one call.
     """
     if grouping in ("lead-time", "lead_time"):
         grouping = "lead"
@@ -171,7 +178,11 @@ def aggregate(ensemble: np.ndarray, truth: np.ndarray, grouping: str, *,
 
     mean = ens.mean(axis=-1)
     err = mean - tru
-    crps_all = crps_field(ens, tru)
+    crps_all = np.empty((n_loc, n_init, n_lead))
+    per_location = 8 * n_init * n_lead * ens.shape[-1] ** 2
+    chunk = max(1, CRPS_CHUNK_BYTES // max(1, per_location))
+    for l0 in range(0, n_loc, chunk):
+        crps_all[l0 : l0 + chunk] = crps_field(ens[l0 : l0 + chunk], tru[l0 : l0 + chunk])
     spread_all = spread_field(ens)
 
     if alignment is not None:

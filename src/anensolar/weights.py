@@ -125,6 +125,11 @@ def average_linkage_merges(points: np.ndarray, stop_at: int = 1):
     cluster replaces position i while position j is removed. Distances are
     maintained with the Lance-Williams update.
 
+    Each merge is one ``argmin`` over the remaining k x k distance matrix
+    with the diagonal and lower triangle masked to +inf: its row-major first
+    occurrence is the smallest positional pair. A merge costs O(k^2) array
+    work and no Python loop, O(n^3) element operations in all.
+
     Returns (merges, member lists) where each merge records
     (members of i, members of j, linkage distance) at the time of merging.
     """
@@ -137,14 +142,13 @@ def average_linkage_merges(points: np.ndarray, stop_at: int = 1):
         d = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
     else:
         d = np.zeros((n, n))
+    # +inf on and below the diagonal; its leading k x k block masks k clusters
+    lower = np.where(np.tri(n, dtype=bool), np.inf, 0.0)
     merges = []
     while len(members) > stop_at:
-        best_i = best_j = -1
-        best_d = np.inf
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                if d[i, j] < best_d:
-                    best_i, best_j, best_d = i, j, d[i, j]
+        k = len(members)
+        best_i, best_j = divmod(int(np.argmin(d + lower[:k, :k])), k)
+        best_d = d[best_i, best_j]
         merges.append((tuple(members[best_i]), tuple(members[best_j]), float(best_d)))
         ni, nj = sizes[best_i], sizes[best_j]
         row = (ni * d[best_i, :] + nj * d[best_j, :]) / (ni + nj)

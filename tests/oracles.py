@@ -12,7 +12,11 @@ than the library (no shared helpers), so agreement is meaningful:
   recomputed from the raw pairwise matrix at every step (no incremental
   update);
 - ``gather_members``: the multivariate ensemble gather as scalar loops;
-- ``lookup_aligned``: per-element valid-time search for observation alignment.
+- ``lookup_aligned``: per-element valid-time search for observation alignment;
+- ``reference_weight_score``: the weight objective as the plain chain of
+  library stages, one fresh search per call. Unlike the others it reuses the
+  library: it pins the table-scan ``WeightObjective`` to the composition it
+  replaces.
 """
 
 from __future__ import annotations
@@ -277,3 +281,44 @@ def crps_double_sum(members, truth):
     term1 = sum(abs(x - truth) for x in members) / m
     term2 = sum(abs(x - y) for x in members for y in members) / (2.0 * m * m)
     return term1 - term2
+
+
+# -- weight objective oracle ------------------------------------------------------------
+
+def reference_weight_score(forecasts, analysis, config, test_range, search_range,
+                           spec, system, weights, loc):
+    """Mean daylight CRPS of the power ensemble of one weight vector at one
+    location: search_analogs on the single-location slice ->
+    build_multivariate_ensemble -> simulate_ensemble -> crps_field."""
+    import dataclasses
+
+    from anensolar.anen import SigmaTensor, build_multivariate_ensemble, compute_sigma, search_analogs
+    from anensolar.coredata import align_observations
+    from anensolar.driver import (
+        analysis_weather_ensemble,
+        slice_forecast_location,
+        slice_observation_location,
+    )
+    from anensolar.pvchain import simulate_ensemble
+    from anensolar.solar import precompute_solar
+    from anensolar.verify import crps_field
+
+    sigma = compute_sigma(forecasts, search_range)
+    fc = slice_forecast_location(forecasts, loc)
+    sg = SigmaTensor(sigma.predictor_names, fc.locations, sigma.lead_times,
+                     sigma.values[:, loc : loc + 1])
+    an = slice_observation_location(analysis, loc)
+    truth_weather = analysis_weather_ensemble(an, fc.init_times, fc.lead_times, test_range)
+    cache = precompute_solar(fc.locations, truth_weather.init_times, fc.lead_times)
+    truth = simulate_ensemble(truth_weather, cache, [spec], system).values[0, ..., 0]
+
+    cfg = dataclasses.replace(config, weights=np.asarray(weights, dtype=float))
+    indices = search_analogs(fc, cfg, test_range, search_range, sg)
+    aligned = align_observations(an, fc.init_times, fc.lead_times)
+    weather = build_multivariate_ensemble(indices, aligned)
+    power = simulate_ensemble(weather, cache, [spec], system).values[0]
+    scores = crps_field(power, truth)
+    ok = cache.daylight_mask() & np.isfinite(scores) & np.isfinite(truth)
+    if not ok.any():
+        return float("inf")
+    return float(scores[ok].mean())

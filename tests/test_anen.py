@@ -338,6 +338,16 @@ class TestSearchKernelEdges:
             out = search_analogs(fc, cfg, (5, 6), (0, 5), unit_sigma(fc))
             assert out.search_index[0, 0, 0].tolist() == expected
 
+    def test_operational_test_inits_before_the_pool_see_no_future(self):
+        fc = make_forecast(n_pred=2, n_loc=2, n_init=12, n_lead=3, seed=103)
+        cfg = AnEnConfig(weights=equal_weights(2), members=2, operational=True,
+                         allow_partial=True)
+        out = assert_matches_oracle(fc, cfg, range(0, 10), range(5, 12),
+                                    compute_sigma(fc, range(5, 12)))
+        # test inits 0-4 precede the pool; every stored init precedes its test init
+        assert np.isnan(out.search_index[:, :5]).all()
+        assert (np.nan_to_num(out.search_index, nan=-1) < np.arange(10)[None, :, None, None]).all()
+
     def test_many_ties_match_oracle(self):
         r = np.random.default_rng(101)
         fc = tiny_forecast(r.integers(0, 3, size=(2, 2, 30, 4)).astype(float))

@@ -240,6 +240,20 @@ class TestCommands:
             assert abs(sum(vec) - 1.0) < 1e-9
         assert (outdir / "clustering.csv").exists()
 
+    def test_optimize_weights_parallel_output_identical(self, outdir):
+        base = ["-o", str(outdir), *SMALL,
+                "--set", "optimize.step=0.25",
+                "--set", "optimize.opt_days=8",
+                "--set", "optimize.total_samples=3",
+                "--set", "anen.members=6"]
+        assert run_cli([*base, "synth"]) == 0
+        written = []
+        for parallel in (1, 2):
+            rc = run_cli([*base, "--parallel", parallel, "optimize-weights", "--strategy", "RB"])
+            assert rc == 0
+            written.append((outdir / "weights.csv").read_bytes())
+        assert written[0] == written[1]
+
     def test_workflow_run_command(self, outdir, tmp_path):
         wf = tmp_path / "wf.yaml"
         wf.write_text(

@@ -1,8 +1,11 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from anensolar.anen import AnEnConfig, equal_weights
-from anensolar.coredata import LocationSet
+from anensolar.anen import AnEnConfig, compute_sigma, equal_weights, search_analogs
+from anensolar.coredata import ForecastTensor, LocationSet
 from anensolar.driver import (
     WeightObjective,
     anen_weather_ensemble,
@@ -11,8 +14,12 @@ from anensolar.driver import (
     slice_forecast_location,
     slice_observation_location,
 )
+from anensolar.errors import InsufficientCandidatesError
 from anensolar.pvchain import SystemConfig, load_module_catalog
 from anensolar.synth import SynthConfig, generate
+from anensolar.weights import enumerate_weights
+
+from oracles import reference_weight_score
 
 
 @pytest.fixture(scope="module")
@@ -71,3 +78,96 @@ def test_power_from_weather_builds_cache_once(dataset):
     assert power.variable_names == ("SP128",)
     assert power.values.shape == (1, 3, 5, 24, 1)
     assert np.all(power.values >= 0)
+
+
+@pytest.fixture(scope="module")
+def holed(dataset):
+    """The dataset with 3% NaN holes in the forecasts and predictor 2 held
+    constant (sigma 0, below epsilon) at leads 3-5 only."""
+    obs, fc = dataset
+    values = fc.values.copy()
+    values[np.random.default_rng(9).random(values.shape) < 0.03] = np.nan
+    values[2, :, :, 3:6] = 7.0
+    return obs, ForecastTensor(fc.predictor_names, fc.locations, fc.init_times,
+                               fc.lead_times, values)
+
+
+OBJECTIVE_CASES = {
+    "fixed": (dict(members=5, half_window=1), range(45, 60), range(0, 45)),
+    "operational": (dict(members=5, half_window=2, operational=True), range(40, 60), range(5, 40)),
+    "partial": (dict(members=12, half_window=0, operational=True, allow_partial=True),
+                range(8, 20), range(0, 8)),
+}
+
+
+class TestObjectiveTables:
+    spec = next(s for s in load_module_catalog() if s.code == "STU300")
+
+    def objective(self, data, case):
+        obs, fc = data
+        kwargs, test, search = OBJECTIVE_CASES[case]
+        base = AnEnConfig(weights=equal_weights(5), **kwargs)
+        return WeightObjective(fc, obs, base, test, search, self.spec, SystemConfig())
+
+    def test_holed_fixture_has_the_edge_cases(self, holed):
+        _, fc = holed
+        sigma = compute_sigma(fc, range(0, 45)).values[2]
+        assert np.isnan(fc.values).any()
+        assert (sigma[:, 3:6] < 1e-6).all() and (sigma[:, :3] >= 1e-6).all()
+
+    @pytest.mark.parametrize("case", sorted(OBJECTIVE_CASES))
+    def test_equals_the_search_gather_simulate_chain(self, holed, case):
+        obs, fc = holed
+        objective = self.objective(holed, case)
+        _, test, search = OBJECTIVE_CASES[case]
+        base = objective.base
+        scores = []
+        for loc in (0, 2):
+            for w in enumerate_weights(5, 0.25).vectors:
+                score = objective.evaluate(w, loc)
+                assert score == reference_weight_score(fc, obs, base, test, search, self.spec,
+                                                       SystemConfig(), w, loc)
+                scores.append(score)
+        assert np.isfinite(scores).all() and len(set(scores)) > 1
+        if base.allow_partial:
+            found = search_analogs(slice_forecast_location(fc, 0), base, test, search).member_count()
+            assert found.min() < base.members <= found.max()
+
+    def test_short_lists_raise_the_search_error(self, holed):
+        obs, fc = holed
+        kwargs, test, search = OBJECTIVE_CASES["partial"]
+        w = np.array([0.25, 0.25, 0.0, 0.5, 0.0])
+        strict = AnEnConfig(weights=w, **dict(kwargs, allow_partial=False))
+        objective = WeightObjective(fc, obs, strict, test, search, self.spec, SystemConfig())
+        with pytest.raises(InsufficientCandidatesError) as expected:
+            search_analogs(slice_forecast_location(fc, 1), strict, test, search)
+        with pytest.raises(InsufficientCandidatesError) as raised:
+            objective.evaluate(w, 1)
+        assert str(raised.value) == str(expected.value)
+
+    def test_concurrent_first_calls_build_each_location_once(self, holed):
+        vectors = enumerate_weights(5, 0.5).vectors
+        serial_objective = self.objective(holed, "fixed")
+        serial = [serial_objective.evaluate(w, loc) for loc in range(3) for w in vectors]
+        objective = self.objective(holed, "fixed")
+        builds = []
+        build = objective._build
+        objective._build = lambda loc: builds.append(loc) or build(loc)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(objective.evaluate, w, loc) for loc in range(3) for w in vectors]
+                results = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(builds) == [0, 1, 2]
+        assert results == serial
+
+    @pytest.mark.parametrize("w", [[-0.25, 0.5, 0.25, 0.25, 0.25], [0.5, 0.5, 0.5, 0.0, 0.0],
+                                   [0.5, 0.5]])
+    def test_invalid_vector_is_value_error(self, holed, w):
+        objective = self.objective(holed, "fixed")
+        objective.evaluate(equal_weights(5), 0)  # tables built
+        with pytest.raises(ValueError):
+            objective.evaluate(np.array(w), 0)

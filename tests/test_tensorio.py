@@ -166,3 +166,62 @@ def test_csv_unknown_header_rejected(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(TensorHeaderError):
         read_tensor(path)
+
+
+KINDS = ("forecast", "observation", "ensemble", "analogs", "sigma", "solar")
+
+
+def _every_kind():
+    """One small instance of each container kind, NaN and -0.0 included:
+    kind -> (write(path), payload values)."""
+    from anensolar.anen import AnalogIndexSet, SigmaTensor
+    from anensolar.solar import precompute_solar
+
+    fc = make_forecast(n_pred=2, n_loc=3, n_init=4, n_lead=5)
+    vals = fc.values.copy()
+    vals[0, 0, 0, 0], vals[1, 2, 3, 4] = MISSING, -0.0
+    fc = ForecastTensor(fc.predictor_names, fc.locations, fc.init_times, fc.lead_times, vals)
+    obs = make_observation()
+    ens = EnsembleTensor(("ghi", "albedo"), fc.locations, fc.init_times, fc.lead_times, 3,
+                         np.random.default_rng(4).normal(size=(2, 3, 4, 5, 3)))
+    index = np.random.default_rng(5).integers(0, 4, size=(3, 2, 5, 3)).astype(float)
+    index[0, 0, 0, 2] = MISSING
+    analogs = AnalogIndexSet(fc.locations, fc.init_times, [2, 3], fc.lead_times, 3,
+                             index, np.random.default_rng(6).random((3, 2, 5, 3)))
+    sigma = SigmaTensor(fc.predictor_names, fc.locations, fc.lead_times,
+                        np.where(np.arange(5) == 1, MISSING, 1.5) * np.ones((2, 3, 5)))
+    solar = precompute_solar(fc.locations, fc.init_times, fc.lead_times)
+    return {
+        "forecast": (lambda p: write_tensor(fc, p), fc.values),
+        "observation": (lambda p: write_tensor(obs, p), obs.values),
+        "ensemble": (lambda p: write_tensor(ens, p), ens.values),
+        "analogs": (analogs.write, np.stack([analogs.search_index, analogs.distance])),
+        "sigma": (sigma.write, sigma.values),
+        "solar": (solar.write, np.stack([solar.apparent_zenith, solar.azimuth, solar.declination,
+                                         solar.equation_of_time, solar.e0n, solar.airmass])),
+    }
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_read_owns_one_copy_of_every_kind(tmp_path, kind):
+    write, expected = _every_kind()[kind]
+    path = tmp_path / f"{kind}.ansr"
+    write(path)
+    back = read_tensor(path)
+    values = back["values"] if isinstance(back, dict) else back.values
+    assert values.tobytes() == np.ascontiguousarray(expected).tobytes()
+    # an array of its own, not a view into the bytes read from the file
+    assert values.base is None and values.flags.owndata
+    if isinstance(back, dict):
+        assert values.flags.writeable
+        values[(0,) * values.ndim] = 1.0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_short_payload_of_every_kind_is_dimension_error(tmp_path, kind):
+    write, _ = _every_kind()[kind]
+    path = tmp_path / f"{kind}.ansr"
+    write(path)
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(DimensionMismatchError):
+        read_tensor(path)

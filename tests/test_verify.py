@@ -147,6 +147,30 @@ class TestAggregate:
         assert row.spread == pytest.approx(float(spread_field(ens).mean()))
         assert row.count == truth.size
 
+    def test_chunked_crps_equals_one_call(self, rng, monkeypatch):
+        from anensolar import verify
+
+        # about one location's pairwise temporary per chunk: four chunks
+        per_location = verify.CRPS_CHUNK_BYTES // (8 * 24 * 21 * 21) + 1
+        ens, truth, init = self.make_data(rng, n_loc=4, n_init=per_location, n_lead=24, members=21)
+        ens[0, 0, 3, 7] = np.nan
+        ens[2, 5, :, 0] = np.nan
+        truth[3, 1, 2] = np.nan
+        chunks = []
+
+        def recording_crps_field(e, t):
+            chunks.append(crps_field(e, t))
+            return chunks[-1]
+
+        monkeypatch.setattr(verify, "crps_field", recording_crps_field)
+        report = aggregate(ens, truth, "location", init_times=init)
+        assert len(chunks) >= 3
+        whole = crps_field(ens, truth)
+        np.testing.assert_array_equal(np.concatenate(chunks), whole)
+        valid = np.isfinite(truth) & np.all(np.isfinite(ens), axis=-1)
+        for row in report.rows:
+            assert row.crps == float(whole[row.group][valid[row.group]].mean())
+
     def test_region_recombination_identity(self, rng):
         ens, truth, init = self.make_data(rng, n_loc=4)
         region_map = {0: "east", 1: "east", 2: "west", 3: "west"}

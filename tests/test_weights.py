@@ -95,6 +95,43 @@ class TestHierarchicalCluster:
                 assert set(ai) == set(bi) and set(aj) == set(bj)
                 assert ad == pytest.approx(bd, rel=1e-9, abs=1e-12)
 
+    @staticmethod
+    def _assert_same_merges(points, exact):
+        merges, _ = average_linkage_merges(points, stop_at=1)
+        expected, _ = naive_average_linkage(points, stop_at=1)
+        assert [m[:2] for m in merges] == [e[:2] for e in expected]
+        for (_, _, ad), (_, _, bd) in zip(merges, expected):
+            assert ad == bd if exact else ad == pytest.approx(bd, rel=1e-12, abs=1e-12)
+
+    def test_exact_ties_on_a_lattice_line(self, rng):
+        # 2^k lattice points 5 apart on a line, shuffled, some duplicated in
+        # pairs: every cluster size is a power of two and every distance an
+        # integer, so both routes compute each average exactly and the
+        # many exact ties must all go to the smallest positional pair
+        for k in range(1, 6):
+            steps = np.arange(2 ** k)
+            for copies in (1, 2):
+                if copies * len(steps) > 40:
+                    continue
+                idx = rng.permutation(np.repeat(steps, copies))
+                points = np.column_stack([3 * idx + 7, 4 * idx - 2]).astype(float)
+                self._assert_same_merges(points, exact=True)
+
+    def test_exact_ties_between_duplicated_points(self, rng):
+        for trial in range(20):
+            distinct = rng.normal(0, 2, size=(int(rng.integers(2, 11)), 3))
+            points = distinct[rng.integers(0, len(distinct), int(rng.integers(3, 41)))]
+            self._assert_same_merges(points, exact=False)
+
+    def test_merge_heights_match_scipy(self, rng):
+        from scipy.cluster.hierarchy import linkage
+
+        points = rng.normal(0, 1, size=(200, 4))
+        merges, _ = average_linkage_merges(points, stop_at=1)
+        heights = np.sort([d for _, _, d in merges])
+        reference = np.sort(linkage(points, method="average")[:, 2])
+        assert heights.tolist() == pytest.approx(reference.tolist(), rel=1e-12)
+
     def test_permutation_invariance(self, rng):
         feats = rng.normal(0, 3, size=(12, 4))
         base = hierarchical_cluster(feats, 3)
