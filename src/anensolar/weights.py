@@ -121,9 +121,12 @@ def average_linkage_merges(points: np.ndarray, stop_at: int = 1):
 
     Starting from singleton clusters, repeatedly joins the pair with the
     smallest average Euclidean distance until ``stop_at`` clusters remain;
-    ties are broken by the smallest positional pair (i, j), and the merged
-    cluster replaces position i while position j is removed. Distances are
-    maintained with the Lance-Williams update.
+    ties between numerically equal distances are broken by the smallest
+    positional pair (i, j), and the merged cluster replaces position i while
+    position j is removed. Distances are maintained with the Lance-Williams
+    update, whose rounding can separate averages that are mathematically
+    tied, so such a tie may go to another pair than a direct recomputation
+    of the averages would pick.
 
     Each merge is one ``argmin`` over the remaining k x k distance matrix
     with the diagonal and lower triangle masked to +inf: its row-major first

@@ -9,19 +9,36 @@ limit. All state mutation funnels through a single coordinator thread; the
 execution backend is a black box behind ``ExecutionBackend`` so it can be
 torn down and brought back, losing only the tasks that were running.
 
+The coordinator builds its scheduling state once and updates it only as
+tasks settle, never rescanning the workflow:
+
+- a stage cursor per pipeline (the index of its open stage), and counts of
+  non-terminal tasks per stage and for the whole run;
+- a sorted ready list of ``(pipeline, stage, task)`` index keys of the
+  dispatchable tasks of open stages. Dispatch walks it first-fit, in the
+  pipeline-major order a scan of the open stages would take, and stops once
+  the reserved cores reach the budget. A retryable failure goes back in at
+  its own key; when a stage's count reaches zero the cursor moves on and
+  the next stage's tasks enter the list.
+
+The run is done when the run-wide count is zero. Every state change arrives
+as a queue message, so the coordinator blocks on the queue between them.
+
 Task state machine::
 
     PENDING -> SCHEDULED -> RUNNING -> DONE
                                     -> FAILED -> SCHEDULED (retry)
     any non-terminal state -> CANCELED
 
-FAILED is terminal once attempts exceed max_retries. Completed tasks are
+FAILED is terminal once attempts exceed max_retries; like DONE, it lets the
+next stage of its pipeline open (the run then ends FAILED). Completed tasks are
 never re-run. A backend loss re-executes only the tasks that were RUNNING,
 without consuming their retry budget.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import queue
 import subprocess
@@ -87,13 +104,15 @@ class Task:
         return self.state is TaskState.FAILED and self.attempts > self.max_retries
 
 
+def _dispatchable(task: Task) -> bool:
+    retryable = task.state is TaskState.FAILED and task.attempts <= task.max_retries
+    return task.state is TaskState.PENDING or retryable
+
+
 @dataclass
 class Stage:
     id: str
     tasks: list
-
-    def is_terminal(self) -> bool:
-        return all(t.is_terminal() for t in self.tasks)
 
 
 @dataclass
@@ -126,6 +145,10 @@ def validate_workflow(workflow: Workflow):
             if not stage.tasks:
                 raise WorkflowValidationError(f"stage {stage.id!r} is empty")
             for task in stage.tasks:
+                if str(task.id).split() != [str(task.id)]:
+                    # the event log is whitespace-separated text
+                    raise WorkflowValidationError(
+                        f"task id {task.id!r} is empty or contains whitespace")
                 if id(task) in seen_tasks:
                     raise WorkflowValidationError("task object reused in workflow")
                 seen_tasks.add(id(task))
@@ -192,6 +215,18 @@ class WorkflowRun:
         self._canceled = False
         self._finished = threading.Event()
         self._final_state = RunState.RUNNING
+        pipelines = workflow.pipelines
+        self._key = {t.id: (p, s, k)
+                     for p, pipe in enumerate(pipelines)
+                     for s, stage in enumerate(pipe.stages)
+                     for k, t in enumerate(stage.tasks)}
+        self._stage_left = [[sum(not t.is_terminal() for t in stage.tasks) for stage in pipe.stages]
+                            for pipe in pipelines]
+        self._left = sum(map(sum, self._stage_left))
+        self._cursor = [0] * len(pipelines)
+        self._ready = []
+        for p in range(len(pipelines)):
+            self._open_stage(p)
         size = pool_size or min(workflow.worker_budget, 128)
         self._pool = ThreadPoolExecutor(max_workers=size)
         self._coordinator = threading.Thread(target=self._coordinate, daemon=True)
@@ -234,31 +269,51 @@ class WorkflowRun:
             self._events.append(TransitionRecord(self._seq, time.time(), task.id, task.state, to_state))
         task.state = to_state
 
+    def _open_stage(self, p: int):
+        """Move pipeline ``p``'s cursor to its first non-terminal stage and put
+        that stage's dispatchable tasks into the ready list."""
+        left = self._stage_left[p]
+        s = self._cursor[p]
+        while s < len(left) and left[s] == 0:
+            s += 1
+        self._cursor[p] = s
+        if s == len(left):
+            return
+        tasks = self.workflow.pipelines[p].stages[s].tasks
+        # no other key of pipeline p is ready, so its keys go where (p,) sorts
+        at = bisect.bisect_left(self._ready, (p,))
+        self._ready[at:at] = [(p, s, k) for k, t in enumerate(tasks) if _dispatchable(t)]
+
+    def _settle(self, task: Task):
+        """Update the scheduling state after ``task`` left RUNNING."""
+        key = self._key[task.id]
+        if not task.is_terminal():
+            bisect.insort(self._ready, key)
+            return
+        p, s, _ = key
+        self._left -= 1
+        self._stage_left[p][s] -= 1
+        if self._stage_left[p][s] == 0:
+            self._open_stage(p)
+
     def _dispatch_ready(self):
         if self._degraded or self._canceled:
             return
-        for pipe in self.workflow.pipelines:
-            stage = None
-            for s in pipe.stages:
-                if not s.is_terminal():
-                    stage = s
-                    break
-            if stage is None:
+        budget = self.workflow.worker_budget
+        pipelines = self.workflow.pipelines
+        ready = self._ready
+        i = 0
+        while i < len(ready) and self._reserved < budget:
+            p, s, k = ready[i]
+            task = pipelines[p].stages[s].tasks[k]
+            if self._reserved + task.cores > budget:
+                i += 1
                 continue
-            # a stage only opens once every previous stage is fully terminal,
-            # which the first-non-terminal scan above guarantees
-            for task in stage.tasks:
-                retryable = task.state is TaskState.FAILED and task.attempts <= task.max_retries
-                if task.state is not TaskState.PENDING and not retryable:
-                    continue
-                if task.id in self._in_flight:
-                    continue
-                if self._reserved + task.cores > self.workflow.worker_budget:
-                    continue
-                self._reserved += task.cores
-                self._in_flight[task.id] = task
-                self._record(task, TaskState.SCHEDULED)
-                self._pool.submit(self._execute, task)
+            del ready[i]
+            self._reserved += task.cores
+            self._in_flight[task.id] = task
+            self._record(task, TaskState.SCHEDULED)
+            self._pool.submit(self._execute, task)
 
     def _execute(self, task: Task):
         if self._degraded:
@@ -280,18 +335,12 @@ class WorkflowRun:
             del self._in_flight[task.id]
             self._reserved -= task.cores
 
-    def _all_terminal(self) -> bool:
-        return all(t.is_terminal() for t in self._tasks.values())
-
     def _coordinate(self):
         while True:
             self._dispatch_ready()
-            if self._all_terminal() and not self._in_flight:
+            if self._left == 0 and not self._in_flight:
                 break
-            try:
-                msg = self._queue.get(timeout=0.05)
-            except queue.Empty:
-                continue
+            msg = self._queue.get()
             kind = msg[0]
             if kind == "started":
                 task = msg[1]
@@ -304,6 +353,7 @@ class WorkflowRun:
                 task.attempts += 1
                 self._release(task)
                 self._record(task, TaskState.DONE if code == 0 else TaskState.FAILED)
+                self._settle(task)
             elif kind == "backend_lost":
                 _, task, _exc = msg
                 self._degraded = True
@@ -311,6 +361,7 @@ class WorkflowRun:
                     # no attempt consumed: the runtime failed, not the task
                     self._release(task)
                     self._record(task, TaskState.FAILED)
+                    self._settle(task)
             elif kind == "parked":
                 if self._degraded:
                     self._parked.append(msg[1])
@@ -444,30 +495,63 @@ def build_simulation_workflow(partitions, modules, *, command_prefix=("anensolar
 
 # -- declarative workflow files ------------------------------------------------
 
+# the C emitter writes the same bytes as the pure-Python one, several times faster
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
+def _entries(node, key: str, where: str) -> list:
+    """The list under ``key`` of a mapping in a workflow file (empty if absent)."""
+    if not isinstance(node, dict):
+        raise WorkflowValidationError(f"{where} must be a mapping")
+    entries = node.get(key, [])
+    if not isinstance(entries, list):
+        raise WorkflowValidationError(f"{where}: {key!r} must be a list")
+    return entries
+
+
+def _integer(node: dict, key: str, default: int, where: str) -> int:
+    try:
+        return int(node.get(key, default))
+    except (TypeError, ValueError):
+        raise WorkflowValidationError(f"{where}: {key!r} must be an integer") from None
+
+
 def load_workflow_file(path) -> Workflow:
-    """Read a declarative workflow description (YAML)."""
+    """Read a declarative workflow description (YAML).
+
+    Raises ``WorkflowValidationError`` when the document is not YAML or not
+    shaped as pipelines of stages of tasks."""
     with open(path) as fh:
-        doc = yaml.safe_load(fh)
+        try:
+            doc = yaml.load(fh, Loader=_YAML_LOADER)
+        except yaml.YAMLError as exc:
+            raise WorkflowValidationError(f"workflow file is not valid YAML: {exc}") from None
     if not isinstance(doc, dict) or "pipelines" not in doc:
         raise WorkflowValidationError("workflow file needs a 'pipelines' list")
     pipelines = []
-    for p, pdoc in enumerate(doc["pipelines"]):
+    for p, pdoc in enumerate(_entries(doc, "pipelines", "workflow file")):
         stages = []
-        for s, sdoc in enumerate(pdoc.get("stages", [])):
+        for s, sdoc in enumerate(_entries(pdoc, "stages", f"pipeline {p}")):
             tasks = []
-            for t, tdoc in enumerate(sdoc.get("tasks", [])):
+            for t, tdoc in enumerate(_entries(sdoc, "tasks", f"pipeline {p} stage {s}")):
+                where = f"pipeline {p} stage {s} task {t}"
+                if not isinstance(tdoc, dict):
+                    raise WorkflowValidationError(f"{where} must be a mapping")
                 command = tdoc.get("command")
                 if isinstance(command, str):
                     command = command.split()
+                if command is not None and not isinstance(command, list):
+                    raise WorkflowValidationError(f"{where}: 'command' must be a string or a list")
                 tasks.append(Task(
                     id=str(tdoc.get("id", f"p{p}s{s}t{t}")),
                     argv=tuple(command or ()),
-                    cores=int(tdoc.get("cores", 1)),
-                    max_retries=int(tdoc.get("max_retries", 3)),
+                    cores=_integer(tdoc, "cores", 1, where),
+                    max_retries=_integer(tdoc, "max_retries", 3, where),
                 ))
             stages.append(Stage(id=str(sdoc.get("id", f"p{p}s{s}")), tasks=tasks))
         pipelines.append(Pipeline(id=str(pdoc.get("id", f"p{p}")), stages=stages))
-    return Workflow(pipelines, int(doc.get("worker_budget", 4)))
+    return Workflow(pipelines, _integer(doc, "worker_budget", 4, "workflow file"))
 
 
 def dump_workflow_file(workflow: Workflow, path):
@@ -492,4 +576,4 @@ def dump_workflow_file(workflow: Workflow, path):
         ],
     }
     with open(path, "w") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=False)
+        yaml.dump(doc, fh, Dumper=_YAML_DUMPER, sort_keys=False)

@@ -3,7 +3,9 @@ import threading
 import time
 
 import pytest
+import yaml
 
+from anensolar import workflow
 from anensolar.errors import BackendUnavailableError, WorkflowValidationError
 from anensolar.weights import enumerate_weights
 from anensolar.workflow import (
@@ -192,6 +194,13 @@ class TestValidation:
         with pytest.raises(WorkflowValidationError):
             validate_workflow(wf)
 
+    @pytest.mark.parametrize("task_id", ["a b", "", "a\tb", "trailing\n"])
+    def test_task_id_the_event_log_cannot_store_rejected(self, task_id):
+        # write_event_log/read_event_log split each line on whitespace
+        wf = Workflow([Pipeline("p", [Stage("s", [Task(task_id, ("x",))])])], 2)
+        with pytest.raises(WorkflowValidationError, match="whitespace"):
+            validate_workflow(wf)
+
 
 # -- execution ------------------------------------------------------------------------
 
@@ -298,6 +307,37 @@ class TestExecution:
             failures = sum(1 for r in chain if r.to_state is TaskState.FAILED)
             if chain[-1].to_state is TaskState.DONE:
                 assert episodes == failures + 1
+
+
+class TestDispatchOrder:
+    """The coordinator dispatches in pipeline-major, first-fit order over the
+    open stage of every pipeline; a retry keeps its task's place."""
+
+    def test_budget_one_schedule(self):
+        wf = simple_workflow(n_pipelines=2, n_stages=2, n_tasks=2, max_retries=1, budget=1)
+        # p0s0t0 fails once then succeeds; p1s0t1 fails on both of its attempts
+        run = submit(wf, ScriptedBackend({"p0s0t0": [1, 0], "p1s0t1": [1, 1]}))
+        assert run.wait(30) is RunState.FAILED
+        scheduled = [r.task_id for r in event_log(run) if r.to_state is TaskState.SCHEDULED]
+        assert scheduled == [
+            "p0s0t0", "p0s0t0", "p0s0t1",
+            "p0s1t0", "p0s1t1",
+            "p1s0t0", "p1s0t1", "p1s0t1",
+            "p1s1t0", "p1s1t1",
+        ]
+        assert run.task_states()["p1s0t1"] is TaskState.FAILED
+        assert run.task_states()["p1s1t1"] is TaskState.DONE
+
+    def test_first_fit_skips_a_task_that_does_not_fit(self):
+        tasks = [Task(f"t{k}", ("noop",), cores=c) for k, c in enumerate([2, 2, 1])]
+        wf = Workflow([Pipeline("p", [Stage("s", tasks)])], 3)
+        run = submit(wf, ExitBackend(0, delay=0.01))
+        assert run.wait(30) is RunState.DONE
+        records = event_log(run)
+        # the first pass runs before any message: t0 takes 2 of 3 cores, t1 does not fit
+        assert [(r.task_id, r.to_state) for r in records[:2]] == [
+            ("t0", TaskState.SCHEDULED), ("t2", TaskState.SCHEDULED)]
+        assert [r.task_id for r in records if r.to_state is TaskState.SCHEDULED] == ["t0", "t2", "t1"]
 
 
 class TestBackendLoss:
@@ -437,3 +477,22 @@ class TestFiles:
         path.write_text("just: nonsense\n")
         with pytest.raises(WorkflowValidationError):
             load_workflow_file(path)
+
+    @pytest.mark.parametrize("text", [
+        "pipelines: null\n",
+        "pipelines: [3]\n",
+        "pipelines:\n- stages:\n  - tasks:\n    - {id: t, command: x, cores: two}\n",
+    ], ids=["null-pipelines", "pipeline-not-mapping", "cores-not-integer"])
+    def test_malformed_workflow_file(self, tmp_path, text):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        with pytest.raises(WorkflowValidationError):
+            load_workflow_file(path)
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+    def test_c_dumper_writes_the_python_dumpers_bytes(self, tmp_path, monkeypatch):
+        wf = build_weight_search_workflow(enumerate_weights(3, 0.25))
+        dump_workflow_file(wf, tmp_path / "c.yaml")
+        monkeypatch.setattr(workflow, "_YAML_DUMPER", yaml.SafeDumper)
+        dump_workflow_file(wf, tmp_path / "py.yaml")
+        assert (tmp_path / "c.yaml").read_bytes() == (tmp_path / "py.yaml").read_bytes()
