@@ -48,17 +48,23 @@ from .errors import InsufficientCandidatesError, MissingVariableError
 from . import tensorio
 
 
-def validate_weights(weights, n_predictors: int | None = None) -> np.ndarray:
-    """Check the weight-vector contract: non-negative, summing to 1 within 1e-9."""
+def validate_weights(weights, n_predictors: int | None = None,
+                     n_locations: int | None = None) -> np.ndarray:
+    """Check the weight contract on one vector (P,) or one row per location
+    (L, P): every row finite, non-negative and summing to 1 within 1e-9."""
     w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("weights must be a non-empty 1-D vector")
-    if n_predictors is not None and w.size != n_predictors:
-        raise ValueError(f"expected {n_predictors} weights, got {w.size}")
-    if np.any(w < 0.0) or not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite and non-negative")
-    if abs(float(w.sum()) - 1.0) > 1e-9:
-        raise ValueError(f"weights must sum to 1 (got {w.sum()!r})")
+    if w.ndim not in (1, 2) or w.size == 0:
+        raise ValueError("weights must be a non-empty vector or one row per location")
+    if n_predictors is not None and w.shape[-1] != n_predictors:
+        raise ValueError(f"expected {n_predictors} weights, got {w.shape[-1]}")
+    if n_locations is not None and w.ndim == 2 and len(w) != n_locations:
+        raise ValueError(f"expected {n_locations} weight rows, one per location, got {len(w)}")
+    for row, v in enumerate(np.atleast_2d(w)):
+        at = f" in row {row}" if w.ndim == 2 else ""
+        if np.any(v < 0.0) or not np.all(np.isfinite(v)):
+            raise ValueError(f"weights must be finite and non-negative{at}")
+        if abs(float(v.sum()) - 1.0) > 1e-9:
+            raise ValueError(f"weights must sum to 1{at} (got {v.sum()!r})")
     return w
 
 
@@ -71,7 +77,8 @@ class AnEnConfig:
     """Analog search configuration.
 
     members: ensemble size M; half_window: temporal trend window half size in
-    lead steps; weights: per-predictor weight vector; operational: grow the
+    lead steps; weights: per-predictor weights, one vector (P,) for every
+    location or one row per location (L, P); operational: grow the
     search with every init strictly earlier than the test init; allow_partial:
     store fewer than M members instead of failing; sigma_epsilon: predictors
     with a smaller spread are skipped.
@@ -169,9 +176,10 @@ def similarity(forecasts: ForecastTensor, location: int, target_init: int,
     missing needed value.
     """
     win = _window(lead, config.half_window, len(forecasts.lead_times))
+    weights = config.weights if config.weights.ndim == 1 else config.weights[location]
     total = 0.0
     for p in range(len(forecasts.predictor_names)):
-        w = config.weights[p]
+        w = weights[p]
         s = sigma.values[p, location, lead]
         if w == 0.0 or not np.isfinite(s) or s < config.sigma_epsilon:
             continue
@@ -330,10 +338,11 @@ def check_split(test_range, search_range, n_init: int, operational: bool):
 def active_scale(weights, sigma_values, sigma_epsilon):
     """Where each predictor counts, and its ``w / sigma`` factor.
 
+    ``weights`` is one vector (P,) or one row per location (L, P) and
     ``sigma_values`` is (P, L, J); both results are (P, L, J), and the scale
     is meaningful only where active (w != 0, sigma finite and >= epsilon).
     """
-    w = np.asarray(weights, dtype=float)[:, None, None]
+    w = np.atleast_2d(np.asarray(weights, dtype=float)).T[:, :, None]
     with np.errstate(invalid="ignore", divide="ignore"):
         active = (w != 0.0) & np.isfinite(sigma_values) & (sigma_values >= sigma_epsilon)
         scale = w / sigma_values
@@ -414,7 +423,7 @@ def search_analogs(forecasts: ForecastTensor, config: AnEnConfig, test_range,
     """
     test, search, cand = check_split(test_range, search_range, len(forecasts.init_times),
                                      config.operational)
-    validate_weights(config.weights, len(forecasts.predictor_names))
+    validate_weights(config.weights, len(forecasts.predictor_names), len(forecasts.locations))
 
     if sigma is None:
         sigma = compute_sigma(forecasts, search)

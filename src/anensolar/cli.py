@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import datetime as _dt
 import hashlib
 import json
@@ -33,6 +34,7 @@ from .anen import (
     compute_sigma,
     equal_weights,
     search_analogs,
+    validate_weights,
 )
 from .coredata import LocationSet, align_observations
 from .errors import AnensolarError, ConfigValidationError
@@ -202,7 +204,13 @@ class Runner:
             "inputs": dict(sorted(self.inputs.items())),
             "outputs": dict(sorted(self.outputs.items())),
         }
-        manifest_path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        # a crash mid-write must not leave a truncated manifest for the next command
+        tmp = manifest_path.with_name(f"manifest.json.{os.getpid()}.tmp")
+        tmp.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        try:
+            os.replace(tmp, manifest_path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
 
 def _fail_if(problems):
@@ -221,29 +229,20 @@ def _anen_split(cfg, n_inits, problems) -> tuple:
 def _parse_weight_vector(value, n_predictors, field, problems):
     if value in ("equal", "", None):
         return equal_weights(n_predictors)
-    if isinstance(value, str):
-        try:
+    try:
+        if isinstance(value, str):
             value = [float(v) for v in value.split(",")]
-        except ValueError:
-            problems.append(f"{field}: cannot parse weight list {value!r}")
-            return None
-    arr = np.asarray(value, dtype=float)
-    if arr.size != n_predictors:
-        problems.append(f"{field}: expected {n_predictors} weights, got {arr.size}")
+        if np.ndim(value) != 1:
+            raise ValueError("need one list of weights")
+        return validate_weights(value, n_predictors)
+    except ValueError as exc:
+        problems.append(f"{field}: {exc}")
         return None
-    if np.any(arr < 0):
-        problems.append(f"{field}: weights must be non-negative")
-        return None
-    if abs(float(arr.sum()) - 1.0) > 1e-9:
-        problems.append(f"{field}: weights must sum to 1, got {arr.sum()!r}")
-        return None
-    return arr
 
 
-def _anen_config(cfg, n_predictors, problems, weight_vector=None) -> AnEnConfig | None:
+def _anen_config(cfg, n_predictors, problems) -> AnEnConfig | None:
     a = cfg["anen"]
-    if weight_vector is None:
-        weight_vector = _parse_weight_vector(a["weights"], n_predictors, "anen.weights", problems)
+    weight_vector = _parse_weight_vector(a["weights"], n_predictors, "anen.weights", problems)
     if not isinstance(a["members"], int) or a["members"] < 1:
         problems.append(f"anen.members: need a positive integer, got {a['members']!r}")
     if not isinstance(a["half_window"], int) or a["half_window"] < 0:
@@ -362,27 +361,23 @@ def cmd_anen(run: Runner, args) -> int:
             problems.append(f"paths.weights_file: file not found: {wf}")
         else:
             run.inputs[str(wf)] = _hash_file(wf)
-            per_loc = weights.read_weights_csv(wf)
-            if per_loc.shape != (len(forecasts.locations), len(forecasts.predictor_names)):
-                problems.append(
-                    f"paths.weights_file: expected shape {(len(forecasts.locations), len(forecasts.predictor_names))}, "
-                    f"got {per_loc.shape}"
-                )
+            try:
+                per_loc = validate_weights(weights.read_weights_csv(wf, forecasts.predictor_names),
+                                           len(forecasts.predictor_names), len(forecasts.locations))
+            except ValueError as exc:
+                problems.append(f"paths.weights_file: {exc}")
     config = _anen_config(cfg, len(forecasts.predictor_names), problems)
     _fail_if(problems)
+    if per_loc is not None:
+        config = dataclasses.replace(config, weights=per_loc)
 
     sigma = compute_sigma(forecasts, search)
-    if per_loc is None:
-        indices = search_analogs(forecasts, config, test, search, sigma)
-        aligned = align_observations(analysis, forecasts.init_times, forecasts.lead_times)
-        ensemble = build_multivariate_ensemble(indices, aligned)
-        analog_path = run.path("analogs")
-        indices.write(analog_path)
-        run.register_output(analog_path)
-    else:
-        ensemble = driver.anen_weather_ensemble(
-            forecasts, analysis, config, test, search, sigma, per_location_weights=per_loc
-        )
+    indices = search_analogs(forecasts, config, test, search, sigma)
+    aligned = align_observations(analysis, forecasts.init_times, forecasts.lead_times)
+    ensemble = build_multivariate_ensemble(indices, aligned)
+    analog_path = run.path("analogs")
+    indices.write(analog_path)
+    run.register_output(analog_path)
     ens_path = run.path("ensemble")
     tensorio.write_tensor(ensemble, ens_path)
     run.register_output(ens_path)
@@ -672,6 +667,9 @@ def cmd_report(run: Runner, args) -> int:
 
 # -- entry point -----------------------------------------------------------------
 
+# help of the flags that the workflow builders pass and the commands ignore
+LABEL_ONLY = "a label for workflow tasks; does not change what the command computes"
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="anensolar",
@@ -693,16 +691,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_anen.add_argument("--weights-file", help="per-location weights CSV")
     p_anen.add_argument("--members", type=int)
     p_anen.add_argument("--search-days", type=int)
-    p_anen.add_argument("--strategy", help="label only; recorded in the manifest")
+    p_anen.add_argument("--strategy", help=LABEL_ONLY)
     p_anen.set_defaults(handler=cmd_anen)
 
     p_sim = sub.add_parser("simulate", help="run the power simulation chain")
     p_sim.add_argument("--source", choices=["ensemble", "forecast", "analysis"])
     p_sim.add_argument("--modules", help="comma list of catalog codes")
     p_sim.add_argument("--output", help="output path key or filename")
-    p_sim.add_argument("--partition", help="label only; recorded in the manifest")
-    p_sim.add_argument("--weights", help="label only; recorded in the manifest")
-    p_sim.add_argument("--strategy", help="label only; recorded in the manifest")
+    p_sim.add_argument("--partition", help=LABEL_ONLY)
+    p_sim.add_argument("--weights", help=LABEL_ONLY)
+    p_sim.add_argument("--strategy", help=LABEL_ONLY)
     p_sim.set_defaults(handler=cmd_simulate)
 
     p_opt = sub.add_parser("optimize-weights", help="grid-search predictor weights")
@@ -721,8 +719,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--power", help="path key or file of the power ensemble")
     p_ver.add_argument("--truth", help="path key or file of the truth power")
     p_ver.add_argument("--module", help="module code to verify")
-    p_ver.add_argument("--weights", help="label only; recorded in the manifest")
-    p_ver.add_argument("--strategy", help="label only; recorded in the manifest")
+    p_ver.add_argument("--weights", help=LABEL_ONLY)
+    p_ver.add_argument("--strategy", help=LABEL_ONLY)
     p_ver.set_defaults(handler=cmd_verify)
 
     p_wf = sub.add_parser("workflow", help="execution engine")

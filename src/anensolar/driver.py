@@ -15,7 +15,6 @@ import threading
 import numpy as np
 
 from .anen import (
-    AnalogIndexSet,
     AnEnConfig,
     SigmaTensor,
     active_scale,
@@ -108,38 +107,16 @@ def anen_weather_ensemble(forecasts: ForecastTensor, analysis: ObservationTensor
                           config: AnEnConfig, test_range, search_range,
                           sigma: SigmaTensor | None = None,
                           per_location_weights: np.ndarray | None = None) -> EnsembleTensor:
-    """Search analogs and gather the multivariate weather ensemble.
+    """Search analogs once and gather the multivariate weather ensemble.
 
-    With ``per_location_weights`` (an L x N matrix) every location is searched
-    with its own weight vector; otherwise ``config.weights`` applies
-    everywhere.
+    ``per_location_weights`` (an L x N matrix) replaces ``config.weights``,
+    so that the one search scores every location with its own row.
     """
+    if per_location_weights is not None:
+        config = dataclasses.replace(config, weights=per_location_weights)
+    indices = search_analogs(forecasts, config, test_range, search_range, sigma)
     aligned = align_observations(analysis, forecasts.init_times, forecasts.lead_times)
-    if per_location_weights is None:
-        indices = search_analogs(forecasts, config, test_range, search_range, sigma)
-        return build_multivariate_ensemble(indices, aligned)
-
-    pieces = []
-    for loc in range(len(forecasts.locations)):
-        cfg = dataclasses.replace(config, weights=per_location_weights[loc])
-        fc = slice_forecast_location(forecasts, loc)
-        sg = None
-        if sigma is not None:
-            sg = SigmaTensor(sigma.predictor_names, fc.locations, sigma.lead_times,
-                             sigma.values[:, loc : loc + 1])
-        pieces.append(search_analogs(fc, cfg, test_range, search_range, sg))
-
-    test = pieces[0].test_indices
-    merged = AnalogIndexSet(
-        forecasts.locations,
-        forecasts.init_times,
-        test,
-        forecasts.lead_times,
-        config.members,
-        np.concatenate([p.search_index for p in pieces], axis=0),
-        np.concatenate([p.distance for p in pieces], axis=0),
-    )
-    return build_multivariate_ensemble(merged, aligned)
+    return build_multivariate_ensemble(indices, aligned)
 
 
 def power_from_weather(weather: EnsembleTensor, specs, system: SystemConfig,
@@ -248,7 +225,7 @@ class WeightObjective:
     def evaluate(self, weights, loc: int) -> float:
         tab = self._artifacts(loc)
         cfg = dataclasses.replace(self.base, weights=np.asarray(weights, dtype=float))
-        validate_weights(cfg.weights, len(self.forecasts.predictor_names))
+        validate_weights(cfg.weights, len(self.forecasts.predictor_names), 1)
         active, scale = active_scale(cfg.weights, tab.sigma, cfg.sigma_epsilon)
         n_test, n_lead = tab.truth_power.shape[1:]
         total = np.zeros((n_test, n_lead, tab.power.shape[1]))

@@ -144,6 +144,14 @@ def _month_of(epoch_seconds: np.ndarray) -> np.ndarray:
     return t.astype("datetime64[M]").astype(int) % 12 + 1
 
 
+def _group_codes(keys, shape):
+    """Group labels in report order and the code of every key, reshaped to
+    ``shape``: a key's position among the labels, or -1 for a None key."""
+    labels = sorted({k for k in keys if k is not None}, key=lambda v: (str(type(v)), v))
+    index = {k: code for code, k in enumerate(labels)}
+    return labels, np.array([index.get(k, -1) for k in keys], dtype=np.int64).reshape(shape)
+
+
 def aggregate(ensemble: np.ndarray, truth: np.ndarray, grouping: str, *,
               init_times: TimeAxis | None = None,
               alignment: SolarNoonAlignment | None = None,
@@ -185,60 +193,42 @@ def aggregate(ensemble: np.ndarray, truth: np.ndarray, grouping: str, *,
         crps_all[l0 : l0 + chunk] = crps_field(ens[l0 : l0 + chunk], tru[l0 : l0 + chunk])
     spread_all = spread_field(ens)
 
-    if alignment is not None:
-        slots = alignment.slots(n_lead)  # (L, J)
-    else:
-        slots = np.broadcast_to(np.arange(n_lead)[None, :], (n_loc, n_lead))
-
-    if grouping == "season":
+    if grouping in ("lead", "daypart"):
+        if alignment is not None:
+            slots = alignment.slots(n_lead).ravel().tolist()
+        else:
+            slots = list(range(n_lead)) * n_loc
+        if grouping == "daypart":
+            slots = [next((part for part, (lo, hi) in DAYPART_SLOTS.items() if lo <= slot <= hi), None)
+                     for slot in slots]
+        labels, codes = _group_codes(slots, (n_loc, 1, n_lead))
+    elif grouping == "location":
+        labels, codes = _group_codes(range(n_loc), (n_loc, 1, 1))
+    elif grouping == "region":
+        if region_map is None:
+            raise ValueError("region grouping needs a region map")
+        labels, codes = _group_codes([region_map.get(l) for l in range(n_loc)], (n_loc, 1, 1))
+    else:  # season
         if init_times is None:
             raise ValueError("season grouping needs init_times")
-        season = np.array([SEASON_OF_MONTH[m] for m in _month_of(init_times.instants)])
+        months = _month_of(init_times.instants).tolist()
+        labels, codes = _group_codes([SEASON_OF_MONTH[m] for m in months], (1, n_init, 1))
 
-    def key_array():
-        keys = np.empty((n_loc, n_init, n_lead), dtype=object)
-        for l in range(n_loc):
-            for j in range(n_lead):
-                if grouping == "lead":
-                    keys[l, :, j] = int(slots[l, j])
-                elif grouping == "daypart":
-                    slot = int(slots[l, j])
-                    label = None
-                    for part, (lo, hi) in DAYPART_SLOTS.items():
-                        if lo <= slot <= hi:
-                            label = part
-                    keys[l, :, j] = label
-                elif grouping == "location":
-                    keys[l, :, j] = l
-                elif grouping == "region":
-                    keys[l, :, j] = region_map.get(l) if region_map else None
-                else:  # season
-                    keys[l, :, j] = season
-        return keys
-
-    if grouping == "region" and region_map is None:
-        raise ValueError("region grouping needs a region map")
-    keys = key_array()
-
-    groups = {}
-    flat_keys = keys.ravel()
-    flat_valid = valid.ravel()
-    order = np.arange(flat_keys.size)
-    for idx in order[flat_valid]:
-        k = flat_keys[idx]
-        if k is None:
-            continue
-        groups.setdefault(k, []).append(idx)
+    # valid cells of each group, in flat order; a group's mean then adds the
+    # same values in the same order as a per-cell scan would
+    codes = np.broadcast_to(codes, valid.shape).ravel()
+    cells = np.flatnonzero(valid.ravel() & (codes >= 0))
+    cells = cells[np.argsort(codes[cells], kind="stable")]
+    groups = np.split(cells, np.flatnonzero(np.diff(codes[cells])) + 1) if cells.size else []
 
     rows = []
     e2 = (err ** 2).ravel()
     b = err.ravel()
     c = crps_all.ravel()
     s = spread_all.ravel()
-    for k in sorted(groups, key=lambda v: (str(type(v)), v)):
-        sel = np.array(groups[k])
+    for sel in groups:
         rows.append(ReportRow(
-            group=k,
+            group=labels[codes[sel[0]]],
             rmse=float(np.sqrt(e2[sel].mean())),
             bias=float(b[sel].mean()),
             crps=float(c[sel].mean()),

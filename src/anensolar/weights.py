@@ -259,19 +259,9 @@ def rb_sample_points(clustering: RegimeClustering, total_samples: int,
     return picked
 
 
-def _lexicographic_min(vectors: np.ndarray) -> int:
-    """Index of the lexicographically smallest row."""
-    best = 0
-    for i in range(1, len(vectors)):
-        if tuple(vectors[i]) < tuple(vectors[best]):
-            best = i
-    return best
-
-
 def _best_vector(grid: WeightGrid, scores: np.ndarray) -> np.ndarray:
-    finite_min = np.min(scores)
-    tied = np.flatnonzero(scores == finite_min)
-    return grid.vectors[tied[_lexicographic_min(grid.vectors[tied])]]
+    tied = np.flatnonzero(scores == np.min(scores))
+    return grid.vectors[min(tied, key=lambda k: tuple(grid.vectors[k]))]
 
 
 def optimize_weights(grid: WeightGrid, evaluate, strategy: str, *,
@@ -339,8 +329,18 @@ def write_weights_csv(path, weights: np.ndarray, predictor_names):
             out.writerow([loc, *(repr(float(v)) for v in row)])
 
 
-def read_weights_csv(path) -> np.ndarray:
+def read_weights_csv(path, predictor_names=None) -> np.ndarray:
+    """The weight rows of a ``write_weights_csv`` file, in location order.
+
+    Raises ValueError unless the location ids are 0..n-1, once each, and,
+    when ``predictor_names`` is given, the header names them in that order.
+    """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    body = sorted(rows[1:], key=lambda r: int(r[0]))
+        header, *body = list(csv.reader(fh)) or [[]]
+    if predictor_names is not None and header[1:] != list(predictor_names):
+        raise ValueError(f"columns {header[1:]} are not the predictors {list(predictor_names)}")
+    body = sorted((r for r in body if r), key=lambda r: int(r[0]))
+    ids = [int(r[0]) for r in body]
+    if ids != list(range(len(body))):
+        raise ValueError(f"location ids must be 0..{len(body) - 1}, once each")
     return np.array([[float(v) for v in r[1:]] for r in body])

@@ -16,7 +16,12 @@ than the library (no shared helpers), so agreement is meaningful:
 - ``reference_weight_score``: the weight objective as the plain chain of
   library stages, one fresh search per call. Unlike the others it reuses the
   library: it pins the table-scan ``WeightObjective`` to the composition it
-  replaces.
+  replaces;
+- ``per_location_search``: per-location weight rows as one search per
+  one-location slice, merged along the location axis; it pins the single
+  search with (L, P) weights to that composition;
+- ``loop_aggregate``: grouped verification with one Python key per cell; it
+  pins the group-code ``aggregate`` to that loop.
 """
 
 from __future__ import annotations
@@ -322,3 +327,102 @@ def reference_weight_score(forecasts, analysis, config, test_range, search_range
     if not ok.any():
         return float("inf")
     return float(scores[ok].mean())
+
+
+# -- per-location search oracle ------------------------------------------------------------
+
+def per_location_search(forecasts, config, test_range, search_range, weight_rows, sigma=None):
+    """Analog search with one weight row per location, composed from one-location
+    searches: slice location l out of the archive (and of ``sigma``), search it
+    with row l, and stack the (index, distance) results along the location axis.
+    Reuses the library's search on each slice."""
+    import dataclasses
+
+    from anensolar.anen import SigmaTensor, search_analogs
+    from anensolar.driver import slice_forecast_location
+
+    index, distance = [], []
+    for loc, row in enumerate(np.asarray(weight_rows, dtype=float)):
+        fc = slice_forecast_location(forecasts, loc)
+        sg = None
+        if sigma is not None:
+            sg = SigmaTensor(sigma.predictor_names, fc.locations, sigma.lead_times,
+                             sigma.values[:, loc : loc + 1])
+        found = search_analogs(fc, dataclasses.replace(config, weights=row), test_range,
+                               search_range, sg)
+        index.append(found.search_index)
+        distance.append(found.distance)
+    return np.concatenate(index), np.concatenate(distance)
+
+
+# -- grouped verification oracle --------------------------------------------------------------
+
+def loop_aggregate(ensemble, truth, grouping, *, init_times=None, alignment=None,
+                   daylight=None, region_map=None):
+    """Grouped verification with an object array of group keys per cell and a
+    per-cell Python loop collecting each group's flat indices. Reuses the
+    library's metric fields and report types."""
+    from anensolar.verify import (
+        CRPS_CHUNK_BYTES,
+        DAYPART_SLOTS,
+        SEASON_OF_MONTH,
+        ReportRow,
+        VerifyReport,
+        _month_of,
+        crps_field,
+        spread_field,
+    )
+
+    if grouping in ("lead-time", "lead_time"):
+        grouping = "lead"
+    ens = np.asarray(ensemble, dtype=float)
+    if ens.ndim == 3:
+        ens = ens[..., None]
+    tru = np.asarray(truth, dtype=float)
+    n_loc, n_init, n_lead, _ = ens.shape
+    valid = np.isfinite(tru) & np.all(np.isfinite(ens), axis=-1)
+    if daylight is not None:
+        valid &= daylight
+    err = ens.mean(axis=-1) - tru
+    crps_all = np.empty((n_loc, n_init, n_lead))
+    chunk = max(1, CRPS_CHUNK_BYTES // max(1, 8 * n_init * n_lead * ens.shape[-1] ** 2))
+    for l0 in range(0, n_loc, chunk):
+        crps_all[l0 : l0 + chunk] = crps_field(ens[l0 : l0 + chunk], tru[l0 : l0 + chunk])
+    spread_all = spread_field(ens)
+    if alignment is not None:
+        slots = alignment.slots(n_lead)
+    else:
+        slots = np.broadcast_to(np.arange(n_lead)[None, :], (n_loc, n_lead))
+    if grouping == "season":
+        season = np.array([SEASON_OF_MONTH[m] for m in _month_of(init_times.instants)])
+
+    keys = np.empty((n_loc, n_init, n_lead), dtype=object)
+    for l in range(n_loc):
+        for j in range(n_lead):
+            if grouping == "lead":
+                keys[l, :, j] = int(slots[l, j])
+            elif grouping == "daypart":
+                label = None
+                for part, (lo, hi) in DAYPART_SLOTS.items():
+                    if lo <= int(slots[l, j]) <= hi:
+                        label = part
+                keys[l, :, j] = label
+            elif grouping == "location":
+                keys[l, :, j] = l
+            elif grouping == "region":
+                keys[l, :, j] = region_map.get(l) if region_map else None
+            else:
+                keys[l, :, j] = season
+
+    groups = {}
+    flat_keys = keys.ravel()
+    for idx in np.flatnonzero(valid.ravel()):
+        if flat_keys[idx] is not None:
+            groups.setdefault(flat_keys[idx], []).append(idx)
+    e2, b, c, s = ((err ** 2).ravel(), err.ravel(), crps_all.ravel(), spread_all.ravel())
+    rows = []
+    for k in sorted(groups, key=lambda v: (str(type(v)), v)):
+        sel = np.array(groups[k])
+        rows.append(ReportRow(k, float(np.sqrt(e2[sel].mean())), float(b[sel].mean()),
+                              float(c[sel].mean()), float(s[sel].mean()), int(sel.size)))
+    return VerifyReport(grouping, tuple(rows))

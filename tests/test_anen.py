@@ -62,6 +62,28 @@ class TestWeightVector:
         np.testing.assert_allclose(w, [0.25] * 4)
         validate_weights(w)
 
+    def test_one_row_per_location(self):
+        rows = np.array([[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(validate_weights(rows, 2, 3), rows)
+        with pytest.raises(ValueError, match="expected 4 weight rows"):
+            validate_weights(rows, 2, 4)
+        with pytest.raises(ValueError, match="row 1"):
+            validate_weights([[0.5, 0.5], [0.5, 0.4]])
+        with pytest.raises(ValueError, match="row 0"):
+            validate_weights([[1.5, -0.5], [0.5, 0.5]])
+        with pytest.raises(ValueError):
+            validate_weights(np.full((2, 2, 2), 0.5))
+
+    def test_similarity_reads_the_location_row(self):
+        fc = make_forecast(n_pred=3, n_loc=2, n_init=8, n_lead=4, seed=5)
+        sigma = compute_sigma(fc, range(0, 8))
+        rows = np.array([[0.2, 0.0, 0.8], [0.0, 1.0, 0.0]])
+        per_location = AnEnConfig(weights=rows, half_window=1)
+        for loc in range(2):
+            own = AnEnConfig(weights=rows[loc], half_window=1)
+            assert (similarity(fc, loc, 6, 2, 1, sigma, per_location)
+                    == similarity(fc, loc, 6, 2, 1, sigma, own))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             AnEnConfig(weights=np.array([1.0]), members=0)

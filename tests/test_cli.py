@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import anensolar
-from anensolar import anen, cli, driver, tensorio
+from anensolar import anen, cli, driver, tensorio, weights, workflow
 from anensolar.cli import main
 from anensolar.coredata import align_observations
 
@@ -188,6 +188,58 @@ class TestCommands:
         assert rc == 0
         assert (outdir / "ensemble.ansr").exists()
 
+    def test_anen_with_weights_file_is_the_one_search(self, outdir, monkeypatch):
+        assert run_cli(["-o", outdir, *SMALL, "synth"]) == 0
+        assert run_cli(["-o", outdir, *SMALL, "anen"]) == 0
+        plain = {name: (outdir / name).read_bytes() for name in ("analogs.ansr", "ensemble.ansr")}
+        assert run_cli(["-o", outdir, *SMALL, "optimize-weights", "--strategy", "EW"]) == 0
+        for name in plain:
+            (outdir / name).unlink()
+        calls = []
+        monkeypatch.setattr(cli, "search_analogs",
+                            lambda *args: calls.append(args) or anen.search_analogs(*args))
+        assert run_cli(["-o", outdir, *SMALL, "anen",
+                        "--weights-file", str(outdir / "weights.csv")]) == 0
+        assert len(calls) == 1 and calls[0][1].weights.shape == (4, 5)
+        # the EW rows equal the default weights, so the outputs do too
+        for name, data in plain.items():
+            assert (outdir / name).read_bytes() == data
+
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda rows: [rows[0][:1] + rows[0][2:3] + rows[0][1:2] + rows[0][3:]] + rows[1:],
+         "are not the predictors"),
+        (lambda rows: rows[:-1] + [["4"] + rows[-1][1:]], "location ids must be 0..3"),
+        (lambda rows: rows[:2] + [[rows[2][0], "0.6", "-0.2", "0.2", "0.2", "0.2"]] + rows[3:],
+         "non-negative in row 1"),
+        (lambda rows: rows[:3] + [[rows[3][0], "0.3", "0.2", "0.2", "0.2", "0.2"]] + rows[4:],
+         "sum to 1 in row 2"),
+    ], ids=["permuted-columns", "location-ids", "negative-row", "row-sum"])
+    def test_bad_weights_file_is_config_error(self, outdir, capsys, edit, problem):
+        assert run_cli(["-o", outdir, *SMALL, "synth"]) == 0
+        assert run_cli(["-o", outdir, *SMALL, "optimize-weights", "--strategy", "EW"]) == 0
+        bad = outdir / "bad.csv"
+        with open(bad, "w", newline="") as fh:
+            csv.writer(fh).writerows(edit(read_csv(outdir / "weights.csv")))
+        capsys.readouterr()
+        assert main(["-o", str(outdir), *SMALL, "anen", "--weights-file", str(bad)]) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "config-validation"
+        assert any(p.startswith("paths.weights_file:") and problem in p
+                   for p in payload["problems"]), payload["problems"]
+        assert not (outdir / "analogs.ansr").exists()
+
+    def test_failed_manifest_write_keeps_the_old_manifest(self, outdir, monkeypatch):
+        assert run_cli(["-o", outdir, *SMALL, "synth"]) == 0
+        before = (outdir / "manifest.json").read_bytes()
+
+        def crash(src, dst):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(os, "replace", crash)
+        assert run_cli(["-o", outdir, *SMALL, "sigma"]) == 1
+        assert (outdir / "manifest.json").read_bytes() == before
+        assert sorted(p.name for p in outdir.iterdir() if "manifest" in p.name) == ["manifest.json"]
+
     def test_report_pivots_verify_output(self, outdir, tmp_path):
         run_small_chain(outdir)
         ref = outdir / "report.csv"
@@ -305,3 +357,14 @@ def test_cli_import_does_not_load_scipy():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_weight_search_workflow_commands_parse():
+    wf = workflow.build_weight_search_workflow(weights.enumerate_weights(3, 0.5))
+    argvs = [task.argv for p in wf.pipelines for stage in p.stages for task in stage.tasks]
+    assert len(argvs) == 6 * 3 * 2
+    parser = cli.build_parser()
+    for argv in argvs:
+        assert argv[0] == "anensolar"
+        args = parser.parse_args(list(argv[1:]))
+        assert args.command == argv[1]

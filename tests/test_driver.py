@@ -4,6 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from anensolar import driver
 from anensolar.anen import AnEnConfig, compute_sigma, equal_weights, search_analogs
 from anensolar.coredata import ForecastTensor, LocationSet
 from anensolar.driver import (
@@ -19,7 +20,7 @@ from anensolar.pvchain import SystemConfig, load_module_catalog
 from anensolar.synth import SynthConfig, generate
 from anensolar.weights import enumerate_weights
 
-from oracles import reference_weight_score
+from oracles import per_location_search, reference_weight_score
 
 
 @pytest.fixture(scope="module")
@@ -171,3 +172,47 @@ class TestObjectiveTables:
         objective.evaluate(equal_weights(5), 0)  # tables built
         with pytest.raises(ValueError):
             objective.evaluate(np.array(w), 0)
+
+
+LOCATION_ROWS = np.array([[0.25, 0.25, 0.0, 0.5, 0.0],
+                          [0.0, 0.0, 1.0, 0.0, 0.0],
+                          [0.1, 0.3, 0.2, 0.0, 0.4]])
+
+
+@pytest.mark.parametrize("given_sigma", [False, True])
+@pytest.mark.parametrize("case", sorted(OBJECTIVE_CASES))
+def test_location_rows_search_once_like_per_location_slices(holed, case, given_sigma):
+    obs, fc = holed
+    kwargs, test, search = OBJECTIVE_CASES[case]
+    config = AnEnConfig(weights=LOCATION_ROWS, **kwargs)
+    sigma = compute_sigma(fc, search) if given_sigma else None
+    found = search_analogs(fc, config, test, search, sigma)
+    index, distance = per_location_search(fc, config, test, search, LOCATION_ROWS, sigma)
+    np.testing.assert_array_equal(found.search_index, index)
+    np.testing.assert_array_equal(found.distance, distance)
+    assert np.isnan(found.search_index).any() == config.allow_partial
+
+
+def test_per_location_weights_search_once(dataset, monkeypatch):
+    obs, fc = dataset
+    calls = []
+    monkeypatch.setattr(driver, "search_analogs",
+                        lambda *args: calls.append(args) or search_analogs(*args))
+    cfg = AnEnConfig(weights=equal_weights(5), members=5)
+    ensemble = anen_weather_ensemble(fc, obs, cfg, range(45, 60), range(0, 45),
+                                     per_location_weights=LOCATION_ROWS)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0][1].weights, LOCATION_ROWS)
+    assert ensemble.values.shape[1] == 3
+
+
+def test_short_list_error_names_the_real_location(dataset):
+    obs, fc = dataset
+    values = fc.values.copy()
+    values[0, 2, :42, 14] = np.nan  # location 2 keeps 3 candidates around lead 14
+    fc = ForecastTensor(fc.predictor_names, fc.locations, fc.init_times, fc.lead_times, values)
+    cfg = AnEnConfig(weights=equal_weights(5), members=5, half_window=1)
+    with pytest.raises(InsufficientCandidatesError,
+                       match="3 finite-distance candidates for location 2, test init 45, lead"):
+        anen_weather_ensemble(fc, obs, cfg, range(45, 60), range(0, 45),
+                              per_location_weights=LOCATION_ROWS)

@@ -17,7 +17,7 @@ from anensolar.verify import (
     spread_field,
 )
 
-from oracles import crps_double_sum
+from oracles import crps_double_sum, loop_aggregate
 
 
 class TestRmseBias:
@@ -249,6 +249,31 @@ class TestAggregate:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "group,rmse,bias,crps,spread,count"
         assert len(lines) == 1 + len(report.rows)
+
+
+@pytest.mark.parametrize("grouping", ["lead", "daypart", "location", "region", "season"])
+def test_group_codes_match_the_per_cell_loop(grouping):
+    rng = np.random.default_rng(len(grouping))
+    rows = 0
+    for case in range(12):
+        n_loc, n_init, n_lead = rng.integers(1, 5), rng.integers(1, 40), rng.integers(1, 26)
+        members = rng.integers(1, 6)
+        ens = rng.normal(100, 20, size=(n_loc, n_init, n_lead, members))
+        ens[rng.random(ens.shape) < 0.02] = np.nan
+        truth = rng.normal(100, 20, size=(n_loc, n_init, n_lead))
+        truth[rng.random(truth.shape) < 0.02] = np.nan
+        init = TimeAxis(1546300800 + 86400 * 11 * np.arange(n_init))
+        kwargs = dict(
+            init_times=init,
+            daylight=rng.random(truth.shape) < 0.7,
+            region_map={l: str(rng.integers(0, 3)) for l in range(n_loc) if rng.random() < 0.7},
+            alignment=SolarNoonAlignment(rng.integers(-4, 5, n_loc)) if case % 2 else None,
+        )
+        ensemble = ens[..., 0] if members == 1 and case % 4 == 1 else ens
+        report = aggregate(ensemble, truth, grouping, **kwargs)
+        assert report == loop_aggregate(ensemble, truth, grouping, **kwargs)
+        rows += len(report.rows)
+    assert rows > 12
 
 
 class TestPairedSignificance:
