@@ -24,9 +24,10 @@ scaled square roots into the total in predictor order: the same operations in
 the same order as the scalar ``similarity``, so distances match it bit for
 bit. With missing target terms zeroed, a NaN total marks exactly a
 disqualified candidate. Its steps (``check_split``, ``active_scale``,
-``window_roots``, ``add_scaled``, ``rank_candidates``, ``require_members``)
-are shared with the weight objective in ``driver``, which caches the window
-roots once per location and re-weights them per vector.
+``window_roots``, ``add_scaled``, ``disqualify``, ``top_mask``,
+``require_members``) are shared with the weight objective in ``driver``,
+which caches the window roots once per location, re-weights them per vector
+and, scoring members as a set, skips the ordering of the top-M lists.
 """
 
 from __future__ import annotations
@@ -292,23 +293,30 @@ def _window_sums(d2, acc, half_window):
     return acc
 
 
+def top_mask(dist, members):
+    """Where the ``members`` smallest entries of each row of ``dist`` (rows,
+    n_cand) lie, ties at the M-th value going to the lower columns; every
+    entry when a row has no more than ``members``. Unordered: each row of the
+    boolean (rows, n_cand) result has min(members, n_cand) entries set."""
+    n_cand = dist.shape[1]
+    if n_cand <= members:
+        return np.ones(dist.shape, dtype=bool)
+    kth = np.partition(dist, members - 1, axis=1)[:, members - 1 : members]
+    chosen = dist <= kth
+    over = chosen.sum(axis=1) > members
+    if over.any():
+        # too many ties at the M-th value: keep only the earliest of them
+        sub, sub_kth = dist[over], kth[over]
+        ties = sub == sub_kth
+        room = members - (sub < sub_kth).sum(axis=1)
+        chosen[over] = (sub < sub_kth) | (ties & (np.cumsum(ties, axis=1) <= room[:, None]))
+    return chosen
+
+
 def _top_members(dist, members):
     """Column indices and values of the ``members`` smallest entries per row
     of ``dist`` (rows, n_cand), ascending, ties going to the lower column."""
-    n_cand = dist.shape[1]
-    if n_cand <= members:
-        cols = np.broadcast_to(np.arange(n_cand), dist.shape)
-    else:
-        kth = np.partition(dist, members - 1, axis=1)[:, members - 1 : members]
-        chosen = dist <= kth
-        over = chosen.sum(axis=1) > members
-        if over.any():
-            # too many ties at the M-th value: keep only the earliest of them
-            sub, sub_kth = dist[over], kth[over]
-            ties = sub == sub_kth
-            room = members - (sub < sub_kth).sum(axis=1)
-            chosen[over] = (sub < sub_kth) | (ties & (np.cumsum(ties, axis=1) <= room[:, None]))
-        cols = np.nonzero(chosen)[1].reshape(len(dist), members)
+    cols = np.nonzero(top_mask(dist, members))[1].reshape(len(dist), min(members, dist.shape[1]))
     values = np.take_along_axis(dist, cols, axis=1)
     order = np.argsort(values, axis=1, kind="stable")
     return np.take_along_axis(cols, order, axis=1), np.take_along_axis(values, order, axis=1)
@@ -378,20 +386,17 @@ def add_scaled(total, roots, scale, on, out):
     np.add(total, out, out=total, where=where)
 
 
-def rank_candidates(total, members, first_row, cand_start, operational):
-    """Top-M candidates of a (rows, J, C) distance total, row ``i`` being
-    test init ``first_row + i``.
-
-    Disqualified (NaN) distances become +inf, and in operational mode so does
-    every candidate at or after the row's own init (all of them for a test
-    init before the pool); ``total`` is overwritten. Returns candidate
-    columns and distances, each (rows * J, <= M), ascending.
-    """
+def disqualify(total, first_row, cand_start, operational):
+    """Set to +inf, in place, every entry of a (rows, J, C) distance total,
+    row ``i`` being test init ``first_row + i``, that no member may take: a
+    disqualified (NaN) distance and, in operational mode, every candidate at
+    or after the row's own init (all of them for a test init before the
+    pool). Returns ``total`` as (rows * J, C)."""
     total[np.isnan(total)] = np.inf
     if operational:
         for i in range(len(total)):
             total[i, :, max(0, first_row + i - cand_start) :] = np.inf
-    return _top_members(total.reshape(-1, total.shape[2]), members)
+    return total.reshape(-1, total.shape[2])
 
 
 def require_members(found, members, location, first_row):
@@ -452,8 +457,8 @@ def search_analogs(forecasts: ForecastTensor, config: AnEnConfig, test_range,
                 target = values[p, loc, test.start + r0 : test.start + r1]  # (rows, J)
                 roots = window_roots(target, cand_t[p], config.half_window, blk_d2, blk_acc)
                 add_scaled(blk_total, roots, scale[p, loc], active[p, loc], roots)
-            cols, dist = rank_candidates(blk_total, m, test.start + r0, cand.start,
-                                         config.operational)
+            cols, dist = _top_members(disqualify(blk_total, test.start + r0, cand.start,
+                                                 config.operational), m)
             ok = np.isfinite(dist)
             take = cols.shape[1]
             shape = (r1 - r0, n_lead, take)

@@ -22,9 +22,10 @@ from .anen import (
     build_multivariate_ensemble,
     check_split,
     compute_sigma,
-    rank_candidates,
+    disqualify,
     require_members,
     search_analogs,
+    top_mask,
     validate_weights,
     window_roots,
 )
@@ -164,9 +165,15 @@ class WeightObjective:
       ``simulate_ensemble`` call whose member axis holds the candidates.
 
     A vector then costs the ``w_p / sigma_p`` multiply-adds in predictor
-    order, top-M selection, a gather from ``P`` and the CRPS. A cached
-    location holds ``(N + 1) * T * J * C`` float64 values for N predictors,
-    T test inits, J leads and C candidates (about 46 MB at 5 x 90 x 24 x 450).
+    order, the search's top-M mask, a gather from ``P`` and the CRPS. The
+    CRPS scores members as a set (``crps_field`` sorts them and takes
+    ``(1/M) sum_k |x_(k) - y| - (1/M^2) sum_k (2k - M - 1) x_(k)``, in O(M)
+    memory per cell), so the members are gathered in candidate order and the
+    search's ordering of each top-M list is skipped; a pool of no more than M
+    candidates is taken whole and padded with MISSING, as the search pads it.
+    A cached location holds ``(N + 1) * T * J * C`` float64 values for N
+    predictors, T test inits, J leads and C candidates (about 46 MB at
+    5 x 90 x 24 x 450).
     """
 
     def __init__(self, forecasts: ForecastTensor, analysis: ObservationTensor,
@@ -233,14 +240,14 @@ class WeightObjective:
         for p, roots in tab.roots.items():
             if active[p, 0].any():
                 add_scaled(total, roots, scale[p, 0], active[p, 0], product)
-        cols, dist = rank_candidates(total, cfg.members, tab.test_start, tab.cand_start,
-                                     cfg.operational)
-        ok = np.isfinite(dist)
+        dist = disqualify(total, tab.test_start, tab.cand_start, cfg.operational)
+        chosen = np.flatnonzero(top_mask(dist, cfg.members))  # row by row, in candidate order
+        take = min(cfg.members, dist.shape[1])
+        ok = np.isfinite(dist.take(chosen)).reshape(-1, take)
         if not cfg.allow_partial:
-            # the message names location 0, as a search of the one-location slice does
-            require_members(ok.sum(axis=1).reshape(n_test, n_lead), cfg.members, 0, tab.test_start)
+            require_members(ok.sum(axis=1).reshape(n_test, n_lead), cfg.members, loc, tab.test_start)
         members = np.full((n_test * n_lead, cfg.members), MISSING)
-        members[:, : cols.shape[1]] = np.where(ok, np.take_along_axis(tab.power, cols, axis=1), MISSING)
+        members[:, :take] = np.where(ok, tab.power.take(chosen).reshape(-1, take), MISSING)
         scores = crps_field(members.reshape(1, n_test, n_lead, cfg.members), tab.truth_power)
         ok = tab.daylight & np.isfinite(scores) & np.isfinite(tab.truth_power)
         if not ok.any():

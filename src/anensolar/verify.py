@@ -28,11 +28,6 @@ DAYPART_SLOTS = {"morning": (8, 10), "noon": (11, 13), "afternoon": (14, 16)}
 
 GROUPINGS = ("lead", "location", "region", "season", "daypart")
 
-# Bytes of the (locations, I, J, M, M) pairwise temporary of one crps_field
-# call in aggregate, which scores the field in location chunks of about this
-# size (at least one location).
-CRPS_CHUNK_BYTES = 1 << 23
-
 
 def _paired(pred, truth):
     pred = np.asarray(pred, dtype=float).ravel()
@@ -58,27 +53,40 @@ def bias(pred, truth) -> float:
 
 
 def crps(ensemble, truth: float) -> float:
-    """Empirical continuous ranked probability score of one ensemble.
-
-    (1/M) sum_i |x_i - y| - (1/(2 M^2)) sum_ij |x_i - x_j|. A single-member
-    ensemble reduces to the absolute error.
+    """Empirical continuous ranked probability score of one ensemble: the
+    one-cell case of ``crps_field``. A single-member ensemble reduces to the
+    absolute error.
     """
     x = np.asarray(ensemble, dtype=float).ravel()
     if x.size == 0:
         raise EmptySeriesError("ensemble has no members")
-    term1 = np.mean(np.abs(x - truth))
-    term2 = np.mean(np.abs(x[:, None] - x[None, :])) / 2.0
-    return float(term1 - term2)
+    return float(crps_field(x, truth))
 
 
 def crps_field(ensemble: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    """Vectorized CRPS over the trailing member axis; NaN where the truth or
-    any member is missing."""
-    x = np.asarray(ensemble, dtype=float)
+    """Empirical CRPS over the trailing member axis; NaN where the truth or
+    any member is missing.
+
+    With the members sorted, x_(1) <= ... <= x_(M), the pairwise form
+    (1/M) sum_i |x_i - y| - (1/(2 M^2)) sum_ij |x_i - x_j| equals
+
+        (1/M) sum_k |x_(k) - y| - (1/M^2) sum_k (2k - M - 1) x_(k)
+
+    (Hersbach 2000; Gneiting and Raftery 2007), which costs O(M log M) time
+    and O(M) memory per cell instead of O(M^2). Both sums run over the sorted
+    members left to right in k, one elementwise operation per k, so a cell's
+    value depends only on the multiset of its members and its truth: not on
+    member order, nor on the leading shape of the call.
+    """
+    x = np.sort(np.asarray(ensemble, dtype=float), axis=-1)
     y = np.asarray(truth, dtype=float)
-    term1 = np.mean(np.abs(x - y[..., None]), axis=-1)
-    term2 = np.mean(np.abs(x[..., :, None] - x[..., None, :]), axis=(-2, -1)) / 2.0
-    return term1 - term2
+    m = x.shape[-1]
+    term1 = np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape))
+    term2 = np.zeros_like(term1)
+    for k in range(m):
+        term1 += np.abs(x[..., k] - y)
+        term2 += (2 * k + 1 - m) * x[..., k]
+    return term1 / m - term2 / (m * m)
 
 
 def spread_field(ensemble: np.ndarray) -> np.ndarray:
@@ -166,9 +174,9 @@ def aggregate(ensemble: np.ndarray, truth: np.ndarray, grouping: str, *,
     MAM/JJA/SON from the init time), "daypart" (aligned slots 8-10, 11-13,
     14-16). Cells outside daylight, with missing truth, or with any missing
     member are excluded. Group metrics recombine: bias, CRPS, spread, and
-    squared RMSE are count-weighted means. CRPS is computed in location
-    chunks (``CRPS_CHUNK_BYTES``), which bounds its pairwise-member
-    temporary; every cell's value is the same as from one call.
+    squared RMSE are count-weighted means. CRPS comes from one ``crps_field``
+    call over the whole field, whose sorted-member form needs no temporary
+    larger than a sorted copy of the ensemble.
     """
     if grouping in ("lead-time", "lead_time"):
         grouping = "lead"
@@ -186,11 +194,7 @@ def aggregate(ensemble: np.ndarray, truth: np.ndarray, grouping: str, *,
 
     mean = ens.mean(axis=-1)
     err = mean - tru
-    crps_all = np.empty((n_loc, n_init, n_lead))
-    per_location = 8 * n_init * n_lead * ens.shape[-1] ** 2
-    chunk = max(1, CRPS_CHUNK_BYTES // max(1, per_location))
-    for l0 in range(0, n_loc, chunk):
-        crps_all[l0 : l0 + chunk] = crps_field(ens[l0 : l0 + chunk], tru[l0 : l0 + chunk])
+    crps_all = crps_field(ens, tru)
     spread_all = spread_field(ens)
 
     if grouping in ("lead", "daypart"):

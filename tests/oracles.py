@@ -363,7 +363,6 @@ def loop_aggregate(ensemble, truth, grouping, *, init_times=None, alignment=None
     per-cell Python loop collecting each group's flat indices. Reuses the
     library's metric fields and report types."""
     from anensolar.verify import (
-        CRPS_CHUNK_BYTES,
         DAYPART_SLOTS,
         SEASON_OF_MONTH,
         ReportRow,
@@ -384,10 +383,7 @@ def loop_aggregate(ensemble, truth, grouping, *, init_times=None, alignment=None
     if daylight is not None:
         valid &= daylight
     err = ens.mean(axis=-1) - tru
-    crps_all = np.empty((n_loc, n_init, n_lead))
-    chunk = max(1, CRPS_CHUNK_BYTES // max(1, 8 * n_init * n_lead * ens.shape[-1] ** 2))
-    for l0 in range(0, n_loc, chunk):
-        crps_all[l0 : l0 + chunk] = crps_field(ens[l0 : l0 + chunk], tru[l0 : l0 + chunk])
+    crps_all = crps_field(ens, tru)
     spread_all = spread_field(ens)
     if alignment is not None:
         slots = alignment.slots(n_lead)

@@ -98,6 +98,8 @@ OBJECTIVE_CASES = {
     "operational": (dict(members=5, half_window=2, operational=True), range(40, 60), range(5, 40)),
     "partial": (dict(members=12, half_window=0, operational=True, allow_partial=True),
                 range(8, 20), range(0, 8)),
+    # a pool of exactly M candidates: every one is a member, short lists padded
+    "whole_pool": (dict(members=8, half_window=0, allow_partial=True), range(45, 60), range(0, 8)),
 }
 
 
@@ -144,7 +146,8 @@ class TestObjectiveTables:
             search_analogs(slice_forecast_location(fc, 1), strict, test, search)
         with pytest.raises(InsufficientCandidatesError) as raised:
             objective.evaluate(w, 1)
-        assert str(raised.value) == str(expected.value)
+        # the slice search names its only location 0; the objective names location 1
+        assert str(raised.value) == str(expected.value).replace("location 0,", "location 1,")
 
     def test_concurrent_first_calls_build_each_location_once(self, holed):
         vectors = enumerate_weights(5, 0.5).vectors

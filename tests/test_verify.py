@@ -95,6 +95,48 @@ class TestCrps:
                 assert field[i, j] == pytest.approx(crps(ens[i, j], truth[i, j]), rel=1e-12)
 
 
+class TestCrpsField:
+    @staticmethod
+    def ensemble(rng, shape, m):
+        """Members drawn from a few repeated values, so ties are common."""
+        return rng.choice(rng.normal(0, 3, max(2, m // 3)), size=shape + (m,))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 21])
+    def test_matches_double_sum_oracle_with_ties(self, rng, m):
+        ens = self.ensemble(rng, (40,), m)
+        ens[0] = 1.5  # one constant ensemble
+        truth = rng.normal(0, 3, 40)
+        truth[1] = ens[1, 0]  # one truth equal to a member
+        field = crps_field(ens, truth)
+        for cell in range(40):
+            assert field[cell] == pytest.approx(
+                crps_double_sum(ens[cell].tolist(), float(truth[cell])), rel=1e-12)
+
+    @pytest.mark.parametrize("m", [2, 5, 21])
+    def test_member_order_does_not_change_the_score(self, rng, m):
+        ens = rng.normal(0, 3, (6, 7, m))
+        truth = rng.normal(0, 3, (6, 7))
+        shuffled = rng.permuted(ens, axis=-1)
+        np.testing.assert_array_equal(crps_field(shuffled, truth), crps_field(ens, truth))
+        np.testing.assert_array_equal(crps_field(ens[..., ::-1], truth), crps_field(ens, truth))
+
+    def test_stacked_call_equals_separate_calls(self, rng):
+        ens = rng.normal(100, 20, (5, 9, 24, 21))
+        truth = rng.normal(100, 20, (9, 24))
+        stacked = crps_field(ens, truth)
+        assert stacked.shape == (5, 9, 24)
+        for v in range(5):
+            np.testing.assert_array_equal(stacked[v], crps_field(ens[v : v + 1], truth)[0])
+
+    def test_missing_member_or_truth_is_nan(self, rng):
+        ens = rng.normal(0, 1, (3, 21))
+        truth = rng.normal(0, 1, 3)
+        ens[0, 4] = np.nan
+        truth[1] = np.nan
+        field = crps_field(ens, truth)
+        assert np.isnan(field[:2]).all() and np.isfinite(field[2])
+
+
 def hourly_cache(lons, lats=None, n_init=2):
     lats = lats if lats is not None else [40.0] * len(lons)
     locs = LocationSet.from_coords(lats, lons)
@@ -147,27 +189,15 @@ class TestAggregate:
         assert row.spread == pytest.approx(float(spread_field(ens).mean()))
         assert row.count == truth.size
 
-    def test_chunked_crps_equals_one_call(self, rng, monkeypatch):
-        from anensolar import verify
-
-        # about one location's pairwise temporary per chunk: four chunks
-        per_location = verify.CRPS_CHUNK_BYTES // (8 * 24 * 21 * 21) + 1
-        ens, truth, init = self.make_data(rng, n_loc=4, n_init=per_location, n_lead=24, members=21)
+    def test_group_crps_is_the_mean_of_one_crps_field_call(self, rng):
+        ens, truth, init = self.make_data(rng, n_loc=4, n_init=12, n_lead=24, members=21)
         ens[0, 0, 3, 7] = np.nan
         ens[2, 5, :, 0] = np.nan
         truth[3, 1, 2] = np.nan
-        chunks = []
-
-        def recording_crps_field(e, t):
-            chunks.append(crps_field(e, t))
-            return chunks[-1]
-
-        monkeypatch.setattr(verify, "crps_field", recording_crps_field)
         report = aggregate(ens, truth, "location", init_times=init)
-        assert len(chunks) >= 3
         whole = crps_field(ens, truth)
-        np.testing.assert_array_equal(np.concatenate(chunks), whole)
         valid = np.isfinite(truth) & np.all(np.isfinite(ens), axis=-1)
+        assert len(report.rows) == 4 and not valid.all()
         for row in report.rows:
             assert row.crps == float(whole[row.group][valid[row.group]].mean())
 
