@@ -73,7 +73,7 @@ objective = WeightObjective(
 
 samples = rb_sample_points(clustering, 2, seed=5)
 print("\nRB sample locations:", samples)
-rb = optimize_weights(grid, objective.evaluate, "RB",
+rb = optimize_weights(grid, objective.scores, "RB",
                       clustering=clustering, regime_samples=samples)
 ew = optimize_weights(grid, None, "EW", n_locations=n_loc)
 
@@ -82,6 +82,7 @@ print("\nselected weights (%s):" % ", ".join(order))
 print("  EW everywhere:  ", np.round(ew[0], 3))
 print("  RB regime 1:    ", np.round(rb[0], 3))
 print("  RB regime 2:    ", np.round(rb[-1], 3))
-score_ew = np.mean([objective.evaluate(ew[loc], loc) for loc in samples])
-score_rb = np.mean([objective.evaluate(rb[loc], loc) for loc in samples])
+# one scores call per sample location scores its EW and RB vectors together
+rows = [objective.scores([ew[loc], rb[loc]], loc) for loc in samples]
+score_ew, score_rb = np.mean(rows, axis=0)
 print("\nmean CRPS at the sample points: EW %.1f W vs RB %.1f W" % (score_ew, score_rb))

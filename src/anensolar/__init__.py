@@ -17,7 +17,6 @@ from .coredata import (
     ObservationTensor,
     TimeAxis,
     align_observations,
-    is_missing,
 )
 from .tensorio import read_tensor, write_tensor
 from .anen import (

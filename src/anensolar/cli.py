@@ -21,7 +21,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +45,6 @@ ENV_PREFIX = "ANENSOLAR_"
 DEFAULT_CONFIG = {
     "seed": 42,
     "output_dir": "out",
-    "parallel": 1,
     "paths": {
         "forecasts": "forecasts.ansr",
         "observations": "observations.ansr",
@@ -466,13 +464,9 @@ def cmd_optimize_weights(run: Runner, args) -> int:
         objective = driver.WeightObjective(
             forecasts, analysis, base, opt_test, opt_search, specs[o["module"]], system
         )
-        parallel = max(1, int(cfg["parallel"]))
-        evaluate = objective.evaluate
-        if parallel > 1:
-            evaluate = _parallel_evaluator(objective, grid, parallel)
         if strategy == "NN":
             assignment = weights.nn_sample_grid(forecasts.locations)
-            out_weights = weights.optimize_weights(grid, evaluate, "NN", assignment=assignment)
+            out_weights = weights.optimize_weights(grid, objective.scores, "NN", assignment=assignment)
         else:
             feats, names = regime_feature_matrix(analysis)
             clustering = weights.hierarchical_cluster(feats, int(o["clusters"]), names)
@@ -481,28 +475,13 @@ def cmd_optimize_weights(run: Runner, args) -> int:
             clustering.write_csv(clus_path)
             run.register_output(clus_path)
             out_weights = weights.optimize_weights(
-                grid, evaluate, "RB", clustering=clustering, regime_samples=samples
+                grid, objective.scores, "RB", clustering=clustering, regime_samples=samples
             )
 
     out_path = run.path("weights")
     weights.write_weights_csv(out_path, out_weights, forecasts.predictor_names)
     run.register_output(out_path)
     return 0
-
-
-def _parallel_evaluator(objective, grid, parallel):
-    """Evaluate grid scores for each sample location once, in a thread pool."""
-    cache: dict = {}
-
-    def evaluate(w, loc):
-        if loc not in cache:
-            with ThreadPoolExecutor(max_workers=parallel) as pool:
-                scores = list(pool.map(lambda v: objective.evaluate(v, loc), grid.vectors))
-            table = {tuple(np.round(v, 12)): s for v, s in zip(grid.vectors, scores)}
-            cache[loc] = table
-        return cache[loc][tuple(np.round(np.asarray(w, dtype=float), 12))]
-
-    return evaluate
 
 
 def regime_feature_matrix(analysis):
@@ -678,7 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-c", "--config", help="YAML config file")
     parser.add_argument("-o", "--output-dir", help="output directory (overrides config)")
     parser.add_argument("--seed", type=int, help="random seed (overrides config)")
-    parser.add_argument("--parallel", type=int, help="bound for data-parallel evaluation")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override any config key (dotted path)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -743,8 +721,6 @@ def _apply_flag_overrides(cfg: dict, args):
         cfg["output_dir"] = args.output_dir
     if args.seed is not None:
         cfg["seed"] = args.seed
-    if args.parallel is not None:
-        cfg["parallel"] = args.parallel
     mapping = {
         "weights": ("anen", "weights"),
         "weights_file": ("paths", "weights_file"),

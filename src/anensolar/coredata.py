@@ -23,11 +23,6 @@ from .errors import (
 MISSING = float("nan")
 
 
-def is_missing(values) -> np.ndarray:
-    """Elementwise test for the missing-data sentinel."""
-    return np.isnan(values)
-
-
 def _frozen_array(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype, order="C", copy=True)
     arr.setflags(write=False)

@@ -10,7 +10,6 @@ points and merged by index.
 from __future__ import annotations
 
 import dataclasses
-import threading
 
 import numpy as np
 
@@ -106,15 +105,8 @@ def analysis_weather_ensemble(analysis: ObservationTensor, init_times: TimeAxis,
 
 def anen_weather_ensemble(forecasts: ForecastTensor, analysis: ObservationTensor,
                           config: AnEnConfig, test_range, search_range,
-                          sigma: SigmaTensor | None = None,
-                          per_location_weights: np.ndarray | None = None) -> EnsembleTensor:
-    """Search analogs once and gather the multivariate weather ensemble.
-
-    ``per_location_weights`` (an L x N matrix) replaces ``config.weights``,
-    so that the one search scores every location with its own row.
-    """
-    if per_location_weights is not None:
-        config = dataclasses.replace(config, weights=per_location_weights)
+                          sigma: SigmaTensor | None = None) -> EnsembleTensor:
+    """Search analogs once and gather the multivariate weather ensemble."""
     indices = search_analogs(forecasts, config, test_range, search_range, sigma)
     aligned = align_observations(analysis, forecasts.init_times, forecasts.lead_times)
     return build_multivariate_ensemble(indices, aligned)
@@ -133,6 +125,7 @@ def power_from_weather(weather: EnsembleTensor, specs, system: SystemConfig,
 class _LocationTables:
     """Weight-independent tables of one location (see ``WeightObjective``)."""
 
+    loc: int                 # the location, named in short-list errors
     sigma: np.ndarray        # (N, 1, J) for N predictors
     roots: dict              # predictor -> (T, J, C) window roots, in predictor order
     test_start: int          # init index of test row 0
@@ -145,18 +138,17 @@ class _LocationTables:
 class WeightObjective:
     """CRPS-of-simulated-power objective for the weight grid search.
 
-    ``evaluate(weights, location)`` returns the mean CRPS, over daylight
-    cells, of the power ensemble that the analog search with ``weights``
-    gives at one location over the optimization split, against the
-    analysis-driven truth. It equals, bit for bit, running
-    ``search_analogs`` on the single-location slice, gathering the members
-    with ``build_multivariate_ensemble``, simulating them with the
-    configured module and scoring with ``crps_field``.
+    ``scores(vectors, location)`` returns one score per weight vector: the
+    mean CRPS, over daylight cells, of the power ensemble that the analog
+    search with that vector gives at one location over the optimization
+    split, against the analysis-driven truth. Each score equals, bit for
+    bit, running ``search_analogs`` on the single-location slice, gathering
+    the members with ``build_multivariate_ensemble``, simulating them with
+    the configured module and scoring with ``crps_field``.
 
-    Nothing but the weighted sum of the search depends on the weights, so
-    the first call at a location builds its sigma, truth power, daylight
-    mask and two tables once (under a lock, so concurrent callers share one
-    build), and every vector is then a scan of the tables:
+    Nothing but the weighted sum of the search depends on the weights, so a
+    call builds the location's sigma, truth power, daylight mask and two
+    tables once, and every vector is then a scan of the tables:
 
     - per predictor, ``sqrt(window sum of squared differences)`` over
       (test init, lead, candidate), built by the search's own kernel;
@@ -171,9 +163,9 @@ class WeightObjective:
     memory per cell), so the members are gathered in candidate order and the
     search's ordering of each top-M list is skipped; a pool of no more than M
     candidates is taken whole and padded with MISSING, as the search pads it.
-    A cached location holds ``(N + 1) * T * J * C`` float64 values for N
-    predictors, T test inits, J leads and C candidates (about 46 MB at
-    5 x 90 x 24 x 450).
+    Nothing is kept between calls: the working set of one call is
+    ``(N + 1) * T * J * C`` float64 values for N predictors, T test inits,
+    J leads and C candidates (about 46 MB at 5 x 90 x 24 x 450).
     """
 
     def __init__(self, forecasts: ForecastTensor, analysis: ObservationTensor,
@@ -186,15 +178,11 @@ class WeightObjective:
         self.search_range = opt_search_range
         self.spec = spec
         self.system = system
-        self._lock = threading.Lock()
-        self._per_location = {}
 
-    def _artifacts(self, loc: int):
-        with self._lock:
-            cached = self._per_location.get(loc)
-            if cached is None:
-                cached = self._per_location[loc] = self._build(loc)
-        return cached
+    def scores(self, vectors, loc: int) -> np.ndarray:
+        """The score of each weight vector at location ``loc``, in order."""
+        tables = self._build(loc)
+        return np.array([self.evaluate(w, tables) for w in vectors])
 
     def _build(self, loc: int):
         test, search, cand = check_split(self.test_range, self.search_range,
@@ -226,11 +214,14 @@ class WeightObjective:
                                  fc.lead_times, shape[2], members)
         power = simulate_ensemble(weather, cache, [self.spec], self.system).values[0, 0]
         power = power.reshape(-1, shape[2])  # (T * J, C)
-        return _LocationTables(sigma, roots, test.start, cand.start, power, truth_power,
+        return _LocationTables(loc, sigma, roots, test.start, cand.start, power, truth_power,
                                cache.daylight_mask())
 
-    def evaluate(self, weights, loc: int) -> float:
-        tab = self._artifacts(loc)
+    # One call per (vector, location), so that the bench harness, which wraps
+    # ``WeightObjective.evaluate`` by name (perfbench/spans.py), counts and
+    # times each evaluation.
+    def evaluate(self, weights, tab: _LocationTables) -> float:
+        """The score of one weight vector, scanned from a location's tables."""
         cfg = dataclasses.replace(self.base, weights=np.asarray(weights, dtype=float))
         validate_weights(cfg.weights, len(self.forecasts.predictor_names), 1)
         active, scale = active_scale(cfg.weights, tab.sigma, cfg.sigma_epsilon)
@@ -245,7 +236,8 @@ class WeightObjective:
         take = min(cfg.members, dist.shape[1])
         ok = np.isfinite(dist.take(chosen)).reshape(-1, take)
         if not cfg.allow_partial:
-            require_members(ok.sum(axis=1).reshape(n_test, n_lead), cfg.members, loc, tab.test_start)
+            require_members(ok.sum(axis=1).reshape(n_test, n_lead), cfg.members, tab.loc,
+                            tab.test_start)
         members = np.full((n_test * n_lead, cfg.members), MISSING)
         members[:, :take] = np.where(ok, tab.power.take(chosen).reshape(-1, take), MISSING)
         scores = crps_field(members.reshape(1, n_test, n_lead, cfg.members), tab.truth_power)
@@ -253,6 +245,4 @@ class WeightObjective:
         if not ok.any():
             return float("inf")
         return float(scores[ok].mean())
-
-    __call__ = evaluate
 

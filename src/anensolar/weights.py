@@ -264,14 +264,16 @@ def _best_vector(grid: WeightGrid, scores: np.ndarray) -> np.ndarray:
     return grid.vectors[min(tied, key=lambda k: tuple(grid.vectors[k]))]
 
 
-def optimize_weights(grid: WeightGrid, evaluate, strategy: str, *,
+def optimize_weights(grid: WeightGrid, scores, strategy: str, *,
                      n_locations: int | None = None,
                      assignment: SampleAssignment | None = None,
                      clustering: RegimeClustering | None = None,
                      regime_samples=None) -> np.ndarray:
     """Select a weight vector per location by exhaustive grid scan.
 
-    ``evaluate(weights, location) -> score`` must be pure. Strategies:
+    ``scores(vectors, location)`` returns the score of each vector at one
+    location, in order, and must be pure. It is called once per sample
+    location. Strategies:
 
     - "EW": the uniform vector everywhere (no evaluation);
     - "NN": per sample point, the grid vector minimizing the score at the
@@ -297,9 +299,7 @@ def optimize_weights(grid: WeightGrid, evaluate, strategy: str, *,
         out = np.zeros((len(assignment.sample_of), n))
         for sid in range(assignment.n_samples):
             rep = int(assignment.representatives[sid])
-            scores = np.array([evaluate(w, rep) for w in grid.vectors])
-            best = _best_vector(grid, scores)
-            out[list(assignment.members[sid])] = best
+            out[list(assignment.members[sid])] = _best_vector(grid, scores(grid.vectors, rep))
         return out
 
     if strategy == "RB":
@@ -312,10 +312,11 @@ def optimize_weights(grid: WeightGrid, evaluate, strategy: str, *,
             own = samples[clustering.labels[samples] == regime]
             if len(own) == 0:
                 raise ValueError(f"regime {regime} has no sample points")
-            scores = np.array([
-                np.mean([evaluate(w, int(loc)) for loc in own]) for w in grid.vectors
-            ])
-            out[members] = _best_vector(grid, scores)
+            # one C-contiguous row per vector: numpy sums each row pairwise,
+            # as it sums a 1-D array, so a mean equals the mean of the
+            # vector's scores taken on their own (axis 0 would sum in order)
+            by_vector = np.stack([scores(grid.vectors, int(loc)) for loc in own], axis=1)
+            out[members] = _best_vector(grid, by_vector.mean(axis=1))
         return out
 
     raise ValueError(f"unknown strategy {strategy!r}")

@@ -6,6 +6,7 @@ power -> verification chain for the equal-weight and regime-based strategies;
 everything else is exact or oracle-checked.
 """
 
+import dataclasses
 import hashlib
 import math
 import time
@@ -210,11 +211,11 @@ def test_criterion_3_synthetic_skill(skill_run):
         skill_run["forecasts"], skill_run["analysis"], skill_run["base"],
         range(450, 540), range(0, 450), skill_run["spec"], skill_run["system"],
     )
-    rb_weights = optimize_weights(grid, objective.evaluate, "RB",
+    rb_weights = optimize_weights(grid, objective.scores, "RB",
                                   clustering=clustering, regime_samples=samples)
     rb_weather = anen_weather_ensemble(
-        skill_run["forecasts"], skill_run["analysis"], skill_run["base"],
-        TEST, SEARCH, per_location_weights=rb_weights,
+        skill_run["forecasts"], skill_run["analysis"],
+        dataclasses.replace(skill_run["base"], weights=rb_weights), TEST, SEARCH,
     )
     rb_power = power_from_weather(
         rb_weather, [skill_run["spec"]], skill_run["system"], skill_run["cache"]

@@ -276,14 +276,14 @@ class TestCommands:
         assert len(values) > 5
         assert all(a >= 0 and b >= 0 for a, b in values)
 
-    def test_optimize_weights_rb_parallel(self, outdir):
+    def test_optimize_weights_rb(self, outdir):
         base = ["-o", str(outdir), *SMALL,
                 "--set", "optimize.step=0.5",
                 "--set", "optimize.opt_days=8",
                 "--set", "optimize.total_samples=2",
                 "--set", "anen.members=6"]
         assert run_cli([*base, "synth"]) == 0
-        rc = run_cli([*base, "--parallel", "2", "optimize-weights", "--strategy", "RB"])
+        rc = run_cli([*base, "optimize-weights", "--strategy", "RB"])
         assert rc == 0
         rows = read_csv(outdir / "weights.csv")
         assert len(rows) == 1 + 4
@@ -291,20 +291,6 @@ class TestCommands:
             vec = [float(v) for v in row[1:]]
             assert abs(sum(vec) - 1.0) < 1e-9
         assert (outdir / "clustering.csv").exists()
-
-    def test_optimize_weights_parallel_output_identical(self, outdir):
-        base = ["-o", str(outdir), *SMALL,
-                "--set", "optimize.step=0.25",
-                "--set", "optimize.opt_days=8",
-                "--set", "optimize.total_samples=3",
-                "--set", "anen.members=6"]
-        assert run_cli([*base, "synth"]) == 0
-        written = []
-        for parallel in (1, 2):
-            rc = run_cli([*base, "--parallel", parallel, "optimize-weights", "--strategy", "RB"])
-            assert rc == 0
-            written.append((outdir / "weights.csv").read_bytes())
-        assert written[0] == written[1]
 
     def test_workflow_run_command(self, outdir, tmp_path):
         wf = tmp_path / "wf.yaml"

@@ -1,5 +1,4 @@
-import sys
-from concurrent.futures import ThreadPoolExecutor
+import dataclasses
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from anensolar.driver import (
 from anensolar.errors import InsufficientCandidatesError
 from anensolar.pvchain import SystemConfig, load_module_catalog
 from anensolar.synth import SynthConfig, generate
-from anensolar.weights import enumerate_weights
+from anensolar.weights import RegimeClustering, enumerate_weights, optimize_weights
 
 from oracles import per_location_search, reference_weight_score
 
@@ -52,8 +51,8 @@ def test_uniform_per_location_weights_match_single_search(dataset):
     cfg = AnEnConfig(weights=equal_weights(5), members=5, half_window=1, operational=True)
     single = anen_weather_ensemble(fc, obs, cfg, range(45, 60), range(0, 45))
     stacked = np.tile(equal_weights(5), (3, 1))
-    per_loc = anen_weather_ensemble(fc, obs, cfg, range(45, 60), range(0, 45),
-                                    per_location_weights=stacked)
+    per_loc = anen_weather_ensemble(fc, obs, dataclasses.replace(cfg, weights=stacked),
+                                    range(45, 60), range(0, 45))
     np.testing.assert_array_equal(single.values, per_loc.values)
 
 
@@ -63,11 +62,10 @@ def test_weight_objective_is_pure_and_finite(dataset):
     spec = next(s for s in load_module_catalog() if s.code == "STU300")
     objective = WeightObjective(fc, obs, base, range(40, 50), range(0, 40), spec, SystemConfig())
     w = equal_weights(5)
-    first = objective.evaluate(w, 0)
-    second = objective.evaluate(w, 0)
+    first, other = objective.scores([w, np.array([0.6, 0.1, 0.1, 0.1, 0.1])], 0)
+    second, = objective.scores([w], 0)
     assert np.isfinite(first)
     assert first == second
-    other = objective.evaluate(np.array([0.6, 0.1, 0.1, 0.1, 0.1]), 0)
     assert np.isfinite(other) and other != first
 
 
@@ -124,13 +122,15 @@ class TestObjectiveTables:
         objective = self.objective(holed, case)
         _, test, search = OBJECTIVE_CASES[case]
         base = objective.base
+        vectors = enumerate_weights(5, 0.25).vectors
         scores = []
         for loc in (0, 2):
-            for w in enumerate_weights(5, 0.25).vectors:
-                score = objective.evaluate(w, loc)
+            row = objective.scores(vectors, loc)
+            assert row.shape == (len(vectors),)
+            for w, score in zip(vectors, row):
                 assert score == reference_weight_score(fc, obs, base, test, search, self.spec,
                                                        SystemConfig(), w, loc)
-                scores.append(score)
+            scores.extend(row)
         assert np.isfinite(scores).all() and len(set(scores)) > 1
         if base.allow_partial:
             found = search_analogs(slice_forecast_location(fc, 0), base, test, search).member_count()
@@ -145,36 +145,27 @@ class TestObjectiveTables:
         with pytest.raises(InsufficientCandidatesError) as expected:
             search_analogs(slice_forecast_location(fc, 1), strict, test, search)
         with pytest.raises(InsufficientCandidatesError) as raised:
-            objective.evaluate(w, 1)
+            objective.scores([w], 1)
         # the slice search names its only location 0; the objective names location 1
         assert str(raised.value) == str(expected.value).replace("location 0,", "location 1,")
 
-    def test_concurrent_first_calls_build_each_location_once(self, holed):
-        vectors = enumerate_weights(5, 0.5).vectors
-        serial_objective = self.objective(holed, "fixed")
-        serial = [serial_objective.evaluate(w, loc) for loc in range(3) for w in vectors]
+    def test_rb_run_builds_each_sample_location_once(self, holed):
+        grid = enumerate_weights(5, 0.5)
+        clustering = RegimeClustering(np.array([1, 2, 1]), np.zeros((2, 0)), ())
+        samples = [0, 1, 2]
         objective = self.objective(holed, "fixed")
         builds = []
         build = objective._build
         objective._build = lambda loc: builds.append(loc) or build(loc)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=6) as pool:
-                futures = [pool.submit(objective.evaluate, w, loc) for loc in range(3) for w in vectors]
-                results = [f.result(timeout=120) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert sorted(builds) == [0, 1, 2]
-        assert results == serial
+        optimize_weights(grid, objective.scores, "RB", clustering=clustering, regime_samples=samples)
+        assert sorted(builds) == samples
 
     @pytest.mark.parametrize("w", [[-0.25, 0.5, 0.25, 0.25, 0.25], [0.5, 0.5, 0.5, 0.0, 0.0],
                                    [0.5, 0.5]])
     def test_invalid_vector_is_value_error(self, holed, w):
         objective = self.objective(holed, "fixed")
-        objective.evaluate(equal_weights(5), 0)  # tables built
         with pytest.raises(ValueError):
-            objective.evaluate(np.array(w), 0)
+            objective.scores([equal_weights(5), np.array(w)], 0)
 
 
 LOCATION_ROWS = np.array([[0.25, 0.25, 0.0, 0.5, 0.0],
@@ -202,8 +193,8 @@ def test_per_location_weights_search_once(dataset, monkeypatch):
     monkeypatch.setattr(driver, "search_analogs",
                         lambda *args: calls.append(args) or search_analogs(*args))
     cfg = AnEnConfig(weights=equal_weights(5), members=5)
-    ensemble = anen_weather_ensemble(fc, obs, cfg, range(45, 60), range(0, 45),
-                                     per_location_weights=LOCATION_ROWS)
+    ensemble = anen_weather_ensemble(fc, obs, dataclasses.replace(cfg, weights=LOCATION_ROWS),
+                                     range(45, 60), range(0, 45))
     assert len(calls) == 1
     np.testing.assert_array_equal(calls[0][1].weights, LOCATION_ROWS)
     assert ensemble.values.shape[1] == 3
@@ -217,5 +208,5 @@ def test_short_list_error_names_the_real_location(dataset):
     cfg = AnEnConfig(weights=equal_weights(5), members=5, half_window=1)
     with pytest.raises(InsufficientCandidatesError,
                        match="3 finite-distance candidates for location 2, test init 45, lead"):
-        anen_weather_ensemble(fc, obs, cfg, range(45, 60), range(0, 45),
-                              per_location_weights=LOCATION_ROWS)
+        anen_weather_ensemble(fc, obs, dataclasses.replace(cfg, weights=LOCATION_ROWS),
+                              range(45, 60), range(0, 45))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from anensolar import weights as weights_module
 from anensolar.coredata import LocationSet
 from anensolar.weights import (
     RegimeClustering,
@@ -255,6 +256,11 @@ class TestRbSamplePoints:
         assert min(counts.values()) >= 1
 
 
+def row_scores(score):
+    """A ``scores(vectors, loc)`` objective from a per-vector ``score(w, loc)``."""
+    return lambda vectors, loc: np.array([score(w, loc) for w in vectors])
+
+
 class TestOptimizeWeights:
     def test_equal_weights_everywhere(self):
         grid = enumerate_weights(4, 0.25)
@@ -271,7 +277,7 @@ class TestOptimizeWeights:
         def score(w, loc):
             return float(np.abs(w - target).sum())
 
-        out = optimize_weights(grid, score, "NN", assignment=assignment)
+        out = optimize_weights(grid, row_scores(score), "NN", assignment=assignment)
         np.testing.assert_allclose(out[0], target)
 
     def test_two_samples_get_their_own_optima(self):
@@ -284,7 +290,7 @@ class TestOptimizeWeights:
         def score(w, loc):
             return float(np.abs(w - targets[loc]).sum())
 
-        out = optimize_weights(grid, score, "NN", assignment=assignment)
+        out = optimize_weights(grid, row_scores(score), "NN", assignment=assignment)
         np.testing.assert_allclose(out[0], targets[0])
         np.testing.assert_allclose(out[1], targets[1])
 
@@ -298,11 +304,37 @@ class TestOptimizeWeights:
             regime = int(clustering.labels[loc])
             return float(np.abs(w - targets[regime]).sum())
 
-        out = optimize_weights(grid, score, "RB", clustering=clustering, regime_samples=samples)
+        out = optimize_weights(grid, row_scores(score), "RB", clustering=clustering,
+                               regime_samples=samples)
         for loc in range(3):
             np.testing.assert_allclose(out[loc], targets[1])
         for loc in range(3, 6):
             np.testing.assert_allclose(out[loc], targets[2])
+
+    def test_rb_regime_mean_equals_each_vectors_own_mean(self, monkeypatch):
+        # each vector scores a permutation of the same nine values spread over
+        # eight decades, so the means differ only in rounding: numpy sums a
+        # row of 8 or more values pairwise, an in-order sum rounds otherwise
+        grid = enumerate_weights(5, 0.2)
+        clustering = clustering_with_sizes([9, 2])
+        samples = [*range(9), 10]
+        rng = np.random.default_rng(17)
+        values = 10.0 ** rng.uniform(-4, 4, 9) * rng.uniform(1, 2, 9)
+        table = np.array([np.append(rng.permutation(values), [0.0, 0.0]) for _ in grid.vectors])
+        index = {tuple(w): k for k, w in enumerate(grid.vectors)}
+        per_vector = np.array([np.mean(list(row[:9])) for row in table])
+        in_order = np.ascontiguousarray(table[:, :9].T).mean(axis=0)
+        picked = weights_module._best_vector(grid, per_vector)
+        assert tuple(weights_module._best_vector(grid, in_order)) != tuple(picked)
+
+        seen = []
+        best = weights_module._best_vector
+        monkeypatch.setattr(weights_module, "_best_vector",
+                            lambda g, scores: seen.append(scores) or best(g, scores))
+        out = optimize_weights(grid, row_scores(lambda w, loc: table[index[tuple(w)], loc]), "RB",
+                               clustering=clustering, regime_samples=samples)
+        np.testing.assert_array_equal(seen[0], per_vector)
+        np.testing.assert_array_equal(out[:9], np.tile(picked, (9, 1)))
 
     def test_selected_vectors_always_on_grid(self, rng):
         grid = enumerate_weights(3, 0.25)
@@ -313,7 +345,7 @@ class TestOptimizeWeights:
         def score(w, loc):
             return table[tuple(w)] * (loc + 1)
 
-        out = optimize_weights(grid, score, "NN", assignment=assignment)
+        out = optimize_weights(grid, row_scores(score), "NN", assignment=assignment)
         on_grid = {tuple(v) for v in grid.vectors}
         for row in out:
             assert tuple(row) in on_grid
@@ -323,15 +355,17 @@ class TestOptimizeWeights:
         locs = LocationSet.from_coords([40.0], [-100.0])
         assignment = nn_sample_grid(locs)
         table = {tuple(v): float(rng.random()) for v in grid.vectors}
-        out1 = optimize_weights(grid, lambda w, l: table[tuple(w)], "NN", assignment=assignment)
-        out2 = optimize_weights(grid, lambda w, l: 1000.0 * table[tuple(w)], "NN", assignment=assignment)
+        out1 = optimize_weights(grid, row_scores(lambda w, l: table[tuple(w)]), "NN",
+                                assignment=assignment)
+        out2 = optimize_weights(grid, row_scores(lambda w, l: 1000.0 * table[tuple(w)]), "NN",
+                                assignment=assignment)
         np.testing.assert_array_equal(out1, out2)
 
     def test_ties_choose_lexicographically_first(self):
         grid = enumerate_weights(2, 0.5)
         locs = LocationSet.from_coords([40.0], [-100.0])
         assignment = nn_sample_grid(locs)
-        out = optimize_weights(grid, lambda w, l: 0.0, "NN", assignment=assignment)
+        out = optimize_weights(grid, row_scores(lambda w, l: 0.0), "NN", assignment=assignment)
         np.testing.assert_allclose(out[0], [0.0, 1.0])
 
     def test_empty_grid_rejected(self):
