@@ -19,7 +19,6 @@ from anensolar import (
     build_simulation_workflow,
     build_weight_search_workflow,
     enumerate_weights,
-    event_log,
     submit,
 )
 from anensolar.workflow import dump_workflow_file, write_event_log
@@ -71,7 +70,7 @@ workflow = Workflow(
 
 run = submit(workflow, FlakyBackend())
 final = run.wait(60)
-records = event_log(run)
+records = run.events()
 failures = sum(1 for r in records if r.to_state is TaskState.FAILED)
 print("\nsmall chaos run: %d tasks -> %s with %d resubmitted failures, %d transitions"
       % (sum(len(s.tasks) for p in workflow.pipelines for s in p.stages),

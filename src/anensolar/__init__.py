@@ -91,7 +91,6 @@ from .workflow import (
     WorkflowRun,
     build_simulation_workflow,
     build_weight_search_workflow,
-    event_log,
     load_workflow_file,
     submit,
     validate_workflow,

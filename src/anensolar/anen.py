@@ -226,10 +226,6 @@ class AnalogIndexSet:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @property
-    def test_init_times(self) -> np.ndarray:
-        return self.init_times.instants[self.test_indices]
-
     def member_count(self) -> np.ndarray:
         """Stored members per (location, test, lead)."""
         return np.isfinite(self.search_index).sum(axis=-1)

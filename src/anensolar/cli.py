@@ -3,12 +3,14 @@
 Subcommands wire the library modules into file-based pipelines: ``synth``,
 ``sigma``, ``anen``, ``simulate``, ``optimize-weights``, ``cluster``,
 ``verify``, ``workflow run``, and ``report``. A single YAML config file
-drives every command; flags override file keys, and environment variables
-with the ``ANENSOLAR_`` prefix override the file (double underscore nests,
-e.g. ``ANENSOLAR_ANEN__MEMBERS=25``). Every run writes its artifacts under
-the output directory together with a manifest of input/output hashes and the
-effective config hash. On failure a machine-readable JSON error line goes to
-stderr and the exit code is nonzero.
+drives every command. Later sources override earlier ones: defaults < config
+file < ``ANENSOLAR_*`` environment variables (double underscore nests, e.g.
+``ANENSOLAR_ANEN__MEMBERS=25``) < ``--set KEY=VALUE`` < flags; a key that the
+defaults do not hold is a config error. Every input file resolves relative to
+the output directory, and every run writes its artifacts there together with
+a manifest of input/output hashes and the effective config hash. On failure
+a machine-readable JSON error line goes to stderr and the exit code is
+nonzero.
 """
 
 from __future__ import annotations
@@ -102,50 +104,43 @@ DEFAULT_CONFIG = {
 
 # -- config plumbing -----------------------------------------------------------
 
-def _deep_update(base: dict, other: dict) -> dict:
-    for key, value in other.items():
-        if isinstance(value, dict) and isinstance(base.get(key), dict):
-            _deep_update(base[key], value)
-        else:
-            base[key] = value
-    return base
-
-
-def _set_dotted(cfg: dict, dotted: str, value):
+def _override(cfg: dict, key: str, value, source: str):
+    """Set the dotted config ``key`` to ``value``; a mapping value sets each of
+    its leaves. A key that DEFAULT_CONFIG does not hold is a config error."""
+    if isinstance(value, dict):
+        for sub, leaf_value in value.items():
+            _override(cfg, f"{key}.{sub}" if key else str(sub), leaf_value, source)
+        return
+    *parents, leaf = key.split(".")
     node = cfg
-    parts = dotted.split(".")
-    for part in parts[:-1]:
-        node = node.setdefault(part, {})
-    node[parts[-1]] = value
-
-
-def _env_overrides(environ) -> dict:
-    out: dict = {}
-    for key, raw in sorted(environ.items()):
-        if not key.startswith(ENV_PREFIX):
-            continue
-        path = key[len(ENV_PREFIX):].lower().split("__")
-        node = out
-        for part in path[:-1]:
-            node = node.setdefault(part, {})
-        node[path[-1]] = yaml.safe_load(raw)
-    return out
+    for part in parents:
+        node = node.get(part) if isinstance(node, dict) else None
+    if not isinstance(node, dict) or leaf not in node:
+        raise ConfigValidationError([f"{key}: unknown config key (from {source})"])
+    if isinstance(node[leaf], dict):
+        raise ConfigValidationError([f"{key}: a config section takes a mapping (from {source})"])
+    node[leaf] = value
 
 
 def load_config(config_path, sets=(), environ=None) -> dict:
+    """Defaults < config file < ``ANENSOLAR_*`` variables < ``--set`` items;
+    main() applies the flags last."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if config_path:
         with open(config_path) as fh:
             doc = yaml.safe_load(fh) or {}
         if not isinstance(doc, dict):
             raise ConfigValidationError(["config file must hold a mapping"])
-        _deep_update(cfg, doc)
-    _deep_update(cfg, _env_overrides(environ if environ is not None else os.environ))
+        _override(cfg, "", doc, f"config file {config_path}")
+    for name, raw in sorted((os.environ if environ is None else environ).items()):
+        if name.startswith(ENV_PREFIX):
+            _override(cfg, name[len(ENV_PREFIX):].lower().replace("__", "."),
+                      yaml.safe_load(raw), name)
     for item in sets:
-        if "=" not in item:
+        key, eq, raw = item.partition("=")
+        if not eq:
             raise ConfigValidationError([f"--set needs KEY=VALUE, got {item!r}"])
-        key, _, raw = item.partition("=")
-        _set_dotted(cfg, key.strip(), yaml.safe_load(raw))
+        _override(cfg, key.strip(), yaml.safe_load(raw), f"--set {item}")
     return cfg
 
 
@@ -176,15 +171,17 @@ class Runner:
         self.inputs: dict = {}
         self.outputs: dict = {}
 
-    def path(self, key: str) -> Path:
-        name = self.cfg["paths"][key]
-        p = Path(name)
+    def path(self, name: str) -> Path:
+        """A ``paths`` key or a filename, relative to the output directory."""
+        p = Path(self.cfg["paths"].get(name, name))
         return p if p.is_absolute() else self.out_dir / p
 
-    def input_path(self, key: str, problems: list) -> Path:
-        p = self.path(key)
-        if not p.exists():
-            problems.append(f"paths.{key}: file not found: {p}")
+    def input_path(self, name: str, problems: list) -> Path:
+        """``path(name)``, checked to exist and hashed into the manifest."""
+        p = self.path(name)
+        if not p.is_file():
+            field = f"paths.{name}" if name in self.cfg["paths"] else "input"
+            problems.append(f"{field}: file not found: {p}")
         else:
             self.inputs[str(p)] = _hash_file(p)
         return p
@@ -259,16 +256,13 @@ def _anen_config(cfg, n_predictors, problems) -> AnEnConfig | None:
     )
 
 
-def _load_specs(cfg, problems):
-    module_file = cfg["paths"].get("module_file") or ""
-    if module_file:
-        if not Path(module_file).exists():
-            problems.append(f"paths.module_file: file not found: {module_file}")
-            return []
-        return load_module_specs(module_file)
+def _load_specs(run: Runner, problems):
+    if run.cfg["paths"]["module_file"]:
+        module_file = run.input_path("module_file", problems)
+        return load_module_specs(module_file) if module_file.is_file() else []
     catalog = {spec.code: spec for spec in load_module_catalog()}
     specs = []
-    for code in cfg["modules"]:
+    for code in run.cfg["modules"]:
         if code not in catalog:
             problems.append(f"modules: unknown module code {code!r}")
         else:
@@ -352,18 +346,12 @@ def cmd_anen(run: Runner, args) -> int:
 
     test, search = _anen_split(cfg, len(forecasts.init_times), problems)
     per_loc = None
-    weights_file = cfg["paths"].get("weights_file") or ""
-    if weights_file:
-        wf = Path(weights_file)
-        if not wf.exists():
-            problems.append(f"paths.weights_file: file not found: {wf}")
-        else:
-            run.inputs[str(wf)] = _hash_file(wf)
-            try:
-                per_loc = validate_weights(weights.read_weights_csv(wf, forecasts.predictor_names),
-                                           len(forecasts.predictor_names), len(forecasts.locations))
-            except ValueError as exc:
-                problems.append(f"paths.weights_file: {exc}")
+    if cfg["paths"]["weights_file"] and (wf := run.input_path("weights_file", problems)).is_file():
+        try:
+            per_loc = validate_weights(weights.read_weights_csv(wf, forecasts.predictor_names),
+                                       len(forecasts.predictor_names), len(forecasts.locations))
+        except ValueError as exc:
+            problems.append(f"paths.weights_file: {exc}")
     config = _anen_config(cfg, len(forecasts.predictor_names), problems)
     _fail_if(problems)
     if per_loc is not None:
@@ -388,7 +376,7 @@ def cmd_simulate(run: Runner, args) -> int:
     source = cfg["simulate"]["source"]
     if source not in ("ensemble", "forecast", "analysis"):
         problems.append(f"simulate.source: must be ensemble|forecast|analysis, got {source!r}")
-    specs = _load_specs(cfg, problems)
+    specs = _load_specs(run, problems)
     system = _system(cfg, problems)
     _fail_if(problems)
 
@@ -419,8 +407,7 @@ def cmd_simulate(run: Runner, args) -> int:
         default_out = "truth_power"
 
     power = driver.power_from_weather(weather, specs, system)
-    out_key = cfg["simulate"]["output"] or default_out
-    out_path = run.path(out_key) if out_key in cfg["paths"] else run.out_dir / out_key
+    out_path = run.path(cfg["simulate"]["output"] or default_out)
     tensorio.write_tensor(power, out_path)
     run.register_output(out_path)
     return 0
@@ -528,38 +515,20 @@ def cmd_cluster(run: Runner, args) -> int:
     return 0
 
 
-def _resolve_input(run: Runner, key_or_name: str, problems: list) -> Path:
-    """Accept either a paths-section key or a filename (relative to the output
-    directory) and record it as a hashed input."""
-    if key_or_name in run.cfg["paths"]:
-        return run.input_path(key_or_name, problems)
-    p = Path(key_or_name)
-    if not p.is_absolute():
-        p = run.out_dir / p
-    if not p.exists():
-        problems.append(f"input file not found: {p}")
-    else:
-        run.inputs[str(p)] = _hash_file(p)
-    return p
-
-
 def cmd_verify(run: Runner, args) -> int:
     cfg = run.cfg
     v = cfg["verify"]
     problems = []
-    power_path = _resolve_input(run, v["power"] or "power", problems)
-    truth_path = _resolve_input(run, v["truth"] or "truth_power", problems)
+    power_path = run.input_path(v["power"] or "power", problems)
+    truth_path = run.input_path(v["truth"] or "truth_power", problems)
     grouping = v["grouping"]
     if grouping not in ("lead", "lead-time", "location", "region", "season", "daypart"):
         problems.append(f"verify.grouping: unknown grouping {grouping!r}")
     region_map = None
     if grouping == "region":
-        rm = cfg["paths"].get("region_map") or ""
-        if not rm:
+        if not cfg["paths"]["region_map"]:
             problems.append("paths.region_map: required for region grouping")
-        elif not Path(rm).exists():
-            problems.append(f"paths.region_map: file not found: {rm}")
-        else:
+        elif (rm := run.input_path("region_map", problems)).is_file():
             region_map = verify.read_region_map(rm)
     _fail_if(problems)
 
@@ -649,14 +618,17 @@ def cmd_report(run: Runner, args) -> int:
 # help of the flags that the workflow builders pass and the commands ignore
 LABEL_ONLY = "a label for workflow tasks; does not change what the command computes"
 
+
+# A flag whose dest is "=KEY" sets the dotted config key KEY (its help shows
+# "=KEY"); main() applies these after load_config. Other dests are plain args.
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="anensolar",
         description="Analog-ensemble solar power forecasting toolkit.",
     )
     parser.add_argument("-c", "--config", help="YAML config file")
-    parser.add_argument("-o", "--output-dir", help="output directory (overrides config)")
-    parser.add_argument("--seed", type=int, help="random seed (overrides config)")
+    parser.add_argument("-o", "--output-dir", dest="=output_dir", help="output directory (overrides config)")
+    parser.add_argument("--seed", dest="=seed", type=int, help="random seed (overrides config)")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override any config key (dotted path)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -665,38 +637,39 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("sigma", help="compute the per-predictor spread table").set_defaults(handler=cmd_sigma)
 
     p_anen = sub.add_parser("anen", help="search analogs and build the weather ensemble")
-    p_anen.add_argument("--weights", help="comma list or 'equal' (overrides config)")
-    p_anen.add_argument("--weights-file", help="per-location weights CSV")
-    p_anen.add_argument("--members", type=int)
-    p_anen.add_argument("--search-days", type=int)
+    p_anen.add_argument("--weights", dest="=anen.weights", help="comma list or 'equal' (overrides config)")
+    p_anen.add_argument("--weights-file", dest="=paths.weights_file", help="per-location weights CSV")
+    p_anen.add_argument("--members", dest="=anen.members", type=int)
+    p_anen.add_argument("--search-days", dest="=anen.search_days", type=int)
     p_anen.add_argument("--strategy", help=LABEL_ONLY)
     p_anen.set_defaults(handler=cmd_anen)
 
     p_sim = sub.add_parser("simulate", help="run the power simulation chain")
-    p_sim.add_argument("--source", choices=["ensemble", "forecast", "analysis"])
-    p_sim.add_argument("--modules", help="comma list of catalog codes")
-    p_sim.add_argument("--output", help="output path key or filename")
+    p_sim.add_argument("--source", dest="=simulate.source", choices=["ensemble", "forecast", "analysis"])
+    p_sim.add_argument("--modules", dest="=modules", type=lambda s: [m for m in s.split(",") if m],
+                       help="comma list of catalog codes")
+    p_sim.add_argument("--output", dest="=simulate.output", help="output path key or filename")
     p_sim.add_argument("--partition", help=LABEL_ONLY)
     p_sim.add_argument("--weights", help=LABEL_ONLY)
     p_sim.add_argument("--strategy", help=LABEL_ONLY)
     p_sim.set_defaults(handler=cmd_simulate)
 
     p_opt = sub.add_parser("optimize-weights", help="grid-search predictor weights")
-    p_opt.add_argument("--strategy", choices=["EW", "NN", "RB", "ew", "nn", "rb"])
-    p_opt.add_argument("--step", type=float)
-    p_opt.add_argument("--samples", type=int, help="total RB sample points")
-    p_opt.add_argument("--clusters", type=int)
+    p_opt.add_argument("--strategy", dest="=optimize.strategy", type=str.upper, choices=["EW", "NN", "RB"])
+    p_opt.add_argument("--step", dest="=optimize.step", type=float)
+    p_opt.add_argument("--samples", dest="=optimize.total_samples", type=int, help="total RB sample points")
+    p_opt.add_argument("--clusters", dest="=optimize.clusters", type=int)
     p_opt.set_defaults(handler=cmd_optimize_weights)
 
     p_clu = sub.add_parser("cluster", help="hierarchical regime clustering of locations")
-    p_clu.add_argument("--clusters", type=int)
+    p_clu.add_argument("--clusters", dest="=cluster.clusters", type=int)
     p_clu.set_defaults(handler=cmd_cluster)
 
     p_ver = sub.add_parser("verify", help="compute grouped skill metrics")
-    p_ver.add_argument("--grouping")
-    p_ver.add_argument("--power", help="path key or file of the power ensemble")
-    p_ver.add_argument("--truth", help="path key or file of the truth power")
-    p_ver.add_argument("--module", help="module code to verify")
+    p_ver.add_argument("--grouping", dest="=verify.grouping")
+    p_ver.add_argument("--power", dest="=verify.power", help="path key or file of the power ensemble")
+    p_ver.add_argument("--truth", dest="=verify.truth", help="path key or file of the truth power")
+    p_ver.add_argument("--module", dest="=verify.module", help="module code to verify")
     p_ver.add_argument("--weights", help=LABEL_ONLY)
     p_ver.add_argument("--strategy", help=LABEL_ONLY)
     p_ver.set_defaults(handler=cmd_verify)
@@ -716,47 +689,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_flag_overrides(cfg: dict, args):
-    if args.output_dir:
-        cfg["output_dir"] = args.output_dir
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    mapping = {
-        "weights": ("anen", "weights"),
-        "weights_file": ("paths", "weights_file"),
-        "members": ("anen", "members"),
-        "search_days": ("anen", "search_days"),
-        "source": ("simulate", "source"),
-        "grouping": ("verify", "grouping"),
-        "power": ("verify", "power"),
-        "truth": ("verify", "truth"),
-        "module": ("verify", "module"),
-        "step": ("optimize", "step"),
-        "samples": ("optimize", "total_samples"),
-    }
-    for attr, (section, key) in mapping.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            cfg[section][key] = value
-    if args.command == "simulate" and getattr(args, "output", None):
-        cfg["simulate"]["output"] = args.output
-    if getattr(args, "clusters", None) is not None:
-        cfg["cluster"]["clusters"] = args.clusters
-        cfg["optimize"]["clusters"] = args.clusters
-    strategy = getattr(args, "strategy", None)
-    if strategy and args.command == "optimize-weights":
-        cfg["optimize"]["strategy"] = strategy.upper()
-    modules = getattr(args, "modules", None)
-    if modules:
-        cfg["modules"] = [m for m in modules.split(",") if m]
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.set)
-        _apply_flag_overrides(cfg, args)
+        for dest, value in vars(args).items():
+            if dest.startswith("=") and value is not None:
+                _override(cfg, dest[1:], value, "a command-line flag")
         command = args.command if args.command != "workflow" else "workflow-run"
         run = Runner(cfg, command)
         rc = args.handler(run, args)

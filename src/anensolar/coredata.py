@@ -230,10 +230,6 @@ class EnsembleTensor:
         except ValueError:
             raise KeyError(name) from None
 
-    def member_mean(self) -> np.ndarray:
-        """Ensemble mean per (variable, location, init, lead); NaN members propagate."""
-        return self.values.mean(axis=-1)
-
 
 @dataclass(frozen=True)
 class AlignedObservations:

@@ -399,11 +399,6 @@ def submit(workflow: Workflow, backend: ExecutionBackend | None = None,
     return WorkflowRun(workflow, backend or LocalProcessBackend(), pool_size)
 
 
-def event_log(run: WorkflowRun) -> list:
-    """Ordered state-transition records of a run (snapshot)."""
-    return run.events()
-
-
 def write_event_log(records, path):
     with open(path, "w") as fh:
         for r in records:

@@ -125,6 +125,84 @@ class TestOverrides:
         assert run_cli(["-o", out2, *SMALL, "--seed", "2", "synth"]) == 0
         assert (out1 / "forecasts.ansr").read_bytes() != (out2 / "forecasts.ansr").read_bytes()
 
+    def test_precedence_file_env_set_flag(self, tmp_path, outdir, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_anen", lambda run, args: seen.append(run.cfg["anen"]["members"]) or 0)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("anen:\n  members: 3\n")
+        base = ["-c", cfg, "-o", outdir]
+        assert run_cli([*base, "anen"]) == 0
+        monkeypatch.setenv("ANENSOLAR_ANEN__MEMBERS", "4")
+        assert run_cli([*base, "anen"]) == 0
+        assert run_cli([*base, "--set", "anen.members=5", "anen"]) == 0
+        assert run_cli([*base, "--set", "anen.members=5", "anen", "--members", "6"]) == 0
+        assert seen == [3, 4, 5, 6]
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("source", ["file", "env", "set"])
+    def test_unknown_key_is_config_error(self, tmp_path, outdir, monkeypatch, capsys, source):
+        argv = ["-o", str(outdir)]
+        if source == "file":
+            cfg = tmp_path / "cfg.yaml"
+            cfg.write_text("optimise:\n  step: 0.5\n")
+            argv += ["-c", str(cfg)]
+            key, origin = "optimise.step", str(cfg)
+        elif source == "env":
+            monkeypatch.setenv("ANENSOLAR_ANEN__MEMBRS", "3")
+            key, origin = "anen.membrs", "ANENSOLAR_ANEN__MEMBRS"
+        else:
+            argv += ["--set", "parallel=4"]
+            key, origin = "parallel", "--set parallel=4"
+        assert main([*argv, "synth"]) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "config-validation"
+        assert any(p.startswith(key + ":") and origin in p for p in payload["problems"]), payload
+        assert not (outdir / "forecasts.ansr").exists()
+
+    def test_label_flags_set_no_config(self, outdir):
+        base = ["-o", str(outdir), *SMALL]
+        assert run_cli([*base, "synth"]) == 0
+        assert run_cli([*base, "anen"]) == 0
+        hashes = []
+        for labels in ((), ("--weights", "0.5,0.5", "--strategy", "NN")):
+            assert run_cli([*base, "simulate", *labels]) == 0
+            hashes.append(json.loads((outdir / "manifest.json").read_text())["simulate"]["config_hash"])
+        assert hashes[0] == hashes[1]
+
+
+class TestInputs:
+    def test_module_file_and_region_map_are_hashed(self, outdir):
+        base = ["-o", str(outdir), *SMALL]
+        assert run_cli([*base, "synth"]) == 0
+        assert run_cli([*base, "anen"]) == 0
+        catalog = read_csv(Path(anensolar.__file__).parent / "catalog" / "modules.csv")
+        modules = outdir / "modules.csv"
+        with open(modules, "w", newline="") as fh:
+            csv.writer(fh).writerows([catalog[0]] + [r for r in catalog[1:] if r[0] == "STU300"])
+        regions = outdir / "regions.csv"
+        regions.write_text("location,region\n0,east\n1,east\n2,west\n3,west\n")
+        files = ["--set", f"paths.module_file={modules}", "--set", f"paths.region_map={regions}"]
+        assert run_cli([*base, *files, "simulate", "--source", "ensemble"]) == 0
+        assert run_cli([*base, *files, "simulate", "--source", "analysis"]) == 0
+        assert run_cli([*base, *files, "verify", "--grouping", "region"]) == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert str(modules) in manifest["simulate"]["inputs"]
+        assert str(regions) in manifest["verify"]["inputs"]
+
+    def test_relative_weights_file_is_under_output_dir(self, tmp_path, outdir, monkeypatch):
+        base = ["-o", str(outdir), *SMALL]
+        assert run_cli([*base, "synth"]) == 0
+        assert run_cli([*base, "optimize-weights", "--strategy", "EW"]) == 0
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        (outdir / "ensemble.ansr").unlink(missing_ok=True)
+        assert run_cli([*base, "anen", "--weights-file", "weights.csv"]) == 0
+        assert (outdir / "ensemble.ansr").exists()
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert str(outdir / "weights.csv") in manifest["anen"]["inputs"]
+
 
 class TestCommands:
     def test_sigma_command(self, outdir):

@@ -20,7 +20,6 @@ from anensolar.workflow import (
     build_simulation_workflow,
     build_weight_search_workflow,
     dump_workflow_file,
-    event_log,
     load_workflow_file,
     read_event_log,
     submit,
@@ -223,7 +222,7 @@ class TestExecution:
         wf = simple_workflow()
         run = submit(wf, ExitBackend(0))
         run.wait(30)
-        records = event_log(run)
+        records = run.events()
         chain = [(r.from_state, r.to_state) for r in records if r.task_id == "p0s0t0"]
         assert chain == [
             (TaskState.PENDING, TaskState.SCHEDULED),
@@ -235,7 +234,7 @@ class TestExecution:
         wf = simple_workflow(n_pipelines=2, n_stages=2, n_tasks=3, budget=3)
         run = submit(wf, ExitBackend(0, delay=0.01))
         assert run.wait(60) is RunState.DONE
-        records = event_log(run)
+        records = run.events()
         for p in range(2):
             first_terminal = max(r.seq for r in records
                                  if r.task_id.startswith(f"p{p}s0") and r.to_state is TaskState.DONE)
@@ -249,7 +248,7 @@ class TestExecution:
         assert run.wait(30) is RunState.DONE
         task = wf.pipelines[0].stages[0].tasks[0]
         assert task.attempts == 3
-        chain = [r for r in event_log(run) if r.task_id == "flaky"]
+        chain = [r for r in run.events() if r.task_id == "flaky"]
         states = [r.to_state for r in chain]
         assert states == [
             TaskState.SCHEDULED, TaskState.RUNNING, TaskState.FAILED,
@@ -270,7 +269,7 @@ class TestExecution:
         wf = simple_workflow(n_pipelines=2, n_stages=2, n_tasks=4, budget=2)
         run = submit(wf, ExitBackend(0, delay=0.05))
         assert run.wait(60) is RunState.DONE
-        records = event_log(run)
+        records = run.events()
         makespan = max(r.timestamp for r in records) - min(r.timestamp for r in records)
         total_work = 16 * 0.05
         assert makespan >= total_work / wf.worker_budget - 1e-3
@@ -279,7 +278,7 @@ class TestExecution:
         wf = simple_workflow(n_pipelines=3, n_stages=1, n_tasks=4, cores=2, budget=5)
         run = submit(wf, ExitBackend(0, delay=0.02))
         assert run.wait(60) is RunState.DONE
-        check_budget(event_log(run), wf)
+        check_budget(run.events(), wf)
 
     def test_cancel_marks_all_non_terminal(self):
         wf = simple_workflow(n_pipelines=1, n_stages=2, n_tasks=2, budget=1)
@@ -290,7 +289,7 @@ class TestExecution:
             time.sleep(0.005)
         run.cancel()
         assert run.wait(30) is RunState.CANCELED
-        records = event_log(run)
+        records = run.events()
         chains = validate_chains(records, all_task_ids(wf))
         finals = {tid: chain[-1].to_state for tid, chain in chains.items()}
         assert all(s is TaskState.CANCELED for s in finals.values())
@@ -300,7 +299,7 @@ class TestExecution:
         wf = simple_workflow(n_pipelines=2, n_stages=2, n_tasks=3)
         run = submit(wf, ChaosBackend(0.2, seed=41))
         final = run.wait(60)
-        records = event_log(run)
+        records = run.events()
         chains = validate_chains(records, all_task_ids(wf))
         for tid, chain in chains.items():
             episodes = running_episodes(chain)
@@ -318,7 +317,7 @@ class TestDispatchOrder:
         # p0s0t0 fails once then succeeds; p1s0t1 fails on both of its attempts
         run = submit(wf, ScriptedBackend({"p0s0t0": [1, 0], "p1s0t1": [1, 1]}))
         assert run.wait(30) is RunState.FAILED
-        scheduled = [r.task_id for r in event_log(run) if r.to_state is TaskState.SCHEDULED]
+        scheduled = [r.task_id for r in run.events() if r.to_state is TaskState.SCHEDULED]
         assert scheduled == [
             "p0s0t0", "p0s0t0", "p0s0t1",
             "p0s1t0", "p0s1t1",
@@ -333,7 +332,7 @@ class TestDispatchOrder:
         wf = Workflow([Pipeline("p", [Stage("s", tasks)])], 3)
         run = submit(wf, ExitBackend(0, delay=0.01))
         assert run.wait(30) is RunState.DONE
-        records = event_log(run)
+        records = run.events()
         # the first pass runs before any message: t0 takes 2 of 3 cores, t1 does not fit
         assert [(r.task_id, r.to_state) for r in records[:2]] == [
             ("t0", TaskState.SCHEDULED), ("t2", TaskState.SCHEDULED)]
@@ -366,7 +365,7 @@ class TestBackendLoss:
 
         run.restore_backend(ExitBackend(0))
         assert run.wait(30) is RunState.DONE
-        chains = validate_chains(event_log(run), all_task_ids(wf))
+        chains = validate_chains(run.events(), all_task_ids(wf))
         for tid, chain in chains.items():
             assert chain[-1].to_state is TaskState.DONE
             if tid in victims:
@@ -386,7 +385,7 @@ class TestChaosRun:
             assert not all(backend.would_fail(tid, a) for a in range(4))
         run = submit(wf, backend)
         assert run.wait(120) is RunState.DONE
-        records = event_log(run)
+        records = run.events()
         chains = validate_chains(records, all_task_ids(wf))
         assert all(c[-1].to_state is TaskState.DONE for c in chains.values())
         check_budget(records, wf)
@@ -465,7 +464,7 @@ class TestFiles:
         wf = simple_workflow(n_tasks=2)
         run = submit(wf, ExitBackend(0))
         run.wait(30)
-        records = event_log(run)
+        records = run.events()
         path = tmp_path / "events.log"
         write_event_log(records, path)
         back = read_event_log(path)
