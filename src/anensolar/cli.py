@@ -11,6 +11,10 @@ the output directory, and every run writes its artifacts there together with
 a manifest of input/output hashes and the effective config hash. On failure
 a machine-readable JSON error line goes to stderr and the exit code is
 nonzero.
+
+Each command imports the library modules it runs inside its own function, so
+a process that runs ``sigma`` never loads the PV chain, the weight search or
+the workflow engine.
 """
 
 from __future__ import annotations
@@ -24,23 +28,16 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 import yaml
 
-from . import driver, synth, tensorio, verify, weights, workflow
-from .anen import (
-    AnEnConfig,
-    build_multivariate_ensemble,
-    compute_sigma,
-    equal_weights,
-    search_analogs,
-    validate_weights,
-)
-from .coredata import LocationSet, align_observations
 from .errors import AnensolarError, ConfigValidationError
-from .pvchain import SystemConfig, load_module_catalog, load_module_specs
-from .solar import precompute_solar
+
+if TYPE_CHECKING:
+    from .anen import AnEnConfig
+    from .pvchain import SystemConfig
 
 ENV_PREFIX = "ANENSOLAR_"
 
@@ -104,43 +101,48 @@ DEFAULT_CONFIG = {
 
 # -- config plumbing -----------------------------------------------------------
 
-def _override(cfg: dict, key: str, value, source: str):
+def _override(cfg: dict, key: str, value, source: str, problems: list):
     """Set the dotted config ``key`` to ``value``; a mapping value sets each of
-    its leaves. A key that DEFAULT_CONFIG does not hold is a config error."""
+    its leaves. A key that DEFAULT_CONFIG does not hold is a config problem."""
     if isinstance(value, dict):
         for sub, leaf_value in value.items():
-            _override(cfg, f"{key}.{sub}" if key else str(sub), leaf_value, source)
+            _override(cfg, f"{key}.{sub}" if key else str(sub), leaf_value, source, problems)
         return
     *parents, leaf = key.split(".")
     node = cfg
     for part in parents:
         node = node.get(part) if isinstance(node, dict) else None
     if not isinstance(node, dict) or leaf not in node:
-        raise ConfigValidationError([f"{key}: unknown config key (from {source})"])
-    if isinstance(node[leaf], dict):
-        raise ConfigValidationError([f"{key}: a config section takes a mapping (from {source})"])
-    node[leaf] = value
+        problems.append(f"{key}: unknown config key (from {source})")
+    elif isinstance(node[leaf], dict):
+        problems.append(f"{key}: a config section takes a mapping (from {source})")
+    else:
+        node[leaf] = value
 
 
 def load_config(config_path, sets=(), environ=None) -> dict:
     """Defaults < config file < ``ANENSOLAR_*`` variables < ``--set`` items;
-    main() applies the flags last."""
+    main() applies the flags last. Every bad key is reported in one error."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
+    problems = []
     if config_path:
         with open(config_path) as fh:
             doc = yaml.safe_load(fh) or {}
         if not isinstance(doc, dict):
-            raise ConfigValidationError(["config file must hold a mapping"])
-        _override(cfg, "", doc, f"config file {config_path}")
+            problems.append("config file must hold a mapping")
+        else:
+            _override(cfg, "", doc, f"config file {config_path}", problems)
     for name, raw in sorted((os.environ if environ is None else environ).items()):
         if name.startswith(ENV_PREFIX):
             _override(cfg, name[len(ENV_PREFIX):].lower().replace("__", "."),
-                      yaml.safe_load(raw), name)
+                      yaml.safe_load(raw), name, problems)
     for item in sets:
         key, eq, raw = item.partition("=")
         if not eq:
-            raise ConfigValidationError([f"--set needs KEY=VALUE, got {item!r}"])
-        _override(cfg, key.strip(), yaml.safe_load(raw), f"--set {item}")
+            problems.append(f"--set needs KEY=VALUE, got {item!r}")
+        else:
+            _override(cfg, key.strip(), yaml.safe_load(raw), f"--set {item}", problems)
+    _fail_if(problems)
     return cfg
 
 
@@ -177,14 +179,20 @@ class Runner:
         return p if p.is_absolute() else self.out_dir / p
 
     def input_path(self, name: str, problems: list) -> Path:
-        """``path(name)``, checked to exist and hashed into the manifest."""
+        """``path(name)``, checked to exist and recorded as a manifest input."""
         p = self.path(name)
         if not p.is_file():
             field = f"paths.{name}" if name in self.cfg["paths"] else "input"
             problems.append(f"{field}: file not found: {p}")
         else:
-            self.inputs[str(p)] = _hash_file(p)
+            self.inputs.setdefault(str(p), None)
         return p
+
+    def read_tensor(self, path: Path):
+        """The tensor in ``path``, read once: the same bytes give the manifest hash."""
+        from . import tensorio
+
+        return tensorio.read_tensor(path, digests=self.inputs)
 
     def register_output(self, path: Path):
         self.outputs[str(path)] = _hash_file(Path(path))
@@ -196,7 +204,8 @@ class Runner:
             data = json.loads(manifest_path.read_text())
         data[self.command] = {
             "config_hash": config_hash(self.cfg),
-            "inputs": dict(sorted(self.inputs.items())),
+            # an input no read_tensor call hashed (a CSV, say) is hashed here
+            "inputs": {p: digest or _hash_file(Path(p)) for p, digest in sorted(self.inputs.items())},
             "outputs": dict(sorted(self.outputs.items())),
         }
         # a crash mid-write must not leave a truncated manifest for the next command
@@ -222,6 +231,8 @@ def _anen_split(cfg, n_inits, problems) -> tuple:
 
 
 def _parse_weight_vector(value, n_predictors, field, problems):
+    from .anen import equal_weights, validate_weights
+
     if value in ("equal", "", None):
         return equal_weights(n_predictors)
     try:
@@ -236,6 +247,8 @@ def _parse_weight_vector(value, n_predictors, field, problems):
 
 
 def _anen_config(cfg, n_predictors, problems) -> AnEnConfig | None:
+    from .anen import AnEnConfig
+
     a = cfg["anen"]
     weight_vector = _parse_weight_vector(a["weights"], n_predictors, "anen.weights", problems)
     if not isinstance(a["members"], int) or a["members"] < 1:
@@ -257,9 +270,18 @@ def _anen_config(cfg, n_predictors, problems) -> AnEnConfig | None:
 
 
 def _load_specs(run: Runner, problems):
+    from .pvchain import load_module_catalog, load_module_specs
+
     if run.cfg["paths"]["module_file"]:
         module_file = run.input_path("module_file", problems)
-        return load_module_specs(module_file) if module_file.is_file() else []
+        if not module_file.is_file():
+            return []
+        specs = load_module_specs(module_file)
+        if not specs:
+            problems.append(f"paths.module_file: no module rows in {module_file}")
+        return specs
+    if not run.cfg["modules"]:
+        problems.append("modules: need at least one module code")
     catalog = {spec.code: spec for spec in load_module_catalog()}
     specs = []
     for code in run.cfg["modules"]:
@@ -271,6 +293,8 @@ def _load_specs(run: Runner, problems):
 
 
 def _system(cfg, problems) -> SystemConfig | None:
+    from .pvchain import SystemConfig
+
     s = cfg["system"]
     try:
         return SystemConfig(float(s["capacity"]), float(s["tilt"]), float(s["azimuth"]))
@@ -282,6 +306,9 @@ def _system(cfg, problems) -> SystemConfig | None:
 # -- subcommands ----------------------------------------------------------------
 
 def cmd_synth(run: Runner, args) -> int:
+    from . import synth, tensorio
+    from .coredata import LocationSet
+
     cfg = run.cfg
     s = cfg["synth"]
     problems = []
@@ -322,10 +349,12 @@ def cmd_synth(run: Runner, args) -> int:
 
 
 def cmd_sigma(run: Runner, args) -> int:
+    from .anen import compute_sigma
+
     problems = []
     fc_path = run.input_path("forecasts", problems)
     _fail_if(problems)
-    forecasts = tensorio.read_tensor(fc_path)
+    forecasts = run.read_tensor(fc_path)
     _, search = _anen_split(run.cfg, len(forecasts.init_times), problems)
     _fail_if(problems)
     sigma = compute_sigma(forecasts, search)
@@ -336,17 +365,23 @@ def cmd_sigma(run: Runner, args) -> int:
 
 
 def cmd_anen(run: Runner, args) -> int:
+    from . import tensorio
+    from .anen import build_multivariate_ensemble, compute_sigma, search_analogs, validate_weights
+    from .coredata import align_observations
+
     cfg = run.cfg
     problems = []
     fc_path = run.input_path("forecasts", problems)
     obs_path = run.input_path("observations", problems)
     _fail_if(problems)
-    forecasts = tensorio.read_tensor(fc_path)
-    analysis = tensorio.read_tensor(obs_path)
+    forecasts = run.read_tensor(fc_path)
+    analysis = run.read_tensor(obs_path)
 
     test, search = _anen_split(cfg, len(forecasts.init_times), problems)
     per_loc = None
     if cfg["paths"]["weights_file"] and (wf := run.input_path("weights_file", problems)).is_file():
+        from . import weights
+
         try:
             per_loc = validate_weights(weights.read_weights_csv(wf, forecasts.predictor_names),
                                        len(forecasts.predictor_names), len(forecasts.locations))
@@ -371,6 +406,8 @@ def cmd_anen(run: Runner, args) -> int:
 
 
 def cmd_simulate(run: Runner, args) -> int:
+    from . import driver, tensorio
+
     cfg = run.cfg
     problems = []
     source = cfg["simulate"]["source"]
@@ -383,12 +420,12 @@ def cmd_simulate(run: Runner, args) -> int:
     if source == "ensemble":
         ens_path = run.input_path("ensemble", problems)
         _fail_if(problems)
-        weather = tensorio.read_tensor(ens_path)
+        weather = run.read_tensor(ens_path)
         default_out = "power"
     elif source == "forecast":
         fc_path = run.input_path("forecasts", problems)
         _fail_if(problems)
-        forecasts = tensorio.read_tensor(fc_path)
+        forecasts = run.read_tensor(fc_path)
         test, _ = _anen_split(cfg, len(forecasts.init_times), problems)
         _fail_if(problems)
         weather = driver.forecast_weather_ensemble(forecasts, test)
@@ -397,8 +434,8 @@ def cmd_simulate(run: Runner, args) -> int:
         fc_path = run.input_path("forecasts", problems)
         obs_path = run.input_path("observations", problems)
         _fail_if(problems)
-        forecasts = tensorio.read_tensor(fc_path)
-        analysis = tensorio.read_tensor(obs_path)
+        forecasts = run.read_tensor(fc_path)
+        analysis = run.read_tensor(obs_path)
         test, _ = _anen_split(cfg, len(forecasts.init_times), problems)
         _fail_if(problems)
         weather = driver.analysis_weather_ensemble(
@@ -414,6 +451,9 @@ def cmd_simulate(run: Runner, args) -> int:
 
 
 def cmd_optimize_weights(run: Runner, args) -> int:
+    from . import driver, weights
+    from .pvchain import load_module_catalog
+
     cfg = run.cfg
     o = cfg["optimize"]
     problems = []
@@ -428,8 +468,8 @@ def cmd_optimize_weights(run: Runner, args) -> int:
         problems.append(f"optimize.module: unknown module code {o['module']!r}")
     _fail_if(problems)
 
-    forecasts = tensorio.read_tensor(fc_path)
-    analysis = tensorio.read_tensor(obs_path)
+    forecasts = run.read_tensor(fc_path)
+    analysis = run.read_tensor(obs_path)
     n_pred = len(forecasts.predictor_names)
     try:
         grid = weights.enumerate_weights(n_pred, float(o["step"]), bool(o["exclude_unit_vectors"]))
@@ -498,13 +538,15 @@ def regime_feature_matrix(analysis):
 
 
 def cmd_cluster(run: Runner, args) -> int:
+    from . import weights
+
     problems = []
     obs_path = run.input_path("observations", problems)
     k = run.cfg["cluster"]["clusters"]
     if not isinstance(k, int) or k < 1:
         problems.append(f"cluster.clusters: need a positive integer, got {k!r}")
     _fail_if(problems)
-    analysis = tensorio.read_tensor(obs_path)
+    analysis = run.read_tensor(obs_path)
     if k > len(analysis.locations):
         _fail_if([f"cluster.clusters: {k} exceeds the {len(analysis.locations)} locations"])
     feats, names = regime_feature_matrix(analysis)
@@ -516,6 +558,9 @@ def cmd_cluster(run: Runner, args) -> int:
 
 
 def cmd_verify(run: Runner, args) -> int:
+    from . import verify
+    from .solar import precompute_solar
+
     cfg = run.cfg
     v = cfg["verify"]
     problems = []
@@ -532,8 +577,8 @@ def cmd_verify(run: Runner, args) -> int:
             region_map = verify.read_region_map(rm)
     _fail_if(problems)
 
-    power = tensorio.read_tensor(power_path)
-    truth = tensorio.read_tensor(truth_path)
+    power = run.read_tensor(power_path)
+    truth = run.read_tensor(truth_path)
     module = v["module"] or power.variable_names[0]
     try:
         p_idx = power.variable_index(module)
@@ -559,6 +604,8 @@ def cmd_verify(run: Runner, args) -> int:
 
 
 def cmd_workflow_run(run: Runner, args) -> int:
+    from . import workflow
+
     problems = []
     wf_path = Path(args.file)
     if not wf_path.exists():
@@ -694,9 +741,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.set)
+        problems = []
         for dest, value in vars(args).items():
             if dest.startswith("=") and value is not None:
-                _override(cfg, dest[1:], value, "a command-line flag")
+                _override(cfg, dest[1:], value, "a command-line flag", problems)
+        _fail_if(problems)
         command = args.command if args.command != "workflow" else "workflow-run"
         run = Runner(cfg, command)
         rc = args.handler(run, args)

@@ -19,6 +19,8 @@ coordinates; those default to zero.
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 
 import numpy as np
 
@@ -188,13 +190,24 @@ def write_tensor(tensor, path):
         fh.write(_encode_block(tensor.values))
 
 
-def read_tensor(path):
-    """Read a tensor container (or CSV fixture); returns the kind-matching type."""
-    path = str(path)
-    if path.endswith(".csv"):
-        return _read_csv(path)
+def read_tensor(path, digests=None):
+    """Read a tensor container (or CSV fixture); returns the kind-matching type.
+
+    The file is read once. Given a ``digests`` dict, the SHA-256 hex digest of
+    the bytes read is stored under ``str(path)``, so a caller that records its
+    inputs need not read the file a second time to hash it.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
+    if digests is not None:
+        digests[str(path)] = hashlib.sha256(raw).hexdigest()
+    if str(path).endswith(".csv"):
+        return _read_csv(raw.decode("utf-8"))
+    return decode_tensor(raw)
+
+
+def decode_tensor(raw: bytes):
+    """Decode the bytes of a tensor container; returns the kind-matching type."""
     sep = raw.find(b"\x00\n")
     if sep < 0:
         raise TensorHeaderError("missing header/payload separator")
@@ -317,9 +330,8 @@ def _dense_positions(values, what):
     return {v: i for i, v in enumerate(uniq)}
 
 
-def _read_csv(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+def _read_csv(text: str):
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     if not rows:
         raise TensorHeaderError("empty CSV file")
     header = rows[0]

@@ -1,4 +1,6 @@
 import csv
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -160,6 +162,19 @@ class TestConfigKeys:
         assert any(p.startswith(key + ":") and origin in p for p in payload["problems"]), payload
         assert not (outdir / "forecasts.ansr").exists()
 
+    def test_every_unknown_key_is_reported(self, tmp_path, outdir, capsys):
+        cfg = tmp_path / "two.yaml"
+        cfg.write_text("anen:\n  membrs: 3\noptimise:\n  step: 0.5\n")
+        assert main(["-o", str(outdir), "-c", str(cfg), "--set", "parallel=4", "synth"]) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "config-validation"
+        assert payload["problems"] == [
+            f"anen.membrs: unknown config key (from config file {cfg})",
+            f"optimise.step: unknown config key (from config file {cfg})",
+            "parallel: unknown config key (from --set parallel=4)",
+        ]
+        assert not (outdir / "forecasts.ansr").exists()
+
     def test_label_flags_set_no_config(self, outdir):
         base = ["-o", str(outdir), *SMALL]
         assert run_cli([*base, "synth"]) == 0
@@ -189,6 +204,45 @@ class TestInputs:
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert str(modules) in manifest["simulate"]["inputs"]
         assert str(regions) in manifest["verify"]["inputs"]
+
+    @pytest.mark.parametrize("source", ["flag", "module_file"])
+    def test_empty_module_list_is_config_error(self, outdir, capsys, source):
+        base = ["-o", str(outdir), *SMALL]
+        assert run_cli([*base, "synth"]) == 0
+        assert run_cli([*base, "anen"]) == 0
+        if source == "flag":
+            argv, key = ["simulate", "--modules", ","], "modules:"
+        else:
+            modules = outdir / "modules.csv"
+            modules.write_text(",".join(read_csv(Path(anensolar.__file__).parent / "catalog"
+                                                 / "modules.csv")[0]) + "\n")
+            argv, key = ["--set", f"paths.module_file={modules}", "simulate"], "paths.module_file:"
+        capsys.readouterr()
+        assert main([*base, *argv]) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "config-validation"
+        assert any(p.startswith(key) for p in payload["problems"]), payload["problems"]
+        assert not (outdir / "power.ansr").exists()
+
+    def test_tensor_input_is_read_once_and_hashed(self, outdir, monkeypatch):
+        assert run_cli(["-o", outdir, *SMALL, "synth"]) == 0
+        forecasts = outdir / "forecasts.ansr"
+        digest = hashlib.sha256(forecasts.read_bytes()).hexdigest()
+        opened = []
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(Path(file))
+            return real_open(file, *args, **kwargs)
+
+        # builtins.open and pathlib's io.open are one function under two names
+        monkeypatch.setattr("builtins.open", counting_open)
+        monkeypatch.setattr(io, "open", counting_open)
+        assert run_cli(["-o", outdir, *SMALL, "sigma"]) == 0
+        monkeypatch.undo()
+        assert opened.count(forecasts) == 1
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["sigma"]["inputs"] == {str(forecasts): digest}
 
     def test_relative_weights_file_is_under_output_dir(self, tmp_path, outdir, monkeypatch):
         base = ["-o", str(outdir), *SMALL]
@@ -234,12 +288,13 @@ class TestCommands:
     def test_anen_searches_once(self, outdir, monkeypatch):
         assert run_cli(["-o", outdir, *SMALL, "synth"]) == 0
         calls = []
+        search = anen.search_analogs
 
         def counting_search(*args, **kwargs):
             calls.append(args)
-            return anen.search_analogs(*args, **kwargs)
+            return search(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "search_analogs", counting_search)
+        monkeypatch.setattr(anen, "search_analogs", counting_search)
         monkeypatch.setattr(driver, "search_analogs", counting_search)
         assert run_cli(["-o", outdir, *SMALL, "anen"]) == 0
         assert len(calls) == 1
@@ -274,8 +329,9 @@ class TestCommands:
         for name in plain:
             (outdir / name).unlink()
         calls = []
-        monkeypatch.setattr(cli, "search_analogs",
-                            lambda *args: calls.append(args) or anen.search_analogs(*args))
+        search = anen.search_analogs
+        monkeypatch.setattr(anen, "search_analogs",
+                            lambda *args: calls.append(args) or search(*args))
         assert run_cli(["-o", outdir, *SMALL, "anen",
                         "--weights-file", str(outdir / "weights.csv")]) == 0
         assert len(calls) == 1 and calls[0][1].weights.shape == (4, 5)
@@ -418,6 +474,39 @@ def test_cli_import_does_not_load_scipy():
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     code = ("import anensolar.cli, sys; "
             "assert not any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.fixture(scope="module")
+def chain_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("chain")
+    run_small_chain(out)
+    return out
+
+
+# each forecast-chain command, run again in a fresh process on the inputs of
+# the chain above, with the modules it must not load besides the common ones
+CHAIN_COMMANDS = [
+    (["sigma"], ["anensolar.pvchain", "anensolar.solar", "anensolar.verify", "anensolar.driver"]),
+    (["anen"], []),
+    (["simulate", "--source", "ensemble"], []),
+    (["simulate", "--source", "analysis"], []),
+    (["verify"], []),
+]
+
+
+@pytest.mark.parametrize("argv, also_absent", CHAIN_COMMANDS, ids=[" ".join(a) for a, _ in CHAIN_COMMANDS])
+def test_chain_command_loads_only_its_modules(chain_dir, argv, also_absent):
+    src = str(Path(anensolar.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    absent = ["anensolar.workflow", "anensolar.synth", "anensolar.weights", "scipy", *also_absent]
+    code = ("import sys, anensolar.cli\n"
+            f"assert anensolar.cli.main({['-o', str(chain_dir), *SMALL, *argv]!r}) == 0\n"
+            f"loaded = [m for m in {absent!r} if any(k == m or k.startswith(m + '.') for k in sys.modules)]\n"
+            "assert not loaded, loaded\n")
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=120)
     assert result.returncode == 0, result.stderr
