@@ -57,7 +57,7 @@ workflow = Workflow(
     pipelines=[
         Pipeline(id=f"p{p}", stages=[
             Stage(id=f"p{p}s{s}", tasks=[
-                Task(id=f"p{p}s{s}t{t}", argv=("simulate", "--partition", f"p{p}"),
+                Task(id=f"p{p}s{s}t{t}", argv=("-o", f"p{p}", "simulate"),
                      max_retries=3)
                 for t in range(4)
             ])

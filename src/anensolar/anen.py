@@ -125,7 +125,7 @@ class SigmaTensor:
             "sigma", path,
             field_names=self.predictor_names,
             locations=self.locations,
-            sections=[("lead_times", self.lead_times.offsets)],
+            sections={"lead_times": self.lead_times.offsets},
             values=self.values,
         )
 
@@ -237,12 +237,12 @@ class AnalogIndexSet:
             "analogs", path,
             field_names=fields,
             locations=self.locations,
-            sections=[
-                ("init_times", self.init_times.instants),
-                ("test_indices", self.test_indices),
-                ("lead_times", self.lead_times.offsets),
-                ("members", self.members),
-            ],
+            sections={
+                "init_times": self.init_times.instants,
+                "test_indices": self.test_indices,
+                "lead_times": self.lead_times.offsets,
+                "members": self.members,
+            },
             values=values,
         )
 

@@ -696,7 +696,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--modules", dest="=modules", type=lambda s: [m for m in s.split(",") if m],
                        help="comma list of catalog codes")
     p_sim.add_argument("--output", dest="=simulate.output", help="output path key or filename")
-    p_sim.add_argument("--partition", help=LABEL_ONLY)
     p_sim.add_argument("--weights", help=LABEL_ONLY)
     p_sim.add_argument("--strategy", help=LABEL_ONLY)
     p_sim.set_defaults(handler=cmd_simulate)

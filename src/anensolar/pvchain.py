@@ -239,8 +239,7 @@ REQUIRED_VARIABLES = ("ghi", "albedo", "temperature", "wind_speed")
 
 
 def simulate_ensemble(ensemble: EnsembleTensor, cache: SolarCacheTable,
-                      specs, system: SystemConfig,
-                      variable_map: dict | None = None) -> EnsembleTensor:
+                      specs, system: SystemConfig) -> EnsembleTensor:
     """Simulate power for every ensemble member and every module spec.
 
     Returns an EnsembleTensor whose variables are the module codes; element
@@ -248,18 +247,13 @@ def simulate_ensemble(ensemble: EnsembleTensor, cache: SolarCacheTable,
     propagate to NaN power. The solar cache is shared across members, never
     recomputed per member.
     """
-    names = dict(zip(REQUIRED_VARIABLES, REQUIRED_VARIABLES))
-    if variable_map:
-        names.update(variable_map)
     idx = {}
-    for canon in REQUIRED_VARIABLES:
+    for name in REQUIRED_VARIABLES:
         try:
-            idx[canon] = ensemble.variable_index(names[canon])
+            idx[name] = ensemble.variable_index(name)
         except KeyError:
-            raise MissingVariableError(names[canon]) from None
+            raise MissingVariableError(name) from None
 
-    if isinstance(specs, PvModuleSpec):
-        specs = [specs]
     ghi = ensemble.values[idx["ghi"]]
     albedo = ensemble.values[idx["albedo"]]
     temp = ensemble.values[idx["temperature"]]

@@ -227,7 +227,7 @@ class SolarCacheTable:
             "solar", path,
             field_names=_CACHE_FIELDS,
             locations=self.locations,
-            sections=[("init_times", self.init_times.instants), ("lead_times", self.lead_times.offsets)],
+            sections={"init_times": self.init_times.instants, "lead_times": self.lead_times.offsets},
             values=values,
         )
 
@@ -243,8 +243,8 @@ class SolarCacheTable:
                    *(raw["values"][i] for i in range(len(_CACHE_FIELDS))))
 
 
-def precompute_solar(locations: LocationSet, init_times: TimeAxis, lead_times: LeadTimeAxis,
-                     solar_constant: float = SOLAR_CONSTANT, form: str = "cosine") -> SolarCacheTable:
+def precompute_solar(locations: LocationSet, init_times: TimeAxis,
+                     lead_times: LeadTimeAxis) -> SolarCacheTable:
     """Precompute sun geometry over the full location x init x lead cross product."""
     valid = init_times.instants[:, None] + lead_times.offsets[None, :]  # (I, J)
     lat = locations.latitude[:, None, None]
@@ -253,6 +253,6 @@ def precompute_solar(locations: LocationSet, init_times: TimeAxis, lead_times: L
     shape = (len(locations), len(init_times), len(lead_times))
     decl = np.broadcast_to(decl, shape)
     eot = np.broadcast_to(eot, shape)
-    e0n = np.broadcast_to(extraterrestrial_normal(valid, solar_constant, form), shape)
+    e0n = np.broadcast_to(extraterrestrial_normal(valid), shape)
     am = relative_airmass(zen)
     return SolarCacheTable(locations, init_times, lead_times, zen, az, decl, eot, e0n, am)

@@ -10,10 +10,12 @@ Layout::
     \\x00
     <little-endian float64 block, row-major in the declared shape>
 
-A long-format CSV variant (``.csv``) is accepted for small fixtures:
-``name,location,init,lead,value`` for forecasts and
-``name,location,valid,value`` for observations. CSV files carry no location
-coordinates; those default to zero.
+``LAYOUTS`` declares each kind's sections; one encoder and one decoder follow
+it. A long-format CSV variant (``.csv``) of forecasts and observations is
+accepted for small fixtures; its columns are in ``_CSV_AXES`` and it carries
+no location coordinates, which default to zero. Every file is written to a
+temporary name and renamed over its path, so a crash or a failed write leaves
+the previous file whole.
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import os
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,161 +38,102 @@ from .coredata import (
     ObservationTensor,
     TimeAxis,
 )
-from .errors import (
-    DimensionMismatchError,
-    TensorFormatError,
-    TensorHeaderError,
-)
+from .errors import DimensionMismatchError, TensorFormatError, TensorHeaderError
 
 MAGIC = "ANENSOLAR/1"
 
-_CSV_FORECAST_HEADER = ["name", "location", "init", "lead", "value"]
-_CSV_OBSERVATION_HEADER = ["name", "location", "valid", "value"]
+
+class Layout(NamedTuple):
+    names: str        # key of the names section
+    sections: tuple   # header sections after the locations, in file order
+    block: tuple      # axes of the float64 block after (names, locations)
+    tensor: type = None  # core tensor type; None for the dict-returned kinds
 
 
-class _HeaderWriter:
-    def __init__(self):
-        self.lines = [MAGIC]
+# "members" is a count on its own line; every other section is an int64 axis.
+# The analogs init axis is lookup-only: the block indexes test_indices.
+LAYOUTS = {
+    "forecast": Layout("predictors", ("init_times", "lead_times"),
+                       ("init_times", "lead_times"), ForecastTensor),
+    "observation": Layout("variables", ("valid_times",), ("valid_times",), ObservationTensor),
+    "ensemble": Layout("variables", ("init_times", "lead_times", "members"),
+                       ("init_times", "lead_times", "members"), EnsembleTensor),
+    "analogs": Layout("fields", ("init_times", "test_indices", "lead_times", "members"),
+                      ("test_indices", "lead_times", "members")),
+    "sigma": Layout("fields", ("lead_times",), ("lead_times",)),
+    "solar": Layout("fields", ("init_times", "lead_times"), ("init_times", "lead_times")),
+}
 
-    def section(self, key, count):
-        self.lines.append(f"{key} {count}")
+# axis section -> (axis type of the core tensors, its values attribute)
+_AXES = {"init_times": (TimeAxis, "instants"), "valid_times": (TimeAxis, "instants"),
+         "lead_times": (LeadTimeAxis, "offsets")}
 
-    def line(self, text):
-        self.lines.append(str(text))
-
-    def names(self, key, names):
-        self.section(key, len(names))
-        for n in names:
-            self.line(n)
-
-    def locations(self, locs: LocationSet):
-        self.section("locations", len(locs))
-        for i in range(len(locs)):
-            self.line(
-                f"{int(locs.ids[i])} {float(locs.latitude[i])!r} "
-                f"{float(locs.longitude[i])!r} {float(locs.elevation[i])!r}"
-            )
-
-    def axis(self, key, values):
-        self.section(key, len(values))
-        for v in values:
-            self.line(int(v))
-
-    def encode(self) -> bytes:
-        return ("\n".join(self.lines) + "\n").encode("utf-8") + b"\x00\n"
+# CSV kind -> its axis columns, between "name,location" and "value"
+_CSV_AXES = {"forecast": ("init", "lead"), "observation": ("valid",)}
 
 
-class _HeaderReader:
-    def __init__(self, text: str):
-        self.lines = text.split("\n")
-        self.pos = 0
-
-    def next_line(self) -> str:
-        if self.pos >= len(self.lines):
-            raise TensorHeaderError("unexpected end of header")
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
-    def section(self, key: str) -> int:
-        line = self.next_line()
-        parts = line.split()
-        if len(parts) != 2 or parts[0] != key:
-            raise TensorHeaderError(f"expected section {key!r}, got {line!r}")
-        try:
-            count = int(parts[1])
-        except ValueError:
-            raise TensorHeaderError(f"bad count in section {line!r}") from None
-        if count < 0:
-            raise TensorHeaderError(f"negative count in section {line!r}")
-        return count
-
-    def names(self, key: str) -> list:
-        count = self.section(key)
-        names = []
-        for _ in range(count):
-            n = self.next_line()
-            if not n or any(c.isspace() for c in n):
-                raise TensorHeaderError(f"invalid name row {n!r} in section {key!r}")
-            names.append(n)
-        return names
-
-    def locations(self) -> LocationSet:
-        count = self.section("locations")
-        rows = []
-        for _ in range(count):
-            parts = self.next_line().split()
-            if len(parts) != 4:
-                raise TensorHeaderError("location rows need: id lat lon elev")
-            rows.append((int(parts[0]), float(parts[1]), float(parts[2]), float(parts[3])))
-        ids, lat, lon, elev = zip(*rows) if rows else ((), (), (), ())
-        return LocationSet(np.array(ids), np.array(lat), np.array(lon), np.array(elev))
-
-    def axis(self, key: str) -> np.ndarray:
-        count = self.section(key)
-        vals = []
-        for _ in range(count):
-            line = self.next_line()
-            try:
-                vals.append(int(line))
-            except ValueError:
-                raise TensorHeaderError(f"bad axis value {line!r} in section {key!r}") from None
-        return np.array(vals, dtype=np.int64)
-
-    def done(self):
-        # trailing empty line comes from the final "\n" before the separator
-        while self.pos < len(self.lines):
-            if self.lines[self.pos] != "":
-                raise TensorHeaderError(f"trailing junk in header: {self.lines[self.pos]!r}")
-            self.pos += 1
+def _core_parts(tensor):
+    """(kind, names, raw sections) of a core tensor."""
+    kind = next((k for k, layout in LAYOUTS.items()
+                 if layout.tensor is not None and isinstance(tensor, layout.tensor)), None)
+    if kind is None:
+        raise TensorFormatError(f"cannot serialize {type(tensor).__name__}")
+    layout = LAYOUTS[kind]
+    names = tensor.predictor_names if layout.names == "predictors" else tensor.variable_names
+    sections = {key: getattr(getattr(tensor, key), _AXES[key][1]) if key in _AXES
+                else getattr(tensor, key) for key in layout.sections}
+    return kind, names, sections
 
 
-def _encode_block(values: np.ndarray) -> bytes:
-    return np.ascontiguousarray(values, dtype="<f8").tobytes()
+def _core_tensor(kind, names, locations, sections, values):
+    layout = LAYOUTS[kind]
+    axes = [_AXES[key][0](sections[key]) if key in _AXES else sections[key]
+            for key in layout.sections]
+    return layout.tensor(names, locations, *axes, values)
 
 
-def _decode_block(payload: memoryview, shape: tuple, copy: bool) -> np.ndarray:
-    """The float64 block as an array of ``shape``: a read-only view of
-    ``payload`` for a constructor that copies it, or one owned copy."""
-    expected = int(np.prod(shape)) * 8
-    if len(payload) != expected:
-        raise DimensionMismatchError(
-            f"binary block is {len(payload)} bytes, header shape {shape} needs {expected}"
-        )
-    block = np.frombuffer(payload, dtype="<f8").reshape(shape)
-    return block.astype(np.float64) if copy else block
+def _replace(path, *chunks):
+    """Write ``chunks`` (bytes-like) to a temporary file and rename it over ``path``."""
+    tmp = Path(f"{path}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write(kind, path, names, locations: LocationSet, sections: dict, values):
+    """The one encoder: the header in ``LAYOUTS[kind]`` order, then the block."""
+    layout = LAYOUTS[kind]
+    lines = [MAGIC, f"kind {kind}", f"{layout.names} {len(names)}", *map(str, names),
+             f"locations {len(locations)}"]
+    lines += [f"{int(locations.ids[i])} {float(locations.latitude[i])!r} "
+              f"{float(locations.longitude[i])!r} {float(locations.elevation[i])!r}"
+              for i in range(len(locations))]
+    for key in layout.sections:
+        if key == "members":
+            lines.append(f"members {int(sections[key])}")
+        else:
+            lines.append(f"{key} {len(sections[key])}")
+            lines += [str(int(v)) for v in sections[key]]
+    header = ("\n".join(lines) + "\n").encode("utf-8") + b"\x00\n"
+    _replace(path, header, np.ascontiguousarray(values, dtype="<f8"))
 
 
 def write_tensor(tensor, path):
-    """Serialize a tensor to ``path``; dispatches on the tensor type and extension."""
-    path = str(path)
-    if path.endswith(".csv"):
-        _write_csv(tensor, path)
-        return
-    w = _HeaderWriter()
-    if isinstance(tensor, ForecastTensor):
-        w.line("kind forecast")
-        w.names("predictors", tensor.predictor_names)
-        w.locations(tensor.locations)
-        w.axis("init_times", tensor.init_times.instants)
-        w.axis("lead_times", tensor.lead_times.offsets)
-    elif isinstance(tensor, ObservationTensor):
-        w.line("kind observation")
-        w.names("variables", tensor.variable_names)
-        w.locations(tensor.locations)
-        w.axis("valid_times", tensor.valid_times.instants)
-    elif isinstance(tensor, EnsembleTensor):
-        w.line("kind ensemble")
-        w.names("variables", tensor.variable_names)
-        w.locations(tensor.locations)
-        w.axis("init_times", tensor.init_times.instants)
-        w.axis("lead_times", tensor.lead_times.offsets)
-        w.section("members", tensor.members)
-    else:
-        raise TensorFormatError(f"cannot serialize {type(tensor).__name__}")
-    with open(path, "wb") as fh:
-        fh.write(w.encode())
-        fh.write(_encode_block(tensor.values))
+    """Serialize a core tensor to ``path``; a ``.csv`` path gets the CSV variant."""
+    if str(path).endswith(".csv"):
+        return _write_csv(tensor, path)
+    kind, names, sections = _core_parts(tensor)
+    _write(kind, path, names, tensor.locations, sections, tensor.values)
+
+
+def write_extended(kind, path, *, field_names, locations, sections, values):
+    """Write a non-core kind; ``sections`` maps each of its ``LAYOUTS`` sections
+    to an int axis, or to a count for ``members``."""
+    _write(kind, path, field_names, locations, sections, values)
 
 
 def read_tensor(path, digests=None):
@@ -206,8 +152,69 @@ def read_tensor(path, digests=None):
     return decode_tensor(raw)
 
 
+class _HeaderReader:
+    def __init__(self, text: str):
+        self.lines = iter(text.split("\n"))
+
+    def next_line(self) -> str:
+        line = next(self.lines, None)
+        if line is None:
+            raise TensorHeaderError("unexpected end of header")
+        return line
+
+    def section(self, key: str) -> int:
+        line = self.next_line()
+        parts = line.split()
+        if len(parts) != 2 or parts[0] != key:
+            raise TensorHeaderError(f"expected section {key!r}, got {line!r}")
+        try:
+            count = int(parts[1])
+        except ValueError:
+            raise TensorHeaderError(f"bad count in section {line!r}") from None
+        if count < 0:
+            raise TensorHeaderError(f"negative count in section {line!r}")
+        return count
+
+    def names(self, key: str) -> list:
+        names = [self.next_line() for _ in range(self.section(key))]
+        for n in names:
+            if not n or any(c.isspace() for c in n):
+                raise TensorHeaderError(f"invalid name row {n!r} in section {key!r}")
+        return names
+
+    def locations(self) -> LocationSet:
+        rows = []
+        for _ in range(self.section("locations")):
+            parts = self.next_line().split()
+            if len(parts) != 4:
+                raise TensorHeaderError("location rows need: id lat lon elev")
+            rows.append((int(parts[0]), float(parts[1]), float(parts[2]), float(parts[3])))
+        ids, lat, lon, elev = zip(*rows) if rows else ((), (), (), ())
+        return LocationSet(np.array(ids), np.array(lat), np.array(lon), np.array(elev))
+
+    def axis(self, key: str):
+        """A count for ``members``, else the int64 values of an axis section."""
+        if key == "members":
+            return self.section(key)
+        values = []
+        for _ in range(self.section(key)):
+            line = self.next_line()
+            try:
+                values.append(int(line))
+            except ValueError:
+                raise TensorHeaderError(f"bad axis value {line!r} in section {key!r}") from None
+        return np.array(values, dtype=np.int64)
+
+    def done(self):
+        # trailing empty line comes from the final "\n" before the separator
+        for line in self.lines:
+            if line != "":
+                raise TensorHeaderError(f"trailing junk in header: {line!r}")
+
+
 def decode_tensor(raw: bytes):
-    """Decode the bytes of a tensor container; returns the kind-matching type."""
+    """Decode the bytes of a tensor container: a core tensor for the core kinds,
+    else a dict of kind, fields, locations, sections and owned values."""
     sep = raw.find(b"\x00\n")
     if sep < 0:
         raise TensorHeaderError("missing header/payload separator")
@@ -215,8 +222,6 @@ def decode_tensor(raw: bytes):
         header = raw[:sep].decode("utf-8")
     except UnicodeDecodeError:
         raise TensorHeaderError("header is not valid UTF-8") from None
-    # a view: each returned array is the one copy of the payload
-    payload = memoryview(raw)[sep + 2 :]
     r = _HeaderReader(header)
     if r.next_line() != MAGIC:
         raise TensorHeaderError(f"bad magic line, expected {MAGIC}")
@@ -224,155 +229,67 @@ def decode_tensor(raw: bytes):
     if len(kind_line) != 2 or kind_line[0] != "kind":
         raise TensorHeaderError("missing kind line")
     kind = kind_line[1]
-    if kind == "forecast":
-        names = r.names("predictors")
-        locs = r.locations()
-        init = TimeAxis(r.axis("init_times"))
-        lead = LeadTimeAxis(r.axis("lead_times"))
-        r.done()
-        values = _decode_block(payload, (len(names), len(locs), len(init), len(lead)), copy=False)
-        return ForecastTensor(names, locs, init, lead, values)
-    if kind == "observation":
-        names = r.names("variables")
-        locs = r.locations()
-        valid = TimeAxis(r.axis("valid_times"))
-        r.done()
-        values = _decode_block(payload, (len(names), len(locs), len(valid)), copy=False)
-        return ObservationTensor(names, locs, valid, values)
-    if kind == "ensemble":
-        names = r.names("variables")
-        locs = r.locations()
-        init = TimeAxis(r.axis("init_times"))
-        lead = LeadTimeAxis(r.axis("lead_times"))
-        members = r.section("members")
-        r.done()
-        values = _decode_block(payload, (len(names), len(locs), len(init), len(lead), members), copy=False)
-        return EnsembleTensor(names, locs, init, lead, members, values)
-    if kind in ("analogs", "sigma", "solar"):
-        return _read_extended(kind, r, payload)
-    raise TensorHeaderError(f"unknown kind {kind!r}")
-
-
-# Extended kinds (analog index sets, sigma tables, solar caches) are written by
-# their owning modules through these two hooks to keep one file grammar.
-
-def write_extended(kind, path, *, field_names, locations, sections, values):
-    """Write a non-core kind. ``sections`` is a list of (key, axis-int-array)
-    or (key, int) pairs appended after the location block."""
-    w = _HeaderWriter()
-    w.line(f"kind {kind}")
-    w.names("fields", field_names)
-    w.locations(locations)
-    for key, val in sections:
-        if np.isscalar(val) or isinstance(val, int):
-            w.section(key, int(val))
-        else:
-            w.axis(key, val)
-    with open(str(path), "wb") as fh:
-        fh.write(w.encode())
-        fh.write(_encode_block(values))
-
-
-def _read_extended(kind, r: _HeaderReader, payload: memoryview):
-    fields = r.names("fields")
-    locs = r.locations()
-    sections = {}
-    if kind == "analogs":
-        # the init axis is lookup-only; the block is (fields, L, |test|, |leads|, M)
-        sections["init_times"] = r.axis("init_times")
-        sections["test_indices"] = r.axis("test_indices")
-        sections["lead_times"] = r.axis("lead_times")
-        sections["members"] = r.section("members")
-        dims = (len(fields), len(locs), len(sections["test_indices"]),
-                len(sections["lead_times"]), sections["members"])
-    elif kind == "sigma":
-        sections["lead_times"] = r.axis("lead_times")
-        dims = (len(fields), len(locs), len(sections["lead_times"]))
-    else:  # solar
-        sections["init_times"] = r.axis("init_times")
-        sections["lead_times"] = r.axis("lead_times")
-        dims = (len(fields), len(locs), len(sections["init_times"]), len(sections["lead_times"]))
+    layout = LAYOUTS.get(kind)
+    if layout is None:
+        raise TensorHeaderError(f"unknown kind {kind!r}")
+    names = r.names(layout.names)
+    locations = r.locations()
+    sections = {key: r.axis(key) for key in layout.sections}
     r.done()
-    values = _decode_block(payload, dims, copy=True)
-    return {"kind": kind, "fields": fields, "locations": locs, "sections": sections, "values": values}
+    shape = (len(names), len(locations),
+             *(sections[key] if key == "members" else len(sections[key]) for key in layout.block))
+    payload, expected = memoryview(raw)[sep + 2:], int(np.prod(shape)) * 8
+    if len(payload) != expected:
+        raise DimensionMismatchError(
+            f"binary block is {len(payload)} bytes, header shape {shape} needs {expected}")
+    # a read-only view of the bytes read, copied once by the core constructor
+    values = np.frombuffer(payload, dtype="<f8").reshape(shape)
+    if layout.tensor is not None:
+        return _core_tensor(kind, names, locations, sections, values)
+    return {"kind": kind, "fields": names, "locations": locations, "sections": sections,
+            "values": values.astype(np.float64)}
 
 
 def _write_csv(tensor, path):
-    if isinstance(tensor, ForecastTensor):
-        if tensor.values.size > 1_000_000:
-            raise TensorFormatError("CSV variant is limited to 1e6 cells")
-        with open(path, "w", newline="") as fh:
-            out = csv.writer(fh)
-            out.writerow(_CSV_FORECAST_HEADER)
-            for p, name in enumerate(tensor.predictor_names):
-                for l in range(len(tensor.locations)):
-                    for i, t0 in enumerate(tensor.init_times.instants):
-                        for j, dt in enumerate(tensor.lead_times.offsets):
-                            out.writerow([name, l, int(t0), int(dt), repr(float(tensor.values[p, l, i, j]))])
-    elif isinstance(tensor, ObservationTensor):
-        if tensor.values.size > 1_000_000:
-            raise TensorFormatError("CSV variant is limited to 1e6 cells")
-        with open(path, "w", newline="") as fh:
-            out = csv.writer(fh)
-            out.writerow(_CSV_OBSERVATION_HEADER)
-            for v, name in enumerate(tensor.variable_names):
-                for l in range(len(tensor.locations)):
-                    for t, tv in enumerate(tensor.valid_times.instants):
-                        out.writerow([name, l, int(tv), repr(float(tensor.values[v, l, t]))])
-    else:
+    kind, names, sections = _core_parts(tensor)
+    if kind not in _CSV_AXES:
         raise TensorFormatError(f"CSV variant does not support {type(tensor).__name__}")
-
-
-def _dense_positions(values, what):
-    uniq = sorted(set(values))
-    if uniq != list(range(len(uniq))):
-        raise TensorFormatError(f"CSV {what} ids must be dense 0..L-1")
-    return {v: i for i, v in enumerate(uniq)}
+    if tensor.values.size > 1_000_000:
+        raise TensorFormatError("CSV variant is limited to 1e6 cells")
+    axes = [sections[key] for key in LAYOUTS[kind].sections]
+    text = io.StringIO(newline="")
+    out = csv.writer(text)
+    out.writerow(["name", "location", *_CSV_AXES[kind], "value"])
+    for index in np.ndindex(tensor.values.shape):
+        name, loc, *cell = index
+        out.writerow([names[name], loc, *(int(axis[i]) for axis, i in zip(axes, cell)),
+                      repr(float(tensor.values[index]))])
+    _replace(path, text.getvalue().encode("utf-8"))
 
 
 def _read_csv(text: str):
     rows = list(csv.reader(io.StringIO(text, newline="")))
     if not rows:
         raise TensorHeaderError("empty CSV file")
-    header = rows[0]
-    body = rows[1:]
-    if header == _CSV_FORECAST_HEADER:
-        names, locs, inits, leads = [], [], [], []
-        parsed = []
-        for row in body:
-            if len(row) != 5:
-                raise TensorHeaderError(f"bad CSV row: {row!r}")
-            name, loc, init, lead, value = row
-            parsed.append((name, int(loc), int(init), int(lead), float(value)))
-        names = sorted({r[0] for r in parsed})
-        loc_pos = _dense_positions([r[1] for r in parsed], "location")
-        inits = sorted({r[2] for r in parsed})
-        leads = sorted({r[3] for r in parsed})
-        name_pos = {n: i for i, n in enumerate(names)}
-        init_pos = {t: i for i, t in enumerate(inits)}
-        lead_pos = {t: i for i, t in enumerate(leads)}
-        values = np.full((len(names), len(loc_pos), len(inits), len(leads)), MISSING)
-        for name, loc, init, lead, value in parsed:
-            values[name_pos[name], loc_pos[loc], init_pos[init], lead_pos[lead]] = value
-        n = len(loc_pos)
-        locations = LocationSet(np.arange(n), np.zeros(n), np.zeros(n), np.zeros(n))
-        return ForecastTensor(names, locations, TimeAxis(np.array(inits)), LeadTimeAxis(np.array(leads)), values)
-    if header == _CSV_OBSERVATION_HEADER:
-        parsed = []
-        for row in body:
-            if len(row) != 4:
-                raise TensorHeaderError(f"bad CSV row: {row!r}")
-            name, loc, valid, value = row
-            parsed.append((name, int(loc), int(valid), float(value)))
-        names = sorted({r[0] for r in parsed})
-        loc_pos = _dense_positions([r[1] for r in parsed], "location")
-        valids = sorted({r[2] for r in parsed})
-        name_pos = {n: i for i, n in enumerate(names)}
-        valid_pos = {t: i for i, t in enumerate(valids)}
-        values = np.full((len(names), len(loc_pos), len(valids)), MISSING)
-        for name, loc, valid, value in parsed:
-            values[name_pos[name], loc_pos[loc], valid_pos[valid]] = value
-        n = len(loc_pos)
-        locations = LocationSet(np.arange(n), np.zeros(n), np.zeros(n), np.zeros(n))
-        return ObservationTensor(names, locations, TimeAxis(np.array(valids)), values)
-    raise TensorHeaderError(f"unrecognized CSV header: {header!r}")
+    header, body = rows[0], rows[1:]
+    kind = next((k for k, cols in _CSV_AXES.items() if header == ["name", "location", *cols, "value"]),
+                None)
+    if kind is None:
+        raise TensorHeaderError(f"unrecognized CSV header: {header!r}")
+    parsed = []
+    for row in body:
+        if len(row) != len(header):
+            raise TensorHeaderError(f"bad CSV row: {row!r}")
+        parsed.append((row[0], *map(int, row[1:-1]), float(row[-1])))
+    # the sorted distinct values of each column but "value": names, locations, axes
+    columns = [sorted({r[k] for r in parsed}) for k in range(len(header) - 1)]
+    if columns[1] != list(range(len(columns[1]))):
+        raise TensorFormatError("CSV location ids must be dense 0..L-1")
+    positions = [{v: i for i, v in enumerate(column)} for column in columns]
+    values = np.full([len(column) for column in columns], MISSING)
+    for row in parsed:
+        values[tuple(pos[v] for pos, v in zip(positions, row))] = row[-1]
+    n = len(columns[1])
+    locations = LocationSet(np.arange(n), np.zeros(n), np.zeros(n), np.zeros(n))
+    sections = dict(zip(LAYOUTS[kind].sections, map(np.array, columns[2:])))
+    return _core_tensor(kind, columns[0], locations, sections, values)

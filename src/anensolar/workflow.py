@@ -63,6 +63,9 @@ class TaskState(enum.Enum):
 
 TERMINAL_STATES = (TaskState.DONE, TaskState.CANCELED)
 
+# threads of the dispatch pool; a larger budget still runs at most this many tasks at once
+MAX_POOL_THREADS = 128
+
 ALLOWED_TRANSITIONS = {
     (TaskState.PENDING, TaskState.SCHEDULED),
     (TaskState.PENDING, TaskState.CANCELED),
@@ -200,7 +203,7 @@ class WorkflowRun:
     restoration after a backend loss.
     """
 
-    def __init__(self, workflow: Workflow, backend: ExecutionBackend, pool_size: int | None = None):
+    def __init__(self, workflow: Workflow, backend: ExecutionBackend):
         self.workflow = workflow
         self._backend = backend
         self._tasks = {t.id: t for p in workflow.pipelines for s in p.stages for t in s.tasks}
@@ -227,8 +230,7 @@ class WorkflowRun:
         self._ready = []
         for p in range(len(pipelines)):
             self._open_stage(p)
-        size = pool_size or min(workflow.worker_budget, 128)
-        self._pool = ThreadPoolExecutor(max_workers=size)
+        self._pool = ThreadPoolExecutor(max_workers=min(workflow.worker_budget, MAX_POOL_THREADS))
         self._coordinator = threading.Thread(target=self._coordinate, daemon=True)
         self._coordinator.start()
 
@@ -392,11 +394,10 @@ class WorkflowRun:
         self._finished.set()
 
 
-def submit(workflow: Workflow, backend: ExecutionBackend | None = None,
-           pool_size: int | None = None) -> WorkflowRun:
+def submit(workflow: Workflow, backend: ExecutionBackend | None = None) -> WorkflowRun:
     """Validate a workflow and begin executing it asynchronously."""
     validate_workflow(workflow)
-    return WorkflowRun(workflow, backend or LocalProcessBackend(), pool_size)
+    return WorkflowRun(workflow, backend or LocalProcessBackend())
 
 
 def write_event_log(records, path):
@@ -451,11 +452,11 @@ def build_weight_search_workflow(grid, *, strategies=("NN", "RB"),
 
 
 def build_simulation_workflow(partitions, modules, *, command_prefix=("anensolar",),
-                              worker_budget: int = 4, area_unit: float | None = None,
-                              max_retries: int = 3) -> Workflow:
+                              worker_budget: int = 4, max_retries: int = 3) -> Workflow:
     """Pipeline-of-ensembles: one pipeline of two stages, one task per spatial
     partition in each stage (analog generation first, then power simulation),
-    with core hints proportional to partition area."""
+    with core hints proportional to partition area in units of the smallest.
+    Each partition's tasks run in the output directory named after it."""
     partitions = list(partitions)
     modules = list(modules)
     if not partitions:
@@ -465,18 +466,18 @@ def build_simulation_workflow(partitions, modules, *, command_prefix=("anensolar
     names, areas = zip(*partitions)
     if min(areas) <= 0:
         raise WorkflowValidationError("partition areas must be positive")
-    unit = area_unit if area_unit is not None else min(areas)
+    unit = min(areas)
     cores = [max(1, round(a / unit)) for a in areas]
     budget = max(worker_budget, max(cores))
 
     anen_tasks = [
-        Task(id=f"anen-{n}", argv=(*command_prefix, "anen", "--partition", str(n)),
+        Task(id=f"anen-{n}", argv=(*command_prefix, "-o", str(n), "anen"),
              cores=c, max_retries=max_retries)
         for n, c in zip(names, cores)
     ]
     sim_tasks = [
         Task(id=f"simulate-{n}",
-             argv=(*command_prefix, "simulate", "--partition", str(n),
+             argv=(*command_prefix, "-o", str(n), "simulate",
                    "--modules", ",".join(str(m) for m in modules)),
              cores=c, max_retries=max_retries)
         for n, c in zip(names, cores)

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -512,12 +513,42 @@ def test_chain_command_loads_only_its_modules(chain_dir, argv, also_absent):
     assert result.returncode == 0, result.stderr
 
 
+def _argvs(wf):
+    return [task.argv for p in wf.pipelines for stage in p.stages for task in stage.tasks]
+
+
 def test_weight_search_workflow_commands_parse():
-    wf = workflow.build_weight_search_workflow(weights.enumerate_weights(3, 0.5))
-    argvs = [task.argv for p in wf.pipelines for stage in p.stages for task in stage.tasks]
+    argvs = _argvs(workflow.build_weight_search_workflow(weights.enumerate_weights(3, 0.5)))
     assert len(argvs) == 6 * 3 * 2
     parser = cli.build_parser()
     for argv in argvs:
         assert argv[0] == "anensolar"
         args = parser.parse_args(list(argv[1:]))
         assert args.command == argv[1]
+    # the simulation builder's tasks run in their partition's output directory
+    argvs = _argvs(workflow.build_simulation_workflow([("d0", 1.0), ("d1", 2.0)], ["SP128", "KS20"]))
+    assert len(argvs) == 2 * 2
+    for argv, (command, partition) in zip(argvs, [("anen", "d0"), ("anen", "d1"),
+                                                  ("simulate", "d0"), ("simulate", "d1")]):
+        assert argv[0] == "anensolar"
+        args = parser.parse_args(list(argv[1:]))
+        assert (args.command, vars(args)["=output_dir"]) == (command, partition)
+
+
+def test_simulation_workflow_runs_each_partition_in_its_directory(tmp_path, monkeypatch):
+    src = str(Path(anensolar.__file__).resolve().parents[1])
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    monkeypatch.chdir(tmp_path)
+    partitions = [("d0", 1.0), ("d1", 2.0)]
+    for seed, (name, _) in enumerate(partitions):
+        assert main(["-o", name, "--seed", str(seed), "--set", "synth.n_locations=2", "synth"]) == 0
+        shutil.copytree(name, f"{name}-cli")
+    wf = workflow.build_simulation_workflow(partitions, ["SP128", "KS20"],
+                                            command_prefix=(sys.executable, "-m", "anensolar.cli"))
+    run = workflow.submit(wf, workflow.LocalProcessBackend())
+    assert run.wait(300) is workflow.RunState.DONE
+    for name, _ in partitions:
+        assert main(["-o", f"{name}-cli", "anen"]) == 0
+        assert main(["-o", f"{name}-cli", "simulate", "--modules", "SP128,KS20"]) == 0
+        power = (Path(name) / "power.ansr").read_bytes()
+        assert power == (Path(f"{name}-cli") / "power.ansr").read_bytes()

@@ -1,3 +1,6 @@
+import hashlib
+import os
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from anensolar.coredata import (
     EnsembleTensor,
     ForecastTensor,
     LeadTimeAxis,
+    LocationSet,
     ObservationTensor,
     TimeAxis,
 )
@@ -225,3 +229,86 @@ def test_short_payload_of_every_kind_is_dimension_error(tmp_path, kind):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(DimensionMismatchError):
         read_tensor(path)
+
+
+def _pinned():
+    """One fixed instance of each container kind and both CSV kinds, built from
+    exact arithmetic with NaN and -0.0 in every block: file name ->
+    (instance, write(instance, path), read(path))."""
+    from anensolar.anen import AnalogIndexSet, SigmaTensor
+    from anensolar.solar import SolarCacheTable
+
+    locs = LocationSet.from_coords([40.0, -33.5], [-105.25, 151.0], [1650.0, 0.0])
+    init = TimeAxis(1_546_300_800 + 86400 * np.arange(3))
+    lead = LeadTimeAxis([0, 3600])
+
+    def grid(*shape):
+        values = np.arange(np.prod(shape), dtype=float).reshape(shape) / 10 - 1.0
+        values.flat[1], values.flat[-1] = MISSING, -0.0
+        return values
+
+    fc = ForecastTensor(("p0", "p1"), locs, init, lead, grid(2, 2, 3, 2))
+    obs = ObservationTensor(("ghi",), locs, TimeAxis(1_546_300_800 + 3600 * np.arange(4)), grid(1, 2, 4))
+    ens = EnsembleTensor(("ghi", "power"), locs, init, lead, 3, grid(2, 2, 3, 2, 3))
+    analogs = AnalogIndexSet(locs, init, [1, 2], lead, 2,
+                             np.array([0.0, MISSING] * 8).reshape(2, 2, 2, 2), np.abs(grid(2, 2, 2, 2)))
+    sigma = SigmaTensor(("p0", "p1"), locs, lead, grid(2, 2, 2))
+    solar = SolarCacheTable(locs, init, lead, *grid(6, 2, 3, 2))
+    return {
+        "forecast.ansr": (fc, write_tensor, read_tensor),
+        "observation.ansr": (obs, write_tensor, read_tensor),
+        "ensemble.ansr": (ens, write_tensor, read_tensor),
+        "analogs.ansr": (analogs, AnalogIndexSet.write, AnalogIndexSet.read),
+        "analogs-index.ansr": (analogs, lambda a, p: a.write(p, include_distances=False),
+                               AnalogIndexSet.read),
+        "sigma.ansr": (sigma, SigmaTensor.write, SigmaTensor.read),
+        "solar.ansr": (solar, SolarCacheTable.write, SolarCacheTable.read),
+        "forecast.csv": (fc, write_tensor, read_tensor),
+        "observation.csv": (obs, write_tensor, read_tensor),
+    }
+
+
+# SHA-256 of each file of _pinned(), recorded before one layout table drove the
+# encoder: a change here is a change of the file format
+PINNED_DIGESTS = {
+    "forecast.ansr": "b4f308f6d5d2e053392db1fcb1659c1ecdfb245c88874adddda274f198e6c1c0",
+    "observation.ansr": "4daee18e74294a3d1d5f3dcd4f853d94a322b9f2fa21eac743e1c5f3b5eb0307",
+    "ensemble.ansr": "34e612e16009a570ddff84e9e5607facdfcac244aea0922dd880c49d05c74ee9",
+    "analogs.ansr": "17513d5bbab67e903f93264df616ab7929ec8700c7296747c830ac79a02e1e31",
+    "analogs-index.ansr": "b241c6dddf4962760e4579365a08bdf1629e891011829b87559850375bd1dd87",
+    "sigma.ansr": "386840ce512a29b90fec6c3862115bc0b6bfce3a5203ac85472a609e38b3f9c9",
+    "solar.ansr": "a693e03be99eeee14ec9d7f77351ed7ff9c7333937cecced1c222c85171e9c3c",
+    "forecast.csv": "1337950b54369821db8a581f944e01a0b159af17896b37ba1e92c9b8d0bfb063",
+    "observation.csv": "106cb9744833bffc1b501535a2f7c0a547d34ffaa0ca3ab87a4618ef1d6efa57",
+}
+
+
+def test_every_kind_writes_its_pinned_bytes(tmp_path):
+    again = tmp_path / "again"
+    again.mkdir()
+    digests = {}
+    for name, (instance, write, read) in _pinned().items():
+        write(instance, tmp_path / name)
+        digests[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        # decoding and encoding again gives the same bytes
+        write(read(tmp_path / name), again / name)
+        assert (again / name).read_bytes() == (tmp_path / name).read_bytes(), name
+    assert digests == PINNED_DIGESTS
+    # every write renamed its temporary file away
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*PINNED_DIGESTS, "again"])
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_failed_write_leaves_the_previous_file(tmp_path, monkeypatch, name):
+    instance, write, _ = _pinned()[name]
+    path = tmp_path / name
+    path.write_bytes(b"previous bytes")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        write(instance, path)
+    assert path.read_bytes() == b"previous bytes"
+    assert [p.name for p in tmp_path.iterdir()] == [name]
