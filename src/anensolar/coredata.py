@@ -23,8 +23,25 @@ from .errors import (
 MISSING = float("nan")
 
 
+class _Owned:
+    """An array that nothing else refers to, handed to a tensor constructor.
+
+    ``tensorio.read_tensor`` wraps the array it read a file into, so the
+    tensor keeps it without a copy. Every other caller's array is copied,
+    because tensors are immutable and the caller keeps its reference.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
 def _frozen_array(values, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype, order="C", copy=True)
+    if isinstance(values, _Owned):
+        arr = np.asarray(values.array, dtype=dtype, order="C")
+    else:
+        arr = np.array(values, dtype=dtype, order="C", copy=True)
     arr.setflags(write=False)
     return arr
 

@@ -11,7 +11,10 @@ Layout::
     <little-endian float64 block, row-major in the declared shape>
 
 ``LAYOUTS`` declares each kind's sections; one encoder and one decoder follow
-it. A long-format CSV variant (``.csv``) of forecasts and observations is
+it. The decoder reads the header, then reads the payload straight into one
+aligned float64 array that the returned tensor owns, so a file's values are
+held once; the SHA-256 of a read is taken over those same bytes. A
+long-format CSV variant (``.csv``) of forecasts and observations is
 accepted for small fixtures; its columns are in ``_CSV_AXES`` and it carries
 no location coordinates, which default to zero. Every file is written to a
 temporary name and renamed over its path, so a crash or a failed write leaves
@@ -31,6 +34,7 @@ import numpy as np
 
 from .coredata import (
     MISSING,
+    _Owned,
     EnsembleTensor,
     ForecastTensor,
     LeadTimeAxis,
@@ -41,6 +45,8 @@ from .coredata import (
 from .errors import DimensionMismatchError, TensorFormatError, TensorHeaderError
 
 MAGIC = "ANENSOLAR/1"
+# bytes per read while looking for the header's end
+_HEADER_CHUNK = 1 << 16
 
 
 class Layout(NamedTuple):
@@ -89,7 +95,8 @@ def _core_tensor(kind, names, locations, sections, values):
     layout = LAYOUTS[kind]
     axes = [_AXES[key][0](sections[key]) if key in _AXES else sections[key]
             for key in layout.sections]
-    return layout.tensor(names, locations, *axes, values)
+    # ``values`` is always a fresh array of the reader's: the tensor keeps it
+    return layout.tensor(names, locations, *axes, _Owned(values))
 
 
 def _replace(path, *chunks):
@@ -134,22 +141,6 @@ def write_extended(kind, path, *, field_names, locations, sections, values):
     """Write a non-core kind; ``sections`` maps each of its ``LAYOUTS`` sections
     to an int axis, or to a count for ``members``."""
     _write(kind, path, field_names, locations, sections, values)
-
-
-def read_tensor(path, digests=None):
-    """Read a tensor container (or CSV fixture); returns the kind-matching type.
-
-    The file is read once. Given a ``digests`` dict, the SHA-256 hex digest of
-    the bytes read is stored under ``str(path)``, so a caller that records its
-    inputs need not read the file a second time to hash it.
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if digests is not None:
-        digests[str(path)] = hashlib.sha256(raw).hexdigest()
-    if str(path).endswith(".csv"):
-        return _read_csv(raw.decode("utf-8"))
-    return decode_tensor(raw)
 
 
 class _HeaderReader:
@@ -212,17 +203,13 @@ class _HeaderReader:
                 raise TensorHeaderError(f"trailing junk in header: {line!r}")
 
 
-def decode_tensor(raw: bytes):
-    """Decode the bytes of a tensor container: a core tensor for the core kinds,
-    else a dict of kind, fields, locations, sections and owned values."""
-    sep = raw.find(b"\x00\n")
-    if sep < 0:
-        raise TensorHeaderError("missing header/payload separator")
+def _parse_header(header: bytes):
+    """(kind, names, locations, sections) of a container header."""
     try:
-        header = raw[:sep].decode("utf-8")
+        text = header.decode("utf-8")
     except UnicodeDecodeError:
         raise TensorHeaderError("header is not valid UTF-8") from None
-    r = _HeaderReader(header)
+    r = _HeaderReader(text)
     if r.next_line() != MAGIC:
         raise TensorHeaderError(f"bad magic line, expected {MAGIC}")
     kind_line = r.next_line().split()
@@ -236,18 +223,60 @@ def decode_tensor(raw: bytes):
     locations = r.locations()
     sections = {key: r.axis(key) for key in layout.sections}
     r.done()
-    shape = (len(names), len(locations),
-             *(sections[key] if key == "members" else len(sections[key]) for key in layout.block))
-    payload, expected = memoryview(raw)[sep + 2:], int(np.prod(shape)) * 8
-    if len(payload) != expected:
-        raise DimensionMismatchError(
-            f"binary block is {len(payload)} bytes, header shape {shape} needs {expected}")
-    # a read-only view of the bytes read, copied once by the core constructor
-    values = np.frombuffer(payload, dtype="<f8").reshape(shape)
+    return kind, names, locations, sections
+
+
+def read_tensor(path, digests=None):
+    """Read a tensor container (or CSV fixture); returns the kind-matching type:
+    a core tensor for the core kinds, else a dict of kind, fields, locations,
+    sections and values.
+
+    The header is read in chunks up to its separator. The payload is then
+    read straight into one aligned float64 array of the header's shape, and
+    that array becomes the tensor's values: read-only in a core tensor,
+    writable in the dict, never copied. Given a ``digests`` dict, the SHA-256
+    hex digest of the header and payload bytes just read, which are the
+    file's bytes, is stored under ``str(path)``, so a caller that records its
+    inputs need not read the file a second time to hash it.
+    """
+    if str(path).endswith(".csv"):
+        raw = Path(path).read_bytes()
+        if digests is not None:
+            digests[str(path)] = hashlib.sha256(raw).hexdigest()
+        return _read_csv(raw.decode("utf-8"))
+    with open(path, "rb") as fh:
+        head, sep = bytearray(), -1
+        while sep < 0:
+            chunk = fh.read(_HEADER_CHUNK)
+            if not chunk:
+                raise TensorHeaderError("missing header/payload separator")
+            start = max(len(head) - 1, 0)
+            head += chunk
+            sep = head.find(b"\x00\n", start)
+        kind, names, locations, sections = _parse_header(head[:sep])
+        layout = LAYOUTS[kind]
+        shape = (len(names), len(locations),
+                 *(sections[key] if key == "members" else len(sections[key])
+                   for key in layout.block))
+        payload, expected = os.fstat(fh.fileno()).st_size - sep - 2, int(np.prod(shape)) * 8
+        if payload != expected:
+            raise DimensionMismatchError(
+                f"binary block is {payload} bytes, header shape {shape} needs {expected}")
+        values = np.empty(shape, dtype="<f8")
+        block = memoryview(values.reshape(-1).view(np.uint8))
+        done = len(head) - sep - 2
+        block[:done] = head[sep + 2:]
+        # a buffered readinto reads until the block is full or the file ends
+        if fh.readinto(block[done:]) != expected - done:
+            raise DimensionMismatchError("binary block changed size while it was read")
+    if digests is not None:
+        digest = hashlib.sha256(memoryview(head)[:sep + 2])
+        digest.update(block)
+        digests[str(path)] = digest.hexdigest()
     if layout.tensor is not None:
         return _core_tensor(kind, names, locations, sections, values)
     return {"kind": kind, "fields": names, "locations": locations, "sections": sections,
-            "values": values.astype(np.float64)}
+            "values": values.astype(np.float64, copy=False)}
 
 
 def _write_csv(tensor, path):

@@ -6,18 +6,22 @@ clustering).
 The weight lattice is enumerated in integer parts of 1/step so that every
 emitted vector sums to one exactly; clustering uses unweighted average
 linkage on Euclidean distance over z-scored features with a fully
-deterministic merge order.
+deterministic merge order, found with stored nearest neighbours in O(n^2)
+typical work. The CSV reports are written to a temporary file and renamed
+over their path.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
 from .coredata import LocationSet
+from .tensorio import _replace
 
 
 @dataclass(frozen=True)
@@ -76,6 +80,16 @@ def enumerate_weights(n_predictors: int, step: float,
     return WeightGrid(step, n_predictors, exclude_unit_vectors, vectors)
 
 
+def _write_table(path, header, rows):
+    """Write a CSV report to a temporary file and rename it over ``path``, so a
+    crash or a failed write leaves the previous report whole."""
+    text = io.StringIO(newline="")
+    out = csv.writer(text)
+    out.writerow(header)
+    out.writerows(rows)
+    _replace(path, text.getvalue().encode("utf-8"))
+
+
 @dataclass(frozen=True)
 class RegimeClustering:
     """Location regimes from agglomerative clustering: labels in 1..K plus the
@@ -93,11 +107,8 @@ class RegimeClustering:
         return np.flatnonzero(self.labels == regime)
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            out = csv.writer(fh)
-            out.writerow(["location", "label"])
-            for loc, lab in enumerate(self.labels):
-                out.writerow([loc, int(lab)])
+        _write_table(path, ["location", "label"],
+                     ([loc, int(lab)] for loc, lab in enumerate(self.labels)))
 
 
 def zscore_features(features: np.ndarray):
@@ -124,14 +135,20 @@ def average_linkage_merges(points: np.ndarray, stop_at: int = 1):
     ties between numerically equal distances are broken by the smallest
     positional pair (i, j), and the merged cluster replaces position i while
     position j is removed. Distances are maintained with the Lance-Williams
-    update, whose rounding can separate averages that are mathematically
-    tied, so such a tie may go to another pair than a direct recomputation
-    of the averages would pick.
+    update ``(n_i d_i + n_j d_j) / (n_i + n_j)``, whose rounding can separate
+    averages that are mathematically tied, so such a tie may go to another
+    pair than a direct recomputation of the averages would pick.
 
-    Each merge is one ``argmin`` over the remaining k x k distance matrix
-    with the diagonal and lower triangle masked to +inf: its row-major first
-    occurrence is the smallest positional pair. A merge costs O(k^2) array
-    work and no Python loop, O(n^3) element operations in all.
+    Stored nearest neighbours (Anderberg 1973; the "generic" algorithm of
+    Muellner 2011, arXiv:1109.2378): every cluster keeps its slot, a merged
+    slot j is set to +inf, and each row r keeps the first minimum over the
+    later live slots, ``nn[r]`` and ``best[r]``. Slots keep their positional
+    order, so the first ``argmin`` of ``best`` is the smallest positional
+    pair. After a merge only row i and the rows whose neighbour was i or j
+    are rescanned; any other row r < i takes i when the new d(r, i) is
+    smaller than ``best[r]``, or equal with i < ``nn[r]``. That is O(n) array
+    work per merge and O(n^2) in all for typical data; a rescan costs O(n),
+    so data that sends many rows to one cluster costs more.
 
     Returns (merges, member lists) where each merge records
     (members of i, members of j, linkage distance) at the time of merging.
@@ -145,26 +162,36 @@ def average_linkage_merges(points: np.ndarray, stop_at: int = 1):
         d = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
     else:
         d = np.zeros((n, n))
-    # +inf on and below the diagonal; its leading k x k block masks k clusters
-    lower = np.where(np.tri(n, dtype=bool), np.inf, 0.0)
+    np.fill_diagonal(d, np.inf)
+    # each slot's first nearest later slot; the last slot and every merged
+    # slot have none (-1 at +inf), so no merge picks or rescans them
+    nn = np.argmin(np.where(np.triu(np.ones((n, n), dtype=bool), 1), d, np.inf), axis=1)
+    best = d[np.arange(n), nn]
+    nn[-1], best[-1] = -1, np.inf
     merges = []
-    while len(members) > stop_at:
-        k = len(members)
-        best_i, best_j = divmod(int(np.argmin(d + lower[:k, :k])), k)
-        best_d = d[best_i, best_j]
-        merges.append((tuple(members[best_i]), tuple(members[best_j]), float(best_d)))
-        ni, nj = sizes[best_i], sizes[best_j]
-        row = (ni * d[best_i, :] + nj * d[best_j, :]) / (ni + nj)
-        d[best_i, :] = row
-        d[:, best_i] = row
-        d[best_i, best_i] = 0.0
-        keep = np.arange(len(members)) != best_j
-        d = d[np.ix_(keep, keep)]
-        members[best_i] = members[best_i] + members[best_j]
-        sizes[best_i] += sizes[best_j]
-        del members[best_j]
-        sizes = np.delete(sizes, best_j)
-    return merges, members
+    for _ in range(n - stop_at):
+        i = int(np.argmin(best))
+        j = int(nn[i])
+        merges.append((tuple(members[i]), tuple(members[j]), float(d[i, j])))
+        ni, nj = sizes[i], sizes[j]
+        # +inf on the diagonal and in merged slots stays +inf in the new row
+        row = (ni * d[i] + nj * d[j]) / (ni + nj)
+        d[i], d[:, i] = row, row
+        d[j], d[:, j] = np.inf, np.inf
+        members[i] += members[j]
+        members[j] = None
+        sizes[i] += sizes[j]
+        # row i is among them, as nn[i] == j
+        rescan = np.flatnonzero((nn == i) | (nn == j))
+        nn[j], best[j] = -1, np.inf
+        head = row[:i]
+        closer = (head < best[:i]) | ((head == best[:i]) & (i < nn[:i]))
+        nn[:i][closer], best[:i][closer] = i, head[closer]
+        for r in rescan:
+            tail = d[r, r + 1:]
+            nn[r] = r + 1 + np.argmin(tail)
+            best[r] = d[r, nn[r]]
+    return merges, [m for m in members if m is not None]
 
 
 def hierarchical_cluster(features: np.ndarray, k: int,
@@ -204,11 +231,8 @@ class SampleAssignment:
         return len(self.representatives)
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            out = csv.writer(fh)
-            out.writerow(["location", "sample"])
-            for loc, s in enumerate(self.sample_of):
-                out.writerow([loc, int(s)])
+        _write_table(path, ["location", "sample"],
+                     ([loc, int(s)] for loc, s in enumerate(self.sample_of)))
 
 
 def nn_sample_grid(locations: LocationSet, lat_spacing: float = 4.5,
@@ -323,11 +347,8 @@ def optimize_weights(grid: WeightGrid, scores, strategy: str, *,
 
 
 def write_weights_csv(path, weights: np.ndarray, predictor_names):
-    with open(path, "w", newline="") as fh:
-        out = csv.writer(fh)
-        out.writerow(["location", *predictor_names])
-        for loc, row in enumerate(weights):
-            out.writerow([loc, *(repr(float(v)) for v in row)])
+    _write_table(path, ["location", *predictor_names],
+                 ([loc, *(repr(float(v)) for v in row)] for loc, row in enumerate(weights)))
 
 
 def read_weights_csv(path, predictor_names=None) -> np.ndarray:

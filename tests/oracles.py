@@ -11,6 +11,11 @@ than the library (no shared helpers), so agreement is meaningful:
 - ``naive_average_linkage``: average-linkage merges with cluster distances
   recomputed from the raw pairwise matrix at every step (no incremental
   update);
+- ``lance_williams_linkage``: the library's earlier average linkage, one
+  ``argmin`` over the whole Lance-Williams matrix per merge, kept verbatim.
+  Like ``reference_weight_score`` it shares the library's arithmetic: it pins
+  the stored-nearest-neighbour ``average_linkage_merges`` to the same merges
+  and heights with ``==``, mathematically tied averages included;
 - ``gather_members``: the multivariate ensemble gather as scalar loops;
 - ``lookup_aligned``: per-element valid-time search for observation alignment;
 - ``reference_weight_score``: the weight objective as the plain chain of
@@ -277,6 +282,57 @@ def naive_average_linkage(points, stop_at=1):
         clusters[i] = clusters[i] + clusters[j]
         del clusters[j]
     return merges, clusters
+
+
+def lance_williams_linkage(points: np.ndarray, stop_at: int = 1):
+    """Agglomerative merge sequence under unweighted average linkage.
+
+    Starting from singleton clusters, repeatedly joins the pair with the
+    smallest average Euclidean distance until ``stop_at`` clusters remain;
+    ties between numerically equal distances are broken by the smallest
+    positional pair (i, j), and the merged cluster replaces position i while
+    position j is removed. Distances are maintained with the Lance-Williams
+    update, whose rounding can separate averages that are mathematically
+    tied, so such a tie may go to another pair than a direct recomputation
+    of the averages would pick.
+
+    Each merge is one ``argmin`` over the remaining k x k distance matrix
+    with the diagonal and lower triangle masked to +inf: its row-major first
+    occurrence is the smallest positional pair. A merge costs O(k^2) array
+    work and no Python loop, O(n^3) element operations in all.
+
+    Returns (merges, member lists) where each merge records
+    (members of i, members of j, linkage distance) at the time of merging.
+    """
+    n = len(points)
+    if stop_at < 1 or stop_at > n:
+        raise ValueError(f"stop_at must be in 1..{n}")
+    members = [[i] for i in range(n)]
+    sizes = np.ones(n)
+    if points.size:
+        d = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
+    else:
+        d = np.zeros((n, n))
+    # +inf on and below the diagonal; its leading k x k block masks k clusters
+    lower = np.where(np.tri(n, dtype=bool), np.inf, 0.0)
+    merges = []
+    while len(members) > stop_at:
+        k = len(members)
+        best_i, best_j = divmod(int(np.argmin(d + lower[:k, :k])), k)
+        best_d = d[best_i, best_j]
+        merges.append((tuple(members[best_i]), tuple(members[best_j]), float(best_d)))
+        ni, nj = sizes[best_i], sizes[best_j]
+        row = (ni * d[best_i, :] + nj * d[best_j, :]) / (ni + nj)
+        d[best_i, :] = row
+        d[:, best_i] = row
+        d[best_i, best_i] = 0.0
+        keep = np.arange(len(members)) != best_j
+        d = d[np.ix_(keep, keep)]
+        members[best_i] = members[best_i] + members[best_j]
+        sizes[best_i] += sizes[best_j]
+        del members[best_j]
+        sizes = np.delete(sizes, best_j)
+    return merges, members
 
 
 # -- CRPS oracle ----------------------------------------------------------------------

@@ -20,6 +20,7 @@ from anensolar.errors import (
     TensorFormatError,
     TensorHeaderError,
 )
+from anensolar import tensorio
 from anensolar.tensorio import read_tensor, write_tensor
 
 from conftest import make_forecast, make_locations, make_observation
@@ -214,11 +215,16 @@ def test_read_owns_one_copy_of_every_kind(tmp_path, kind):
     back = read_tensor(path)
     values = back["values"] if isinstance(back, dict) else back.values
     assert values.tobytes() == np.ascontiguousarray(expected).tobytes()
-    # an array of its own, not a view into the bytes read from the file
+    # an aligned array of its own, not a view into the bytes read from the file
     assert values.base is None and values.flags.owndata
+    assert values.flags.aligned and values.flags.c_contiguous
+    # the payload is the trailing block of the file, as written
+    assert values.tobytes() == path.read_bytes()[-values.nbytes:]
     if isinstance(back, dict):
         assert values.flags.writeable
         values[(0,) * values.ndim] = 1.0
+    else:
+        assert not values.flags.writeable
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -312,3 +318,78 @@ def test_failed_write_leaves_the_previous_file(tmp_path, monkeypatch, name):
         write(instance, path)
     assert path.read_bytes() == b"previous bytes"
     assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+def test_read_holds_the_payload_once(tmp_path):
+    import tracemalloc
+
+    fc = make_forecast(n_loc=2, n_init=1000, n_lead=250)
+    path = tmp_path / "fc.ansr"
+    write_tensor(fc, path)
+    tracemalloc.start()
+    try:
+        back = read_tensor(path, {})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one array of the payload and the +-inf check's boolean mask; a second
+    # copy of the payload would double it
+    assert back.values.nbytes == 8_000_000
+    assert peak < 1.5 * back.values.nbytes
+
+
+def test_header_longer_than_one_read_chunk(tmp_path):
+    obs = make_observation(n_var=1, n_loc=2, n_time=8000)
+    path = tmp_path / "obs.ansr"
+    write_tensor(obs, path)
+    assert path.read_bytes().index(b"\x00\n") > 65536
+    back = read_tensor(path)
+    np.testing.assert_array_equal(back.valid_times.instants, obs.valid_times.instants)
+    assert back.values.tobytes() == obs.values.tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 64])
+def test_separator_and_payload_across_chunk_edges(tmp_path, monkeypatch, chunk):
+    # small chunks put the separator and the start of the payload at every
+    # offset of a chunk
+    fc = make_forecast()
+    path = tmp_path / "fc.ansr"
+    write_tensor(fc, path)
+    monkeypatch.setattr(tensorio, "_HEADER_CHUNK", chunk)
+    digests = {}
+    assert read_tensor(path, digests).values.tobytes() == fc.values.tobytes()
+    assert digests[str(path)] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_one_trailing_payload_byte_is_dimension_error(tmp_path):
+    path = tmp_path / "fc.ansr"
+    write_tensor(make_forecast(), path)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(DimensionMismatchError):
+        read_tensor(path)
+
+
+def test_non_utf8_header_is_header_error(tmp_path):
+    path = tmp_path / "fc.ansr"
+    write_tensor(make_forecast(), path)
+    path.write_bytes(path.read_bytes().replace(b"p0\n", b"p\xff\n", 1))
+    with pytest.raises(TensorHeaderError, match="UTF-8"):
+        read_tensor(path)
+
+
+@pytest.mark.parametrize("name", ["fc.ansr", "fc.csv"])
+def test_digest_is_the_sha256_of_the_file(tmp_path, name):
+    path = tmp_path / name
+    write_tensor(make_forecast(n_loc=3), path)
+    digests = {}
+    read_tensor(path, digests)
+    assert digests == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
+
+
+def test_public_constructor_copies_the_callers_array():
+    fc = make_forecast()
+    caller = fc.values.copy()
+    tensor = ForecastTensor(fc.predictor_names, fc.locations, fc.init_times, fc.lead_times, caller)
+    assert not np.shares_memory(tensor.values, caller)
+    caller[...] = 0.0
+    assert tensor.values.tobytes() == fc.values.tobytes()

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from anensolar.weights import (
 )
 
 from conftest import make_locations
-from oracles import naive_average_linkage
+from oracles import lance_williams_linkage, naive_average_linkage
 
 
 class TestEnumerateWeights:
@@ -123,6 +125,54 @@ class TestHierarchicalCluster:
             distinct = rng.normal(0, 2, size=(int(rng.integers(2, 11)), 3))
             points = distinct[rng.integers(0, len(distinct), int(rng.integers(3, 41)))]
             self._assert_same_merges(points, exact=False)
+
+    def test_merges_equal_the_lance_williams_matrix_scan_at_300(self, rng):
+        points = rng.normal(0, 1, size=(300, 4))
+        assert average_linkage_merges(points) == lance_williams_linkage(points)
+
+    # integer lattices on which a merge's Lance-Williams average rounds below
+    # ("below") or onto ("onto", with the new cluster first) the stored
+    # minimum of an earlier row whose neighbour was neither merged cluster:
+    # that row must take the new cluster, or the merges part from the
+    # matrix scan's
+    ROUNDING_CASES = {
+        "below": [[3, 2, 1, 3, 0, 0, 2, 2, 0, 3, 3, 2, 0, 1, 2, 1, 0, 1, 2,
+                   1, 3, 3, 3, 2, 0, 3, 0, 1, 1, 1, 3, 1, 1, 0, 1, 2, 3, 1],
+                  [2, 3, 1, 3, 2, 1, 3, 2, 0, 2, 3, 1, 0, 3, 3, 2, 2, 3, 3,
+                   1, 3, 3, 1, 1, 1, 1, 2, 1, 2, 2, 0, 0, 0, 1, 0, 2, 3, 2]],
+        "onto": [[1, 2, 1, 1, 0, 2, 1, 2, 0, 2, 2, 0, 1, 0],
+                 [0, 0, 1, 0, 2, 2, 2, 0, 2, 1, 0, 1, 2, 0],
+                 [1, 0, 1, 1, 2, 2, 2, 1, 1, 0, 1, 0, 2, 0],
+                 [2, 1, 0, 1, 0, 0, 1, 1, 1, 2, 0, 1, 1, 1]],
+    }
+
+    @pytest.mark.parametrize("case", sorted(ROUNDING_CASES))
+    def test_a_rounded_average_can_reach_a_stored_minimum(self, case):
+        points = np.array(self.ROUNDING_CASES[case], dtype=float).T
+        assert average_linkage_merges(points) == lance_williams_linkage(points)
+
+    @staticmethod
+    def _linkage_instances(rng, count):
+        """Seeded point sets with n = 2..39: Gaussian points, integer lattices
+        full of exact ties, duplicated points and featureless points."""
+        for trial in range(count):
+            n = int(rng.integers(2, 40))
+            shape = trial % 4
+            if shape == 0:
+                yield rng.normal(0, 2, size=(n, int(rng.integers(1, 5))))
+            elif shape == 1:
+                yield rng.integers(0, 4, size=(n, int(rng.integers(1, 4)))).astype(float)
+            elif shape == 2:
+                distinct = rng.normal(0, 2, size=(int(rng.integers(1, 11)), 3))
+                yield distinct[rng.integers(0, len(distinct), n)]
+            else:
+                yield np.zeros((n, 0)) if trial % 8 == 3 else rng.integers(0, 2, size=(n, 1)).astype(float)
+
+    def test_merges_equal_the_lance_williams_matrix_scan_at_every_stop(self, rng):
+        for points in self._linkage_instances(rng, 300):
+            for stop_at in range(1, len(points) + 1):
+                expected = lance_williams_linkage(points, stop_at)
+                assert average_linkage_merges(points, stop_at) == expected, (points, stop_at)
 
     def test_merge_heights_match_scipy(self, rng):
         from scipy.cluster.hierarchy import linkage
@@ -402,3 +452,23 @@ def test_assignment_and_clustering_csv(tmp_path, rng):
     rows = c_path.read_text().strip().splitlines()
     assert rows[0] == "location,label"
     assert sorted({int(r.split(",")[1]) for r in rows[1:]}) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("writer", ["weights", "clustering", "assignment"])
+def test_failed_report_write_leaves_the_previous_file(tmp_path, monkeypatch, rng, writer):
+    write = {
+        "weights": lambda p: write_weights_csv(p, rng.dirichlet(np.ones(3), size=4), ("a", "b", "c")),
+        "clustering": hierarchical_cluster(rng.normal(0, 1, size=(9, 3)), 3).write_csv,
+        "assignment": nn_sample_grid(make_locations(9, seed=8)).write_csv,
+    }[writer]
+    path = tmp_path / f"{writer}.csv"
+    path.write_bytes(b"previous bytes")
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        write(path)
+    assert path.read_bytes() == b"previous bytes"
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
