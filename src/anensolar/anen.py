@@ -121,7 +121,7 @@ class SigmaTensor:
         object.__setattr__(self, "values", arr)
 
     def write(self, path):
-        tensorio.write_extended(
+        return tensorio.write_extended(
             "sigma", path,
             field_names=self.predictor_names,
             locations=self.locations,
@@ -233,7 +233,7 @@ class AnalogIndexSet:
     def write(self, path, include_distances: bool = True):
         fields = ("search_init", "distance") if include_distances else ("search_init",)
         values = np.stack([self.search_index, self.distance][: len(fields)])
-        tensorio.write_extended(
+        return tensorio.write_extended(
             "analogs", path,
             field_names=fields,
             locations=self.locations,

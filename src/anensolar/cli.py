@@ -23,6 +23,7 @@ import argparse
 import copy
 import dataclasses
 import datetime as _dt
+import fcntl
 import hashlib
 import json
 import os
@@ -33,6 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 import yaml
 
+from ._atomic import atomic_write, atomic_write_csv
 from .errors import AnensolarError, ConfigValidationError
 
 if TYPE_CHECKING:
@@ -194,27 +196,28 @@ class Runner:
 
         return tensorio.read_tensor(path, digests=self.inputs)
 
-    def register_output(self, path: Path):
-        self.outputs[str(path)] = _hash_file(Path(path))
+    def register_output(self, path: Path, digest: str):
+        """Record ``path`` with the digest its writer returned."""
+        self.outputs[str(path)] = digest
 
     def write_manifest(self):
-        manifest_path = self.out_dir / "manifest.json"
-        data = {}
-        if manifest_path.exists():
-            data = json.loads(manifest_path.read_text())
-        data[self.command] = {
+        """Add this command's entry to ``manifest.json`` under a lock on the
+        directory itself, so concurrent commands keep each other's entries."""
+        entry = {
             "config_hash": config_hash(self.cfg),
             # an input no read_tensor call hashed (a CSV, say) is hashed here
             "inputs": {p: digest or _hash_file(Path(p)) for p, digest in sorted(self.inputs.items())},
             "outputs": dict(sorted(self.outputs.items())),
         }
-        # a crash mid-write must not leave a truncated manifest for the next command
-        tmp = manifest_path.with_name(f"manifest.json.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        manifest_path = self.out_dir / "manifest.json"
+        fd = os.open(self.out_dir, os.O_RDONLY)
         try:
-            os.replace(tmp, manifest_path)
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            data = json.loads(manifest_path.read_text()) if manifest_path.exists() else {}
+            data[self.command] = entry
+            atomic_write(manifest_path, (json.dumps(data, indent=2, sort_keys=True) + "\n").encode())
         finally:
-            tmp.unlink(missing_ok=True)
+            os.close(fd)  # releases the lock
 
 
 def _fail_if(problems):
@@ -341,10 +344,8 @@ def cmd_synth(run: Runner, args) -> int:
     analysis, forecasts = synth.generate(gen_cfg)
     obs_path = run.path("observations")
     fc_path = run.path("forecasts")
-    tensorio.write_tensor(analysis, obs_path)
-    tensorio.write_tensor(forecasts, fc_path)
-    run.register_output(obs_path)
-    run.register_output(fc_path)
+    run.register_output(obs_path, tensorio.write_tensor(analysis, obs_path))
+    run.register_output(fc_path, tensorio.write_tensor(forecasts, fc_path))
     return 0
 
 
@@ -359,8 +360,7 @@ def cmd_sigma(run: Runner, args) -> int:
     _fail_if(problems)
     sigma = compute_sigma(forecasts, search)
     out = run.path("sigma")
-    sigma.write(out)
-    run.register_output(out)
+    run.register_output(out, sigma.write(out))
     return 0
 
 
@@ -397,11 +397,9 @@ def cmd_anen(run: Runner, args) -> int:
     aligned = align_observations(analysis, forecasts.init_times, forecasts.lead_times)
     ensemble = build_multivariate_ensemble(indices, aligned)
     analog_path = run.path("analogs")
-    indices.write(analog_path)
-    run.register_output(analog_path)
+    run.register_output(analog_path, indices.write(analog_path))
     ens_path = run.path("ensemble")
-    tensorio.write_tensor(ensemble, ens_path)
-    run.register_output(ens_path)
+    run.register_output(ens_path, tensorio.write_tensor(ensemble, ens_path))
     return 0
 
 
@@ -445,8 +443,7 @@ def cmd_simulate(run: Runner, args) -> int:
 
     power = driver.power_from_weather(weather, specs, system)
     out_path = run.path(cfg["simulate"]["output"] or default_out)
-    tensorio.write_tensor(power, out_path)
-    run.register_output(out_path)
+    run.register_output(out_path, tensorio.write_tensor(power, out_path))
     return 0
 
 
@@ -499,15 +496,13 @@ def cmd_optimize_weights(run: Runner, args) -> int:
             clustering = weights.hierarchical_cluster(feats, int(o["clusters"]), names)
             samples = weights.rb_sample_points(clustering, int(o["total_samples"]), seed=cfg["seed"])
             clus_path = run.path("clustering")
-            clustering.write_csv(clus_path)
-            run.register_output(clus_path)
+            run.register_output(clus_path, clustering.write_csv(clus_path))
             out_weights = weights.optimize_weights(
                 grid, objective.scores, "RB", clustering=clustering, regime_samples=samples
             )
 
     out_path = run.path("weights")
-    weights.write_weights_csv(out_path, out_weights, forecasts.predictor_names)
-    run.register_output(out_path)
+    run.register_output(out_path, weights.write_weights_csv(out_path, out_weights, forecasts.predictor_names))
     return 0
 
 
@@ -552,8 +547,7 @@ def cmd_cluster(run: Runner, args) -> int:
     feats, names = regime_feature_matrix(analysis)
     clustering = weights.hierarchical_cluster(feats, k, names)
     out = run.path("clustering")
-    clustering.write_csv(out)
-    run.register_output(out)
+    run.register_output(out, clustering.write_csv(out))
     return 0
 
 
@@ -598,8 +592,7 @@ def cmd_verify(run: Runner, args) -> int:
         region_map=region_map,
     )
     out = run.path("report")
-    report.to_csv(out)
-    run.register_output(out)
+    run.register_output(out, report.to_csv(out))
     return 0
 
 
@@ -616,8 +609,7 @@ def cmd_workflow_run(run: Runner, args) -> int:
     handle = workflow.submit(wf)
     final = handle.wait()
     events_path = run.path("events")
-    workflow.write_event_log(handle.events(), events_path)
-    run.register_output(events_path)
+    run.register_output(events_path, workflow.write_event_log(handle.events(), events_path))
     print(f"workflow finished: {final.value}")
     return 0 if final is workflow.RunState.DONE else 1
 
@@ -651,12 +643,9 @@ def cmd_report(run: Runner, args) -> int:
                 groups.append(r["group"])
 
     out = run.out_dir / (args.output or "report_wide.csv")
-    with open(out, "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow(["group"] + [f"{metric}_{label}" for label in labels])
-        for g in groups:
-            w.writerow([g] + [series[label].get(g, "") for label in labels])
-    run.register_output(out)
+    run.register_output(out, atomic_write_csv(
+        out, ["group"] + [f"{metric}_{label}" for label in labels],
+        ([g] + [series[label].get(g, "") for label in labels] for g in groups)))
     return 0
 
 

@@ -143,8 +143,9 @@ def _check_shape(values: np.ndarray, expected: tuple, what: str):
 
 def _check_no_inf(values: np.ndarray, what: str):
     # +-inf is neither missing nor a usable value: inf - inf would give a NaN
-    # distance that silently drops an analog candidate
-    if np.isinf(values).any():
+    # distance that silently drops an analog candidate; fmax/fmin skip NaN, with no mask
+    if (np.fmax.reduce(values, axis=None, initial=-np.inf) == np.inf
+            or np.fmin.reduce(values, axis=None, initial=np.inf) == -np.inf):
         raise TensorFormatError(f"{what} values contain +-inf; encode missing data as NaN")
 
 

@@ -223,7 +223,7 @@ class SolarCacheTable:
 
     def write(self, path):
         values = np.stack([getattr(self, f) for f in _CACHE_FIELDS])
-        tensorio.write_extended(
+        return tensorio.write_extended(
             "solar", path,
             field_names=_CACHE_FIELDS,
             locations=self.locations,

@@ -16,9 +16,9 @@ aligned float64 array that the returned tensor owns, so a file's values are
 held once; the SHA-256 of a read is taken over those same bytes. A
 long-format CSV variant (``.csv``) of forecasts and observations is
 accepted for small fixtures; its columns are in ``_CSV_AXES`` and it carries
-no location coordinates, which default to zero. Every file is written to a
-temporary name and renamed over its path, so a crash or a failed write leaves
-the previous file whole.
+no location coordinates, which default to zero. Every file goes through
+``_atomic.atomic_write``, so a failed write leaves the previous file whole, and
+every writer returns the SHA-256 of the bytes it wrote.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._atomic import atomic_write, atomic_write_csv
 from .coredata import (
     MISSING,
     _Owned,
@@ -99,18 +100,6 @@ def _core_tensor(kind, names, locations, sections, values):
     return layout.tensor(names, locations, *axes, _Owned(values))
 
 
-def _replace(path, *chunks):
-    """Write ``chunks`` (bytes-like) to a temporary file and rename it over ``path``."""
-    tmp = Path(f"{path}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def _write(kind, path, names, locations: LocationSet, sections: dict, values):
     """The one encoder: the header in ``LAYOUTS[kind]`` order, then the block."""
     layout = LAYOUTS[kind]
@@ -126,21 +115,22 @@ def _write(kind, path, names, locations: LocationSet, sections: dict, values):
             lines.append(f"{key} {len(sections[key])}")
             lines += [str(int(v)) for v in sections[key]]
     header = ("\n".join(lines) + "\n").encode("utf-8") + b"\x00\n"
-    _replace(path, header, np.ascontiguousarray(values, dtype="<f8"))
+    return atomic_write(path, header, np.ascontiguousarray(values, dtype="<f8"))
 
 
 def write_tensor(tensor, path):
-    """Serialize a core tensor to ``path``; a ``.csv`` path gets the CSV variant."""
+    """Serialize a core tensor to ``path``; a ``.csv`` path gets the CSV variant.
+    Returns the SHA-256 hex digest of the file."""
     if str(path).endswith(".csv"):
         return _write_csv(tensor, path)
     kind, names, sections = _core_parts(tensor)
-    _write(kind, path, names, tensor.locations, sections, tensor.values)
+    return _write(kind, path, names, tensor.locations, sections, tensor.values)
 
 
 def write_extended(kind, path, *, field_names, locations, sections, values):
     """Write a non-core kind; ``sections`` maps each of its ``LAYOUTS`` sections
-    to an int axis, or to a count for ``members``."""
-    _write(kind, path, field_names, locations, sections, values)
+    to an int axis, or to a count for ``members``. Returns the file's SHA-256."""
+    return _write(kind, path, field_names, locations, sections, values)
 
 
 class _HeaderReader:
@@ -286,14 +276,10 @@ def _write_csv(tensor, path):
     if tensor.values.size > 1_000_000:
         raise TensorFormatError("CSV variant is limited to 1e6 cells")
     axes = [sections[key] for key in LAYOUTS[kind].sections]
-    text = io.StringIO(newline="")
-    out = csv.writer(text)
-    out.writerow(["name", "location", *_CSV_AXES[kind], "value"])
-    for index in np.ndindex(tensor.values.shape):
-        name, loc, *cell = index
-        out.writerow([names[name], loc, *(int(axis[i]) for axis, i in zip(axes, cell)),
-                      repr(float(tensor.values[index]))])
-    _replace(path, text.getvalue().encode("utf-8"))
+    rows = ([names[name], loc, *(int(axis[i]) for axis, i in zip(axes, cell)),
+             repr(float(tensor.values[(name, loc, *cell)]))]
+            for name, loc, *cell in np.ndindex(tensor.values.shape))
+    return atomic_write_csv(path, ["name", "location", *_CSV_AXES[kind], "value"], rows)
 
 
 def _read_csv(text: str):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._atomic import atomic_write_csv
 from .coredata import TimeAxis
 from .errors import EmptySeriesError
 from .solar import SolarCacheTable
@@ -136,12 +137,10 @@ class VerifyReport:
     rows: tuple
 
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            out = csv.writer(fh)
-            out.writerow(["group", "rmse", "bias", "crps", "spread", "count"])
-            for r in self.rows:
-                out.writerow([r.group, repr(r.rmse), repr(r.bias), repr(r.crps),
-                              repr(r.spread), r.count])
+        """Write the report atomically; returns the file's SHA-256 hex digest."""
+        return atomic_write_csv(path, ["group", "rmse", "bias", "crps", "spread", "count"],
+                                ([r.group, repr(r.rmse), repr(r.bias), repr(r.crps),
+                                  repr(r.spread), r.count] for r in self.rows))
 
     def by_group(self) -> dict:
         return {r.group: r for r in self.rows}

@@ -7,21 +7,20 @@ The weight lattice is enumerated in integer parts of 1/step so that every
 emitted vector sums to one exactly; clustering uses unweighted average
 linkage on Euclidean distance over z-scored features with a fully
 deterministic merge order, found with stored nearest neighbours in O(n^2)
-typical work. The CSV reports are written to a temporary file and renamed
-over their path.
+typical work. The CSV reports go through ``_atomic.atomic_write_csv`` and
+return its digest.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
+from ._atomic import atomic_write_csv
 from .coredata import LocationSet
-from .tensorio import _replace
 
 
 @dataclass(frozen=True)
@@ -80,16 +79,6 @@ def enumerate_weights(n_predictors: int, step: float,
     return WeightGrid(step, n_predictors, exclude_unit_vectors, vectors)
 
 
-def _write_table(path, header, rows):
-    """Write a CSV report to a temporary file and rename it over ``path``, so a
-    crash or a failed write leaves the previous report whole."""
-    text = io.StringIO(newline="")
-    out = csv.writer(text)
-    out.writerow(header)
-    out.writerows(rows)
-    _replace(path, text.getvalue().encode("utf-8"))
-
-
 @dataclass(frozen=True)
 class RegimeClustering:
     """Location regimes from agglomerative clustering: labels in 1..K plus the
@@ -107,8 +96,8 @@ class RegimeClustering:
         return np.flatnonzero(self.labels == regime)
 
     def write_csv(self, path):
-        _write_table(path, ["location", "label"],
-                     ([loc, int(lab)] for loc, lab in enumerate(self.labels)))
+        return atomic_write_csv(path, ["location", "label"],
+                                ([loc, int(lab)] for loc, lab in enumerate(self.labels)))
 
 
 def zscore_features(features: np.ndarray):
@@ -158,16 +147,17 @@ def average_linkage_merges(points: np.ndarray, stop_at: int = 1):
         raise ValueError(f"stop_at must be in 1..{n}")
     members = [[i] for i in range(n)]
     sizes = np.ones(n)
-    if points.size:
-        d = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2))
-    else:
-        d = np.zeros((n, n))
+    d = np.empty((n, n))
+    # 128-row blocks sum each element over the features as one (n, n, F)
+    # difference would, without holding that temporary
+    for a in range(0, n, 128):
+        np.sqrt(((points[a:a + 128, None, :] - points[None]) ** 2).sum(axis=2), out=d[a:a + 128])
     np.fill_diagonal(d, np.inf)
     # each slot's first nearest later slot; the last slot and every merged
     # slot have none (-1 at +inf), so no merge picks or rescans them
-    nn = np.argmin(np.where(np.triu(np.ones((n, n), dtype=bool), 1), d, np.inf), axis=1)
+    nn = np.array([r + 1 + np.argmin(d[r, r + 1:]) for r in range(n - 1)] + [-1], dtype=np.int64)
     best = d[np.arange(n), nn]
-    nn[-1], best[-1] = -1, np.inf
+    best[-1] = np.inf
     merges = []
     for _ in range(n - stop_at):
         i = int(np.argmin(best))
@@ -231,8 +221,8 @@ class SampleAssignment:
         return len(self.representatives)
 
     def write_csv(self, path):
-        _write_table(path, ["location", "sample"],
-                     ([loc, int(s)] for loc, s in enumerate(self.sample_of)))
+        return atomic_write_csv(path, ["location", "sample"],
+                                ([loc, int(s)] for loc, s in enumerate(self.sample_of)))
 
 
 def nn_sample_grid(locations: LocationSet, lat_spacing: float = 4.5,
@@ -347,8 +337,8 @@ def optimize_weights(grid: WeightGrid, scores, strategy: str, *,
 
 
 def write_weights_csv(path, weights: np.ndarray, predictor_names):
-    _write_table(path, ["location", *predictor_names],
-                 ([loc, *(repr(float(v)) for v in row)] for loc, row in enumerate(weights)))
+    return atomic_write_csv(path, ["location", *predictor_names],
+                            ([loc, *(repr(float(v)) for v in row)] for loc, row in enumerate(weights)))
 
 
 def read_weights_csv(path, predictor_names=None) -> np.ndarray:

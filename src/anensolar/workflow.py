@@ -401,9 +401,12 @@ def submit(workflow: Workflow, backend: ExecutionBackend | None = None) -> Workf
 
 
 def write_event_log(records, path):
-    with open(path, "w") as fh:
-        for r in records:
-            fh.write(f"{r.timestamp!r} {r.task_id} {r.from_state.value} {r.to_state.value}\n")
+    """Write one line per transition atomically; returns the file's SHA-256."""
+    from ._atomic import atomic_write  # hashlib stays out of a process that only dispatches
+
+    return atomic_write(path, "".join(
+        f"{r.timestamp!r} {r.task_id} {r.from_state.value} {r.to_state.value}\n"
+        for r in records).encode("utf-8"))
 
 
 def read_event_log(path) -> list:
@@ -551,6 +554,7 @@ def load_workflow_file(path) -> Workflow:
 
 
 def dump_workflow_file(workflow: Workflow, path):
+    """Write ``workflow`` as a workflow file atomically; returns the file's SHA-256."""
     doc = {
         "worker_budget": workflow.worker_budget,
         "pipelines": [
@@ -571,5 +575,6 @@ def dump_workflow_file(workflow: Workflow, path):
             for p in workflow.pipelines
         ],
     }
-    with open(path, "w") as fh:
-        yaml.dump(doc, fh, Dumper=_YAML_DUMPER, sort_keys=False)
+    from ._atomic import atomic_write
+
+    return atomic_write(path, yaml.dump(doc, Dumper=_YAML_DUMPER, sort_keys=False).encode("utf-8"))

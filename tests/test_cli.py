@@ -1,4 +1,5 @@
 import csv
+import fcntl
 import hashlib
 import io
 import json
@@ -6,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +61,10 @@ class TestPipeline:
             assert command in manifest
             assert "config_hash" in manifest[command]
         assert any(str(outdir / "report.csv") in k for k in manifest["verify"]["outputs"])
+        # each output is recorded with the digest its writer returned: the file's
+        for entry in manifest.values():
+            for path, digest in entry["outputs"].items():
+                assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest(), path
 
     def test_rerun_bit_identical(self, tmp_path):
         out = tmp_path / "a"
@@ -374,6 +380,31 @@ class TestCommands:
         assert run_cli(["-o", outdir, *SMALL, "sigma"]) == 1
         assert (outdir / "manifest.json").read_bytes() == before
         assert sorted(p.name for p in outdir.iterdir() if "manifest" in p.name) == ["manifest.json"]
+
+    def test_commands_sharing_a_directory_keep_each_others_manifest_entries(self, outdir):
+        assert run_cli(["-o", outdir, *SMALL, "synth"]) == 0
+        src = str(Path(anensolar.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        # hold the lock a command takes to update the manifest
+        fd = os.open(outdir, os.O_RDONLY)
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        proc = subprocess.Popen([sys.executable, "-m", "anensolar.cli", "-o", str(outdir), *SMALL,
+                                 "cluster"], env=env, stderr=subprocess.PIPE, text=True)
+        try:
+            # the command writes its output, then waits for the lock
+            deadline = time.monotonic() + 120
+            while (not (outdir / "clustering.csv").exists() and proc.poll() is None
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            time.sleep(1.0)
+            waiting = json.loads((outdir / "manifest.json").read_text())
+        finally:
+            os.close(fd)
+            _, err = proc.communicate(timeout=120)
+        assert "cluster" not in waiting
+        assert proc.returncode == 0, err
+        assert {"synth", "cluster"} <= json.loads((outdir / "manifest.json").read_text()).keys()
 
     def test_report_pivots_verify_output(self, outdir, tmp_path):
         run_small_chain(outdir)

@@ -7,6 +7,7 @@ from anensolar.coredata import (
     LocationSet,
     ObservationTensor,
     TimeAxis,
+    _check_no_inf,
     align_observations,
 )
 from anensolar.errors import (
@@ -96,6 +97,20 @@ class TestTensors:
         values[0, 1, 5] = bad
         with pytest.raises(TensorFormatError, match="inf"):
             ObservationTensor(obs.variable_names, obs.locations, obs.valid_times, values)
+
+    def test_inf_check_allocates_no_mask(self):
+        import tracemalloc
+
+        values = np.random.default_rng(0).normal(size=(2, 10, 500, 100))
+        values[0, 3, 7] = np.nan
+        tracemalloc.start()
+        try:
+            _check_no_inf(values, "forecast")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # isinf's boolean mask of the 1M cells would be 1 MB
+        assert peak < 64 * 1024
 
     def test_predictor_index(self):
         fc = make_forecast(n_pred=3)

@@ -332,8 +332,7 @@ def test_read_holds_the_payload_once(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one array of the payload and the +-inf check's boolean mask; a second
-    # copy of the payload would double it
+    # one array of the payload; a second copy of it would double the peak
     assert back.values.nbytes == 8_000_000
     assert peak < 1.5 * back.values.nbytes
 

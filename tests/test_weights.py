@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -129,6 +127,20 @@ class TestHierarchicalCluster:
     def test_merges_equal_the_lance_williams_matrix_scan_at_300(self, rng):
         points = rng.normal(0, 1, size=(300, 4))
         assert average_linkage_merges(points) == lance_williams_linkage(points)
+
+    def test_first_matrix_needs_no_pairwise_difference_temporary(self, rng):
+        import tracemalloc
+
+        n = 1600
+        points = rng.normal(0, 1, size=(n, 4))
+        tracemalloc.start()
+        try:
+            average_linkage_merges(points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the (n, n, 4) difference alone would be 4 matrices
+        assert peak <= 1.5 * n * n * 8
 
     # integer lattices on which a merge's Lance-Williams average rounds below
     # ("below") or onto ("onto", with the new cluster first) the stored
@@ -452,23 +464,3 @@ def test_assignment_and_clustering_csv(tmp_path, rng):
     rows = c_path.read_text().strip().splitlines()
     assert rows[0] == "location,label"
     assert sorted({int(r.split(",")[1]) for r in rows[1:]}) == [1, 2, 3]
-
-
-@pytest.mark.parametrize("writer", ["weights", "clustering", "assignment"])
-def test_failed_report_write_leaves_the_previous_file(tmp_path, monkeypatch, rng, writer):
-    write = {
-        "weights": lambda p: write_weights_csv(p, rng.dirichlet(np.ones(3), size=4), ("a", "b", "c")),
-        "clustering": hierarchical_cluster(rng.normal(0, 1, size=(9, 3)), 3).write_csv,
-        "assignment": nn_sample_grid(make_locations(9, seed=8)).write_csv,
-    }[writer]
-    path = tmp_path / f"{writer}.csv"
-    path.write_bytes(b"previous bytes")
-
-    def fail(src, dst):
-        raise OSError("disk full")
-
-    monkeypatch.setattr(os, "replace", fail)
-    with pytest.raises(OSError, match="disk full"):
-        write(path)
-    assert path.read_bytes() == b"previous bytes"
-    assert [p.name for p in tmp_path.iterdir()] == [path.name]

@@ -1,10 +1,15 @@
 import hashlib
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 import yaml
 
+import anensolar
 from anensolar import workflow
 from anensolar.errors import BackendUnavailableError, WorkflowValidationError
 from anensolar.weights import enumerate_weights
@@ -495,3 +500,17 @@ class TestFiles:
         monkeypatch.setattr(workflow, "_YAML_DUMPER", yaml.SafeDumper)
         dump_workflow_file(wf, tmp_path / "py.yaml")
         assert (tmp_path / "c.yaml").read_bytes() == (tmp_path / "py.yaml").read_bytes()
+
+
+def test_import_loads_neither_numpy_nor_hashlib():
+    # a process that only dispatches tasks stays small: the file writers
+    # import the hashing writer when they run
+    src = str(Path(anensolar.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    code = ("import sys, anensolar.workflow\n"
+            "loaded = [m for m in ('numpy', 'hashlib') if m in sys.modules]\n"
+            "assert not loaded, loaded\n")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
