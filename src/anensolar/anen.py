@@ -12,7 +12,9 @@ weight is zero or their sigma is below the configured epsilon, missing target
 terms dropped, and candidates disqualified (infinite distance) when any
 needed candidate value is missing. Search is pure and independent per
 (location, test init, lead) and may be partitioned arbitrarily over
-locations.
+locations. The spread table and the member lists it produces,
+``SigmaTensor`` and ``AnalogIndexSet``, are tensors of ``coredata``, written
+and read like every other container kind.
 
 ``search_analogs`` scores each location in one pass over all of its leads,
 in blocks of test inits sized so that one (rows, n_lead, n_cand) float64
@@ -39,14 +41,13 @@ import numpy as np
 from .coredata import (
     MISSING,
     AlignedObservations,
+    AnalogIndexSet,
     EnsembleTensor,
     ForecastTensor,
-    LeadTimeAxis,
-    LocationSet,
+    SigmaTensor,
     TimeAxis,
 )
 from .errors import InsufficientCandidatesError, MissingVariableError
-from . import tensorio
 
 
 def validate_weights(weights, n_predictors: int | None = None,
@@ -100,42 +101,6 @@ class AnEnConfig:
             raise ValueError("half_window must be >= 0")
         if not self.sigma_epsilon > 0:
             raise ValueError("sigma_epsilon must be positive")
-
-
-@dataclass(frozen=True)
-class SigmaTensor:
-    """Per (predictor, location, lead) standard deviation over the search period."""
-
-    predictor_names: tuple
-    locations: LocationSet
-    lead_times: LeadTimeAxis
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "predictor_names", tuple(self.predictor_names))
-        arr = np.array(self.values, dtype=float, copy=True)
-        expected = (len(self.predictor_names), len(self.locations), len(self.lead_times))
-        if arr.shape != expected:
-            raise ValueError(f"sigma values have shape {arr.shape}, expected {expected}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-
-    def write(self, path):
-        return tensorio.write_extended(
-            "sigma", path,
-            field_names=self.predictor_names,
-            locations=self.locations,
-            sections={"lead_times": self.lead_times.offsets},
-            values=self.values,
-        )
-
-    @classmethod
-    def read(cls, path) -> "SigmaTensor":
-        raw = tensorio.read_tensor(path)
-        if not isinstance(raw, dict) or raw["kind"] != "sigma":
-            raise tensorio.TensorHeaderError("not a sigma file")
-        return cls(tuple(raw["fields"]), raw["locations"],
-                   LeadTimeAxis(raw["sections"]["lead_times"]), raw["values"])
 
 
 def _as_range(r) -> range:
@@ -196,70 +161,6 @@ def similarity(forecasts: ForecastTensor, location: int, target_init: int,
             acc += diff * diff
         total += (w / s) * np.sqrt(acc)
     return float(total)
-
-
-@dataclass(frozen=True)
-class AnalogIndexSet:
-    """Ranked analog members per (location, test init, lead).
-
-    ``search_index`` holds positions into ``init_times`` (NaN where a slot is
-    unused under allow_partial); ``distance`` holds the matching metric
-    values. Distances are non-decreasing within a member list and, in
-    operational mode, every stored init strictly precedes its test init.
-    """
-
-    locations: LocationSet
-    init_times: TimeAxis
-    test_indices: np.ndarray
-    lead_times: LeadTimeAxis
-    members: int
-    search_index: np.ndarray
-    distance: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "test_indices", np.array(self.test_indices, dtype=np.int64))
-        shape = (len(self.locations), len(self.test_indices), len(self.lead_times), self.members)
-        for name in ("search_index", "distance"):
-            arr = np.array(getattr(self, name), dtype=float, copy=True)
-            if arr.shape != shape:
-                raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    def member_count(self) -> np.ndarray:
-        """Stored members per (location, test, lead)."""
-        return np.isfinite(self.search_index).sum(axis=-1)
-
-    def write(self, path, include_distances: bool = True):
-        fields = ("search_init", "distance") if include_distances else ("search_init",)
-        values = np.stack([self.search_index, self.distance][: len(fields)])
-        return tensorio.write_extended(
-            "analogs", path,
-            field_names=fields,
-            locations=self.locations,
-            sections={
-                "init_times": self.init_times.instants,
-                "test_indices": self.test_indices,
-                "lead_times": self.lead_times.offsets,
-                "members": self.members,
-            },
-            values=values,
-        )
-
-    @classmethod
-    def read(cls, path) -> "AnalogIndexSet":
-        raw = tensorio.read_tensor(path)
-        if not isinstance(raw, dict) or raw["kind"] != "analogs":
-            raise tensorio.TensorHeaderError("not an analog index file")
-        sec = raw["sections"]
-        values = raw["values"]
-        search = values[0]
-        if "distance" in raw["fields"]:
-            dist = values[raw["fields"].index("distance")]
-        else:
-            dist = np.full_like(search, MISSING)
-        return cls(raw["locations"], TimeAxis(sec["init_times"]), sec["test_indices"],
-                   LeadTimeAxis(sec["lead_times"]), sec["members"], search, dist)
 
 
 # Bytes of one (rows, n_lead, n_cand) float64 work buffer of search_analogs,

@@ -350,6 +350,7 @@ def cmd_synth(run: Runner, args) -> int:
 
 
 def cmd_sigma(run: Runner, args) -> int:
+    from . import tensorio
     from .anen import compute_sigma
 
     problems = []
@@ -360,7 +361,7 @@ def cmd_sigma(run: Runner, args) -> int:
     _fail_if(problems)
     sigma = compute_sigma(forecasts, search)
     out = run.path("sigma")
-    run.register_output(out, sigma.write(out))
+    run.register_output(out, tensorio.write_tensor(sigma, out))
     return 0
 
 
@@ -397,7 +398,7 @@ def cmd_anen(run: Runner, args) -> int:
     aligned = align_observations(analysis, forecasts.init_times, forecasts.lead_times)
     ensemble = build_multivariate_ensemble(indices, aligned)
     analog_path = run.path("analogs")
-    run.register_output(analog_path, indices.write(analog_path))
+    run.register_output(analog_path, tensorio.write_tensor(indices, analog_path))
     ens_path = run.path("ensemble")
     run.register_output(ens_path, tensorio.write_tensor(ensemble, ens_path))
     return 0
@@ -651,10 +652,6 @@ def cmd_report(run: Runner, args) -> int:
 
 # -- entry point -----------------------------------------------------------------
 
-# help of the flags that the workflow builders pass and the commands ignore
-LABEL_ONLY = "a label for workflow tasks; does not change what the command computes"
-
-
 # A flag whose dest is "=KEY" sets the dotted config key KEY (its help shows
 # "=KEY"); main() applies these after load_config. Other dests are plain args.
 def build_parser() -> argparse.ArgumentParser:
@@ -677,7 +674,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_anen.add_argument("--weights-file", dest="=paths.weights_file", help="per-location weights CSV")
     p_anen.add_argument("--members", dest="=anen.members", type=int)
     p_anen.add_argument("--search-days", dest="=anen.search_days", type=int)
-    p_anen.add_argument("--strategy", help=LABEL_ONLY)
     p_anen.set_defaults(handler=cmd_anen)
 
     p_sim = sub.add_parser("simulate", help="run the power simulation chain")
@@ -685,8 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--modules", dest="=modules", type=lambda s: [m for m in s.split(",") if m],
                        help="comma list of catalog codes")
     p_sim.add_argument("--output", dest="=simulate.output", help="output path key or filename")
-    p_sim.add_argument("--weights", help=LABEL_ONLY)
-    p_sim.add_argument("--strategy", help=LABEL_ONLY)
     p_sim.set_defaults(handler=cmd_simulate)
 
     p_opt = sub.add_parser("optimize-weights", help="grid-search predictor weights")
@@ -705,8 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--power", dest="=verify.power", help="path key or file of the power ensemble")
     p_ver.add_argument("--truth", dest="=verify.truth", help="path key or file of the truth power")
     p_ver.add_argument("--module", dest="=verify.module", help="module code to verify")
-    p_ver.add_argument("--weights", help=LABEL_ONLY)
-    p_ver.add_argument("--strategy", help=LABEL_ONLY)
     p_ver.set_defaults(handler=cmd_verify)
 
     p_wf = sub.add_parser("workflow", help="execution engine")

@@ -1,5 +1,6 @@
-"""Tensor data model: location/time axes and the dense forecast, observation,
-and ensemble containers every other module consumes.
+"""Tensor data model: location/time axes, the dense forecast, observation,
+and ensemble containers every other module consumes, and the sigma table and
+analog index set that the analog search produces.
 
 All values are float64; missing data is encoded as NaN (one sentinel
 throughout). Times are UTC epoch seconds; lead times are seconds from
@@ -247,6 +248,52 @@ class EnsembleTensor:
             return self.variable_names.index(name)
         except ValueError:
             raise KeyError(name) from None
+
+
+@dataclass(frozen=True)
+class SigmaTensor:
+    """Per (predictor, location, lead) standard deviation over the search period."""
+
+    predictor_names: tuple
+    locations: LocationSet
+    lead_times: LeadTimeAxis
+    values: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "predictor_names", tuple(self.predictor_names))
+        object.__setattr__(self, "values", _frozen_array(self.values, np.float64))
+        _check_shape(self.values,
+                     (len(self.predictor_names), len(self.locations), len(self.lead_times)), "sigma")
+
+
+@dataclass(frozen=True)
+class AnalogIndexSet:
+    """Ranked analog members per (location, test init, lead).
+
+    ``search_index`` holds positions into ``init_times`` (NaN where a slot is
+    unused under allow_partial); ``distance`` holds the matching metric
+    values. Distances are non-decreasing within a member list and, in
+    operational mode, every stored init strictly precedes its test init.
+    """
+
+    locations: LocationSet
+    init_times: TimeAxis
+    test_indices: np.ndarray
+    lead_times: LeadTimeAxis
+    members: int
+    search_index: np.ndarray
+    distance: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "test_indices", _frozen_array(self.test_indices, np.int64))
+        shape = (len(self.locations), len(self.test_indices), len(self.lead_times), self.members)
+        for name in ("search_index", "distance"):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), np.float64))
+            _check_shape(getattr(self, name), shape, name)
+
+    def member_count(self) -> np.ndarray:
+        """Stored members per (location, test, lead)."""
+        return np.isfinite(self.search_index).sum(axis=-1)
 
 
 @dataclass(frozen=True)

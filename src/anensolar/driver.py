@@ -4,42 +4,33 @@ the weight search.
 
 Everything here is thin orchestration over the engine modules; per-location
 work is pure, so evaluations can be partitioned over locations or sample
-points and merged by index.
+points and merged by index. The analog search and the CRPS are imported by
+the functions that run them, so a process that only simulates power loads
+neither.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .anen import (
-    AnEnConfig,
-    SigmaTensor,
-    active_scale,
-    add_scaled,
-    build_multivariate_ensemble,
-    check_split,
-    compute_sigma,
-    disqualify,
-    require_members,
-    search_analogs,
-    top_mask,
-    validate_weights,
-    window_roots,
-)
 from .coredata import (
     MISSING,
     EnsembleTensor,
     ForecastTensor,
     LocationSet,
     ObservationTensor,
+    SigmaTensor,
     TimeAxis,
     align_observations,
 )
 from .pvchain import PvModuleSpec, SystemConfig, simulate_ensemble
 from .solar import precompute_solar
-from .verify import crps_field
+
+if TYPE_CHECKING:
+    from .anen import AnEnConfig
 
 
 def single_location(locations: LocationSet, loc: int) -> LocationSet:
@@ -107,9 +98,11 @@ def anen_weather_ensemble(forecasts: ForecastTensor, analysis: ObservationTensor
                           config: AnEnConfig, test_range, search_range,
                           sigma: SigmaTensor | None = None) -> EnsembleTensor:
     """Search analogs once and gather the multivariate weather ensemble."""
-    indices = search_analogs(forecasts, config, test_range, search_range, sigma)
+    from . import anen
+
+    indices = anen.search_analogs(forecasts, config, test_range, search_range, sigma)
     aligned = align_observations(analysis, forecasts.init_times, forecasts.lead_times)
-    return build_multivariate_ensemble(indices, aligned)
+    return anen.build_multivariate_ensemble(indices, aligned)
 
 
 def power_from_weather(weather: EnsembleTensor, specs, system: SystemConfig,
@@ -185,6 +178,8 @@ class WeightObjective:
         return np.array([self.evaluate(w, tables) for w in vectors])
 
     def _build(self, loc: int):
+        from .anen import check_split, compute_sigma, window_roots
+
         test, search, cand = check_split(self.test_range, self.search_range,
                                          len(self.forecasts.init_times), self.base.operational)
         fc = slice_forecast_location(self.forecasts, loc)
@@ -222,6 +217,10 @@ class WeightObjective:
     # times each evaluation.
     def evaluate(self, weights, tab: _LocationTables) -> float:
         """The score of one weight vector, scanned from a location's tables."""
+        from .anen import (active_scale, add_scaled, disqualify, require_members, top_mask,
+                           validate_weights)
+        from .verify import crps_field
+
         cfg = dataclasses.replace(self.base, weights=np.asarray(weights, dtype=float))
         validate_weights(cfg.weights, len(self.forecasts.predictor_names), 1)
         active, scale = active_scale(cfg.weights, tab.sigma, cfg.sigma_epsilon)

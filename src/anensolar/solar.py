@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coredata import MISSING, LeadTimeAxis, LocationSet, TimeAxis
-from . import tensorio
 
 SOLAR_CONSTANT = 1361.1  # W/m^2, total solar irradiance at 1 AU
 
@@ -220,27 +219,6 @@ class SolarCacheTable:
     def sample(self, location: int, init_index: int, lead_index: int) -> SolarSample:
         idx = (location, init_index, lead_index)
         return SolarSample(*(float(getattr(self, f)[idx]) for f in _CACHE_FIELDS))
-
-    def write(self, path):
-        values = np.stack([getattr(self, f) for f in _CACHE_FIELDS])
-        return tensorio.write_extended(
-            "solar", path,
-            field_names=_CACHE_FIELDS,
-            locations=self.locations,
-            sections={"init_times": self.init_times.instants, "lead_times": self.lead_times.offsets},
-            values=values,
-        )
-
-    @classmethod
-    def read(cls, path) -> "SolarCacheTable":
-        raw = tensorio.read_tensor(path)
-        if not isinstance(raw, dict) or raw["kind"] != "solar":
-            raise tensorio.TensorHeaderError("not a solar cache file")
-        if tuple(raw["fields"]) != _CACHE_FIELDS:
-            raise tensorio.TensorHeaderError("unexpected solar cache fields")
-        sec = raw["sections"]
-        return cls(raw["locations"], TimeAxis(sec["init_times"]), LeadTimeAxis(sec["lead_times"]),
-                   *(raw["values"][i] for i in range(len(_CACHE_FIELDS))))
 
 
 def precompute_solar(locations: LocationSet, init_times: TimeAxis,

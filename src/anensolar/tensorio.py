@@ -3,17 +3,20 @@
 Layout::
 
     ANENSOLAR/1
-    kind <forecast|observation|ensemble|analogs|sigma|solar>
+    kind <forecast|observation|ensemble|analogs|sigma>
     <names section>   e.g. "predictors 2" then one name per line
     locations <L>     then "id lat lon elev" per line
     <time sections>   one axis value per line
     \\x00
     <little-endian float64 block, row-major in the declared shape>
 
-``LAYOUTS`` declares each kind's sections; one encoder and one decoder follow
-it. The decoder reads the header, then reads the payload straight into one
-aligned float64 array that the returned tensor owns, so a file's values are
-held once; the SHA-256 of a read is taken over those same bytes. A
+Every kind is a ``coredata`` tensor, and this module alone knows how it is
+laid out on disk: ``LAYOUTS`` gives each kind its tensor type, its sections and
+where its names and block live in the tensor, and ``write_tensor`` and
+``read_tensor`` follow it for every kind. The decoder reads the header, then
+reads the payload straight into one aligned float64 array that the returned
+tensor keeps, so a file's values are held once; the SHA-256 of a read is
+taken over those same bytes. A
 long-format CSV variant (``.csv``) of forecasts and observations is
 accepted for small fixtures; its columns are in ``_CSV_AXES`` and it carries
 no location coordinates, which default to zero. Every file goes through
@@ -36,11 +39,13 @@ from ._atomic import atomic_write, atomic_write_csv
 from .coredata import (
     MISSING,
     _Owned,
+    AnalogIndexSet,
     EnsembleTensor,
     ForecastTensor,
     LeadTimeAxis,
     LocationSet,
     ObservationTensor,
+    SigmaTensor,
     TimeAxis,
 )
 from .errors import DimensionMismatchError, TensorFormatError, TensorHeaderError
@@ -51,27 +56,34 @@ _HEADER_CHUNK = 1 << 16
 
 
 class Layout(NamedTuple):
-    names: str        # key of the names section
-    sections: tuple   # header sections after the locations, in file order
-    block: tuple      # axes of the float64 block after (names, locations)
-    tensor: type = None  # core tensor type; None for the dict-returned kinds
+    tensor: type     # the coredata tensor of the kind
+    names: str       # key of the names section
+    sections: tuple  # header sections after the locations, in file order; each
+                     # is the tensor attribute of that name
+    block: tuple     # axes of the float64 block after (names, locations)
+    fields: object   # the tensor attribute holding the names, whose ``values``
+                     # is the block; or {fixed name: tensor attribute} of the
+                     # arrays stacked along the names axis of the block
 
 
 # "members" is a count on its own line; every other section is an int64 axis.
 # The analogs init axis is lookup-only: the block indexes test_indices.
 LAYOUTS = {
-    "forecast": Layout("predictors", ("init_times", "lead_times"),
-                       ("init_times", "lead_times"), ForecastTensor),
-    "observation": Layout("variables", ("valid_times",), ("valid_times",), ObservationTensor),
-    "ensemble": Layout("variables", ("init_times", "lead_times", "members"),
-                       ("init_times", "lead_times", "members"), EnsembleTensor),
-    "analogs": Layout("fields", ("init_times", "test_indices", "lead_times", "members"),
-                      ("test_indices", "lead_times", "members")),
-    "sigma": Layout("fields", ("lead_times",), ("lead_times",)),
-    "solar": Layout("fields", ("init_times", "lead_times"), ("init_times", "lead_times")),
+    "forecast": Layout(ForecastTensor, "predictors", ("init_times", "lead_times"),
+                       ("init_times", "lead_times"), "predictor_names"),
+    "observation": Layout(ObservationTensor, "variables", ("valid_times",), ("valid_times",),
+                          "variable_names"),
+    "ensemble": Layout(EnsembleTensor, "variables", ("init_times", "lead_times", "members"),
+                       ("init_times", "lead_times", "members"), "variable_names"),
+    "analogs": Layout(AnalogIndexSet, "fields",
+                      ("init_times", "test_indices", "lead_times", "members"),
+                      ("test_indices", "lead_times", "members"),
+                      {"search_init": "search_index", "distance": "distance"}),
+    "sigma": Layout(SigmaTensor, "fields", ("lead_times",), ("lead_times",), "predictor_names"),
 }
+_KINDS = {layout.tensor: kind for kind, layout in LAYOUTS.items()}
 
-# axis section -> (axis type of the core tensors, its values attribute)
+# axis section -> (axis type of the tensors, its values attribute)
 _AXES = {"init_times": (TimeAxis, "instants"), "valid_times": (TimeAxis, "instants"),
          "lead_times": (LeadTimeAxis, "offsets")}
 
@@ -79,58 +91,56 @@ _AXES = {"init_times": (TimeAxis, "instants"), "valid_times": (TimeAxis, "instan
 _CSV_AXES = {"forecast": ("init", "lead"), "observation": ("valid",)}
 
 
-def _core_parts(tensor):
-    """(kind, names, raw sections) of a core tensor."""
-    kind = next((k for k, layout in LAYOUTS.items()
-                 if layout.tensor is not None and isinstance(tensor, layout.tensor)), None)
+def _section(tensor, key):
+    """A section's header value: the member count, or an axis's int values."""
+    value = getattr(tensor, key)
+    return getattr(value, _AXES[key][1]) if key in _AXES else value
+
+
+def write_tensor(tensor, path):
+    """Serialize a tensor of any kind to ``path``: the header in ``LAYOUTS``
+    order, then the block. A ``.csv`` path gets the CSV variant of a forecast
+    or an observation. Returns the SHA-256 hex digest of the file."""
+    kind = _KINDS.get(type(tensor))
     if kind is None:
         raise TensorFormatError(f"cannot serialize {type(tensor).__name__}")
+    if str(path).endswith(".csv"):
+        return _write_csv(kind, tensor, path)
     layout = LAYOUTS[kind]
-    names = tensor.predictor_names if layout.names == "predictors" else tensor.variable_names
-    sections = {key: getattr(getattr(tensor, key), _AXES[key][1]) if key in _AXES
-                else getattr(tensor, key) for key in layout.sections}
-    return kind, names, sections
-
-
-def _core_tensor(kind, names, locations, sections, values):
-    layout = LAYOUTS[kind]
-    axes = [_AXES[key][0](sections[key]) if key in _AXES else sections[key]
-            for key in layout.sections]
-    # ``values`` is always a fresh array of the reader's: the tensor keeps it
-    return layout.tensor(names, locations, *axes, _Owned(values))
-
-
-def _write(kind, path, names, locations: LocationSet, sections: dict, values):
-    """The one encoder: the header in ``LAYOUTS[kind]`` order, then the block."""
-    layout = LAYOUTS[kind]
+    if isinstance(layout.fields, str):
+        names, block = getattr(tensor, layout.fields), [tensor.values]
+    else:
+        names, block = list(layout.fields), [getattr(tensor, a) for a in layout.fields.values()]
+    locations = tensor.locations
     lines = [MAGIC, f"kind {kind}", f"{layout.names} {len(names)}", *map(str, names),
              f"locations {len(locations)}"]
     lines += [f"{int(locations.ids[i])} {float(locations.latitude[i])!r} "
               f"{float(locations.longitude[i])!r} {float(locations.elevation[i])!r}"
               for i in range(len(locations))]
     for key in layout.sections:
+        value = _section(tensor, key)
         if key == "members":
-            lines.append(f"members {int(sections[key])}")
+            lines.append(f"members {int(value)}")
         else:
-            lines.append(f"{key} {len(sections[key])}")
-            lines += [str(int(v)) for v in sections[key]]
+            lines.append(f"{key} {len(value)}")
+            lines += [str(int(v)) for v in value]
     header = ("\n".join(lines) + "\n").encode("utf-8") + b"\x00\n"
-    return atomic_write(path, header, np.ascontiguousarray(values, dtype="<f8"))
+    return atomic_write(path, header, *(np.ascontiguousarray(a, dtype="<f8") for a in block))
 
 
-def write_tensor(tensor, path):
-    """Serialize a core tensor to ``path``; a ``.csv`` path gets the CSV variant.
-    Returns the SHA-256 hex digest of the file."""
-    if str(path).endswith(".csv"):
-        return _write_csv(tensor, path)
-    kind, names, sections = _core_parts(tensor)
-    return _write(kind, path, names, tensor.locations, sections, tensor.values)
-
-
-def write_extended(kind, path, *, field_names, locations, sections, values):
-    """Write a non-core kind; ``sections`` maps each of its ``LAYOUTS`` sections
-    to an int axis, or to a count for ``members``. Returns the file's SHA-256."""
-    return _write(kind, path, field_names, locations, sections, values)
+def _tensor(kind, names, locations, sections, values):
+    """The tensor of ``kind``; ``values``, a fresh array of the reader's, is
+    kept by it without a copy."""
+    layout = LAYOUTS[kind]
+    fields = {key: _AXES[key][0](sections[key]) if key in _AXES else sections[key]
+              for key in layout.sections}
+    if isinstance(layout.fields, str):
+        fields[layout.fields], fields["values"] = names, _Owned(values)
+    elif list(names) != list(layout.fields):
+        raise TensorHeaderError(f"{kind} fields must be {list(layout.fields)}, got {list(names)}")
+    else:
+        fields.update(zip(layout.fields.values(), map(_Owned, values)))
+    return layout.tensor(locations=locations, **fields)
 
 
 class _HeaderReader:
@@ -217,14 +227,13 @@ def _parse_header(header: bytes):
 
 
 def read_tensor(path, digests=None):
-    """Read a tensor container (or CSV fixture); returns the kind-matching type:
-    a core tensor for the core kinds, else a dict of kind, fields, locations,
-    sections and values.
+    """Read a tensor container (or CSV fixture); returns the tensor of its
+    kind, ``LAYOUTS[kind].tensor``.
 
     The header is read in chunks up to its separator. The payload is then
-    read straight into one aligned float64 array of the header's shape, and
-    that array becomes the tensor's values: read-only in a core tensor,
-    writable in the dict, never copied. Given a ``digests`` dict, the SHA-256
+    read straight into one aligned float64 array of the header's shape, which
+    the tensor keeps, read-only and never copied: as its values, or, for a
+    stacked block, as one view per field. Given a ``digests`` dict, the SHA-256
     hex digest of the header and payload bytes just read, which are the
     file's bytes, is stored under ``str(path)``, so a caller that records its
     inputs need not read the file a second time to hash it.
@@ -263,19 +272,16 @@ def read_tensor(path, digests=None):
         digest = hashlib.sha256(memoryview(head)[:sep + 2])
         digest.update(block)
         digests[str(path)] = digest.hexdigest()
-    if layout.tensor is not None:
-        return _core_tensor(kind, names, locations, sections, values)
-    return {"kind": kind, "fields": names, "locations": locations, "sections": sections,
-            "values": values.astype(np.float64, copy=False)}
+    return _tensor(kind, names, locations, sections, values)
 
 
-def _write_csv(tensor, path):
-    kind, names, sections = _core_parts(tensor)
+def _write_csv(kind, tensor, path):
     if kind not in _CSV_AXES:
         raise TensorFormatError(f"CSV variant does not support {type(tensor).__name__}")
     if tensor.values.size > 1_000_000:
         raise TensorFormatError("CSV variant is limited to 1e6 cells")
-    axes = [sections[key] for key in LAYOUTS[kind].sections]
+    names = getattr(tensor, LAYOUTS[kind].fields)
+    axes = [_section(tensor, key) for key in LAYOUTS[kind].sections]
     rows = ([names[name], loc, *(int(axis[i]) for axis, i in zip(axes, cell)),
              repr(float(tensor.values[(name, loc, *cell)]))]
             for name, loc, *cell in np.ndindex(tensor.values.shape))
@@ -307,4 +313,4 @@ def _read_csv(text: str):
     n = len(columns[1])
     locations = LocationSet(np.arange(n), np.zeros(n), np.zeros(n), np.zeros(n))
     sections = dict(zip(LAYOUTS[kind].sections, map(np.array, columns[2:])))
-    return _core_tensor(kind, columns[0], locations, sections, values)
+    return _tensor(kind, columns[0], locations, sections, values)

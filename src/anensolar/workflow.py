@@ -426,30 +426,34 @@ def build_weight_search_workflow(grid, *, strategies=("NN", "RB"),
                                  max_retries: int = 3) -> Workflow:
     """Ensemble-of-pipelines: one independent pipeline per weight vector.
 
-    Each pipeline runs analog generation, then power simulation, then
-    verification, with one task per strategy in every stage (6 tasks for the
-    default two strategies).
+    Each pipeline runs analog generation (``anen --weights W``), then power
+    simulation, then verification, with one task per strategy in every stage
+    (6 tasks for the default two strategies). The three tasks of vector i and
+    strategy S run in their own output directory, ``-o w{i:05d}-{S}``, so each
+    ``verify`` scores the power of its own ``anen``. They read the archive and
+    the truth power through the absolute ``paths.*`` of the config that
+    ``command_prefix`` passes (``-c FILE``).
     """
     if len(grid) == 0:
         raise WorkflowValidationError("empty weight grid")
     if not strategies:
         raise WorkflowValidationError("no strategies")
-    stage_commands = (("anen", "anen"), ("simulate", "simulate"), ("verify", "verify"))
     pipelines = []
     for i, vec in enumerate(grid.vectors):
         wtext = ",".join(repr(float(v)) for v in vec)
         stages = []
-        for stage_name, subcommand in stage_commands:
+        for subcommand in ("anen", "simulate", "verify"):
+            flags = ("--weights", wtext) if subcommand == "anen" else ()
             tasks = [
                 Task(
-                    id=f"w{i:05d}-{stage_name}-{strat}",
-                    argv=(*command_prefix, subcommand, "--weights", wtext, "--strategy", strat),
+                    id=f"w{i:05d}-{subcommand}-{strat}",
+                    argv=(*command_prefix, "-o", f"w{i:05d}-{strat}", subcommand, *flags),
                     cores=1,
                     max_retries=max_retries,
                 )
                 for strat in strategies
             ]
-            stages.append(Stage(id=f"w{i:05d}-{stage_name}", tasks=tasks))
+            stages.append(Stage(id=f"w{i:05d}-{subcommand}", tasks=tasks))
         pipelines.append(Pipeline(id=f"w{i:05d}", stages=stages))
     return Workflow(pipelines, worker_budget)
 

@@ -14,7 +14,13 @@ import time
 import numpy as np
 import pytest
 
-from anensolar.anen import AnEnConfig, compute_sigma, equal_weights, search_analogs
+from anensolar.anen import (
+    AnEnConfig,
+    build_multivariate_ensemble,
+    compute_sigma,
+    equal_weights,
+    search_analogs,
+)
 from anensolar.cli import regime_feature_matrix
 from anensolar.coredata import (
     MISSING,
@@ -28,7 +34,6 @@ from anensolar.driver import (
     WeightObjective,
     analysis_weather_ensemble,
     anen_weather_ensemble,
-    build_multivariate_ensemble,
     forecast_weather_ensemble,
     power_from_weather,
 )

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import anensolar
-from anensolar import anen, cli, driver, tensorio, weights, workflow
+from anensolar import anen, cli, tensorio, weights, workflow
 from anensolar.cli import main
 from anensolar.coredata import align_observations
 
@@ -182,16 +182,6 @@ class TestConfigKeys:
         ]
         assert not (outdir / "forecasts.ansr").exists()
 
-    def test_label_flags_set_no_config(self, outdir):
-        base = ["-o", str(outdir), *SMALL]
-        assert run_cli([*base, "synth"]) == 0
-        assert run_cli([*base, "anen"]) == 0
-        hashes = []
-        for labels in ((), ("--weights", "0.5,0.5", "--strategy", "NN")):
-            assert run_cli([*base, "simulate", *labels]) == 0
-            hashes.append(json.loads((outdir / "manifest.json").read_text())["simulate"]["config_hash"])
-        assert hashes[0] == hashes[1]
-
 
 class TestInputs:
     def test_module_file_and_region_map_are_hashed(self, outdir):
@@ -269,8 +259,8 @@ class TestCommands:
     def test_sigma_command(self, outdir):
         assert run_cli(["-o", outdir, *SMALL, "synth"]) == 0
         assert run_cli(["-o", outdir, *SMALL, "sigma"]) == 0
-        from anensolar.anen import SigmaTensor
-        sigma = SigmaTensor.read(outdir / "sigma.ansr")
+        sigma = tensorio.read_tensor(outdir / "sigma.ansr")
+        assert isinstance(sigma, anen.SigmaTensor)
         assert sigma.values.shape == (5, 4, 24)
         assert np.all(sigma.values[np.isfinite(sigma.values)] >= 0)
 
@@ -302,7 +292,6 @@ class TestCommands:
             return search(*args, **kwargs)
 
         monkeypatch.setattr(anen, "search_analogs", counting_search)
-        monkeypatch.setattr(driver, "search_analogs", counting_search)
         assert run_cli(["-o", outdir, *SMALL, "anen"]) == 0
         assert len(calls) == 1
 
@@ -314,7 +303,7 @@ class TestCommands:
         aligned = align_observations(analysis, forecasts.init_times, forecasts.lead_times)
         expected = outdir / "expected"
         expected.mkdir()
-        indices.write(expected / "analogs.ansr")
+        tensorio.write_tensor(indices, expected / "analogs.ansr")
         tensorio.write_tensor(anen.build_multivariate_ensemble(indices, aligned),
                               expected / "ensemble.ansr")
         for name in ("analogs.ansr", "ensemble.ansr"):
@@ -523,8 +512,8 @@ def chain_dir(tmp_path_factory):
 CHAIN_COMMANDS = [
     (["sigma"], ["anensolar.pvchain", "anensolar.solar", "anensolar.verify", "anensolar.driver"]),
     (["anen"], []),
-    (["simulate", "--source", "ensemble"], []),
-    (["simulate", "--source", "analysis"], []),
+    (["simulate", "--source", "ensemble"], ["anensolar.anen", "anensolar.verify"]),
+    (["simulate", "--source", "analysis"], ["anensolar.anen", "anensolar.verify"]),
     (["verify"], []),
 ]
 
@@ -549,13 +538,17 @@ def _argvs(wf):
 
 
 def test_weight_search_workflow_commands_parse():
-    argvs = _argvs(workflow.build_weight_search_workflow(weights.enumerate_weights(3, 0.5)))
-    assert len(argvs) == 6 * 3 * 2
+    wf = workflow.build_weight_search_workflow(weights.enumerate_weights(3, 0.5))
+    assert len(_argvs(wf)) == 6 * 3 * 2
     parser = cli.build_parser()
-    for argv in argvs:
-        assert argv[0] == "anensolar"
-        args = parser.parse_args(list(argv[1:]))
-        assert args.command == argv[1]
+    for i, pipeline in enumerate(wf.pipelines):
+        for stage, command in zip(pipeline.stages, ("anen", "simulate", "verify")):
+            for task, strategy in zip(stage.tasks, ("NN", "RB")):
+                assert task.argv[0] == "anensolar" and "--strategy" not in task.argv
+                args = parser.parse_args(list(task.argv[1:]))
+                # the three stages of one (vector, strategy) share its directory
+                assert (args.command, vars(args)["=output_dir"]) == (command, f"w{i:05d}-{strategy}")
+                assert (vars(args).get("=anen.weights") is not None) == (command == "anen")
     # the simulation builder's tasks run in their partition's output directory
     argvs = _argvs(workflow.build_simulation_workflow([("d0", 1.0), ("d1", 2.0)], ["SP128", "KS20"]))
     assert len(argvs) == 2 * 2
@@ -583,3 +576,29 @@ def test_simulation_workflow_runs_each_partition_in_its_directory(tmp_path, monk
         assert main(["-o", f"{name}-cli", "simulate", "--modules", "SP128,KS20"]) == 0
         power = (Path(name) / "power.ansr").read_bytes()
         assert power == (Path(f"{name}-cli") / "power.ansr").read_bytes()
+
+
+def test_weight_search_workflow_matches_a_hand_run_chain(tmp_path, monkeypatch):
+    src = str(Path(anensolar.__file__).resolve().parents[1])
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    monkeypatch.chdir(tmp_path)
+    data = tmp_path / "data"
+    assert main(["-o", str(data), *SMALL, "synth"]) == 0
+    assert main(["-o", str(data), *SMALL, "simulate", "--source", "analysis"]) == 0
+    # every task reads the archive and the truth through absolute paths
+    config = tmp_path / "search.yaml"
+    config.write_text("paths:\n" + "".join(f"  {key}: {data / key}.ansr\n"
+                                           for key in ("forecasts", "observations", "truth_power")))
+    prefix = ("-c", str(config), *SMALL)
+    grid = weights.WeightGrid(0.25, 5, False, np.array([[0.25, 0.25, 0.0, 0.5, 0.0]]))
+    wf = workflow.build_weight_search_workflow(
+        grid, command_prefix=(sys.executable, "-m", "anensolar.cli", *prefix))
+    run = workflow.submit(wf, workflow.LocalProcessBackend())
+    assert run.wait(300) is workflow.RunState.DONE
+    hand = [*prefix, "-o", "hand"]
+    assert main([*hand, "anen", "--weights", "0.25,0.25,0.0,0.5,0.0"]) == 0
+    assert main([*hand, "simulate"]) == 0
+    assert main([*hand, "verify"]) == 0
+    report = Path("hand", "report.csv").read_bytes()
+    for strategy in ("NN", "RB"):
+        assert Path(f"w00000-{strategy}", "report.csv").read_bytes() == report, strategy

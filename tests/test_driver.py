@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from anensolar import driver
+from anensolar import anen
 from anensolar.anen import AnEnConfig, compute_sigma, equal_weights, search_analogs
 from anensolar.coredata import ForecastTensor, LocationSet
 from anensolar.driver import (
@@ -190,7 +190,7 @@ def test_location_rows_search_once_like_per_location_slices(holed, case, given_s
 def test_per_location_weights_search_once(dataset, monkeypatch):
     obs, fc = dataset
     calls = []
-    monkeypatch.setattr(driver, "search_analogs",
+    monkeypatch.setattr(anen, "search_analogs",
                         lambda *args: calls.append(args) or search_analogs(*args))
     cfg = AnEnConfig(weights=equal_weights(5), members=5)
     ensemble = anen_weather_ensemble(fc, obs, dataclasses.replace(cfg, weights=LOCATION_ROWS),

@@ -4,7 +4,6 @@ import pytest
 from anensolar.coredata import LeadTimeAxis, TimeAxis
 from anensolar.solar import (
     SOLAR_CONSTANT,
-    SolarCacheTable,
     distance_correction,
     extraterrestrial_normal,
     precompute_solar,
@@ -191,12 +190,3 @@ class TestPrecompute:
             noon_minutes = 720.0 - 4.0 * float(locs.longitude[l]) - p.equation_of_time
             noon_epoch = int(init.instants[0]) + noon_minutes * 60.0
             assert abs(instant - noon_epoch) <= 3600.0
-
-    def test_round_trip(self, tmp_path):
-        cache, *_ = self.make_cache()
-        path = tmp_path / "solar.ansr"
-        cache.write(path)
-        back = SolarCacheTable.read(path)
-        assert back.apparent_zenith.tobytes() == cache.apparent_zenith.tobytes()
-        assert back.airmass.tobytes() == cache.airmass.tobytes()
-        np.testing.assert_array_equal(back.init_times.instants, cache.init_times.instants)

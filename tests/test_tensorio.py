@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 
@@ -6,11 +7,13 @@ import pytest
 
 from anensolar.coredata import (
     MISSING,
+    AnalogIndexSet,
     EnsembleTensor,
     ForecastTensor,
     LeadTimeAxis,
     LocationSet,
     ObservationTensor,
+    SigmaTensor,
     TimeAxis,
 )
 from anensolar.errors import (
@@ -173,77 +176,101 @@ def test_csv_unknown_header_rejected(tmp_path):
         read_tensor(path)
 
 
-KINDS = ("forecast", "observation", "ensemble", "analogs", "sigma", "solar")
+KINDS = ("forecast", "observation", "ensemble", "analogs", "sigma")
 
 
 def _every_kind():
-    """One small instance of each container kind, NaN and -0.0 included:
-    kind -> (write(path), payload values)."""
-    from anensolar.anen import AnalogIndexSet, SigmaTensor
-    from anensolar.solar import precompute_solar
-
+    """One small tensor of each container kind, NaN and -0.0 included."""
     fc = make_forecast(n_pred=2, n_loc=3, n_init=4, n_lead=5)
     vals = fc.values.copy()
     vals[0, 0, 0, 0], vals[1, 2, 3, 4] = MISSING, -0.0
     fc = ForecastTensor(fc.predictor_names, fc.locations, fc.init_times, fc.lead_times, vals)
-    obs = make_observation()
-    ens = EnsembleTensor(("ghi", "albedo"), fc.locations, fc.init_times, fc.lead_times, 3,
-                         np.random.default_rng(4).normal(size=(2, 3, 4, 5, 3)))
     index = np.random.default_rng(5).integers(0, 4, size=(3, 2, 5, 3)).astype(float)
     index[0, 0, 0, 2] = MISSING
-    analogs = AnalogIndexSet(fc.locations, fc.init_times, [2, 3], fc.lead_times, 3,
-                             index, np.random.default_rng(6).random((3, 2, 5, 3)))
-    sigma = SigmaTensor(fc.predictor_names, fc.locations, fc.lead_times,
-                        np.where(np.arange(5) == 1, MISSING, 1.5) * np.ones((2, 3, 5)))
-    solar = precompute_solar(fc.locations, fc.init_times, fc.lead_times)
     return {
-        "forecast": (lambda p: write_tensor(fc, p), fc.values),
-        "observation": (lambda p: write_tensor(obs, p), obs.values),
-        "ensemble": (lambda p: write_tensor(ens, p), ens.values),
-        "analogs": (analogs.write, np.stack([analogs.search_index, analogs.distance])),
-        "sigma": (sigma.write, sigma.values),
-        "solar": (solar.write, np.stack([solar.apparent_zenith, solar.azimuth, solar.declination,
-                                         solar.equation_of_time, solar.e0n, solar.airmass])),
+        "forecast": fc,
+        "observation": make_observation(),
+        "ensemble": EnsembleTensor(("ghi", "albedo"), fc.locations, fc.init_times, fc.lead_times, 3,
+                                   np.random.default_rng(4).normal(size=(2, 3, 4, 5, 3))),
+        "analogs": AnalogIndexSet(fc.locations, fc.init_times, [2, 3], fc.lead_times, 3,
+                                  index, np.random.default_rng(6).random((3, 2, 5, 3))),
+        "sigma": SigmaTensor(fc.predictor_names, fc.locations, fc.lead_times,
+                             np.where(np.arange(5) == 1, MISSING, 1.5) * np.ones((2, 3, 5))),
     }
+
+
+def _block(tensor):
+    """The arrays of a tensor's float64 block, in file order."""
+    if isinstance(tensor, AnalogIndexSet):
+        return [tensor.search_index, tensor.distance]
+    return [tensor.values]
+
+
+def _arrays(obj):
+    """(name, array) of every array attribute of a tensor and of the axes and
+    locations it holds."""
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        if isinstance(value, np.ndarray):
+            yield f"{type(obj).__name__}.{field.name}", value
+        elif dataclasses.is_dataclass(value):
+            yield from _arrays(value)
+
+
+def test_every_kind_has_a_layout():
+    assert tuple(tensorio.LAYOUTS) == KINDS
+    assert {kind: type(t) for kind, t in _every_kind().items()} == {
+        kind: layout.tensor for kind, layout in tensorio.LAYOUTS.items()}
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_read_owns_one_copy_of_every_kind(tmp_path, kind):
-    write, expected = _every_kind()[kind]
+    tensor = _every_kind()[kind]
     path = tmp_path / f"{kind}.ansr"
-    write(path)
+    write_tensor(tensor, path)
     back = read_tensor(path)
-    values = back["values"] if isinstance(back, dict) else back.values
-    assert values.tobytes() == np.ascontiguousarray(expected).tobytes()
+    assert type(back) is type(tensor)
+    # the one array read, kept as the values or as one view per stacked field
+    arrays = _block(back)
+    owner = arrays[0] if len(arrays) == 1 else arrays[0].base
+    assert all(a is owner or a.base is owner for a in arrays)
     # an aligned array of its own, not a view into the bytes read from the file
-    assert values.base is None and values.flags.owndata
-    assert values.flags.aligned and values.flags.c_contiguous
+    assert owner.base is None and owner.flags.owndata
+    assert owner.flags.aligned and owner.flags.c_contiguous
+    assert owner.tobytes() == b"".join(a.tobytes() for a in _block(tensor))
     # the payload is the trailing block of the file, as written
-    assert values.tobytes() == path.read_bytes()[-values.nbytes:]
-    if isinstance(back, dict):
-        assert values.flags.writeable
-        values[(0,) * values.ndim] = 1.0
-    else:
-        assert not values.flags.writeable
+    assert owner.tobytes() == path.read_bytes()[-owner.nbytes:]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_array_of_every_kind_is_read_only(tmp_path, kind):
+    tensor = _every_kind()[kind]
+    write_tensor(tensor, tmp_path / "t.ansr")
+    for which, t in (("built", tensor), ("read", read_tensor(tmp_path / "t.ansr"))):
+        assert [name for name, a in _arrays(t) if a.flags.writeable] == [], which
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_short_payload_of_every_kind_is_dimension_error(tmp_path, kind):
-    write, _ = _every_kind()[kind]
     path = tmp_path / f"{kind}.ansr"
-    write(path)
+    write_tensor(_every_kind()[kind], path)
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(DimensionMismatchError):
         read_tensor(path)
 
 
-def _pinned():
-    """One fixed instance of each container kind and both CSV kinds, built from
-    exact arithmetic with NaN and -0.0 in every block: file name ->
-    (instance, write(instance, path), read(path))."""
-    from anensolar.anen import AnalogIndexSet, SigmaTensor
-    from anensolar.solar import SolarCacheTable
+def test_analogs_fields_other_than_the_fixed_pair_are_header_error(tmp_path):
+    path = tmp_path / "analogs.ansr"
+    write_tensor(_every_kind()["analogs"], path)
+    path.write_bytes(path.read_bytes().replace(b"\nsearch_init\ndistance\n",
+                                               b"\nsearch_init\ndistances\n", 1))
+    with pytest.raises(TensorHeaderError, match="fields must be"):
+        read_tensor(path)
 
+
+def _pinned():
+    """One fixed tensor of each container kind and both CSV kinds, built from
+    exact arithmetic with NaN and -0.0 in every block: file name -> tensor."""
     locs = LocationSet.from_coords([40.0, -33.5], [-105.25, 151.0], [1650.0, 0.0])
     init = TimeAxis(1_546_300_800 + 86400 * np.arange(3))
     lead = LeadTimeAxis([0, 3600])
@@ -255,22 +282,16 @@ def _pinned():
 
     fc = ForecastTensor(("p0", "p1"), locs, init, lead, grid(2, 2, 3, 2))
     obs = ObservationTensor(("ghi",), locs, TimeAxis(1_546_300_800 + 3600 * np.arange(4)), grid(1, 2, 4))
-    ens = EnsembleTensor(("ghi", "power"), locs, init, lead, 3, grid(2, 2, 3, 2, 3))
-    analogs = AnalogIndexSet(locs, init, [1, 2], lead, 2,
-                             np.array([0.0, MISSING] * 8).reshape(2, 2, 2, 2), np.abs(grid(2, 2, 2, 2)))
-    sigma = SigmaTensor(("p0", "p1"), locs, lead, grid(2, 2, 2))
-    solar = SolarCacheTable(locs, init, lead, *grid(6, 2, 3, 2))
     return {
-        "forecast.ansr": (fc, write_tensor, read_tensor),
-        "observation.ansr": (obs, write_tensor, read_tensor),
-        "ensemble.ansr": (ens, write_tensor, read_tensor),
-        "analogs.ansr": (analogs, AnalogIndexSet.write, AnalogIndexSet.read),
-        "analogs-index.ansr": (analogs, lambda a, p: a.write(p, include_distances=False),
-                               AnalogIndexSet.read),
-        "sigma.ansr": (sigma, SigmaTensor.write, SigmaTensor.read),
-        "solar.ansr": (solar, SolarCacheTable.write, SolarCacheTable.read),
-        "forecast.csv": (fc, write_tensor, read_tensor),
-        "observation.csv": (obs, write_tensor, read_tensor),
+        "forecast.ansr": fc,
+        "observation.ansr": obs,
+        "ensemble.ansr": EnsembleTensor(("ghi", "power"), locs, init, lead, 3, grid(2, 2, 3, 2, 3)),
+        "analogs.ansr": AnalogIndexSet(locs, init, [1, 2], lead, 2,
+                                       np.array([0.0, MISSING] * 8).reshape(2, 2, 2, 2),
+                                       np.abs(grid(2, 2, 2, 2))),
+        "sigma.ansr": SigmaTensor(("p0", "p1"), locs, lead, grid(2, 2, 2)),
+        "forecast.csv": fc,
+        "observation.csv": obs,
     }
 
 
@@ -281,9 +302,7 @@ PINNED_DIGESTS = {
     "observation.ansr": "4daee18e74294a3d1d5f3dcd4f853d94a322b9f2fa21eac743e1c5f3b5eb0307",
     "ensemble.ansr": "34e612e16009a570ddff84e9e5607facdfcac244aea0922dd880c49d05c74ee9",
     "analogs.ansr": "17513d5bbab67e903f93264df616ab7929ec8700c7296747c830ac79a02e1e31",
-    "analogs-index.ansr": "b241c6dddf4962760e4579365a08bdf1629e891011829b87559850375bd1dd87",
     "sigma.ansr": "386840ce512a29b90fec6c3862115bc0b6bfce3a5203ac85472a609e38b3f9c9",
-    "solar.ansr": "a693e03be99eeee14ec9d7f77351ed7ff9c7333937cecced1c222c85171e9c3c",
     "forecast.csv": "1337950b54369821db8a581f944e01a0b159af17896b37ba1e92c9b8d0bfb063",
     "observation.csv": "106cb9744833bffc1b501535a2f7c0a547d34ffaa0ca3ab87a4618ef1d6efa57",
 }
@@ -293,11 +312,11 @@ def test_every_kind_writes_its_pinned_bytes(tmp_path):
     again = tmp_path / "again"
     again.mkdir()
     digests = {}
-    for name, (instance, write, read) in _pinned().items():
-        write(instance, tmp_path / name)
+    for name, tensor in _pinned().items():
+        write_tensor(tensor, tmp_path / name)
         digests[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         # decoding and encoding again gives the same bytes
-        write(read(tmp_path / name), again / name)
+        write_tensor(read_tensor(tmp_path / name), again / name)
         assert (again / name).read_bytes() == (tmp_path / name).read_bytes(), name
     assert digests == PINNED_DIGESTS
     # every write renamed its temporary file away
@@ -306,7 +325,6 @@ def test_every_kind_writes_its_pinned_bytes(tmp_path):
 
 @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
 def test_failed_write_leaves_the_previous_file(tmp_path, monkeypatch, name):
-    instance, write, _ = _pinned()[name]
     path = tmp_path / name
     path.write_bytes(b"previous bytes")
 
@@ -315,7 +333,7 @@ def test_failed_write_leaves_the_previous_file(tmp_path, monkeypatch, name):
 
     monkeypatch.setattr(os, "replace", fail)
     with pytest.raises(OSError, match="disk full"):
-        write(instance, path)
+        write_tensor(_pinned()[name], path)
     assert path.read_bytes() == b"previous bytes"
     assert [p.name for p in tmp_path.iterdir()] == [name]
 

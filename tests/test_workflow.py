@@ -414,9 +414,11 @@ class TestBuilders:
     def test_weight_search_tasks_carry_cli_commands(self):
         grid = enumerate_weights(2, 0.5)
         wf = build_weight_search_workflow(grid)
-        argv = wf.pipelines[0].stages[0].tasks[0].argv
-        assert argv[0] == "anensolar"
-        assert "anen" in argv and "--weights" in argv and "--strategy" in argv
+        weights = ",".join(repr(float(v)) for v in grid.vectors[1])
+        for stage, command in zip(wf.pipelines[1].stages, ("anen", "simulate", "verify")):
+            flags = ("--weights", weights) if command == "anen" else ()
+            assert [t.argv for t in stage.tasks] == [
+                ("anensolar", "-o", f"w00001-{s}", command, *flags) for s in ("NN", "RB")]
 
     def test_simulation_workflow_shape(self):
         partitions = [(f"d{i}", 1.0 + i % 3) for i in range(99)]
