@@ -25,11 +25,12 @@ lead's window sum by adding shifted lead slabs left to right, and adds the
 scaled square roots into the total in predictor order: the same operations in
 the same order as the scalar ``similarity``, so distances match it bit for
 bit. With missing target terms zeroed, a NaN total marks exactly a
-disqualified candidate. Its steps (``check_split``, ``active_scale``,
-``window_roots``, ``add_scaled``, ``disqualify``, ``top_mask``,
-``require_members``) are shared with the weight objective in ``driver``,
-which caches the window roots once per location, re-weights them per vector
-and, scoring members as a set, skips the ordering of the top-M lists.
+disqualified candidate.
+
+``SearchTables`` serves the weight objective in ``driver`` with the same
+steps: it keeps one location's split, sigma and window roots, and
+``SearchTables.members`` re-weights them per vector and returns the top-M
+cells unordered, so only this module applies the distance rule.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .coredata import (
     ForecastTensor,
     SigmaTensor,
     TimeAxis,
+    _Owned,
 )
 from .errors import InsufficientCandidatesError, MissingVariableError
 
@@ -128,10 +130,6 @@ def compute_sigma(forecasts: ForecastTensor, search_range) -> SigmaTensor:
     return SigmaTensor(forecasts.predictor_names, forecasts.locations, forecasts.lead_times, sigma)
 
 
-def _window(lead: int, half_window: int, n_leads: int) -> slice:
-    return slice(max(0, lead - half_window), min(n_leads - 1, lead + half_window) + 1)
-
-
 def similarity(forecasts: ForecastTensor, location: int, target_init: int,
                candidate_init: int, lead: int, sigma: SigmaTensor,
                config: AnEnConfig) -> float:
@@ -141,7 +139,7 @@ def similarity(forecasts: ForecastTensor, location: int, target_init: int,
     quantity vectorized. Returns inf when the candidate is disqualified by a
     missing needed value.
     """
-    win = _window(lead, config.half_window, len(forecasts.lead_times))
+    hw, n_leads = config.half_window, len(forecasts.lead_times)
     weights = config.weights if config.weights.ndim == 1 else config.weights[location]
     total = 0.0
     for p in range(len(forecasts.predictor_names)):
@@ -150,7 +148,7 @@ def similarity(forecasts: ForecastTensor, location: int, target_init: int,
         if w == 0.0 or not np.isfinite(s) or s < config.sigma_epsilon:
             continue
         acc = 0.0
-        for j in range(win.start, win.stop):
+        for j in range(max(0, lead - hw), min(n_leads - 1, lead + hw) + 1):
             f = forecasts.values[p, location, target_init, j]
             a = forecasts.values[p, location, candidate_init, j]
             if np.isnan(f):
@@ -190,7 +188,7 @@ def _window_sums(d2, acc, half_window):
     return acc
 
 
-def top_mask(dist, members):
+def _top_mask(dist, members):
     """Where the ``members`` smallest entries of each row of ``dist`` (rows,
     n_cand) lie, ties at the M-th value going to the lower columns; every
     entry when a row has no more than ``members``. Unordered: each row of the
@@ -213,13 +211,13 @@ def top_mask(dist, members):
 def _top_members(dist, members):
     """Column indices and values of the ``members`` smallest entries per row
     of ``dist`` (rows, n_cand), ascending, ties going to the lower column."""
-    cols = np.nonzero(top_mask(dist, members))[1].reshape(len(dist), min(members, dist.shape[1]))
+    cols = np.nonzero(_top_mask(dist, members))[1].reshape(len(dist), min(members, dist.shape[1]))
     values = np.take_along_axis(dist, cols, axis=1)
     order = np.argsort(values, axis=1, kind="stable")
     return np.take_along_axis(cols, order, axis=1), np.take_along_axis(values, order, axis=1)
 
 
-def check_split(test_range, search_range, n_init: int, operational: bool):
+def _check_split(test_range, search_range, n_init: int, operational: bool):
     """Validate a (test, search) init split; return it as ranges with the
     candidate pool as a slice.
 
@@ -240,7 +238,7 @@ def check_split(test_range, search_range, n_init: int, operational: bool):
     return test, search, slice(search.start, test.stop if operational else search.stop)
 
 
-def active_scale(weights, sigma_values, sigma_epsilon):
+def _active_scale(weights, sigma_values, sigma_epsilon):
     """Where each predictor counts, and its ``w / sigma`` factor.
 
     ``weights`` is one vector (P,) or one row per location (L, P) and
@@ -254,7 +252,7 @@ def active_scale(weights, sigma_values, sigma_epsilon):
     return active, scale
 
 
-def window_roots(target, cand_t, half_window, d2, acc):
+def _window_roots(target, cand_t, half_window, d2, acc):
     """One predictor's ``sqrt(window sum of squared differences)``.
 
     ``target`` is (rows, J) test values, ``cand_t`` is (J, C) candidate
@@ -272,7 +270,7 @@ def window_roots(target, cand_t, half_window, d2, acc):
     return roots
 
 
-def add_scaled(total, roots, scale, on, out):
+def _add_scaled(total, roots, scale, on, out):
     """``total += roots * scale`` on the leads where ``on`` is set.
 
     ``scale`` and ``on`` are per lead; ``out`` is a (rows, J, C) buffer for
@@ -283,7 +281,7 @@ def add_scaled(total, roots, scale, on, out):
     np.add(total, out, out=total, where=where)
 
 
-def disqualify(total, first_row, cand_start, operational):
+def _disqualify(total, first_row, cand_start, operational):
     """Set to +inf, in place, every entry of a (rows, J, C) distance total,
     row ``i`` being test init ``first_row + i``, that no member may take: a
     disqualified (NaN) distance and, in operational mode, every candidate at
@@ -296,7 +294,7 @@ def disqualify(total, first_row, cand_start, operational):
     return total.reshape(-1, total.shape[2])
 
 
-def require_members(found, members, location, first_row):
+def _require_members(found, members, location, first_row):
     """Raise InsufficientCandidatesError naming the first short (lead, row)
     cell of a (rows, J) count table, in lead-major order."""
     short = found < members
@@ -323,8 +321,8 @@ def search_analogs(forecasts: ForecastTensor, config: AnEnConfig, test_range,
     Raises InsufficientCandidatesError when fewer than M finite-distance
     candidates exist and partial lists are not allowed.
     """
-    test, search, cand = check_split(test_range, search_range, len(forecasts.init_times),
-                                     config.operational)
+    test, search, cand = _check_split(test_range, search_range, len(forecasts.init_times),
+                                      config.operational)
     validate_weights(config.weights, len(forecasts.predictor_names), len(forecasts.locations))
 
     if sigma is None:
@@ -335,7 +333,7 @@ def search_analogs(forecasts: ForecastTensor, config: AnEnConfig, test_range,
     n_test = len(test)
     m = config.members
     n_cand = cand.stop - cand.start
-    active, scale = active_scale(config.weights, sigma.values, config.sigma_epsilon)
+    active, scale = _active_scale(config.weights, sigma.values, config.sigma_epsilon)
 
     rows = min(n_test, max(1, BLOCK_BYTES // (8 * n_lead * n_cand)))
     d2, acc, total = (np.empty((rows, n_lead, n_cand)) for _ in range(3))
@@ -352,10 +350,10 @@ def search_analogs(forecasts: ForecastTensor, config: AnEnConfig, test_range,
             blk_total.fill(0.0)
             for p in preds:
                 target = values[p, loc, test.start + r0 : test.start + r1]  # (rows, J)
-                roots = window_roots(target, cand_t[p], config.half_window, blk_d2, blk_acc)
-                add_scaled(blk_total, roots, scale[p, loc], active[p, loc], roots)
-            cols, dist = _top_members(disqualify(blk_total, test.start + r0, cand.start,
-                                                 config.operational), m)
+                roots = _window_roots(target, cand_t[p], config.half_window, blk_d2, blk_acc)
+                _add_scaled(blk_total, roots, scale[p, loc], active[p, loc], roots)
+            cols, dist = _top_members(_disqualify(blk_total, test.start + r0, cand.start,
+                                                  config.operational), m)
             ok = np.isfinite(dist)
             take = cols.shape[1]
             shape = (r1 - r0, n_lead, take)
@@ -363,10 +361,56 @@ def search_analogs(forecasts: ForecastTensor, config: AnEnConfig, test_range,
             out_dist[loc, r0:r1, :, :take] = np.where(ok, dist, MISSING).reshape(shape)
             found[r0:r1] = ok.sum(axis=1).reshape(r1 - r0, n_lead)
         if not config.allow_partial:
-            require_members(found, m, loc, test.start)
+            _require_members(found, m, loc, test.start)
 
     return AnalogIndexSet(forecasts.locations, forecasts.init_times, np.arange(test.start, test.stop),
-                          forecasts.lead_times, m, out_idx, out_dist)
+                          forecasts.lead_times, m, _Owned(out_idx), _Owned(out_dist))
+
+
+class SearchTables:
+    """The weight-independent half of ``search_analogs`` at one location:
+    the split (``test``, ``cand``), sigma, the (T, J, C) ``shape`` of the
+    distances (test inits, leads, candidates) and, per predictor usable at
+    some lead, a read-only table of its window roots from the search kernel."""
+
+    def __init__(self, forecasts: ForecastTensor, config: AnEnConfig, test_range, search_range):
+        if len(forecasts.locations) != 1:
+            raise ValueError("search tables hold one location")
+        self.config = config
+        self.test, search, self.cand = _check_split(test_range, search_range,
+                                                    len(forecasts.init_times), config.operational)
+        self.sigma = compute_sigma(forecasts, search).values  # (N, 1, J)
+        self.shape = (len(self.test), len(forecasts.lead_times), self.cand.stop - self.cand.start)
+        usable = np.isfinite(self.sigma[:, 0]) & (self.sigma[:, 0] >= config.sigma_epsilon)
+        self.roots = {}  # predictor -> window roots, in predictor order
+        for p in np.flatnonzero(usable.any(axis=1)):
+            values = forecasts.values[p, 0]
+            table = _window_roots(values[self.test.start : self.test.stop],
+                                  np.ascontiguousarray(values[self.cand].T), config.half_window,
+                                  np.empty(self.shape), np.empty(self.shape))
+            table.setflags(write=False)
+            self.roots[int(p)] = table
+
+    def members(self, weights, location: int):
+        """The members ``search_analogs`` finds with ``weights``: flat indices
+        into the (T * J, C) distances of the min(M, C) cells each row takes,
+        in candidate order, and the mask of those that are finite. Short
+        lists raise as in the search, naming ``location``, unless allowed."""
+        cfg = self.config
+        w = validate_weights(weights, len(self.sigma), 1)
+        active, scale = _active_scale(w, self.sigma, cfg.sigma_epsilon)
+        total = np.zeros(self.shape)
+        product = np.empty_like(total)
+        for p, roots in self.roots.items():
+            if active[p, 0].any():
+                _add_scaled(total, roots, scale[p, 0], active[p, 0], product)
+        dist = _disqualify(total, self.test.start, self.cand.start, cfg.operational)
+        chosen = np.flatnonzero(_top_mask(dist, cfg.members))
+        ok = np.isfinite(dist.take(chosen)).reshape(len(dist), -1)
+        if not cfg.allow_partial:
+            _require_members(ok.sum(axis=1).reshape(self.shape[:2]), cfg.members, location,
+                             self.test.start)
+        return chosen, ok
 
 
 def build_multivariate_ensemble(indices: AnalogIndexSet, aligned: AlignedObservations,
@@ -401,9 +445,9 @@ def build_multivariate_ensemble(indices: AnalogIndexSet, aligned: AlignedObserva
     j_ix = np.arange(n_lead)[None, None, :, None]
     out = np.empty((len(var_idx), n_loc, n_test, n_lead, m))
     for k, v in enumerate(var_idx):
-        gathered = aligned.values[v, l_ix, safe, j_ix]
-        out[k] = np.where(filled, gathered, MISSING)
+        out[k] = aligned.values[v, l_ix, safe, j_ix]
+    out[:, ~filled] = MISSING
 
     test_times = TimeAxis(indices.init_times.instants[indices.test_indices])
     return EnsembleTensor(tuple(variables), indices.locations, test_times,
-                          indices.lead_times, m, out)
+                          indices.lead_times, m, _Owned(out))

@@ -27,9 +27,10 @@ MISSING = float("nan")
 class _Owned:
     """An array that nothing else refers to, handed to a tensor constructor.
 
-    ``tensorio.read_tensor`` wraps the array it read a file into, so the
-    tensor keeps it without a copy. Every other caller's array is copied,
-    because tensors are immutable and the caller keeps its reference.
+    ``tensorio.read_tensor`` wraps the array it read a file into, and
+    ``anen`` the arrays its search and gather fill, so the tensor keeps them
+    without a copy. Every other caller's array is copied, because tensors
+    are immutable and the caller keeps its reference.
     """
 
     __slots__ = ("array",)
@@ -135,6 +136,16 @@ class LeadTimeAxis:
         return len(self.offsets)
 
 
+class _Variables:
+    """``variable_index`` for the tensors that name their variables."""
+
+    def variable_index(self, name: str) -> int:
+        try:
+            return self.variable_names.index(name)
+        except ValueError:
+            raise KeyError(name) from None
+
+
 def _check_shape(values: np.ndarray, expected: tuple, what: str):
     if values.shape != expected:
         raise DimensionMismatchError(
@@ -182,7 +193,7 @@ class ForecastTensor:
 
 
 @dataclass(frozen=True)
-class ObservationTensor:
+class ObservationTensor(_Variables):
     """Analysis/observation archive: variable x location x valid-time."""
 
     variable_names: tuple
@@ -204,15 +215,9 @@ class ObservationTensor:
     def shape(self):
         return self.values.shape
 
-    def variable_index(self, name: str) -> int:
-        try:
-            return self.variable_names.index(name)
-        except ValueError:
-            raise KeyError(name) from None
-
 
 @dataclass(frozen=True)
-class EnsembleTensor:
+class EnsembleTensor(_Variables):
     """Ensemble values: variable x location x init x lead x member."""
 
     variable_names: tuple
@@ -242,12 +247,6 @@ class EnsembleTensor:
     @property
     def shape(self):
         return self.values.shape
-
-    def variable_index(self, name: str) -> int:
-        try:
-            return self.variable_names.index(name)
-        except ValueError:
-            raise KeyError(name) from None
 
 
 @dataclass(frozen=True)
@@ -297,7 +296,7 @@ class AnalogIndexSet:
 
 
 @dataclass(frozen=True)
-class AlignedObservations:
+class AlignedObservations(_Variables):
     """Observations re-addressed by (init, lead): variable x location x init x lead.
 
     Element (v, l, i, j) holds the observed value at valid time
@@ -319,12 +318,6 @@ class AlignedObservations:
             (len(self.variable_names), len(self.locations), len(self.init_times), len(self.lead_times)),
             "aligned-observation",
         )
-
-    def variable_index(self, name: str) -> int:
-        try:
-            return self.variable_names.index(name)
-        except ValueError:
-            raise KeyError(name) from None
 
 
 def align_observations(

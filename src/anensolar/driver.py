@@ -1,6 +1,7 @@
 """End-to-end composition helpers: forecast/analysis/analog weather ensembles,
 power simulation against a shared solar cache, and the CRPS objective used by
-the weight search.
+the weight search, which takes each vector's members from ``anen.SearchTables``
+and scores their simulated power.
 
 Everything here is thin orchestration over the engine modules; per-location
 work is pure, so evaluations can be partitioned over locations or sample
@@ -30,7 +31,7 @@ from .pvchain import PvModuleSpec, SystemConfig, simulate_ensemble
 from .solar import precompute_solar
 
 if TYPE_CHECKING:
-    from .anen import AnEnConfig
+    from .anen import AnEnConfig, SearchTables
 
 
 def single_location(locations: LocationSet, loc: int) -> LocationSet:
@@ -119,10 +120,7 @@ class _LocationTables:
     """Weight-independent tables of one location (see ``WeightObjective``)."""
 
     loc: int                 # the location, named in short-list errors
-    sigma: np.ndarray        # (N, 1, J) for N predictors
-    roots: dict              # predictor -> (T, J, C) window roots, in predictor order
-    test_start: int          # init index of test row 0
-    cand_start: int          # init index of candidate column 0
+    search: SearchTables     # the search's split, sigma and window roots
     power: np.ndarray        # (T * J, C) member power P
     truth_power: np.ndarray  # (1, T, J)
     daylight: np.ndarray     # (1, T, J)
@@ -139,26 +137,19 @@ class WeightObjective:
     the members with ``build_multivariate_ensemble``, simulating them with
     the configured module and scoring with ``crps_field``.
 
-    Nothing but the weighted sum of the search depends on the weights, so a
-    call builds the location's sigma, truth power, daylight mask and two
-    tables once, and every vector is then a scan of the tables:
-
-    - per predictor, ``sqrt(window sum of squared differences)`` over
-      (test init, lead, candidate), built by the search's own kernel;
-    - the member power ``P[t, j, s]``: the PV chain applied to the analysis
-      at (candidate s, lead j) under the sun of test cell (t, j), from one
-      ``simulate_ensemble`` call whose member axis holds the candidates.
-
-    A vector then costs the ``w_p / sigma_p`` multiply-adds in predictor
-    order, the search's top-M mask, a gather from ``P`` and the CRPS. The
-    CRPS scores members as a set (``crps_field`` sorts them and takes
-    ``(1/M) sum_k |x_(k) - y| - (1/M^2) sum_k (2k - M - 1) x_(k)``, in O(M)
-    memory per cell), so the members are gathered in candidate order and the
-    search's ordering of each top-M list is skipped; a pool of no more than M
-    candidates is taken whole and padded with MISSING, as the search pads it.
-    Nothing is kept between calls: the working set of one call is
-    ``(N + 1) * T * J * C`` float64 values for N predictors, T test inits,
-    J leads and C candidates (about 46 MB at 5 x 90 x 24 x 450).
+    Nothing but the search's weighted sum depends on the weights, so a call
+    builds the location's tables once: ``anen.SearchTables`` (sigma and the
+    window roots), the truth power, the daylight mask and the member power
+    ``P[t, j, s]``, the PV chain applied to the analysis at (candidate s,
+    lead j) under the sun of test cell (t, j), from one ``simulate_ensemble``
+    call whose member axis holds the candidates. Each vector then asks
+    ``SearchTables.members`` for its top-M cells, gathers them from ``P``,
+    pads short lists with MISSING as the search does, and scores them. The
+    CRPS scores members as a set (``crps_field`` sorts them), so their order
+    within a list does not matter. Nothing is kept between calls: the working
+    set of one call is ``(N + 1) * T * J * C`` float64 values for N
+    predictors, T test inits, J leads and C candidates (about 46 MB at
+    5 x 90 x 24 x 450).
     """
 
     def __init__(self, forecasts: ForecastTensor, analysis: ObservationTensor,
@@ -178,70 +169,39 @@ class WeightObjective:
         return np.array([self.evaluate(w, tables) for w in vectors])
 
     def _build(self, loc: int):
-        from .anen import check_split, compute_sigma, window_roots
+        from .anen import SearchTables
 
-        test, search, cand = check_split(self.test_range, self.search_range,
-                                         len(self.forecasts.init_times), self.base.operational)
         fc = slice_forecast_location(self.forecasts, loc)
-        sigma = compute_sigma(fc, search).values  # per location, so only sampled ones pay
+        search = SearchTables(fc, self.base, self.test_range, self.search_range)
         an = slice_observation_location(self.analysis, loc)
-        truth_weather = analysis_weather_ensemble(an, fc.init_times, fc.lead_times, test)
+        truth_weather = analysis_weather_ensemble(an, fc.init_times, fc.lead_times, search.test)
         cache = precompute_solar(fc.locations, truth_weather.init_times, fc.lead_times)
         truth_power = simulate_ensemble(truth_weather, cache, [self.spec], self.system).values[0, ..., 0]
 
-        # (a) per-predictor window roots, for predictors active at some lead
-        # under some weight vector
-        usable = np.isfinite(sigma[:, 0]) & (sigma[:, 0] >= self.base.sigma_epsilon)
-        shape = (len(test), len(fc.lead_times), cand.stop - cand.start)
-        roots = {}
-        for p in np.flatnonzero(usable.any(axis=1)):
-            values = fc.values[p, 0]
-            table = window_roots(values[test.start : test.stop], np.ascontiguousarray(values[cand].T),
-                                 self.base.half_window, np.empty(shape), np.empty(shape))
-            table.setflags(write=False)
-            roots[int(p)] = table
-
-        # (b) member power: candidate weather under each test cell's sun
-        aligned = align_observations(an, fc.init_times, fc.lead_times).values[:, :, cand]
+        # member power: candidate weather under each test cell's sun
+        aligned = align_observations(an, fc.init_times, fc.lead_times).values[:, :, search.cand]
         members = np.broadcast_to(aligned.transpose(0, 1, 3, 2)[:, :, None],
-                                  (aligned.shape[0], 1) + shape)
+                                  (aligned.shape[0], 1) + search.shape)
         weather = EnsembleTensor(an.variable_names, fc.locations, truth_weather.init_times,
-                                 fc.lead_times, shape[2], members)
+                                 fc.lead_times, search.shape[2], members)
         power = simulate_ensemble(weather, cache, [self.spec], self.system).values[0, 0]
-        power = power.reshape(-1, shape[2])  # (T * J, C)
-        return _LocationTables(loc, sigma, roots, test.start, cand.start, power, truth_power,
+        return _LocationTables(loc, search, power.reshape(-1, search.shape[2]), truth_power,
                                cache.daylight_mask())
 
     # One call per (vector, location), so that the bench harness, which wraps
     # ``WeightObjective.evaluate`` by name (perfbench/spans.py), counts and
     # times each evaluation.
     def evaluate(self, weights, tab: _LocationTables) -> float:
-        """The score of one weight vector, scanned from a location's tables."""
-        from .anen import (active_scale, add_scaled, disqualify, require_members, top_mask,
-                           validate_weights)
+        """The score of one weight vector, gathered from a location's tables."""
         from .verify import crps_field
 
-        cfg = dataclasses.replace(self.base, weights=np.asarray(weights, dtype=float))
-        validate_weights(cfg.weights, len(self.forecasts.predictor_names), 1)
-        active, scale = active_scale(cfg.weights, tab.sigma, cfg.sigma_epsilon)
-        n_test, n_lead = tab.truth_power.shape[1:]
-        total = np.zeros((n_test, n_lead, tab.power.shape[1]))
-        product = np.empty_like(total)
-        for p, roots in tab.roots.items():
-            if active[p, 0].any():
-                add_scaled(total, roots, scale[p, 0], active[p, 0], product)
-        dist = disqualify(total, tab.test_start, tab.cand_start, cfg.operational)
-        chosen = np.flatnonzero(top_mask(dist, cfg.members))  # row by row, in candidate order
-        take = min(cfg.members, dist.shape[1])
-        ok = np.isfinite(dist.take(chosen)).reshape(-1, take)
-        if not cfg.allow_partial:
-            require_members(ok.sum(axis=1).reshape(n_test, n_lead), cfg.members, tab.loc,
-                            tab.test_start)
-        members = np.full((n_test * n_lead, cfg.members), MISSING)
-        members[:, :take] = np.where(ok, tab.power.take(chosen).reshape(-1, take), MISSING)
-        scores = crps_field(members.reshape(1, n_test, n_lead, cfg.members), tab.truth_power)
+        chosen, ok = tab.search.members(weights, tab.loc)
+        n_test, n_lead, _ = tab.search.shape
+        m = self.base.members
+        members = np.full((n_test * n_lead, m), MISSING)
+        members[:, : ok.shape[1]] = np.where(ok, tab.power.take(chosen).reshape(ok.shape), MISSING)
+        scores = crps_field(members.reshape(1, n_test, n_lead, m), tab.truth_power)
         ok = tab.daylight & np.isfinite(scores) & np.isfinite(tab.truth_power)
         if not ok.any():
             return float("inf")
         return float(scores[ok].mean())
-

@@ -27,7 +27,9 @@ SEASON_OF_MONTH = {12: "DJF", 1: "DJF", 2: "DJF",
 
 DAYPART_SLOTS = {"morning": (8, 10), "noon": (11, 13), "afternoon": (14, 16)}
 
-GROUPINGS = ("lead", "location", "region", "season", "daypart")
+# every grouping name the report accepts -> the grouping it selects
+GROUPINGS = {"lead-time": "lead", "lead_time": "lead",
+             **{g: g for g in ("lead", "location", "region", "season", "daypart")}}
 
 
 def _paired(pred, truth):
@@ -177,10 +179,9 @@ def aggregate(ensemble: np.ndarray, truth: np.ndarray, grouping: str, *,
     call over the whole field, whose sorted-member form needs no temporary
     larger than a sorted copy of the ensemble.
     """
-    if grouping in ("lead-time", "lead_time"):
-        grouping = "lead"
     if grouping not in GROUPINGS:
         raise ValueError(f"unknown grouping key {grouping!r}")
+    grouping = GROUPINGS[grouping]
     ens = np.asarray(ensemble, dtype=float)
     if ens.ndim == 3:
         ens = ens[..., None]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from anensolar import anen
 from anensolar.anen import (
     AnalogIndexSet,
     AnEnConfig,
+    SearchTables,
     SigmaTensor,
     build_multivariate_ensemble,
     compute_sigma,
@@ -17,12 +19,14 @@ from anensolar.anen import (
 )
 from anensolar.coredata import (
     MISSING,
+    EnsembleTensor,
     ForecastTensor,
     LeadTimeAxis,
     ObservationTensor,
     TimeAxis,
     align_observations,
 )
+from anensolar.driver import slice_forecast_location
 from anensolar.errors import InsufficientCandidatesError, MissingVariableError
 from anensolar.tensorio import read_tensor, write_tensor
 
@@ -455,6 +459,86 @@ class TestSearchKernelEdges:
         )
 
 
+def integer_forecast(seed, n_init=60):
+    """Three predictors at two locations, valued 0-2 so that many candidates
+    tie at the M-th distance, with 8% NaN holes."""
+    r = np.random.default_rng(seed)
+    values = r.integers(0, 3, size=(3, 2, n_init, 5)).astype(float)
+    values[r.random(values.shape) < 0.08] = MISSING
+    return tiny_forecast(values)
+
+
+SEARCH_TABLE_CASES = {
+    "fixed": (dict(members=5, half_window=0), (45, 60), (0, 45)),
+    "operational": (dict(members=5, half_window=1, operational=True), (30, 60), (0, 30)),
+    "fixed_partial": (dict(members=12, half_window=2, allow_partial=True), (45, 60), (0, 16)),
+    "operational_partial": (dict(members=6, half_window=1, operational=True, allow_partial=True),
+                            (2, 30), (0, 2)),
+}
+TABLE_VECTORS = [np.full(3, 1 / 3), np.array([0.5, 0.0, 0.5]), np.array([0.0, 0.0, 1.0])]
+
+
+class TestSearchTables:
+    @pytest.mark.parametrize("case", sorted(SEARCH_TABLE_CASES))
+    def test_members_are_the_search_members(self, case):
+        kwargs, test, search = SEARCH_TABLE_CASES[case]
+        fc = integer_forecast(seed=sorted(SEARCH_TABLE_CASES).index(case))
+        config = AnEnConfig(weights=equal_weights(3), **kwargs)
+        m, ties, short = config.members, False, False
+        for loc in range(2):
+            tables = SearchTables(slice_forecast_location(fc, loc), config, test, search)
+            for w in TABLE_VECTORS:
+                cfg = AnEnConfig(weights=w, **kwargs)
+                found = search_analogs(fc, cfg, test, search).search_index[loc]
+                chosen, ok = tables.members(w, loc)
+                rows, cols = np.divmod(chosen.reshape(ok.shape), tables.shape[2])
+                for r, (t, j) in enumerate(np.ndindex(*tables.shape[:2])):
+                    assert (rows[r] == r).all()
+                    want = found[t, j][np.isfinite(found[t, j])] - tables.cand.start
+                    assert set(cols[r][ok[r]].tolist()) == set(want.tolist())
+                short |= not ok.all()
+                wide = search_analogs(fc, dataclasses.replace(cfg, members=m + 1, allow_partial=True),
+                                      test, search).distance[loc]
+                ties |= bool(np.any(wide[..., m] == wide[..., m - 1]))
+        assert ties  # some cell breaks a tie at the M-th distance
+        assert short == config.allow_partial
+
+    @pytest.mark.parametrize("operational", [False, True])
+    def test_short_pool_raises_the_search_error(self, operational):
+        test, search = ((6, 60), (0, 6)) if operational else ((45, 60), (0, 7))
+        config = AnEnConfig(weights=equal_weights(3), members=5, half_window=0,
+                            operational=operational)
+        named = []
+        for seed in range(7, 12):
+            fc = integer_forecast(seed)
+            for loc in range(2):
+                one = slice_forecast_location(fc, loc)
+                tables = SearchTables(one, config, test, search)
+                try:
+                    search_analogs(one, config, test, search)
+                except InsufficientCandidatesError as expected:
+                    with pytest.raises(InsufficientCandidatesError) as raised:
+                        tables.members(config.weights, loc)
+                    # the slice search names its only location 0
+                    assert str(raised.value) == str(expected).replace("location 0,",
+                                                                      f"location {loc},")
+                    named.append(str(expected).split(", ", 1)[1])
+                else:
+                    assert tables.members(config.weights, loc)[1].all()
+        assert len(set(named)) > 1  # short cells at more than one (test init, lead)
+
+    def test_invalid_vector_and_many_locations_are_value_errors(self):
+        fc = integer_forecast(seed=8)
+        config = AnEnConfig(weights=equal_weights(3), members=5)
+        with pytest.raises(ValueError):
+            SearchTables(fc, config, (45, 60), (0, 45))
+        tables = SearchTables(slice_forecast_location(fc, 0), config, (45, 60), (0, 45))
+        for w in ([0.5, 0.5], [0.5, 0.5, 0.5], [-0.5, 0.5, 1.0]):
+            with pytest.raises(ValueError):
+                tables.members(np.array(w), 0)
+        assert all(not table.flags.writeable for table in tables.roots.values())
+
+
 def aligned_from(fc, obs_values):
     obs = ObservationTensor(
         ("a", "b"),
@@ -516,6 +600,27 @@ class TestBuildEnsemble:
         ens = build_multivariate_ensemble(out, aligned2)
         assert np.all(np.isnan(ens.values[0, 0, :, 1, :]))
         assert np.all(np.isfinite(ens.values[1, 0, :, 1, :]))
+
+    def test_tensors_keep_the_arrays_anen_fills(self, monkeypatch):
+        given = {}
+
+        def spy(cls):
+            def build(*args):
+                given[cls] = args
+                return cls(*args)
+            return build
+
+        for cls in (AnalogIndexSet, EnsembleTensor):
+            monkeypatch.setattr(anen, cls.__name__, spy(cls))
+        fc, aligned = self.make_setup(seed=96)
+        cfg = AnEnConfig(weights=equal_weights(2), members=2, half_window=0)
+        out = search_analogs(fc, cfg, (8, 10), (0, 8))
+        ens = build_multivariate_ensemble(out, aligned)
+        for array, passed in ((out.search_index, given[AnalogIndexSet][-2]),
+                              (out.distance, given[AnalogIndexSet][-1]),
+                              (ens.values, given[EnsembleTensor][-1])):
+            assert not array.flags.writeable
+            assert array is passed.array  # handed over, not copied
 
     def test_variable_subset_and_missing_variable(self):
         fc, aligned = self.make_setup(seed=94)

@@ -202,6 +202,13 @@ class TestInputs:
         assert str(modules) in manifest["simulate"]["inputs"]
         assert str(regions) in manifest["verify"]["inputs"]
 
+    def test_lead_time_grouping_is_the_lead_grouping(self, outdir):
+        run_small_chain(outdir)
+        base = ["-o", str(outdir), *SMALL]
+        assert run_cli([*base, "--set", "paths.report=lead_time.csv",
+                        "verify", "--grouping", "lead_time"]) == 0
+        assert (outdir / "lead_time.csv").read_bytes() == (outdir / "report.csv").read_bytes()
+
     @pytest.mark.parametrize("source", ["flag", "module_file"])
     def test_empty_module_list_is_config_error(self, outdir, capsys, source):
         base = ["-o", str(outdir), *SMALL]
@@ -470,6 +477,27 @@ class TestCommands:
         log = (outdir / "events.log").read_text().strip().splitlines()
         assert len(log) == 9  # three tasks x three transitions
         assert all(len(line.split()) == 4 for line in log)
+
+    def test_workflow_rerun_leaves_the_same_manifest(self, outdir, tmp_path):
+        # the event log's wall-clock stamps differ between runs; the manifest must not
+        wf = tmp_path / "wf.yaml"
+        wf.write_text(
+            "worker_budget: 1\n"
+            "pipelines:\n"
+            "  - id: p0\n"
+            "    stages:\n"
+            "      - id: s0\n"
+            "        tasks:\n"
+            "          - id: t0\n"
+            "            command: [echo, one]\n"
+        )
+        assert run_cli(["-o", outdir, "workflow", "run", wf]) == 0
+        first_log = (outdir / "events.log").read_bytes()
+        first_manifest = (outdir / "manifest.json").read_bytes()
+        time.sleep(0.01)
+        assert run_cli(["-o", outdir, "workflow", "run", wf]) == 0
+        assert (outdir / "events.log").read_bytes() != first_log
+        assert (outdir / "manifest.json").read_bytes() == first_manifest
 
     def test_workflow_run_failure_exit_code(self, outdir, tmp_path):
         wf = tmp_path / "wf.yaml"
