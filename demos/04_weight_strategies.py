@@ -23,7 +23,7 @@ from anensolar import (
     optimize_weights,
     rb_sample_points,
 )
-from anensolar.cli import regime_feature_matrix
+from anensolar.weights import regime_feature_matrix
 from anensolar.driver import WeightObjective
 from anensolar.synth import PredictorErrorModel, default_error_models
 

@@ -6,11 +6,16 @@ Subcommands wire the library modules into file-based pipelines: ``synth``,
 drives every command. Later sources override earlier ones: defaults < config
 file < ``ANENSOLAR_*`` environment variables (double underscore nests, e.g.
 ``ANENSOLAR_ANEN__MEMBERS=25``) < ``--set KEY=VALUE`` < flags; a key that the
-defaults do not hold is a config error. Every input file resolves relative to
-the output directory, and every run writes its artifacts there together with
-a manifest of input/output hashes and the effective config hash. On failure
-a machine-readable JSON error line goes to stderr and the exit code is
-nonzero.
+defaults do not hold is a config error.
+
+Every value must have its default's type (an int key rejects ``true``, a
+float key takes an int, a bool key takes only ``true`` or ``false``) and meet
+its key's bound or choice in ``RULES``. A run's one list of problems starts
+with the values that do not, adds missing inputs and the checks that need
+data, and exits 2 with all of them in one JSON line on stderr before any
+write. Every input file resolves relative to the output directory, where
+each run writes its artifacts and a manifest of input/output hashes and the
+effective config hash. Any other failure prints a JSON error line and exits 1.
 
 Each command imports the library modules it runs inside its own function, so
 a process that runs ``sigma`` never loads the PV chain, the weight search or
@@ -35,7 +40,7 @@ import numpy as np
 import yaml
 
 from ._atomic import atomic_write, atomic_write_csv
-from .errors import AnensolarError, ConfigValidationError
+from .errors import ConfigValidationError
 
 if TYPE_CHECKING:
     from .anen import AnEnConfig
@@ -101,30 +106,95 @@ DEFAULT_CONFIG = {
 }
 
 
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _parse_start(value) -> int | None:
+    """Epoch seconds of a number or an ISO date (UTC); None for anything else."""
+    try:
+        if isinstance(value, (int, float)):
+            return int(value)
+        return int(_dt.datetime.fromisoformat(str(value)).replace(tzinfo=_dt.timezone.utc).timestamp())
+    except (ValueError, OverflowError):
+        return None
+
+
+# The keys whose valid values their default's type does not say alone, as
+# (own type test, bound test, text): an own type test replaces the default's
+# type and its text names the whole type; a bound or choice applies on top of
+# the default's type, and its text follows the type's name in a problem.
+# Checks that need data stay in the commands, and so do the bounds that
+# SystemConfig and enumerate_weights check.
+RULES = {
+    **dict.fromkeys(("seed", "synth.cloud_noise", "synth.ghi_noise", "anen.half_window"),
+                    (None, lambda v: v >= 0, ">= 0")),
+    **dict.fromkeys(("synth.n_locations", "synth.n_days", "synth.n_leads", "anen.members",
+                     "anen.search_days", "optimize.total_samples", "optimize.clusters",
+                     "optimize.opt_days", "cluster.clusters"), (None, lambda v: v >= 1, ">= 1")),
+    **dict.fromkeys(("synth.lat_range", "synth.lon_range"),
+                    (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_number, v)), None, "two numbers")),
+    "synth.start": (lambda v: not isinstance(v, bool) and _parse_start(v) is not None, None,
+                    "an ISO date or a number of seconds"),
+    "synth.ar_coeff": (None, lambda v: 0 <= v < 1, "in [0, 1)"),
+    "anen.weights": (lambda v: isinstance(v, str) or isinstance(v, list) and all(map(_number, v)),
+                     None, "'equal', a comma list or a list of numbers"),
+    "anen.sigma_epsilon": (None, lambda v: v > 0, "> 0"),
+    "modules": (lambda v: isinstance(v, list) and all(isinstance(c, str) for c in v),
+                None, "a list of module codes"),
+    "simulate.source": (None, lambda v: v in ("ensemble", "forecast", "analysis"),
+                        "in ensemble|forecast|analysis"),
+    "optimize.strategy": (None, lambda v: v.upper() in ("EW", "NN", "RB"), "in EW|NN|RB, any case"),
+}
+
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "true or false", str: "a string", list: "a list"}
+
+
+def check_config(cfg: dict, defaults: dict = DEFAULT_CONFIG, prefix: str = "") -> list:
+    """One problem for each value of ``cfg`` that does not have its default's
+    type or breaks its key's rule in ``RULES``, in DEFAULT_CONFIG's key order.
+    A float key also takes an int; no key takes a bool but a bool key."""
+    problems = []
+    for name, default in defaults.items():
+        key, value = prefix + name, cfg[name]
+        if isinstance(default, dict):
+            problems += check_config(value, default, key + ".")
+            continue
+        own_type, bound, text = RULES.get(key, (None, None, ""))
+        if own_type is not None:
+            typed, wanted = own_type(value), text
+        else:
+            typed = _number(value) if isinstance(default, float) else type(value) is type(default)
+            wanted = f"{_TYPE_NAMES[type(default)]} {text}".rstrip()
+        if not typed or bound is not None and not bound(value):
+            problems.append(f"{key}: need {wanted}, got {value!r}")
+    return problems
+
+
 # -- config plumbing -----------------------------------------------------------
 
-def _override(cfg: dict, key: str, value, source: str, problems: list):
+def _override(cfg: dict, key: str, value, source: str) -> list:
     """Set the dotted config ``key`` to ``value``; a mapping value sets each of
-    its leaves. A key that DEFAULT_CONFIG does not hold is a config problem."""
+    its leaves. Returns a problem for each key that DEFAULT_CONFIG does not hold."""
     if isinstance(value, dict):
-        for sub, leaf_value in value.items():
-            _override(cfg, f"{key}.{sub}" if key else str(sub), leaf_value, source, problems)
-        return
+        return [problem for sub, leaf_value in value.items()
+                for problem in _override(cfg, f"{key}.{sub}" if key else str(sub), leaf_value, source)]
     *parents, leaf = key.split(".")
     node = cfg
     for part in parents:
         node = node.get(part) if isinstance(node, dict) else None
     if not isinstance(node, dict) or leaf not in node:
-        problems.append(f"{key}: unknown config key (from {source})")
-    elif isinstance(node[leaf], dict):
-        problems.append(f"{key}: a config section takes a mapping (from {source})")
-    else:
-        node[leaf] = value
+        return [f"{key}: unknown config key (from {source})"]
+    if isinstance(node[leaf], dict):
+        return [f"{key}: a config section takes a mapping (from {source})"]
+    node[leaf] = value
+    return []
 
 
-def load_config(config_path, sets=(), environ=None) -> dict:
-    """Defaults < config file < ``ANENSOLAR_*`` variables < ``--set`` items;
-    main() applies the flags last. Every bad key is reported in one error."""
+def load_config(config_path, sets=(), environ=None, flags=None) -> dict:
+    """Defaults < config file < ``ANENSOLAR_*`` variables < ``--set`` items <
+    ``flags`` (dotted key -> value). Every unknown key is reported in one
+    error; the values are checked by ``check_config`` when a run starts."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     problems = []
     if config_path:
@@ -133,18 +203,21 @@ def load_config(config_path, sets=(), environ=None) -> dict:
         if not isinstance(doc, dict):
             problems.append("config file must hold a mapping")
         else:
-            _override(cfg, "", doc, f"config file {config_path}", problems)
+            problems += _override(cfg, "", doc, f"config file {config_path}")
     for name, raw in sorted((os.environ if environ is None else environ).items()):
         if name.startswith(ENV_PREFIX):
-            _override(cfg, name[len(ENV_PREFIX):].lower().replace("__", "."),
-                      yaml.safe_load(raw), name, problems)
+            problems += _override(cfg, name[len(ENV_PREFIX):].lower().replace("__", "."),
+                                  yaml.safe_load(raw), name)
     for item in sets:
         key, eq, raw = item.partition("=")
         if not eq:
             problems.append(f"--set needs KEY=VALUE, got {item!r}")
         else:
-            _override(cfg, key.strip(), yaml.safe_load(raw), f"--set {item}", problems)
-    _fail_if(problems)
+            problems += _override(cfg, key.strip(), yaml.safe_load(raw), f"--set {item}")
+    for key, value in (flags or {}).items():
+        problems += _override(cfg, key, value, "a command-line flag")
+    if problems:
+        raise ConfigValidationError(problems)
     return cfg
 
 
@@ -153,39 +226,39 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _parse_start(value) -> int:
-    if isinstance(value, (int, float)):
-        return int(value)
-    dt = _dt.datetime.fromisoformat(str(value)).replace(tzinfo=_dt.timezone.utc)
-    return int(dt.timestamp())
-
-
-def _hash_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 class Runner:
-    """Shared context for one subcommand run: paths, manifest, config."""
+    """Shared context for one subcommand run: paths, manifest, config, and the
+    one list of problems that ``check`` reports."""
 
     def __init__(self, cfg: dict, command: str):
         self.cfg = cfg
         self.command = command
+        self.problems = check_config(cfg)
+        if not isinstance(cfg["output_dir"], str):
+            self.check()  # no directory to look for the inputs in
         self.out_dir = Path(cfg["output_dir"])
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.inputs: dict = {}
         self.outputs: dict = {}
 
+    def check(self):
+        """Raise every problem found so far in one error."""
+        if self.problems:
+            raise ConfigValidationError(self.problems)
+
     def path(self, name: str) -> Path:
-        """A ``paths`` key or a filename, relative to the output directory."""
-        p = Path(self.cfg["paths"].get(name, name))
+        """A ``paths`` key or a filename, relative to the output directory; a
+        path that is not a string, a problem already, stands as its text."""
+        p = Path(str(self.cfg["paths"].get(name, name)))
         return p if p.is_absolute() else self.out_dir / p
 
-    def input_path(self, name: str, problems: list) -> Path:
+    def input_path(self, name) -> Path:
         """``path(name)``, checked to exist and recorded as a manifest input."""
+        name = str(name)  # as in path(): a value that check() reports may name it
         p = self.path(name)
         if not p.is_file():
             field = f"paths.{name}" if name in self.cfg["paths"] else "input"
-            problems.append(f"{field}: file not found: {p}")
+            self.problems.append(f"{field}: file not found: {p}")
         else:
             self.inputs.setdefault(str(p), None)
         return p
@@ -196,9 +269,16 @@ class Runner:
 
         return tensorio.read_tensor(path, digests=self.inputs)
 
-    def register_output(self, path: Path, digest: str):
-        """Record ``path`` with the digest its writer returned."""
-        self.outputs[str(path)] = digest
+    def write(self, name: str, write):
+        """Write the output ``path(name)`` with ``write(path)``, and record it
+        with the digest that ``write`` returns."""
+        path = self.path(name)
+        self.outputs[str(path)] = write(path)
+
+    def write_tensor(self, name: str, tensor):
+        from . import tensorio
+
+        self.write(name, lambda path: tensorio.write_tensor(tensor, path))
 
     def write_manifest(self):
         """Add this command's entry to ``manifest.json`` under a lock on the
@@ -206,7 +286,8 @@ class Runner:
         entry = {
             "config_hash": config_hash(self.cfg),
             # an input no read_tensor call hashed (a CSV, say) is hashed here
-            "inputs": {p: digest or _hash_file(Path(p)) for p, digest in sorted(self.inputs.items())},
+            "inputs": {p: digest or hashlib.sha256(Path(p).read_bytes()).hexdigest()
+                       for p, digest in sorted(self.inputs.items())},
             "outputs": dict(sorted(self.outputs.items())),
         }
         manifest_path = self.out_dir / "manifest.json"
@@ -220,114 +301,74 @@ class Runner:
             os.close(fd)  # releases the lock
 
 
-def _fail_if(problems):
-    if problems:
-        raise ConfigValidationError(problems)
-
-
-def _anen_split(cfg, n_inits, problems) -> tuple:
-    days = cfg["anen"]["search_days"]
-    if not isinstance(days, int) or not 0 < days < n_inits:
-        problems.append(f"anen.search_days: need an integer in 1..{n_inits - 1}, got {days!r}")
+def _anen_split(run: Runner, n_inits: int) -> tuple:
+    """(test, search) init ranges: the search period is the first search_days."""
+    days = run.cfg["anen"]["search_days"]
+    if days >= n_inits:
+        run.problems.append(f"anen.search_days: need an integer in 1..{n_inits - 1}, got {days!r}")
         return range(0), range(0)
     return range(days, n_inits), range(0, days)
 
 
-def _parse_weight_vector(value, n_predictors, field, problems):
-    from .anen import equal_weights, validate_weights
+def _anen_config(run: Runner, n_predictors: int) -> AnEnConfig | None:
+    from .anen import AnEnConfig, equal_weights, validate_weights
 
-    if value in ("equal", "", None):
-        return equal_weights(n_predictors)
+    a = run.cfg["anen"]
+    weights = equal_weights(n_predictors) if a["weights"] in ("equal", "") else a["weights"]
     try:
-        if isinstance(value, str):
-            value = [float(v) for v in value.split(",")]
-        if np.ndim(value) != 1:
-            raise ValueError("need one list of weights")
-        return validate_weights(value, n_predictors)
+        if isinstance(weights, str):
+            weights = [float(w) for w in weights.split(",")]
+        weights = validate_weights(weights, n_predictors)
     except ValueError as exc:
-        problems.append(f"{field}: {exc}")
+        run.problems.append(f"anen.weights: {exc}")
         return None
+    return AnEnConfig(weights, **{key: a[key] for key in
+                                  ("members", "half_window", "operational", "allow_partial", "sigma_epsilon")})
 
 
-def _anen_config(cfg, n_predictors, problems) -> AnEnConfig | None:
-    from .anen import AnEnConfig
-
-    a = cfg["anen"]
-    weight_vector = _parse_weight_vector(a["weights"], n_predictors, "anen.weights", problems)
-    if not isinstance(a["members"], int) or a["members"] < 1:
-        problems.append(f"anen.members: need a positive integer, got {a['members']!r}")
-    if not isinstance(a["half_window"], int) or a["half_window"] < 0:
-        problems.append(f"anen.half_window: need a non-negative integer, got {a['half_window']!r}")
-    if not (isinstance(a["sigma_epsilon"], (int, float)) and a["sigma_epsilon"] > 0):
-        problems.append(f"anen.sigma_epsilon: need a positive number, got {a['sigma_epsilon']!r}")
-    if problems or weight_vector is None:
-        return None
-    return AnEnConfig(
-        weights=weight_vector,
-        members=a["members"],
-        half_window=a["half_window"],
-        operational=bool(a["operational"]),
-        allow_partial=bool(a["allow_partial"]),
-        sigma_epsilon=float(a["sigma_epsilon"]),
-    )
-
-
-def _load_specs(run: Runner, problems):
+def _load_specs(run: Runner):
     from .pvchain import load_module_catalog, load_module_specs
 
     if run.cfg["paths"]["module_file"]:
-        module_file = run.input_path("module_file", problems)
+        module_file = run.input_path("module_file")
         if not module_file.is_file():
             return []
         specs = load_module_specs(module_file)
         if not specs:
-            problems.append(f"paths.module_file: no module rows in {module_file}")
+            run.problems.append(f"paths.module_file: no module rows in {module_file}")
         return specs
     if not run.cfg["modules"]:
-        problems.append("modules: need at least one module code")
+        run.problems.append("modules: need at least one module code")
     catalog = {spec.code: spec for spec in load_module_catalog()}
     specs = []
     for code in run.cfg["modules"]:
         if code not in catalog:
-            problems.append(f"modules: unknown module code {code!r}")
+            run.problems.append(f"modules: unknown module code {code!r}")
         else:
             specs.append(catalog[code])
     return specs
 
 
-def _system(cfg, problems) -> SystemConfig | None:
+def _system(run: Runner) -> SystemConfig | None:
     from .pvchain import SystemConfig
 
-    s = cfg["system"]
+    s = run.cfg["system"]
     try:
-        return SystemConfig(float(s["capacity"]), float(s["tilt"]), float(s["azimuth"]))
-    except (ValueError, KeyError) as exc:
-        problems.append(f"system: {exc}")
+        return SystemConfig(s["capacity"], s["tilt"], s["azimuth"])
+    except ValueError as exc:
+        run.problems.append(f"system: {exc}")
         return None
 
 
 # -- subcommands ----------------------------------------------------------------
 
 def cmd_synth(run: Runner, args) -> int:
-    from . import synth, tensorio
+    from . import synth
     from .coredata import LocationSet
 
+    run.check()
     cfg = run.cfg
     s = cfg["synth"]
-    problems = []
-    if s["n_locations"] < 1:
-        problems.append("synth.n_locations: must be >= 1")
-    if not 0 <= s["ar_coeff"] < 1:
-        problems.append("synth.ar_coeff: AR coefficient must be in [0, 1)")
-    if s["cloud_noise"] < 0 or s["ghi_noise"] < 0:
-        problems.append("synth: noise scales must be >= 0")
-    try:
-        start = _parse_start(s["start"])
-    except ValueError:
-        problems.append(f"synth.start: cannot parse {s['start']!r} as a date")
-        start = 0
-    _fail_if(problems)
-
     rng = np.random.default_rng(cfg["seed"])
     lat = rng.uniform(*s["lat_range"], size=s["n_locations"])
     lon = rng.uniform(*s["lon_range"], size=s["n_locations"])
@@ -337,114 +378,89 @@ def cmd_synth(run: Runner, args) -> int:
     errors = synth.default_error_models()
     errors["ghi"] = synth.PredictorErrorModel(s["ghi_bias"], s["ghi_noise"], "cloud_cover")
     gen_cfg = synth.SynthConfig(
-        seed=cfg["seed"], locations=locations, start=start,
+        seed=cfg["seed"], locations=locations, start=_parse_start(s["start"]),
         n_days=s["n_days"], n_leads=s["n_leads"], ar_coeff=s["ar_coeff"],
         cloud_noise=s["cloud_noise"], sky_base=s["sky_base"], errors=errors,
     )
     analysis, forecasts = synth.generate(gen_cfg)
-    obs_path = run.path("observations")
-    fc_path = run.path("forecasts")
-    run.register_output(obs_path, tensorio.write_tensor(analysis, obs_path))
-    run.register_output(fc_path, tensorio.write_tensor(forecasts, fc_path))
+    run.write_tensor("observations", analysis)
+    run.write_tensor("forecasts", forecasts)
     return 0
 
 
 def cmd_sigma(run: Runner, args) -> int:
-    from . import tensorio
     from .anen import compute_sigma
 
-    problems = []
-    fc_path = run.input_path("forecasts", problems)
-    _fail_if(problems)
+    fc_path = run.input_path("forecasts")
+    run.check()
     forecasts = run.read_tensor(fc_path)
-    _, search = _anen_split(run.cfg, len(forecasts.init_times), problems)
-    _fail_if(problems)
+    _, search = _anen_split(run, len(forecasts.init_times))
+    run.check()
     sigma = compute_sigma(forecasts, search)
-    out = run.path("sigma")
-    run.register_output(out, tensorio.write_tensor(sigma, out))
+    run.write_tensor("sigma", sigma)
     return 0
 
 
 def cmd_anen(run: Runner, args) -> int:
-    from . import tensorio
     from .anen import build_multivariate_ensemble, compute_sigma, search_analogs, validate_weights
     from .coredata import align_observations
 
     cfg = run.cfg
-    problems = []
-    fc_path = run.input_path("forecasts", problems)
-    obs_path = run.input_path("observations", problems)
-    _fail_if(problems)
+    fc_path = run.input_path("forecasts")
+    obs_path = run.input_path("observations")
+    weights_file = run.input_path("weights_file") if cfg["paths"]["weights_file"] else None
+    run.check()
     forecasts = run.read_tensor(fc_path)
     analysis = run.read_tensor(obs_path)
 
-    test, search = _anen_split(cfg, len(forecasts.init_times), problems)
+    test, search = _anen_split(run, len(forecasts.init_times))
     per_loc = None
-    if cfg["paths"]["weights_file"] and (wf := run.input_path("weights_file", problems)).is_file():
+    if weights_file:
         from . import weights
 
         try:
-            per_loc = validate_weights(weights.read_weights_csv(wf, forecasts.predictor_names),
+            per_loc = validate_weights(weights.read_weights_csv(weights_file, forecasts.predictor_names),
                                        len(forecasts.predictor_names), len(forecasts.locations))
         except ValueError as exc:
-            problems.append(f"paths.weights_file: {exc}")
-    config = _anen_config(cfg, len(forecasts.predictor_names), problems)
-    _fail_if(problems)
+            run.problems.append(f"paths.weights_file: {exc}")
+    config = _anen_config(run, len(forecasts.predictor_names))
+    run.check()
     if per_loc is not None:
         config = dataclasses.replace(config, weights=per_loc)
 
     sigma = compute_sigma(forecasts, search)
     indices = search_analogs(forecasts, config, test, search, sigma)
     aligned = align_observations(analysis, forecasts.init_times, forecasts.lead_times)
-    ensemble = build_multivariate_ensemble(indices, aligned)
-    analog_path = run.path("analogs")
-    run.register_output(analog_path, tensorio.write_tensor(indices, analog_path))
-    ens_path = run.path("ensemble")
-    run.register_output(ens_path, tensorio.write_tensor(ensemble, ens_path))
+    run.write_tensor("analogs", indices)
+    run.write_tensor("ensemble", build_multivariate_ensemble(indices, aligned))
     return 0
 
 
 def cmd_simulate(run: Runner, args) -> int:
-    from . import driver, tensorio
+    from . import driver
 
-    cfg = run.cfg
-    problems = []
-    source = cfg["simulate"]["source"]
-    if source not in ("ensemble", "forecast", "analysis"):
-        problems.append(f"simulate.source: must be ensemble|forecast|analysis, got {source!r}")
-    specs = _load_specs(run, problems)
-    system = _system(cfg, problems)
-    _fail_if(problems)
-
+    source = run.cfg["simulate"]["source"]
+    ens_path = run.input_path("ensemble") if source == "ensemble" else None
+    fc_path = run.input_path("forecasts") if source in ("forecast", "analysis") else None
+    obs_path = run.input_path("observations") if source == "analysis" else None
+    run.check()
+    specs = _load_specs(run)
+    system = _system(run)
     if source == "ensemble":
-        ens_path = run.input_path("ensemble", problems)
-        _fail_if(problems)
         weather = run.read_tensor(ens_path)
-        default_out = "power"
-    elif source == "forecast":
-        fc_path = run.input_path("forecasts", problems)
-        _fail_if(problems)
-        forecasts = run.read_tensor(fc_path)
-        test, _ = _anen_split(cfg, len(forecasts.init_times), problems)
-        _fail_if(problems)
-        weather = driver.forecast_weather_ensemble(forecasts, test)
-        default_out = "power"
     else:
-        fc_path = run.input_path("forecasts", problems)
-        obs_path = run.input_path("observations", problems)
-        _fail_if(problems)
         forecasts = run.read_tensor(fc_path)
-        analysis = run.read_tensor(obs_path)
-        test, _ = _anen_split(cfg, len(forecasts.init_times), problems)
-        _fail_if(problems)
+        test, _ = _anen_split(run, len(forecasts.init_times))
+    run.check()
+    if source == "forecast":
+        weather = driver.forecast_weather_ensemble(forecasts, test)
+    elif source == "analysis":
         weather = driver.analysis_weather_ensemble(
-            analysis, forecasts.init_times, forecasts.lead_times, test
+            run.read_tensor(obs_path), forecasts.init_times, forecasts.lead_times, test
         )
-        default_out = "truth_power"
 
-    power = driver.power_from_weather(weather, specs, system)
-    out_path = run.path(cfg["simulate"]["output"] or default_out)
-    run.register_output(out_path, tensorio.write_tensor(power, out_path))
+    run.write_tensor(run.cfg["simulate"]["output"] or ("truth_power" if source == "analysis" else "power"),
+                     driver.power_from_weather(weather, specs, system))
     return 0
 
 
@@ -454,32 +470,30 @@ def cmd_optimize_weights(run: Runner, args) -> int:
 
     cfg = run.cfg
     o = cfg["optimize"]
-    problems = []
-    fc_path = run.input_path("forecasts", problems)
-    obs_path = run.input_path("observations", problems)
-    strategy = str(o["strategy"]).upper()
-    if strategy not in ("EW", "NN", "RB"):
-        problems.append(f"optimize.strategy: must be EW|NN|RB, got {o['strategy']!r}")
-    system = _system(cfg, problems)
+    fc_path = run.input_path("forecasts")
+    obs_path = run.input_path("observations")
+    run.check()
+    strategy = o["strategy"].upper()
+    system = _system(run)
     specs = {s.code: s for s in load_module_catalog()}
     if o["module"] not in specs:
-        problems.append(f"optimize.module: unknown module code {o['module']!r}")
-    _fail_if(problems)
+        run.problems.append(f"optimize.module: unknown module code {o['module']!r}")
 
     forecasts = run.read_tensor(fc_path)
     analysis = run.read_tensor(obs_path)
     n_pred = len(forecasts.predictor_names)
     try:
-        grid = weights.enumerate_weights(n_pred, float(o["step"]), bool(o["exclude_unit_vectors"]))
+        grid = weights.enumerate_weights(n_pred, o["step"], o["exclude_unit_vectors"])
     except ValueError as exc:
-        _fail_if([f"optimize.step: {exc}"])
-
-    _, search = _anen_split(cfg, len(forecasts.init_times), problems)
+        run.problems.append(f"optimize.step: {exc}")
+    _, search = _anen_split(run, len(forecasts.init_times))
     opt_days = o["opt_days"]
-    if not isinstance(opt_days, int) or not 0 < opt_days < len(search):
-        problems.append(f"optimize.opt_days: need an integer in 1..{len(search) - 1}, got {opt_days!r}")
-    base = _anen_config(cfg, n_pred, problems)
-    _fail_if(problems)
+    if opt_days >= len(search):
+        run.problems.append(f"optimize.opt_days: need an integer in 1..{len(search) - 1}, got {opt_days!r}")
+    base = _anen_config(run, n_pred)
+    if strategy == "RB" and o["clusters"] > len(analysis.locations):
+        run.problems.append(f"optimize.clusters: {o['clusters']} exceeds the {len(analysis.locations)} locations")
+    run.check()
     opt_search = range(0, search.stop - opt_days)
     opt_test = range(search.stop - opt_days, search.stop)
 
@@ -493,62 +507,28 @@ def cmd_optimize_weights(run: Runner, args) -> int:
             assignment = weights.nn_sample_grid(forecasts.locations)
             out_weights = weights.optimize_weights(grid, objective.scores, "NN", assignment=assignment)
         else:
-            feats, names = regime_feature_matrix(analysis)
-            clustering = weights.hierarchical_cluster(feats, int(o["clusters"]), names)
-            samples = weights.rb_sample_points(clustering, int(o["total_samples"]), seed=cfg["seed"])
-            clus_path = run.path("clustering")
-            run.register_output(clus_path, clustering.write_csv(clus_path))
+            clustering = weights.regime_clustering(analysis, o["clusters"])
+            samples = weights.rb_sample_points(clustering, o["total_samples"], seed=cfg["seed"])
+            run.write("clustering", clustering.write_csv)
             out_weights = weights.optimize_weights(
                 grid, objective.scores, "RB", clustering=clustering, regime_samples=samples
             )
 
-    out_path = run.path("weights")
-    run.register_output(out_path, weights.write_weights_csv(out_path, out_weights, forecasts.predictor_names))
+    run.write("weights", lambda path: weights.write_weights_csv(path, out_weights, forecasts.predictor_names))
     return 0
-
-
-def regime_feature_matrix(analysis):
-    """Location features for regime clustering: orography, annual daily-max
-    GHI, annual daily-max temperature, mean cloud cover."""
-    names = ("orography", "daily_max_ghi", "daily_max_temperature", "mean_cloud_cover")
-    t0 = analysis.valid_times.instants[0]
-    day = ((analysis.valid_times.instants - t0) // 86400).astype(int)
-    n_days = int(day.max()) + 1
-    ghi = analysis.values[analysis.variable_index("ghi")]
-    temp = analysis.values[analysis.variable_index("temperature")]
-    cloud = analysis.values[analysis.variable_index("cloud_cover")]
-    n_loc = ghi.shape[0]
-    dmax_ghi = np.full((n_loc, n_days), -np.inf)
-    dmax_temp = np.full((n_loc, n_days), -np.inf)
-    for d in range(n_days):
-        sel = day == d
-        dmax_ghi[:, d] = ghi[:, sel].max(axis=1)
-        dmax_temp[:, d] = temp[:, sel].max(axis=1)
-    feats = np.column_stack([
-        analysis.locations.elevation,
-        dmax_ghi.mean(axis=1),
-        dmax_temp.mean(axis=1),
-        cloud.mean(axis=1),
-    ])
-    return feats, names
 
 
 def cmd_cluster(run: Runner, args) -> int:
     from . import weights
 
-    problems = []
-    obs_path = run.input_path("observations", problems)
-    k = run.cfg["cluster"]["clusters"]
-    if not isinstance(k, int) or k < 1:
-        problems.append(f"cluster.clusters: need a positive integer, got {k!r}")
-    _fail_if(problems)
+    obs_path = run.input_path("observations")
+    run.check()
     analysis = run.read_tensor(obs_path)
+    k = run.cfg["cluster"]["clusters"]
     if k > len(analysis.locations):
-        _fail_if([f"cluster.clusters: {k} exceeds the {len(analysis.locations)} locations"])
-    feats, names = regime_feature_matrix(analysis)
-    clustering = weights.hierarchical_cluster(feats, k, names)
-    out = run.path("clustering")
-    run.register_output(out, clustering.write_csv(out))
+        run.problems.append(f"cluster.clusters: {k} exceeds the {len(analysis.locations)} locations")
+    run.check()
+    run.write("clustering", weights.regime_clustering(analysis, k).write_csv)
     return 0
 
 
@@ -558,54 +538,49 @@ def cmd_verify(run: Runner, args) -> int:
 
     cfg = run.cfg
     v = cfg["verify"]
-    problems = []
-    power_path = run.input_path(v["power"] or "power", problems)
-    truth_path = run.input_path(v["truth"] or "truth_power", problems)
-    grouping = v["grouping"]
-    if grouping not in verify.GROUPINGS:
-        problems.append(f"verify.grouping: unknown grouping {grouping!r}")
-    region_map = None
-    if grouping == "region":
+    power_path = run.input_path(v["power"] or "power")
+    truth_path = run.input_path(v["truth"] or "truth_power")
+    region_path = None
+    if v["grouping"] == "region":
         if not cfg["paths"]["region_map"]:
-            problems.append("paths.region_map: required for region grouping")
-        elif (rm := run.input_path("region_map", problems)).is_file():
-            region_map = verify.read_region_map(rm)
-    _fail_if(problems)
+            run.problems.append("paths.region_map: required for region grouping")
+        else:
+            region_path = run.input_path("region_map")
+    run.check()
 
     power = run.read_tensor(power_path)
     truth = run.read_tensor(truth_path)
     module = v["module"] or power.variable_names[0]
-    try:
-        p_idx = power.variable_index(module)
-    except KeyError:
-        _fail_if([f"verify.module: {module!r} not in power file variables {power.variable_names}"])
-    t_idx = truth.variable_index(module) if module in truth.variable_names else 0
-    ens = power.values[p_idx]
-    tru = truth.values[t_idx, ..., 0]
+    if v["grouping"] not in verify.GROUPINGS:
+        run.problems.append(f"verify.grouping: unknown grouping {v['grouping']!r}")
+    if module not in power.variable_names:
+        run.problems.append(f"verify.module: {module!r} not in power file variables {power.variable_names}")
+    run.check()
+    region_map = verify.read_region_map(region_path) if region_path else None
+    ens = power.values[power.variable_index(module)]
+    tru = truth.values[truth.variable_index(module) if module in truth.variable_names else 0, ..., 0]
 
     cache = precompute_solar(power.locations, power.init_times, power.lead_times)
     alignment = verify.align_solar_noon(cache) if v["align_noon"] else None
     report = verify.aggregate(
-        ens, tru, grouping,
+        ens, tru, v["grouping"],
         init_times=power.init_times,
         alignment=alignment,
         daylight=cache.daylight_mask(),
         region_map=region_map,
     )
-    out = run.path("report")
-    run.register_output(out, report.to_csv(out))
+    run.write("report", report.to_csv)
     return 0
 
 
 def cmd_workflow_run(run: Runner, args) -> int:
     from . import workflow
 
-    problems = []
     wf_path = Path(args.file)
     if not wf_path.exists():
-        problems.append(f"workflow file not found: {wf_path}")
-    _fail_if(problems)
-    run.inputs[str(wf_path)] = _hash_file(wf_path)
+        run.problems.append(f"workflow file not found: {wf_path}")
+    run.check()
+    run.inputs[str(wf_path)] = None
     wf = workflow.load_workflow_file(wf_path)
     handle = workflow.submit(wf)
     final = handle.wait()
@@ -616,44 +591,44 @@ def cmd_workflow_run(run: Runner, args) -> int:
 
 
 def cmd_report(run: Runner, args) -> int:
-    problems = []
-    if not args.inputs:
-        problems.append("report: need at least one verify CSV")
-    labels = args.labels.split(",") if args.labels else None
-    if labels and len(labels) != len(args.inputs):
-        problems.append("report: --labels count must match inputs")
-    for p in args.inputs:
-        if not Path(p).exists():
-            problems.append(f"report: file not found: {p}")
-    _fail_if(problems)
-    if labels is None:
-        labels = [Path(p).stem for p in args.inputs]
-
     import csv as _csv
 
+    if not args.inputs:
+        run.problems.append("report: need at least one verify CSV")
+    labels = args.labels.split(",") if args.labels else [Path(p).stem for p in args.inputs]
+    if len(labels) != len(args.inputs):
+        run.problems.append("report: --labels count must match inputs")
+    elif len(set(labels)) < len(labels):
+        run.problems.append(f"report: labels must differ, got {labels} (set them with --labels)")
+    for p in args.inputs:
+        if not Path(p).exists():
+            run.problems.append(f"report: file not found: {p}")
+    run.check()
+
     metric = args.metric
-    series = {}
-    groups: list = []
+    series, groups = {}, {}  # groups: a dict for its first-seen order
     for label, path in zip(labels, args.inputs):
-        run.inputs[str(Path(path))] = _hash_file(Path(path))
+        run.inputs[str(Path(path))] = None
         with open(path, newline="") as fh:
-            rows = list(_csv.DictReader(fh))
-        series[label] = {r["group"]: r[metric] for r in rows}
-        for r in rows:
-            if r["group"] not in groups:
-                groups.append(r["group"])
+            reader = _csv.DictReader(fh)
+            rows = list(reader)
+        for column in sorted({"group", metric} - set(reader.fieldnames or ())):
+            run.problems.append(f"report: no column {column!r} in {path}, whose columns are {reader.fieldnames}")
+        series[label] = {r.get("group"): r.get(metric) for r in rows}
+        groups.update(dict.fromkeys(r.get("group") for r in rows))
+    run.check()
 
     out = run.out_dir / (args.output or "report_wide.csv")
-    run.register_output(out, atomic_write_csv(
+    run.outputs[str(out)] = atomic_write_csv(
         out, ["group"] + [f"{metric}_{label}" for label in labels],
-        ([g] + [series[label].get(g, "") for label in labels] for g in groups)))
+        ([g] + [series[label].get(g, "") for label in labels] for g in groups))
     return 0
 
 
 # -- entry point -----------------------------------------------------------------
 
 # A flag whose dest is "=KEY" sets the dotted config key KEY (its help shows
-# "=KEY"); main() applies these after load_config. Other dests are plain args.
+# "=KEY"); main() passes these to load_config last. Other dests are plain args.
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="anensolar",
@@ -720,23 +695,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config, args.set)
-        problems = []
-        for dest, value in vars(args).items():
-            if dest.startswith("=") and value is not None:
-                _override(cfg, dest[1:], value, "a command-line flag", problems)
-        _fail_if(problems)
-        command = args.command if args.command != "workflow" else "workflow-run"
-        run = Runner(cfg, command)
+        flags = {dest[1:]: value for dest, value in vars(args).items()
+                 if dest.startswith("=") and value is not None}
+        cfg = load_config(args.config, args.set, flags=flags)
+        run = Runner(cfg, args.command if args.command != "workflow" else "workflow-run")
         rc = args.handler(run, args)
         run.write_manifest()
         return rc
     except ConfigValidationError as exc:
         print(json.dumps({"error": "config-validation", "problems": exc.problems}), file=sys.stderr)
         return 2
-    except AnensolarError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 1
     except Exception as exc:  # keep the contract: machine-readable line, nonzero exit
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1

@@ -1,7 +1,7 @@
 """Predictor-weight search: simplex grid enumeration, the equal-weight /
 nearest-neighbor / regime-based spatial strategies, and the agglomerative
-clustering that defines the regimes (also reused for module-catalog
-clustering).
+clustering that defines the regimes from an analysis's location features
+(also reused for module-catalog clustering).
 
 The weight lattice is enumerated in integer parts of 1/step so that every
 emitted vector sums to one exactly; clustering uses unweighted average
@@ -206,6 +206,32 @@ def hierarchical_cluster(features: np.ndarray, k: int,
         if z.size:
             centroids[label - 1] = z[group].mean(axis=0)
     return RegimeClustering(labels, centroids, kept_names)
+
+
+def regime_feature_matrix(analysis):
+    """Location features for regime clustering: orography, annual daily-max
+    GHI, annual daily-max temperature, mean cloud cover."""
+    instants = analysis.valid_times.instants
+    # the first time of each day, as the time axis strictly increases
+    starts = np.flatnonzero(np.diff((instants - instants[0]) // 86400, prepend=-1))
+
+    def series(name):
+        return analysis.values[analysis.variable_index(name)]
+
+    feats = np.column_stack([
+        analysis.locations.elevation,
+        np.maximum.reduceat(series("ghi"), starts, axis=1).mean(axis=1),
+        np.maximum.reduceat(series("temperature"), starts, axis=1).mean(axis=1),
+        series("cloud_cover").mean(axis=1),
+    ])
+    return feats, ("orography", "daily_max_ghi", "daily_max_temperature", "mean_cloud_cover")
+
+
+def regime_clustering(analysis, k: int) -> RegimeClustering:
+    """The k regimes of the analysis's locations, clustered on
+    ``regime_feature_matrix``."""
+    feats, names = regime_feature_matrix(analysis)
+    return hierarchical_cluster(feats, k, names)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from anensolar.anen import (
     equal_weights,
     search_analogs,
 )
-from anensolar.cli import regime_feature_matrix
+from anensolar.weights import regime_feature_matrix
 from anensolar.coredata import (
     MISSING,
     ForecastTensor,

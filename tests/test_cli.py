@@ -630,3 +630,34 @@ def test_weight_search_workflow_matches_a_hand_run_chain(tmp_path, monkeypatch):
     report = Path("hand", "report.csv").read_bytes()
     for strategy in ("NN", "RB"):
         assert Path(f"w00000-{strategy}", "report.csv").read_bytes() == report, strategy
+
+
+def test_report_rejects_an_unknown_metric(chain_dir, tmp_path, capsys):
+    out = tmp_path / "rep"
+    assert main(["-o", str(out), "report", "--metric", "rmsee", str(chain_dir / "report.csv")]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "config-validation"
+    header = read_csv(chain_dir / "report.csv")[0]
+    assert any("'rmsee'" in p and str(header) in p for p in payload["problems"]), payload["problems"]
+    # a CSV that is not a verify report has no group column
+    other = tmp_path / "other.csv"
+    other.write_text("lead,rmse\n0,1.5\n")
+    assert main(["-o", str(out), "report", str(other)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert any("'group'" in p for p in payload["problems"]), payload["problems"]
+    assert not (out / "report_wide.csv").exists()
+
+
+def test_report_rejects_duplicate_labels(chain_dir, tmp_path, capsys):
+    out = tmp_path / "rep"
+    ref = str(chain_dir / "report.csv")
+    other = tmp_path / "other" / "report.csv"
+    other.parent.mkdir()
+    other.write_bytes((chain_dir / "report.csv").read_bytes())
+    # given twice, or two files of one name without --labels
+    for argv in (["--labels", "a,a", ref, ref], [ref, str(other)]):
+        capsys.readouterr()
+        assert main(["-o", str(out), "report", *argv]) == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert any("labels must differ" in p for p in payload["problems"]), payload["problems"]
+    assert not (out / "report_wide.csv").exists()

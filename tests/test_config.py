@@ -1,0 +1,158 @@
+"""Every config value is checked before a command reads or writes a file: a
+value of the wrong type or out of its range exits 2 with a problem that names
+its key, in the one error that also lists the missing inputs."""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+import yaml
+
+from anensolar import cli
+from anensolar.cli import main
+
+SMALL = [
+    "--set", "synth.n_locations=4",
+    "--set", "synth.n_days=30",
+    "--set", "anen.search_days=24",
+    "--set", "anen.members=8",
+]
+
+QUICKSTART = Path(__file__).resolve().parents[1] / "demos" / "quickstart.yaml"
+
+
+def leaves(tree, prefix=""):
+    for name, value in tree.items():
+        if isinstance(value, dict):
+            yield from leaves(value, f"{prefix}{name}.")
+        else:
+            yield prefix + name, value
+
+
+# wrong-type values by the type of the key's default; a float key takes an
+# int, so only a bool and a string are wrong for it
+WRONG_TYPE = {int: ["abc", "true"], float: ["abc", "true"], bool: ["maybe", '"false"'],
+              str: ["5"], list: ["abc"]}
+# the keys whose default's type does not say what they take
+OWN_TYPE = {
+    "anen.weights": ["true", "[a, b]"],
+    "synth.start": ["nope", "true"],
+    "modules": ["STU300", "[1]"],
+    "synth.lat_range": ["[1.0]", "abc"],
+    "synth.lon_range": ["[1.0, 2.0, 3.0]", "[a, b]"],
+}
+OUT_OF_RANGE = {
+    "seed": "-1", "synth.n_locations": "0", "synth.n_days": "0", "synth.n_leads": "0",
+    "synth.ar_coeff": "1.0", "synth.cloud_noise": "-0.1", "synth.ghi_noise": "-0.1",
+    "anen.members": "0", "anen.half_window": "-1", "anen.sigma_epsilon": "0.0",
+    "anen.search_days": "0", "simulate.source": "raw", "optimize.strategy": "XX",
+    "optimize.total_samples": "0", "optimize.clusters": "0", "optimize.opt_days": "0",
+    "cluster.clusters": "0",
+}
+
+EVERY_COMMAND = [["synth"], ["sigma"], ["anen"], ["simulate"], ["optimize-weights"], ["cluster"],
+                 ["verify"], ["report", "{dir}/report.csv"], ["workflow", "run", "{wf}"]]
+
+
+def _value_cases():
+    cases = []
+    for key, default in leaves(cli.DEFAULT_CONFIG):
+        for raw in OWN_TYPE.get(key) or WRONG_TYPE[type(default)]:
+            cases.append((["--set", f"{key}={raw}"], key, EVERY_COMMAND))
+        if key in OUT_OF_RANGE:
+            cases.append((["--set", f"{key}={OUT_OF_RANGE[key]}"], key, EVERY_COMMAND))
+    return cases
+
+
+# bounds that need the data (the chain has 30 inits, 24 of them searched, and
+# 4 locations) or that a library constructor checks, run on the commands
+# that read the key
+DATA_CASES = [
+    (["--set", "optimize.clusters=50"], "optimize.clusters", [["optimize-weights"]]),
+    (["--set", "cluster.clusters=50"], "cluster.clusters", [["cluster"]]),
+    (["--set", "anen.search_days=30"], "anen.search_days",
+     [["sigma"], ["anen"], ["simulate", "--source", "forecast"], ["simulate", "--source", "analysis"],
+      ["optimize-weights"]]),
+    (["--set", "optimize.opt_days=24"], "optimize.opt_days", [["optimize-weights"]]),
+    (["--set", "optimize.step=0.3"], "optimize.step", [["optimize-weights"]]),
+    (["--set", "anen.weights=0.5,0.5"], "anen.weights", [["anen"], ["optimize-weights"]]),
+    (["--set", "modules=[STU300, XX]"], "modules", [["simulate"]]),
+    (["--set", "optimize.module=XX"], "optimize.module", [["optimize-weights"]]),
+    (["--set", "verify.grouping=weekly"], "verify.grouping", [["verify"]]),
+    (["--set", "verify.module=XX"], "verify.module", [["verify"]]),
+    (["--set", "system.capacity=0"], "system", [["simulate"], ["optimize-weights"]]),
+    (["--set", "system.tilt=91"], "system", [["simulate"], ["optimize-weights"]]),
+]
+
+CASES = _value_cases() + DATA_CASES + [(["--seed", "-1"], "seed", EVERY_COMMAND)]
+
+
+def _digests(root: Path) -> dict:
+    return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.fixture(scope="module")
+def chain(tmp_path_factory):
+    """A directory holding a small chain's inputs and outputs, and a workflow file."""
+    root = tmp_path_factory.mktemp("sweep")
+    out = root / "chain"
+    base = ["-o", str(out), *SMALL]
+    for argv in (["synth"], ["anen"], ["simulate"], ["simulate", "--source", "analysis"], ["verify"]):
+        assert main([*base, *argv]) == 0
+    wf = root / "wf.yaml"
+    wf.write_text("worker_budget: 1\npipelines:\n  - id: p0\n    stages:\n      - id: s0\n"
+                  "        tasks:\n          - id: t0\n            command: [echo, one]\n")
+    return out, wf
+
+
+def test_the_sweep_covers_every_key_and_bound():
+    swept = {key for _, key, _ in CASES}
+    assert swept >= {key for key, _ in leaves(cli.DEFAULT_CONFIG)}
+    assert set(OUT_OF_RANGE) == {key for key, (_, bound, _) in cli.RULES.items() if bound is not None}
+
+
+@pytest.mark.parametrize("argv, key, commands", CASES, ids=[" ".join(c[0]) for c in CASES])
+def test_bad_value_exits_2_naming_its_key(chain, tmp_path, monkeypatch, capsys, argv, key, commands):
+    out, wf = chain
+    monkeypatch.chdir(tmp_path)  # an output_dir case has no -o and must not make one here
+    before = _digests(out.parent)
+    for command in commands:
+        command = [part.format(dir=out, wf=wf) for part in command]
+        target = [] if key == "output_dir" else ["-o", str(out)]
+        capsys.readouterr()
+        assert main([*target, *SMALL, *argv, *command]) == 2, command
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "config-validation"
+        assert any(p.startswith(key + ":") for p in payload["problems"]), (command, payload["problems"])
+        assert _digests(out.parent) == before, command
+        assert list(tmp_path.iterdir()) == [], command
+
+
+def test_a_module_string_is_one_problem(chain, capsys):
+    out, _ = chain
+    assert main(["-o", str(out), *SMALL, "--set", "modules=STU300", "simulate"]) == 2
+    problems = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["problems"]
+    assert problems == ["modules: need a list of module codes, got 'STU300'"]
+
+
+def test_bad_values_and_missing_inputs_are_one_error(tmp_path, capsys):
+    assert main(["-o", str(tmp_path), "--set", "anen.operational=maybe", "--set", "seed=abc",
+                 "anen", "--members", "0"]) == 2
+    problems = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["problems"]
+    assert [p.split(":")[0] for p in problems] == [
+        "seed", "anen.members", "anen.operational", "paths.forecasts", "paths.observations"]
+
+
+def test_valid_values_of_every_form_pass():
+    cfg = cli.load_config(None, ["synth.start=2019-01-01", "synth.ar_coeff=0", "anen.weights=[1, 0, 0, 0, 0]",
+                                 "optimize.strategy=nn", "system.capacity=5000", "anen.sigma_epsilon=1"])
+    assert cli.check_config(cfg) == []
+    assert cli.check_config(cli.load_config(None, ["synth.start=1546300800", "anen.weights=equal"])) == []
+
+
+def test_quickstart_names_every_key_and_passes_the_check():
+    doc = yaml.safe_load(QUICKSTART.read_text())
+    assert sorted(key for key, _ in leaves(doc)) == sorted(key for key, _ in leaves(cli.DEFAULT_CONFIG))
+    assert cli.check_config(cli.load_config(QUICKSTART, environ={})) == []
