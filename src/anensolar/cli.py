@@ -428,10 +428,10 @@ def cmd_anen(run: Runner, args) -> int:
     if per_loc is not None:
         config = dataclasses.replace(config, weights=per_loc)
 
-    sigma = compute_sigma(forecasts, search)
-    indices = search_analogs(forecasts, config, test, search, sigma)
-    aligned = align_observations(analysis, forecasts.init_times, forecasts.lead_times)
+    indices = search_analogs(forecasts, config, test, search, compute_sigma(forecasts, search))
     run.write_tensor("analogs", indices)
+    aligned = align_observations(analysis, forecasts.init_times, forecasts.lead_times)
+    del forecasts, analysis  # the gather needs neither: release them before it allocates the ensemble
     run.write_tensor("ensemble", build_multivariate_ensemble(indices, aligned))
     return 0
 
@@ -627,16 +627,28 @@ def cmd_report(run: Runner, args) -> int:
 
 # -- entry point -----------------------------------------------------------------
 
+def _parsed_or_text(cast):
+    """A flag's argparse type: ``cast(text)`` when the text parses, else the
+    text itself, so that check_config, not argparse, reports a bad value."""
+    def convert(text: str):
+        try:
+            return cast(text)
+        except ValueError:
+            return text
+    return convert
+
+
 # A flag whose dest is "=KEY" sets the dotted config key KEY (its help shows
 # "=KEY"); main() passes these to load_config last. Other dests are plain args.
 def build_parser() -> argparse.ArgumentParser:
+    integer, number = _parsed_or_text(int), _parsed_or_text(float)
     parser = argparse.ArgumentParser(
         prog="anensolar",
         description="Analog-ensemble solar power forecasting toolkit.",
     )
     parser.add_argument("-c", "--config", help="YAML config file")
     parser.add_argument("-o", "--output-dir", dest="=output_dir", help="output directory (overrides config)")
-    parser.add_argument("--seed", dest="=seed", type=int, help="random seed (overrides config)")
+    parser.add_argument("--seed", dest="=seed", type=integer, help="random seed (overrides config)")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override any config key (dotted path)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -647,26 +659,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_anen = sub.add_parser("anen", help="search analogs and build the weather ensemble")
     p_anen.add_argument("--weights", dest="=anen.weights", help="comma list or 'equal' (overrides config)")
     p_anen.add_argument("--weights-file", dest="=paths.weights_file", help="per-location weights CSV")
-    p_anen.add_argument("--members", dest="=anen.members", type=int)
-    p_anen.add_argument("--search-days", dest="=anen.search_days", type=int)
+    p_anen.add_argument("--members", dest="=anen.members", type=integer)
+    p_anen.add_argument("--search-days", dest="=anen.search_days", type=integer)
     p_anen.set_defaults(handler=cmd_anen)
 
     p_sim = sub.add_parser("simulate", help="run the power simulation chain")
-    p_sim.add_argument("--source", dest="=simulate.source", choices=["ensemble", "forecast", "analysis"])
+    p_sim.add_argument("--source", dest="=simulate.source")
     p_sim.add_argument("--modules", dest="=modules", type=lambda s: [m for m in s.split(",") if m],
                        help="comma list of catalog codes")
     p_sim.add_argument("--output", dest="=simulate.output", help="output path key or filename")
     p_sim.set_defaults(handler=cmd_simulate)
 
     p_opt = sub.add_parser("optimize-weights", help="grid-search predictor weights")
-    p_opt.add_argument("--strategy", dest="=optimize.strategy", type=str.upper, choices=["EW", "NN", "RB"])
-    p_opt.add_argument("--step", dest="=optimize.step", type=float)
-    p_opt.add_argument("--samples", dest="=optimize.total_samples", type=int, help="total RB sample points")
-    p_opt.add_argument("--clusters", dest="=optimize.clusters", type=int)
+    p_opt.add_argument("--strategy", dest="=optimize.strategy", type=str.upper)
+    p_opt.add_argument("--step", dest="=optimize.step", type=number)
+    p_opt.add_argument("--samples", dest="=optimize.total_samples", type=integer, help="total RB sample points")
+    p_opt.add_argument("--clusters", dest="=optimize.clusters", type=integer)
     p_opt.set_defaults(handler=cmd_optimize_weights)
 
     p_clu = sub.add_parser("cluster", help="hierarchical regime clustering of locations")
-    p_clu.add_argument("--clusters", dest="=cluster.clusters", type=int)
+    p_clu.add_argument("--clusters", dest="=cluster.clusters", type=integer)
     p_clu.set_defaults(handler=cmd_cluster)
 
     p_ver = sub.add_parser("verify", help="compute grouped skill metrics")

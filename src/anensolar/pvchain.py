@@ -2,8 +2,12 @@
 
 GHI decomposition (DISC) -> plane-of-array transposition (Hay-Davies) ->
 cell temperature -> module power -> linear system scaling. Every operation
-is pure, broadcastable over numpy arrays, and applied per ensemble member
-with the astronomy read from a shared precomputed cache.
+is pure, elementwise and broadcastable over numpy arrays, with the astronomy
+read from a shared precomputed cache. The first two steps depend only on the
+weather, the sun and the system's orientation, not on the module: an
+ensemble is simulated one location at a time, running them once per location
+and then the last three once per module, so no temporary spans more than one
+location of the ensemble.
 
 The electrical model is a temperature-corrected linear power model with a
 per-module power temperature coefficient; effective irradiance equals the
@@ -18,7 +22,7 @@ from importlib import resources
 
 import numpy as np
 
-from .coredata import EnsembleTensor
+from .coredata import EnsembleTensor, _Owned
 from .errors import MissingVariableError
 from .solar import SolarCacheTable, SolarSample
 
@@ -212,14 +216,26 @@ def system_scale(spec: PvModuleSpec, system: SystemConfig) -> float:
     return system.capacity / spec.stc_rating
 
 
-def _chain(ghi, albedo, ambient_temp, wind_speed, zenith, azimuth, airmass, e0n,
-           spec: PvModuleSpec, system: SystemConfig):
+def _poa_global(ghi, albedo, zenith, azimuth, airmass, e0n, system: SystemConfig):
+    """The module-independent steps: plane-of-array global irradiance, and
+    the night mask (zenith >= 90 degrees)."""
     comp = disc_decompose(ghi, zenith, airmass, e0n)
     poa = transpose_poa(comp, ghi, albedo, zenith, azimuth, e0n, system)
-    t_cell = cell_temperature(poa.global_, ambient_temp, wind_speed, spec)
-    power = module_power(poa.global_, t_cell, spec) * system_scale(spec, system)
-    night = np.asarray(zenith, dtype=float) >= 90.0
+    return poa.global_, np.asarray(zenith, dtype=float) >= 90.0
+
+
+def _module_system_power(poa_global, night, ambient_temp, wind_speed, spec: PvModuleSpec,
+                         system: SystemConfig):
+    """The per-module steps: system power in W from ``_poa_global``'s output, 0 at night."""
+    t_cell = cell_temperature(poa_global, ambient_temp, wind_speed, spec)
+    power = module_power(poa_global, t_cell, spec) * system_scale(spec, system)
     return np.where(night, 0.0, power)
+
+
+def _chain(ghi, albedo, ambient_temp, wind_speed, zenith, azimuth, airmass, e0n,
+           spec: PvModuleSpec, system: SystemConfig):
+    poa_global, night = _poa_global(ghi, albedo, zenith, azimuth, airmass, e0n, system)
+    return _module_system_power(poa_global, night, ambient_temp, wind_speed, spec, system)
 
 
 def simulate_system(weather: WeatherSample, solar: SolarSample, spec: PvModuleSpec,
@@ -246,6 +262,14 @@ def simulate_ensemble(ensemble: EnsembleTensor, cache: SolarCacheTable,
     (module, l, i, j, m) is the simulated system power in W. Weather NaNs
     propagate to NaN power. The solar cache is shared across members, never
     recomputed per member.
+
+    The chain runs one location at a time: decomposition, transposition and
+    the night mask, which depend only on the weather, the sun and the
+    system, run once per location; cell temperature and module power run
+    once per location and spec, into that spec's slice of the output. Every
+    step is elementwise, so the result is bit-identical to running the whole
+    chain per spec over the whole ensemble, and no temporary is larger than
+    one location's (init, lead, member) block.
     """
     idx = {}
     for name in REQUIRED_VARIABLES:
@@ -254,21 +278,16 @@ def simulate_ensemble(ensemble: EnsembleTensor, cache: SolarCacheTable,
         except KeyError:
             raise MissingVariableError(name) from None
 
-    ghi = ensemble.values[idx["ghi"]]
-    albedo = ensemble.values[idx["albedo"]]
-    temp = ensemble.values[idx["temperature"]]
-    wind = ensemble.values[idx["wind_speed"]]
-    zen = cache.apparent_zenith[..., None]
-    az = cache.azimuth[..., None]
-    am = cache.airmass[..., None]
-    e0n = cache.e0n[..., None]
-
+    ghi, albedo, temp, wind = (ensemble.values[idx[name]] for name in REQUIRED_VARIABLES)
     out = np.empty((len(specs),) + ghi.shape)
-    for k, spec in enumerate(specs):
-        out[k] = _chain(ghi, albedo, temp, wind, zen, az, am, e0n, spec, system)
+    for l in range(ghi.shape[0]):
+        sun = (a[l, ..., None] for a in (cache.apparent_zenith, cache.azimuth, cache.airmass, cache.e0n))
+        poa_global, night = _poa_global(ghi[l], albedo[l], *sun, system)
+        for k, spec in enumerate(specs):
+            out[k, l] = _module_system_power(poa_global, night, temp[l], wind[l], spec, system)
     return EnsembleTensor(
         tuple(s.code for s in specs), ensemble.locations, ensemble.init_times,
-        ensemble.lead_times, ensemble.members, out,
+        ensemble.lead_times, ensemble.members, _Owned(out),
     )
 
 

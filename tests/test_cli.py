@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -315,6 +316,26 @@ class TestCommands:
                               expected / "ensemble.ansr")
         for name in ("analogs.ansr", "ensemble.ansr"):
             assert (outdir / name).read_bytes() == (expected / name).read_bytes()
+
+    def test_anen_releases_its_inputs_before_the_gather(self, outdir, monkeypatch):
+        assert run_cli(["-o", outdir, *SMALL, "synth"]) == 0
+        read, alive_at_gather = [], []
+        real_read, real_gather = tensorio.read_tensor, anen.build_multivariate_ensemble
+
+        def recording_read(*args, **kwargs):
+            tensor = real_read(*args, **kwargs)
+            read.append(weakref.ref(tensor))
+            return tensor
+
+        def checking_gather(*args, **kwargs):
+            alive_at_gather.extend(type(ref()).__name__ for ref in read if ref() is not None)
+            return real_gather(*args, **kwargs)
+
+        monkeypatch.setattr(tensorio, "read_tensor", recording_read)
+        monkeypatch.setattr(anen, "build_multivariate_ensemble", checking_gather)
+        assert run_cli(["-o", outdir, *SMALL, "anen"]) == 0
+        assert len(read) == 2
+        assert alive_at_gather == []
 
     def test_anen_with_weights_file(self, outdir):
         assert run_cli(["-o", outdir, *SMALL, "synth"]) == 0

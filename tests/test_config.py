@@ -156,3 +156,61 @@ def test_quickstart_names_every_key_and_passes_the_check():
     doc = yaml.safe_load(QUICKSTART.read_text())
     assert sorted(key for key, _ in leaves(doc)) == sorted(key for key, _ in leaves(cli.DEFAULT_CONFIG))
     assert cli.check_config(cli.load_config(QUICKSTART, environ={})) == []
+
+
+# every flag that takes a number or one of a few words, with a bad value:
+# argparse passes any text on, and check_config names the flag's key
+BAD_FLAGS = [
+    (["--seed", "abc", "synth"], "seed"),
+    (["anen", "--members", "abc"], "anen.members"),
+    (["anen", "--search-days", "1.5"], "anen.search_days"),
+    (["simulate", "--source", "raw"], "simulate.source"),
+    (["optimize-weights", "--strategy", "xx"], "optimize.strategy"),
+    (["optimize-weights", "--step", "abc"], "optimize.step"),
+    (["optimize-weights", "--samples", "abc"], "optimize.total_samples"),
+    (["optimize-weights", "--clusters", "two"], "optimize.clusters"),
+    (["cluster", "--clusters", "two"], "cluster.clusters"),
+]
+
+
+def _flag_keys(parser):
+    """The config key of every flag of ``parser`` and its subcommands."""
+    for action in parser._actions:
+        if action.dest.startswith("="):
+            yield action.dest[1:]
+        for sub in (action.choices or {}).values() if action.dest == "command" else ():
+            yield from _flag_keys(sub)
+
+
+def test_the_flag_sweep_covers_every_numeric_and_chosen_flag():
+    defaults = dict(leaves(cli.DEFAULT_CONFIG))
+    numeric = {key for key in _flag_keys(cli.build_parser()) if type(defaults[key]) in (int, float)}
+    assert {key for _, key in BAD_FLAGS} == numeric | {"simulate.source", "optimize.strategy"}
+
+
+@pytest.mark.parametrize("argv, key", BAD_FLAGS, ids=[" ".join(argv) for argv, _ in BAD_FLAGS])
+def test_bad_flag_value_exits_2_naming_its_key(chain, capsys, argv, key):
+    out, _ = chain
+    before = _digests(out)
+    assert main(["-o", str(out), *SMALL, *argv]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "config-validation"
+    assert any(p.startswith(key + ":") for p in payload["problems"]), payload["problems"]
+    assert _digests(out) == before
+
+
+@pytest.mark.parametrize("flags, sets", [
+    (["--seed", "7", "anen", "--members", "8", "--search-days", "24"],
+     ["seed=7", "anen.members=8", "anen.search_days=24"]),
+    (["simulate", "--source", "analysis"], ["simulate.source=analysis"]),
+    (["optimize-weights", "--strategy", "nn", "--step", "0.2", "--samples", "4", "--clusters", "3"],
+     ["optimize.strategy=NN", "optimize.step=0.2", "optimize.total_samples=4", "optimize.clusters=3"]),
+    (["optimize-weights", "--step", "1"], ["optimize.step=1.0"]),
+    (["cluster", "--clusters", "3"], ["cluster.clusters=3"]),
+])
+def test_valid_flag_values_keep_their_config_hash(flags, sets):
+    args = cli.build_parser().parse_args(flags)
+    cfg = cli.load_config(None, environ={}, flags={dest[1:]: value for dest, value in vars(args).items()
+                                                    if dest.startswith("=") and value is not None})
+    assert cli.check_config(cfg) == []
+    assert cli.config_hash(cfg) == cli.config_hash(cli.load_config(None, sets, environ={}))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from anensolar.pvchain import (
     PvModuleSpec,
     SystemConfig,
     WeatherSample,
+    _chain,
     cell_temperature,
     disc_decompose,
     load_module_catalog,
@@ -265,6 +267,54 @@ class TestSimulateEnsemble:
         a = simulate_ensemble(ens, cache, [SPEC], FLAT)
         b = simulate_ensemble(ens, cache, [SPEC], FLAT)
         assert a.values.tobytes() == b.values.tobytes()
+
+
+class TestLocationBlocks:
+    """simulate_ensemble runs the chain one location at a time, the
+    weather-only steps once per location."""
+
+    def test_catalog_equals_per_spec_chain_over_the_whole_field(self):
+        # tilted, so that the transposition does real work; 24 leads from
+        # 14 UTC, so that every location has night cells; NaN weather cells
+        ens, cache = make_weather_ensemble(members=5, n_loc=4, n_init=3, n_lead=24)
+        values = ens.values.copy()
+        r = np.random.default_rng(3)
+        values[r.random(values.shape) < 0.05] = np.nan
+        ens = EnsembleTensor(ens.variable_names, ens.locations, ens.init_times,
+                             ens.lead_times, ens.members, values)
+        tilted = SystemConfig(capacity=10_000.0, tilt=30.0, azimuth=160.0)
+        specs = load_module_catalog()
+        assert len(specs) == 11
+
+        power = simulate_ensemble(ens, cache, specs, tilted)
+
+        zen, az, am, e0n = (a[..., None] for a in
+                            (cache.apparent_zenith, cache.azimuth, cache.airmass, cache.e0n))
+        expected = np.stack([_chain(*values, zen, az, am, e0n, spec, tilted) for spec in specs])
+        assert np.isnan(expected).any() and (expected == 0.0).any() and (expected > 0.0).any()
+        assert (cache.apparent_zenith >= 90.0).any(axis=(1, 2)).all()
+        assert power.variable_names == tuple(s.code for s in specs)
+        np.testing.assert_array_equal(power.values.view(np.uint64), expected.view(np.uint64))
+
+    def test_temporaries_span_one_location_not_the_ensemble(self):
+        # The steps before the output's slice run on one location's
+        # (init, lead, member) block, so the memory beyond the output is a
+        # fixed number of blocks (DISC holds about eleven at once): at
+        # L = 32 locations, half of one full-field array is 16 blocks.
+        # Running the chain over the whole field builds about ten
+        # full-field temporaries, and a copy of the output would add eleven.
+        n_loc = 32
+        ens, cache = make_weather_ensemble(members=21, n_loc=n_loc, n_init=4, n_lead=24)
+        specs = load_module_catalog()
+        field_bytes = np.prod(ens.values.shape[1:]) * 8
+        tracemalloc.start()
+        try:
+            power = simulate_ensemble(ens, cache, specs, FLAT)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert power.values.nbytes == len(specs) * field_bytes
+        assert peak - power.values.nbytes < field_bytes / 2
 
 
 class TestCatalog:
