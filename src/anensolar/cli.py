@@ -553,12 +553,14 @@ def cmd_verify(run: Runner, args) -> int:
     module = v["module"] or power.variable_names[0]
     if v["grouping"] not in verify.GROUPINGS:
         run.problems.append(f"verify.grouping: unknown grouping {v['grouping']!r}")
-    if module not in power.variable_names:
-        run.problems.append(f"verify.module: {module!r} not in power file variables {power.variable_names}")
+    for what, tensor in (("power", power), ("truth", truth)):
+        if module not in tensor.variable_names:
+            run.problems.append(f"verify.module: {module!r} not in {what} file variables "
+                                f"{tensor.variable_names}")
     run.check()
     region_map = verify.read_region_map(region_path) if region_path else None
     ens = power.values[power.variable_index(module)]
-    tru = truth.values[truth.variable_index(module) if module in truth.variable_names else 0, ..., 0]
+    tru = truth.values[truth.variable_index(module), ..., 0]
 
     cache = precompute_solar(power.locations, power.init_times, power.lead_times)
     alignment = verify.align_solar_noon(cache) if v["align_noon"] else None

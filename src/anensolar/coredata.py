@@ -5,12 +5,14 @@ analog index set that the analog search produces.
 All values are float64; missing data is encoded as NaN (one sentinel
 throughout). Times are UTC epoch seconds; lead times are seconds from
 initialization. Tensors are immutable after construction and safe to share
-across concurrent readers.
+across concurrent readers. Every kind derives from ``_Tensor`` and declares
+its axes once, in ``AXES``: the shape check, ``shape``, the location slab
+``at_locations`` and ``tensorio``'s file layout all follow them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,10 +29,12 @@ MISSING = float("nan")
 class _Owned:
     """An array that nothing else refers to, handed to a tensor constructor.
 
-    ``tensorio.read_tensor`` wraps the array it read a file into, and
-    ``anen`` the arrays its search and gather fill, so the tensor keeps them
-    without a copy. Every other caller's array is copied, because tensors
-    are immutable and the caller keeps its reference.
+    ``tensorio.read_tensor`` wraps the array it read a file into, and the
+    producers wrap the arrays they fill (``anen``'s search and gather,
+    ``pvchain.simulate_ensemble``, ``align_observations``), so the tensor
+    keeps them without a copy; ``_Tensor.__post_init__`` freezes them in
+    place. Every other caller's array is copied, because tensors are
+    immutable and the caller keeps its reference.
     """
 
     __slots__ = ("array",)
@@ -136,21 +140,9 @@ class LeadTimeAxis:
         return len(self.offsets)
 
 
-class _Variables:
-    """``variable_index`` for the tensors that name their variables."""
-
-    def variable_index(self, name: str) -> int:
-        try:
-            return self.variable_names.index(name)
-        except ValueError:
-            raise KeyError(name) from None
-
-
 def _check_shape(values: np.ndarray, expected: tuple, what: str):
     if values.shape != expected:
-        raise DimensionMismatchError(
-            f"{what} values have shape {values.shape}, expected {expected}"
-        )
+        raise DimensionMismatchError(f"{what} has shape {values.shape}, expected {expected}")
 
 
 def _check_no_inf(values: np.ndarray, what: str):
@@ -158,11 +150,63 @@ def _check_no_inf(values: np.ndarray, what: str):
     # distance that silently drops an analog candidate; fmax/fmin skip NaN, with no mask
     if (np.fmax.reduce(values, axis=None, initial=-np.inf) == np.inf
             or np.fmin.reduce(values, axis=None, initial=np.inf) == -np.inf):
-        raise TensorFormatError(f"{what} values contain +-inf; encode missing data as NaN")
+        raise TensorFormatError(f"{what} contains +-inf; encode missing data as NaN")
 
 
 @dataclass(frozen=True)
-class ForecastTensor:
+class _Tensor:
+    """Float64 arrays over declared axes, the base of every tensor kind.
+
+    ``AXES`` names the attributes whose lengths give the shape of each array
+    in ``ARRAYS``, in order: a named kind lists its ``*_names`` attribute
+    first, and ``members`` counts as a length. Construction checks the names,
+    freezes each array (see ``_Owned``) and checks its shape, and a
+    ``FINITE`` kind also rejects +-inf. ``tensorio`` lays every kind out on
+    disk from the same ``AXES``.
+    """
+
+    AXES = ()
+    ARRAYS = ("values",)
+    FINITE = False
+
+    def __post_init__(self):
+        kind = type(self).__name__
+        names = self.AXES[0]
+        if names.endswith("_names"):
+            checked = _check_names(getattr(self, names), names.removesuffix("_names"))
+            object.__setattr__(self, names, checked)
+        if "members" in self.AXES and self.members < 1:
+            raise DimensionMismatchError(f"{kind} must have at least one member")
+        for name in self.ARRAYS:
+            arr = _frozen_array(getattr(self, name), np.float64)
+            object.__setattr__(self, name, arr)
+            _check_shape(arr, self.shape, f"{kind}.{name}")
+            if self.FINITE:
+                _check_no_inf(arr, f"{kind}.{name}")
+
+    @property
+    def shape(self) -> tuple:
+        return tuple(self.members if a == "members" else len(getattr(self, a)) for a in self.AXES)
+
+    def _name_index(self, name: str) -> int:
+        try:
+            return getattr(self, self.AXES[0]).index(name)
+        except ValueError:
+            raise KeyError(name) from None
+
+    def at_locations(self, start: int, stop: int):
+        """The same tensor over locations ``start:stop`` alone, renumbered
+        from 0; consecutive slabs joined along the location axis give the
+        whole back."""
+        loc = self.locations
+        cut = (slice(None),) * self.AXES.index("locations") + (slice(start, stop),)
+        slab = LocationSet.from_coords(loc.latitude[start:stop], loc.longitude[start:stop],
+                                       loc.elevation[start:stop])
+        return replace(self, locations=slab, **{a: getattr(self, a)[cut] for a in self.ARRAYS})
+
+
+@dataclass(frozen=True)
+class ForecastTensor(_Tensor):
     """Deterministic forecast archive: predictor x location x init x lead."""
 
     predictor_names: tuple
@@ -171,29 +215,13 @@ class ForecastTensor:
     lead_times: LeadTimeAxis
     values: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "predictor_names", _check_names(self.predictor_names, "predictor"))
-        object.__setattr__(self, "values", _frozen_array(self.values, np.float64))
-        _check_shape(
-            self.values,
-            (len(self.predictor_names), len(self.locations), len(self.init_times), len(self.lead_times)),
-            "forecast",
-        )
-        _check_no_inf(self.values, "forecast")
-
-    @property
-    def shape(self):
-        return self.values.shape
-
-    def predictor_index(self, name: str) -> int:
-        try:
-            return self.predictor_names.index(name)
-        except ValueError:
-            raise KeyError(name) from None
+    AXES = ("predictor_names", "locations", "init_times", "lead_times")
+    FINITE = True
+    predictor_index = _Tensor._name_index
 
 
 @dataclass(frozen=True)
-class ObservationTensor(_Variables):
+class ObservationTensor(_Tensor):
     """Analysis/observation archive: variable x location x valid-time."""
 
     variable_names: tuple
@@ -201,23 +229,13 @@ class ObservationTensor(_Variables):
     valid_times: TimeAxis
     values: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "variable_names", _check_names(self.variable_names, "variable"))
-        object.__setattr__(self, "values", _frozen_array(self.values, np.float64))
-        _check_shape(
-            self.values,
-            (len(self.variable_names), len(self.locations), len(self.valid_times)),
-            "observation",
-        )
-        _check_no_inf(self.values, "observation")
-
-    @property
-    def shape(self):
-        return self.values.shape
+    AXES = ("variable_names", "locations", "valid_times")
+    FINITE = True
+    variable_index = _Tensor._name_index
 
 
 @dataclass(frozen=True)
-class EnsembleTensor(_Variables):
+class EnsembleTensor(_Tensor):
     """Ensemble values: variable x location x init x lead x member."""
 
     variable_names: tuple
@@ -227,30 +245,12 @@ class EnsembleTensor(_Variables):
     members: int
     values: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "variable_names", _check_names(self.variable_names, "variable"))
-        object.__setattr__(self, "values", _frozen_array(self.values, np.float64))
-        if self.members < 1:
-            raise DimensionMismatchError("ensemble must have at least one member")
-        _check_shape(
-            self.values,
-            (
-                len(self.variable_names),
-                len(self.locations),
-                len(self.init_times),
-                len(self.lead_times),
-                self.members,
-            ),
-            "ensemble",
-        )
-
-    @property
-    def shape(self):
-        return self.values.shape
+    AXES = ("variable_names", "locations", "init_times", "lead_times", "members")
+    variable_index = _Tensor._name_index
 
 
 @dataclass(frozen=True)
-class SigmaTensor:
+class SigmaTensor(_Tensor):
     """Per (predictor, location, lead) standard deviation over the search period."""
 
     predictor_names: tuple
@@ -258,15 +258,11 @@ class SigmaTensor:
     lead_times: LeadTimeAxis
     values: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "predictor_names", tuple(self.predictor_names))
-        object.__setattr__(self, "values", _frozen_array(self.values, np.float64))
-        _check_shape(self.values,
-                     (len(self.predictor_names), len(self.locations), len(self.lead_times)), "sigma")
+    AXES = ("predictor_names", "locations", "lead_times")
 
 
 @dataclass(frozen=True)
-class AnalogIndexSet:
+class AnalogIndexSet(_Tensor):
     """Ranked analog members per (location, test init, lead).
 
     ``search_index`` holds positions into ``init_times`` (NaN where a slot is
@@ -283,12 +279,12 @@ class AnalogIndexSet:
     search_index: np.ndarray
     distance: np.ndarray
 
+    AXES = ("locations", "test_indices", "lead_times", "members")
+    ARRAYS = ("search_index", "distance")
+
     def __post_init__(self):
         object.__setattr__(self, "test_indices", _frozen_array(self.test_indices, np.int64))
-        shape = (len(self.locations), len(self.test_indices), len(self.lead_times), self.members)
-        for name in ("search_index", "distance"):
-            object.__setattr__(self, name, _frozen_array(getattr(self, name), np.float64))
-            _check_shape(getattr(self, name), shape, name)
+        super().__post_init__()
 
     def member_count(self) -> np.ndarray:
         """Stored members per (location, test, lead)."""
@@ -296,7 +292,7 @@ class AnalogIndexSet:
 
 
 @dataclass(frozen=True)
-class AlignedObservations(_Variables):
+class AlignedObservations(_Tensor):
     """Observations re-addressed by (init, lead): variable x location x init x lead.
 
     Element (v, l, i, j) holds the observed value at valid time
@@ -310,14 +306,8 @@ class AlignedObservations(_Variables):
     lead_times: LeadTimeAxis
     values: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "variable_names", tuple(self.variable_names))
-        object.__setattr__(self, "values", _frozen_array(self.values, np.float64))
-        _check_shape(
-            self.values,
-            (len(self.variable_names), len(self.locations), len(self.init_times), len(self.lead_times)),
-            "aligned-observation",
-        )
+    AXES = ("variable_names", "locations", "init_times", "lead_times")
+    variable_index = _Tensor._name_index
 
 
 def align_observations(
@@ -333,6 +323,8 @@ def align_observations(
     pos = np.searchsorted(obs.valid_times.instants, wanted)
     pos_clipped = np.minimum(pos, len(obs.valid_times) - 1)
     hit = obs.valid_times.instants[pos_clipped] == wanted
-    gathered = obs.values[:, :, pos_clipped]
-    out = np.where(hit[None, None, :, :], gathered, MISSING)
-    return AlignedObservations(obs.variable_names, obs.locations, init_times, lead_times, out)
+    # take along one axis returns a fresh C-ordered array, masked in place
+    out = np.take(obs.values, pos_clipped, axis=2)
+    np.copyto(out, MISSING, where=~hit)
+    return AlignedObservations(obs.variable_names, obs.locations, init_times, lead_times,
+                               _Owned(out))

@@ -21,7 +21,6 @@ from .coredata import (
     MISSING,
     EnsembleTensor,
     ForecastTensor,
-    LocationSet,
     ObservationTensor,
     SigmaTensor,
     TimeAxis,
@@ -32,34 +31,6 @@ from .solar import precompute_solar
 
 if TYPE_CHECKING:
     from .anen import AnEnConfig, SearchTables
-
-
-def single_location(locations: LocationSet, loc: int) -> LocationSet:
-    return LocationSet(
-        np.array([0]),
-        locations.latitude[loc : loc + 1],
-        locations.longitude[loc : loc + 1],
-        locations.elevation[loc : loc + 1],
-    )
-
-
-def slice_forecast_location(forecasts: ForecastTensor, loc: int) -> ForecastTensor:
-    return ForecastTensor(
-        forecasts.predictor_names,
-        single_location(forecasts.locations, loc),
-        forecasts.init_times,
-        forecasts.lead_times,
-        forecasts.values[:, loc : loc + 1],
-    )
-
-
-def slice_observation_location(obs: ObservationTensor, loc: int) -> ObservationTensor:
-    return ObservationTensor(
-        obs.variable_names,
-        single_location(obs.locations, loc),
-        obs.valid_times,
-        obs.values[:, loc : loc + 1],
-    )
 
 
 def forecast_weather_ensemble(forecasts: ForecastTensor, test_range=None) -> EnsembleTensor:
@@ -171,9 +142,9 @@ class WeightObjective:
     def _build(self, loc: int):
         from .anen import SearchTables
 
-        fc = slice_forecast_location(self.forecasts, loc)
+        fc = self.forecasts.at_locations(loc, loc + 1)
         search = SearchTables(fc, self.base, self.test_range, self.search_range)
-        an = slice_observation_location(self.analysis, loc)
+        an = self.analysis.at_locations(loc, loc + 1)
         truth_weather = analysis_weather_ensemble(an, fc.init_times, fc.lead_times, search.test)
         cache = precompute_solar(fc.locations, truth_weather.init_times, fc.lead_times)
         truth_power = simulate_ensemble(truth_weather, cache, [self.spec], self.system).values[0, ..., 0]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coredata import MISSING, LeadTimeAxis, LocationSet, TimeAxis
+from .coredata import MISSING, LeadTimeAxis, LocationSet, TimeAxis, _Tensor
 
 SOLAR_CONSTANT = 1361.1  # W/m^2, total solar irradiance at 1 AU
 
@@ -177,11 +177,8 @@ class SolarSample:
     airmass: float
 
 
-_CACHE_FIELDS = ("apparent_zenith", "azimuth", "declination", "equation_of_time", "e0n", "airmass")
-
-
 @dataclass(frozen=True)
-class SolarCacheTable:
+class SolarCacheTable(_Tensor):
     """Sun geometry precomputed once for every (location, init, lead) cell.
 
     All arrays are (L, I, J). The table is immutable and meant to be shared:
@@ -199,18 +196,8 @@ class SolarCacheTable:
     e0n: np.ndarray
     airmass: np.ndarray
 
-    def __post_init__(self):
-        shape = (len(self.locations), len(self.init_times), len(self.lead_times))
-        for name in _CACHE_FIELDS:
-            arr = np.array(getattr(self, name), dtype=float, copy=True)
-            if arr.shape != shape:
-                raise ValueError(f"solar cache field {name} has shape {arr.shape}, expected {shape}")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def shape(self):
-        return self.apparent_zenith.shape
+    AXES = ("locations", "init_times", "lead_times")
+    ARRAYS = ("apparent_zenith", "azimuth", "declination", "equation_of_time", "e0n", "airmass")
 
     def daylight_mask(self) -> np.ndarray:
         """True where the sun is above the horizon (zenith < 90 degrees)."""
@@ -218,7 +205,7 @@ class SolarCacheTable:
 
     def sample(self, location: int, init_index: int, lead_index: int) -> SolarSample:
         idx = (location, init_index, lead_index)
-        return SolarSample(*(float(getattr(self, f)[idx]) for f in _CACHE_FIELDS))
+        return SolarSample(*(float(getattr(self, f)[idx]) for f in self.ARRAYS))
 
 
 def precompute_solar(locations: LocationSet, init_times: TimeAxis,

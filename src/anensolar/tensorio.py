@@ -11,13 +11,14 @@ Layout::
     <little-endian float64 block, row-major in the declared shape>
 
 Every kind is a ``coredata`` tensor, and this module alone knows how it is
-laid out on disk: ``LAYOUTS`` gives each kind its tensor type, its sections and
-where its names and block live in the tensor, and ``write_tensor`` and
-``read_tensor`` follow it for every kind. The decoder reads the header, then
-reads the payload straight into one aligned float64 array that the returned
-tensor keeps, so a file's values are held once; the SHA-256 of a read is
-taken over those same bytes. A
-long-format CSV variant (``.csv``) of forecasts and observations is
+laid out on disk. The tensor's ``AXES`` give the block's shape and the header
+sections after the locations; ``LAYOUTS`` adds only what the tensor cannot
+say: the names-section key, the fixed field names of a stacked block, and the
+lookup-only sections. ``write_tensor`` and ``read_tensor`` follow both for
+every kind. The decoder reads the header, then reads the payload straight
+into one aligned float64 array that the returned tensor keeps, so a file's
+values are held once; the SHA-256 of a read is taken over those same bytes.
+A long-format CSV variant (``.csv``) of forecasts and observations is
 accepted for small fixtures; its columns are in ``_CSV_AXES`` and it carries
 no location coordinates, which default to zero. Every file goes through
 ``_atomic.atomic_write``, so a failed write leaves the previous file whole, and
@@ -56,30 +57,34 @@ _HEADER_CHUNK = 1 << 16
 
 
 class Layout(NamedTuple):
-    tensor: type     # the coredata tensor of the kind
-    names: str       # key of the names section
-    sections: tuple  # header sections after the locations, in file order; each
-                     # is the tensor attribute of that name
-    block: tuple     # axes of the float64 block after (names, locations)
-    fields: object   # the tensor attribute holding the names, whose ``values``
-                     # is the block; or {fixed name: tensor attribute} of the
-                     # arrays stacked along the names axis of the block
+    tensor: type         # the coredata tensor of the kind
+    names: str           # key of the names section
+    fields: tuple = ()   # fixed names of the tensor's ARRAYS, stacked along the
+                         # block's names axis; () when the names axis is the
+                         # tensor's names attribute and the block its values
+    lookup: tuple = ()   # header sections before the block's axes that the
+                         # block does not index
+
+    @property
+    def axes(self) -> tuple:
+        """The axes of the float64 block after (names, locations)."""
+        axes = self.tensor.AXES
+        return axes[axes.index("locations") + 1:]
+
+    @property
+    def sections(self) -> tuple:
+        """The header sections after the locations, in file order."""
+        return self.lookup + self.axes
 
 
 # "members" is a count on its own line; every other section is an int64 axis.
 # The analogs init axis is lookup-only: the block indexes test_indices.
 LAYOUTS = {
-    "forecast": Layout(ForecastTensor, "predictors", ("init_times", "lead_times"),
-                       ("init_times", "lead_times"), "predictor_names"),
-    "observation": Layout(ObservationTensor, "variables", ("valid_times",), ("valid_times",),
-                          "variable_names"),
-    "ensemble": Layout(EnsembleTensor, "variables", ("init_times", "lead_times", "members"),
-                       ("init_times", "lead_times", "members"), "variable_names"),
-    "analogs": Layout(AnalogIndexSet, "fields",
-                      ("init_times", "test_indices", "lead_times", "members"),
-                      ("test_indices", "lead_times", "members"),
-                      {"search_init": "search_index", "distance": "distance"}),
-    "sigma": Layout(SigmaTensor, "fields", ("lead_times",), ("lead_times",), "predictor_names"),
+    "forecast": Layout(ForecastTensor, "predictors"),
+    "observation": Layout(ObservationTensor, "variables"),
+    "ensemble": Layout(EnsembleTensor, "variables"),
+    "analogs": Layout(AnalogIndexSet, "fields", ("search_init", "distance"), ("init_times",)),
+    "sigma": Layout(SigmaTensor, "fields"),
 }
 _KINDS = {layout.tensor: kind for kind, layout in LAYOUTS.items()}
 
@@ -107,10 +112,10 @@ def write_tensor(tensor, path):
     if str(path).endswith(".csv"):
         return _write_csv(kind, tensor, path)
     layout = LAYOUTS[kind]
-    if isinstance(layout.fields, str):
-        names, block = getattr(tensor, layout.fields), [tensor.values]
+    if layout.fields:
+        names, block = layout.fields, [getattr(tensor, a) for a in tensor.ARRAYS]
     else:
-        names, block = list(layout.fields), [getattr(tensor, a) for a in layout.fields.values()]
+        names, block = getattr(tensor, tensor.AXES[0]), [tensor.values]
     locations = tensor.locations
     lines = [MAGIC, f"kind {kind}", f"{layout.names} {len(names)}", *map(str, names),
              f"locations {len(locations)}"]
@@ -134,12 +139,12 @@ def _tensor(kind, names, locations, sections, values):
     layout = LAYOUTS[kind]
     fields = {key: _AXES[key][0](sections[key]) if key in _AXES else sections[key]
               for key in layout.sections}
-    if isinstance(layout.fields, str):
-        fields[layout.fields], fields["values"] = names, _Owned(values)
+    if not layout.fields:
+        fields[layout.tensor.AXES[0]], fields["values"] = names, _Owned(values)
     elif list(names) != list(layout.fields):
         raise TensorHeaderError(f"{kind} fields must be {list(layout.fields)}, got {list(names)}")
     else:
-        fields.update(zip(layout.fields.values(), map(_Owned, values)))
+        fields.update(zip(layout.tensor.ARRAYS, map(_Owned, values)))
     return layout.tensor(locations=locations, **fields)
 
 
@@ -256,7 +261,7 @@ def read_tensor(path, digests=None):
         layout = LAYOUTS[kind]
         shape = (len(names), len(locations),
                  *(sections[key] if key == "members" else len(sections[key])
-                   for key in layout.block))
+                   for key in layout.axes))
         payload, expected = os.fstat(fh.fileno()).st_size - sep - 2, int(np.prod(shape)) * 8
         if payload != expected:
             raise DimensionMismatchError(
@@ -280,7 +285,7 @@ def _write_csv(kind, tensor, path):
         raise TensorFormatError(f"CSV variant does not support {type(tensor).__name__}")
     if tensor.values.size > 1_000_000:
         raise TensorFormatError("CSV variant is limited to 1e6 cells")
-    names = getattr(tensor, LAYOUTS[kind].fields)
+    names = getattr(tensor, tensor.AXES[0])
     axes = [_section(tensor, key) for key in LAYOUTS[kind].sections]
     rows = ([names[name], loc, *(int(axis[i]) for axis, i in zip(axes, cell)),
              repr(float(tensor.values[(name, loc, *cell)]))]

@@ -353,22 +353,17 @@ def reference_weight_score(forecasts, analysis, config, test_range, search_range
     build_multivariate_ensemble -> simulate_ensemble -> crps_field."""
     import dataclasses
 
-    from anensolar.anen import SigmaTensor, build_multivariate_ensemble, compute_sigma, search_analogs
+    from anensolar.anen import build_multivariate_ensemble, compute_sigma, search_analogs
     from anensolar.coredata import align_observations
-    from anensolar.driver import (
-        analysis_weather_ensemble,
-        slice_forecast_location,
-        slice_observation_location,
-    )
+    from anensolar.driver import analysis_weather_ensemble
     from anensolar.pvchain import simulate_ensemble
     from anensolar.solar import precompute_solar
     from anensolar.verify import crps_field
 
     sigma = compute_sigma(forecasts, search_range)
-    fc = slice_forecast_location(forecasts, loc)
-    sg = SigmaTensor(sigma.predictor_names, fc.locations, sigma.lead_times,
-                     sigma.values[:, loc : loc + 1])
-    an = slice_observation_location(analysis, loc)
+    fc = forecasts.at_locations(loc, loc + 1)
+    sg = sigma.at_locations(loc, loc + 1)
+    an = analysis.at_locations(loc, loc + 1)
     truth_weather = analysis_weather_ensemble(an, fc.init_times, fc.lead_times, test_range)
     cache = precompute_solar(fc.locations, truth_weather.init_times, fc.lead_times)
     truth = simulate_ensemble(truth_weather, cache, [spec], system).values[0, ..., 0]
@@ -394,16 +389,12 @@ def per_location_search(forecasts, config, test_range, search_range, weight_rows
     Reuses the library's search on each slice."""
     import dataclasses
 
-    from anensolar.anen import SigmaTensor, search_analogs
-    from anensolar.driver import slice_forecast_location
+    from anensolar.anen import search_analogs
 
     index, distance = [], []
     for loc, row in enumerate(np.asarray(weight_rows, dtype=float)):
-        fc = slice_forecast_location(forecasts, loc)
-        sg = None
-        if sigma is not None:
-            sg = SigmaTensor(sigma.predictor_names, fc.locations, sigma.lead_times,
-                             sigma.values[:, loc : loc + 1])
+        fc = forecasts.at_locations(loc, loc + 1)
+        sg = None if sigma is None else sigma.at_locations(loc, loc + 1)
         found = search_analogs(fc, dataclasses.replace(config, weights=row), test_range,
                                search_range, sg)
         index.append(found.search_index)

@@ -26,7 +26,6 @@ from anensolar.coredata import (
     TimeAxis,
     align_observations,
 )
-from anensolar.driver import slice_forecast_location
 from anensolar.errors import InsufficientCandidatesError, MissingVariableError
 from anensolar.tensorio import read_tensor, write_tensor
 
@@ -486,7 +485,7 @@ class TestSearchTables:
         config = AnEnConfig(weights=equal_weights(3), **kwargs)
         m, ties, short = config.members, False, False
         for loc in range(2):
-            tables = SearchTables(slice_forecast_location(fc, loc), config, test, search)
+            tables = SearchTables(fc.at_locations(loc, loc + 1), config, test, search)
             for w in TABLE_VECTORS:
                 cfg = AnEnConfig(weights=w, **kwargs)
                 found = search_analogs(fc, cfg, test, search).search_index[loc]
@@ -512,7 +511,7 @@ class TestSearchTables:
         for seed in range(7, 12):
             fc = integer_forecast(seed)
             for loc in range(2):
-                one = slice_forecast_location(fc, loc)
+                one = fc.at_locations(loc, loc + 1)
                 tables = SearchTables(one, config, test, search)
                 try:
                     search_analogs(one, config, test, search)
@@ -532,7 +531,7 @@ class TestSearchTables:
         config = AnEnConfig(weights=equal_weights(3), members=5)
         with pytest.raises(ValueError):
             SearchTables(fc, config, (45, 60), (0, 45))
-        tables = SearchTables(slice_forecast_location(fc, 0), config, (45, 60), (0, 45))
+        tables = SearchTables(fc.at_locations(0, 1), config, (45, 60), (0, 45))
         for w in ([0.5, 0.5], [0.5, 0.5, 0.5], [-0.5, 0.5, 1.0]):
             with pytest.raises(ValueError):
                 tables.members(np.array(w), 0)

@@ -682,3 +682,23 @@ def test_report_rejects_duplicate_labels(chain_dir, tmp_path, capsys):
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert any("labels must differ" in p for p in payload["problems"]), payload["problems"]
     assert not (out / "report_wide.csv").exists()
+
+
+def test_verify_rejects_a_module_the_truth_file_lacks(chain_dir, tmp_path, capsys):
+    out = tmp_path / "ks"
+    shutil.copytree(chain_dir, out)
+    base = ["-o", str(out), *SMALL]
+    assert main([*base, "simulate", "--modules", "KS20", "--output", "pks.ansr"]) == 0
+    capsys.readouterr()
+    # the chain's truth holds STU300 alone
+    assert main([*base, "verify", "--power", "pks.ansr", "--module", "KS20"]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "config-validation"
+    assert any(p.startswith("verify.module:") and "truth" in p and "STU300" in p
+               for p in payload["problems"]), payload["problems"]
+    assert (out / "report.csv").read_bytes() == (chain_dir / "report.csv").read_bytes()
+    # with a truth of that module it verifies
+    assert main([*base, "simulate", "--source", "analysis", "--modules", "KS20",
+                 "--output", "tks.ansr"]) == 0
+    assert main([*base, "verify", "--power", "pks.ansr", "--truth", "tks.ansr",
+                 "--module", "KS20"]) == 0

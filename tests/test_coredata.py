@@ -1,11 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from anensolar.coredata import (
+    AnalogIndexSet,
+    EnsembleTensor,
     ForecastTensor,
     LeadTimeAxis,
     LocationSet,
     ObservationTensor,
+    SigmaTensor,
     TimeAxis,
     _check_no_inf,
     align_observations,
@@ -16,6 +21,7 @@ from anensolar.errors import (
     DuplicateNameError,
     TensorFormatError,
 )
+from anensolar.solar import precompute_solar
 
 from conftest import make_forecast, make_locations, make_observation
 from oracles import lookup_aligned
@@ -151,3 +157,100 @@ class TestAlignObservations:
         b = align_observations(obs, init, leads)
         assert a.values.shape == (2, 2, 1, 2)
         np.testing.assert_array_equal(a.values, b.values)
+
+    def test_peak_is_about_the_output(self):
+        import tracemalloc
+
+        # 24 (variable, location) rows, so the (init, lead) index arrays are
+        # small beside the aligned output
+        obs = make_observation(n_var=3, n_loc=8, n_time=24 * 64, step=3600)
+        init = TimeAxis(obs.valid_times.instants[0] + 86400 * np.arange(60))
+        leads = LeadTimeAxis(3600 * np.arange(0, 48, 2) + 1800 * (np.arange(24) % 5 == 0))
+        tracemalloc.start()
+        try:
+            view = align_observations(obs, init, leads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0 < np.isnan(view.values).mean() < 1
+        expected = lookup_aligned(obs.values, obs.valid_times.instants, init.instants, leads.offsets)
+        np.testing.assert_array_equal(view.values.view(np.uint64), expected.view(np.uint64))
+        assert peak <= 1.25 * view.values.nbytes
+
+
+def _every_tensor():
+    """One small tensor of each kind, over 3 locations."""
+    rng = np.random.default_rng(7)
+    fc = make_forecast(n_pred=2, n_loc=3, n_init=6, n_lead=4)
+    obs = make_observation(n_var=2, n_loc=3, n_time=24 * 7)
+    index = rng.integers(0, 6, size=(3, 2, 4, 3)).astype(float)
+    index[0, 1, 2, 2] = np.nan
+    return {
+        "forecast": fc,
+        "observation": obs,
+        "ensemble": EnsembleTensor(fc.predictor_names, fc.locations, fc.init_times, fc.lead_times,
+                                   3, rng.random((2, 3, 6, 4, 3))),
+        "sigma": SigmaTensor(fc.predictor_names, fc.locations, fc.lead_times, rng.random((2, 3, 4))),
+        "analogs": AnalogIndexSet(fc.locations, fc.init_times, [4, 5], fc.lead_times, 3,
+                                  index, rng.random((3, 2, 4, 3))),
+        "aligned": align_observations(obs, fc.init_times, fc.lead_times),
+        "solar cache": precompute_solar(fc.locations, fc.init_times, fc.lead_times),
+    }
+
+
+def _one_short(value):
+    """An axis one element shorter (a member count one larger)."""
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, LocationSet):
+        return LocationSet.from_coords(value.latitude[:-1], value.longitude[:-1], value.elevation[:-1])
+    if isinstance(value, TimeAxis):
+        return TimeAxis(value.instants[:-1])
+    if isinstance(value, LeadTimeAxis):
+        return LeadTimeAxis(value.offsets[:-1])
+    return value[:-1]
+
+
+KINDS = tuple(_every_tensor())
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_kind_checks_its_axes_names_and_arrays(kind):
+    tensor = _every_tensor()[kind]
+    arrays = [getattr(tensor, a) for a in tensor.ARRAYS]
+    assert all(a.shape == tensor.shape for a in arrays)
+    for axis in tensor.AXES:
+        with pytest.raises(DimensionMismatchError):
+            dataclasses.replace(tensor, **{axis: _one_short(getattr(tensor, axis))})
+    names = tensor.AXES[0]
+    if kind not in ("analogs", "solar cache"):
+        assert names.endswith("_names")
+        duplicate = (getattr(tensor, names)[0],) * len(getattr(tensor, names))
+        with pytest.raises(DuplicateNameError):
+            dataclasses.replace(tensor, **{names: duplicate})
+    writable = [f.name for f in dataclasses.fields(tensor)
+                if isinstance(getattr(tensor, f.name), np.ndarray)
+                and getattr(tensor, f.name).flags.writeable]
+    assert writable == []
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_location_slabs_join_to_the_whole(kind):
+    tensor = _every_tensor()[kind]
+    axis = tensor.AXES.index("locations")
+    slabs = [tensor.at_locations(0, 1), tensor.at_locations(1, 3)]
+    for slab in slabs:
+        assert type(slab) is type(tensor)
+        assert slab.locations.ids.tolist() == list(range(len(slab.locations)))
+        assert slab.shape[axis] == len(slab.locations)
+    for coord in ("latitude", "longitude", "elevation"):
+        np.testing.assert_array_equal(
+            np.concatenate([getattr(s.locations, coord) for s in slabs]),
+            getattr(tensor.locations, coord))
+    for name in tensor.ARRAYS:
+        joined = np.concatenate([getattr(s, name) for s in slabs], axis=axis)
+        np.testing.assert_array_equal(joined.view(np.uint64), getattr(tensor, name).view(np.uint64))
+    kept = [f.name for f in dataclasses.fields(tensor) if f.name not in ("locations", *tensor.ARRAYS)]
+    for slab in slabs:
+        for name in kept:
+            np.testing.assert_equal(getattr(slab, name), getattr(tensor, name))

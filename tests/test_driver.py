@@ -11,8 +11,6 @@ from anensolar.driver import (
     anen_weather_ensemble,
     forecast_weather_ensemble,
     power_from_weather,
-    slice_forecast_location,
-    slice_observation_location,
 )
 from anensolar.errors import InsufficientCandidatesError
 from anensolar.pvchain import SystemConfig, load_module_catalog
@@ -32,10 +30,10 @@ def dataset():
 
 def test_slices_preserve_values(dataset):
     obs, fc = dataset
-    f1 = slice_forecast_location(fc, 1)
+    f1 = fc.at_locations(1, 2)
     assert f1.values.shape[1] == 1
     np.testing.assert_array_equal(f1.values[:, 0], fc.values[:, 1])
-    o1 = slice_observation_location(obs, 2)
+    o1 = obs.at_locations(2, 3)
     np.testing.assert_array_equal(o1.values[:, 0], obs.values[:, 2])
 
 
@@ -133,7 +131,7 @@ class TestObjectiveTables:
             scores.extend(row)
         assert np.isfinite(scores).all() and len(set(scores)) > 1
         if base.allow_partial:
-            found = search_analogs(slice_forecast_location(fc, 0), base, test, search).member_count()
+            found = search_analogs(fc.at_locations(0, 1), base, test, search).member_count()
             assert found.min() < base.members <= found.max()
 
     def test_short_lists_raise_the_search_error(self, holed):
@@ -143,7 +141,7 @@ class TestObjectiveTables:
         strict = AnEnConfig(weights=w, **dict(kwargs, allow_partial=False))
         objective = WeightObjective(fc, obs, strict, test, search, self.spec, SystemConfig())
         with pytest.raises(InsufficientCandidatesError) as expected:
-            search_analogs(slice_forecast_location(fc, 1), strict, test, search)
+            search_analogs(fc.at_locations(1, 2), strict, test, search)
         with pytest.raises(InsufficientCandidatesError) as raised:
             objective.scores([w], 1)
         # the slice search names its only location 0; the objective names location 1

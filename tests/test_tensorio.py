@@ -201,9 +201,7 @@ def _every_kind():
 
 def _block(tensor):
     """The arrays of a tensor's float64 block, in file order."""
-    if isinstance(tensor, AnalogIndexSet):
-        return [tensor.search_index, tensor.distance]
-    return [tensor.values]
+    return [getattr(tensor, a) for a in tensor.ARRAYS]
 
 
 def _arrays(obj):
