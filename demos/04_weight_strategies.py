@@ -1,5 +1,8 @@
 """Predictor-weight optimization: the simplex grid and the three spatial
 strategies (equal weights everywhere, nearest sample point, regime based).
+The last two are one rule: each location has a label (its tile or its
+regime), and each label takes the vector that scores best over its sample
+locations.
 
 A regime-dependent bias is planted in the synthetic data: in one regime the
 GHI forecast error follows the wind state, in the other the albedo state.
@@ -58,10 +61,11 @@ clustering = hierarchical_cluster(features, 2, names)
 print("\nclustered labels:", clustering.labels.tolist())
 print("planted regimes: ", (regimes + 1).tolist())
 
-# nearest-neighbor tiling of the bounding box for comparison
+# nearest-neighbor tiling of the bounding box for comparison: a tile label
+# per location and one representative sample location per tile
 assignment = nn_sample_grid(locations)
 print("NN tiling produced %d sample points, representatives %s"
-      % (assignment.n_samples, assignment.representatives.tolist()))
+      % (len(assignment.representatives), assignment.representatives.tolist()))
 
 # the objective: CRPS of simulated power on a 300 W module over a held-out
 # slice of the search period
@@ -73,15 +77,19 @@ objective = WeightObjective(
 
 samples = rb_sample_points(clustering, 2, seed=5)
 print("\nRB sample locations:", samples)
-rb = optimize_weights(grid, objective.scores, "RB",
-                      clustering=clustering, regime_samples=samples)
-ew = optimize_weights(grid, None, "EW", n_locations=n_loc)
+# one selection rule for both: regime labels with their samples, tile labels
+# with their representatives
+rb = optimize_weights(grid, objective.scores, clustering.labels, samples)
+nn = optimize_weights(grid, objective.scores, assignment.sample_of, assignment.representatives)
+ew = np.tile(equal_weights(5), (n_loc, 1))
 
 order = ("ghi", "temp", "wind", "albedo", "cloud")
 print("\nselected weights (%s):" % ", ".join(order))
 print("  EW everywhere:  ", np.round(ew[0], 3))
 print("  RB regime 1:    ", np.round(rb[0], 3))
 print("  RB regime 2:    ", np.round(rb[-1], 3))
+print("  NN:              %d distinct vectors over %d tiles"
+      % (len(np.unique(nn, axis=0)), len(assignment.representatives)))
 # one scores call per sample location scores its EW and RB vectors together
 rows = [objective.scores([ew[loc], rb[loc]], loc) for loc in samples]
 score_ew, score_rb = np.mean(rows, axis=0)

@@ -310,6 +310,17 @@ def _anen_split(run: Runner, n_inits: int) -> tuple:
     return range(days, n_inits), range(0, days)
 
 
+def _check_pool(run: Runner, key: str, value: int, pool: int):
+    """A problem of ``key``, whose ``value`` left the first test init a pool of
+    ``pool`` candidates (one per earlier search init, in fixed and operational
+    mode alike), when that pool is smaller than ``anen.members``: unless
+    ``anen.allow_partial`` is set, no search could fill it."""
+    a = run.cfg["anen"]
+    if pool < a["members"] and not a["allow_partial"]:
+        run.problems.append(f"{key}: {value} leaves the first test init {pool} candidates, fewer than "
+                            f"anen.members {a['members']}; set anen.allow_partial to keep short lists")
+
+
 def _anen_config(run: Runner, n_predictors: int) -> AnEnConfig | None:
     from .anen import AnEnConfig, equal_weights, validate_weights
 
@@ -414,6 +425,8 @@ def cmd_anen(run: Runner, args) -> int:
     analysis = run.read_tensor(obs_path)
 
     test, search = _anen_split(run, len(forecasts.init_times))
+    if search:
+        _check_pool(run, "anen.search_days", cfg["anen"]["search_days"], len(search))
     per_loc = None
     if weights_file:
         from . import weights
@@ -466,6 +479,7 @@ def cmd_simulate(run: Runner, args) -> int:
 
 def cmd_optimize_weights(run: Runner, args) -> int:
     from . import driver, weights
+    from .anen import equal_weights
     from .pvchain import load_module_catalog
 
     cfg = run.cfg
@@ -490,6 +504,8 @@ def cmd_optimize_weights(run: Runner, args) -> int:
     opt_days = o["opt_days"]
     if opt_days >= len(search):
         run.problems.append(f"optimize.opt_days: need an integer in 1..{len(search) - 1}, got {opt_days!r}")
+    elif strategy != "EW":  # EW searches nothing
+        _check_pool(run, "optimize.opt_days", opt_days, len(search) - opt_days)
     base = _anen_config(run, n_pred)
     if strategy == "RB" and o["clusters"] > len(analysis.locations):
         run.problems.append(f"optimize.clusters: {o['clusters']} exceeds the {len(analysis.locations)} locations")
@@ -498,21 +514,20 @@ def cmd_optimize_weights(run: Runner, args) -> int:
     opt_test = range(search.stop - opt_days, search.stop)
 
     if strategy == "EW":
-        out_weights = weights.optimize_weights(grid, None, "EW", n_locations=len(forecasts.locations))
+        out_weights = np.tile(equal_weights(n_pred), (len(forecasts.locations), 1))
     else:
         objective = driver.WeightObjective(
             forecasts, analysis, base, opt_test, opt_search, specs[o["module"]], system
         )
         if strategy == "NN":
             assignment = weights.nn_sample_grid(forecasts.locations)
-            out_weights = weights.optimize_weights(grid, objective.scores, "NN", assignment=assignment)
+            labels, samples = assignment.sample_of, assignment.representatives
         else:
             clustering = weights.regime_clustering(analysis, o["clusters"])
+            labels = clustering.labels
             samples = weights.rb_sample_points(clustering, o["total_samples"], seed=cfg["seed"])
             run.write("clustering", clustering.write_csv)
-            out_weights = weights.optimize_weights(
-                grid, objective.scores, "RB", clustering=clustering, regime_samples=samples
-            )
+        out_weights = weights.optimize_weights(grid, objective.scores, labels, samples)
 
     run.write("weights", lambda path: weights.write_weights_csv(path, out_weights, forecasts.predictor_names))
     return 0
@@ -557,8 +572,13 @@ def cmd_verify(run: Runner, args) -> int:
         if module not in tensor.variable_names:
             run.problems.append(f"verify.module: {module!r} not in {what} file variables "
                                 f"{tensor.variable_names}")
+    region_map = None
+    if region_path:
+        try:
+            region_map = verify.read_region_map(region_path)
+        except ValueError as exc:
+            run.problems.append(f"paths.region_map: {exc}")
     run.check()
-    region_map = verify.read_region_map(region_path) if region_path else None
     ens = power.values[power.variable_index(module)]
     tru = truth.values[truth.variable_index(module), ..., 0]
 
@@ -613,9 +633,9 @@ def cmd_report(run: Runner, args) -> int:
         run.inputs[str(Path(path))] = None
         with open(path, newline="") as fh:
             reader = _csv.DictReader(fh)
-            rows = list(reader)
-        for column in sorted({"group", metric} - set(reader.fieldnames or ())):
-            run.problems.append(f"report: no column {column!r} in {path}, whose columns are {reader.fieldnames}")
+            fields, rows = reader.fieldnames, list(reader)
+        for column in sorted({"group", metric} - set(fields or ())):
+            run.problems.append(f"report: no column {column!r} in {path}, whose columns are {fields}")
         series[label] = {r.get("group"): r.get(metric) for r in rows}
         groups.update(dict.fromkeys(r.get("group") for r in rows))
     run.check()

@@ -17,7 +17,8 @@ plane-of-array global irradiance.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 from importlib import resources
 
 import numpy as np
@@ -291,29 +292,13 @@ def simulate_ensemble(ensemble: EnsembleTensor, cache: SolarCacheTable,
     )
 
 
-_CATALOG_FIELDS = {
-    "code": str,
-    "area": float,
-    "material": str,
-    "cells_in_series": int,
-    "stc_rating": float,
-    "efficiency": float,
-    "gamma": float,
-    "thermal_a": float,
-    "thermal_b": float,
-    "delta_t": float,
-}
-
-
 def _specs_from_rows(rows) -> list:
-    specs = []
-    for row in rows:
-        kwargs = {}
-        for key, cast in _CATALOG_FIELDS.items():
-            if key in row and row[key] != "":
-                kwargs[key] = cast(row[key])
-        specs.append(PvModuleSpec(**kwargs))
-    return specs
+    """One PvModuleSpec per row: each field's non-empty column cast to the
+    field's type; a missing or empty column takes the field's default."""
+    hints = typing.get_type_hints(PvModuleSpec)
+    types = {f.name: hints[f.name] for f in fields(PvModuleSpec)}
+    return [PvModuleSpec(**{key: cast(row[key]) for key, cast in types.items()
+                            if key in row and row[key] != ""}) for row in rows]
 
 
 def load_module_specs(path) -> list:

@@ -267,8 +267,22 @@ def paired_significance(errors_a, errors_b, level: float = 0.05):
 
 
 def read_region_map(path) -> dict:
-    """Two-column CSV (location, region) -> {location id: region label}."""
+    """Two-column CSV (location, region) -> {location id: region label}.
+
+    A first row whose location is not an integer is the header; a later row
+    without a region is skipped. A blank first row, or a later location that
+    is not an integer, raises ValueError naming the row.
+    """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    body = rows[1:] if rows and not rows[0][0].lstrip("-").isdigit() else rows
-    return {int(r[0]): r[1] for r in body if len(r) >= 2 and r[1]}
+    if rows and not rows[0]:
+        raise ValueError("row 1 is blank; need a header or a location,region row")
+    first = 1 if rows and not rows[0][0].lstrip("-").isdigit() else 0
+    regions = {}
+    for number, r in enumerate(rows[first:], start=first + 1):
+        if len(r) >= 2 and r[1]:
+            try:
+                regions[int(r[0])] = r[1]
+            except ValueError:
+                raise ValueError(f"row {number}: location {r[0]!r} is not an integer") from None
+    return regions

@@ -1,7 +1,8 @@
-"""Predictor-weight search: simplex grid enumeration, the equal-weight /
-nearest-neighbor / regime-based spatial strategies, and the agglomerative
-clustering that defines the regimes from an analysis's location features
-(also reused for module-catalog clustering).
+"""Predictor-weight search: simplex grid enumeration, the sample locations
+of the nearest-neighbor and regime-based spatial strategies, one selection
+rule over per-location labels and their sample locations, and the
+agglomerative clustering that defines the regimes from an analysis's
+location features.
 
 The weight lattice is enumerated in integer parts of 1/step so that every
 emitted vector sums to one exactly; clustering uses unweighted average
@@ -236,19 +237,11 @@ def regime_clustering(analysis, k: int) -> RegimeClustering:
 
 @dataclass(frozen=True)
 class SampleAssignment:
-    """Per-location sample-point assignment for the nearest-neighbor strategy."""
+    """The nearest-neighbor strategy's tiles: a label per location and one
+    sample location per label."""
 
     sample_of: np.ndarray          # location -> sample id
     representatives: np.ndarray    # sample id -> representative location
-    members: tuple                 # sample id -> tuple of member locations
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.representatives)
-
-    def write_csv(self, path):
-        return atomic_write_csv(path, ["location", "sample"],
-                                ([loc, int(s)] for loc, s in enumerate(self.sample_of)))
 
 
 def nn_sample_grid(locations: LocationSet, lat_spacing: float = 4.5,
@@ -268,16 +261,14 @@ def nn_sample_grid(locations: LocationSet, lat_spacing: float = 4.5,
 
     sample_of = np.zeros(len(locations), dtype=np.int64)
     reps = []
-    member_lists = []
     for sid, key in enumerate(sorted(tiles)):
         group = tiles[key]
         c_lat = lat[group].mean()
         c_lon = lon[group].mean()
         dist2 = (lat[group] - c_lat) ** 2 + (lon[group] - c_lon) ** 2
         reps.append(group[int(np.argmin(dist2))])
-        member_lists.append(tuple(group))
         sample_of[group] = sid
-    return SampleAssignment(sample_of, np.array(reps, dtype=np.int64), tuple(member_lists))
+    return SampleAssignment(sample_of, np.array(reps, dtype=np.int64))
 
 
 def rb_sample_points(clustering: RegimeClustering, total_samples: int,
@@ -304,62 +295,35 @@ def _best_vector(grid: WeightGrid, scores: np.ndarray) -> np.ndarray:
     return grid.vectors[min(tied, key=lambda k: tuple(grid.vectors[k]))]
 
 
-def optimize_weights(grid: WeightGrid, scores, strategy: str, *,
-                     n_locations: int | None = None,
-                     assignment: SampleAssignment | None = None,
-                     clustering: RegimeClustering | None = None,
-                     regime_samples=None) -> np.ndarray:
+def optimize_weights(grid: WeightGrid, scores, labels, samples) -> np.ndarray:
     """Select a weight vector per location by exhaustive grid scan.
+
+    ``labels`` gives each location a label and ``samples`` lists sample
+    locations. For each label in sorted order, every location with that label
+    gets the grid vector minimizing the mean score over the samples carrying
+    that label, in the order given: NN labels each location by its tile, with
+    the tile's representative as its one sample; RB by its regime, with the
+    regime's sample points. A label with no sample location is a ValueError.
 
     ``scores(vectors, location)`` returns the score of each vector at one
     location, in order, and must be pure. It is called once per sample
-    location. Strategies:
-
-    - "EW": the uniform vector everywhere (no evaluation);
-    - "NN": per sample point, the grid vector minimizing the score at the
-      representative location, broadcast to the tile's members;
-    - "RB": per regime, the grid vector minimizing the mean score over the
-      regime's sample locations, broadcast to the regime.
-
-    Ties go to the lexicographically first vector.
+    location. Ties go to the lexicographically first vector.
     """
     if len(grid) == 0:
         raise ValueError("empty weight grid")
-    n = grid.n_predictors
-    strategy = strategy.upper()
-
-    if strategy == "EW":
-        if n_locations is None:
-            raise ValueError("EW needs n_locations")
-        return np.tile(np.full(n, 1.0 / n), (n_locations, 1))
-
-    if strategy == "NN":
-        if assignment is None:
-            raise ValueError("NN needs a SampleAssignment")
-        out = np.zeros((len(assignment.sample_of), n))
-        for sid in range(assignment.n_samples):
-            rep = int(assignment.representatives[sid])
-            out[list(assignment.members[sid])] = _best_vector(grid, scores(grid.vectors, rep))
-        return out
-
-    if strategy == "RB":
-        if clustering is None or regime_samples is None:
-            raise ValueError("RB needs a RegimeClustering and its sample points")
-        out = np.zeros((len(clustering.labels), n))
-        samples = np.asarray(regime_samples, dtype=np.int64)
-        for regime in range(1, clustering.n_regimes + 1):
-            members = clustering.members(regime)
-            own = samples[clustering.labels[samples] == regime]
-            if len(own) == 0:
-                raise ValueError(f"regime {regime} has no sample points")
-            # one C-contiguous row per vector: numpy sums each row pairwise,
-            # as it sums a 1-D array, so a mean equals the mean of the
-            # vector's scores taken on their own (axis 0 would sum in order)
-            by_vector = np.stack([scores(grid.vectors, int(loc)) for loc in own], axis=1)
-            out[members] = _best_vector(grid, by_vector.mean(axis=1))
-        return out
-
-    raise ValueError(f"unknown strategy {strategy!r}")
+    labels = np.asarray(labels)
+    samples = np.asarray(samples, dtype=np.int64)
+    out = np.zeros((len(labels), grid.n_predictors))
+    for label in sorted(set(labels.tolist())):  # a first np.unique call adds 1.6 MB of peak RSS
+        own = samples[labels[samples] == label]
+        if len(own) == 0:
+            raise ValueError(f"label {label} has no sample location")
+        # one C-contiguous row per vector: numpy sums each row pairwise,
+        # as it sums a 1-D array, so a mean equals the mean of the
+        # vector's scores taken on their own (axis 0 would sum in order)
+        by_vector = np.stack([scores(grid.vectors, int(loc)) for loc in own], axis=1)
+        out[labels == label] = _best_vector(grid, by_vector.mean(axis=1))
+    return out
 
 
 def write_weights_csv(path, weights: np.ndarray, predictor_names):

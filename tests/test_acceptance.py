@@ -216,8 +216,7 @@ def test_criterion_3_synthetic_skill(skill_run):
         skill_run["forecasts"], skill_run["analysis"], skill_run["base"],
         range(450, 540), range(0, 450), skill_run["spec"], skill_run["system"],
     )
-    rb_weights = optimize_weights(grid, objective.scores, "RB",
-                                  clustering=clustering, regime_samples=samples)
+    rb_weights = optimize_weights(grid, objective.scores, clustering.labels, samples)
     rb_weather = anen_weather_ensemble(
         skill_run["forecasts"], skill_run["analysis"],
         dataclasses.replace(skill_run["base"], weights=rb_weights), TEST, SEARCH,

@@ -8,8 +8,6 @@ from anensolar import cli, verify, weights, workflow
 from anensolar._atomic import atomic_write, atomic_write_csv
 from anensolar.workflow import Pipeline, Stage, Task, TaskState, TransitionRecord, Workflow
 
-from conftest import make_locations
-
 
 def test_atomic_write_returns_the_digest_of_the_bytes_on_disk(tmp_path):
     path = tmp_path / "block.bin"
@@ -50,8 +48,6 @@ WRITERS = {
         path, np.full((4, 3), 1 / 3), ("a", "b", "c"))),
     "clustering": ("clustering.csv", lambda path: lambda: weights.hierarchical_cluster(
         np.random.default_rng(3).normal(0, 1, size=(9, 3)), 3).write_csv(path)),
-    "assignment": ("assignment.csv", lambda path: lambda: weights.nn_sample_grid(
-        make_locations(9, seed=8)).write_csv(path)),
     "verify": ("report.csv", lambda path: lambda: _verify_report().to_csv(path)),
     "report": ("report_wide.csv", _report_command),
     "events": ("events.log", lambda path: lambda: workflow.write_event_log(

@@ -475,6 +475,46 @@ class TestCommands:
             assert abs(sum(vec) - 1.0) < 1e-9
         assert (outdir / "clustering.csv").exists()
 
+    def test_optimize_weights_nn(self, outdir):
+        # six locations in a 4 x 7 degree box span at most three 4.5 x 3.5 degree tiles
+        base = ["-o", str(outdir), *SMALL,
+                "--set", "synth.n_locations=6",
+                "--set", "synth.lat_range=[40.0, 44.0]",
+                "--set", "synth.lon_range=[-100.0, -93.0]",
+                "--set", "optimize.step=0.5",
+                "--set", "optimize.opt_days=8",
+                "--set", "anen.members=6"]
+        assert run_cli([*base, "synth"]) == 0
+        assert run_cli([*base, "optimize-weights", "--strategy", "NN"]) == 0
+        rows = read_csv(outdir / "weights.csv")
+        assert len(rows) == 1 + 6
+        assert [int(r[0]) for r in rows[1:]] == list(range(6))
+        grid = {tuple(v) for v in weights.enumerate_weights(5, 0.5).vectors}
+        assert all(tuple(float(v) for v in r[1:]) in grid for r in rows[1:])
+        tiles = weights.nn_sample_grid(tensorio.read_tensor(outdir / "forecasts.ansr").locations).sample_of
+        assert len(set(tiles.tolist())) < 6
+        for a in range(6):
+            for b in range(6):
+                if tiles[a] == tiles[b]:
+                    assert rows[1 + a][1:] == rows[1 + b][1:]
+        assert not (outdir / "clustering.csv").exists()
+
+    def test_short_candidate_pool_exits_2_unless_partial(self, outdir, capsys):
+        # SMALL: 30 inits, 24 searched, 8 members
+        base = ["-o", str(outdir), *SMALL]
+        assert run_cli([*base, "synth"]) == 0
+        for argv, key in ((["--set", "anen.search_days=7", "anen"], "anen.search_days"),
+                          (["--set", "optimize.opt_days=17", "optimize-weights"], "optimize.opt_days")):
+            capsys.readouterr()
+            assert run_cli([*base, *argv]) == 2, argv
+            payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert any(p.startswith(key + ":") and "7 candidates" in p and "anen.members 8" in p
+                       for p in payload["problems"]), payload["problems"]
+        assert not (outdir / "analogs.ansr").exists() and not (outdir / "weights.csv").exists()
+        # partial lists are allowed on request, and EW searches nothing
+        assert run_cli([*base, "--set", "anen.allow_partial=true", "--set", "anen.search_days=7", "anen"]) == 0
+        assert run_cli([*base, "--set", "optimize.opt_days=17", "optimize-weights", "--strategy", "EW"]) == 0
+
     def test_workflow_run_command(self, outdir, tmp_path):
         wf = tmp_path / "wf.yaml"
         wf.write_text(
@@ -702,3 +742,30 @@ def test_verify_rejects_a_module_the_truth_file_lacks(chain_dir, tmp_path, capsy
                  "--output", "tks.ansr"]) == 0
     assert main([*base, "verify", "--power", "pks.ansr", "--truth", "tks.ansr",
                  "--module", "KS20"]) == 0
+
+
+def test_report_on_an_empty_csv_is_a_problem(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert main(["-o", str(tmp_path / "rep"), "report", str(empty)]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "config-validation"
+    assert any("no column 'group'" in p for p in payload["problems"]), payload["problems"]
+
+
+@pytest.mark.parametrize("text, row", [("\nlocation,region\n0,east\n", "row 1"),
+                                       ("location,region\n0,east\nx,a\n", "row 3")],
+                         ids=["blank_first_row", "non_integer_location"])
+def test_verify_rejects_a_malformed_region_map(chain_dir, tmp_path, capsys, text, row):
+    regions = tmp_path / "regions.csv"
+    regions.write_text(text)
+    out = tmp_path / "v"
+    shutil.copytree(chain_dir, out)
+    capsys.readouterr()
+    assert main(["-o", str(out), *SMALL, "--set", f"paths.region_map={regions}",
+                 "verify", "--grouping", "region"]) == 2
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "config-validation"
+    assert any(p.startswith("paths.region_map:") and row in p
+               for p in payload["problems"]), payload["problems"]
+    assert (out / "report.csv").read_bytes() == (chain_dir / "report.csv").read_bytes()

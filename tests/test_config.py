@@ -75,6 +75,9 @@ DATA_CASES = [
      [["sigma"], ["anen"], ["simulate", "--source", "forecast"], ["simulate", "--source", "analysis"],
       ["optimize-weights"]]),
     (["--set", "optimize.opt_days=24"], "optimize.opt_days", [["optimize-weights"]]),
+    # a first test init's pool shorter than the 8 members
+    (["--set", "anen.search_days=7"], "anen.search_days", [["anen"]]),
+    (["--set", "optimize.opt_days=17"], "optimize.opt_days", [["optimize-weights"]]),
     (["--set", "optimize.step=0.3"], "optimize.step", [["optimize-weights"]]),
     (["--set", "anen.weights=0.5,0.5"], "anen.weights", [["anen"], ["optimize-weights"]]),
     (["--set", "modules=[STU300, XX]"], "modules", [["simulate"]]),

@@ -15,7 +15,7 @@ from anensolar.driver import (
 from anensolar.errors import InsufficientCandidatesError
 from anensolar.pvchain import SystemConfig, load_module_catalog
 from anensolar.synth import SynthConfig, generate
-from anensolar.weights import RegimeClustering, enumerate_weights, optimize_weights
+from anensolar.weights import enumerate_weights, optimize_weights
 
 from oracles import per_location_search, reference_weight_score
 
@@ -149,13 +149,13 @@ class TestObjectiveTables:
 
     def test_rb_run_builds_each_sample_location_once(self, holed):
         grid = enumerate_weights(5, 0.5)
-        clustering = RegimeClustering(np.array([1, 2, 1]), np.zeros((2, 0)), ())
+        labels = np.array([1, 2, 1])
         samples = [0, 1, 2]
         objective = self.objective(holed, "fixed")
         builds = []
         build = objective._build
         objective._build = lambda loc: builds.append(loc) or build(loc)
-        optimize_weights(grid, objective.scores, "RB", clustering=clustering, regime_samples=samples)
+        optimize_weights(grid, objective.scores, labels, samples)
         assert sorted(builds) == samples
 
     @pytest.mark.parametrize("w", [[-0.25, 0.5, 0.25, 0.25, 0.25], [0.5, 0.5, 0.5, 0.0, 0.0],

@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import math
 import tracemalloc
 
@@ -345,6 +347,21 @@ class TestCatalog:
         assert specs[0].code == "X1"
         assert specs[0].stc_rating == 250.0
         assert specs[0].gamma == -0.0045  # default fills the absent column
+
+    def test_spec_file_columns_are_the_spec_fields(self, tmp_path):
+        # every field of every catalog spec, columns reversed, reads back
+        # equal and of the field's own type
+        catalog = load_module_catalog()
+        names = [f.name for f in dataclasses.fields(PvModuleSpec)]
+        assert len(names) == 10
+        path = tmp_path / "mods.csv"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([names[::-1]] + [[str(getattr(s, n)) for n in names[::-1]]
+                                                       for s in catalog])
+        specs = load_module_specs(path)
+        assert specs == catalog
+        assert all(type(getattr(a, n)) is type(getattr(b, n)) for a, b in zip(specs, catalog) for n in names)
+        assert {type(getattr(specs[0], n)) for n in names} == {str, float, int}
 
     def test_invalid_rating_rejected(self):
         with pytest.raises(ValueError):

@@ -234,7 +234,7 @@ class TestNnSampleGrid:
     def test_single_tile(self):
         locs = LocationSet.from_coords([40.0, 40.4, 40.9], [-78.0, -77.5, -77.9])
         assignment = nn_sample_grid(locs)
-        assert assignment.n_samples == 1
+        assert len(assignment.representatives) == 1
         assert set(assignment.sample_of.tolist()) == {0}
         lat_c = locs.latitude.mean()
         lon_c = locs.longitude.mean()
@@ -244,7 +244,7 @@ class TestNnSampleGrid:
     def test_four_distant_singletons(self):
         locs = LocationSet.from_coords([10.0, 20.0, 30.0, 40.0], [-100.0, -90.0, -80.0, -70.0])
         assignment = nn_sample_grid(locs)
-        assert assignment.n_samples == 4
+        assert len(assignment.representatives) == 4
         assert sorted(assignment.representatives.tolist()) == [0, 1, 2, 3]
 
     def test_matches_scalar_containment_oracle(self, rng):
@@ -261,14 +261,15 @@ class TestNnSampleGrid:
         for key, members in keys.items():
             sids = {int(assignment.sample_of[m]) for m in members}
             assert len(sids) == 1
-        assert assignment.n_samples == len(keys)
+        assert len(assignment.representatives) == len(keys)
 
     def test_every_location_assigned_exactly_once(self, rng):
         locs = make_locations(25, seed=3)
         assignment = nn_sample_grid(locs)
-        for sid in range(assignment.n_samples):
-            for member in assignment.members[sid]:
-                assert assignment.sample_of[member] == sid
+        n_samples = len(assignment.representatives)
+        assert sorted(set(assignment.sample_of.tolist())) == list(range(n_samples))
+        # each tile's sample location lies in that tile
+        np.testing.assert_array_equal(assignment.sample_of[assignment.representatives], np.arange(n_samples))
 
     def test_empty_rejected(self):
         empty = LocationSet(np.arange(0), np.zeros(0), np.zeros(0), np.zeros(0))
@@ -325,8 +326,10 @@ def row_scores(score):
 
 class TestOptimizeWeights:
     def test_equal_weights_everywhere(self):
+        # one label over all six locations: its one sample's optimum everywhere
         grid = enumerate_weights(4, 0.25)
-        out = optimize_weights(grid, None, "EW", n_locations=6)
+        out = optimize_weights(grid, row_scores(lambda w, loc: float(np.abs(w - 0.25).sum())),
+                               np.zeros(6, dtype=np.int64), [2])
         assert out.shape == (6, 4)
         np.testing.assert_allclose(out, 0.25)
 
@@ -339,20 +342,20 @@ class TestOptimizeWeights:
         def score(w, loc):
             return float(np.abs(w - target).sum())
 
-        out = optimize_weights(grid, row_scores(score), "NN", assignment=assignment)
+        out = optimize_weights(grid, row_scores(score), assignment.sample_of, assignment.representatives)
         np.testing.assert_allclose(out[0], target)
 
     def test_two_samples_get_their_own_optima(self):
         grid = enumerate_weights(2, 0.5)
         locs = LocationSet.from_coords([10.0, 40.0], [-100.0, -70.0])
         assignment = nn_sample_grid(locs)
-        assert assignment.n_samples == 2
+        assert len(assignment.representatives) == 2
         targets = {0: np.array([1.0, 0.0]), 1: np.array([0.0, 1.0])}
 
         def score(w, loc):
             return float(np.abs(w - targets[loc]).sum())
 
-        out = optimize_weights(grid, row_scores(score), "NN", assignment=assignment)
+        out = optimize_weights(grid, row_scores(score), assignment.sample_of, assignment.representatives)
         np.testing.assert_allclose(out[0], targets[0])
         np.testing.assert_allclose(out[1], targets[1])
 
@@ -366,8 +369,7 @@ class TestOptimizeWeights:
             regime = int(clustering.labels[loc])
             return float(np.abs(w - targets[regime]).sum())
 
-        out = optimize_weights(grid, row_scores(score), "RB", clustering=clustering,
-                               regime_samples=samples)
+        out = optimize_weights(grid, row_scores(score), clustering.labels, samples)
         for loc in range(3):
             np.testing.assert_allclose(out[loc], targets[1])
         for loc in range(3, 6):
@@ -393,8 +395,8 @@ class TestOptimizeWeights:
         best = weights_module._best_vector
         monkeypatch.setattr(weights_module, "_best_vector",
                             lambda g, scores: seen.append(scores) or best(g, scores))
-        out = optimize_weights(grid, row_scores(lambda w, loc: table[index[tuple(w)], loc]), "RB",
-                               clustering=clustering, regime_samples=samples)
+        out = optimize_weights(grid, row_scores(lambda w, loc: table[index[tuple(w)], loc]),
+                               clustering.labels, samples)
         np.testing.assert_array_equal(seen[0], per_vector)
         np.testing.assert_array_equal(out[:9], np.tile(picked, (9, 1)))
 
@@ -407,7 +409,7 @@ class TestOptimizeWeights:
         def score(w, loc):
             return table[tuple(w)] * (loc + 1)
 
-        out = optimize_weights(grid, row_scores(score), "NN", assignment=assignment)
+        out = optimize_weights(grid, row_scores(score), assignment.sample_of, assignment.representatives)
         on_grid = {tuple(v) for v in grid.vectors}
         for row in out:
             assert tuple(row) in on_grid
@@ -417,29 +419,47 @@ class TestOptimizeWeights:
         locs = LocationSet.from_coords([40.0], [-100.0])
         assignment = nn_sample_grid(locs)
         table = {tuple(v): float(rng.random()) for v in grid.vectors}
-        out1 = optimize_weights(grid, row_scores(lambda w, l: table[tuple(w)]), "NN",
-                                assignment=assignment)
-        out2 = optimize_weights(grid, row_scores(lambda w, l: 1000.0 * table[tuple(w)]), "NN",
-                                assignment=assignment)
+        out1 = optimize_weights(grid, row_scores(lambda w, l: table[tuple(w)]),
+                                assignment.sample_of, assignment.representatives)
+        out2 = optimize_weights(grid, row_scores(lambda w, l: 1000.0 * table[tuple(w)]),
+                                assignment.sample_of, assignment.representatives)
         np.testing.assert_array_equal(out1, out2)
 
     def test_ties_choose_lexicographically_first(self):
         grid = enumerate_weights(2, 0.5)
         locs = LocationSet.from_coords([40.0], [-100.0])
         assignment = nn_sample_grid(locs)
-        out = optimize_weights(grid, row_scores(lambda w, l: 0.0), "NN", assignment=assignment)
+        out = optimize_weights(grid, row_scores(lambda w, l: 0.0), assignment.sample_of,
+                               assignment.representatives)
         np.testing.assert_allclose(out[0], [0.0, 1.0])
 
     def test_empty_grid_rejected(self):
         grid = enumerate_weights(2, 0.5)
         empty = type(grid)(0.5, 2, False, grid.vectors[:0])
         with pytest.raises(ValueError):
-            optimize_weights(empty, None, "EW", n_locations=1)
+            optimize_weights(empty, row_scores(lambda w, l: 0.0), [0], [0])
 
-    def test_unknown_strategy_rejected(self):
+    def test_label_without_a_sample_location_rejected(self):
         grid = enumerate_weights(2, 0.5)
-        with pytest.raises(ValueError):
-            optimize_weights(grid, None, "GRADIENT", n_locations=1)
+        calls = []
+        scores = row_scores(lambda w, loc: calls.append(loc) or 0.0)
+        # label 3 holds locations 1 and 3, and no sample carries it
+        with pytest.raises(ValueError, match="label 3 has no sample location"):
+            optimize_weights(grid, scores, np.array([1, 3, 1, 3]), [0, 2])
+        assert set(calls) == {0, 2}
+
+    def test_samples_of_a_label_are_averaged_in_the_order_given(self):
+        grid = enumerate_weights(2, 0.5)
+        calls = []
+
+        def score(w, loc):
+            calls.append(loc)
+            return float(np.abs(w - [1.0, 0.0]).sum()) * (loc + 1)
+
+        out = optimize_weights(grid, row_scores(score), np.array([7, 7, 5, 7]), [3, 2, 0])
+        # label 5 first (sorted labels), then label 7's samples 3, 0 in the given order
+        assert calls[::len(grid)] == [2, 3, 0]
+        np.testing.assert_allclose(out, np.tile([1.0, 0.0], (4, 1)))
 
 
 def test_weights_csv_round_trip(tmp_path, rng):
@@ -450,14 +470,7 @@ def test_weights_csv_round_trip(tmp_path, rng):
     np.testing.assert_array_equal(back, w)
 
 
-def test_assignment_and_clustering_csv(tmp_path, rng):
-    locs = make_locations(9, seed=8)
-    assignment = nn_sample_grid(locs)
-    a_path = tmp_path / "assignment.csv"
-    assignment.write_csv(a_path)
-    rows = a_path.read_text().strip().splitlines()
-    assert rows[0] == "location,sample"
-    assert len(rows) == 1 + 9
+def test_clustering_csv(tmp_path, rng):
     clustering = hierarchical_cluster(rng.normal(0, 1, size=(9, 3)), 3)
     c_path = tmp_path / "clustering.csv"
     clustering.write_csv(c_path)
