@@ -263,11 +263,12 @@ class Runner:
             self.inputs.setdefault(str(p), None)
         return p
 
-    def read_tensor(self, path: Path):
-        """The tensor in ``path``, read once: the same bytes give the manifest hash."""
+    def read_tensor(self, path: Path, locations=None):
+        """The tensor in ``path``, over the ``locations`` given or all of them,
+        read once: the same bytes, the whole file's, give the manifest hash."""
         from . import tensorio
 
-        return tensorio.read_tensor(path, digests=self.inputs)
+        return tensorio.read_tensor(path, digests=self.inputs, locations=locations)
 
     def write(self, name: str, write):
         """Write the output ``path(name)`` with ``write(path)``, and record it
@@ -319,6 +320,21 @@ def _check_pool(run: Runner, key: str, value: int, pool: int):
     if pool < a["members"] and not a["allow_partial"]:
         run.problems.append(f"{key}: {value} leaves the first test init {pool} candidates, fewer than "
                             f"anen.members {a['members']}; set anen.allow_partial to keep short lists")
+
+
+def _check_locations(run: Runner, forecast_locations, observed):
+    """A ``paths.observations`` problem unless the observations hold the
+    forecasts' locations: as many, with the same coordinates."""
+    if len(observed) != len(forecast_locations):
+        run.problems.append(f"paths.observations: {len(observed)} locations, but the forecasts "
+                            f"have {len(forecast_locations)}")
+        return
+    differ = np.zeros(len(observed), dtype=bool)
+    for field in ("latitude", "longitude", "elevation"):
+        differ |= getattr(observed, field) != getattr(forecast_locations, field)
+    if differ.any():
+        run.problems.append(f"paths.observations: location {int(np.argmax(differ))} has other "
+                            f"coordinates than in the forecasts")
 
 
 def _anen_config(run: Runner, n_predictors: int) -> AnEnConfig | None:
@@ -423,6 +439,7 @@ def cmd_anen(run: Runner, args) -> int:
     run.check()
     forecasts = run.read_tensor(fc_path)
     analysis = run.read_tensor(obs_path)
+    _check_locations(run, forecasts.locations, analysis.locations)
 
     test, search = _anen_split(run, len(forecasts.init_times))
     if search:
@@ -464,13 +481,15 @@ def cmd_simulate(run: Runner, args) -> int:
     else:
         forecasts = run.read_tensor(fc_path)
         test, _ = _anen_split(run, len(forecasts.init_times))
+    if source == "analysis":
+        analysis = run.read_tensor(obs_path)
+        _check_locations(run, forecasts.locations, analysis.locations)
     run.check()
     if source == "forecast":
         weather = driver.forecast_weather_ensemble(forecasts, test)
     elif source == "analysis":
-        weather = driver.analysis_weather_ensemble(
-            run.read_tensor(obs_path), forecasts.init_times, forecasts.lead_times, test
-        )
+        weather = driver.analysis_weather_ensemble(analysis, forecasts.init_times, forecasts.lead_times, test)
+        del analysis  # the truth weather holds the aligned values it needs
 
     run.write_tensor(run.cfg["simulate"]["output"] or ("truth_power" if source == "analysis" else "power"),
                      driver.power_from_weather(weather, specs, system))
@@ -478,7 +497,7 @@ def cmd_simulate(run: Runner, args) -> int:
 
 
 def cmd_optimize_weights(run: Runner, args) -> int:
-    from . import driver, weights
+    from . import driver, tensorio, weights
     from .anen import equal_weights
     from .pvchain import load_module_catalog
 
@@ -493,14 +512,20 @@ def cmd_optimize_weights(run: Runner, args) -> int:
     if o["module"] not in specs:
         run.problems.append(f"optimize.module: unknown module code {o['module']!r}")
 
-    forecasts = run.read_tensor(fc_path)
+    # the forecasts are read last, at the sample locations alone
+    header = tensorio.read_header(fc_path)
     analysis = run.read_tensor(obs_path)
-    n_pred = len(forecasts.predictor_names)
+    _check_locations(run, header.locations, analysis.locations)
+    n_pred = len(header.names)
     try:
         grid = weights.enumerate_weights(n_pred, o["step"], o["exclude_unit_vectors"])
     except ValueError as exc:
         run.problems.append(f"optimize.step: {exc}")
-    _, search = _anen_split(run, len(forecasts.init_times))
+    else:
+        if len(grid) == 0 and strategy != "EW":  # EW reads no grid
+            run.problems.append(f"optimize.exclude_unit_vectors: leaves no weight vector at "
+                                f"optimize.step {o['step']!r}")
+    _, search = _anen_split(run, len(header.sections["init_times"]))
     opt_days = o["opt_days"]
     if opt_days >= len(search):
         run.problems.append(f"optimize.opt_days: need an integer in 1..{len(search) - 1}, got {opt_days!r}")
@@ -514,22 +539,27 @@ def cmd_optimize_weights(run: Runner, args) -> int:
     opt_test = range(search.stop - opt_days, search.stop)
 
     if strategy == "EW":
-        out_weights = np.tile(equal_weights(n_pred), (len(forecasts.locations), 1))
+        samples = []
+    elif strategy == "NN":
+        assignment = weights.nn_sample_grid(analysis.locations)
+        labels, samples = assignment.sample_of, assignment.representatives
+    else:
+        clustering = weights.regime_clustering(analysis, o["clusters"])
+        labels = clustering.labels
+        samples = weights.rb_sample_points(clustering, o["total_samples"], seed=cfg["seed"])
+        run.write("clustering", clustering.write_csv)
+    # EW scores nothing, but its manifest records the forecasts' digest too
+    forecasts = run.read_tensor(fc_path, locations=samples)
+    if strategy == "EW":
+        out_weights = np.tile(equal_weights(n_pred), (len(header.locations), 1))
     else:
         objective = driver.WeightObjective(
-            forecasts, analysis, base, opt_test, opt_search, specs[o["module"]], system
+            forecasts, analysis.take_locations(samples), base, opt_test, opt_search,
+            specs[o["module"]], system, locations=samples,
         )
-        if strategy == "NN":
-            assignment = weights.nn_sample_grid(forecasts.locations)
-            labels, samples = assignment.sample_of, assignment.representatives
-        else:
-            clustering = weights.regime_clustering(analysis, o["clusters"])
-            labels = clustering.labels
-            samples = weights.rb_sample_points(clustering, o["total_samples"], seed=cfg["seed"])
-            run.write("clustering", clustering.write_csv)
         out_weights = weights.optimize_weights(grid, objective.scores, labels, samples)
 
-    run.write("weights", lambda path: weights.write_weights_csv(path, out_weights, forecasts.predictor_names))
+    run.write("weights", lambda path: weights.write_weights_csv(path, out_weights, header.names))
     return 0
 
 
@@ -578,6 +608,13 @@ def cmd_verify(run: Runner, args) -> int:
             region_map = verify.read_region_map(region_path)
         except ValueError as exc:
             run.problems.append(f"paths.region_map: {exc}")
+        else:
+            n_loc = len(power.locations)
+            unmapped, unknown = set(range(n_loc)) - set(region_map), set(region_map) - set(range(n_loc))
+            if unmapped:
+                run.problems.append(f"paths.region_map: no region for locations {sorted(unmapped)}")
+            if unknown:
+                run.problems.append(f"paths.region_map: locations {sorted(unknown)} are outside 0..{n_loc - 1}")
     run.check()
     ens = power.values[power.variable_index(module)]
     tru = truth.values[truth.variable_index(module), ..., 0]

@@ -31,7 +31,8 @@ class _Owned:
 
     ``tensorio.read_tensor`` wraps the array it read a file into, and the
     producers wrap the arrays they fill (``anen``'s search and gather,
-    ``pvchain.simulate_ensemble``, ``align_observations``), so the tensor
+    ``pvchain.simulate_ensemble``, ``solar.precompute_solar``,
+    ``align_observations``, ``take_locations``), so the tensor
     keeps them without a copy; ``_Tensor.__post_init__`` freezes them in
     place. Every other caller's array is copied, because tensors are
     immutable and the caller keeps its reference.
@@ -94,6 +95,11 @@ class LocationSet:
         if elevation is None:
             elevation = np.zeros_like(latitude)
         return cls(np.arange(len(latitude)), latitude, longitude, elevation)
+
+    def take(self, rows) -> "LocationSet":
+        """The locations ``rows``, in that order, renumbered from 0."""
+        rows = np.asarray(rows, dtype=np.int64)
+        return LocationSet.from_coords(self.latitude[rows], self.longitude[rows], self.elevation[rows])
 
 
 def _check_increasing(values: np.ndarray, what: str):
@@ -198,11 +204,15 @@ class _Tensor:
         """The same tensor over locations ``start:stop`` alone, renumbered
         from 0; consecutive slabs joined along the location axis give the
         whole back."""
-        loc = self.locations
-        cut = (slice(None),) * self.AXES.index("locations") + (slice(start, stop),)
-        slab = LocationSet.from_coords(loc.latitude[start:stop], loc.longitude[start:stop],
-                                       loc.elevation[start:stop])
-        return replace(self, locations=slab, **{a: getattr(self, a)[cut] for a in self.ARRAYS})
+        return self.take_locations(range(start, stop))
+
+    def take_locations(self, rows):
+        """The same tensor over the locations ``rows`` alone, in that order,
+        renumbered from 0."""
+        rows = np.asarray(rows, dtype=np.int64)
+        axis = self.AXES.index("locations")
+        return replace(self, locations=self.locations.take(rows),
+                       **{a: _Owned(np.take(getattr(self, a), rows, axis=axis)) for a in self.ARRAYS})
 
 
 @dataclass(frozen=True)

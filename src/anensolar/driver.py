@@ -121,11 +121,20 @@ class WeightObjective:
     set of one call is ``(N + 1) * T * J * C`` float64 values for N
     predictors, T test inits, J leads and C candidates (about 46 MB at
     5 x 90 x 24 x 450).
+
+    The objective scores the tensors it is given, which hold the same
+    locations: ``locations`` lists the archive location of each of their
+    rows (by default, row i is location i), so a caller can give it the
+    sample locations alone. ``scores`` takes, and short-list errors name,
+    the archive location.
     """
 
     def __init__(self, forecasts: ForecastTensor, analysis: ObservationTensor,
                  base_config: AnEnConfig, opt_test_range, opt_search_range,
-                 spec: PvModuleSpec, system: SystemConfig):
+                 spec: PvModuleSpec, system: SystemConfig, locations=None):
+        if locations is None:
+            locations = range(len(forecasts.locations))
+        self.rows = {int(loc): row for row, loc in enumerate(locations)}
         self.forecasts = forecasts
         self.analysis = analysis
         self.base = base_config
@@ -142,9 +151,10 @@ class WeightObjective:
     def _build(self, loc: int):
         from .anen import SearchTables
 
-        fc = self.forecasts.at_locations(loc, loc + 1)
+        row = self.rows[loc]
+        fc = self.forecasts.at_locations(row, row + 1)
         search = SearchTables(fc, self.base, self.test_range, self.search_range)
-        an = self.analysis.at_locations(loc, loc + 1)
+        an = self.analysis.at_locations(row, row + 1)
         truth_weather = analysis_weather_ensemble(an, fc.init_times, fc.lead_times, search.test)
         cache = precompute_solar(fc.locations, truth_weather.init_times, fc.lead_times)
         truth_power = simulate_ensemble(truth_weather, cache, [self.spec], self.system).values[0, ..., 0]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coredata import MISSING, LeadTimeAxis, LocationSet, TimeAxis, _Tensor
+from .coredata import MISSING, LeadTimeAxis, LocationSet, TimeAxis, _Owned, _Tensor
 
 SOLAR_CONSTANT = 1361.1  # W/m^2, total solar irradiance at 1 AU
 
@@ -220,4 +220,7 @@ def precompute_solar(locations: LocationSet, init_times: TimeAxis,
     eot = np.broadcast_to(eot, shape)
     e0n = np.broadcast_to(extraterrestrial_normal(valid), shape)
     am = relative_airmass(zen)
-    return SolarCacheTable(locations, init_times, lead_times, zen, az, decl, eot, e0n, am)
+    # zen, az and am are fresh arrays the table keeps uncopied; the broadcast
+    # views are copied into arrays of their own
+    return SolarCacheTable(locations, init_times, lead_times, _Owned(zen), _Owned(az), decl, eot, e0n,
+                           _Owned(am))

@@ -15,9 +15,13 @@ laid out on disk. The tensor's ``AXES`` give the block's shape and the header
 sections after the locations; ``LAYOUTS`` adds only what the tensor cannot
 say: the names-section key, the fixed field names of a stacked block, and the
 lookup-only sections. ``write_tensor`` and ``read_tensor`` follow both for
-every kind. The decoder reads the header, then reads the payload straight
-into one aligned float64 array that the returned tensor keeps, so a file's
-values are held once; the SHA-256 of a read is taken over those same bytes.
+every kind; ``read_header`` reads the header alone. The decoder reads the
+header, then the payload, once and front to back, straight into one aligned
+float64 array that the returned tensor keeps, so a file's values are held
+once. A read may select locations: the block is (names, locations, ...), so
+each location is one contiguous row per name, and only the selected rows
+are kept. The SHA-256 of a read streams every byte of the file, skipped rows
+included, so memory follows the selection while the digest stays the file's.
 A long-format CSV variant (``.csv``) of forecasts and observations is
 accepted for small fixtures; its columns are in ``_CSV_AXES`` and it carries
 no location coordinates, which default to zero. Every file goes through
@@ -30,6 +34,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import operator
 import os
 from pathlib import Path
 from typing import NamedTuple
@@ -54,6 +59,8 @@ from .errors import DimensionMismatchError, TensorFormatError, TensorHeaderError
 MAGIC = "ANENSOLAR/1"
 # bytes per read while looking for the header's end
 _HEADER_CHUNK = 1 << 16
+# the most bytes that skipped rows pass through at once
+_SKIP_BYTES = 1 << 20
 
 
 class Layout(NamedTuple):
@@ -208,8 +215,25 @@ class _HeaderReader:
                 raise TensorHeaderError(f"trailing junk in header: {line!r}")
 
 
-def _parse_header(header: bytes):
-    """(kind, names, locations, sections) of a container header."""
+class Header(NamedTuple):
+    """A container's header: its kind, the names of the block's first axis,
+    its locations and the sections after them, as ``LAYOUTS[kind]`` orders
+    them (a member count, or an axis's int64 values)."""
+
+    kind: str
+    names: list
+    locations: LocationSet
+    sections: dict
+
+    @property
+    def shape(self) -> tuple:
+        """The shape of the float64 block: (names, locations, *axes)."""
+        return (len(self.names), len(self.locations),
+                *(self.sections[key] if key == "members" else len(self.sections[key])
+                  for key in LAYOUTS[self.kind].axes))
+
+
+def _parse_header(header: bytes) -> Header:
     try:
         text = header.decode("utf-8")
     except UnicodeDecodeError:
@@ -228,56 +252,147 @@ def _parse_header(header: bytes):
     locations = r.locations()
     sections = {key: r.axis(key) for key in layout.sections}
     r.done()
-    return kind, names, locations, sections
+    return Header(kind, names, locations, sections)
 
 
-def read_tensor(path, digests=None):
+def _read_head(fh):
+    """(header, its bytes up to and with the separator, the payload bytes read
+    with them) of the open container ``fh``, read in chunks up to the
+    separator."""
+    head, sep = bytearray(), -1
+    while sep < 0:
+        chunk = fh.read(_HEADER_CHUNK)
+        if not chunk:
+            raise TensorHeaderError("missing header/payload separator")
+        start = max(len(head) - 1, 0)
+        head += chunk
+        sep = head.find(b"\x00\n", start)
+    view = memoryview(head)
+    return _parse_header(head[:sep]), view[:sep + 2], view[sep + 2:]
+
+
+def read_header(path) -> Header:
+    """The header of a tensor container, without its payload; a CSV fixture,
+    which has no header, is read whole."""
+    if str(path).endswith(".csv"):
+        tensor = _read_csv(Path(path).read_text(encoding="utf-8"))
+        kind = _KINDS[type(tensor)]
+        return Header(kind, list(getattr(tensor, tensor.AXES[0])), tensor.locations,
+                      {key: _section(tensor, key) for key in LAYOUTS[kind].sections})
+    with open(path, "rb") as fh:
+        return _read_head(fh)[0]
+
+
+def _selection(locations, n_locations: int):
+    """The location rows to read: all of them, in order, for None; else the
+    given distinct indices in 0..n_locations-1, in the given order."""
+    if locations is None:
+        return range(n_locations)
+    rows = [operator.index(loc) for loc in locations]
+    seen = set()
+    for loc in rows:
+        if not 0 <= loc < n_locations:
+            raise ValueError(f"location {loc} is outside 0..{n_locations - 1}")
+        if loc in seen:
+            raise ValueError(f"location {loc} is selected twice")
+        seen.add(loc)
+    return rows
+
+
+def _runs(rows, n_locations: int) -> list:
+    """The file's location rows, in file order, as [count, at] runs: ``count``
+    adjacent rows that fill output rows ``at``, ``at + 1``, ... in that order,
+    or that are skipped when ``at`` is None."""
+    at_of = {loc: at for at, loc in enumerate(rows)}
+    runs = []
+    for loc in range(n_locations):
+        at = at_of.get(loc)
+        # a skipped row extends a skipped run; a selected one, the run whose next output row it fills
+        if runs and runs[-1][1] == (None if at is None else at - runs[-1][0]):
+            runs[-1][0] += 1
+        else:
+            runs.append([1, at])
+    return runs
+
+
+class _Payload:
+    """The payload of an open container, read once, front to back: first the
+    bytes read with the header, then the file. Every byte goes through the
+    running SHA-256, when one is taken."""
+
+    def __init__(self, fh, pending: memoryview, digest, buffer_bytes: int):
+        self.fh, self.pending, self.digest = fh, pending, digest
+        self.buffer_bytes, self.buffer = buffer_bytes, None
+
+    def read_into(self, out: np.ndarray):
+        """Fill the contiguous array ``out`` with the next ``out.nbytes`` bytes."""
+        block = memoryview(out.reshape(-1).view(np.uint8))
+        done = min(len(self.pending), len(block))
+        block[:done], self.pending = self.pending[:done], self.pending[done:]
+        # a buffered readinto reads until the block is full or the file ends
+        if done < len(block) and self.fh.readinto(block[done:]) != len(block) - done:
+            raise DimensionMismatchError("binary block changed size while it was read")
+        if self.digest is not None:
+            self.digest.update(block)
+
+    def skip(self, size: int):
+        """Pass the next ``size`` bytes by, through one reused buffer of
+        ``buffer_bytes``, allocated at the first call."""
+        if self.buffer is None:
+            self.buffer = np.empty(self.buffer_bytes, dtype=np.uint8)
+        for start in range(0, size, len(self.buffer)):
+            self.read_into(self.buffer[:min(len(self.buffer), size - start)])
+
+
+def read_tensor(path, digests=None, locations=None):
     """Read a tensor container (or CSV fixture); returns the tensor of its
     kind, ``LAYOUTS[kind].tensor``.
 
-    The header is read in chunks up to its separator. The payload is then
-    read straight into one aligned float64 array of the header's shape, which
-    the tensor keeps, read-only and never copied: as its values, or, for a
-    stacked block, as one view per field. Given a ``digests`` dict, the SHA-256
-    hex digest of the header and payload bytes just read, which are the
-    file's bytes, is stored under ``str(path)``, so a caller that records its
-    inputs need not read the file a second time to hash it.
+    ``locations``, a list of distinct location indices, selects the tensor
+    over those locations alone, in that order, renumbered from 0: the same
+    tensor as the joined one-location ``at_locations`` slabs of a full read.
+    None selects every location.
+
+    The header is read in chunks up to its separator. The block is (names,
+    locations, ...), so each location is one contiguous row per name. The
+    payload is read once, front to back, straight into one aligned float64
+    array that the tensor keeps, read-only and never copied: as its values,
+    or, for a stacked block, as one view per field. Adjacent selected rows
+    are read by one ``readinto``, so a full read makes one per name; skipped
+    rows pass through one reused buffer of at most ``_SKIP_BYTES``, allocated
+    at the first skip. Given a ``digests`` dict, the SHA-256 hex digest of
+    every byte read, which is the whole file whatever the selection, is
+    stored under ``str(path)``, so a caller that records its inputs need not
+    read the file a second time to hash it.
     """
     if str(path).endswith(".csv"):
         raw = Path(path).read_bytes()
         if digests is not None:
             digests[str(path)] = hashlib.sha256(raw).hexdigest()
-        return _read_csv(raw.decode("utf-8"))
+        return _read_csv(raw.decode("utf-8"), locations)
     with open(path, "rb") as fh:
-        head, sep = bytearray(), -1
-        while sep < 0:
-            chunk = fh.read(_HEADER_CHUNK)
-            if not chunk:
-                raise TensorHeaderError("missing header/payload separator")
-            start = max(len(head) - 1, 0)
-            head += chunk
-            sep = head.find(b"\x00\n", start)
-        kind, names, locations, sections = _parse_header(head[:sep])
-        layout = LAYOUTS[kind]
-        shape = (len(names), len(locations),
-                 *(sections[key] if key == "members" else len(sections[key])
-                   for key in layout.axes))
-        payload, expected = os.fstat(fh.fileno()).st_size - sep - 2, int(np.prod(shape)) * 8
+        header, head, pending = _read_head(fh)
+        shape = header.shape
+        payload, expected = os.fstat(fh.fileno()).st_size - len(head), int(np.prod(shape)) * 8
         if payload != expected:
             raise DimensionMismatchError(
                 f"binary block is {payload} bytes, header shape {shape} needs {expected}")
-        values = np.empty(shape, dtype="<f8")
-        block = memoryview(values.reshape(-1).view(np.uint8))
-        done = len(head) - sep - 2
-        block[:done] = head[sep + 2:]
-        # a buffered readinto reads until the block is full or the file ends
-        if fh.readinto(block[done:]) != expected - done:
-            raise DimensionMismatchError("binary block changed size while it was read")
+        rows = _selection(locations, shape[1])
+        values = np.empty((shape[0], len(rows), *shape[2:]), dtype="<f8")
+        row_bytes = int(np.prod(shape[2:])) * 8
+        runs = _runs(rows, shape[1])
+        longest = max((count for count, at in runs if at is None), default=0) * row_bytes
+        stream = _Payload(fh, pending, None if digests is None else hashlib.sha256(head),
+                          min(longest, _SKIP_BYTES))
+        for block in values:
+            for count, at in runs:
+                if at is None:
+                    stream.skip(count * row_bytes)
+                else:
+                    stream.read_into(block[at:at + count])
     if digests is not None:
-        digest = hashlib.sha256(memoryview(head)[:sep + 2])
-        digest.update(block)
-        digests[str(path)] = digest.hexdigest()
-    return _tensor(kind, names, locations, sections, values)
+        digests[str(path)] = stream.digest.hexdigest()
+    return _tensor(header.kind, header.names, header.locations.take(rows), header.sections, values)
 
 
 def _write_csv(kind, tensor, path):
@@ -293,7 +408,7 @@ def _write_csv(kind, tensor, path):
     return atomic_write_csv(path, ["name", "location", *_CSV_AXES[kind], "value"], rows)
 
 
-def _read_csv(text: str):
+def _read_csv(text: str, locations=None):
     rows = list(csv.reader(io.StringIO(text, newline="")))
     if not rows:
         raise TensorHeaderError("empty CSV file")
@@ -315,7 +430,8 @@ def _read_csv(text: str):
     values = np.full([len(column) for column in columns], MISSING)
     for row in parsed:
         values[tuple(pos[v] for pos, v in zip(positions, row))] = row[-1]
-    n = len(columns[1])
-    locations = LocationSet(np.arange(n), np.zeros(n), np.zeros(n), np.zeros(n))
+    rows = np.array(_selection(locations, len(columns[1])), dtype=np.int64)
+    zeros = np.zeros(len(rows))
     sections = dict(zip(LAYOUTS[kind].sections, map(np.array, columns[2:])))
-    return _tensor(kind, columns[0], locations, sections, values)
+    return _tensor(kind, columns[0], LocationSet.from_coords(zeros, zeros, zeros), sections,
+                   values[:, rows])

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import anensolar
-from anensolar import anen, cli, tensorio, weights, workflow
+from anensolar import anen, cli, driver, tensorio, weights, workflow
 from anensolar.cli import main
 from anensolar.coredata import align_observations
 
@@ -769,3 +769,119 @@ def test_verify_rejects_a_malformed_region_map(chain_dir, tmp_path, capsys, text
     assert any(p.startswith("paths.region_map:") and row in p
                for p in payload["problems"]), payload["problems"]
     assert (out / "report.csv").read_bytes() == (chain_dir / "report.csv").read_bytes()
+
+
+def _problems(capsys) -> list:
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "config-validation"
+    return payload["problems"]
+
+
+@pytest.mark.parametrize("other", [["--set", "synth.n_locations=3"], ["--seed", "7"]],
+                         ids=["count", "coordinates"])
+def test_observations_of_other_locations_exit_2(chain_dir, tmp_path, capsys, other):
+    # observations of 3 locations, or of 4 at other coordinates, beside the
+    # chain's 4-location forecasts
+    elsewhere = tmp_path / "elsewhere"
+    assert main(["-o", str(elsewhere), *SMALL, *other, "synth"]) == 0
+    out = tmp_path / "run"
+    shutil.copytree(chain_dir, out)
+    (out / "weights.csv").unlink(missing_ok=True)
+    base = ["-o", str(out), *SMALL, "--set", f"paths.observations={elsewhere / 'observations.ansr'}"]
+    for argv in (["anen"], ["simulate", "--source", "analysis"],
+                 *(["optimize-weights", "--strategy", s] for s in ("EW", "NN", "RB"))):
+        capsys.readouterr()
+        assert main([*base, *argv]) == 2, argv
+        assert any(p.startswith("paths.observations:") for p in _problems(capsys)), argv
+    for name in ("ensemble.ansr", "truth_power.ansr"):
+        assert (out / name).read_bytes() == (chain_dir / name).read_bytes()
+    assert not (out / "weights.csv").exists()
+
+
+def test_an_empty_weight_grid_exits_2_unless_ew(chain_dir, tmp_path, capsys):
+    out = tmp_path / "run"
+    shutil.copytree(chain_dir, out)
+    base = ["-o", str(out), *SMALL, "--set", "optimize.step=1", "--set", "optimize.exclude_unit_vectors=true"]
+    for strategy in ("NN", "RB"):
+        capsys.readouterr()
+        assert main([*base, "optimize-weights", "--strategy", strategy]) == 2
+        assert any(p.startswith("optimize.exclude_unit_vectors:") for p in _problems(capsys)), strategy
+    assert not (out / "weights.csv").exists()
+    assert main([*base, "optimize-weights", "--strategy", "EW"]) == 0
+
+
+@pytest.mark.parametrize("text, problem", [("location,region\n0,east\n1,east\n", "no region for locations [2, 3]"),
+                                           ("0,east\n1,east\n2,west\n3,west\n99,west\n",
+                                            "locations [99] are outside 0..3")],
+                         ids=["missing", "unknown"])
+def test_a_region_map_must_cover_the_power_locations(chain_dir, tmp_path, capsys, text, problem):
+    regions = tmp_path / "regions.csv"
+    regions.write_text(text)
+    out = tmp_path / "v"
+    shutil.copytree(chain_dir, out)
+    capsys.readouterr()
+    assert main(["-o", str(out), *SMALL, "--set", f"paths.region_map={regions}",
+                 "verify", "--grouping", "region"]) == 2
+    assert any(p.startswith("paths.region_map:") and problem in p
+               for p in _problems(capsys)), problem
+    assert (out / "report.csv").read_bytes() == (chain_dir / "report.csv").read_bytes()
+
+
+# six locations in a 4 x 7 degree box: fewer NN tiles than locations
+WEIGHT_RUN = [*SMALL, "--set", "synth.n_locations=6", "--set", "synth.lat_range=[40.0, 44.0]",
+              "--set", "synth.lon_range=[-100.0, -93.0]", "--set", "optimize.step=0.5",
+              "--set", "optimize.opt_days=8", "--set", "optimize.total_samples=2",
+              "--set", "anen.members=6"]
+
+
+@pytest.mark.parametrize("strategy", ["EW", "NN", "RB"])
+def test_optimize_weights_reads_forecasts_at_its_samples_as_a_full_read_would(tmp_path, monkeypatch, strategy):
+    out = tmp_path / "w"
+    base = ["-o", str(out), *WEIGHT_RUN]
+    assert main([*base, "synth"]) == 0
+    reads, real = [], tensorio.read_tensor
+
+    def recording_read(path, digests=None, locations=None):
+        reads.append((Path(path).name, None if locations is None else list(locations)))
+        return real(path, digests, locations)
+
+    monkeypatch.setattr(tensorio, "read_tensor", recording_read)
+    assert main([*base, "optimize-weights", "--strategy", strategy]) == 0
+    names = ("weights.csv", "clustering.csv", "manifest.json")
+    selective = {n: (out / n).read_bytes() for n in names if (out / n).exists()}
+    assert reads[0] == ("observations.ansr", None) and reads[1][0] == "forecasts.ansr"
+    samples = reads[1][1]
+    forecasts = real(out / "forecasts.ansr")
+    analysis = real(out / "observations.ansr")
+    if strategy == "EW":
+        assert samples == []
+    elif strategy == "NN":
+        assert samples == weights.nn_sample_grid(forecasts.locations).representatives.tolist()
+    else:
+        clustering = weights.regime_clustering(analysis, 2)
+        assert samples == weights.rb_sample_points(clustering, 2, seed=42)
+    assert len(samples) < len(forecasts.locations)
+
+    # a full-read run: both files whole, and the objective on the whole archive
+    def full_read(self, path, locations=None):
+        return real(path, self.inputs)
+
+    whole = []
+    objective = driver.WeightObjective
+
+    def whole_objective(fc, an, *args, locations=None):
+        whole.append(len(fc.locations))
+        return objective(forecasts, analysis, *args)
+
+    monkeypatch.setattr(cli.Runner, "read_tensor", full_read)
+    monkeypatch.setattr(driver, "WeightObjective", whole_objective)
+    # the run replaces its own manifest entry
+    for n in ("weights.csv", "clustering.csv"):
+        (out / n).unlink(missing_ok=True)
+    assert main([*base, "optimize-weights", "--strategy", strategy]) == 0
+    assert whole == ([] if strategy == "EW" else [6])
+    assert {n: (out / n).read_bytes() for n in selective} == selective
+    # and the manifest records both files' own digests
+    entry = json.loads(selective["manifest.json"])["optimize-weights"]
+    assert entry["inputs"] == {str(out / n): hashlib.sha256((out / n).read_bytes()).hexdigest()
+                               for n in ("forecasts.ansr", "observations.ansr")}

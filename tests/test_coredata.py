@@ -254,3 +254,20 @@ def test_location_slabs_join_to_the_whole(kind):
     for slab in slabs:
         for name in kept:
             np.testing.assert_equal(getattr(slab, name), getattr(tensor, name))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_taken_locations_are_the_joined_slabs_in_their_order(kind):
+    tensor = _every_tensor()[kind]
+    axis = tensor.AXES.index("locations")
+    taken = tensor.take_locations([2, 0])
+    slabs = [tensor.at_locations(2, 3), tensor.at_locations(0, 1)]
+    assert type(taken) is type(tensor)
+    assert taken.locations.ids.tolist() == [0, 1]
+    for coord in ("latitude", "longitude", "elevation"):
+        np.testing.assert_array_equal(getattr(taken.locations, coord),
+                                      np.concatenate([getattr(s.locations, coord) for s in slabs]))
+    for name in tensor.ARRAYS:
+        joined = np.concatenate([getattr(s, name) for s in slabs], axis=axis)
+        assert getattr(taken, name).tobytes() == joined.tobytes()
+        assert not getattr(taken, name).flags.writeable

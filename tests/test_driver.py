@@ -147,6 +147,34 @@ class TestObjectiveTables:
         # the slice search names its only location 0; the objective names location 1
         assert str(raised.value) == str(expected.value).replace("location 0,", "location 1,")
 
+    def test_sample_locations_alone_score_as_the_whole_archive(self, holed):
+        obs, fc = holed
+        whole = self.objective(holed, "fixed")
+        kwargs, test, search = OBJECTIVE_CASES["fixed"]
+        samples = [2, 0]
+        alone = WeightObjective(fc.take_locations(samples), obs.take_locations(samples), whole.base,
+                                test, search, self.spec, SystemConfig(), locations=samples)
+        vectors = enumerate_weights(5, 0.25).vectors
+        for loc in samples:
+            assert alone.scores(vectors, loc).tobytes() == whole.scores(vectors, loc).tobytes()
+        with pytest.raises(KeyError):
+            alone.scores(vectors, 1)
+
+    def test_short_lists_name_the_archive_location_of_a_sample(self, holed):
+        obs, fc = holed
+        kwargs, test, search = OBJECTIVE_CASES["partial"]
+        w = np.array([0.25, 0.25, 0.0, 0.5, 0.0])
+        strict = AnEnConfig(weights=w, **dict(kwargs, allow_partial=False))
+        whole = WeightObjective(fc, obs, strict, test, search, self.spec, SystemConfig())
+        alone = WeightObjective(fc.take_locations([1]), obs.take_locations([1]), strict, test, search,
+                                self.spec, SystemConfig(), locations=[1])
+        with pytest.raises(InsufficientCandidatesError) as expected:
+            whole.scores([w], 1)
+        with pytest.raises(InsufficientCandidatesError) as raised:
+            alone.scores([w], 1)
+        assert "location 1," in str(raised.value)
+        assert str(raised.value) == str(expected.value)
+
     def test_rb_run_builds_each_sample_location_once(self, holed):
         grid = enumerate_weights(5, 0.5)
         labels = np.array([1, 2, 1])

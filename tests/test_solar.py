@@ -190,3 +190,63 @@ class TestPrecompute:
             noon_minutes = 720.0 - 4.0 * float(locs.longitude[l]) - p.equation_of_time
             noon_epoch = int(init.instants[0]) + noon_minutes * 60.0
             assert abs(instant - noon_epoch) <= 3600.0
+
+
+class TestPrecomputeMemory:
+    def test_fresh_arrays_are_kept_uncopied(self, monkeypatch):
+        from anensolar import solar
+
+        made = {}
+        noaa, airmass = solar._noaa_arrays, solar.relative_airmass
+        monkeypatch.setattr(solar, "_noaa_arrays", lambda *a: made.setdefault("noaa", noaa(*a)))
+        monkeypatch.setattr(solar, "relative_airmass", lambda z: made.setdefault("am", airmass(z)))
+        locs = make_locations(3, seed=5)
+        init = TimeAxis(1609459200 + 86400 * np.arange(4))
+        lead = LeadTimeAxis(3600 * np.arange(6))
+        cache = precompute_solar(locs, init, lead)
+        zen, az, decl, eot = made["noaa"]
+        assert cache.apparent_zenith is zen and cache.azimuth is az and cache.airmass is made["am"]
+        # the broadcast fields are arrays of their own, equal as uint64 to the broadcast
+        for field, value in (("declination", decl), ("equation_of_time", eot),
+                             ("e0n", extraterrestrial_normal(init.instants[:, None] + lead.offsets))):
+            array = getattr(cache, field)
+            assert array.flags.owndata and not array.flags.writeable
+            np.testing.assert_array_equal(array.view(np.uint64),
+                                          np.broadcast_to(value, cache.shape).view(np.uint64))
+
+    def test_traced_peak_beyond_the_table(self, monkeypatch):
+        import tracemalloc
+
+        from anensolar import solar
+
+        # the forecast-chain shape: 10 locations x 365 inits x 24 leads
+        locs = make_locations(10, seed=5)
+        init = TimeAxis(1546300800 + 86400 * np.arange(365))
+        lead = LeadTimeAxis(3600 * np.arange(24))
+        precompute_solar(locs, init, lead)  # warm numpy's caches outside the trace
+        peaks = []
+        table_type = solar.SolarCacheTable
+
+        def construct(*args):
+            # the peak of the table's construction alone
+            tracemalloc.reset_peak()
+            table = table_type(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return table
+
+        monkeypatch.setattr(solar, "SolarCacheTable", construct)
+        tracemalloc.start()
+        try:
+            cache = precompute_solar(locs, init, lead)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        field = 10 * 365 * 24 * 8
+        table = sum(getattr(cache, a).nbytes for a in cache.ARRAYS)
+        assert table == 6 * field
+        # the ephemeris's (L, I, J) temporaries set the peak, about 11.3 fields
+        # beyond the table
+        assert peak - table < 12 * field
+        # the construction holds the table alone: copies of zen, az and am
+        # would add three fields
+        assert peaks[0] - table < field / 2

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import io
 import os
 
 import numpy as np
@@ -408,3 +409,191 @@ def test_public_constructor_copies_the_callers_array():
     assert not np.shares_memory(tensor.values, caller)
     caller[...] = 0.0
     assert tensor.values.tobytes() == fc.values.tobytes()
+
+
+def _six_locations():
+    """One tensor of each container kind over six locations, and the CSV
+    variant of a forecast and an observation: file name -> tensor."""
+    fc = make_forecast(n_pred=2, n_loc=6, n_init=4, n_lead=5, seed=3)
+    obs = make_observation(n_var=2, n_loc=6, n_time=30)
+    rng = np.random.default_rng(8)
+    index = rng.integers(0, 4, size=(6, 2, 5, 3)).astype(float)
+    index[4, 1, 2, 0] = MISSING
+    zeros = LocationSet.from_coords(np.zeros(6), np.zeros(6), np.zeros(6))
+    return {
+        "forecast.ansr": fc,
+        "observation.ansr": obs,
+        "ensemble.ansr": EnsembleTensor(("ghi", "albedo"), fc.locations, fc.init_times, fc.lead_times, 3,
+                                        rng.normal(size=(2, 6, 4, 5, 3))),
+        "analogs.ansr": AnalogIndexSet(fc.locations, fc.init_times, [2, 3], fc.lead_times, 3,
+                                       index, rng.random((6, 2, 5, 3))),
+        "sigma.ansr": SigmaTensor(fc.predictor_names, fc.locations, fc.lead_times,
+                                  rng.random((2, 6, 5))),
+        # the CSV variant carries no coordinates
+        "forecast.csv": dataclasses.replace(fc, locations=zeros),
+        "observation.csv": dataclasses.replace(obs, locations=zeros),
+    }
+
+
+SELECTIONS = {"scattered": [4, 0, 5, 2], "reversed": [5, 4, 3, 2, 1, 0], "single": [3], "empty": [],
+              "adjacent runs": [1, 2, 4, 5], "all": [0, 1, 2, 3, 4, 5]}
+
+
+def _joined_slabs(tensor, locations):
+    """The one-location ``at_locations`` slabs of ``tensor``, joined in the
+    order of ``locations``; the empty 0:0 slab for no location."""
+    if not locations:
+        return tensor.at_locations(0, 0)
+    slabs = [tensor.at_locations(loc, loc + 1) for loc in locations]
+    axis = tensor.AXES.index("locations")
+    coords = {c: np.concatenate([getattr(s.locations, c) for s in slabs])
+              for c in ("latitude", "longitude", "elevation")}
+    return dataclasses.replace(
+        tensor, locations=LocationSet.from_coords(**coords),
+        **{a: np.concatenate([getattr(s, a) for s in slabs], axis=axis) for a in tensor.ARRAYS})
+
+
+@pytest.mark.parametrize("selection", sorted(SELECTIONS))
+@pytest.mark.parametrize("name", sorted(_six_locations()))
+def test_a_selection_reads_the_joined_location_slabs(tmp_path, name, selection):
+    path = tmp_path / name
+    write_tensor(_six_locations()[name], path)
+    locations = SELECTIONS[selection]
+    digests = {}
+    picked = read_tensor(path, digests, locations=locations)
+    expected = _joined_slabs(read_tensor(path), locations)
+    assert type(picked) is type(expected)
+    assert picked.shape == expected.shape
+    assert picked.locations.ids.tolist() == list(range(len(locations)))
+    # equal bit for bit, NaN and -0.0 included, down to the bytes written back
+    assert [(n, a.tobytes()) for n, a in _arrays(picked)] == [(n, a.tobytes()) for n, a in _arrays(expected)]
+    suffix = path.suffix
+    write_tensor(picked, tmp_path / f"picked{suffix}")
+    write_tensor(expected, tmp_path / f"expected{suffix}")
+    assert (tmp_path / f"picked{suffix}").read_bytes() == (tmp_path / f"expected{suffix}").read_bytes()
+    # the digest is the whole file's, whatever the selection
+    assert digests == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
+
+
+@pytest.mark.parametrize("name", ["forecast.ansr", "forecast.csv"])
+@pytest.mark.parametrize("locations, named", [([1, 3, 1], "location 1 is selected twice"),
+                                              ([0, 6], "location 6 is outside 0..5"),
+                                              ([-1], "location -1 is outside 0..5")])
+def test_a_repeated_or_unknown_location_is_value_error(tmp_path, name, locations, named):
+    path = tmp_path / name
+    write_tensor(_six_locations()[name], path)
+    with pytest.raises(ValueError, match=named):
+        read_tensor(path, locations=locations)
+
+
+def test_a_selection_within_the_header_chunk(tmp_path, monkeypatch):
+    # the first chunk holds the whole file: selected and skipped rows come
+    # from the bytes read with the header, with and without a digest
+    path = tmp_path / "fc.ansr"
+    fc = _six_locations()["forecast.ansr"]
+    write_tensor(fc, path)
+    assert path.stat().st_size < tensorio._HEADER_CHUNK
+    for digests in (None, {}):
+        picked = read_tensor(path, digests, locations=[5, 1])
+        assert picked.values.tobytes() == fc.values[:, [5, 1]].tobytes()
+    assert digests == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
+
+
+class _CountingReader(io.BufferedReader):
+    readintos = 0
+
+    def readinto(self, buffer):
+        type(self).readintos += 1
+        return super().readinto(buffer)
+
+
+def _payloads(monkeypatch) -> list:
+    """Every ``_Payload`` that reads made from here on."""
+    made, init = [], tensorio._Payload.__init__
+    monkeypatch.setattr(tensorio._Payload, "__init__",
+                        lambda self, *args: made.append(self) or init(self, *args))
+    return made
+
+
+@pytest.mark.parametrize("locations", [None, [0, 1, 2, 3]])
+def test_a_full_read_is_one_readinto_per_name_and_no_buffer(tmp_path, monkeypatch, locations):
+    # each name's block is larger than the first chunk, so every block needs the file
+    fc = make_forecast(n_pred=3, n_loc=4, n_init=100, n_lead=24)
+    path = tmp_path / "fc.ansr"
+    write_tensor(fc, path)
+    monkeypatch.setattr(_CountingReader, "readintos", 0)
+    monkeypatch.setattr(tensorio, "open", lambda p, mode: _CountingReader(io.FileIO(p, mode)),
+                        raising=False)
+    made = _payloads(monkeypatch)
+    assert read_tensor(path, {}, locations=locations).values.tobytes() == fc.values.tobytes()
+    assert _CountingReader.readintos == 3
+    assert len(made) == 1 and made[0].buffer is None
+
+
+@pytest.mark.parametrize("locations, per_name", [([1, 2], 1), ([2, 1], 2), ([0, 3], 2), ([3], 1)])
+def test_adjacent_selected_rows_are_read_at_once(tmp_path, monkeypatch, locations, per_name):
+    fc = make_forecast(n_pred=3, n_loc=4, n_init=100, n_lead=24)
+    path = tmp_path / "fc.ansr"
+    write_tensor(fc, path)
+    # reads into the float64 output, not into the uint8 skip buffer
+    outputs, read_into = [], tensorio._Payload.read_into
+    monkeypatch.setattr(tensorio._Payload, "read_into",
+                        lambda self, out: outputs.append(out.dtype == np.float64) or read_into(self, out))
+    assert read_tensor(path, {}, locations=locations).values.tobytes() == fc.values[:, locations].tobytes()
+    assert outputs.count(True) == 3 * per_name
+
+
+def test_skipped_rows_share_one_small_buffer(tmp_path, monkeypatch):
+    fc = make_forecast(n_pred=2, n_loc=5, n_init=400, n_lead=200)  # 640 kB a location row
+    path = tmp_path / "fc.ansr"
+    write_tensor(fc, path)
+    monkeypatch.setattr(tensorio, "_SKIP_BYTES", 100_000)
+    made = _payloads(monkeypatch)
+    for digests in (None, {}):
+        picked = read_tensor(path, digests, locations=[2])
+        assert picked.values.tobytes() == fc.values[:, [2]].tobytes()
+    assert digests == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
+    assert [p.buffer.nbytes for p in made] == [100_000, 100_000]
+
+
+def test_one_location_of_a_large_file_holds_that_location_alone(tmp_path):
+    import tracemalloc
+
+    n_pred, n_loc, n_init, n_lead = 5, 100, 400, 25
+    fc = ForecastTensor(tuple(f"p{i}" for i in range(n_pred)), make_locations(n_loc),
+                        TimeAxis(1_546_300_800 + 86400 * np.arange(n_init)),
+                        LeadTimeAxis(3600 * np.arange(n_lead)),
+                        np.arange(n_pred * n_loc * n_init * n_lead, dtype=float).reshape(
+                            n_pred, n_loc, n_init, n_lead))
+    path = tmp_path / "fc.ansr"
+    write_tensor(fc, path)
+    del fc
+    assert path.stat().st_size >= 40_000_000
+    digests = {}
+    tracemalloc.start()
+    try:
+        picked = read_tensor(path, digests, locations=[37])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert picked.values.nbytes == n_pred * n_init * n_lead * 8
+    assert peak < picked.values.nbytes + 2 * 2**20
+    assert digests == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
+    step = n_init * n_lead
+    assert picked.values[:, 0, 0, 0].tolist() == [float((p * n_loc + 37) * step) for p in range(n_pred)]
+
+
+def test_read_header_is_the_header_of_a_full_read(tmp_path):
+    for name, tensor in _six_locations().items():
+        path = tmp_path / name
+        write_tensor(tensor, path)
+        header = tensorio.read_header(path)
+        kind = name.split(".")[0]
+        assert header.kind == kind
+        assert header.names == list(tensorio.LAYOUTS[kind].fields or getattr(tensor, tensor.AXES[0]))
+        assert header.shape[:2] == (len(header.names), 6)
+        assert header.shape[2:] == tensor.shape[tensor.AXES.index("locations") + 1:]
+        for coord in ("latitude", "longitude", "elevation"):
+            assert getattr(header.locations, coord).tobytes() == getattr(tensor.locations, coord).tobytes()
+        for key, value in header.sections.items():
+            np.testing.assert_array_equal(value, tensorio._section(tensor, key))
