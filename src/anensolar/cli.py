@@ -322,19 +322,20 @@ def _check_pool(run: Runner, key: str, value: int, pool: int):
                             f"anen.members {a['members']}; set anen.allow_partial to keep short lists")
 
 
-def _check_locations(run: Runner, forecast_locations, observed):
-    """A ``paths.observations`` problem unless the observations hold the
-    forecasts' locations: as many, with the same coordinates."""
-    if len(observed) != len(forecast_locations):
-        run.problems.append(f"paths.observations: {len(observed)} locations, but the forecasts "
-                            f"have {len(forecast_locations)}")
-        return
-    differ = np.zeros(len(observed), dtype=bool)
-    for field in ("latitude", "longitude", "elevation"):
-        differ |= getattr(observed, field) != getattr(forecast_locations, field)
-    if differ.any():
-        run.problems.append(f"paths.observations: location {int(np.argmax(differ))} has other "
-                            f"coordinates than in the forecasts")
+def _check_axes(run: Runner, key: str, given, reference, axes=("locations",), of="the forecasts"):
+    """A ``key`` problem for each of ``axes`` that the ``given`` input does not
+    share with ``reference``, which ``of`` names: as many entries, equal in
+    every field (a location's id and coordinates, a time's value)."""
+    for axis in axes:
+        mine, theirs = getattr(given, axis), getattr(reference, axis)
+        if len(mine) != len(theirs):
+            run.problems.append(f"{key}: {len(mine)} {axis}, against {len(theirs)} in {of}")
+            continue
+        differ = np.zeros(len(mine), dtype=bool)
+        for field in dataclasses.fields(mine):
+            differ |= getattr(mine, field.name) != getattr(theirs, field.name)
+        if differ.any():
+            run.problems.append(f"{key}: {axis} entry {int(np.argmax(differ))} is not the one in {of}")
 
 
 def _anen_config(run: Runner, n_predictors: int) -> AnEnConfig | None:
@@ -439,7 +440,7 @@ def cmd_anen(run: Runner, args) -> int:
     run.check()
     forecasts = run.read_tensor(fc_path)
     analysis = run.read_tensor(obs_path)
-    _check_locations(run, forecasts.locations, analysis.locations)
+    _check_axes(run, "paths.observations", analysis, forecasts)
 
     test, search = _anen_split(run, len(forecasts.init_times))
     if search:
@@ -483,7 +484,7 @@ def cmd_simulate(run: Runner, args) -> int:
         test, _ = _anen_split(run, len(forecasts.init_times))
     if source == "analysis":
         analysis = run.read_tensor(obs_path)
-        _check_locations(run, forecasts.locations, analysis.locations)
+        _check_axes(run, "paths.observations", analysis, forecasts)
     run.check()
     if source == "forecast":
         weather = driver.forecast_weather_ensemble(forecasts, test)
@@ -515,7 +516,7 @@ def cmd_optimize_weights(run: Runner, args) -> int:
     # the forecasts are read last, at the sample locations alone
     header = tensorio.read_header(fc_path)
     analysis = run.read_tensor(obs_path)
-    _check_locations(run, header.locations, analysis.locations)
+    _check_axes(run, "paths.observations", analysis, header)
     n_pred = len(header.names)
     try:
         grid = weights.enumerate_weights(n_pred, o["step"], o["exclude_unit_vectors"])
@@ -595,6 +596,8 @@ def cmd_verify(run: Runner, args) -> int:
 
     power = run.read_tensor(power_path)
     truth = run.read_tensor(truth_path)
+    _check_axes(run, "verify.truth" if v["truth"] else "paths.truth_power", truth, power,
+                ("locations", "init_times", "lead_times"), "the power")
     module = v["module"] or power.variable_names[0]
     if v["grouping"] not in verify.GROUPINGS:
         run.problems.append(f"verify.grouping: unknown grouping {v['grouping']!r}")

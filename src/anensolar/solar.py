@@ -171,8 +171,6 @@ class SolarSample:
 
     apparent_zenith: float
     azimuth: float
-    declination: float
-    equation_of_time: float
     e0n: float
     airmass: float
 
@@ -191,13 +189,11 @@ class SolarCacheTable(_Tensor):
     lead_times: LeadTimeAxis
     apparent_zenith: np.ndarray
     azimuth: np.ndarray
-    declination: np.ndarray
-    equation_of_time: np.ndarray
     e0n: np.ndarray
     airmass: np.ndarray
 
     AXES = ("locations", "init_times", "lead_times")
-    ARRAYS = ("apparent_zenith", "azimuth", "declination", "equation_of_time", "e0n", "airmass")
+    ARRAYS = ("apparent_zenith", "azimuth", "e0n", "airmass")
 
     def daylight_mask(self) -> np.ndarray:
         """True where the sun is above the horizon (zenith < 90 degrees)."""
@@ -214,13 +210,10 @@ def precompute_solar(locations: LocationSet, init_times: TimeAxis,
     valid = init_times.instants[:, None] + lead_times.offsets[None, :]  # (I, J)
     lat = locations.latitude[:, None, None]
     lon = locations.longitude[:, None, None]
-    zen, az, decl, eot = _noaa_arrays(valid[None, :, :].astype(float), lat, lon)
+    zen, az, _, _ = _noaa_arrays(valid[None, :, :].astype(float), lat, lon)
     shape = (len(locations), len(init_times), len(lead_times))
-    decl = np.broadcast_to(decl, shape)
-    eot = np.broadcast_to(eot, shape)
     e0n = np.broadcast_to(extraterrestrial_normal(valid), shape)
     am = relative_airmass(zen)
     # zen, az and am are fresh arrays the table keeps uncopied; the broadcast
-    # views are copied into arrays of their own
-    return SolarCacheTable(locations, init_times, lead_times, _Owned(zen), _Owned(az), decl, eot, e0n,
-                           _Owned(am))
+    # view is copied into an array of its own
+    return SolarCacheTable(locations, init_times, lead_times, _Owned(zen), _Owned(az), e0n, _Owned(am))

@@ -20,8 +20,9 @@ header, then the payload, once and front to back, straight into one aligned
 float64 array that the returned tensor keeps, so a file's values are held
 once. A read may select locations: the block is (names, locations, ...), so
 each location is one contiguous row per name, and only the selected rows
-are kept. The SHA-256 of a read streams every byte of the file, skipped rows
-included, so memory follows the selection while the digest stays the file's.
+are kept; the others pass through one spare row. The SHA-256 of a read
+streams every byte of the file, skipped rows included, so memory follows the
+selection while the digest stays the file's.
 A long-format CSV variant (``.csv``) of forecasts and observations is
 accepted for small fixtures; its columns are in ``_CSV_AXES`` and it carries
 no location coordinates, which default to zero. Every file goes through
@@ -59,8 +60,6 @@ from .errors import DimensionMismatchError, TensorFormatError, TensorHeaderError
 MAGIC = "ANENSOLAR/1"
 # bytes per read while looking for the header's end
 _HEADER_CHUNK = 1 << 16
-# the most bytes that skipped rows pass through at once
-_SKIP_BYTES = 1 << 20
 
 
 class Layout(NamedTuple):
@@ -256,19 +255,18 @@ def _parse_header(header: bytes) -> Header:
 
 
 def _read_head(fh):
-    """(header, its bytes up to and with the separator, the payload bytes read
-    with them) of the open container ``fh``, read in chunks up to the
-    separator."""
-    head, sep = bytearray(), -1
+    """(header, its bytes up to and with the separator) of the open container
+    ``fh``, read in chunks up to the separator; ``fh`` is left at the payload."""
+    head, sep = b"", -1
     while sep < 0:
         chunk = fh.read(_HEADER_CHUNK)
         if not chunk:
             raise TensorHeaderError("missing header/payload separator")
         start = max(len(head) - 1, 0)
-        head += chunk
+        head += chunk  # bytes, not a bytearray: the first chunk becomes head uncopied
         sep = head.find(b"\x00\n", start)
-    view = memoryview(head)
-    return _parse_header(head[:sep]), view[:sep + 2], view[sep + 2:]
+    fh.seek(sep + 2)
+    return _parse_header(head[:sep]), head[:sep + 2]
 
 
 def read_header(path) -> Header:
@@ -299,49 +297,15 @@ def _selection(locations, n_locations: int):
     return rows
 
 
-def _runs(rows, n_locations: int) -> list:
-    """The file's location rows, in file order, as [count, at] runs: ``count``
-    adjacent rows that fill output rows ``at``, ``at + 1``, ... in that order,
-    or that are skipped when ``at`` is None."""
-    at_of = {loc: at for at, loc in enumerate(rows)}
-    runs = []
-    for loc in range(n_locations):
-        at = at_of.get(loc)
-        # a skipped row extends a skipped run; a selected one, the run whose next output row it fills
-        if runs and runs[-1][1] == (None if at is None else at - runs[-1][0]):
-            runs[-1][0] += 1
-        else:
-            runs.append([1, at])
-    return runs
-
-
-class _Payload:
-    """The payload of an open container, read once, front to back: first the
-    bytes read with the header, then the file. Every byte goes through the
-    running SHA-256, when one is taken."""
-
-    def __init__(self, fh, pending: memoryview, digest, buffer_bytes: int):
-        self.fh, self.pending, self.digest = fh, pending, digest
-        self.buffer_bytes, self.buffer = buffer_bytes, None
-
-    def read_into(self, out: np.ndarray):
-        """Fill the contiguous array ``out`` with the next ``out.nbytes`` bytes."""
-        block = memoryview(out.reshape(-1).view(np.uint8))
-        done = min(len(self.pending), len(block))
-        block[:done], self.pending = self.pending[:done], self.pending[done:]
-        # a buffered readinto reads until the block is full or the file ends
-        if done < len(block) and self.fh.readinto(block[done:]) != len(block) - done:
-            raise DimensionMismatchError("binary block changed size while it was read")
-        if self.digest is not None:
-            self.digest.update(block)
-
-    def skip(self, size: int):
-        """Pass the next ``size`` bytes by, through one reused buffer of
-        ``buffer_bytes``, allocated at the first call."""
-        if self.buffer is None:
-            self.buffer = np.empty(self.buffer_bytes, dtype=np.uint8)
-        for start in range(0, size, len(self.buffer)):
-            self.read_into(self.buffer[:min(len(self.buffer), size - start)])
+def _fill(fh, out: np.ndarray, digest):
+    """Fill the contiguous array ``out`` with the next ``out.nbytes`` bytes of
+    ``fh``, and pass them through the running SHA-256, when one is taken."""
+    block = out.reshape(-1).view(np.uint8)
+    # a buffered readinto reads until the block is full or the file ends
+    if fh.readinto(block) != len(block):
+        raise DimensionMismatchError("binary block changed size while it was read")
+    if digest is not None:
+        digest.update(block)
 
 
 def read_tensor(path, digests=None, locations=None):
@@ -357,13 +321,13 @@ def read_tensor(path, digests=None, locations=None):
     locations, ...), so each location is one contiguous row per name. The
     payload is read once, front to back, straight into one aligned float64
     array that the tensor keeps, read-only and never copied: as its values,
-    or, for a stacked block, as one view per field. Adjacent selected rows
-    are read by one ``readinto``, so a full read makes one per name; skipped
-    rows pass through one reused buffer of at most ``_SKIP_BYTES``, allocated
-    at the first skip. Given a ``digests`` dict, the SHA-256 hex digest of
-    every byte read, which is the whole file whatever the selection, is
-    stored under ``str(path)``, so a caller that records its inputs need not
-    read the file a second time to hash it.
+    or, for a stacked block, as one view per field. A full read makes one
+    ``readinto`` per name; a selection makes one per location row, in file
+    order, into its output row or, when not selected, into one spare row.
+    Given a ``digests`` dict, the SHA-256 hex digest of every byte read,
+    which is the whole file whatever the selection, is stored under
+    ``str(path)``, so a caller that records its inputs need not read the
+    file a second time to hash it.
     """
     if str(path).endswith(".csv"):
         raw = Path(path).read_bytes()
@@ -371,7 +335,7 @@ def read_tensor(path, digests=None, locations=None):
             digests[str(path)] = hashlib.sha256(raw).hexdigest()
         return _read_csv(raw.decode("utf-8"), locations)
     with open(path, "rb") as fh:
-        header, head, pending = _read_head(fh)
+        header, head = _read_head(fh)
         shape = header.shape
         payload, expected = os.fstat(fh.fileno()).st_size - len(head), int(np.prod(shape)) * 8
         if payload != expected:
@@ -379,19 +343,18 @@ def read_tensor(path, digests=None, locations=None):
                 f"binary block is {payload} bytes, header shape {shape} needs {expected}")
         rows = _selection(locations, shape[1])
         values = np.empty((shape[0], len(rows), *shape[2:]), dtype="<f8")
-        row_bytes = int(np.prod(shape[2:])) * 8
-        runs = _runs(rows, shape[1])
-        longest = max((count for count, at in runs if at is None), default=0) * row_bytes
-        stream = _Payload(fh, pending, None if digests is None else hashlib.sha256(head),
-                          min(longest, _SKIP_BYTES))
-        for block in values:
-            for count, at in runs:
-                if at is None:
-                    stream.skip(count * row_bytes)
-                else:
-                    stream.read_into(block[at:at + count])
+        digest = None if digests is None else hashlib.sha256(head)
+        if list(rows) == list(range(shape[1])):
+            for block in values:
+                _fill(fh, block, digest)
+        else:
+            # the file's rows in file order: a selected one into its output row, the rest into a spare
+            at_of, spare = {loc: at for at, loc in enumerate(rows)}, np.empty(shape[2:], dtype="<f8")
+            for block in values:
+                for loc in range(shape[1]):
+                    _fill(fh, block[at_of[loc]] if loc in at_of else spare, digest)
     if digests is not None:
-        digests[str(path)] = stream.digest.hexdigest()
+        digests[str(path)] = digest.hexdigest()
     return _tensor(header.kind, header.names, header.locations.take(rows), header.sections, values)
 
 

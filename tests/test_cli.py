@@ -798,6 +798,32 @@ def test_observations_of_other_locations_exit_2(chain_dir, tmp_path, capsys, oth
     assert not (out / "weights.csv").exists()
 
 
+@pytest.mark.parametrize("other, key, axis", [
+    (["--set", "synth.start=2019-06-01"], "verify.truth", "init_times"),
+    (["--set", "synth.n_locations=3"], "paths.truth_power", "locations"),
+    (["--set", "anen.search_days=20"], "verify.truth", "init_times"),
+], ids=["june", "locations", "search_days"])
+def test_a_truth_on_other_axes_exits_2(chain_dir, tmp_path, capsys, other, key, axis):
+    # a truth of other init times, locations or test days beside the chain's
+    # power; the problem names the key that chose the truth file
+    elsewhere = tmp_path / "elsewhere"
+    assert main(["-o", str(elsewhere), *SMALL, *other, "synth"]) == 0
+    assert main(["-o", str(elsewhere), *SMALL, *other, "simulate", "--source", "analysis"]) == 0
+    truth = elsewhere / "truth_power.ansr"
+    out = tmp_path / "v"
+    shutil.copytree(chain_dir, out)
+    (out / "report.csv").unlink()
+    chosen = (["verify", "--truth", truth] if key == "verify.truth"
+              else ["--set", f"paths.truth_power={truth}", "verify"])
+    capsys.readouterr()
+    assert run_cli(["-o", out, *SMALL, *chosen]) == 2
+    assert any(p.startswith(f"{key}: ") and axis in p for p in _problems(capsys))
+    assert not (out / "report.csv").exists()
+    # the chain's own truth, chosen the same way, still verifies
+    assert run_cli(["-o", out, *SMALL, "verify", "--truth", out / "truth_power.ansr"]) == 0
+    assert (out / "report.csv").read_bytes() == (chain_dir / "report.csv").read_bytes()
+
+
 def test_an_empty_weight_grid_exits_2_unless_ew(chain_dir, tmp_path, capsys):
     out = tmp_path / "run"
     shutil.copytree(chain_dir, out)

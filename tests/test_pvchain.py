@@ -170,7 +170,7 @@ class TestModulePower:
 
 class TestSimulateSystem:
     def sun(self, z=30.0, e0n=1390.0):
-        return SolarSample(z, 170.0, -10.0, 2.0, e0n, relative_airmass(z))
+        return SolarSample(z, 170.0, e0n, relative_airmass(z))
 
     def test_sp128_scaling_factor_is_25(self):
         catalog = {s.code: s for s in load_module_catalog()}
@@ -190,7 +190,7 @@ class TestSimulateSystem:
             ghi, z, am, e0n = daylight_sample(rng)
             w = WeatherSample(ghi, float(rng.uniform(0,  1)), float(rng.uniform(-5, 35)),
                               float(rng.uniform(0, 12)))
-            sun = SolarSample(z, float(rng.uniform(0, 360)), 0.0, 0.0, e0n, am)
+            sun = SolarSample(z, float(rng.uniform(0, 360)), e0n, am)
             direct = simulate_system(w, sun, SPEC, FLAT)
             comp = disc_decompose(w.ghi, z, am, e0n)
             poa = transpose_poa(comp, w.ghi, w.albedo, z, sun.azimuth, e0n, FLAT)
@@ -202,7 +202,7 @@ class TestSimulateSystem:
         for _ in range(200):
             ghi, z, am, e0n = daylight_sample(rng)
             w = WeatherSample(ghi, 0.4, 45.0, 0.0)
-            p = simulate_system(w, SolarSample(z, 180.0, 0.0, 0.0, e0n, am), SPEC, FLAT)
+            p = simulate_system(w, SolarSample(z, 180.0, e0n, am), SPEC, FLAT)
             comp = disc_decompose(ghi, z, am, e0n)
             poa = transpose_poa(comp, ghi, 0.4, z, 180.0, e0n, FLAT)
             bound = FLAT.capacity * (float(poa.global_) / 1000.0) * (1.0 + abs(SPEC.gamma) * 100.0)

@@ -167,7 +167,7 @@ class TestPrecompute:
     def test_two_precomputes_bit_identical(self):
         a, *_ = self.make_cache()
         b, *_ = self.make_cache()
-        for f in ("apparent_zenith", "azimuth", "declination", "equation_of_time", "e0n", "airmass"):
+        for f in ("apparent_zenith", "azimuth", "e0n", "airmass"):
             assert getattr(a, f).tobytes() == getattr(b, f).tobytes()
 
     def test_e0n_band_and_airmass_contract(self):
@@ -204,15 +204,13 @@ class TestPrecomputeMemory:
         init = TimeAxis(1609459200 + 86400 * np.arange(4))
         lead = LeadTimeAxis(3600 * np.arange(6))
         cache = precompute_solar(locs, init, lead)
-        zen, az, decl, eot = made["noaa"]
+        zen, az, *_ = made["noaa"]
         assert cache.apparent_zenith is zen and cache.azimuth is az and cache.airmass is made["am"]
-        # the broadcast fields are arrays of their own, equal as uint64 to the broadcast
-        for field, value in (("declination", decl), ("equation_of_time", eot),
-                             ("e0n", extraterrestrial_normal(init.instants[:, None] + lead.offsets))):
-            array = getattr(cache, field)
-            assert array.flags.owndata and not array.flags.writeable
-            np.testing.assert_array_equal(array.view(np.uint64),
-                                          np.broadcast_to(value, cache.shape).view(np.uint64))
+        # the broadcast field is an array of its own, equal as uint64 to the broadcast
+        e0n = extraterrestrial_normal(init.instants[:, None] + lead.offsets)
+        assert cache.e0n.flags.owndata and not cache.e0n.flags.writeable
+        np.testing.assert_array_equal(cache.e0n.view(np.uint64),
+                                      np.broadcast_to(e0n, cache.shape).view(np.uint64))
 
     def test_traced_peak_beyond_the_table(self, monkeypatch):
         import tracemalloc
@@ -243,7 +241,7 @@ class TestPrecomputeMemory:
             tracemalloc.stop()
         field = 10 * 365 * 24 * 8
         table = sum(getattr(cache, a).nbytes for a in cache.ARRAYS)
-        assert table == 6 * field
+        assert table == 4 * field
         # the ephemeris's (L, I, J) temporaries set the peak, about 11.3 fields
         # beyond the table
         assert peak - table < 12 * field

@@ -507,14 +507,6 @@ class _CountingReader(io.BufferedReader):
         return super().readinto(buffer)
 
 
-def _payloads(monkeypatch) -> list:
-    """Every ``_Payload`` that reads made from here on."""
-    made, init = [], tensorio._Payload.__init__
-    monkeypatch.setattr(tensorio._Payload, "__init__",
-                        lambda self, *args: made.append(self) or init(self, *args))
-    return made
-
-
 @pytest.mark.parametrize("locations", [None, [0, 1, 2, 3]])
 def test_a_full_read_is_one_readinto_per_name_and_no_buffer(tmp_path, monkeypatch, locations):
     # each name's block is larger than the first chunk, so every block needs the file
@@ -524,36 +516,26 @@ def test_a_full_read_is_one_readinto_per_name_and_no_buffer(tmp_path, monkeypatc
     monkeypatch.setattr(_CountingReader, "readintos", 0)
     monkeypatch.setattr(tensorio, "open", lambda p, mode: _CountingReader(io.FileIO(p, mode)),
                         raising=False)
-    made = _payloads(monkeypatch)
     assert read_tensor(path, {}, locations=locations).values.tobytes() == fc.values.tobytes()
     assert _CountingReader.readintos == 3
-    assert len(made) == 1 and made[0].buffer is None
 
 
-@pytest.mark.parametrize("locations, per_name", [([1, 2], 1), ([2, 1], 2), ([0, 3], 2), ([3], 1)])
-def test_adjacent_selected_rows_are_read_at_once(tmp_path, monkeypatch, locations, per_name):
-    fc = make_forecast(n_pred=3, n_loc=4, n_init=100, n_lead=24)
+def test_a_selection_holds_one_spare_row_beyond_its_output(tmp_path):
+    import tracemalloc
+
+    n_loc, n_init, n_lead = 100, 400, 25
+    fc = make_forecast(n_pred=1, n_loc=n_loc, n_init=n_init, n_lead=n_lead)
     path = tmp_path / "fc.ansr"
     write_tensor(fc, path)
-    # reads into the float64 output, not into the uint8 skip buffer
-    outputs, read_into = [], tensorio._Payload.read_into
-    monkeypatch.setattr(tensorio._Payload, "read_into",
-                        lambda self, out: outputs.append(out.dtype == np.float64) or read_into(self, out))
-    assert read_tensor(path, {}, locations=locations).values.tobytes() == fc.values[:, locations].tobytes()
-    assert outputs.count(True) == 3 * per_name
-
-
-def test_skipped_rows_share_one_small_buffer(tmp_path, monkeypatch):
-    fc = make_forecast(n_pred=2, n_loc=5, n_init=400, n_lead=200)  # 640 kB a location row
-    path = tmp_path / "fc.ansr"
-    write_tensor(fc, path)
-    monkeypatch.setattr(tensorio, "_SKIP_BYTES", 100_000)
-    made = _payloads(monkeypatch)
-    for digests in (None, {}):
-        picked = read_tensor(path, digests, locations=[2])
-        assert picked.values.tobytes() == fc.values[:, [2]].tobytes()
-    assert digests == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
-    assert [p.buffer.nbytes for p in made] == [100_000, 100_000]
+    tracemalloc.start()
+    try:
+        picked = read_tensor(path, {}, locations=[37])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert picked.values.tobytes() == fc.values[:, [37]].tobytes()
+    # a skipped row passes through one row of n_init x n_lead float64 values
+    assert peak < picked.values.nbytes + n_init * n_lead * 8 + 64 * 2**10
 
 
 def test_one_location_of_a_large_file_holds_that_location_alone(tmp_path):
