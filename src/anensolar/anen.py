@@ -28,9 +28,10 @@ bit. With missing target terms zeroed, a NaN total marks exactly a
 disqualified candidate.
 
 ``SearchTables`` serves the weight objective in ``driver`` with the same
-steps: it keeps one location's split, sigma and window roots, and
-``SearchTables.members`` re-weights them per vector and returns the top-M
-cells unordered, so only this module applies the distance rule.
+steps: it keeps one location's split, sigma and window roots at the (test
+init, lead) rows the objective scores, and ``SearchTables.members``
+re-weights them per vector and returns the top-M cells unordered, so only
+this module applies the distance rule.
 """
 
 from __future__ import annotations
@@ -174,16 +175,16 @@ def _window_sums(d2, acc, half_window):
     metric adds them, so the sums match it bit for bit.
     """
     n = d2.shape[1]
-    if half_window == 0:
-        return d2
-    # first term of each window: lead max(0, l - hw)
+    if half_window == 0 or n == 1:
+        return d2  # one-term windows
+    # first two terms of each window: lead max(0, l - hw) and the next one
     if half_window < n:
-        acc[:, half_window:] = d2[:, : n - half_window]
-    acc[:, : min(half_window, n)] = d2[:, :1]
+        np.add(d2[:, : n - half_window], d2[:, 1 : n - half_window + 1], out=acc[:, half_window:])
+    np.add(d2[:, :1], d2[:, 1:2], out=acc[:, : min(half_window, n)])
     # later terms, in order of offset k: lead l + k wherever it lies in
-    # 1 .. n-1 (lead 0 only ever opens a window)
-    for k in range(max(1 - half_window, 2 - n), min(half_window, n - 1) + 1):
-        lo, hi = max(0, 1 - k), min(n, n - k)
+    # 2 .. n-1 (leads 0 and 1 only ever open a window)
+    for k in range(max(2 - half_window, 3 - n), min(half_window, n - 1) + 1):
+        lo, hi = max(0, 2 - k), min(n, n - k)
         acc[:, lo:hi] += d2[:, lo + k : hi + k]
     return acc
 
@@ -271,27 +272,32 @@ def _window_roots(target, cand_t, half_window, d2, acc):
 
 
 def _add_scaled(total, roots, scale, on, out):
-    """``total += roots * scale`` on the leads where ``on`` is set.
+    """``total += roots * scale`` where ``on`` is set.
 
-    ``scale`` and ``on`` are per lead; ``out`` is a (rows, J, C) buffer for
-    the product and may be ``roots`` itself.
+    ``total`` and ``roots`` are (rows, J, C) blocks of the search or (rows,
+    C) tables of ``SearchTables``; ``scale`` (``w / sigma``) and ``on``
+    (whether the predictor counts) index the axis before the candidates:
+    each lead of a block, or each row of a table. ``out`` is a buffer of the
+    same shape for the product and may be ``roots`` itself.
     """
-    where = True if on.all() else on[None, :, None]
-    np.multiply(roots, scale[None, :, None], out=out, where=where)
+    where = True if on.all() else on[:, None]
+    np.multiply(roots, scale[:, None], out=out, where=where)
     np.add(total, out, out=total, where=where)
 
 
-def _disqualify(total, first_row, cand_start, operational):
-    """Set to +inf, in place, every entry of a (rows, J, C) distance total,
-    row ``i`` being test init ``first_row + i``, that no member may take: a
-    disqualified (NaN) distance and, in operational mode, every candidate at
-    or after the row's own init (all of them for a test init before the
-    pool). Returns ``total`` as (rows * J, C)."""
+def _disqualify(total, init, cand_start, operational):
+    """Set to +inf, in place, every entry of a distance total, (rows, J, C)
+    or (rows, C), that no member may take: a disqualified (NaN) distance
+    and, in operational mode, every candidate at or after the row's test
+    init ``init[row]`` (all of them for a test init before the pool). Rows
+    of one init must be adjacent. Returns ``total``."""
     total[np.isnan(total)] = np.inf
     if operational:
-        for i in range(len(total)):
-            total[i, :, max(0, first_row + i - cand_start) :] = np.inf
-    return total.reshape(-1, total.shape[2])
+        # one slice per run of rows that share a test init (inits are >= 0)
+        first = np.flatnonzero(np.diff(init, prepend=-1)).tolist()
+        for a, b in zip(first, first[1:] + [len(init)]):
+            total[a:b, ..., max(0, init[a] - cand_start) :] = np.inf
+    return total
 
 
 def _require_members(found, members, location, first_row):
@@ -336,7 +342,7 @@ def search_analogs(forecasts: ForecastTensor, config: AnEnConfig, test_range,
     active, scale = _active_scale(config.weights, sigma.values, config.sigma_epsilon)
 
     rows = min(n_test, max(1, BLOCK_BYTES // (8 * n_lead * n_cand)))
-    d2, acc, total = (np.empty((rows, n_lead, n_cand)) for _ in range(3))
+    buffers = [np.empty(rows * n_lead * n_cand) for _ in range(3)]
     out_idx = np.full((n_loc, n_test, n_lead, m), MISSING)
     out_dist = np.full((n_loc, n_test, n_lead, m), MISSING)
     found = np.empty((n_test, n_lead), dtype=np.int64)
@@ -346,14 +352,20 @@ def search_analogs(forecasts: ForecastTensor, config: AnEnConfig, test_range,
         cand_t = {p: np.ascontiguousarray(values[p, loc, cand].T) for p in preds}  # (J, C)
         for r0 in range(0, n_test, rows):
             r1 = min(r0 + rows, n_test)
-            blk_d2, blk_acc, blk_total = d2[: r1 - r0], acc[: r1 - r0], total[: r1 - r0]
+            init = np.arange(test.start + r0, test.start + r1)
+            # in operational mode no row takes a candidate at or after the
+            # block's last init: score only the columns before it
+            width = min(n_cand, max(0, init[-1] - cand.start)) if config.operational else n_cand
+            shape = (r1 - r0, n_lead, width)
+            blk_d2, blk_acc, blk_total = (b[: np.prod(shape)].reshape(shape) for b in buffers)
             blk_total.fill(0.0)
             for p in preds:
                 target = values[p, loc, test.start + r0 : test.start + r1]  # (rows, J)
-                roots = _window_roots(target, cand_t[p], config.half_window, blk_d2, blk_acc)
+                roots = _window_roots(target, cand_t[p][:, :width], config.half_window,
+                                      blk_d2, blk_acc)
                 _add_scaled(blk_total, roots, scale[p, loc], active[p, loc], roots)
-            cols, dist = _top_members(_disqualify(blk_total, test.start + r0, cand.start,
-                                                  config.operational), m)
+            dist = _disqualify(blk_total, init, cand.start, config.operational)
+            cols, dist = _top_members(dist.reshape((r1 - r0) * n_lead, width), m)
             ok = np.isfinite(dist)
             take = cols.shape[1]
             shape = (r1 - r0, n_lead, take)
@@ -368,48 +380,86 @@ def search_analogs(forecasts: ForecastTensor, config: AnEnConfig, test_range,
 
 
 class SearchTables:
-    """The weight-independent half of ``search_analogs`` at one location:
-    the split (``test``, ``cand``), sigma, the (T, J, C) ``shape`` of the
-    distances (test inits, leads, candidates) and, per predictor usable at
-    some lead, a read-only table of its window roots from the search kernel."""
+    """The weight-independent half of ``search_analogs`` at one location,
+    kept at a set of (test init, lead) cells, the rows: the split (``test``,
+    ``cand``), sigma, the (T, J, C) ``shape`` of the whole distance table
+    (test inits, leads, candidates), each row's flat cell ``t * J + j`` in
+    ``cells`` (ascending), its test init and lead, and, per predictor usable
+    at some lead, a read-only (rows, C) table of its window roots from the
+    search kernel.
 
-    def __init__(self, forecasts: ForecastTensor, config: AnEnConfig, test_range, search_range):
+    With no ``mask`` the rows are all T * J cells. A (T, J) ``mask`` keeps
+    the cells where it is set, unless a cell it drops could go short: one
+    that, with every usable predictor active and the operational cut, keeps
+    fewer than M candidates with finite roots, which some vector would raise
+    for. Then every cell is kept, so ``members`` raises naming the same cell
+    as the search. Short lists are allowed with ``allow_partial``, so it
+    drops what the mask drops."""
+
+    def __init__(self, forecasts: ForecastTensor, config: AnEnConfig, test_range, search_range,
+                 mask=None):
         if len(forecasts.locations) != 1:
             raise ValueError("search tables hold one location")
         self.config = config
         self.test, search, self.cand = _check_split(test_range, search_range,
                                                     len(forecasts.init_times), config.operational)
         self.sigma = compute_sigma(forecasts, search).values  # (N, 1, J)
-        self.shape = (len(self.test), len(forecasts.lead_times), self.cand.stop - self.cand.start)
+        self.shape = n_test, n_lead, n_cand = (len(self.test), len(forecasts.lead_times),
+                                               self.cand.stop - self.cand.start)
         usable = np.isfinite(self.sigma[:, 0]) & (self.sigma[:, 0] >= config.sigma_epsilon)
-        self.roots = {}  # predictor -> window roots, in predictor order
+        roots = {}  # predictor -> window roots of every cell, in predictor order
         for p in np.flatnonzero(usable.any(axis=1)):
             values = forecasts.values[p, 0]
             table = _window_roots(values[self.test.start : self.test.stop],
                                   np.ascontiguousarray(values[self.cand].T), config.half_window,
                                   np.empty(self.shape), np.empty(self.shape))
-            table.setflags(write=False)
-            self.roots[int(p)] = table
+            roots[int(p)] = table.reshape(-1, n_cand)
+        self.cells = np.arange(n_test * n_lead)
+        if mask is not None:
+            kept = np.asarray(mask, dtype=bool).reshape(-1)
+            if config.allow_partial or not self._can_go_short(roots, usable, self.cells[~kept]):
+                self.cells = self.cells[kept]
+        self.init, self.lead = np.divmod(self.cells, n_lead)
+        self.init += self.test.start
+        self.roots = {}
+        for p in list(roots):  # each whole table is freed once its rows are copied
+            self.roots[p] = roots.pop(p)[self.cells]
+            self.roots[p].setflags(write=False)
+
+    def _can_go_short(self, roots, usable, cells) -> bool:
+        """Whether some vector could leave one of ``cells`` with fewer than M
+        finite distances: at worst every predictor ``usable`` (N, J) at the
+        cell's lead counts, and a candidate is lost where one of them has a
+        root that is not finite or the operational cut falls."""
+        init, lead = np.divmod(cells, self.shape[1])
+        lost = np.zeros((len(cells), self.shape[2]), dtype=bool)
+        for p, table in roots.items():
+            lost |= ~np.isfinite(table[cells]) & usable[p, lead][:, None]
+        if self.config.operational:
+            lost |= np.arange(self.shape[2]) >= (self.test.start + init - self.cand.start)[:, None]
+        return bool(np.any(self.shape[2] - lost.sum(axis=1) < self.config.members))
 
     def members(self, weights, location: int):
-        """The members ``search_analogs`` finds with ``weights``: flat indices
-        into the (T * J, C) distances of the min(M, C) cells each row takes,
-        in candidate order, and the mask of those that are finite. Short
-        lists raise as in the search, naming ``location``, unless allowed."""
+        """The members ``search_analogs`` finds with ``weights``, row by row:
+        flat indices into the (rows, C) distances of the min(M, C) cells each
+        row takes, in candidate order, and the mask of those that are finite.
+        Short lists raise as in the search, naming ``location``, unless
+        allowed."""
         cfg = self.config
         w = validate_weights(weights, len(self.sigma), 1)
         active, scale = _active_scale(w, self.sigma, cfg.sigma_epsilon)
-        total = np.zeros(self.shape)
+        total = np.zeros((len(self.cells), self.shape[2]))
         product = np.empty_like(total)
         for p, roots in self.roots.items():
             if active[p, 0].any():
-                _add_scaled(total, roots, scale[p, 0], active[p, 0], product)
-        dist = _disqualify(total, self.test.start, self.cand.start, cfg.operational)
+                _add_scaled(total, roots, scale[p, 0, self.lead], active[p, 0, self.lead], product)
+        dist = _disqualify(total, self.init, self.cand.start, cfg.operational)
         chosen = np.flatnonzero(_top_mask(dist, cfg.members))
-        ok = np.isfinite(dist.take(chosen)).reshape(len(dist), -1)
+        ok = np.isfinite(dist.take(chosen)).reshape(len(dist), min(cfg.members, dist.shape[1]))
         if not cfg.allow_partial:
-            _require_members(ok.sum(axis=1).reshape(self.shape[:2]), cfg.members, location,
-                             self.test.start)
+            found = np.full(self.shape[:2], cfg.members)  # the cells dropped cannot go short
+            found.flat[self.cells] = ok.sum(axis=1)
+            _require_members(found, cfg.members, location, self.test.start)
         return chosen, ok
 
 

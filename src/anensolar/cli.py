@@ -716,7 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("synth", help="generate a synthetic forecast/analysis archive").set_defaults(handler=cmd_synth)
-    sub.add_parser("sigma", help="compute the per-predictor spread table").set_defaults(handler=cmd_sigma)
+    sub.add_parser("sigma", help="compute the per-predictor spread table, a diagnostic no command reads").set_defaults(handler=cmd_sigma)
 
     p_anen = sub.add_parser("anen", help="search analogs and build the weather ensemble")
     p_anen.add_argument("--weights", dest="=anen.weights", help="comma list or 'equal' (overrides config)")

@@ -88,13 +88,14 @@ def power_from_weather(weather: EnsembleTensor, specs, system: SystemConfig,
 
 @dataclasses.dataclass(frozen=True)
 class _LocationTables:
-    """Weight-independent tables of one location (see ``WeightObjective``)."""
+    """Weight-independent tables of one location (see ``WeightObjective``),
+    each at the rows of ``search``."""
 
     loc: int                 # the location, named in short-list errors
     search: SearchTables     # the search's split, sigma and window roots
-    power: np.ndarray        # (T * J, C) member power P
-    truth_power: np.ndarray  # (1, T, J)
-    daylight: np.ndarray     # (1, T, J)
+    power: np.ndarray        # (rows, C) member power P
+    truth_power: np.ndarray  # (rows,)
+    scored: np.ndarray       # (rows,) daylight with a finite truth
 
 
 class WeightObjective:
@@ -109,18 +110,25 @@ class WeightObjective:
     the configured module and scoring with ``crps_field``.
 
     Nothing but the search's weighted sum depends on the weights, so a call
-    builds the location's tables once: ``anen.SearchTables`` (sigma and the
-    window roots), the truth power, the daylight mask and the member power
-    ``P[t, j, s]``, the PV chain applied to the analysis at (candidate s,
-    lead j) under the sun of test cell (t, j), from one ``simulate_ensemble``
-    call whose member axis holds the candidates. Each vector then asks
-    ``SearchTables.members`` for its top-M cells, gathers them from ``P``,
-    pads short lists with MISSING as the search does, and scores them. The
-    CRPS scores members as a set (``crps_field`` sorts them), so their order
-    within a list does not matter. Nothing is kept between calls: the working
-    set of one call is ``(N + 1) * T * J * C`` float64 values for N
-    predictors, T test inits, J leads and C candidates (about 46 MB at
-    5 x 90 x 24 x 450).
+    builds the location's tables once: the solar cache and its daylight
+    mask, ``anen.SearchTables`` (sigma and the window roots) at the daylight
+    (test init, lead) rows, the truth power and the member power ``P[t, j,
+    s]``, the PV chain applied to the analysis at (candidate s, lead j) under
+    the sun of test cell (t, j), from one ``simulate_ensemble`` call over
+    every cell whose member axis holds the candidates, kept at the same rows.
+    ``SearchTables`` keeps the night rows too when some vector could leave
+    one short, so a short list raises naming the same cell as the search.
+    Each vector then asks ``SearchTables.members`` for its top-M cells,
+    gathers them from ``P``, pads short lists with MISSING as the search
+    does, and scores them. The CRPS scores members as a set (``crps_field``
+    sorts them), so their order within a list does not matter, and each
+    cell's score does not depend on the others: the daylight rows give, in
+    the same order, the values the whole table's daylight mean reduces.
+    Nothing is kept between calls: the working set of one call is ``(N + 1)
+    * rows * C`` float64 values for N predictors, rows daylight cells and C
+    candidates (about 23 MB at 5 x 90 x 24 x 450 with half the cells in
+    daylight), after a build that holds the N whole ``T * J * C`` root
+    tables once.
 
     The objective scores the tensors it is given, which hold the same
     locations: ``locations`` lists the archive location of each of their
@@ -132,14 +140,17 @@ class WeightObjective:
     def __init__(self, forecasts: ForecastTensor, analysis: ObservationTensor,
                  base_config: AnEnConfig, opt_test_range, opt_search_range,
                  spec: PvModuleSpec, system: SystemConfig, locations=None):
+        from .anen import _check_split
+
         if locations is None:
             locations = range(len(forecasts.locations))
         self.rows = {int(loc): row for row, loc in enumerate(locations)}
         self.forecasts = forecasts
         self.analysis = analysis
         self.base = base_config
-        self.test_range = opt_test_range
-        self.search_range = opt_search_range
+        # checked here: each build reads the test inits before its search tables
+        self.test_range, self.search_range, _ = _check_split(
+            opt_test_range, opt_search_range, len(forecasts.init_times), base_config.operational)
         self.spec = spec
         self.system = system
 
@@ -153,11 +164,13 @@ class WeightObjective:
 
         row = self.rows[loc]
         fc = self.forecasts.at_locations(row, row + 1)
-        search = SearchTables(fc, self.base, self.test_range, self.search_range)
         an = self.analysis.at_locations(row, row + 1)
-        truth_weather = analysis_weather_ensemble(an, fc.init_times, fc.lead_times, search.test)
+        truth_weather = analysis_weather_ensemble(an, fc.init_times, fc.lead_times, self.test_range)
         cache = precompute_solar(fc.locations, truth_weather.init_times, fc.lead_times)
-        truth_power = simulate_ensemble(truth_weather, cache, [self.spec], self.system).values[0, ..., 0]
+        search = SearchTables(fc, self.base, self.test_range, self.search_range,
+                              cache.daylight_mask()[0])
+        rows = search.cells
+        truth = simulate_ensemble(truth_weather, cache, [self.spec], self.system).values.reshape(-1)[rows]
 
         # member power: candidate weather under each test cell's sun
         aligned = align_observations(an, fc.init_times, fc.lead_times).values[:, :, search.cand]
@@ -165,9 +178,9 @@ class WeightObjective:
                                   (aligned.shape[0], 1) + search.shape)
         weather = EnsembleTensor(an.variable_names, fc.locations, truth_weather.init_times,
                                  fc.lead_times, search.shape[2], members)
-        power = simulate_ensemble(weather, cache, [self.spec], self.system).values[0, 0]
-        return _LocationTables(loc, search, power.reshape(-1, search.shape[2]), truth_power,
-                               cache.daylight_mask())
+        power = simulate_ensemble(weather, cache, [self.spec], self.system).values
+        return _LocationTables(loc, search, power.reshape(-1, search.shape[2])[rows], truth,
+                               cache.daylight_mask().reshape(-1)[rows] & np.isfinite(truth))
 
     # One call per (vector, location), so that the bench harness, which wraps
     # ``WeightObjective.evaluate`` by name (perfbench/spans.py), counts and
@@ -177,12 +190,10 @@ class WeightObjective:
         from .verify import crps_field
 
         chosen, ok = tab.search.members(weights, tab.loc)
-        n_test, n_lead, _ = tab.search.shape
-        m = self.base.members
-        members = np.full((n_test * n_lead, m), MISSING)
+        members = np.full((len(ok), self.base.members), MISSING)
         members[:, : ok.shape[1]] = np.where(ok, tab.power.take(chosen).reshape(ok.shape), MISSING)
-        scores = crps_field(members.reshape(1, n_test, n_lead, m), tab.truth_power)
-        ok = tab.daylight & np.isfinite(scores) & np.isfinite(tab.truth_power)
+        scores = crps_field(members, tab.truth_power)
+        ok = tab.scored & np.isfinite(scores)
         if not ok.any():
             return float("inf")
         return float(scores[ok].mean())

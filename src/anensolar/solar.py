@@ -79,17 +79,9 @@ class SolarPosition:
     equation_of_time: float
 
 
-def _noaa_arrays(epoch_seconds, latitude, longitude):
-    """Vectorized NOAA ephemeris; broadcasts over inputs.
-
-    Returns (apparent_zenith, azimuth, declination, equation_of_time).
-    Azimuth is degrees clockwise from north; zenith includes the standard
-    atmospheric refraction correction.
-    """
-    t = np.asarray(epoch_seconds, dtype=float)
-    lat = np.asarray(latitude, dtype=float)
-    lon = np.asarray(longitude, dtype=float)
-
+def _sun_geometry(t):
+    """Declination (degrees) and equation of time (minutes) at UTC instants
+    ``t`` (epoch seconds); the place-independent half of the ephemeris."""
     jd = t / 86400.0 + 2440587.5
     jc = (jd - 2451545.0) / 36525.0
 
@@ -121,42 +113,80 @@ def _noaa_arrays(epoch_seconds, latitude, longitude):
         - 0.5 * y * y * np.sin(4 * l0)
         - 1.25 * ecc * ecc * np.sin(2 * m)
     )  # minutes
+    return decl, eot
 
-    minutes_utc = np.mod(t, 86400.0) / 60.0
-    true_solar_minutes = np.mod(minutes_utc + eot + 4.0 * lon, 1440.0)
-    hour_angle = true_solar_minutes / 4.0 - 180.0
-    hour_angle = np.where(true_solar_minutes / 4.0 < 0.0, hour_angle + 360.0, hour_angle)
-    h = hour_angle * _DEG
+
+def _noaa_arrays(epoch_seconds, latitude, longitude):
+    """Vectorized NOAA ephemeris; broadcasts over inputs.
+
+    Returns (apparent_zenith, azimuth, declination, equation_of_time).
+    Azimuth is degrees clockwise from north; zenith includes the standard
+    atmospheric refraction correction. Each intermediate of the broadcast
+    shape is computed in place in one of three buffers, which become the
+    zenith and the azimuth, so memory follows a few fields, not every step.
+    """
+    t = np.asarray(epoch_seconds, dtype=float)
+    lat = np.asarray(latitude, dtype=float)
+    lon = np.asarray(longitude, dtype=float)
+    decl, eot = _sun_geometry(t)
+
+    # true solar time in minutes, then the hour angle in degrees
+    hour_angle = np.add(np.mod(t, 86400.0) / 60.0 + eot, 4.0 * lon,
+                        out=np.empty(np.broadcast_shapes(t.shape, lat.shape, lon.shape)))
+    np.mod(hour_angle, 1440.0, out=hour_angle)
+    np.divide(hour_angle, 4.0, out=hour_angle)
+    wrap = hour_angle < 0.0
+    np.subtract(hour_angle, 180.0, out=hour_angle)
+    np.add(hour_angle, 360.0, out=hour_angle, where=wrap)
+    afternoon = hour_angle > 0.0
 
     phi = lat * _DEG
     d = decl * _DEG
-    cos_zen = np.sin(phi) * np.sin(d) + np.cos(phi) * np.cos(d) * np.cos(h)
-    cos_zen = np.clip(cos_zen, -1.0, 1.0)
-    zen = np.arccos(cos_zen) / _DEG
+    cos_zen = np.multiply(hour_angle, _DEG, out=hour_angle)  # h
+    np.cos(cos_zen, out=cos_zen)
+    np.multiply(np.cos(phi) * np.cos(d), cos_zen, out=cos_zen)
+    np.add(np.sin(phi) * np.sin(d), cos_zen, out=cos_zen)
+    np.clip(cos_zen, -1.0, 1.0, out=cos_zen)
+    zen = np.arccos(cos_zen, out=np.empty_like(cos_zen))
+    np.divide(zen, _DEG, out=zen)
 
     with np.errstate(invalid="ignore", divide="ignore"):
-        az_ratio = (np.sin(phi) * cos_zen - np.sin(d)) / (np.cos(phi) * np.sin(zen * _DEG))
-        az_ratio = np.clip(az_ratio, -1.0, 1.0)
-        az_acos = np.arccos(az_ratio) / _DEG
-    az_acos = np.where(np.isnan(az_acos), 0.0, az_acos)
-    azimuth = np.where(hour_angle > 0.0, np.mod(az_acos + 180.0, 360.0), np.mod(540.0 - az_acos, 360.0))
+        az = np.multiply(np.sin(phi), cos_zen, out=cos_zen)  # the azimuth ratio
+        np.subtract(az, np.sin(d), out=az)
+        spare = np.multiply(zen, _DEG, out=np.empty_like(zen))
+        np.sin(spare, out=spare)
+        np.multiply(np.cos(phi), spare, out=spare)
+        np.divide(az, spare, out=az)
+        np.clip(az, -1.0, 1.0, out=az)
+        np.arccos(az, out=az)
+        np.divide(az, _DEG, out=az)
+    az[np.isnan(az)] = 0.0
+    # clockwise from north: 540 - az in the morning, az + 180 in the afternoon
+    np.subtract(540.0, az, out=spare)
+    np.mod(spare, 360.0, out=spare)
+    np.add(az, 180.0, out=az)
+    np.mod(az, 360.0, out=az)
+    np.copyto(az, spare, where=~afternoon)
+    del spare
 
-    elev = 90.0 - zen
-    refraction = _refraction_correction(elev)
-    apparent_zenith = np.clip(zen - refraction, 0.0, 180.0)
-    return apparent_zenith, azimuth, decl, eot
+    refraction = _refraction_correction(90.0 - zen)
+    np.subtract(zen, refraction, out=zen)
+    np.clip(zen, 0.0, 180.0, out=zen)
+    return zen, az, decl, eot
 
 
 def _refraction_correction(elevation_deg):
     """NOAA atmospheric refraction in degrees as a function of true elevation."""
     e = np.asarray(elevation_deg, dtype=float)
     te = np.tan(np.clip(e, -9.0, 89.9) * _DEG)
+    # each band overwrites the one below it, one full-shape term at a time
     with np.errstate(divide="ignore", invalid="ignore"):
-        high = 58.1 / te - 0.07 / te**3 + 0.000086 / te**5
-        low = 1735.0 + e * (-518.2 + e * (103.4 + e * (-12.79 + 0.711 * e)))
-        below = -20.772 / te
-    r = np.where(e > 85.0, 0.0, np.where(e > 5.0, high, np.where(e > -0.575, low, below)))
-    return r / 3600.0
+        r = np.divide(-20.772, te, out=np.empty_like(e))
+        np.copyto(r, 1735.0 + e * (-518.2 + e * (103.4 + e * (-12.79 + 0.711 * e))), where=e > -0.575)
+        np.copyto(r, 58.1 / te - 0.07 / te**3 + 0.000086 / te**5, where=e > 5.0)
+    r[e > 85.0] = 0.0
+    np.divide(r, 3600.0, out=r)
+    return r
 
 
 def solar_position(epoch_seconds: float, latitude: float, longitude: float) -> SolarPosition:

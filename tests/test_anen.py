@@ -438,6 +438,40 @@ class TestSearchKernelEdges:
             np.testing.assert_array_equal(out.search_index[:, row], one.search_index[:, 0])
             np.testing.assert_array_equal(out.distance[:, row], one.distance[:, 0])
 
+    def test_operational_blocks_score_only_candidates_before_their_last_init(self, monkeypatch):
+        fc = make_forecast(n_pred=2, n_loc=2, n_init=40, n_lead=4, seed=106)
+        values = fc.values.copy()
+        values[np.random.default_rng(106).random(values.shape) < 0.03] = MISSING
+        fc = tiny_forecast(values)
+        sigma = compute_sigma(fc, range(4, 20))
+        widths = []
+        roots = anen._window_roots
+        monkeypatch.setattr(anen, "_window_roots",
+                            lambda target, cand_t, *a: widths.append(cand_t.shape[1]) or
+                            roots(target, cand_t, *a))
+        # three test rows a block over a pool of search inits 4 .. 39; the first
+        # block's rows precede the pool
+        monkeypatch.setattr(anen, "BLOCK_BYTES", 8 * 4 * 36 * 3)
+        cfg = AnEnConfig(weights=equal_weights(2), members=3, half_window=1, operational=True,
+                         allow_partial=True)
+        assert_matches_oracle(fc, cfg, range(2, 40), range(4, 20), sigma)
+        last = [min(r + 3, 40) - 1 for r in range(2, 40, 3)]
+        # per location, block and predictor
+        assert widths == [max(0, t - 4) for _ in range(2) for t in last for _ in range(2)]
+
+    @pytest.mark.parametrize("n_lead", [1, 2, 3, 6])
+    def test_window_sums_add_each_window_left_to_right(self, n_lead):
+        r = np.random.default_rng(n_lead)
+        d2 = r.random((2, n_lead, 3)) * 10.0 ** r.integers(-8, 8, size=(2, n_lead, 3))
+        for half_window in range(8):
+            got = anen._window_sums(d2.copy(), np.empty_like(d2), half_window)
+            for lead in range(n_lead):
+                lo, hi = max(0, lead - half_window), min(n_lead - 1, lead + half_window)
+                want = d2[:, lo]
+                for j in range(lo + 1, hi + 1):
+                    want = want + d2[:, j]
+                assert got[:, lead].tobytes() == want.tobytes()
+
     def test_insufficient_candidates_names_first_cell_in_lead_order(self):
         # short lists at (row 0, lead 2) and (row 2, lead 0): the lead-major
         # order of a per-lead scan names lead 0 first, whatever the row blocks

@@ -14,6 +14,7 @@ from anensolar.driver import (
 )
 from anensolar.errors import InsufficientCandidatesError
 from anensolar.pvchain import SystemConfig, load_module_catalog
+from anensolar.solar import precompute_solar
 from anensolar.synth import SynthConfig, generate
 from anensolar.weights import enumerate_weights, optimize_weights
 
@@ -192,6 +193,103 @@ class TestObjectiveTables:
         objective = self.objective(holed, "fixed")
         with pytest.raises(ValueError):
             objective.scores([equal_weights(5), np.array(w)], 0)
+
+    @pytest.mark.parametrize("test", [range(50, 70), range(-5, 5)])
+    def test_a_split_out_of_bounds_is_value_error(self, dataset, test):
+        obs, fc = dataset
+        with pytest.raises(ValueError, match="out of bounds"):
+            WeightObjective(fc, obs, AnEnConfig(weights=equal_weights(5)), test, range(0, 40),
+                            self.spec, SystemConfig())
+
+
+def night_holed(dataset, holes):
+    """The dataset with the forecasts of every predictor in ``holes`` (a
+    predictor -> (L, I, J) mask) NaN where the mask is set at night, and the
+    (L, I, J) night mask."""
+    obs, fc = dataset
+    night = ~precompute_solar(fc.locations, fc.init_times, fc.lead_times).daylight_mask()
+    values = fc.values.copy()
+    for p, mask in holes.items():
+        values[p][mask & night] = np.nan
+    return obs, ForecastTensor(fc.predictor_names, fc.locations, fc.init_times,
+                               fc.lead_times, values), night
+
+
+class TestNightRows:
+    """The objective's tables keep the daylight (test init, lead) rows alone,
+    unless a night row could go short."""
+
+    spec = TestObjectiveTables.spec
+    vectors = enumerate_weights(5, 0.25).vectors
+
+    def assert_scores_are_the_chain(self, obs, fc, base, test, search, loc, vectors):
+        objective = WeightObjective(fc, obs, base, test, search, self.spec, SystemConfig())
+        got = objective.scores(vectors, loc)
+        want = np.array([reference_weight_score(fc, obs, base, test, search, self.spec,
+                                                SystemConfig(), w, loc) for w in vectors])
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        assert np.isfinite(got).all() and len(set(got.tolist())) > 1
+        return objective._build(loc).search
+
+    @pytest.mark.parametrize("case", ["fixed", "operational"])
+    def test_night_holes_that_leave_m_candidates_drop_the_night_rows(self, dataset, case):
+        shape = dataset[1].values.shape[1:]
+        holes = {p: np.random.default_rng(p).random(shape) < 0.02 for p in range(1, 5)}
+        obs, fc, night = night_holed(dataset, holes)
+        kwargs, test, search = OBJECTIVE_CASES[case]
+        base = AnEnConfig(weights=equal_weights(5), **kwargs)
+        for loc in range(3):
+            tables = self.assert_scores_are_the_chain(obs, fc, base, test, search, loc, self.vectors)
+            day = ~night[loc, test.start : test.stop]
+            assert tables.cells.tolist() == np.flatnonzero(day).tolist()
+            assert 0 < len(tables.cells) < day.size
+            # the holes disqualify candidates in the rows kept
+            assert any(np.isnan(roots).any() for roots in tables.roots.values())
+
+    def short_night(self, dataset):
+        """Location 1's temperature NaN at night for search inits 0-41: a
+        night row that weighs it keeps 3 of 45 candidates, fewer than M = 5."""
+        shape = dataset[1].values.shape[1:]
+        holes = np.zeros(shape, dtype=bool)
+        holes[1, :42] = True
+        return night_holed(dataset, {1: holes})
+
+    def test_a_night_row_that_can_go_short_keeps_every_row(self, dataset):
+        obs, fc, night = self.short_night(dataset)
+        _, test, search = OBJECTIVE_CASES["fixed"]
+        strict = AnEnConfig(weights=equal_weights(5), members=5, half_window=0)
+        objective = WeightObjective(fc, obs, strict, test, search, self.spec, SystemConfig())
+        with pytest.raises(InsufficientCandidatesError) as expected:
+            search_analogs(fc.at_locations(1, 2), strict, test, search)
+        with pytest.raises(InsufficientCandidatesError) as raised:
+            optimize_weights(enumerate_weights(5, 0.5), objective.scores, np.array([1, 1, 1]), [1])
+        assert str(raised.value) == str(expected.value).replace("location 0,", "location 1,")
+        # the cell named is a night cell, which the tables would otherwise drop
+        assert str(raised.value) == "3 finite-distance candidates for location 1, test init 45, lead 1; need 5"
+        assert night[1, 45, 1]
+        assert len(objective._build(1).search.cells) == len(test) * fc.values.shape[3]
+        # vectors that do not weigh the temperature score every row as the chain does
+        cold = [w for w in self.vectors if w[1] == 0.0]
+        self.assert_scores_are_the_chain(obs, fc, strict, test, search, 1, cold)
+
+    def test_short_night_rows_allowed_partial_are_dropped(self, dataset):
+        obs, fc, night = self.short_night(dataset)
+        _, test, search = OBJECTIVE_CASES["fixed"]
+        base = AnEnConfig(weights=equal_weights(5), members=5, half_window=0, allow_partial=True)
+        tables = self.assert_scores_are_the_chain(obs, fc, base, test, search, 1, self.vectors)
+        assert tables.cells.tolist() == np.flatnonzero(~night[1, test.start : test.stop]).tolist()
+
+    @pytest.mark.parametrize("operational", [False, True])
+    def test_polar_night_keeps_no_row_and_scores_inf_as_the_chain(self, operational):
+        locs = LocationSet.from_coords(np.array([78.0]), np.array([15.0]))
+        obs, fc = generate(SynthConfig(seed=3, locations=locs, start=1546300800, n_days=40))
+        base = AnEnConfig(weights=equal_weights(5), members=5, half_window=1, operational=operational)
+        objective = WeightObjective(fc, obs, base, range(30, 40), range(0, 30), self.spec,
+                                    SystemConfig())
+        assert len(objective._build(0).search.cells) == 0
+        for w in self.vectors[:3]:
+            assert objective.scores([w], 0)[0] == np.inf == reference_weight_score(
+                fc, obs, base, range(30, 40), range(0, 30), self.spec, SystemConfig(), w, 0)
 
 
 LOCATION_ROWS = np.array([[0.25, 0.25, 0.0, 0.5, 0.0],
