@@ -49,8 +49,9 @@ from .coredata import (
     SigmaTensor,
     TimeAxis,
     _Owned,
+    axis_mismatch,
 )
-from .errors import InsufficientCandidatesError, MissingVariableError
+from .errors import DimensionMismatchError, InsufficientCandidatesError, MissingVariableError
 
 
 def validate_weights(weights, n_predictors: int | None = None,
@@ -470,8 +471,11 @@ def build_multivariate_ensemble(indices: AnalogIndexSet, aligned: AlignedObserva
 
     Member m of variable v at (l, i, j) is the aligned observation of v at
     (l, search_init of member m, j). Missing observations propagate as NaN
-    members.
+    members. Observations off the analogs' locations, init or lead times
+    raise ``DimensionMismatchError``.
     """
+    if mismatch := axis_mismatch(aligned, indices, ("locations", "init_times", "lead_times")):
+        raise DimensionMismatchError(f"aligned observations do not pair with the analogs: {mismatch}")
     if variables is None:
         variables = aligned.variable_names
     var_idx = []
@@ -485,11 +489,8 @@ def build_multivariate_ensemble(indices: AnalogIndexSet, aligned: AlignedObserva
     src = indices.search_index
     filled = np.isfinite(src)
     safe = np.where(filled, src, 0).astype(np.int64)
-    if safe.max(initial=0) >= len(aligned.init_times) or (
-        len(indices.init_times) != len(aligned.init_times)
-        or np.any(indices.init_times.instants != aligned.init_times.instants)
-    ):
-        raise ValueError("aligned observations do not cover the analog init axis")
+    if safe.min(initial=0) < 0 or safe.max(initial=0) >= len(aligned.init_times):
+        raise ValueError("an analog lies outside the init axis")
 
     l_ix = np.arange(n_loc)[:, None, None, None]
     j_ix = np.arange(n_lead)[None, None, :, None]

@@ -252,13 +252,13 @@ class Runner:
         p = Path(str(self.cfg["paths"].get(name, name)))
         return p if p.is_absolute() else self.out_dir / p
 
-    def input_path(self, name) -> Path:
-        """``path(name)``, checked to exist and recorded as a manifest input."""
+    def input_path(self, name, key=None) -> Path:
+        """``path(name)``, checked to exist and recorded as a manifest input; a
+        missing file is a problem of ``key``, by default ``paths.<name>``."""
         name = str(name)  # as in path(): a value that check() reports may name it
         p = self.path(name)
         if not p.is_file():
-            field = f"paths.{name}" if name in self.cfg["paths"] else "input"
-            self.problems.append(f"{field}: file not found: {p}")
+            self.problems.append(f"{key or 'paths.' + name}: file not found: {p}")
         else:
             self.inputs.setdefault(str(p), None)
         return p
@@ -269,6 +269,29 @@ class Runner:
         from . import tensorio
 
         return tensorio.read_tensor(path, digests=self.inputs, locations=locations)
+
+    def read(self, key: str, path: Path, kind: str):
+        """``read_tensor(path)``, of a file that ``key`` chose: see ``need_kind``."""
+        from . import tensorio
+
+        tensor = self.read_tensor(path)
+        self.need_kind(key, tensorio._KINDS[type(tensor)], kind)
+        return tensor
+
+    def need_kind(self, key: str, found: str, kind: str):
+        """A ``key`` problem, raised at once, when its file holds ``tensorio``
+        kind ``found``, not ``kind``: no later step could read that file."""
+        if found != kind:
+            self.problems.append(f"{key}: holds tensor kind {found}, need {kind}")
+            self.check()
+
+    def pair(self, key: str, given, ref_key: str, reference, axes=None):
+        """A ``key`` problem when ``coredata.axis_mismatch`` finds an axis on
+        which ``given`` differs from ``reference``, which ``ref_key`` chose."""
+        from .coredata import axis_mismatch
+
+        if mismatch := axis_mismatch(given, reference, axes):
+            self.problems.append(f"{key}: does not pair with {ref_key}: {mismatch}")
 
     def write(self, name: str, write):
         """Write the output ``path(name)`` with ``write(path)``, and record it
@@ -320,22 +343,6 @@ def _check_pool(run: Runner, key: str, value: int, pool: int):
     if pool < a["members"] and not a["allow_partial"]:
         run.problems.append(f"{key}: {value} leaves the first test init {pool} candidates, fewer than "
                             f"anen.members {a['members']}; set anen.allow_partial to keep short lists")
-
-
-def _check_axes(run: Runner, key: str, given, reference, axes=("locations",), of="the forecasts"):
-    """A ``key`` problem for each of ``axes`` that the ``given`` input does not
-    share with ``reference``, which ``of`` names: as many entries, equal in
-    every field (a location's id and coordinates, a time's value)."""
-    for axis in axes:
-        mine, theirs = getattr(given, axis), getattr(reference, axis)
-        if len(mine) != len(theirs):
-            run.problems.append(f"{key}: {len(mine)} {axis}, against {len(theirs)} in {of}")
-            continue
-        differ = np.zeros(len(mine), dtype=bool)
-        for field in dataclasses.fields(mine):
-            differ |= getattr(mine, field.name) != getattr(theirs, field.name)
-        if differ.any():
-            run.problems.append(f"{key}: {axis} entry {int(np.argmax(differ))} is not the one in {of}")
 
 
 def _anen_config(run: Runner, n_predictors: int) -> AnEnConfig | None:
@@ -421,7 +428,7 @@ def cmd_sigma(run: Runner, args) -> int:
 
     fc_path = run.input_path("forecasts")
     run.check()
-    forecasts = run.read_tensor(fc_path)
+    forecasts = run.read("paths.forecasts", fc_path, "forecast")
     _, search = _anen_split(run, len(forecasts.init_times))
     run.check()
     sigma = compute_sigma(forecasts, search)
@@ -438,9 +445,9 @@ def cmd_anen(run: Runner, args) -> int:
     obs_path = run.input_path("observations")
     weights_file = run.input_path("weights_file") if cfg["paths"]["weights_file"] else None
     run.check()
-    forecasts = run.read_tensor(fc_path)
-    analysis = run.read_tensor(obs_path)
-    _check_axes(run, "paths.observations", analysis, forecasts)
+    forecasts = run.read("paths.forecasts", fc_path, "forecast")
+    analysis = run.read("paths.observations", obs_path, "observation")
+    run.pair("paths.observations", analysis, "paths.forecasts", forecasts)
 
     test, search = _anen_split(run, len(forecasts.init_times))
     if search:
@@ -478,13 +485,13 @@ def cmd_simulate(run: Runner, args) -> int:
     specs = _load_specs(run)
     system = _system(run)
     if source == "ensemble":
-        weather = run.read_tensor(ens_path)
+        weather = run.read("paths.ensemble", ens_path, "ensemble")
     else:
-        forecasts = run.read_tensor(fc_path)
+        forecasts = run.read("paths.forecasts", fc_path, "forecast")
         test, _ = _anen_split(run, len(forecasts.init_times))
     if source == "analysis":
-        analysis = run.read_tensor(obs_path)
-        _check_axes(run, "paths.observations", analysis, forecasts)
+        analysis = run.read("paths.observations", obs_path, "observation")
+        run.pair("paths.observations", analysis, "paths.forecasts", forecasts)
     run.check()
     if source == "forecast":
         weather = driver.forecast_weather_ensemble(forecasts, test)
@@ -515,8 +522,9 @@ def cmd_optimize_weights(run: Runner, args) -> int:
 
     # the forecasts are read last, at the sample locations alone
     header = tensorio.read_header(fc_path)
-    analysis = run.read_tensor(obs_path)
-    _check_axes(run, "paths.observations", analysis, header)
+    run.need_kind("paths.forecasts", header.kind, "forecast")
+    analysis = run.read("paths.observations", obs_path, "observation")
+    run.pair("paths.observations", analysis, "paths.forecasts", header, ("locations",))
     n_pred = len(header.names)
     try:
         grid = weights.enumerate_weights(n_pred, o["step"], o["exclude_unit_vectors"])
@@ -569,7 +577,7 @@ def cmd_cluster(run: Runner, args) -> int:
 
     obs_path = run.input_path("observations")
     run.check()
-    analysis = run.read_tensor(obs_path)
+    analysis = run.read("paths.observations", obs_path, "observation")
     k = run.cfg["cluster"]["clusters"]
     if k > len(analysis.locations):
         run.problems.append(f"cluster.clusters: {k} exceeds the {len(analysis.locations)} locations")
@@ -584,8 +592,10 @@ def cmd_verify(run: Runner, args) -> int:
 
     cfg = run.cfg
     v = cfg["verify"]
-    power_path = run.input_path(v["power"] or "power")
-    truth_path = run.input_path(v["truth"] or "truth_power")
+    power_key = "verify.power" if v["power"] else "paths.power"
+    truth_key = "verify.truth" if v["truth"] else "paths.truth_power"
+    power_path = run.input_path(v["power"] or "power", power_key)
+    truth_path = run.input_path(v["truth"] or "truth_power", truth_key)
     region_path = None
     if v["grouping"] == "region":
         if not cfg["paths"]["region_map"]:
@@ -594,10 +604,11 @@ def cmd_verify(run: Runner, args) -> int:
             region_path = run.input_path("region_map")
     run.check()
 
-    power = run.read_tensor(power_path)
-    truth = run.read_tensor(truth_path)
-    _check_axes(run, "verify.truth" if v["truth"] else "paths.truth_power", truth, power,
-                ("locations", "init_times", "lead_times"), "the power")
+    power = run.read(power_key, power_path, "ensemble")
+    truth = run.read(truth_key, truth_path, "ensemble")
+    run.pair(truth_key, truth, power_key, power)
+    if truth.members != 1:
+        run.problems.append(f"{truth_key}: holds {truth.members} members, need 1")
     module = v["module"] or power.variable_names[0]
     if v["grouping"] not in verify.GROUPINGS:
         run.problems.append(f"verify.grouping: unknown grouping {v['grouping']!r}")

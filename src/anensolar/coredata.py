@@ -7,12 +7,15 @@ throughout). Times are UTC epoch seconds; lead times are seconds from
 initialization. Tensors are immutable after construction and safe to share
 across concurrent readers. Every kind derives from ``_Tensor`` and declares
 its axes once, in ``AXES``: the shape check, ``shape``, the location slab
-``at_locations`` and ``tensorio``'s file layout all follow them.
+``at_locations`` and ``tensorio``'s file layout all follow them, and so does
+``axis_mismatch``, the one rule that says whether two tensors pair: every
+command and library function that joins two tensors asks it, never their
+array positions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -318,6 +321,32 @@ class AlignedObservations(_Tensor):
 
     AXES = ("variable_names", "locations", "init_times", "lead_times")
     variable_index = _Tensor._name_index
+
+
+def axis_mismatch(given, reference, axes=None) -> str | None:
+    """The first of ``axes`` on which ``given`` differs from ``reference``,
+    by length or by an entry, as text naming the axis and the entry; None
+    when they pair. A location compares by its id and coordinates, a time or
+    lead by its value. ``axes`` defaults to those both kinds declare in
+    ``AXES``, names and ``members`` left out; a caller names them where one
+    side keeps an axis outside ``AXES`` (an index set's ``init_times``, a
+    file header's ``locations``).
+    """
+    if axes is None:
+        axes = [a for a in given.AXES
+                if a in reference.AXES and a != "members" and not a.endswith("_names")]
+    for axis in axes:
+        mine, theirs = getattr(given, axis), getattr(reference, axis)
+        if len(mine) != len(theirs):
+            return f"{len(mine)} {axis} against {len(theirs)}"
+        # an axis is a dataclass of per-entry arrays (LocationSet, TimeAxis,
+        # LeadTimeAxis) or an array itself (an index set's test_indices)
+        differ = np.logical_or.reduce(
+            [getattr(mine, f.name) != getattr(theirs, f.name) for f in fields(mine)]
+            if is_dataclass(mine) else [mine != theirs])
+        if differ.any():
+            return f"{axis} entry {int(np.argmax(differ))} differs"
+    return None
 
 
 def align_observations(

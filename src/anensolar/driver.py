@@ -25,7 +25,9 @@ from .coredata import (
     SigmaTensor,
     TimeAxis,
     align_observations,
+    axis_mismatch,
 )
+from .errors import DimensionMismatchError
 from .pvchain import PvModuleSpec, SystemConfig, simulate_ensemble
 from .solar import precompute_solar
 
@@ -130,11 +132,11 @@ class WeightObjective:
     daylight), after a build that holds the N whole ``T * J * C`` root
     tables once.
 
-    The objective scores the tensors it is given, which hold the same
-    locations: ``locations`` lists the archive location of each of their
-    rows (by default, row i is location i), so a caller can give it the
-    sample locations alone. ``scores`` takes, and short-list errors name,
-    the archive location.
+    The objective scores the tensors it is given, which must hold the same
+    locations (else ``DimensionMismatchError`` names the axis): ``locations``
+    lists the archive location of each of their rows (by default, row i is
+    location i), so a caller can give it the sample locations alone.
+    ``scores`` takes, and short-list errors name, the archive location.
     """
 
     def __init__(self, forecasts: ForecastTensor, analysis: ObservationTensor,
@@ -142,6 +144,8 @@ class WeightObjective:
                  spec: PvModuleSpec, system: SystemConfig, locations=None):
         from .anen import _check_split
 
+        if mismatch := axis_mismatch(analysis, forecasts):
+            raise DimensionMismatchError(f"analysis does not pair with the forecasts: {mismatch}")
         if locations is None:
             locations = range(len(forecasts.locations))
         self.rows = {int(loc): row for row, loc in enumerate(locations)}

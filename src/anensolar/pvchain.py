@@ -23,8 +23,8 @@ from importlib import resources
 
 import numpy as np
 
-from .coredata import EnsembleTensor, _Owned
-from .errors import MissingVariableError
+from .coredata import EnsembleTensor, _Owned, axis_mismatch
+from .errors import DimensionMismatchError, MissingVariableError
 from .solar import SolarCacheTable, SolarSample
 
 _DEG = np.pi / 180.0
@@ -270,8 +270,11 @@ def simulate_ensemble(ensemble: EnsembleTensor, cache: SolarCacheTable,
     once per location and spec, into that spec's slice of the output. Every
     step is elementwise, so the result is bit-identical to running the whole
     chain per spec over the whole ensemble, and no temporary is larger than
-    one location's (init, lead, member) block.
+    one location's (init, lead, member) block. A cache off the ensemble's
+    axes raises ``DimensionMismatchError``.
     """
+    if mismatch := axis_mismatch(cache, ensemble):
+        raise DimensionMismatchError(f"solar cache does not pair with the ensemble: {mismatch}")
     idx = {}
     for name in REQUIRED_VARIABLES:
         try:

@@ -25,6 +25,7 @@ SEASON_OF_MONTH = {12: "DJF", 1: "DJF", 2: "DJF",
                    6: "JJA", 7: "JJA", 8: "JJA",
                    9: "SON", 10: "SON", 11: "SON"}
 
+NOON_SLOT = 12  # the lead slot each location's solar noon is aligned to
 DAYPART_SLOTS = {"morning": (8, 10), "noon": (11, 13), "afternoon": (14, 16)}
 
 # every grouping name the report accepts -> the grouping it selects
@@ -99,28 +100,27 @@ def spread_field(ensemble: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SolarNoonAlignment:
-    """Per-location lead remapping that puts the local solar noon at slot 12.
+    """Per-location lead remapping that puts the local solar noon at ``NOON_SLOT``.
 
-    ``offsets[l]`` is how many lead steps location l's noon sits after slot
-    12; a lead index j maps to slot ``j - offsets[l]``. The remapping is a
+    ``offsets[l]`` is how many lead steps location l's noon sits after that
+    slot; a lead index j maps to slot ``j - offsets[l]``. The remapping is a
     pure shift, so relative lead ordering is preserved.
     """
 
     offsets: np.ndarray
-    noon_slot: int = 12
 
     def slots(self, n_leads: int) -> np.ndarray:
         """Slot of every (location, lead) pair, shape (L, n_leads)."""
         return np.arange(n_leads)[None, :] - self.offsets[:, None]
 
 
-def align_solar_noon(cache: SolarCacheTable, noon_slot: int = 12) -> SolarNoonAlignment:
-    """Find each location's minimum-mean-zenith lead and shift it to slot 12."""
+def align_solar_noon(cache: SolarCacheTable) -> SolarNoonAlignment:
+    """Find each location's minimum-mean-zenith lead and shift it to slot ``NOON_SLOT``."""
     if cache.apparent_zenith.size == 0:
         raise ValueError("solar cache is empty")
     mean_zenith = cache.apparent_zenith.mean(axis=1)  # (L, J)
     noon_lead = np.argmin(mean_zenith, axis=1)
-    return SolarNoonAlignment(noon_lead - noon_slot, noon_slot)
+    return SolarNoonAlignment(noon_lead - NOON_SLOT)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from anensolar.coredata import (
     TimeAxis,
     align_observations,
 )
-from anensolar.errors import InsufficientCandidatesError, MissingVariableError
+from anensolar.errors import DimensionMismatchError, InsufficientCandidatesError, MissingVariableError
 from anensolar.tensorio import read_tensor, write_tensor
 
 from conftest import make_forecast, make_locations
@@ -654,6 +654,30 @@ class TestBuildEnsemble:
                               (ens.values, given[EnsembleTensor][-1])):
             assert not array.flags.writeable
             assert array is passed.array  # handed over, not copied
+
+    def test_observations_on_other_axes_do_not_pair(self):
+        # observations aligned over more leads than the index set, or over
+        # init times a day later, hold other cells than the analogs name
+        fc, aligned = self.make_setup(seed=97)
+        cfg = AnEnConfig(weights=equal_weights(2), members=2, half_window=0)
+        out = search_analogs(fc, cfg, (8, 10), (0, 8))
+        obs = ObservationTensor(aligned.variable_names, aligned.locations,
+                                TimeAxis(fc.init_times.instants[0] + 3600 * np.arange(24 * 12)),
+                                np.zeros((2, 2, 24 * 12)))
+        for axis, init, lead in (("lead_times", fc.init_times, LeadTimeAxis(3600 * np.arange(5))),
+                                 ("init_times", TimeAxis(fc.init_times.instants + 86400), fc.lead_times)):
+            with pytest.raises(DimensionMismatchError, match=axis):
+                build_multivariate_ensemble(out, align_observations(obs, init, lead))
+
+    @pytest.mark.parametrize("position", [-1, 10])
+    def test_an_analog_outside_the_init_axis_is_value_error(self, position):
+        fc, aligned = self.make_setup(seed=98)
+        cfg = AnEnConfig(weights=equal_weights(2), members=2, half_window=0)
+        out = search_analogs(fc, cfg, (8, 10), (0, 8))
+        index = out.search_index.copy()
+        index[1, 0, 2, 1] = position
+        with pytest.raises(ValueError, match="outside the init axis"):
+            build_multivariate_ensemble(dataclasses.replace(out, search_index=index), aligned)
 
     def test_variable_subset_and_missing_variable(self):
         fc, aligned = self.make_setup(seed=94)

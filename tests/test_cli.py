@@ -824,6 +824,46 @@ def test_a_truth_on_other_axes_exits_2(chain_dir, tmp_path, capsys, other, key, 
     assert (out / "report.csv").read_bytes() == (chain_dir / "report.csv").read_bytes()
 
 
+@pytest.mark.parametrize("key", ["verify.truth", "paths.truth_power"])
+def test_a_truth_of_many_members_exits_2(chain_dir, tmp_path, capsys, key):
+    # the power ensemble itself, on the truth's axes, as the truth
+    out = tmp_path / "v"
+    shutil.copytree(chain_dir, out)
+    (out / "report.csv").unlink()
+    chosen = (["verify", "--truth", "power.ansr"] if key == "verify.truth"
+              else ["--set", "paths.truth_power=power.ansr", "verify"])
+    capsys.readouterr()
+    assert run_cli(["-o", out, *SMALL, *chosen]) == 2
+    assert any(p.startswith(f"{key}: ") and "members" in p for p in _problems(capsys))
+    assert not (out / "report.csv").exists()
+
+
+@pytest.mark.parametrize("flag, key", [("--truth", "verify.truth"), ("--power", "verify.power")])
+def test_a_missing_file_given_to_verify_names_its_key(chain_dir, capsys, flag, key):
+    capsys.readouterr()
+    assert run_cli(["-o", chain_dir, *SMALL, "verify", flag, "nothere.ansr"]) == 2
+    assert any(p.startswith(f"{key}: file not found") for p in _problems(capsys))
+
+
+@pytest.mark.parametrize("key, name, argv", [
+    ("paths.forecasts", "ensemble.ansr", ["anen"]),
+    ("paths.observations", "forecasts.ansr", ["anen"]),
+    ("paths.ensemble", "forecasts.ansr", ["simulate"]),
+    ("paths.observations", "analogs.ansr", ["cluster"]),
+    ("paths.forecasts", "observations.ansr", ["optimize-weights"]),
+    ("paths.observations", "ensemble.ansr", ["simulate", "--source", "analysis"]),
+    ("verify.power", "forecasts.ansr", ["verify"]),
+])
+def test_an_input_of_another_kind_exits_2_naming_its_key(chain_dir, tmp_path, capsys, key, name, argv):
+    out = tmp_path / "run"
+    shutil.copytree(chain_dir, out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert run_cli(["-o", out, *SMALL, "--set", f"{key}={name}", *argv]) == 2
+    assert any(p.startswith(f"{key}: ") and "tensor" in p for p in _problems(capsys))
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_an_empty_weight_grid_exits_2_unless_ew(chain_dir, tmp_path, capsys):
     out = tmp_path / "run"
     shutil.copytree(chain_dir, out)

@@ -2,8 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anensolar.coredata import (
+    AlignedObservations,
     AnalogIndexSet,
     EnsembleTensor,
     ForecastTensor,
@@ -14,6 +17,7 @@ from anensolar.coredata import (
     TimeAxis,
     _check_no_inf,
     align_observations,
+    axis_mismatch,
 )
 from anensolar.errors import (
     AxisMonotonicityError,
@@ -21,7 +25,7 @@ from anensolar.errors import (
     DuplicateNameError,
     TensorFormatError,
 )
-from anensolar.solar import precompute_solar
+from anensolar.solar import SolarCacheTable, precompute_solar
 
 from conftest import make_forecast, make_locations, make_observation
 from oracles import lookup_aligned
@@ -271,3 +275,105 @@ def test_taken_locations_are_the_joined_slabs_in_their_order(kind):
         joined = np.concatenate([getattr(s, name) for s in slabs], axis=axis)
         assert getattr(taken, name).tobytes() == joined.tobytes()
         assert not getattr(taken, name).flags.writeable
+
+
+# -- pairing by axes ----------------------------------------------------------
+
+# the axes a pair can share, besides names and members
+PAIRED_AXES = ("locations", "init_times", "valid_times", "lead_times", "test_indices")
+
+
+def _axis(name, n, moved=None):
+    """Axis ``name`` of ``n`` entries spaced 10 apart, plus ``moved`` ((3, n):
+    a location's three coordinates, else row 0 alone); a time entry moved by
+    1..9 keeps its axis increasing."""
+    m = np.zeros((3, n), dtype=int) if moved is None else moved
+    at = 10 * np.arange(n)
+    if name == "locations":
+        return LocationSet.from_coords(30.0 + at / 10 + m[0], -100.0 + at / 10 + m[1], at + m[2])
+    if name in ("init_times", "valid_times"):
+        return TimeAxis(1_546_300_800 + at + m[0])
+    if name == "lead_times":
+        return LeadTimeAxis(at + m[0])
+    return at + m[0]
+
+
+def _kind_over(kind, axes):
+    """A tensor of ``kind`` over the axes ``axes`` (name -> axis), one name
+    and two members, zero-filled."""
+    loc, init, lead = axes["locations"], axes["init_times"], axes["lead_times"]
+    n = (len(loc), len(init), len(lead))
+    if kind == "forecast":
+        return ForecastTensor(("a",), loc, init, lead, np.zeros((1, *n)))
+    if kind == "observation":
+        return ObservationTensor(("a",), loc, axes["valid_times"], np.zeros((1, n[0], len(axes["valid_times"]))))
+    if kind == "ensemble":
+        return EnsembleTensor(("a",), loc, init, lead, 2, np.zeros((1, *n, 2)))
+    if kind == "sigma":
+        return SigmaTensor(("a",), loc, lead, np.zeros((1, n[0], n[2])))
+    if kind == "aligned":
+        return AlignedObservations(("a",), loc, init, lead, np.zeros((1, *n)))
+    if kind == "solar cache":
+        return SolarCacheTable(loc, init, lead, *[np.zeros(n)] * 4)
+    shape = (n[0], len(axes["test_indices"]), n[2], 2)
+    return AnalogIndexSet(loc, init, axes["test_indices"], lead, 2, np.zeros(shape), np.zeros(shape))
+
+
+@st.composite
+def _pairs(draw):
+    """(given, reference, axes, changed axis, changed entry or None): two
+    tensors over the same axes but one, which differs by its length (entry
+    None) or by one entry; ``axes`` is None (the kinds' shared ``AXES``) or
+    every axis both tensors hold, named by the caller."""
+    kinds = st.sampled_from(KINDS)
+    first, second = draw(kinds), draw(kinds)
+    counts = {axis: draw(st.integers(1, 4)) for axis in PAIRED_AXES}
+    base = {a: _axis(a, counts[a]) for a in PAIRED_AXES}
+    built = [_kind_over(k, base) for k in (first, second)]
+    named = draw(st.booleans())
+    if named:
+        axes = [a for a in PAIRED_AXES if all(hasattr(t, a) for t in built)]
+    else:
+        axes = [a for a in PAIRED_AXES if all(a in t.AXES for t in built)]
+    changed = draw(st.sampled_from(axes))
+    n = counts[changed]
+    entry = draw(st.none() | st.integers(0, n - 1))
+    if entry is None:
+        axis = _axis(changed, n + 1)
+    else:
+        moved = np.zeros((3, n), dtype=int)
+        moved[draw(st.integers(0, 2)) if changed == "locations" else 0, entry] = draw(st.integers(1, 9))
+        axis = _axis(changed, n, moved)
+    other = {**base, changed: axis}
+    if draw(st.booleans()):
+        return built[0], _kind_over(second, other), axes if named else None, changed, entry
+    return _kind_over(first, other), built[1], axes if named else None, changed, entry
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_pairs())
+def test_the_pairing_rule_names_the_one_axis_that_differs(pair):
+    given_tensor, reference, axes, changed, entry = pair
+    for a, b in ((given_tensor, reference), (reference, given_tensor)):
+        mismatch = axis_mismatch(a, b, axes)
+        assert mismatch is not None and changed in mismatch
+        assert f"entry {entry} " in mismatch if entry is not None else "entry" not in mismatch
+        assert axis_mismatch(a, a, axes) is None
+        assert axis_mismatch(b, b, axes) is None
+
+
+def test_the_pairing_rule_leaves_out_names_and_members():
+    fc = make_forecast(n_pred=2, n_loc=3, n_init=6, n_lead=4)
+    renamed = ForecastTensor(("x", "y", "z"), fc.locations, fc.init_times, fc.lead_times,
+                             np.zeros((3, 3, 6, 4)))
+    ensemble = EnsembleTensor(fc.predictor_names, fc.locations, fc.init_times, fc.lead_times,
+                              5, np.zeros((2, 3, 6, 4, 5)))
+    one = EnsembleTensor(fc.predictor_names, fc.locations, fc.init_times, fc.lead_times,
+                         1, np.zeros((2, 3, 6, 4, 1)))
+    assert axis_mismatch(renamed, fc) is None
+    assert axis_mismatch(ensemble, one) is None
+    # the first axis that differs, in the given tensor's order, is named
+    moved = EnsembleTensor(fc.predictor_names, make_locations(3, seed=9), TimeAxis(fc.init_times.instants + 1),
+                           fc.lead_times, 1, np.zeros((2, 3, 6, 4, 1)))
+    assert axis_mismatch(moved, one) == "locations entry 0 differs"
+    assert axis_mismatch(moved, one, ("init_times", "locations")) == "init_times entry 0 differs"

@@ -12,7 +12,7 @@ from anensolar.driver import (
     forecast_weather_ensemble,
     power_from_weather,
 )
-from anensolar.errors import InsufficientCandidatesError
+from anensolar.errors import DimensionMismatchError, InsufficientCandidatesError
 from anensolar.pvchain import SystemConfig, load_module_catalog
 from anensolar.solar import precompute_solar
 from anensolar.synth import SynthConfig, generate
@@ -200,6 +200,17 @@ class TestObjectiveTables:
         with pytest.raises(ValueError, match="out of bounds"):
             WeightObjective(fc, obs, AnEnConfig(weights=equal_weights(5)), test, range(0, 40),
                             self.spec, SystemConfig())
+
+
+def test_an_analysis_at_other_locations_does_not_pair(dataset):
+    obs, fc = dataset
+    spec = next(s for s in load_module_catalog() if s.code == "STU300")
+    base = AnEnConfig(weights=equal_weights(5), members=5, half_window=1)
+    moved = dataclasses.replace(obs, locations=LocationSet.from_coords(
+        obs.locations.latitude + 1.0, obs.locations.longitude, obs.locations.elevation))
+    for analysis in (moved, obs.take_locations([0, 1])):
+        with pytest.raises(DimensionMismatchError, match="locations"):
+            WeightObjective(fc, analysis, base, range(40, 50), range(0, 40), spec, SystemConfig())
 
 
 def night_holed(dataset, holes):

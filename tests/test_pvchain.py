@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from anensolar.coredata import EnsembleTensor, LeadTimeAxis, TimeAxis
-from anensolar.errors import MissingVariableError
+from anensolar.errors import DimensionMismatchError, MissingVariableError
 from anensolar.pvchain import (
     IrradianceComponents,
     PvModuleSpec,
@@ -263,6 +263,17 @@ class TestSimulateEnsemble:
                                   ens.members, ens.values)
         with pytest.raises(MissingVariableError):
             simulate_ensemble(stripped, cache, [SPEC], FLAT)
+
+    def test_a_cache_on_other_axes_does_not_pair(self):
+        # the sun of 180 days later, of other locations or of other leads
+        ens, _ = make_weather_ensemble()
+        later = TimeAxis(ens.init_times.instants + 180 * 86400)
+        for axis, cache in (("init_times", precompute_solar(ens.locations, later, ens.lead_times)),
+                            ("locations", precompute_solar(make_locations(2, 99), ens.init_times, ens.lead_times)),
+                            ("lead_times", precompute_solar(ens.locations, ens.init_times,
+                                                            LeadTimeAxis(ens.lead_times.offsets[:-1])))):
+            with pytest.raises(DimensionMismatchError, match=axis):
+                simulate_ensemble(ens, cache, [SPEC], FLAT)
 
     def test_deterministic(self):
         ens, cache = make_weather_ensemble()
