@@ -1,6 +1,7 @@
 """The one way an artifact reaches disk: written to ``<path>.<pid>.tmp``,
 hashed as it is written and renamed over ``path``, so a failed write leaves the
-previous file whole. Standard library only, so it does not load numpy.
+previous file whole. ``file_sha256`` hashes a file that is read some other
+way, in chunks. Standard library only, so it does not load numpy.
 """
 
 from __future__ import annotations
@@ -12,13 +13,17 @@ import os
 from pathlib import Path
 
 
-def atomic_write(path, *chunks) -> str:
-    """Write the bytes-like ``chunks`` to ``path`` atomically; returns the
-    SHA-256 hex digest of the bytes written."""
+def atomic_write(path, chunks) -> str:
+    """Write the iterable of bytes-like ``chunks`` to ``path`` atomically,
+    taking one chunk at a time, so a generator is never held whole; returns
+    the SHA-256 hex digest of the bytes written. An error raised while the
+    chunks are produced leaves the previous file whole."""
     tmp = Path(f"{path}.{os.getpid()}.tmp")
     digest = hashlib.sha256()
     try:
-        with open(tmp, "wb") as fh:
+        # a 256 KiB buffer gathers small chunks, such as one location's rows
+        # of a tensor, into fewer write calls
+        with open(tmp, "wb", buffering=1 << 18) as fh:
             for chunk in chunks:
                 digest.update(chunk)
                 fh.write(chunk)
@@ -34,4 +39,14 @@ def atomic_write_csv(path, header, rows) -> str:
     out = csv.writer(text)
     out.writerow(header)
     out.writerows(rows)
-    return atomic_write(path, text.getvalue().encode("utf-8"))
+    return atomic_write(path, [text.getvalue().encode("utf-8")])
+
+
+def file_sha256(path) -> str:
+    """The SHA-256 hex digest of the file at ``path``, read in 64 KiB chunks,
+    so memory does not follow the file's size."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 16):
+            digest.update(chunk)
+    return digest.hexdigest()

@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 import yaml
 
-from ._atomic import atomic_write, atomic_write_csv
+from ._atomic import atomic_write, atomic_write_csv, file_sha256
 from .errors import ConfigValidationError
 
 if TYPE_CHECKING:
@@ -309,8 +309,8 @@ class Runner:
         directory itself, so concurrent commands keep each other's entries."""
         entry = {
             "config_hash": config_hash(self.cfg),
-            # an input no read_tensor call hashed (a CSV, say) is hashed here
-            "inputs": {p: digest or hashlib.sha256(Path(p).read_bytes()).hexdigest()
+            # an input no read hashed (a CSV, say) is hashed here, in chunks
+            "inputs": {p: digest or file_sha256(p)
                        for p, digest in sorted(self.inputs.items())},
             "outputs": dict(sorted(self.outputs.items())),
         }
@@ -320,7 +320,7 @@ class Runner:
             fcntl.flock(fd, fcntl.LOCK_EX)
             data = json.loads(manifest_path.read_text()) if manifest_path.exists() else {}
             data[self.command] = entry
-            atomic_write(manifest_path, (json.dumps(data, indent=2, sort_keys=True) + "\n").encode())
+            atomic_write(manifest_path, [(json.dumps(data, indent=2, sort_keys=True) + "\n").encode()])
         finally:
             os.close(fd)  # releases the lock
 
@@ -437,8 +437,9 @@ def cmd_sigma(run: Runner, args) -> int:
 
 
 def cmd_anen(run: Runner, args) -> int:
-    from .anen import build_multivariate_ensemble, compute_sigma, search_analogs, validate_weights
-    from .coredata import align_observations
+    from . import tensorio
+    from .anen import compute_sigma, ensemble_rows, search_analogs, validate_weights
+    from .coredata import EnsembleTensor, align_observations
 
     cfg = run.cfg
     fc_path = run.input_path("forecasts")
@@ -469,13 +470,16 @@ def cmd_anen(run: Runner, args) -> int:
     indices = search_analogs(forecasts, config, test, search, compute_sigma(forecasts, search))
     run.write_tensor("analogs", indices)
     aligned = align_observations(analysis, forecasts.init_times, forecasts.lead_times)
-    del forecasts, analysis  # the gather needs neither: release them before it allocates the ensemble
-    run.write_tensor("ensemble", build_multivariate_ensemble(indices, aligned))
+    del forecasts, analysis  # the gather needs neither: release them before it runs
+    # the ensemble goes to disk one (variable, location) row at a time, never whole
+    axes, rows = ensemble_rows(indices, aligned)
+    run.write("ensemble", lambda path: tensorio.write_rows(tensorio.Header.of(EnsembleTensor, axes), rows, path))
     return 0
 
 
 def cmd_simulate(run: Runner, args) -> int:
-    from . import driver
+    from . import driver, tensorio
+    from .pvchain import REQUIRED_VARIABLES
 
     source = run.cfg["simulate"]["source"]
     ens_path = run.input_path("ensemble") if source == "ensemble" else None
@@ -485,22 +489,31 @@ def cmd_simulate(run: Runner, args) -> int:
     specs = _load_specs(run)
     system = _system(run)
     if source == "ensemble":
-        weather = run.read("paths.ensemble", ens_path, "ensemble")
+        # the header now, each location's slab while the chain runs
+        header = tensorio.read_header(ens_path)
+        run.need_kind("paths.ensemble", header.kind, "ensemble")
+        weather_key, names = "paths.ensemble", header.names
     else:
         forecasts = run.read("paths.forecasts", fc_path, "forecast")
         test, _ = _anen_split(run, len(forecasts.init_times))
+        weather_key, names = "paths.forecasts", forecasts.predictor_names
     if source == "analysis":
         analysis = run.read("paths.observations", obs_path, "observation")
         run.pair("paths.observations", analysis, "paths.forecasts", forecasts)
+        weather_key, names = "paths.observations", analysis.variable_names
+    if missing := [name for name in REQUIRED_VARIABLES if name not in names]:
+        run.problems.append(f"{weather_key}: lacks the variables {missing} that the PV chain needs")
     run.check()
-    if source == "forecast":
-        weather = driver.forecast_weather_ensemble(forecasts, test)
-    elif source == "analysis":
+    if source == "ensemble":
+        power = driver.power_from_slabs(header.axes, tensorio.read_slabs(ens_path, run.inputs), specs, system)
+    elif source == "forecast":
+        power = driver.power_from_weather(driver.forecast_weather_ensemble(forecasts, test), specs, system)
+    else:
         weather = driver.analysis_weather_ensemble(analysis, forecasts.init_times, forecasts.lead_times, test)
         del analysis  # the truth weather holds the aligned values it needs
+        power = driver.power_from_weather(weather, specs, system)
 
-    run.write_tensor(run.cfg["simulate"]["output"] or ("truth_power" if source == "analysis" else "power"),
-                     driver.power_from_weather(weather, specs, system))
+    run.write_tensor(run.cfg["simulate"]["output"] or ("truth_power" if source == "analysis" else "power"), power)
     return 0
 
 

@@ -24,6 +24,7 @@ from .coredata import (
     ObservationTensor,
     SigmaTensor,
     TimeAxis,
+    _Owned,
     align_observations,
     axis_mismatch,
 )
@@ -86,6 +87,23 @@ def power_from_weather(weather: EnsembleTensor, specs, system: SystemConfig,
     if cache is None:
         cache = precompute_solar(weather.locations, weather.init_times, weather.lead_times)
     return simulate_ensemble(weather, cache, specs, system)
+
+
+def power_from_slabs(axes, slabs, specs, system: SystemConfig) -> EnsembleTensor:
+    """``power_from_weather`` of a weather ensemble given as its axes (the
+    attributes ``locations``, ``init_times``, ``lead_times`` and ``members``)
+    and its one-location slabs in location order, as ``tensorio.read_slabs``
+    yields them. The solar cache is built once over every location; each
+    slab's power, simulated under its location's slab of the cache, fills
+    that location of one output array, so one weather slab is held at a
+    time. ``simulate_ensemble`` runs one location at a time, so the power is
+    bit-identical to ``power_from_weather`` of the whole ensemble."""
+    cache = precompute_solar(axes.locations, axes.init_times, axes.lead_times)
+    out = np.empty((len(specs), *cache.shape, axes.members))
+    for loc, slab in enumerate(slabs):
+        out[:, loc:loc + 1] = simulate_ensemble(slab, cache.at_locations(loc, loc + 1), specs, system).values
+    return EnsembleTensor(tuple(s.code for s in specs), axes.locations, axes.init_times,
+                          axes.lead_times, axes.members, _Owned(out))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -14,15 +14,23 @@ Every kind is a ``coredata`` tensor, and this module alone knows how it is
 laid out on disk. The tensor's ``AXES`` give the block's shape and the header
 sections after the locations; ``LAYOUTS`` adds only what the tensor cannot
 say: the names-section key, the fixed field names of a stacked block, and the
-lookup-only sections. ``write_tensor`` and ``read_tensor`` follow both for
-every kind; ``read_header`` reads the header alone. The decoder reads the
-header, then the payload, once and front to back, straight into one aligned
-float64 array that the returned tensor keeps, so a file's values are held
-once. A read may select locations: the block is (names, locations, ...), so
-each location is one contiguous row per name, and only the selected rows
-are kept; the others pass through one spare row. The SHA-256 of a read
-streams every byte of the file, skipped rows included, so memory follows the
-selection while the digest stays the file's.
+lookup-only sections. ``Header.of`` gives the header of a tensor, or of its
+axes alone, and ``Header.axes`` gives the axes back.
+
+The block is (names, locations, ...), so each location is one contiguous row
+per name. The one writer, ``write_rows(header, rows, path)``, streams those
+rows in file order as they come, so a producer such as ``anen``'s gather
+never holds its whole block; ``write_tensor`` is ``write_rows`` over a
+tensor's own header and rows. ``read_tensor`` reads the header, then the
+payload, once and front to back, straight into one aligned float64 array
+that the returned tensor keeps, so a file's values are held once. A read may
+select locations: only the selected rows are kept, and the others pass
+through one spare row. ``read_slabs`` yields one location's tensor at a
+time, seeking to its row of each name, so memory follows one location.
+``read_header`` reads the header alone. A read that records a digest stores
+the SHA-256 of the whole file, whatever it kept: ``read_tensor`` streams
+every byte through the hash, and ``read_slabs`` hashes the file in one
+chunked pass after its last slab.
 A long-format CSV variant (``.csv``) of forecasts and observations is
 accepted for small fixtures; its columns are in ``_CSV_AXES`` and it carries
 no location coordinates, which default to zero. Every file goes through
@@ -38,11 +46,12 @@ import io
 import operator
 import os
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
-from ._atomic import atomic_write, atomic_write_csv
+from ._atomic import atomic_write, atomic_write_csv, file_sha256
 from .coredata import (
     MISSING,
     _Owned,
@@ -109,49 +118,77 @@ def _section(tensor, key):
 
 
 def write_tensor(tensor, path):
-    """Serialize a tensor of any kind to ``path``: the header in ``LAYOUTS``
-    order, then the block. A ``.csv`` path gets the CSV variant of a forecast
-    or an observation. Returns the SHA-256 hex digest of the file."""
-    kind = _KINDS.get(type(tensor))
-    if kind is None:
-        raise TensorFormatError(f"cannot serialize {type(tensor).__name__}")
+    """Serialize a tensor of any kind to ``path``: ``write_rows`` of its own
+    header and the rows of its block. A ``.csv`` path gets the CSV variant of
+    a forecast or an observation. Returns the SHA-256 hex digest of the file."""
+    header = Header.of(type(tensor), tensor)
     if str(path).endswith(".csv"):
-        return _write_csv(kind, tensor, path)
-    layout = LAYOUTS[kind]
-    if layout.fields:
-        names, block = layout.fields, [getattr(tensor, a) for a in tensor.ARRAYS]
-    else:
-        names, block = getattr(tensor, tensor.AXES[0]), [tensor.values]
-    locations = tensor.locations
-    lines = [MAGIC, f"kind {kind}", f"{layout.names} {len(names)}", *map(str, names),
+        return _write_csv(header.kind, tensor, path)
+    # the block's first axis: the names of the values, or one stacked array per field
+    by_name = [getattr(tensor, a) for a in tensor.ARRAYS] if LAYOUTS[header.kind].fields else tensor.values
+    return write_rows(header, (row for block in by_name for row in block), path)
+
+
+def write_rows(header, rows, path):
+    """Write a container from its ``Header`` and the rows of its block:
+    ``rows`` yields, in file order (name, then location), one array of shape
+    ``header.shape[2:]`` per (name, location). Rows are written as they come,
+    so only one is held here at a time. A row of another shape, or a count
+    other than the header's, raises ``DimensionMismatchError`` before the
+    file is renamed into place, leaving the previous file whole. Returns the
+    SHA-256 hex digest of the file."""
+    if str(path).endswith(".csv"):
+        raise TensorFormatError("write_rows writes the binary container, not the CSV variant")
+    shape = header.shape
+    count = shape[0] * shape[1]
+
+    def chunks():
+        yield _encode_header(header)
+        n = 0
+        for n, row in enumerate(rows, 1):
+            row = np.ascontiguousarray(row, dtype="<f8")
+            if n > count or row.shape != shape[2:]:
+                raise DimensionMismatchError(
+                    f"row {n - 1} has shape {row.shape}; the header's block holds {count} rows "
+                    f"of shape {shape[2:]}")
+            yield row
+        if n != count:
+            raise DimensionMismatchError(f"{n} rows given; the header's block holds {count}")
+
+    return atomic_write(path, chunks())
+
+
+def _encode_header(header) -> bytes:
+    """The header's text in ``LAYOUTS`` order, and the separator."""
+    layout = LAYOUTS[header.kind]
+    locations = header.locations
+    lines = [MAGIC, f"kind {header.kind}", f"{layout.names} {len(header.names)}", *map(str, header.names),
              f"locations {len(locations)}"]
     lines += [f"{int(locations.ids[i])} {float(locations.latitude[i])!r} "
               f"{float(locations.longitude[i])!r} {float(locations.elevation[i])!r}"
               for i in range(len(locations))]
     for key in layout.sections:
-        value = _section(tensor, key)
+        value = header.sections[key]
         if key == "members":
             lines.append(f"members {int(value)}")
         else:
             lines.append(f"{key} {len(value)}")
             lines += [str(int(v)) for v in value]
-    header = ("\n".join(lines) + "\n").encode("utf-8") + b"\x00\n"
-    return atomic_write(path, header, *(np.ascontiguousarray(a, dtype="<f8") for a in block))
+    return ("\n".join(lines) + "\n").encode("utf-8") + b"\x00\n"
 
 
-def _tensor(kind, names, locations, sections, values):
-    """The tensor of ``kind``; ``values``, a fresh array of the reader's, is
+def _tensor(header, values):
+    """The tensor of ``header``; ``values``, a fresh array of the reader's, is
     kept by it without a copy."""
-    layout = LAYOUTS[kind]
-    fields = {key: _AXES[key][0](sections[key]) if key in _AXES else sections[key]
-              for key in layout.sections}
+    layout = LAYOUTS[header.kind]
+    fields = vars(header.axes)
     if not layout.fields:
-        fields[layout.tensor.AXES[0]], fields["values"] = names, _Owned(values)
-    elif list(names) != list(layout.fields):
-        raise TensorHeaderError(f"{kind} fields must be {list(layout.fields)}, got {list(names)}")
+        fields["values"] = _Owned(values)
+    elif list(header.names) != list(layout.fields):
+        raise TensorHeaderError(f"{header.kind} fields must be {list(layout.fields)}, got {list(header.names)}")
     else:
         fields.update(zip(layout.tensor.ARRAYS, map(_Owned, values)))
-    return layout.tensor(locations=locations, **fields)
+    return layout.tensor(**fields)
 
 
 class _HeaderReader:
@@ -224,6 +261,31 @@ class Header(NamedTuple):
     locations: LocationSet
     sections: dict
 
+    @classmethod
+    def of(cls, tensor_type, axes) -> "Header":
+        """The header of a ``tensor_type`` tensor whose axes are the
+        attributes of ``axes``: the tensor itself, or any object that holds
+        its axes, so a block can be written before, or without, the tensor."""
+        kind = _KINDS.get(tensor_type)
+        if kind is None:
+            raise TensorFormatError(f"cannot serialize {tensor_type.__name__}")
+        layout = LAYOUTS[kind]
+        return cls(kind, list(layout.fields or getattr(axes, tensor_type.AXES[0])), axes.locations,
+                   {key: _section(axes, key) for key in layout.sections})
+
+    @property
+    def axes(self) -> SimpleNamespace:
+        """The tensor's fields other than its arrays, as attributes: its
+        names, unless the block stacks fixed fields, its locations, and each
+        section as its axis (``TimeAxis``, ``LeadTimeAxis``), index array or
+        count. ``Header.of`` takes them back."""
+        layout = LAYOUTS[self.kind]
+        axes = {key: _AXES[key][0](self.sections[key]) if key in _AXES else self.sections[key]
+                for key in layout.sections}
+        if not layout.fields:
+            axes[layout.tensor.AXES[0]] = self.names
+        return SimpleNamespace(locations=self.locations, **axes)
+
     @property
     def shape(self) -> tuple:
         """The shape of the float64 block: (names, locations, *axes)."""
@@ -269,14 +331,24 @@ def _read_head(fh):
     return _parse_header(head[:sep]), head[:sep + 2]
 
 
+def _read_block_head(fh):
+    """``_read_head`` of a container whose file holds, after the header,
+    exactly the bytes of the block its shape declares."""
+    header, head = _read_head(fh)
+    shape = header.shape
+    payload, expected = os.fstat(fh.fileno()).st_size - len(head), int(np.prod(shape)) * 8
+    if payload != expected:
+        raise DimensionMismatchError(
+            f"binary block is {payload} bytes, header shape {shape} needs {expected}")
+    return header, head
+
+
 def read_header(path) -> Header:
     """The header of a tensor container, without its payload; a CSV fixture,
     which has no header, is read whole."""
     if str(path).endswith(".csv"):
         tensor = _read_csv(Path(path).read_text(encoding="utf-8"))
-        kind = _KINDS[type(tensor)]
-        return Header(kind, list(getattr(tensor, tensor.AXES[0])), tensor.locations,
-                      {key: _section(tensor, key) for key in LAYOUTS[kind].sections})
+        return Header.of(type(tensor), tensor)
     with open(path, "rb") as fh:
         return _read_head(fh)[0]
 
@@ -335,12 +407,8 @@ def read_tensor(path, digests=None, locations=None):
             digests[str(path)] = hashlib.sha256(raw).hexdigest()
         return _read_csv(raw.decode("utf-8"), locations)
     with open(path, "rb") as fh:
-        header, head = _read_head(fh)
+        header, head = _read_block_head(fh)
         shape = header.shape
-        payload, expected = os.fstat(fh.fileno()).st_size - len(head), int(np.prod(shape)) * 8
-        if payload != expected:
-            raise DimensionMismatchError(
-                f"binary block is {payload} bytes, header shape {shape} needs {expected}")
         rows = _selection(locations, shape[1])
         values = np.empty((shape[0], len(rows), *shape[2:]), dtype="<f8")
         digest = None if digests is None else hashlib.sha256(head)
@@ -355,7 +423,30 @@ def read_tensor(path, digests=None, locations=None):
                     _fill(fh, block[at_of[loc]] if loc in at_of else spare, digest)
     if digests is not None:
         digests[str(path)] = digest.hexdigest()
-    return _tensor(header.kind, header.names, header.locations.take(rows), header.sections, values)
+    return _tensor(header._replace(locations=header.locations.take(rows)), values)
+
+
+def read_slabs(path, digests=None):
+    """Yield the tensor of each location of a container, in location order:
+    for location l, the slab ``at_locations(l, l + 1)`` of a full read.
+
+    Each slab is read by seeking to its location's row of each name, so
+    memory follows one location, not the file. Given a ``digests`` dict,
+    once the last slab is taken the whole file is hashed in one chunked pass
+    and its SHA-256 hex digest stored under ``str(path)``, as ``read_tensor``
+    stores it.
+    """
+    with open(path, "rb") as fh:
+        header, head = _read_block_head(fh)
+        n_names, n_loc, *axes = header.shape
+        for loc in range(n_loc):
+            values = np.empty((n_names, 1, *axes), dtype="<f8")
+            for name, row in enumerate(values):
+                fh.seek(len(head) + (name * n_loc + loc) * row.nbytes)
+                _fill(fh, row, None)
+            yield _tensor(header._replace(locations=header.locations.take([loc])), values)
+    if digests is not None:
+        digests[str(path)] = file_sha256(path)
 
 
 def _write_csv(kind, tensor, path):
@@ -396,5 +487,5 @@ def _read_csv(text: str, locations=None):
     rows = np.array(_selection(locations, len(columns[1])), dtype=np.int64)
     zeros = np.zeros(len(rows))
     sections = dict(zip(LAYOUTS[kind].sections, map(np.array, columns[2:])))
-    return _tensor(kind, columns[0], LocationSet.from_coords(zeros, zeros, zeros), sections,
+    return _tensor(Header(kind, columns[0], LocationSet.from_coords(zeros, zeros, zeros), sections),
                    values[:, rows])

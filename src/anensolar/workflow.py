@@ -404,9 +404,9 @@ def write_event_log(records, path):
     """Write one line per transition atomically; returns the file's SHA-256."""
     from ._atomic import atomic_write  # hashlib stays out of a process that only dispatches
 
-    return atomic_write(path, "".join(
+    return atomic_write(path, ["".join(
         f"{r.timestamp!r} {r.task_id} {r.from_state.value} {r.to_state.value}\n"
-        for r in records).encode("utf-8"))
+        for r in records).encode("utf-8")])
 
 
 def read_event_log(path) -> list:
@@ -581,4 +581,4 @@ def dump_workflow_file(workflow: Workflow, path):
     }
     from ._atomic import atomic_write
 
-    return atomic_write(path, yaml.dump(doc, Dumper=_YAML_DUMPER, sort_keys=False).encode("utf-8"))
+    return atomic_write(path, [yaml.dump(doc, Dumper=_YAML_DUMPER, sort_keys=False).encode("utf-8")])

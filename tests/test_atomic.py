@@ -12,7 +12,7 @@ from anensolar.workflow import Pipeline, Stage, Task, TaskState, TransitionRecor
 def test_atomic_write_returns_the_digest_of_the_bytes_on_disk(tmp_path):
     path = tmp_path / "block.bin"
     path.write_bytes(b"previous bytes")
-    digest = atomic_write(path, b"header\x00\n", np.arange(6.0).reshape(2, 3))
+    digest = atomic_write(path, [b"header\x00\n", np.arange(6.0).reshape(2, 3)])
     assert path.read_bytes() == b"header\x00\n" + np.arange(6.0).tobytes()
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
     assert [p.name for p in tmp_path.iterdir()] == ["block.bin"]

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import fcntl
 import hashlib
 import io
@@ -320,7 +321,7 @@ class TestCommands:
     def test_anen_releases_its_inputs_before_the_gather(self, outdir, monkeypatch):
         assert run_cli(["-o", outdir, *SMALL, "synth"]) == 0
         read, alive_at_gather = [], []
-        real_read, real_gather = tensorio.read_tensor, anen.build_multivariate_ensemble
+        real_read, real_gather = tensorio.read_tensor, anen.ensemble_rows
 
         def recording_read(*args, **kwargs):
             tensor = real_read(*args, **kwargs)
@@ -332,7 +333,7 @@ class TestCommands:
             return real_gather(*args, **kwargs)
 
         monkeypatch.setattr(tensorio, "read_tensor", recording_read)
-        monkeypatch.setattr(anen, "build_multivariate_ensemble", checking_gather)
+        monkeypatch.setattr(anen, "ensemble_rows", checking_gather)
         assert run_cli(["-o", outdir, *SMALL, "anen"]) == 0
         assert len(read) == 2
         assert alive_at_gather == []
@@ -951,3 +952,88 @@ def test_optimize_weights_reads_forecasts_at_its_samples_as_a_full_read_would(tm
     entry = json.loads(selective["manifest.json"])["optimize-weights"]
     assert entry["inputs"] == {str(out / n): hashlib.sha256((out / n).read_bytes()).hexdigest()
                                for n in ("forecasts.ansr", "observations.ansr")}
+
+
+def test_simulate_ensemble_holds_a_few_slabs_beyond_its_power(tmp_path):
+    # The weather ensemble is read one location's slab at a time: beyond the
+    # power array, the command holds the slab being simulated, the next one,
+    # the PV chain's temporaries for one location (about three slabs) and the
+    # solar cache, about 6 slabs in all (measured 5.8); reading the whole
+    # ensemble, 32 slabs, held 36.6.
+    import tracemalloc
+
+    from anensolar.coredata import EnsembleTensor, LeadTimeAxis, TimeAxis
+    from anensolar.pvchain import SystemConfig, load_module_catalog
+    from conftest import make_locations
+
+    n_loc, n_init, n_lead, members = 32, 10, 24, 21
+    rng = np.random.default_rng(9)
+    shape = (n_loc, n_init, n_lead, members)
+    weather = EnsembleTensor(("ghi", "albedo", "temperature", "wind_speed"), make_locations(n_loc),
+                             TimeAxis(1_623_456_000 + 86400 * np.arange(n_init)),
+                             LeadTimeAxis(3600 * np.arange(n_lead)), members,
+                             np.stack([rng.uniform(0, 800, shape), rng.uniform(0.05, 0.6, shape),
+                                       rng.uniform(-5, 35, shape), rng.uniform(0, 12, shape)]))
+    out = tmp_path / "out"
+    out.mkdir()
+    tensorio.write_tensor(weather, out / "ensemble.ansr")
+    stu300 = [spec for spec in load_module_catalog() if spec.code == "STU300"]
+    whole = driver.power_from_weather(weather, stu300, SystemConfig())
+    del weather
+    slab_bytes = 4 * n_init * n_lead * members * 8
+    tracemalloc.start()
+    try:
+        assert main(["-o", str(out), "simulate", "--source", "ensemble"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    power = tensorio.read_tensor(out / "power.ansr")
+    assert power.variable_names == ("STU300",)
+    np.testing.assert_array_equal(power.values.view(np.uint64), whole.values.view(np.uint64))
+    assert peak - power.values.nbytes < 8 * slab_bytes
+    # and the manifest records the whole ensemble file's digest
+    entry = json.loads((out / "manifest.json").read_text())["simulate"]
+    assert entry["inputs"] == {str(out / "ensemble.ansr"):
+                               hashlib.sha256((out / "ensemble.ansr").read_bytes()).hexdigest()}
+
+
+def test_weather_without_a_pv_chain_variable_exits_2_before_a_slab_is_read(chain_dir, tmp_path, capsys,
+                                                                           monkeypatch):
+    out = tmp_path / "run"
+    shutil.copytree(chain_dir, out)
+    monkeypatch.setattr(tensorio, "read_slabs", lambda *args: pytest.fail("a slab was read"))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    # the power file is an ensemble of module codes: no weather variable
+    assert run_cli(["-o", out, *SMALL, "--set", "paths.ensemble=power.ansr",
+                    "simulate", "--source", "ensemble", "--output", "again.ansr"]) == 2
+    assert any(p.startswith("paths.ensemble: lacks the variables ['ghi', 'albedo', 'temperature', "
+                            "'wind_speed']") for p in _problems(capsys))
+
+    observations = tensorio.read_tensor(out / "observations.ansr")
+    keep = [name for name in observations.variable_names if name != "ghi"]
+    tensorio.write_tensor(dataclasses.replace(
+        observations, variable_names=tuple(keep),
+        values=observations.values[[observations.variable_index(n) for n in keep]]), tmp_path / "no_ghi.ansr")
+    assert run_cli(["-o", out, *SMALL, "--set", f"paths.observations={tmp_path / 'no_ghi.ansr'}",
+                    "simulate", "--source", "analysis", "--output", "again.ansr"]) == 2
+    assert any(p.startswith("paths.observations: lacks the variables ['ghi']") for p in _problems(capsys))
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_the_manifest_hashes_an_unhashed_input_in_chunks(tmp_path):
+    import tracemalloc
+
+    big = tmp_path / "big.bin"
+    big.write_bytes(np.random.default_rng(1).bytes(4 << 20))
+    run = cli.Runner(cli.load_config(None, [f"output_dir={tmp_path}"]), "report")
+    run.inputs[str(big)] = None
+    tracemalloc.start()
+    try:
+        run.write_manifest()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    entry = json.loads((tmp_path / "manifest.json").read_text())["report"]
+    assert entry["inputs"] == {str(big): hashlib.sha256(big.read_bytes()).hexdigest()}
+    assert peak < 1 << 20

@@ -579,3 +579,77 @@ def test_read_header_is_the_header_of_a_full_read(tmp_path):
             assert getattr(header.locations, coord).tobytes() == getattr(tensor.locations, coord).tobytes()
         for key, value in header.sections.items():
             np.testing.assert_array_equal(value, tensorio._section(tensor, key))
+
+
+@pytest.mark.parametrize("name", [f"{kind}.ansr" for kind in KINDS])
+def test_each_slab_is_at_locations_of_a_full_read(tmp_path, name):
+    path = tmp_path / name
+    write_tensor(_six_locations()[name], path)
+    whole = read_tensor(path)
+    digests = {}
+    slabs = tensorio.read_slabs(path, digests)
+    for loc in range(6):
+        slab, expected = next(slabs), whole.at_locations(loc, loc + 1)
+        assert type(slab) is type(expected)
+        assert [(n, a.tobytes()) for n, a in _arrays(slab)] == [(n, a.tobytes()) for n, a in _arrays(expected)]
+    # the digest is the whole file's, taken once the last slab is read
+    assert next(slabs, None) is None
+    assert digests == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
+
+
+def test_a_slab_holds_its_location_alone(tmp_path):
+    import tracemalloc
+
+    n_loc, n_init, n_lead = 32, 200, 24
+    fc = make_forecast(n_pred=3, n_loc=n_loc, n_init=n_init, n_lead=n_lead)
+    path = tmp_path / "fc.ansr"
+    write_tensor(fc, path)
+    slab_bytes = 3 * n_init * n_lead * 8
+    firsts = []
+    tracemalloc.start()
+    try:
+        for slab in tensorio.read_slabs(path, {}):
+            firsts.append(slab.values[:, 0, 0, 0].tolist())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert firsts == [fc.values[:, loc, 0, 0].tolist() for loc in range(n_loc)]
+    # the next slab is read while the last is alive, then the file is hashed
+    # in 64 KiB chunks; the whole forecast is 32 slabs
+    assert peak < 2 * slab_bytes + 2 * 64 * 2**10 + 32 * 2**10
+
+
+def _written(tmp_path, name, tensor):
+    write_tensor(tensor, tmp_path / name)
+    return tmp_path / name
+
+
+def _rows(tensor):
+    """The rows of a tensor's block in file order: (name, location) arrays."""
+    by_name = _block(tensor) if len(tensor.ARRAYS) > 1 else tensor.values
+    return [row for block in by_name for row in block]
+
+
+@pytest.mark.parametrize("change, match", [
+    (lambda rows: rows[:-1], "11 rows given; the header's block holds 12"),
+    (lambda rows: rows + rows[:1], "row 12 has shape"),
+    (lambda rows: rows[:3] + [rows[3][:, :, :2]] + rows[4:], r"row 3 has shape \(4, 5, 2\)"),
+], ids=["short", "long", "wrong shape"])
+def test_write_rows_that_do_not_fill_the_header_leave_the_previous_file(tmp_path, change, match):
+    ensemble = _six_locations()["ensemble.ansr"]
+    path = tmp_path / "ensemble.ansr"
+    path.write_bytes(b"previous bytes")
+    header = tensorio.Header.of(EnsembleTensor, ensemble)
+    with pytest.raises(DimensionMismatchError, match=match):
+        tensorio.write_rows(header, iter(change(_rows(ensemble))), path)
+    assert path.read_bytes() == b"previous bytes"
+    assert [p.name for p in tmp_path.iterdir()] == ["ensemble.ansr"]
+
+
+def test_header_axes_build_the_tensor_of_the_header(tmp_path):
+    for name, tensor in _six_locations().items():
+        header = tensorio.read_header(_written(tmp_path, name, tensor))
+        encoded = tensorio._encode_header(header)
+        assert tensorio._encode_header(tensorio.Header.of(type(tensor), header.axes)) == encoded
+        rebuilt = type(tensor)(**vars(header.axes), **{a: getattr(tensor, a) for a in tensor.ARRAYS})
+        assert tensorio._encode_header(tensorio.Header.of(type(tensor), rebuilt)) == encoded
