@@ -1,7 +1,7 @@
 """The one way an artifact reaches disk: written to ``<path>.<pid>.tmp``,
 hashed as it is written and renamed over ``path``, so a failed write leaves the
-previous file whole. ``file_sha256`` hashes a file that is read some other
-way, in chunks. Standard library only, so it does not load numpy.
+previous file whole. ``file_sha256`` hashes a file, or an open one, that is
+read some other way, in chunks. Standard library only, so it does not load numpy.
 """
 
 from __future__ import annotations
@@ -42,11 +42,14 @@ def atomic_write_csv(path, header, rows) -> str:
     return atomic_write(path, [text.getvalue().encode("utf-8")])
 
 
-def file_sha256(path) -> str:
-    """The SHA-256 hex digest of the file at ``path``, read in 64 KiB chunks,
-    so memory does not follow the file's size."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 16):
-            digest.update(chunk)
+def file_sha256(file) -> str:
+    """The SHA-256 hex digest of a path's file, or of an open binary file from
+    byte 0, read through one reused 64 KiB buffer, so memory does not follow the file's size."""
+    if not hasattr(file, "readinto"):
+        with open(file, "rb") as fh:
+            return file_sha256(fh)
+    digest, buffer = hashlib.sha256(), memoryview(bytearray(1 << 16))
+    file.seek(0)
+    while n := file.readinto(buffer):
+        digest.update(buffer[:n])
     return digest.hexdigest()

@@ -91,8 +91,8 @@ DEFAULT_CONFIG = {
     },
     "system": {"capacity": 10000.0, "tilt": 0.0, "azimuth": 180.0},
     "modules": ["STU300"],
-    "simulate": {"source": "ensemble", "output": ""},
-    "verify": {"grouping": "lead", "align_noon": True, "module": "", "power": "", "truth": ""},
+    "simulate": {"source": "ensemble"},
+    "verify": {"grouping": "lead", "align_noon": True, "module": ""},
     "optimize": {
         "strategy": "RB",
         "step": 0.25,
@@ -102,7 +102,6 @@ DEFAULT_CONFIG = {
         "opt_days": 10,
         "module": "STU300",
     },
-    "cluster": {"clusters": 2},
 }
 
 
@@ -131,7 +130,7 @@ RULES = {
                     (None, lambda v: v >= 0, ">= 0")),
     **dict.fromkeys(("synth.n_locations", "synth.n_days", "synth.n_leads", "anen.members",
                      "anen.search_days", "optimize.total_samples", "optimize.clusters",
-                     "optimize.opt_days", "cluster.clusters"), (None, lambda v: v >= 1, ">= 1")),
+                     "optimize.opt_days"), (None, lambda v: v >= 1, ">= 1")),
     **dict.fromkeys(("synth.lat_range", "synth.lon_range"),
                     (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_number, v)), None, "two numbers")),
     "synth.start": (lambda v: not isinstance(v, bool) and _parse_start(v) is not None, None,
@@ -246,19 +245,18 @@ class Runner:
         if self.problems:
             raise ConfigValidationError(self.problems)
 
-    def path(self, name: str) -> Path:
-        """A ``paths`` key or a filename, relative to the output directory; a
+    def path(self, key: str) -> Path:
+        """The file of ``paths.<key>``, relative to the output directory; a
         path that is not a string, a problem already, stands as its text."""
-        p = Path(str(self.cfg["paths"].get(name, name)))
+        p = Path(str(self.cfg["paths"][key]))
         return p if p.is_absolute() else self.out_dir / p
 
-    def input_path(self, name, key=None) -> Path:
-        """``path(name)``, checked to exist and recorded as a manifest input; a
-        missing file is a problem of ``key``, by default ``paths.<name>``."""
-        name = str(name)  # as in path(): a value that check() reports may name it
-        p = self.path(name)
+    def input_path(self, key: str) -> Path:
+        """``path(key)``, checked to exist and recorded as a manifest input; a
+        missing file is a problem of ``paths.<key>``."""
+        p = self.path(key)
         if not p.is_file():
-            self.problems.append(f"{key or 'paths.' + name}: file not found: {p}")
+            self.problems.append(f"paths.{key}: file not found: {p}")
         else:
             self.inputs.setdefault(str(p), None)
         return p
@@ -293,16 +291,16 @@ class Runner:
         if mismatch := axis_mismatch(given, reference, axes):
             self.problems.append(f"{key}: does not pair with {ref_key}: {mismatch}")
 
-    def write(self, name: str, write):
-        """Write the output ``path(name)`` with ``write(path)``, and record it
+    def write(self, key: str, write):
+        """Write the output ``path(key)`` with ``write(path)``, and record it
         with the digest that ``write`` returns."""
-        path = self.path(name)
+        path = self.path(key)
         self.outputs[str(path)] = write(path)
 
-    def write_tensor(self, name: str, tensor):
+    def write_tensor(self, key: str, tensor):
         from . import tensorio
 
-        self.write(name, lambda path: tensorio.write_tensor(tensor, path))
+        self.write(key, lambda path: tensorio.write_tensor(tensor, path))
 
     def write_manifest(self):
         """Add this command's entry to ``manifest.json`` under a lock on the
@@ -325,13 +323,20 @@ class Runner:
             os.close(fd)  # releases the lock
 
 
-def _anen_split(run: Runner, n_inits: int) -> tuple:
-    """(test, search) init ranges: the search period is the first search_days."""
+def _anen_split(run: Runner, n_inits: int, min_search: int = 1) -> tuple:
+    """(test, search) init ranges: the search period is the first search_days,
+    at least ``min_search`` of them, and the test period holds the rest. A
+    problem leaves both empty; it names the forecasts when no search_days
+    could split their inits."""
     days = run.cfg["anen"]["search_days"]
-    if days >= n_inits:
-        run.problems.append(f"anen.search_days: need an integer in 1..{n_inits - 1}, got {days!r}")
-        return range(0), range(0)
-    return range(days, n_inits), range(0, days)
+    if n_inits <= min_search:
+        run.problems.append(f"paths.forecasts: need at least {min_search + 1} init times to split into "
+                            f"search and test periods, got {n_inits}")
+    elif not min_search <= days < n_inits:
+        run.problems.append(f"anen.search_days: need an integer in {min_search}..{n_inits - 1}, got {days!r}")
+    else:
+        return range(days, n_inits), range(0, days)
+    return range(0), range(0)
 
 
 def _check_pool(run: Runner, key: str, value: int, pool: int):
@@ -513,7 +518,7 @@ def cmd_simulate(run: Runner, args) -> int:
         del analysis  # the truth weather holds the aligned values it needs
         power = driver.power_from_weather(weather, specs, system)
 
-    run.write_tensor(run.cfg["simulate"]["output"] or ("truth_power" if source == "analysis" else "power"), power)
+    run.write_tensor("truth_power" if source == "analysis" else "power", power)
     return 0
 
 
@@ -547,12 +552,14 @@ def cmd_optimize_weights(run: Runner, args) -> int:
         if len(grid) == 0 and strategy != "EW":  # EW reads no grid
             run.problems.append(f"optimize.exclude_unit_vectors: leaves no weight vector at "
                                 f"optimize.step {o['step']!r}")
-    _, search = _anen_split(run, len(header.sections["init_times"]))
+    # the search period splits again, into the objective's search and test days
+    _, search = _anen_split(run, len(header.sections["init_times"]), min_search=2)
     opt_days = o["opt_days"]
-    if opt_days >= len(search):
-        run.problems.append(f"optimize.opt_days: need an integer in 1..{len(search) - 1}, got {opt_days!r}")
-    elif strategy != "EW":  # EW searches nothing
-        _check_pool(run, "optimize.opt_days", opt_days, len(search) - opt_days)
+    if search:  # else the split is a problem already
+        if opt_days >= len(search):
+            run.problems.append(f"optimize.opt_days: need an integer in 1..{len(search) - 1}, got {opt_days!r}")
+        elif strategy != "EW":  # EW searches nothing
+            _check_pool(run, "optimize.opt_days", opt_days, len(search) - opt_days)
     base = _anen_config(run, n_pred)
     if strategy == "RB" and o["clusters"] > len(analysis.locations):
         run.problems.append(f"optimize.clusters: {o['clusters']} exceeds the {len(analysis.locations)} locations")
@@ -591,9 +598,9 @@ def cmd_cluster(run: Runner, args) -> int:
     obs_path = run.input_path("observations")
     run.check()
     analysis = run.read("paths.observations", obs_path, "observation")
-    k = run.cfg["cluster"]["clusters"]
+    k = run.cfg["optimize"]["clusters"]
     if k > len(analysis.locations):
-        run.problems.append(f"cluster.clusters: {k} exceeds the {len(analysis.locations)} locations")
+        run.problems.append(f"optimize.clusters: {k} exceeds the {len(analysis.locations)} locations")
     run.check()
     run.write("clustering", weights.regime_clustering(analysis, k).write_csv)
     return 0
@@ -605,10 +612,8 @@ def cmd_verify(run: Runner, args) -> int:
 
     cfg = run.cfg
     v = cfg["verify"]
-    power_key = "verify.power" if v["power"] else "paths.power"
-    truth_key = "verify.truth" if v["truth"] else "paths.truth_power"
-    power_path = run.input_path(v["power"] or "power", power_key)
-    truth_path = run.input_path(v["truth"] or "truth_power", truth_key)
+    power_path = run.input_path("power")
+    truth_path = run.input_path("truth_power")
     region_path = None
     if v["grouping"] == "region":
         if not cfg["paths"]["region_map"]:
@@ -617,11 +622,11 @@ def cmd_verify(run: Runner, args) -> int:
             region_path = run.input_path("region_map")
     run.check()
 
-    power = run.read(power_key, power_path, "ensemble")
-    truth = run.read(truth_key, truth_path, "ensemble")
-    run.pair(truth_key, truth, power_key, power)
+    power = run.read("paths.power", power_path, "ensemble")
+    truth = run.read("paths.truth_power", truth_path, "ensemble")
+    run.pair("paths.truth_power", truth, "paths.power", power)
     if truth.members != 1:
-        run.problems.append(f"{truth_key}: holds {truth.members} members, need 1")
+        run.problems.append(f"paths.truth_power: holds {truth.members} members, need 1")
     module = v["module"] or power.variable_names[0]
     if v["grouping"] not in verify.GROUPINGS:
         run.problems.append(f"verify.grouping: unknown grouping {v['grouping']!r}")
@@ -724,11 +729,20 @@ def _parsed_or_text(cast):
     return convert
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument error, in the command or a subcommand (which argparse
+    builds of this class too), is one problem of the exit-2 JSON line, not
+    argparse's usage text; ``--help`` still prints help and exits 0."""
+
+    def error(self, message):
+        raise ConfigValidationError([f"{self.prog}: {message}"])
+
+
 # A flag whose dest is "=KEY" sets the dotted config key KEY (its help shows
 # "=KEY"); main() passes these to load_config last. Other dests are plain args.
 def build_parser() -> argparse.ArgumentParser:
     integer, number = _parsed_or_text(int), _parsed_or_text(float)
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="anensolar",
         description="Analog-ensemble solar power forecasting toolkit.",
     )
@@ -753,7 +767,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--source", dest="=simulate.source")
     p_sim.add_argument("--modules", dest="=modules", type=lambda s: [m for m in s.split(",") if m],
                        help="comma list of catalog codes")
-    p_sim.add_argument("--output", dest="=simulate.output", help="output path key or filename")
     p_sim.set_defaults(handler=cmd_simulate)
 
     p_opt = sub.add_parser("optimize-weights", help="grid-search predictor weights")
@@ -764,13 +777,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.set_defaults(handler=cmd_optimize_weights)
 
     p_clu = sub.add_parser("cluster", help="hierarchical regime clustering of locations")
-    p_clu.add_argument("--clusters", dest="=cluster.clusters", type=integer)
+    p_clu.add_argument("--clusters", dest="=optimize.clusters", type=integer)
     p_clu.set_defaults(handler=cmd_cluster)
 
     p_ver = sub.add_parser("verify", help="compute grouped skill metrics")
     p_ver.add_argument("--grouping", dest="=verify.grouping")
-    p_ver.add_argument("--power", dest="=verify.power", help="path key or file of the power ensemble")
-    p_ver.add_argument("--truth", dest="=verify.truth", help="path key or file of the truth power")
+    p_ver.add_argument("--power", dest="=paths.power", help="power ensemble file")
+    p_ver.add_argument("--truth", dest="=paths.truth_power", help="truth power file")
     p_ver.add_argument("--module", dest="=verify.module", help="module code to verify")
     p_ver.set_defaults(handler=cmd_verify)
 
@@ -790,9 +803,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         flags = {dest[1:]: value for dest, value in vars(args).items()
                  if dest.startswith("=") and value is not None}
         cfg = load_config(args.config, args.set, flags=flags)

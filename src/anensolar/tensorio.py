@@ -24,13 +24,13 @@ never holds its whole block; ``write_tensor`` is ``write_rows`` over a
 tensor's own header and rows. ``read_tensor`` reads the header, then the
 payload, once and front to back, straight into one aligned float64 array
 that the returned tensor keeps, so a file's values are held once. A read may
-select locations: only the selected rows are kept, and the others pass
-through one spare row. ``read_slabs`` yields one location's tensor at a
-time, seeking to its row of each name, so memory follows one location.
-``read_header`` reads the header alone. A read that records a digest stores
-the SHA-256 of the whole file, whatever it kept: ``read_tensor`` streams
-every byte through the hash, and ``read_slabs`` hashes the file in one
-chunked pass after its last slab.
+select locations: it seeks to each selected row and reads that alone.
+``read_slabs`` yields one location's tensor at a time, the same way, so
+memory follows one location. ``read_header`` reads the header alone. A read
+that records a digest stores the SHA-256 of the whole file, whatever it
+kept: a whole read streams every byte through the hash, and a partial read
+(a selection or ``read_slabs``) hashes the file it has open from byte 0 in
+one chunked pass, so a file renamed over the path meanwhile is not hashed.
 A long-format CSV variant (``.csv``) of forecasts and observations is
 accepted for small fixtures; its columns are in ``_CSV_AXES`` and it carries
 no location coordinates, which default to zero. Every file goes through
@@ -391,15 +391,15 @@ def read_tensor(path, digests=None, locations=None):
 
     The header is read in chunks up to its separator. The block is (names,
     locations, ...), so each location is one contiguous row per name. The
-    payload is read once, front to back, straight into one aligned float64
-    array that the tensor keeps, read-only and never copied: as its values,
-    or, for a stacked block, as one view per field. A full read makes one
-    ``readinto`` per name; a selection makes one per location row, in file
-    order, into its output row or, when not selected, into one spare row.
-    Given a ``digests`` dict, the SHA-256 hex digest of every byte read,
-    which is the whole file whatever the selection, is stored under
-    ``str(path)``, so a caller that records its inputs need not read the
-    file a second time to hash it.
+    payload is read straight into one aligned float64 array that the tensor
+    keeps, read-only and never copied: as its values, or, for a stacked
+    block, as one view per field. A full read makes one ``readinto`` per
+    name, front to back; a selection makes one seek and one ``readinto`` per
+    selected (name, location) row. Given a ``digests`` dict, the SHA-256 hex
+    digest of the whole file, whatever the selection, is stored under
+    ``str(path)``: a full read hashes the bytes as it reads them, and a
+    selection then hashes the file it has open, so the digest is always that
+    of the file the values came from.
     """
     if str(path).endswith(".csv"):
         raw = Path(path).read_bytes()
@@ -411,18 +411,17 @@ def read_tensor(path, digests=None, locations=None):
         shape = header.shape
         rows = _selection(locations, shape[1])
         values = np.empty((shape[0], len(rows), *shape[2:]), dtype="<f8")
-        digest = None if digests is None else hashlib.sha256(head)
-        if list(rows) == list(range(shape[1])):
-            for block in values:
+        whole = list(rows) == list(range(shape[1]))
+        digest = hashlib.sha256(head) if whole and digests is not None else None
+        for name, block in enumerate(values):
+            if whole:
                 _fill(fh, block, digest)
-        else:
-            # the file's rows in file order: a selected one into its output row, the rest into a spare
-            at_of, spare = {loc: at for at, loc in enumerate(rows)}, np.empty(shape[2:], dtype="<f8")
-            for block in values:
-                for loc in range(shape[1]):
-                    _fill(fh, block[at_of[loc]] if loc in at_of else spare, digest)
-    if digests is not None:
-        digests[str(path)] = digest.hexdigest()
+            else:
+                for row, loc in zip(block, rows):
+                    fh.seek(len(head) + (name * shape[1] + loc) * row.nbytes)
+                    _fill(fh, row, None)
+        if digests is not None:
+            digests[str(path)] = digest.hexdigest() if whole else file_sha256(fh)
     return _tensor(header._replace(locations=header.locations.take(rows)), values)
 
 
@@ -432,9 +431,9 @@ def read_slabs(path, digests=None):
 
     Each slab is read by seeking to its location's row of each name, so
     memory follows one location, not the file. Given a ``digests`` dict,
-    once the last slab is taken the whole file is hashed in one chunked pass
-    and its SHA-256 hex digest stored under ``str(path)``, as ``read_tensor``
-    stores it.
+    once the last slab is taken the file it came from is hashed in one
+    chunked pass and its SHA-256 hex digest stored under ``str(path)``, as
+    ``read_tensor`` stores it.
     """
     with open(path, "rb") as fh:
         header, head = _read_block_head(fh)
@@ -445,8 +444,8 @@ def read_slabs(path, digests=None):
                 fh.seek(len(head) + (name * n_loc + loc) * row.nbytes)
                 _fill(fh, row, None)
             yield _tensor(header._replace(locations=header.locations.take([loc])), values)
-    if digests is not None:
-        digests[str(path)] = file_sha256(path)
+        if digests is not None:
+            digests[str(path)] = file_sha256(fh)
 
 
 def _write_csv(kind, tensor, path):

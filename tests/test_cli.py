@@ -445,7 +445,7 @@ class TestCommands:
         assert run_cli([*base, "synth"]) == 0
         assert run_cli([*base, "anen"]) == 0
         assert run_cli([*base, "simulate", "--source", "ensemble"]) == 0
-        assert run_cli([*base, "simulate", "--source", "forecast", "--output", "raw_power.ansr"]) == 0
+        assert run_cli([*base, "--set", "paths.power=raw_power.ansr", "simulate", "--source", "forecast"]) == 0
         assert run_cli([*base, "simulate", "--source", "analysis"]) == 0
         assert run_cli([*base, "verify"]) == 0
         assert run_cli([*base, "--set", "paths.report=report_raw.csv",
@@ -729,7 +729,7 @@ def test_verify_rejects_a_module_the_truth_file_lacks(chain_dir, tmp_path, capsy
     out = tmp_path / "ks"
     shutil.copytree(chain_dir, out)
     base = ["-o", str(out), *SMALL]
-    assert main([*base, "simulate", "--modules", "KS20", "--output", "pks.ansr"]) == 0
+    assert main([*base, "--set", "paths.power=pks.ansr", "simulate", "--modules", "KS20"]) == 0
     capsys.readouterr()
     # the chain's truth holds STU300 alone
     assert main([*base, "verify", "--power", "pks.ansr", "--module", "KS20"]) == 2
@@ -739,8 +739,8 @@ def test_verify_rejects_a_module_the_truth_file_lacks(chain_dir, tmp_path, capsy
                for p in payload["problems"]), payload["problems"]
     assert (out / "report.csv").read_bytes() == (chain_dir / "report.csv").read_bytes()
     # with a truth of that module it verifies
-    assert main([*base, "simulate", "--source", "analysis", "--modules", "KS20",
-                 "--output", "tks.ansr"]) == 0
+    assert main([*base, "--set", "paths.truth_power=tks.ansr", "simulate", "--source", "analysis",
+                 "--modules", "KS20"]) == 0
     assert main([*base, "verify", "--power", "pks.ansr", "--truth", "tks.ansr",
                  "--module", "KS20"]) == 0
 
@@ -799,14 +799,14 @@ def test_observations_of_other_locations_exit_2(chain_dir, tmp_path, capsys, oth
     assert not (out / "weights.csv").exists()
 
 
-@pytest.mark.parametrize("other, key, axis", [
-    (["--set", "synth.start=2019-06-01"], "verify.truth", "init_times"),
-    (["--set", "synth.n_locations=3"], "paths.truth_power", "locations"),
-    (["--set", "anen.search_days=20"], "verify.truth", "init_times"),
+@pytest.mark.parametrize("other, flag, axis", [
+    (["--set", "synth.start=2019-06-01"], True, "init_times"),
+    (["--set", "synth.n_locations=3"], False, "locations"),
+    (["--set", "anen.search_days=20"], True, "init_times"),
 ], ids=["june", "locations", "search_days"])
-def test_a_truth_on_other_axes_exits_2(chain_dir, tmp_path, capsys, other, key, axis):
+def test_a_truth_on_other_axes_exits_2(chain_dir, tmp_path, capsys, other, flag, axis):
     # a truth of other init times, locations or test days beside the chain's
-    # power; the problem names the key that chose the truth file
+    # power, chosen by verify --truth or by --set; the problem names its key
     elsewhere = tmp_path / "elsewhere"
     assert main(["-o", str(elsewhere), *SMALL, *other, "synth"]) == 0
     assert main(["-o", str(elsewhere), *SMALL, *other, "simulate", "--source", "analysis"]) == 0
@@ -814,36 +814,79 @@ def test_a_truth_on_other_axes_exits_2(chain_dir, tmp_path, capsys, other, key, 
     out = tmp_path / "v"
     shutil.copytree(chain_dir, out)
     (out / "report.csv").unlink()
-    chosen = (["verify", "--truth", truth] if key == "verify.truth"
-              else ["--set", f"paths.truth_power={truth}", "verify"])
+    chosen = ["verify", "--truth", truth] if flag else ["--set", f"paths.truth_power={truth}", "verify"]
     capsys.readouterr()
     assert run_cli(["-o", out, *SMALL, *chosen]) == 2
-    assert any(p.startswith(f"{key}: ") and axis in p for p in _problems(capsys))
+    assert any(p.startswith("paths.truth_power: ") and axis in p for p in _problems(capsys))
     assert not (out / "report.csv").exists()
     # the chain's own truth, chosen the same way, still verifies
     assert run_cli(["-o", out, *SMALL, "verify", "--truth", out / "truth_power.ansr"]) == 0
     assert (out / "report.csv").read_bytes() == (chain_dir / "report.csv").read_bytes()
 
 
-@pytest.mark.parametrize("key", ["verify.truth", "paths.truth_power"])
-def test_a_truth_of_many_members_exits_2(chain_dir, tmp_path, capsys, key):
+@pytest.mark.parametrize("chosen", [["verify", "--truth", "power.ansr"],
+                                    ["--set", "paths.truth_power=power.ansr", "verify"]],
+                         ids=["--truth", "paths.truth_power"])
+def test_a_truth_of_many_members_exits_2(chain_dir, tmp_path, capsys, chosen):
     # the power ensemble itself, on the truth's axes, as the truth
     out = tmp_path / "v"
     shutil.copytree(chain_dir, out)
     (out / "report.csv").unlink()
-    chosen = (["verify", "--truth", "power.ansr"] if key == "verify.truth"
-              else ["--set", "paths.truth_power=power.ansr", "verify"])
     capsys.readouterr()
     assert run_cli(["-o", out, *SMALL, *chosen]) == 2
-    assert any(p.startswith(f"{key}: ") and "members" in p for p in _problems(capsys))
+    assert any(p.startswith("paths.truth_power: ") and "members" in p for p in _problems(capsys))
     assert not (out / "report.csv").exists()
 
 
-@pytest.mark.parametrize("flag, key", [("--truth", "verify.truth"), ("--power", "verify.power")])
+@pytest.mark.parametrize("flag, key", [("--truth", "paths.truth_power"), ("--power", "paths.power")])
 def test_a_missing_file_given_to_verify_names_its_key(chain_dir, capsys, flag, key):
     capsys.readouterr()
     assert run_cli(["-o", chain_dir, *SMALL, "verify", flag, "nothere.ansr"]) == 2
     assert any(p.startswith(f"{key}: file not found") for p in _problems(capsys))
+
+
+def test_no_simulate_source_or_verify_flag_writes_over_the_archive(tmp_path, capsys):
+    # a file is named by its paths key alone: a key's name given as a file
+    # ("observations") names a file of that name, and simulate has no --output
+    out = tmp_path / "q"
+    base = ["-c", Path(__file__).resolve().parents[1] / "demos" / "quickstart.yaml", "-o", out]
+    assert run_cli([*base, "synth"]) == 0
+    archive = {name: (out / name).read_bytes() for name in ("forecasts.ansr", "observations.ansr")}
+    runs = [(["anen"], 0), *((["simulate", "--source", s], 0) for s in ("ensemble", "forecast", "analysis")),
+            (["verify"], 0), (["verify", "--power", "power.ansr", "--truth", "truth_power.ansr"], 0),
+            (["verify", "--power", "observations"], 2), (["verify", "--truth", "forecasts"], 2),
+            (["simulate", "--source", "ensemble", "--output", "observations"], 2)]
+    for argv, rc in runs:
+        capsys.readouterr()
+        assert run_cli([*base, *argv]) == rc, argv
+        assert {name: (out / name).read_bytes() for name in archive} == archive, argv
+        if rc:
+            assert _problems(capsys), argv
+    capsys.readouterr()
+    assert run_cli([*base, "verify", "--power", "observations"]) == 2
+    assert _problems(capsys) == [f"paths.power: file not found: {out / 'observations'}"]
+
+
+def test_an_argument_error_is_one_json_problem(tmp_path, capsys):
+    out = tmp_path / "never"
+    for argv, named in [(["sigma", "--set", "seed=1"], "unrecognized arguments: --set seed=1"),
+                        (["simulate", "--output", "p.ansr"], "unrecognized arguments: --output p.ansr"),
+                        (["bogus"], "invalid choice: 'bogus'"),
+                        (["workflow"], "the following arguments are required: workflow_command"),
+                        ([], "the following arguments are required: command")]:
+        capsys.readouterr()
+        assert main(["-o", str(out), *argv]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage:" not in captured.err, argv
+        payload = json.loads(captured.err.strip().splitlines()[-1])
+        assert payload["error"] == "config-validation"
+        assert len(payload["problems"]) == 1 and named in payload["problems"][0], (argv, payload)
+    assert not out.exists()
+    # help is not an error: it prints and exits 0
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--truth" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("key, name, argv", [
@@ -853,7 +896,7 @@ def test_a_missing_file_given_to_verify_names_its_key(chain_dir, capsys, flag, k
     ("paths.observations", "analogs.ansr", ["cluster"]),
     ("paths.forecasts", "observations.ansr", ["optimize-weights"]),
     ("paths.observations", "ensemble.ansr", ["simulate", "--source", "analysis"]),
-    ("verify.power", "forecasts.ansr", ["verify"]),
+    ("paths.power", "forecasts.ansr", ["verify"]),
 ])
 def test_an_input_of_another_kind_exits_2_naming_its_key(chain_dir, tmp_path, capsys, key, name, argv):
     out = tmp_path / "run"
@@ -1006,7 +1049,7 @@ def test_weather_without_a_pv_chain_variable_exits_2_before_a_slab_is_read(chain
     capsys.readouterr()
     # the power file is an ensemble of module codes: no weather variable
     assert run_cli(["-o", out, *SMALL, "--set", "paths.ensemble=power.ansr",
-                    "simulate", "--source", "ensemble", "--output", "again.ansr"]) == 2
+                    "--set", "paths.power=again.ansr", "simulate", "--source", "ensemble"]) == 2
     assert any(p.startswith("paths.ensemble: lacks the variables ['ghi', 'albedo', 'temperature', "
                             "'wind_speed']") for p in _problems(capsys))
 
@@ -1016,7 +1059,7 @@ def test_weather_without_a_pv_chain_variable_exits_2_before_a_slab_is_read(chain
         observations, variable_names=tuple(keep),
         values=observations.values[[observations.variable_index(n) for n in keep]]), tmp_path / "no_ghi.ansr")
     assert run_cli(["-o", out, *SMALL, "--set", f"paths.observations={tmp_path / 'no_ghi.ansr'}",
-                    "simulate", "--source", "analysis", "--output", "again.ansr"]) == 2
+                    "--set", "paths.truth_power=again.ansr", "simulate", "--source", "analysis"]) == 2
     assert any(p.startswith("paths.observations: lacks the variables ['ghi']") for p in _problems(capsys))
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 

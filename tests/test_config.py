@@ -48,8 +48,12 @@ OUT_OF_RANGE = {
     "anen.members": "0", "anen.half_window": "-1", "anen.sigma_epsilon": "0.0",
     "anen.search_days": "0", "simulate.source": "raw", "optimize.strategy": "XX",
     "optimize.total_samples": "0", "optimize.clusters": "0", "optimize.opt_days": "0",
-    "cluster.clusters": "0",
 }
+# keys that earlier versions held, with the values they were swept with: a
+# config that still sets one exits 2 naming it, as it does any unknown key,
+# rather than running with the key ignored
+RETIRED = {"simulate.output": ["5"], "verify.power": ["5"], "verify.truth": ["5"],
+           "cluster.clusters": ["abc", "true", "0", "50"]}
 
 EVERY_COMMAND = [["synth"], ["sigma"], ["anen"], ["simulate"], ["optimize-weights"], ["cluster"],
                  ["verify"], ["report", "{dir}/report.csv"], ["workflow", "run", "{wf}"]]
@@ -62,6 +66,8 @@ def _value_cases():
             cases.append((["--set", f"{key}={raw}"], key, EVERY_COMMAND))
         if key in OUT_OF_RANGE:
             cases.append((["--set", f"{key}={OUT_OF_RANGE[key]}"], key, EVERY_COMMAND))
+    for key, raws in RETIRED.items():
+        cases += [(["--set", f"{key}={raw}"], key, EVERY_COMMAND) for raw in raws]
     return cases
 
 
@@ -69,8 +75,7 @@ def _value_cases():
 # 4 locations) or that a library constructor checks, run on the commands
 # that read the key
 DATA_CASES = [
-    (["--set", "optimize.clusters=50"], "optimize.clusters", [["optimize-weights"]]),
-    (["--set", "cluster.clusters=50"], "cluster.clusters", [["cluster"]]),
+    (["--set", "optimize.clusters=50"], "optimize.clusters", [["optimize-weights"], ["cluster"]]),
     (["--set", "anen.search_days=30"], "anen.search_days",
      [["sigma"], ["anen"], ["simulate", "--source", "forecast"], ["simulate", "--source", "analysis"],
       ["optimize-weights"]]),
@@ -161,6 +166,46 @@ def test_quickstart_names_every_key_and_passes_the_check():
     assert cli.check_config(cli.load_config(QUICKSTART, environ={})) == []
 
 
+def test_a_retired_key_in_a_config_file_is_an_unknown_key(tmp_path):
+    assert not set(RETIRED) & {key for key, _ in leaves(cli.DEFAULT_CONFIG)}
+    cfg = tmp_path / "old.yaml"
+    cfg.write_text("simulate:\n  output: observations\ncluster:\n  clusters: 3\n")
+    with pytest.raises(cli.ConfigValidationError) as exc:
+        cli.load_config(cfg, environ={})
+    assert exc.value.problems == [f"simulate.output: unknown config key (from config file {cfg})",
+                                  f"cluster.clusters: unknown config key (from config file {cfg})"]
+
+
+def _split_problems(tmp_path, capsys, sets, argv):
+    """The problems of ``argv`` on a 4-location archive made with ``sets``."""
+    out = tmp_path / "split"
+    base = ["-o", str(out), "--set", "synth.n_locations=4", *(a for s in sets for a in ("--set", s))]
+    assert main([*base, "synth"]) == 0
+    capsys.readouterr()
+    assert main([*base, *argv]) == 2
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])["problems"]
+
+
+@pytest.mark.parametrize("days", ["1000", "1"])
+def test_a_bad_search_days_is_the_one_split_problem_of_optimize_weights(tmp_path, capsys, days):
+    # optimize-weights splits the search period again, so it needs two search
+    # days; opt_days is not checked against a split that failed
+    problems = _split_problems(tmp_path, capsys, ["synth.n_days=30", f"anen.search_days={days}"],
+                               ["optimize-weights"])
+    assert problems == [f"anen.search_days: need an integer in 2..29, got {days}"]
+
+
+@pytest.mark.parametrize("n_days, argv, least", [
+    (1, ["sigma"], 2), (1, ["anen"], 2), (1, ["simulate", "--source", "forecast"], 2),
+    (1, ["optimize-weights"], 3), (2, ["optimize-weights"], 3),
+])
+def test_an_archive_too_short_to_split_names_the_forecasts(tmp_path, capsys, n_days, argv, least):
+    problems = _split_problems(tmp_path, capsys, [f"synth.n_days={n_days}"], argv)
+    assert f"paths.forecasts: need at least {least} init times to split into search and test periods, " \
+           f"got {n_days}" in problems
+    assert not any(p.startswith(("anen.search_days", "optimize.opt_days")) for p in problems), problems
+
+
 # every flag that takes a number or one of a few words, with a bad value:
 # argparse passes any text on, and check_config names the flag's key
 BAD_FLAGS = [
@@ -172,7 +217,7 @@ BAD_FLAGS = [
     (["optimize-weights", "--step", "abc"], "optimize.step"),
     (["optimize-weights", "--samples", "abc"], "optimize.total_samples"),
     (["optimize-weights", "--clusters", "two"], "optimize.clusters"),
-    (["cluster", "--clusters", "two"], "cluster.clusters"),
+    (["cluster", "--clusters", "two"], "optimize.clusters"),
 ]
 
 
@@ -209,7 +254,7 @@ def test_bad_flag_value_exits_2_naming_its_key(chain, capsys, argv, key):
     (["optimize-weights", "--strategy", "nn", "--step", "0.2", "--samples", "4", "--clusters", "3"],
      ["optimize.strategy=NN", "optimize.step=0.2", "optimize.total_samples=4", "optimize.clusters=3"]),
     (["optimize-weights", "--step", "1"], ["optimize.step=1.0"]),
-    (["cluster", "--clusters", "3"], ["cluster.clusters=3"]),
+    (["cluster", "--clusters", "3"], ["optimize.clusters=3"]),
 ])
 def test_valid_flag_values_keep_their_config_hash(flags, sets):
     args = cli.build_parser().parse_args(flags)

@@ -534,7 +534,8 @@ def test_a_selection_holds_one_spare_row_beyond_its_output(tmp_path):
     finally:
         tracemalloc.stop()
     assert picked.values.tobytes() == fc.values[:, [37]].tobytes()
-    # a skipped row passes through one row of n_init x n_lead float64 values
+    # beyond its output, a selection holds at most one row of n_init x n_lead
+    # float64 values (it reads no skipped row, and hashes through 64 KiB)
     assert peak < picked.values.nbytes + n_init * n_lead * 8 + 64 * 2**10
 
 
@@ -617,6 +618,38 @@ def test_a_slab_holds_its_location_alone(tmp_path):
     # the next slab is read while the last is alive, then the file is hashed
     # in 64 KiB chunks; the whole forecast is 32 slabs
     assert peak < 2 * slab_bytes + 2 * 64 * 2**10 + 32 * 2**10
+
+
+@pytest.mark.parametrize("read", ["whole", "selection", "slabs"])
+def test_a_file_renamed_over_the_path_mid_read_is_not_the_one_hashed(tmp_path, monkeypatch, read):
+    # once the first row is in, a new file is renamed over the path; the
+    # digest is that of the file the rows came from, which the reader has open
+    old = make_forecast(n_pred=3, n_loc=4, n_init=10, n_lead=24, seed=1)
+    path, other = tmp_path / "fc.ansr", tmp_path / "other.ansr"
+    write_tensor(old, path)
+    write_tensor(make_forecast(n_pred=3, n_loc=4, n_init=10, n_lead=24, seed=2), other)
+    old_digest = hashlib.sha256(path.read_bytes()).hexdigest()
+
+    class SwappingReader(io.BufferedReader):
+        def readinto(self, buffer):
+            n = super().readinto(buffer)
+            if other.exists():
+                os.replace(other, path)
+            return n
+
+    monkeypatch.setattr(tensorio, "open", lambda p, mode: SwappingReader(io.FileIO(p, mode)), raising=False)
+    digests = {}
+    if read == "slabs":
+        values = np.concatenate([slab.values for slab in tensorio.read_slabs(path, digests)], axis=1)
+        expected = old.values
+    else:
+        locations = [2, 0] if read == "selection" else None
+        values = read_tensor(path, digests, locations=locations).values
+        expected = old.values[:, locations] if locations else old.values
+    assert not other.exists()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() != old_digest
+    assert values.tobytes() == expected.tobytes()
+    assert digests == {str(path): old_digest}
 
 
 def _written(tmp_path, name, tensor):

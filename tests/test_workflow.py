@@ -269,6 +269,29 @@ class TestExecution:
         assert task.state is TaskState.FAILED
         assert task.attempts == 2
 
+    def test_a_backend_that_raises_fails_the_attempt_and_is_retried(self):
+        # any error but BackendUnavailableError is the task's failure: the
+        # attempt counts and the task is retried up to max_retries
+        class RaisingBackend(ExecutionBackend):
+            calls = 0
+
+            def run(self, task):
+                type(self).calls += 1
+                raise RuntimeError("backend bug")
+
+        wf = Workflow([Pipeline("p", [Stage("s", [Task("raises", ("noop",), max_retries=2)])])], 2)
+        run = submit(wf, RaisingBackend())
+        assert run.wait(30) is RunState.FAILED
+        task = wf.pipelines[0].stages[0].tasks[0]
+        assert task.state is TaskState.FAILED
+        assert task.attempts == 3 and RaisingBackend.calls == 3
+        assert [(r.from_state, r.to_state) for r in run.events() if r.task_id == "raises"] == [
+            (TaskState.PENDING, TaskState.SCHEDULED), (TaskState.SCHEDULED, TaskState.RUNNING),
+            (TaskState.RUNNING, TaskState.FAILED),
+            *[(TaskState.FAILED, TaskState.SCHEDULED), (TaskState.SCHEDULED, TaskState.RUNNING),
+              (TaskState.RUNNING, TaskState.FAILED)] * 2,
+        ]
+
     def test_makespan_lower_bound(self):
         # 2 pipelines x 2 stages x 4 unit tasks of 50 ms under budget 2
         wf = simple_workflow(n_pipelines=2, n_stages=2, n_tasks=4, budget=2)
