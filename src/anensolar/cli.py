@@ -268,6 +268,13 @@ class Runner:
 
         return tensorio.read_tensor(path, digests=self.inputs, locations=locations)
 
+    def open_container(self, path: Path):
+        """``tensorio.open_container(path)``: the container's rows come from
+        the one open file, whose digest the manifest records."""
+        from . import tensorio
+
+        return tensorio.open_container(path, self.inputs)
+
     def read(self, key: str, path: Path, kind: str):
         """``read_tensor(path)``, of a file that ``key`` chose: see ``need_kind``."""
         from . import tensorio
@@ -538,52 +545,56 @@ def cmd_optimize_weights(run: Runner, args) -> int:
     if o["module"] not in specs:
         run.problems.append(f"optimize.module: unknown module code {o['module']!r}")
 
-    # the forecasts are read last, at the sample locations alone
+    # the forecasts are read last, at the sample locations alone; the
+    # observations stay open until the objective's rows are taken from them
     header = tensorio.read_header(fc_path)
     run.need_kind("paths.forecasts", header.kind, "forecast")
-    analysis = run.read("paths.observations", obs_path, "observation")
-    run.pair("paths.observations", analysis, "paths.forecasts", header, ("locations",))
-    n_pred = len(header.names)
-    try:
-        grid = weights.enumerate_weights(n_pred, o["step"], o["exclude_unit_vectors"])
-    except ValueError as exc:
-        run.problems.append(f"optimize.step: {exc}")
-    else:
-        if len(grid) == 0 and strategy != "EW":  # EW reads no grid
-            run.problems.append(f"optimize.exclude_unit_vectors: leaves no weight vector at "
-                                f"optimize.step {o['step']!r}")
-    # the search period splits again, into the objective's search and test days
-    _, search = _anen_split(run, len(header.sections["init_times"]), min_search=2)
-    opt_days = o["opt_days"]
-    if search:  # else the split is a problem already
-        if opt_days >= len(search):
-            run.problems.append(f"optimize.opt_days: need an integer in 1..{len(search) - 1}, got {opt_days!r}")
-        elif strategy != "EW":  # EW searches nothing
-            _check_pool(run, "optimize.opt_days", opt_days, len(search) - opt_days)
-    base = _anen_config(run, n_pred)
-    if strategy == "RB" and o["clusters"] > len(analysis.locations):
-        run.problems.append(f"optimize.clusters: {o['clusters']} exceeds the {len(analysis.locations)} locations")
-    run.check()
-    opt_search = range(0, search.stop - opt_days)
-    opt_test = range(search.stop - opt_days, search.stop)
+    with run.open_container(obs_path) as observations:
+        locations = observations.header.locations
+        run.need_kind("paths.observations", observations.header.kind, "observation")
+        run.pair("paths.observations", observations.header, "paths.forecasts", header, ("locations",))
+        n_pred = len(header.names)
+        try:
+            grid = weights.enumerate_weights(n_pred, o["step"], o["exclude_unit_vectors"])
+        except ValueError as exc:
+            run.problems.append(f"optimize.step: {exc}")
+        else:
+            if len(grid) == 0 and strategy != "EW":  # EW reads no grid
+                run.problems.append(f"optimize.exclude_unit_vectors: leaves no weight vector at "
+                                    f"optimize.step {o['step']!r}")
+        # the search period splits again, into the objective's search and test days
+        _, search = _anen_split(run, len(header.sections["init_times"]), min_search=2)
+        opt_days = o["opt_days"]
+        if search:  # else the split is a problem already
+            if opt_days >= len(search):
+                run.problems.append(f"optimize.opt_days: need an integer in 1..{len(search) - 1}, got {opt_days!r}")
+            elif strategy != "EW":  # EW searches nothing
+                _check_pool(run, "optimize.opt_days", opt_days, len(search) - opt_days)
+        base = _anen_config(run, n_pred)
+        if strategy == "RB":
+            _check_regimes(run, observations.header, o["clusters"])
+        run.check()
+        opt_search = range(0, search.stop - opt_days)
+        opt_test = range(search.stop - opt_days, search.stop)
 
-    if strategy == "EW":
-        samples = []
-    elif strategy == "NN":
-        assignment = weights.nn_sample_grid(analysis.locations)
-        labels, samples = assignment.sample_of, assignment.representatives
-    else:
-        clustering = weights.regime_clustering(analysis, o["clusters"])
-        labels = clustering.labels
-        samples = weights.rb_sample_points(clustering, o["total_samples"], seed=cfg["seed"])
-        run.write("clustering", clustering.write_csv)
+        if strategy == "EW":
+            samples = []
+        elif strategy == "NN":
+            assignment = weights.nn_sample_grid(locations)
+            labels, samples = assignment.sample_of, assignment.representatives
+        else:
+            clustering = _regime_clustering(run, observations, o["clusters"])
+            labels = clustering.labels
+            samples = weights.rb_sample_points(clustering, o["total_samples"], seed=cfg["seed"])
+            run.write("clustering", clustering.write_csv)
+        analysis = observations.take(samples)
     # EW scores nothing, but its manifest records the forecasts' digest too
     forecasts = run.read_tensor(fc_path, locations=samples)
     if strategy == "EW":
-        out_weights = np.tile(equal_weights(n_pred), (len(header.locations), 1))
+        out_weights = np.tile(equal_weights(n_pred), (len(locations), 1))
     else:
         objective = driver.WeightObjective(
-            forecasts, analysis.take_locations(samples), base, opt_test, opt_search,
+            forecasts, analysis, base, opt_test, opt_search,
             specs[o["module"]], system, locations=samples,
         )
         out_weights = weights.optimize_weights(grid, objective.scores, labels, samples)
@@ -592,17 +603,43 @@ def cmd_optimize_weights(run: Runner, args) -> int:
     return 0
 
 
-def cmd_cluster(run: Runner, args) -> int:
+def _check_regimes(run: Runner, header, k: int):
+    """The problems that would keep the observations of ``header`` from
+    being clustered into ``k`` regimes."""
+    from .weights import REGIME_VARIABLES
+
+    if k > len(header.locations):
+        run.problems.append(f"optimize.clusters: {k} exceeds the {len(header.locations)} locations")
+    if missing := [name for name in REGIME_VARIABLES if name not in header.names]:
+        run.problems.append(f"paths.observations: lacks the variables {missing} that the regimes need")
+
+
+def _regime_clustering(run: Runner, observations, k: int):
+    """The k regimes of the open ``observations``' locations, clustered on
+    their regime features, which one front-to-back pass over the file
+    computes block by block. A location with no finite value of a feature's
+    variable is a problem of ``paths.observations``, raised at once."""
     from . import weights
 
+    header = observations.header
+    feats, names = weights.regime_features(header.locations, header.axes.valid_times, observations.blocks())
+    variables = ("elevation", *weights.REGIME_VARIABLES)
+    for loc, feature in zip(*np.nonzero(~np.isfinite(feats))):
+        run.problems.append(f"paths.observations: location {loc} has no finite {variables[feature]} value")
+    run.check()
+    return weights.hierarchical_cluster(feats, k, names)
+
+
+def cmd_cluster(run: Runner, args) -> int:
     obs_path = run.input_path("observations")
     run.check()
-    analysis = run.read("paths.observations", obs_path, "observation")
-    k = run.cfg["optimize"]["clusters"]
-    if k > len(analysis.locations):
-        run.problems.append(f"optimize.clusters: {k} exceeds the {len(analysis.locations)} locations")
-    run.check()
-    run.write("clustering", weights.regime_clustering(analysis, k).write_csv)
+    with run.open_container(obs_path) as observations:
+        run.need_kind("paths.observations", observations.header.kind, "observation")
+        k = run.cfg["optimize"]["clusters"]
+        _check_regimes(run, observations.header, k)
+        run.check()
+        clustering = _regime_clustering(run, observations, k)
+    run.write("clustering", clustering.write_csv)
     return 0
 
 

@@ -21,25 +21,37 @@ The block is (names, locations, ...), so each location is one contiguous row
 per name. The one writer, ``write_rows(header, rows, path)``, streams those
 rows in file order as they come, so a producer such as ``anen``'s gather
 never holds its whole block; ``write_tensor`` is ``write_rows`` over a
-tensor's own header and rows. ``read_tensor`` reads the header, then the
-payload, once and front to back, straight into one aligned float64 array
-that the returned tensor keeps, so a file's values are held once. A read may
-select locations: it seeks to each selected row and reads that alone.
-``read_slabs`` yields one location's tensor at a time, the same way, so
-memory follows one location. ``read_header`` reads the header alone. A read
-that records a digest stores the SHA-256 of the whole file, whatever it
-kept: a whole read streams every byte through the hash, and a partial read
-(a selection or ``read_slabs``) hashes the file it has open from byte 0 in
-one chunked pass, so a file renamed over the path meanwhile is not hashed.
+tensor's own header and rows. Every read of a block is through
+``open_container``, a ``Container`` over one open file:
+
+- ``read`` reads the payload once and front to back, straight into one
+  aligned float64 array that the returned tensor keeps, so a file's values
+  are held once;
+- ``blocks`` reads it front to back too, but yields it in blocks of rows of
+  ``BLOCK_BYTES`` at most, so a reduction over rows
+  (``weights.regime_features``) never holds the whole;
+- ``take`` reads a location selection, one seek and one read per selected
+  row.
+
+``read_tensor`` is ``read`` or ``take`` on a container of its own, and
+``read_slabs`` yields one location's ``take`` at a time, so memory follows
+one location. ``read_header`` reads the header alone. A read that records a
+digest stores the SHA-256 of the whole file, whatever it kept: a
+front-to-back pass streams every byte through the hash, and otherwise the
+container hashes the file it has open from byte 0 in one chunked pass, so a
+file renamed over the path meanwhile is not hashed.
+
 A long-format CSV variant (``.csv``) of forecasts and observations is
 accepted for small fixtures; its columns are in ``_CSV_AXES`` and it carries
-no location coordinates, which default to zero. Every file goes through
-``_atomic.atomic_write``, so a failed write leaves the previous file whole, and
-every writer returns the SHA-256 of the bytes it wrote.
+no location coordinates, which default to zero. It has no block to stream:
+``open_container`` reads it whole, behind the same interface. Every file
+goes through ``_atomic.atomic_write``, so a failed write leaves the previous
+file whole, and every writer returns the SHA-256 of the bytes it wrote.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -69,6 +81,8 @@ from .errors import DimensionMismatchError, TensorFormatError, TensorHeaderError
 MAGIC = "ANENSOLAR/1"
 # bytes per read while looking for the header's end
 _HEADER_CHUNK = 1 << 16
+# bytes of rows, at most, in each block ``Container.blocks`` yields
+BLOCK_BYTES = 1 << 20
 
 
 class Layout(NamedTuple):
@@ -380,6 +394,105 @@ def _fill(fh, out: np.ndarray, digest):
         digest.update(block)
 
 
+class Container:
+    """A container open for reading on one file: its ``header``, and reads
+    of its block that all come from that file, whatever is renamed over its
+    path meanwhile.
+
+    ``read`` gives the whole tensor and ``blocks`` the block in bounded
+    blocks of rows, both front to back and hashed as read; ``take`` reads a
+    location selection. ``sha256`` is the digest of the whole file: the one
+    a finished front-to-back pass took, else one chunked pass over the open
+    file.
+    """
+
+    def __init__(self, fh):
+        self._fh = fh
+        self.header, self._head = _read_block_head(fh)
+        self._sha256 = None
+
+    def _rewind(self):
+        """A SHA-256 over the header, with the file at the block's start."""
+        self._fh.seek(len(self._head))
+        return hashlib.sha256(self._head)
+
+    def read(self):
+        """The whole tensor, read into one aligned float64 array that it
+        keeps, read-only and never copied: one ``readinto`` per name."""
+        values = np.empty(self.header.shape, dtype="<f8")
+        digest = self._rewind()
+        for block in values:
+            _fill(self._fh, block, digest)
+        self._sha256 = digest.hexdigest()
+        return _tensor(self.header, values)
+
+    def blocks(self):
+        """Yield the block in file order as (name, rows) pairs: for each name
+        of the header, the rows of its next locations, ``BLOCK_BYTES`` of
+        them at most, or one where a row is larger. Each rows array is fresh,
+        so only the blocks the caller keeps are held. Read nothing else from
+        the container until the last pair is taken."""
+        n_names, n_loc, *axes = self.header.shape
+        step = max(1, BLOCK_BYTES // max(1, 8 * int(np.prod(axes))))
+        digest = self._rewind()
+        for name in self.header.names:
+            for start in range(0, n_loc, step):
+                rows = np.empty((min(step, n_loc - start), *axes), dtype="<f8")
+                _fill(self._fh, rows, digest)
+                yield name, rows
+        self._sha256 = digest.hexdigest()
+
+    def take(self, locations):
+        """The tensor over the distinct location indices ``locations`` alone,
+        in that order, renumbered from 0: one seek and one ``readinto`` per
+        selected (name, location) row."""
+        header = self.header
+        n_names, n_loc, *axes = header.shape
+        rows = _selection(locations, n_loc)
+        values = np.empty((n_names, len(rows), *axes), dtype="<f8")
+        for name, block in enumerate(values):
+            for row, loc in zip(block, rows):
+                self._fh.seek(len(self._head) + (name * n_loc + loc) * row.nbytes)
+                _fill(self._fh, row, None)
+        return _tensor(header._replace(locations=header.locations.take(rows)), values)
+
+    def sha256(self) -> str:
+        """The SHA-256 hex digest of the whole open file."""
+        return self._sha256 or file_sha256(self._fh)
+
+
+class _Whole:
+    """A CSV fixture, read whole by ``read_tensor``, behind the interface of
+    ``Container``: it has no block to stream."""
+
+    def __init__(self, tensor):
+        self.tensor = tensor
+        self.header = Header.of(type(tensor), tensor)
+
+    def blocks(self):
+        return zip(self.header.names, self.tensor.values)
+
+    def take(self, locations):
+        return self.tensor.take_locations(_selection(locations, len(self.header.locations)))
+
+
+@contextlib.contextmanager
+def open_container(path, digests=None):
+    """Open a tensor container for reading: a ``Container`` over the open
+    file. Given a ``digests`` dict, the container's ``sha256`` is stored
+    under ``str(path)`` when the ``with`` block ends without an error, so the
+    digest is always that of the file the rows came from. A CSV fixture is
+    read whole, as ``read_tensor`` reads it."""
+    if str(path).endswith(".csv"):
+        yield _Whole(read_tensor(path, digests))
+        return
+    with open(path, "rb") as fh:
+        container = Container(fh)
+        yield container
+        if digests is not None:
+            digests[str(path)] = container.sha256()
+
+
 def read_tensor(path, digests=None, locations=None):
     """Read a tensor container (or CSV fixture); returns the tensor of its
     kind, ``LAYOUTS[kind].tensor``.
@@ -393,59 +506,36 @@ def read_tensor(path, digests=None, locations=None):
     locations, ...), so each location is one contiguous row per name. The
     payload is read straight into one aligned float64 array that the tensor
     keeps, read-only and never copied: as its values, or, for a stacked
-    block, as one view per field. A full read makes one ``readinto`` per
-    name, front to back; a selection makes one seek and one ``readinto`` per
-    selected (name, location) row. Given a ``digests`` dict, the SHA-256 hex
-    digest of the whole file, whatever the selection, is stored under
-    ``str(path)``: a full read hashes the bytes as it reads them, and a
-    selection then hashes the file it has open, so the digest is always that
-    of the file the values came from.
+    block, as one view per field. A read of every location in order is
+    ``Container.read``, and any other selection ``Container.take``. Given a
+    ``digests`` dict, the SHA-256 hex digest of the whole file, whatever the
+    selection, is stored under ``str(path)``: a full read hashes the bytes as
+    it reads them, and a selection then hashes the file it has open, so the
+    digest is always that of the file the values came from.
     """
     if str(path).endswith(".csv"):
         raw = Path(path).read_bytes()
         if digests is not None:
             digests[str(path)] = hashlib.sha256(raw).hexdigest()
         return _read_csv(raw.decode("utf-8"), locations)
-    with open(path, "rb") as fh:
-        header, head = _read_block_head(fh)
-        shape = header.shape
-        rows = _selection(locations, shape[1])
-        values = np.empty((shape[0], len(rows), *shape[2:]), dtype="<f8")
-        whole = list(rows) == list(range(shape[1]))
-        digest = hashlib.sha256(head) if whole and digests is not None else None
-        for name, block in enumerate(values):
-            if whole:
-                _fill(fh, block, digest)
-            else:
-                for row, loc in zip(block, rows):
-                    fh.seek(len(head) + (name * shape[1] + loc) * row.nbytes)
-                    _fill(fh, row, None)
-        if digests is not None:
-            digests[str(path)] = digest.hexdigest() if whole else file_sha256(fh)
-    return _tensor(header._replace(locations=header.locations.take(rows)), values)
+    with open_container(path, digests) as container:
+        every = range(len(container.header.locations))
+        rows = _selection(locations, len(every))
+        return container.read() if list(rows) == list(every) else container.take(rows)
 
 
 def read_slabs(path, digests=None):
     """Yield the tensor of each location of a container, in location order:
     for location l, the slab ``at_locations(l, l + 1)`` of a full read.
 
-    Each slab is read by seeking to its location's row of each name, so
-    memory follows one location, not the file. Given a ``digests`` dict,
-    once the last slab is taken the file it came from is hashed in one
-    chunked pass and its SHA-256 hex digest stored under ``str(path)``, as
-    ``read_tensor`` stores it.
+    Each slab is ``Container.take([l])``, so memory follows one location,
+    not the file. Given a ``digests`` dict, once the last slab is taken the
+    file it came from is hashed in one chunked pass and its SHA-256 hex
+    digest stored under ``str(path)``, as ``read_tensor`` stores it.
     """
-    with open(path, "rb") as fh:
-        header, head = _read_block_head(fh)
-        n_names, n_loc, *axes = header.shape
-        for loc in range(n_loc):
-            values = np.empty((n_names, 1, *axes), dtype="<f8")
-            for name, row in enumerate(values):
-                fh.seek(len(head) + (name * n_loc + loc) * row.nbytes)
-                _fill(fh, row, None)
-            yield _tensor(header._replace(locations=header.locations.take([loc])), values)
-        if digests is not None:
-            digests[str(path)] = file_sha256(fh)
+    with open_container(path, digests) as container:
+        for loc in range(len(container.header.locations)):
+            yield container.take([loc])
 
 
 def _write_csv(kind, tensor, path):

@@ -209,23 +209,57 @@ def hierarchical_cluster(features: np.ndarray, k: int,
     return RegimeClustering(labels, centroids, kept_names)
 
 
-def regime_feature_matrix(analysis):
-    """Location features for regime clustering: orography, annual daily-max
-    GHI, annual daily-max temperature, mean cloud cover."""
-    instants = analysis.valid_times.instants
+REGIME_FEATURES = ("orography", "daily_max_ghi", "daily_max_temperature", "mean_cloud_cover")
+# the analysis variable each feature after orography reduces, and whether it
+# takes the mean of the variable's daily maxima or of all its values
+_REDUCTIONS = {"ghi": True, "temperature": True, "cloud_cover": False}
+REGIME_VARIABLES = tuple(_REDUCTIONS)
+
+
+def _finite_mean(rows: np.ndarray) -> np.ndarray:
+    """Each row's mean over its finite values; NaN for a row with none."""
+    finite = np.isfinite(rows)
+    with np.errstate(invalid="ignore"):
+        return np.where(finite, rows, 0.0).sum(axis=1) / finite.sum(axis=1)
+
+
+def regime_features(locations: LocationSet, valid_times, blocks):
+    """``regime_feature_matrix`` of an analysis over ``locations`` and the
+    ``TimeAxis`` ``valid_times``, given as ``blocks``: (variable name, rows)
+    pairs in file order, each rows array holding the next locations' rows of
+    that variable, as ``tensorio.Container.blocks`` yields them. Each
+    feature is a reduction over one row, so the result does not depend on
+    how the rows are blocked, and only the blocks of the variables in
+    ``REGIME_VARIABLES`` are reduced. A variable missing from ``blocks`` is a
+    ValueError."""
+    instants = valid_times.instants
     # the first time of each day, as the time axis strictly increases
     starts = np.flatnonzero(np.diff((instants - instants[0]) // 86400, prepend=-1))
+    parts = {name: [] for name in REGIME_VARIABLES}
+    for name, rows in blocks:
+        if name in parts:
+            daily = np.fmax.reduceat(rows, starts, axis=1) if _REDUCTIONS[name] else rows
+            parts[name].append(_finite_mean(daily))
+    missing = [name for name, got in parts.items() if not got]
+    if missing:
+        raise ValueError(f"the analysis lacks the variables {missing}")
+    return (np.column_stack([locations.elevation, *(np.concatenate(parts[n]) for n in REGIME_VARIABLES)]),
+            REGIME_FEATURES)
 
-    def series(name):
-        return analysis.values[analysis.variable_index(name)]
 
-    feats = np.column_stack([
-        analysis.locations.elevation,
-        np.maximum.reduceat(series("ghi"), starts, axis=1).mean(axis=1),
-        np.maximum.reduceat(series("temperature"), starts, axis=1).mean(axis=1),
-        series("cloud_cover").mean(axis=1),
-    ])
-    return feats, ("orography", "daily_max_ghi", "daily_max_temperature", "mean_cloud_cover")
+def regime_feature_matrix(analysis):
+    """Location features for regime clustering: orography, annual daily-max
+    GHI, annual daily-max temperature, mean cloud cover, as (location x
+    feature matrix, ``REGIME_FEATURES``).
+
+    Missing values are skipped: a day's maximum is over its finite values,
+    and a mean over the finite daily maxima or values. A location with no
+    finite value of a variable gets NaN for its feature, which
+    ``hierarchical_cluster`` refuses. The tensor's own rows go through
+    ``regime_features``, one block per variable.
+    """
+    return regime_features(analysis.locations, analysis.valid_times,
+                           zip(analysis.variable_names, analysis.values))
 
 
 def regime_clustering(analysis, k: int) -> RegimeClustering:

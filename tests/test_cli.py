@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import dataclasses
 import fcntl
@@ -950,17 +951,33 @@ def test_optimize_weights_reads_forecasts_at_its_samples_as_a_full_read_would(tm
     base = ["-o", str(out), *WEIGHT_RUN]
     assert main([*base, "synth"]) == 0
     reads, real = [], tensorio.read_tensor
+    # (kind, how) of every read of a container's rows: whole, streamed in
+    # blocks, or at a location selection
+    rows, container = [], tensorio.Container
 
     def recording_read(path, digests=None, locations=None):
         reads.append((Path(path).name, None if locations is None else list(locations)))
         return real(path, digests, locations)
 
+    def recording(how, method):
+        def record(self, *args):
+            rows.append((self.header.kind, how(*args)))
+            return method(self, *args)
+        return record
+
     monkeypatch.setattr(tensorio, "read_tensor", recording_read)
+    monkeypatch.setattr(container, "read", recording(lambda: "whole", container.read))
+    monkeypatch.setattr(container, "blocks", recording(lambda: "blocks", container.blocks))
+    monkeypatch.setattr(container, "take", recording(list, container.take))
     assert main([*base, "optimize-weights", "--strategy", strategy]) == 0
     names = ("weights.csv", "clustering.csv", "manifest.json")
     selective = {n: (out / n).read_bytes() for n in names if (out / n).exists()}
-    assert reads[0] == ("observations.ansr", None) and reads[1][0] == "forecasts.ansr"
-    samples = reads[1][1]
+    # the observations are never read whole: RB streams them, and the
+    # objective's rows and the forecasts are read at the samples alone
+    assert len(reads) == 1 and reads[0][0] == "forecasts.ansr"
+    samples = reads[0][1]
+    streamed = [("observation", "blocks")] if strategy == "RB" else []
+    assert rows == [*streamed, ("observation", samples), ("forecast", samples)]
     forecasts = real(out / "forecasts.ansr")
     analysis = real(out / "observations.ansr")
     if strategy == "EW":
@@ -976,6 +993,10 @@ def test_optimize_weights_reads_forecasts_at_its_samples_as_a_full_read_would(tm
     def full_read(self, path, locations=None):
         return real(path, self.inputs)
 
+    @contextlib.contextmanager
+    def whole_container(self, path):
+        yield tensorio._Whole(real(path, self.inputs))
+
     whole = []
     objective = driver.WeightObjective
 
@@ -984,6 +1005,7 @@ def test_optimize_weights_reads_forecasts_at_its_samples_as_a_full_read_would(tm
         return objective(forecasts, analysis, *args)
 
     monkeypatch.setattr(cli.Runner, "read_tensor", full_read)
+    monkeypatch.setattr(cli.Runner, "open_container", whole_container)
     monkeypatch.setattr(driver, "WeightObjective", whole_objective)
     # the run replaces its own manifest entry
     for n in ("weights.csv", "clustering.csv"):
@@ -995,6 +1017,114 @@ def test_optimize_weights_reads_forecasts_at_its_samples_as_a_full_read_would(tm
     entry = json.loads(selective["manifest.json"])["optimize-weights"]
     assert entry["inputs"] == {str(out / n): hashlib.sha256((out / n).read_bytes()).hexdigest()
                                for n in ("forecasts.ansr", "observations.ansr")}
+
+
+# 200 locations x 120 days in a 4 x 7 degree box: two NN tiles, and an
+# analysis of 23 MB
+HELD_RUN = ["--set", "synth.n_locations=200", "--set", "synth.n_days=120",
+            "--set", "synth.lat_range=[40.0, 44.0]", "--set", "synth.lon_range=[-100.0, -93.0]",
+            "--set", "optimize.step=0.5", "--set", "optimize.opt_days=8", "--set", "anen.members=6"]
+
+
+@pytest.fixture(scope="module")
+def held_archive(tmp_path_factory):
+    out = tmp_path_factory.mktemp("held")
+    assert main(["-o", str(out), *HELD_RUN, "synth"]) == 0
+    return out
+
+
+@pytest.mark.parametrize("argv", [["optimize-weights", "--strategy", "RB"], ["optimize-weights", "--strategy", "NN"],
+                                  ["optimize-weights", "--strategy", "EW"], ["cluster"]],
+                         ids=["RB", "NN", "EW", "cluster"])
+def test_the_weight_commands_never_hold_the_analysis(held_archive, tmp_path, argv):
+    # RB and cluster reduce the analysis to its regime features one block of
+    # rows at a time, and every strategy reads the objective's rows at its
+    # samples alone (measured: RB 3.7 MiB, NN 1.8, EW 0.6, cluster 2.2,
+    # against 22.0 MiB of values; a whole read held 22.4 to 25.6)
+    import tracemalloc
+
+    out = tmp_path / "run"
+    shutil.copytree(held_archive, out)
+    payload_bytes = 8 * int(np.prod(tensorio.read_header(out / "observations.ansr").shape))
+    tracemalloc.start()
+    try:
+        assert main(["-o", str(out), *HELD_RUN, *argv]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < payload_bytes / 4
+    entry = json.loads((out / "manifest.json").read_text())[argv[0]]
+    observations = out / "observations.ansr"
+    assert entry["inputs"][str(observations)] == hashlib.sha256(observations.read_bytes()).hexdigest()
+
+
+def _ghi_missing_at(out, index):
+    """Rewrite the observations of ``out`` with their ghi values (location x
+    valid time) at ``index`` missing; returns the tensor written."""
+    observations = tensorio.read_tensor(out / "observations.ansr")
+    values = np.array(observations.values)
+    values[observations.variable_index("ghi")][index] = np.nan
+    tensorio.write_tensor(dataclasses.replace(observations, values=values), out / "observations.ansr")
+    return tensorio.read_tensor(out / "observations.ansr")
+
+
+def test_a_missing_analysis_value_is_skipped_and_a_location_without_one_exits_2(tmp_path, capsys):
+    out = tmp_path / "q"
+    base = ["-o", str(out), *SMALL]
+    assert main([*base, "synth"]) == 0
+    analysis = _ghi_missing_at(out, (1, 5))
+    expected = weights.regime_clustering(analysis, 2).labels.tolist()
+    for argv in (["cluster"], ["optimize-weights", "--strategy", "RB"]):
+        (out / "clustering.csv").unlink(missing_ok=True)
+        assert main([*base, *argv]) == 0, argv
+        assert [int(r[1]) for r in read_csv(out / "clustering.csv")[1:]] == expected
+    assert len(read_csv(out / "weights.csv")) == 5
+
+    # no finite ghi value at location 1: no feature, and nothing is written
+    _ghi_missing_at(out, 1)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    for argv in (["cluster"], ["optimize-weights", "--strategy", "RB"]):
+        capsys.readouterr()
+        assert main([*base, *argv]) == 2, argv
+        assert _problems(capsys) == ["paths.observations: location 1 has no finite ghi value"]
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    # the strategies that read no regime feature still run
+    assert main([*base, "optimize-weights", "--strategy", "NN"]) == 0
+
+    # observations without a regime variable exit 2 before a row is read
+    observations = tensorio.read_tensor(out / "observations.ansr")
+    keep = [name for name in observations.variable_names if name != "cloud_cover"]
+    tensorio.write_tensor(dataclasses.replace(
+        observations, variable_names=tuple(keep),
+        values=observations.values[[observations.variable_index(n) for n in keep]]), out / "observations.ansr")
+    for argv in (["cluster"], ["optimize-weights", "--strategy", "RB"]):
+        capsys.readouterr()
+        assert main([*base, *argv]) == 2, argv
+        assert _problems(capsys) == ["paths.observations: lacks the variables ['cloud_cover'] that the regimes need"]
+
+
+def test_csv_observations_cluster_and_weigh_as_their_binary_twin(tmp_path):
+    # the CSV variant carries no coordinates and sorts its names, so both
+    # twins, and the forecasts they pair with, sit at the origin
+    out = tmp_path / "c"
+    base = ["-o", str(out), *WEIGHT_RUN]
+    assert main([*base, "synth"]) == 0
+    origin = None
+    for name in ("forecasts.ansr", "observations.ansr"):
+        tensor = tensorio.read_tensor(out / name)
+        zeros = np.zeros(len(tensor.locations))
+        origin = dataclasses.replace(tensor, locations=tensor.locations.from_coords(zeros, zeros, zeros))
+        tensorio.write_tensor(origin, out / name)
+    tensorio.write_tensor(origin, out / "observations.csv")
+    written = {}
+    for observations in ("observations.ansr", "observations.csv"):
+        run = [*base, "--set", f"paths.observations={observations}"]
+        assert main([*run, "cluster"]) == 0
+        clustering = (out / "clustering.csv").read_bytes()
+        assert main([*run, "optimize-weights", "--strategy", "RB"]) == 0
+        written[observations] = (clustering, (out / "clustering.csv").read_bytes(), (out / "weights.csv").read_bytes())
+    assert written["observations.csv"] == written["observations.ansr"]
+    assert len(set(written["observations.csv"][:2])) == 1
 
 
 def test_simulate_ensemble_holds_a_few_slabs_beyond_its_power(tmp_path):

@@ -620,7 +620,7 @@ def test_a_slab_holds_its_location_alone(tmp_path):
     assert peak < 2 * slab_bytes + 2 * 64 * 2**10 + 32 * 2**10
 
 
-@pytest.mark.parametrize("read", ["whole", "selection", "slabs"])
+@pytest.mark.parametrize("read", ["whole", "selection", "slabs", "container"])
 def test_a_file_renamed_over_the_path_mid_read_is_not_the_one_hashed(tmp_path, monkeypatch, read):
     # once the first row is in, a new file is renamed over the path; the
     # digest is that of the file the rows came from, which the reader has open
@@ -642,6 +642,14 @@ def test_a_file_renamed_over_the_path_mid_read_is_not_the_one_hashed(tmp_path, m
     if read == "slabs":
         values = np.concatenate([slab.values for slab in tensorio.read_slabs(path, digests)], axis=1)
         expected = old.values
+    elif read == "container":
+        # the rows the regime features reduce, streamed, then a selection
+        # of sample rows from the same open file
+        with tensorio.open_container(path, digests) as container:
+            streamed = np.concatenate([rows for _, rows in container.blocks()])
+            picked = container.take([2, 0])
+        values = np.concatenate([streamed.reshape(old.values.shape), picked.values], axis=1)
+        expected = np.concatenate([old.values, old.values[:, [2, 0]]], axis=1)
     else:
         locations = [2, 0] if read == "selection" else None
         values = read_tensor(path, digests, locations=locations).values
@@ -650,6 +658,41 @@ def test_a_file_renamed_over_the_path_mid_read_is_not_the_one_hashed(tmp_path, m
     assert hashlib.sha256(path.read_bytes()).hexdigest() != old_digest
     assert values.tobytes() == expected.tobytes()
     assert digests == {str(path): old_digest}
+
+
+@pytest.mark.parametrize("block_rows", [0.5, 1, 2.5, 100])
+@pytest.mark.parametrize("name", sorted(_six_locations()))
+def test_container_blocks_stream_the_block_in_file_order_and_hash_it(tmp_path, monkeypatch, name, block_rows):
+    tensor = _six_locations()[name]
+    path = _written(tmp_path, name, tensor)
+    rows = _rows(tensor)
+    # a block holds BLOCK_BYTES of rows at most, and one row at least
+    monkeypatch.setattr(tensorio, "BLOCK_BYTES", int(block_rows * rows[0].nbytes))
+    per_block = 6 if name.endswith(".csv") else max(1, int(block_rows))
+    digests = {}
+    with tensorio.open_container(path, digests) as container:
+        blocks = list(container.blocks())
+        picked = container.take([4, 0, 5])
+    names = [n for n in container.header.names for _ in range(6)]
+    assert [n for n, block in blocks for _ in block] == names
+    assert all(len(block) <= per_block for _, block in blocks)
+    assert np.concatenate([block for _, block in blocks]).tobytes() == np.stack(rows).tobytes()
+    expected = _joined_slabs(read_tensor(path), [4, 0, 5])
+    assert [(n, a.tobytes()) for n, a in _arrays(picked)] == [(n, a.tobytes()) for n, a in _arrays(expected)]
+    assert digests == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
+
+
+def test_a_container_left_unstreamed_hashes_the_file_it_has_open(tmp_path):
+    path = _written(tmp_path, "observation.ansr", _six_locations()["observation.ansr"])
+    digests = {}
+    with tensorio.open_container(path, digests) as container:
+        next(iter(container.blocks()))
+    assert digests == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
+    # a with block that ends in an error records nothing
+    with pytest.raises(KeyError):
+        with tensorio.open_container(path, digests := {}) as container:
+            raise KeyError("stop")
+    assert digests == {}
 
 
 def _written(tmp_path, name, tensor):

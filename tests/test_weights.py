@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from anensolar import weights as weights_module
-from anensolar.coredata import LocationSet
+from anensolar.coredata import LocationSet, ObservationTensor, TimeAxis
 from anensolar.weights import (
     RegimeClustering,
     average_linkage_merges,
@@ -12,6 +14,7 @@ from anensolar.weights import (
     optimize_weights,
     rb_sample_points,
     read_weights_csv,
+    regime_feature_matrix,
     write_weights_csv,
     zscore_features,
 )
@@ -228,6 +231,101 @@ class TestHierarchicalCluster:
         clustering = hierarchical_cluster(feats, 4)
         assert clustering.labels.shape == (15,)
         assert set(clustering.labels) == {1, 2, 3, 4}
+
+
+def _regime_analysis(n_loc=90, n_days=10, seed=5):
+    """An hourly analysis of the regime variables and one more, over
+    ``n_loc`` locations and ``n_days`` days, starting at 06 UTC."""
+    r = np.random.default_rng(seed)
+    names = ("ghi", "temperature", "wind_speed", "albedo", "cloud_cover")
+    times = TimeAxis(1_546_322_400 + 3600 * np.arange(24 * n_days))
+    return ObservationTensor(names, make_locations(n_loc, seed), times,
+                             r.uniform(0, 900, size=(len(names), n_loc, len(times))))
+
+
+def _blocks(analysis, size):
+    """The analysis's rows in file order, ``size`` locations per block."""
+    n_loc = len(analysis.locations)
+    return ((name, analysis.values[i, start:start + size]) for i, name in enumerate(analysis.variable_names)
+            for start in range(0, n_loc, size))
+
+
+def _looped_features(analysis):
+    """The regime features by a loop over locations and days: each day's
+    maximum over its finite values, and means over the finite values."""
+    days = (analysis.valid_times.instants - analysis.valid_times.instants[0]) // 86400
+
+    def finite_mean(values):
+        values = np.asarray(values, dtype=float)
+        values = values[np.isfinite(values)]
+        return values.mean() if len(values) else np.nan
+
+    def daily_max(row):
+        return [np.max(v, initial=-np.inf, where=np.isfinite(v)) if np.isfinite(v).any() else np.nan
+                for v in (row[days == d] for d in np.unique(days))]
+
+    series = {name: analysis.values[analysis.variable_index(name)] for name in ("ghi", "temperature", "cloud_cover")}
+    return np.array([[analysis.locations.elevation[loc], finite_mean(daily_max(series["ghi"][loc])),
+                      finite_mean(daily_max(series["temperature"][loc])), finite_mean(series["cloud_cover"][loc])]
+                     for loc in range(len(analysis.locations))])
+
+
+class TestRegimeFeatures:
+    def test_blocks_of_any_size_give_the_whole_rows_features_bit_for_bit(self):
+        analysis = _regime_analysis()
+        instants = analysis.valid_times.instants
+        starts = np.flatnonzero(np.diff((instants - instants[0]) // 86400, prepend=-1))
+        series = {name: analysis.values[analysis.variable_index(name)] for name in weights_module.REGIME_VARIABLES}
+        # the reduction over every location at once that the features had
+        # before they took blocks and skipped missing values
+        whole = np.column_stack([
+            analysis.locations.elevation,
+            np.maximum.reduceat(series["ghi"], starts, axis=1).mean(axis=1),
+            np.maximum.reduceat(series["temperature"], starts, axis=1).mean(axis=1),
+            series["cloud_cover"].mean(axis=1),
+        ])
+        feats, names = regime_feature_matrix(analysis)
+        assert names == ("orography", "daily_max_ghi", "daily_max_temperature", "mean_cloud_cover")
+        np.testing.assert_array_equal(feats.view(np.uint64), whole.view(np.uint64))
+        for size in (1, 7, 45, 400):
+            blocked, _ = weights_module.regime_features(analysis.locations, analysis.valid_times,
+                                                        _blocks(analysis, size))
+            np.testing.assert_array_equal(blocked.view(np.uint64), whole.view(np.uint64), err_msg=str(size))
+        np.testing.assert_allclose(feats, _looped_features(analysis), rtol=1e-12)
+
+    def test_missing_values_are_skipped(self):
+        analysis = _regime_analysis(n_loc=6)
+        values = np.array(analysis.values)
+        ghi, cloud = analysis.variable_index("ghi"), analysis.variable_index("cloud_cover")
+        values[ghi, 1, 5] = np.nan
+        values[ghi, 2, 24:48] = np.nan          # a whole day
+        values[cloud, 3, ::2] = np.nan
+        values[analysis.variable_index("albedo"), 4] = np.nan  # no feature reads it
+        with_missing = dataclasses.replace(analysis, values=values)
+        feats, _ = regime_feature_matrix(with_missing)
+        assert np.isfinite(feats).all()
+        np.testing.assert_allclose(feats, _looped_features(with_missing), rtol=1e-12)
+        # the locations with no missing value keep their features bit for bit
+        whole, _ = regime_feature_matrix(analysis)
+        for loc in (0, 4, 5):
+            np.testing.assert_array_equal(feats[loc].view(np.uint64), whole[loc].view(np.uint64))
+        hierarchical_cluster(feats, 2)
+
+    def test_a_location_with_no_finite_value_gets_nan_which_clustering_refuses(self):
+        analysis = _regime_analysis(n_loc=6)
+        values = np.array(analysis.values)
+        values[analysis.variable_index("temperature"), 2] = np.nan
+        values[analysis.variable_index("temperature"), 3, :24] = np.nan
+        feats, _ = regime_feature_matrix(dataclasses.replace(analysis, values=values))
+        assert np.argwhere(~np.isfinite(feats)).tolist() == [[2, 2]]
+        with pytest.raises(ValueError, match="features must be finite"):
+            hierarchical_cluster(feats, 2)
+
+    def test_a_missing_variable_is_named(self):
+        analysis = _regime_analysis(n_loc=3)
+        blocks = [(name, rows) for name, rows in _blocks(analysis, 3) if name != "cloud_cover"]
+        with pytest.raises(ValueError, match=r"lacks the variables \['cloud_cover'\]"):
+            weights_module.regime_features(analysis.locations, analysis.valid_times, blocks)
 
 
 class TestNnSampleGrid:
