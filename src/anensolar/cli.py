@@ -15,7 +15,11 @@ with the values that do not, adds missing inputs and the checks that need
 data, and exits 2 with all of them in one JSON line on stderr before any
 write. Every input file resolves relative to the output directory, where
 each run writes its artifacts and a manifest of input/output hashes and the
-effective config hash. Any other failure prints a JSON error line and exits 1.
+effective config hash. A tensor input that is not a container of its kind
+(another kind, a text file, a file cut short) is a problem of its ``paths``
+key, whatever the file's name: ``Runner.open`` and ``Runner.read`` open every
+tensor input once under that rule. Any other failure prints a JSON error
+line and exits 1.
 
 Each command imports the library modules it runs inside its own function, so
 a process that runs ``sigma`` never loads the PV chain, the weight search or
@@ -25,6 +29,7 @@ the workflow engine.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import dataclasses
 import datetime as _dt
@@ -261,34 +266,32 @@ class Runner:
             self.inputs.setdefault(str(p), None)
         return p
 
-    def read_tensor(self, path: Path, locations=None):
-        """The tensor in ``path``, over the ``locations`` given or all of them,
-        read once: the same bytes, the whole file's, give the manifest hash."""
+    @contextlib.contextmanager
+    def open(self, key: str, kind: str):
+        """The ``tensorio.Container`` over the file of ``paths.<key>``, whose
+        rows come from that one open file and whose digest the manifest
+        records. A ``TensorFormatError`` raised while the file is opened or
+        read in the ``with`` block (no container, a block of the wrong size,
+        +-inf values, ...) is a problem of ``paths.<key>``, and so is a
+        container of a kind other than ``kind``: either is raised at once, as
+        no later step could read that file."""
         from . import tensorio
+        from .errors import TensorFormatError
 
-        return tensorio.read_tensor(path, digests=self.inputs, locations=locations)
-
-    def open_container(self, path: Path):
-        """``tensorio.open_container(path)``: the container's rows come from
-        the one open file, whose digest the manifest records."""
-        from . import tensorio
-
-        return tensorio.open_container(path, self.inputs)
-
-    def read(self, key: str, path: Path, kind: str):
-        """``read_tensor(path)``, of a file that ``key`` chose: see ``need_kind``."""
-        from . import tensorio
-
-        tensor = self.read_tensor(path)
-        self.need_kind(key, tensorio._KINDS[type(tensor)], kind)
-        return tensor
-
-    def need_kind(self, key: str, found: str, kind: str):
-        """A ``key`` problem, raised at once, when its file holds ``tensorio``
-        kind ``found``, not ``kind``: no later step could read that file."""
-        if found != kind:
-            self.problems.append(f"{key}: holds tensor kind {found}, need {kind}")
+        try:
+            with tensorio.open_container(self.path(key), self.inputs) as container:
+                if container.header.kind != kind:
+                    raise TensorFormatError(f"holds tensor kind {container.header.kind}, need {kind}")
+                yield container
+        except TensorFormatError as exc:
+            self.problems.append(f"paths.{key}: {exc}")
             self.check()
+
+    def read(self, key: str, kind: str):
+        """The whole tensor of ``paths.<key>``, read once by ``open``'s rule:
+        the same bytes, the whole file's, give the manifest hash."""
+        with self.open(key, kind) as container:
+            return container.read()
 
     def pair(self, key: str, given, ref_key: str, reference, axes=None):
         """A ``key`` problem when ``coredata.axis_mismatch`` finds an axis on
@@ -380,7 +383,11 @@ def _load_specs(run: Runner):
         module_file = run.input_path("module_file")
         if not module_file.is_file():
             return []
-        specs = load_module_specs(module_file)
+        try:
+            specs = load_module_specs(module_file)
+        except ValueError as exc:  # a bad value, or a file that is not UTF-8 text
+            run.problems.append(f"paths.module_file: {exc}")
+            return []
         if not specs:
             run.problems.append(f"paths.module_file: no module rows in {module_file}")
         return specs
@@ -438,9 +445,9 @@ def cmd_synth(run: Runner, args) -> int:
 def cmd_sigma(run: Runner, args) -> int:
     from .anen import compute_sigma
 
-    fc_path = run.input_path("forecasts")
+    run.input_path("forecasts")
     run.check()
-    forecasts = run.read("paths.forecasts", fc_path, "forecast")
+    forecasts = run.read("forecasts", "forecast")
     _, search = _anen_split(run, len(forecasts.init_times))
     run.check()
     sigma = compute_sigma(forecasts, search)
@@ -454,12 +461,12 @@ def cmd_anen(run: Runner, args) -> int:
     from .coredata import EnsembleTensor, align_observations
 
     cfg = run.cfg
-    fc_path = run.input_path("forecasts")
-    obs_path = run.input_path("observations")
+    run.input_path("forecasts")
+    run.input_path("observations")
     weights_file = run.input_path("weights_file") if cfg["paths"]["weights_file"] else None
     run.check()
-    forecasts = run.read("paths.forecasts", fc_path, "forecast")
-    analysis = run.read("paths.observations", obs_path, "observation")
+    forecasts = run.read("forecasts", "forecast")
+    analysis = run.read("observations", "observation")
     run.pair("paths.observations", analysis, "paths.forecasts", forecasts)
 
     test, search = _anen_split(run, len(forecasts.init_times))
@@ -490,54 +497,62 @@ def cmd_anen(run: Runner, args) -> int:
 
 
 def cmd_simulate(run: Runner, args) -> int:
-    from . import driver, tensorio
-    from .pvchain import REQUIRED_VARIABLES
+    from . import driver
 
     source = run.cfg["simulate"]["source"]
-    ens_path = run.input_path("ensemble") if source == "ensemble" else None
-    fc_path = run.input_path("forecasts") if source in ("forecast", "analysis") else None
-    obs_path = run.input_path("observations") if source == "analysis" else None
+    if source == "ensemble":
+        run.input_path("ensemble")
+    if source in ("forecast", "analysis"):
+        run.input_path("forecasts")
+    if source == "analysis":
+        run.input_path("observations")
     run.check()
     specs = _load_specs(run)
     system = _system(run)
     if source == "ensemble":
         # the header now, each location's slab while the chain runs
-        header = tensorio.read_header(ens_path)
-        run.need_kind("paths.ensemble", header.kind, "ensemble")
-        weather_key, names = "paths.ensemble", header.names
+        with run.open("ensemble", "ensemble") as ensemble:
+            header = ensemble.header
+            _check_weather(run, "paths.ensemble", header.names)
+            slabs = (ensemble.take([loc]) for loc in range(len(header.locations)))
+            power = driver.power_from_slabs(header.axes, slabs, specs, system)
     else:
-        forecasts = run.read("paths.forecasts", fc_path, "forecast")
+        forecasts = run.read("forecasts", "forecast")
         test, _ = _anen_split(run, len(forecasts.init_times))
-        weather_key, names = "paths.forecasts", forecasts.predictor_names
-    if source == "analysis":
-        analysis = run.read("paths.observations", obs_path, "observation")
-        run.pair("paths.observations", analysis, "paths.forecasts", forecasts)
-        weather_key, names = "paths.observations", analysis.variable_names
-    if missing := [name for name in REQUIRED_VARIABLES if name not in names]:
-        run.problems.append(f"{weather_key}: lacks the variables {missing} that the PV chain needs")
-    run.check()
-    if source == "ensemble":
-        power = driver.power_from_slabs(header.axes, tensorio.read_slabs(ens_path, run.inputs), specs, system)
-    elif source == "forecast":
-        power = driver.power_from_weather(driver.forecast_weather_ensemble(forecasts, test), specs, system)
-    else:
-        weather = driver.analysis_weather_ensemble(analysis, forecasts.init_times, forecasts.lead_times, test)
-        del analysis  # the truth weather holds the aligned values it needs
-        power = driver.power_from_weather(weather, specs, system)
+        if source == "forecast":
+            _check_weather(run, "paths.forecasts", forecasts.predictor_names)
+            power = driver.power_from_weather(driver.forecast_weather_ensemble(forecasts, test), specs, system)
+        else:
+            analysis = run.read("observations", "observation")
+            run.pair("paths.observations", analysis, "paths.forecasts", forecasts)
+            _check_weather(run, "paths.observations", analysis.variable_names)
+            weather = driver.analysis_weather_ensemble(analysis, forecasts.init_times, forecasts.lead_times, test)
+            del analysis  # the truth weather holds the aligned values it needs
+            power = driver.power_from_weather(weather, specs, system)
 
     run.write_tensor("truth_power" if source == "analysis" else "power", power)
     return 0
 
 
+def _check_weather(run: Runner, key: str, names):
+    """Raise every problem found so far, with one of ``key`` when its
+    ``names`` lack a variable that the PV chain needs."""
+    from .pvchain import REQUIRED_VARIABLES
+
+    if missing := [name for name in REQUIRED_VARIABLES if name not in names]:
+        run.problems.append(f"{key}: lacks the variables {missing} that the PV chain needs")
+    run.check()
+
+
 def cmd_optimize_weights(run: Runner, args) -> int:
-    from . import driver, tensorio, weights
+    from . import driver, weights
     from .anen import equal_weights
     from .pvchain import load_module_catalog
 
     cfg = run.cfg
     o = cfg["optimize"]
-    fc_path = run.input_path("forecasts")
-    obs_path = run.input_path("observations")
+    run.input_path("forecasts")
+    run.input_path("observations")
     run.check()
     strategy = o["strategy"].upper()
     system = _system(run)
@@ -545,51 +560,50 @@ def cmd_optimize_weights(run: Runner, args) -> int:
     if o["module"] not in specs:
         run.problems.append(f"optimize.module: unknown module code {o['module']!r}")
 
-    # the forecasts are read last, at the sample locations alone; the
+    # the forecasts' rows are read last, at the sample locations alone; the
     # observations stay open until the objective's rows are taken from them
-    header = tensorio.read_header(fc_path)
-    run.need_kind("paths.forecasts", header.kind, "forecast")
-    with run.open_container(obs_path) as observations:
-        locations = observations.header.locations
-        run.need_kind("paths.observations", observations.header.kind, "observation")
-        run.pair("paths.observations", observations.header, "paths.forecasts", header, ("locations",))
-        n_pred = len(header.names)
-        try:
-            grid = weights.enumerate_weights(n_pred, o["step"], o["exclude_unit_vectors"])
-        except ValueError as exc:
-            run.problems.append(f"optimize.step: {exc}")
-        else:
-            if len(grid) == 0 and strategy != "EW":  # EW reads no grid
-                run.problems.append(f"optimize.exclude_unit_vectors: leaves no weight vector at "
-                                    f"optimize.step {o['step']!r}")
-        # the search period splits again, into the objective's search and test days
-        _, search = _anen_split(run, len(header.sections["init_times"]), min_search=2)
-        opt_days = o["opt_days"]
-        if search:  # else the split is a problem already
-            if opt_days >= len(search):
-                run.problems.append(f"optimize.opt_days: need an integer in 1..{len(search) - 1}, got {opt_days!r}")
-            elif strategy != "EW":  # EW searches nothing
-                _check_pool(run, "optimize.opt_days", opt_days, len(search) - opt_days)
-        base = _anen_config(run, n_pred)
-        if strategy == "RB":
-            _check_regimes(run, observations.header, o["clusters"])
-        run.check()
-        opt_search = range(0, search.stop - opt_days)
-        opt_test = range(search.stop - opt_days, search.stop)
+    with run.open("forecasts", "forecast") as fc:
+        header = fc.header
+        with run.open("observations", "observation") as observations:
+            locations = observations.header.locations
+            run.pair("paths.observations", observations.header, "paths.forecasts", header, ("locations",))
+            n_pred = len(header.names)
+            try:
+                grid = weights.enumerate_weights(n_pred, o["step"], o["exclude_unit_vectors"])
+            except ValueError as exc:
+                run.problems.append(f"optimize.step: {exc}")
+            else:
+                if len(grid) == 0 and strategy != "EW":  # EW reads no grid
+                    run.problems.append(f"optimize.exclude_unit_vectors: leaves no weight vector at "
+                                        f"optimize.step {o['step']!r}")
+            # the search period splits again, into the objective's search and test days
+            _, search = _anen_split(run, len(header.sections["init_times"]), min_search=2)
+            opt_days = o["opt_days"]
+            if search:  # else the split is a problem already
+                if opt_days >= len(search):
+                    run.problems.append(f"optimize.opt_days: need an integer in 1..{len(search) - 1}, got {opt_days!r}")
+                elif strategy != "EW":  # EW searches nothing
+                    _check_pool(run, "optimize.opt_days", opt_days, len(search) - opt_days)
+            base = _anen_config(run, n_pred)
+            if strategy == "RB":
+                _check_regimes(run, observations.header, o["clusters"])
+            run.check()
+            opt_search = range(0, search.stop - opt_days)
+            opt_test = range(search.stop - opt_days, search.stop)
 
-        if strategy == "EW":
-            samples = []
-        elif strategy == "NN":
-            assignment = weights.nn_sample_grid(locations)
-            labels, samples = assignment.sample_of, assignment.representatives
-        else:
-            clustering = _regime_clustering(run, observations, o["clusters"])
-            labels = clustering.labels
-            samples = weights.rb_sample_points(clustering, o["total_samples"], seed=cfg["seed"])
-            run.write("clustering", clustering.write_csv)
-        analysis = observations.take(samples)
-    # EW scores nothing, but its manifest records the forecasts' digest too
-    forecasts = run.read_tensor(fc_path, locations=samples)
+            if strategy == "EW":
+                samples = []
+            elif strategy == "NN":
+                assignment = weights.nn_sample_grid(locations)
+                labels, samples = assignment.sample_of, assignment.representatives
+            else:
+                clustering = _regime_clustering(run, observations, o["clusters"])
+                labels = clustering.labels
+                samples = weights.rb_sample_points(clustering, o["total_samples"], seed=cfg["seed"])
+                run.write("clustering", clustering.write_csv)
+            analysis = observations.take(samples)
+        # EW scores nothing, but its manifest records the forecasts' digest too
+        forecasts = fc.take(samples)
     if strategy == "EW":
         out_weights = np.tile(equal_weights(n_pred), (len(locations), 1))
     else:
@@ -631,10 +645,9 @@ def _regime_clustering(run: Runner, observations, k: int):
 
 
 def cmd_cluster(run: Runner, args) -> int:
-    obs_path = run.input_path("observations")
+    run.input_path("observations")
     run.check()
-    with run.open_container(obs_path) as observations:
-        run.need_kind("paths.observations", observations.header.kind, "observation")
+    with run.open("observations", "observation") as observations:
         k = run.cfg["optimize"]["clusters"]
         _check_regimes(run, observations.header, k)
         run.check()
@@ -649,8 +662,8 @@ def cmd_verify(run: Runner, args) -> int:
 
     cfg = run.cfg
     v = cfg["verify"]
-    power_path = run.input_path("power")
-    truth_path = run.input_path("truth_power")
+    run.input_path("power")
+    run.input_path("truth_power")
     region_path = None
     if v["grouping"] == "region":
         if not cfg["paths"]["region_map"]:
@@ -659,8 +672,8 @@ def cmd_verify(run: Runner, args) -> int:
             region_path = run.input_path("region_map")
     run.check()
 
-    power = run.read("paths.power", power_path, "ensemble")
-    truth = run.read("paths.truth_power", truth_path, "ensemble")
+    power = run.read("power", "ensemble")
+    truth = run.read("truth_power", "ensemble")
     run.pair("paths.truth_power", truth, "paths.power", power)
     if truth.members != 1:
         run.problems.append(f"paths.truth_power: holds {truth.members} members, need 1")
@@ -737,9 +750,13 @@ def cmd_report(run: Runner, args) -> int:
     series, groups = {}, {}  # groups: a dict for its first-seen order
     for label, path in zip(labels, args.inputs):
         run.inputs[str(Path(path))] = None
-        with open(path, newline="") as fh:
-            reader = _csv.DictReader(fh)
-            fields, rows = reader.fieldnames, list(reader)
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                reader = _csv.DictReader(fh)
+                fields, rows = reader.fieldnames, list(reader)
+        except (UnicodeDecodeError, _csv.Error) as exc:
+            run.problems.append(f"report: {path} is not UTF-8 CSV text: {exc}")
+            continue
         for column in sorted({"group", metric} - set(fields or ())):
             run.problems.append(f"report: no column {column!r} in {path}, whose columns are {fields}")
         series[label] = {r.get("group"): r.get(metric) for r in rows}

@@ -92,11 +92,11 @@ def power_from_weather(weather: EnsembleTensor, specs, system: SystemConfig,
 def power_from_slabs(axes, slabs, specs, system: SystemConfig) -> EnsembleTensor:
     """``power_from_weather`` of a weather ensemble given as its axes (the
     attributes ``locations``, ``init_times``, ``lead_times`` and ``members``)
-    and its one-location slabs in location order, as ``tensorio.read_slabs``
-    yields them. The solar cache is built once over every location; each
-    slab's power, simulated under its location's slab of the cache, fills
-    that location of one output array, so one weather slab is held at a
-    time. ``simulate_ensemble`` runs one location at a time, so the power is
+    and its one-location slabs in location order, such as one open
+    container's ``take([loc])`` for each location. The solar cache is built
+    once over every location; each slab's power, simulated under its
+    location's slab of the cache, fills that location of one output array,
+    so one weather slab is held at a time. ``simulate_ensemble`` runs one location at a time, so the power is
     bit-identical to ``power_from_weather`` of the whole ensemble."""
     cache = precompute_solar(axes.locations, axes.init_times, axes.lead_times)
     out = np.empty((len(specs), *cache.shape, axes.members))

@@ -296,17 +296,28 @@ def simulate_ensemble(ensemble: EnsembleTensor, cache: SolarCacheTable,
 
 
 def _specs_from_rows(rows) -> list:
-    """One PvModuleSpec per row: each field's non-empty column cast to the
-    field's type; a missing or empty column takes the field's default."""
+    """One PvModuleSpec per row of the ``csv.DictReader`` ``rows``: each
+    field's non-empty column cast to the field's type; a missing or empty
+    column takes the field's default. A row that gives no spec (a value that
+    does not parse, a field with no default left out, a short row) raises
+    ValueError naming its line."""
     hints = typing.get_type_hints(PvModuleSpec)
     types = {f.name: hints[f.name] for f in fields(PvModuleSpec)}
-    return [PvModuleSpec(**{key: cast(row[key]) for key, cast in types.items()
-                            if key in row and row[key] != ""}) for row in rows]
+    specs = []
+    for row in rows:
+        try:
+            specs.append(PvModuleSpec(**{key: cast(row[key]) for key, cast in types.items()
+                                         if key in row and row[key] != ""}))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"line {rows.line_num}: {exc}") from None
+    return specs
 
 
 def load_module_specs(path) -> list:
-    """Read module specs from a delimited text file; unknown columns are ignored."""
-    with open(path, newline="") as fh:
+    """Read module specs from a UTF-8 delimited text file; unknown columns
+    are ignored. A row that gives no spec, or a file that is not UTF-8 text,
+    raises ValueError."""
+    with open(path, newline="", encoding="utf-8") as fh:
         return _specs_from_rows(csv.DictReader(fh))
 
 

@@ -33,39 +33,32 @@ tensor's own header and rows. Every read of a block is through
 - ``take`` reads a location selection, one seek and one read per selected
   row.
 
-``read_tensor`` is ``read`` or ``take`` on a container of its own, and
-``read_slabs`` yields one location's ``take`` at a time, so memory follows
-one location. ``read_header`` reads the header alone. A read that records a
-digest stores the SHA-256 of the whole file, whatever it kept: a
-front-to-back pass streams every byte through the hash, and otherwise the
-container hashes the file it has open from byte 0 in one chunked pass, so a
-file renamed over the path meanwhile is not hashed.
+``read_tensor`` is ``read`` or ``take`` on a container of its own. A read
+that records a digest stores the SHA-256 of the whole file, whatever it
+kept: a front-to-back pass streams every byte through the hash, and
+otherwise the container hashes the file it has open from byte 0 in one
+chunked pass, so a file renamed over the path meanwhile is not hashed.
 
-A long-format CSV variant (``.csv``) of forecasts and observations is
-accepted for small fixtures; its columns are in ``_CSV_AXES`` and it carries
-no location coordinates, which default to zero. It has no block to stream:
-``open_container`` reads it whole, behind the same interface. Every file
-goes through ``_atomic.atomic_write``, so a failed write leaves the previous
-file whole, and every writer returns the SHA-256 of the bytes it wrote.
+A file's name means nothing to this module: every tensor file is a
+container, whatever its suffix, and a file that is not one raises a
+``TensorFormatError``. Every file goes through ``_atomic.atomic_write``, so
+a failed write leaves the previous file whole, and every writer returns the
+SHA-256 of the bytes it wrote.
 """
 
 from __future__ import annotations
 
 import contextlib
-import csv
 import hashlib
-import io
 import operator
 import os
-from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
-from ._atomic import atomic_write, atomic_write_csv, file_sha256
+from ._atomic import atomic_write, file_sha256
 from .coredata import (
-    MISSING,
     _Owned,
     AnalogIndexSet,
     EnsembleTensor,
@@ -79,6 +72,7 @@ from .coredata import (
 from .errors import DimensionMismatchError, TensorFormatError, TensorHeaderError
 
 MAGIC = "ANENSOLAR/1"
+_MAGIC_LINE = f"{MAGIC}\n".encode()
 # bytes per read while looking for the header's end
 _HEADER_CHUNK = 1 << 16
 # bytes of rows, at most, in each block ``Container.blocks`` yields
@@ -121,9 +115,6 @@ _KINDS = {layout.tensor: kind for kind, layout in LAYOUTS.items()}
 _AXES = {"init_times": (TimeAxis, "instants"), "valid_times": (TimeAxis, "instants"),
          "lead_times": (LeadTimeAxis, "offsets")}
 
-# CSV kind -> its axis columns, between "name,location" and "value"
-_CSV_AXES = {"forecast": ("init", "lead"), "observation": ("valid",)}
-
 
 def _section(tensor, key):
     """A section's header value: the member count, or an axis's int values."""
@@ -133,11 +124,9 @@ def _section(tensor, key):
 
 def write_tensor(tensor, path):
     """Serialize a tensor of any kind to ``path``: ``write_rows`` of its own
-    header and the rows of its block. A ``.csv`` path gets the CSV variant of
-    a forecast or an observation. Returns the SHA-256 hex digest of the file."""
+    header and the rows of its block. Returns the SHA-256 hex digest of the
+    file."""
     header = Header.of(type(tensor), tensor)
-    if str(path).endswith(".csv"):
-        return _write_csv(header.kind, tensor, path)
     # the block's first axis: the names of the values, or one stacked array per field
     by_name = [getattr(tensor, a) for a in tensor.ARRAYS] if LAYOUTS[header.kind].fields else tensor.values
     return write_rows(header, (row for block in by_name for row in block), path)
@@ -151,8 +140,6 @@ def write_rows(header, rows, path):
     other than the header's, raises ``DimensionMismatchError`` before the
     file is renamed into place, leaving the previous file whole. Returns the
     SHA-256 hex digest of the file."""
-    if str(path).endswith(".csv"):
-        raise TensorFormatError("write_rows writes the binary container, not the CSV variant")
     shape = header.shape
     count = shape[0] * shape[1]
 
@@ -238,10 +225,12 @@ class _HeaderReader:
     def locations(self) -> LocationSet:
         rows = []
         for _ in range(self.section("locations")):
-            parts = self.next_line().split()
-            if len(parts) != 4:
-                raise TensorHeaderError("location rows need: id lat lon elev")
-            rows.append((int(parts[0]), float(parts[1]), float(parts[2]), float(parts[3])))
+            line = self.next_line()
+            try:
+                loc, lat, lon, elev = line.split()
+                rows.append((int(loc), float(lat), float(lon), float(elev)))
+            except ValueError:
+                raise TensorHeaderError(f"location rows need: id lat lon elev, got {line!r}") from None
         ids, lat, lon, elev = zip(*rows) if rows else ((), (), (), ())
         return LocationSet(np.array(ids), np.array(lat), np.array(lon), np.array(elev))
 
@@ -314,8 +303,7 @@ def _parse_header(header: bytes) -> Header:
     except UnicodeDecodeError:
         raise TensorHeaderError("header is not valid UTF-8") from None
     r = _HeaderReader(text)
-    if r.next_line() != MAGIC:
-        raise TensorHeaderError(f"bad magic line, expected {MAGIC}")
+    r.next_line()  # the magic line, checked as the head was read
     kind_line = r.next_line().split()
     if len(kind_line) != 2 or kind_line[0] != "kind":
         raise TensorHeaderError("missing kind line")
@@ -332,7 +320,10 @@ def _parse_header(header: bytes) -> Header:
 
 def _read_head(fh):
     """(header, its bytes up to and with the separator) of the open container
-    ``fh``, read in chunks up to the separator; ``fh`` is left at the payload."""
+    ``fh``, read in chunks up to the separator; ``fh`` is left at the payload,
+    which must hold exactly the bytes of the block the header's shape
+    declares. A file that does not start with the magic line is refused at
+    its first chunk, so a large file of another format is not read through."""
     head, sep = b"", -1
     while sep < 0:
         chunk = fh.read(_HEADER_CHUNK)
@@ -340,31 +331,17 @@ def _read_head(fh):
             raise TensorHeaderError("missing header/payload separator")
         start = max(len(head) - 1, 0)
         head += chunk  # bytes, not a bytearray: the first chunk becomes head uncopied
+        if not (head.startswith(_MAGIC_LINE) or _MAGIC_LINE.startswith(head)):
+            raise TensorHeaderError(f"bad magic line, expected {MAGIC}")
         sep = head.find(b"\x00\n", start)
     fh.seek(sep + 2)
-    return _parse_header(head[:sep]), head[:sep + 2]
-
-
-def _read_block_head(fh):
-    """``_read_head`` of a container whose file holds, after the header,
-    exactly the bytes of the block its shape declares."""
-    header, head = _read_head(fh)
+    header, head = _parse_header(head[:sep]), head[:sep + 2]
     shape = header.shape
     payload, expected = os.fstat(fh.fileno()).st_size - len(head), int(np.prod(shape)) * 8
     if payload != expected:
         raise DimensionMismatchError(
             f"binary block is {payload} bytes, header shape {shape} needs {expected}")
     return header, head
-
-
-def read_header(path) -> Header:
-    """The header of a tensor container, without its payload; a CSV fixture,
-    which has no header, is read whole."""
-    if str(path).endswith(".csv"):
-        tensor = _read_csv(Path(path).read_text(encoding="utf-8"))
-        return Header.of(type(tensor), tensor)
-    with open(path, "rb") as fh:
-        return _read_head(fh)[0]
 
 
 def _selection(locations, n_locations: int):
@@ -408,7 +385,7 @@ class Container:
 
     def __init__(self, fh):
         self._fh = fh
-        self.header, self._head = _read_block_head(fh)
+        self.header, self._head = _read_head(fh)
         self._sha256 = None
 
     def _rewind(self):
@@ -461,31 +438,12 @@ class Container:
         return self._sha256 or file_sha256(self._fh)
 
 
-class _Whole:
-    """A CSV fixture, read whole by ``read_tensor``, behind the interface of
-    ``Container``: it has no block to stream."""
-
-    def __init__(self, tensor):
-        self.tensor = tensor
-        self.header = Header.of(type(tensor), tensor)
-
-    def blocks(self):
-        return zip(self.header.names, self.tensor.values)
-
-    def take(self, locations):
-        return self.tensor.take_locations(_selection(locations, len(self.header.locations)))
-
-
 @contextlib.contextmanager
 def open_container(path, digests=None):
     """Open a tensor container for reading: a ``Container`` over the open
     file. Given a ``digests`` dict, the container's ``sha256`` is stored
     under ``str(path)`` when the ``with`` block ends without an error, so the
-    digest is always that of the file the rows came from. A CSV fixture is
-    read whole, as ``read_tensor`` reads it."""
-    if str(path).endswith(".csv"):
-        yield _Whole(read_tensor(path, digests))
-        return
+    digest is always that of the file the rows came from."""
     with open(path, "rb") as fh:
         container = Container(fh)
         yield container
@@ -494,8 +452,8 @@ def open_container(path, digests=None):
 
 
 def read_tensor(path, digests=None, locations=None):
-    """Read a tensor container (or CSV fixture); returns the tensor of its
-    kind, ``LAYOUTS[kind].tensor``.
+    """Read a tensor container; returns the tensor of its kind,
+    ``LAYOUTS[kind].tensor``.
 
     ``locations``, a list of distinct location indices, selects the tensor
     over those locations alone, in that order, renumbered from 0: the same
@@ -513,68 +471,7 @@ def read_tensor(path, digests=None, locations=None):
     it reads them, and a selection then hashes the file it has open, so the
     digest is always that of the file the values came from.
     """
-    if str(path).endswith(".csv"):
-        raw = Path(path).read_bytes()
-        if digests is not None:
-            digests[str(path)] = hashlib.sha256(raw).hexdigest()
-        return _read_csv(raw.decode("utf-8"), locations)
     with open_container(path, digests) as container:
         every = range(len(container.header.locations))
         rows = _selection(locations, len(every))
         return container.read() if list(rows) == list(every) else container.take(rows)
-
-
-def read_slabs(path, digests=None):
-    """Yield the tensor of each location of a container, in location order:
-    for location l, the slab ``at_locations(l, l + 1)`` of a full read.
-
-    Each slab is ``Container.take([l])``, so memory follows one location,
-    not the file. Given a ``digests`` dict, once the last slab is taken the
-    file it came from is hashed in one chunked pass and its SHA-256 hex
-    digest stored under ``str(path)``, as ``read_tensor`` stores it.
-    """
-    with open_container(path, digests) as container:
-        for loc in range(len(container.header.locations)):
-            yield container.take([loc])
-
-
-def _write_csv(kind, tensor, path):
-    if kind not in _CSV_AXES:
-        raise TensorFormatError(f"CSV variant does not support {type(tensor).__name__}")
-    if tensor.values.size > 1_000_000:
-        raise TensorFormatError("CSV variant is limited to 1e6 cells")
-    names = getattr(tensor, tensor.AXES[0])
-    axes = [_section(tensor, key) for key in LAYOUTS[kind].sections]
-    rows = ([names[name], loc, *(int(axis[i]) for axis, i in zip(axes, cell)),
-             repr(float(tensor.values[(name, loc, *cell)]))]
-            for name, loc, *cell in np.ndindex(tensor.values.shape))
-    return atomic_write_csv(path, ["name", "location", *_CSV_AXES[kind], "value"], rows)
-
-
-def _read_csv(text: str, locations=None):
-    rows = list(csv.reader(io.StringIO(text, newline="")))
-    if not rows:
-        raise TensorHeaderError("empty CSV file")
-    header, body = rows[0], rows[1:]
-    kind = next((k for k, cols in _CSV_AXES.items() if header == ["name", "location", *cols, "value"]),
-                None)
-    if kind is None:
-        raise TensorHeaderError(f"unrecognized CSV header: {header!r}")
-    parsed = []
-    for row in body:
-        if len(row) != len(header):
-            raise TensorHeaderError(f"bad CSV row: {row!r}")
-        parsed.append((row[0], *map(int, row[1:-1]), float(row[-1])))
-    # the sorted distinct values of each column but "value": names, locations, axes
-    columns = [sorted({r[k] for r in parsed}) for k in range(len(header) - 1)]
-    if columns[1] != list(range(len(columns[1]))):
-        raise TensorFormatError("CSV location ids must be dense 0..L-1")
-    positions = [{v: i for i, v in enumerate(column)} for column in columns]
-    values = np.full([len(column) for column in columns], MISSING)
-    for row in parsed:
-        values[tuple(pos[v] for pos, v in zip(positions, row))] = row[-1]
-    rows = np.array(_selection(locations, len(columns[1])), dtype=np.int64)
-    zeros = np.zeros(len(rows))
-    sections = dict(zip(LAYOUTS[kind].sections, map(np.array, columns[2:])))
-    return _tensor(Header(kind, columns[0], LocationSet.from_coords(zeros, zeros, zeros), sections),
-                   values[:, rows])

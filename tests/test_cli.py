@@ -322,10 +322,10 @@ class TestCommands:
     def test_anen_releases_its_inputs_before_the_gather(self, outdir, monkeypatch):
         assert run_cli(["-o", outdir, *SMALL, "synth"]) == 0
         read, alive_at_gather = [], []
-        real_read, real_gather = tensorio.read_tensor, anen.ensemble_rows
+        real_read, real_gather = tensorio.Container.read, anen.ensemble_rows
 
-        def recording_read(*args, **kwargs):
-            tensor = real_read(*args, **kwargs)
+        def recording_read(container):
+            tensor = real_read(container)
             read.append(weakref.ref(tensor))
             return tensor
 
@@ -333,7 +333,7 @@ class TestCommands:
             alive_at_gather.extend(type(ref()).__name__ for ref in read if ref() is not None)
             return real_gather(*args, **kwargs)
 
-        monkeypatch.setattr(tensorio, "read_tensor", recording_read)
+        monkeypatch.setattr(tensorio.Container, "read", recording_read)
         monkeypatch.setattr(anen, "ensemble_rows", checking_gather)
         assert run_cli(["-o", outdir, *SMALL, "anen"]) == 0
         assert len(read) == 2
@@ -909,6 +909,117 @@ def test_an_input_of_another_kind_exits_2_naming_its_key(chain_dir, tmp_path, ca
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+@pytest.fixture(scope="module")
+def weighed_chain(chain_dir, tmp_path_factory):
+    """The chain's directory with its weights.csv, a text file, beside the tensors."""
+    out = tmp_path_factory.mktemp("weighed") / "run"
+    shutil.copytree(chain_dir, out)
+    assert main(["-o", str(out), *SMALL, "optimize-weights", "--strategy", "EW"]) == 0
+    return out
+
+
+# every command and each tensor key it reads
+TENSOR_INPUTS = [
+    (["sigma"], "forecasts"),
+    (["anen"], "forecasts"),
+    (["anen"], "observations"),
+    (["simulate", "--source", "ensemble"], "ensemble"),
+    (["simulate", "--source", "forecast"], "forecasts"),
+    (["simulate", "--source", "analysis"], "forecasts"),
+    (["simulate", "--source", "analysis"], "observations"),
+    (["optimize-weights", "--strategy", "EW"], "forecasts"),
+    (["optimize-weights", "--strategy", "EW"], "observations"),
+    (["optimize-weights", "--strategy", "RB"], "forecasts"),
+    (["optimize-weights", "--strategy", "RB"], "observations"),
+    (["cluster"], "observations"),
+    (["verify"], "power"),
+    (["verify"], "truth_power"),
+]
+
+
+@pytest.mark.parametrize("bad", ["text", "cut", "other kind"])
+@pytest.mark.parametrize("argv, key", TENSOR_INPUTS,
+                         ids=[f"{' '.join(argv)}:{key}" for argv, key in TENSOR_INPUTS])
+def test_a_tensor_input_that_is_not_a_container_of_its_kind_exits_2(weighed_chain, tmp_path, capsys,
+                                                                    argv, key, bad):
+    # a text file, a copy of the key's own file cut off mid-payload, or a
+    # container of another kind: each is a problem of the key, whatever its suffix
+    out = tmp_path / "run"
+    shutil.copytree(weighed_chain, out)
+    given = {"text": "weights.csv", "cut": "cut.ansr", "other kind": "analogs.ansr"}[bad]
+    data = (out / Path(cli.DEFAULT_CONFIG["paths"][key])).read_bytes()
+    payload = data.index(b"\x00\n") + 2
+    (out / "cut.ansr").write_bytes(data[:(payload + len(data)) // 2])
+    before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()}
+    capsys.readouterr()
+    assert main(["-o", str(out), *SMALL, "--set", f"paths.{key}={given}", *argv]) == 2
+    problems = _problems(capsys)
+    assert any(p.startswith(f"paths.{key}: ") for p in problems), problems
+    # no output is written, and the manifest is left as it was
+    assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("argv", [["anen"], ["optimize-weights", "--strategy", "NN"]],
+                         ids=["whole", "at the samples"])
+def test_forecasts_holding_inf_exit_2_naming_their_key(chain_dir, tmp_path, capsys, argv):
+    # the file opens cleanly; its rows are refused as they are read, whole or
+    # at the samples alone once the observations are closed
+    out = tmp_path / "run"
+    shutil.copytree(chain_dir, out)
+    path = out / "forecasts.ansr"
+    with tensorio.open_container(path) as container:
+        _, n_loc, *axes = container.header.shape
+    data = bytearray(path.read_bytes())
+    start, row = data.index(b"\x00\n") + 2, 8 * int(np.prod(axes))
+    for loc in range(n_loc):
+        data[start + loc * row:start + loc * row + 8] = np.float64(np.inf).tobytes()
+    path.write_bytes(bytes(data))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main(["-o", str(out), *SMALL, *argv]) == 2
+    assert _problems(capsys) == ["paths.forecasts: ForecastTensor.values contains +-inf; encode missing data as NaN"]
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("bad", ["area", "no area", "short row", "encoding"])
+def test_a_module_file_that_does_not_parse_exits_2(chain_dir, tmp_path, capsys, bad):
+    out = tmp_path / "run"
+    shutil.copytree(chain_dir, out)
+    catalog = read_csv(Path(anensolar.__file__).parent / "catalog" / "modules.csv")
+    header, row = catalog[0], next(r for r in catalog[1:] if r[0] == "STU300")
+    encoding = "utf-8"
+    if bad == "area":
+        row[header.index("area")] = "abc"
+        named = "line 2: could not convert string to float: 'abc'"
+    elif bad == "no area":
+        del header[1], row[1]
+        named = "required positional argument: 'area'"
+    elif bad == "short row":
+        row = row[:3]
+        named = "line 2: "
+    else:
+        row[header.index("material")] = "c-Si \u00e9"
+        named, encoding = "can't decode", "latin-1"
+    modules = tmp_path / "mods.csv"
+    modules.write_bytes("\n".join(map(",".join, [header, row])).encode(encoding))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main(["-o", str(out), *SMALL, "--set", f"paths.module_file={modules}", "simulate"]) == 2
+    problems = _problems(capsys)
+    assert any(p.startswith("paths.module_file: ") and named in p for p in problems), problems
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_a_report_input_that_is_not_utf8_text_exits_2(chain_dir, tmp_path, capsys):
+    out = tmp_path / "rep"
+    given = chain_dir / "forecasts.ansr"
+    capsys.readouterr()
+    assert main(["-o", str(out), "report", str(given)]) == 2
+    problems = _problems(capsys)
+    assert any(p.startswith("report: ") and str(given) in p for p in problems), problems
+    assert not (out / "report_wide.csv").exists()
+
+
 def test_an_empty_weight_grid_exits_2_unless_ew(chain_dir, tmp_path, capsys):
     out = tmp_path / "run"
     shutil.copytree(chain_dir, out)
@@ -950,14 +1061,10 @@ def test_optimize_weights_reads_forecasts_at_its_samples_as_a_full_read_would(tm
     out = tmp_path / "w"
     base = ["-o", str(out), *WEIGHT_RUN]
     assert main([*base, "synth"]) == 0
-    reads, real = [], tensorio.read_tensor
+    real = tensorio.read_tensor
     # (kind, how) of every read of a container's rows: whole, streamed in
     # blocks, or at a location selection
     rows, container = [], tensorio.Container
-
-    def recording_read(path, digests=None, locations=None):
-        reads.append((Path(path).name, None if locations is None else list(locations)))
-        return real(path, digests, locations)
 
     def recording(how, method):
         def record(self, *args):
@@ -965,17 +1072,15 @@ def test_optimize_weights_reads_forecasts_at_its_samples_as_a_full_read_would(tm
             return method(self, *args)
         return record
 
-    monkeypatch.setattr(tensorio, "read_tensor", recording_read)
     monkeypatch.setattr(container, "read", recording(lambda: "whole", container.read))
     monkeypatch.setattr(container, "blocks", recording(lambda: "blocks", container.blocks))
     monkeypatch.setattr(container, "take", recording(list, container.take))
     assert main([*base, "optimize-weights", "--strategy", strategy]) == 0
     names = ("weights.csv", "clustering.csv", "manifest.json")
     selective = {n: (out / n).read_bytes() for n in names if (out / n).exists()}
-    # the observations are never read whole: RB streams them, and the
+    # neither file is read whole: RB streams the observations, and the
     # objective's rows and the forecasts are read at the samples alone
-    assert len(reads) == 1 and reads[0][0] == "forecasts.ansr"
-    samples = reads[0][1]
+    samples = rows[-1][1]
     streamed = [("observation", "blocks")] if strategy == "RB" else []
     assert rows == [*streamed, ("observation", samples), ("forecast", samples)]
     forecasts = real(out / "forecasts.ansr")
@@ -990,28 +1095,38 @@ def test_optimize_weights_reads_forecasts_at_its_samples_as_a_full_read_would(tm
     assert len(samples) < len(forecasts.locations)
 
     # a full-read run: both files whole, and the objective on the whole archive
-    def full_read(self, path, locations=None):
-        return real(path, self.inputs)
+    class WholeRead:
+        """A file read whole, behind the interface of the container."""
+
+        def __init__(self, tensor):
+            self.tensor = tensor
+            self.header = tensorio.Header.of(type(tensor), tensor)
+
+        def blocks(self):
+            return zip(self.header.names, self.tensor.values)
+
+        def take(self, locations):
+            return self.tensor.take_locations(list(locations))
 
     @contextlib.contextmanager
-    def whole_container(self, path):
-        yield tensorio._Whole(real(path, self.inputs))
+    def whole_open(self, key, kind):
+        yield WholeRead(real(self.path(key), self.inputs))
 
     whole = []
     objective = driver.WeightObjective
 
     def whole_objective(fc, an, *args, locations=None):
-        whole.append(len(fc.locations))
+        whole.append((len(fc.locations), len(an.locations)))
         return objective(forecasts, analysis, *args)
 
-    monkeypatch.setattr(cli.Runner, "read_tensor", full_read)
-    monkeypatch.setattr(cli.Runner, "open_container", whole_container)
+    monkeypatch.setattr(cli.Runner, "open", whole_open)
     monkeypatch.setattr(driver, "WeightObjective", whole_objective)
     # the run replaces its own manifest entry
     for n in ("weights.csv", "clustering.csv"):
         (out / n).unlink(missing_ok=True)
     assert main([*base, "optimize-weights", "--strategy", strategy]) == 0
-    assert whole == ([] if strategy == "EW" else [6])
+    # the rows at the samples, now taken from the whole tensors
+    assert whole == ([] if strategy == "EW" else [(len(samples), len(samples))])
     assert {n: (out / n).read_bytes() for n in selective} == selective
     # and the manifest records both files' own digests
     entry = json.loads(selective["manifest.json"])["optimize-weights"]
@@ -1045,7 +1160,8 @@ def test_the_weight_commands_never_hold_the_analysis(held_archive, tmp_path, arg
 
     out = tmp_path / "run"
     shutil.copytree(held_archive, out)
-    payload_bytes = 8 * int(np.prod(tensorio.read_header(out / "observations.ansr").shape))
+    with tensorio.open_container(out / "observations.ansr") as observations:
+        payload_bytes = 8 * int(np.prod(observations.header.shape))
     tracemalloc.start()
     try:
         assert main(["-o", str(out), *HELD_RUN, *argv]) == 0
@@ -1103,30 +1219,6 @@ def test_a_missing_analysis_value_is_skipped_and_a_location_without_one_exits_2(
         assert _problems(capsys) == ["paths.observations: lacks the variables ['cloud_cover'] that the regimes need"]
 
 
-def test_csv_observations_cluster_and_weigh_as_their_binary_twin(tmp_path):
-    # the CSV variant carries no coordinates and sorts its names, so both
-    # twins, and the forecasts they pair with, sit at the origin
-    out = tmp_path / "c"
-    base = ["-o", str(out), *WEIGHT_RUN]
-    assert main([*base, "synth"]) == 0
-    origin = None
-    for name in ("forecasts.ansr", "observations.ansr"):
-        tensor = tensorio.read_tensor(out / name)
-        zeros = np.zeros(len(tensor.locations))
-        origin = dataclasses.replace(tensor, locations=tensor.locations.from_coords(zeros, zeros, zeros))
-        tensorio.write_tensor(origin, out / name)
-    tensorio.write_tensor(origin, out / "observations.csv")
-    written = {}
-    for observations in ("observations.ansr", "observations.csv"):
-        run = [*base, "--set", f"paths.observations={observations}"]
-        assert main([*run, "cluster"]) == 0
-        clustering = (out / "clustering.csv").read_bytes()
-        assert main([*run, "optimize-weights", "--strategy", "RB"]) == 0
-        written[observations] = (clustering, (out / "clustering.csv").read_bytes(), (out / "weights.csv").read_bytes())
-    assert written["observations.csv"] == written["observations.ansr"]
-    assert len(set(written["observations.csv"][:2])) == 1
-
-
 def test_simulate_ensemble_holds_a_few_slabs_beyond_its_power(tmp_path):
     # The weather ensemble is read one location's slab at a time: beyond the
     # power array, the command holds the slab being simulated, the next one,
@@ -1174,7 +1266,7 @@ def test_weather_without_a_pv_chain_variable_exits_2_before_a_slab_is_read(chain
                                                                            monkeypatch):
     out = tmp_path / "run"
     shutil.copytree(chain_dir, out)
-    monkeypatch.setattr(tensorio, "read_slabs", lambda *args: pytest.fail("a slab was read"))
+    monkeypatch.setattr(tensorio.Container, "take", lambda *args: pytest.fail("a slab was read"))
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     capsys.readouterr()
     # the power file is an ensemble of module codes: no weather variable

@@ -81,10 +81,27 @@ def test_header_declares_more_names_than_rows(tmp_path):
         read_tensor(bad_path)
 
 
-def test_bad_magic_rejected(tmp_path):
-    path = tmp_path / "x.ansr"
-    path.write_bytes(b"NOTMAGIC/9\nkind forecast\n\x00\n")
-    with pytest.raises(TensorHeaderError):
+def test_bad_magic_rejected(tmp_path, monkeypatch):
+    bad, text = tmp_path / "x.ansr", tmp_path / "x.csv"
+    bad.write_bytes(b"NOTMAGIC/9\nkind forecast\n\x00\n")
+    # a text file has no separator: it is refused by its first line too
+    text.write_text("location,ghi\n" + "0,0.5\n" * 100_000)
+    for chunk in (1, 7, 1 << 16):
+        monkeypatch.setattr(tensorio, "_HEADER_CHUNK", chunk)
+        for path in (bad, text):
+            with pytest.raises(TensorHeaderError, match="bad magic line"):
+                read_tensor(path)
+
+
+@pytest.mark.parametrize("row", [b"0 40.0 -105.0", b"0 north -105.0 1650.0"], ids=["short", "not a number"])
+def test_a_location_row_that_does_not_parse_is_header_error(tmp_path, row):
+    path = tmp_path / "fc.ansr"
+    write_tensor(make_forecast(n_loc=1), path)
+    head, sep, payload = path.read_bytes().partition(b"\x00\n")
+    lines = head.split(b"\n")
+    lines[lines.index(b"locations 1") + 1] = row
+    path.write_bytes(b"\n".join(lines) + sep + payload)
+    with pytest.raises(TensorHeaderError, match="location rows need"):
         read_tensor(path)
 
 
@@ -143,36 +160,6 @@ def test_infinite_payload_value_rejected(tmp_path, tensor, bad):
 def test_missing_separator(tmp_path):
     path = tmp_path / "x.ansr"
     path.write_bytes(b"ANENSOLAR/1\nkind forecast\n")
-    with pytest.raises(TensorHeaderError):
-        read_tensor(path)
-
-
-def test_csv_forecast_round_trip(tmp_path):
-    fc = make_forecast(n_pred=2, n_loc=2, n_init=3, n_lead=2)
-    values = fc.values.copy()
-    values[0, 1, 2, 0] = MISSING
-    fc = ForecastTensor(fc.predictor_names, fc.locations, fc.init_times, fc.lead_times, values)
-    path = tmp_path / "fc.csv"
-    write_tensor(fc, path)
-    back = read_tensor(path)
-    assert isinstance(back, ForecastTensor)
-    assert back.predictor_names == fc.predictor_names
-    np.testing.assert_array_equal(back.values, fc.values)
-    np.testing.assert_array_equal(back.init_times.instants, fc.init_times.instants)
-
-
-def test_csv_observation_round_trip(tmp_path):
-    obs = make_observation(n_var=1, n_loc=2, n_time=5)
-    path = tmp_path / "obs.csv"
-    write_tensor(obs, path)
-    back = read_tensor(path)
-    assert isinstance(back, ObservationTensor)
-    np.testing.assert_array_equal(back.values, obs.values)
-
-
-def test_csv_unknown_header_rejected(tmp_path):
-    path = tmp_path / "x.csv"
-    path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(TensorHeaderError):
         read_tensor(path)
 
@@ -268,8 +255,8 @@ def test_analogs_fields_other_than_the_fixed_pair_are_header_error(tmp_path):
 
 
 def _pinned():
-    """One fixed tensor of each container kind and both CSV kinds, built from
-    exact arithmetic with NaN and -0.0 in every block: file name -> tensor."""
+    """One fixed tensor of each container kind, built from exact arithmetic
+    with NaN and -0.0 in every block: file name -> tensor."""
     locs = LocationSet.from_coords([40.0, -33.5], [-105.25, 151.0], [1650.0, 0.0])
     init = TimeAxis(1_546_300_800 + 86400 * np.arange(3))
     lead = LeadTimeAxis([0, 3600])
@@ -289,8 +276,6 @@ def _pinned():
                                        np.array([0.0, MISSING] * 8).reshape(2, 2, 2, 2),
                                        np.abs(grid(2, 2, 2, 2))),
         "sigma.ansr": SigmaTensor(("p0", "p1"), locs, lead, grid(2, 2, 2)),
-        "forecast.csv": fc,
-        "observation.csv": obs,
     }
 
 
@@ -302,8 +287,6 @@ PINNED_DIGESTS = {
     "ensemble.ansr": "34e612e16009a570ddff84e9e5607facdfcac244aea0922dd880c49d05c74ee9",
     "analogs.ansr": "17513d5bbab67e903f93264df616ab7929ec8700c7296747c830ac79a02e1e31",
     "sigma.ansr": "386840ce512a29b90fec6c3862115bc0b6bfce3a5203ac85472a609e38b3f9c9",
-    "forecast.csv": "1337950b54369821db8a581f944e01a0b159af17896b37ba1e92c9b8d0bfb063",
-    "observation.csv": "106cb9744833bffc1b501535a2f7c0a547d34ffaa0ca3ab87a4618ef1d6efa57",
 }
 
 
@@ -393,13 +376,25 @@ def test_non_utf8_header_is_header_error(tmp_path):
         read_tensor(path)
 
 
-@pytest.mark.parametrize("name", ["fc.ansr", "fc.csv"])
-def test_digest_is_the_sha256_of_the_file(tmp_path, name):
-    path = tmp_path / name
+def test_digest_is_the_sha256_of_the_file(tmp_path):
+    path = tmp_path / "fc.ansr"
     write_tensor(make_forecast(n_loc=3), path)
     digests = {}
     read_tensor(path, digests)
     assert digests == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
+
+
+def test_a_csv_suffix_writes_the_container_of_its_ansr_twin(tmp_path):
+    # a file's name means nothing: every tensor file is a container, and its
+    # predictors keep their order, which here is not sorted
+    fc = make_forecast(n_pred=3, n_loc=3)
+    fc = dataclasses.replace(fc, predictor_names=("ghi", "cloud_cover", "albedo"))
+    digests = [write_tensor(fc, tmp_path / name) for name in ("fc.csv", "fc.ansr")]
+    assert (tmp_path / "fc.csv").read_bytes() == (tmp_path / "fc.ansr").read_bytes()
+    assert digests[0] == digests[1]
+    back = read_tensor(tmp_path / "fc.csv")
+    assert back.predictor_names == ("ghi", "cloud_cover", "albedo")
+    assert back.locations.latitude.tobytes() == fc.locations.latitude.tobytes()
 
 
 def test_public_constructor_copies_the_callers_array():
@@ -412,14 +407,13 @@ def test_public_constructor_copies_the_callers_array():
 
 
 def _six_locations():
-    """One tensor of each container kind over six locations, and the CSV
-    variant of a forecast and an observation: file name -> tensor."""
+    """One tensor of each container kind over six locations: file name ->
+    tensor."""
     fc = make_forecast(n_pred=2, n_loc=6, n_init=4, n_lead=5, seed=3)
     obs = make_observation(n_var=2, n_loc=6, n_time=30)
     rng = np.random.default_rng(8)
     index = rng.integers(0, 4, size=(6, 2, 5, 3)).astype(float)
     index[4, 1, 2, 0] = MISSING
-    zeros = LocationSet.from_coords(np.zeros(6), np.zeros(6), np.zeros(6))
     return {
         "forecast.ansr": fc,
         "observation.ansr": obs,
@@ -429,9 +423,6 @@ def _six_locations():
                                        index, rng.random((6, 2, 5, 3))),
         "sigma.ansr": SigmaTensor(fc.predictor_names, fc.locations, fc.lead_times,
                                   rng.random((2, 6, 5))),
-        # the CSV variant carries no coordinates
-        "forecast.csv": dataclasses.replace(fc, locations=zeros),
-        "observation.csv": dataclasses.replace(obs, locations=zeros),
     }
 
 
@@ -475,13 +466,12 @@ def test_a_selection_reads_the_joined_location_slabs(tmp_path, name, selection):
     assert digests == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
 
 
-@pytest.mark.parametrize("name", ["forecast.ansr", "forecast.csv"])
 @pytest.mark.parametrize("locations, named", [([1, 3, 1], "location 1 is selected twice"),
                                               ([0, 6], "location 6 is outside 0..5"),
                                               ([-1], "location -1 is outside 0..5")])
-def test_a_repeated_or_unknown_location_is_value_error(tmp_path, name, locations, named):
-    path = tmp_path / name
-    write_tensor(_six_locations()[name], path)
+def test_a_repeated_or_unknown_location_is_value_error(tmp_path, locations, named):
+    path = tmp_path / "forecast.ansr"
+    write_tensor(_six_locations()["forecast.ansr"], path)
     with pytest.raises(ValueError, match=named):
         read_tensor(path, locations=locations)
 
@@ -566,11 +556,23 @@ def test_one_location_of_a_large_file_holds_that_location_alone(tmp_path):
     assert picked.values[:, 0, 0, 0].tolist() == [float((p * n_loc + 37) * step) for p in range(n_pred)]
 
 
-def test_read_header_is_the_header_of_a_full_read(tmp_path):
+def _header(path):
+    with tensorio.open_container(path) as container:
+        return container.header
+
+
+def _slabs(path, digests):
+    """Each location's tensor in turn, taken from one open container."""
+    with tensorio.open_container(path, digests) as container:
+        for loc in range(len(container.header.locations)):
+            yield container.take([loc])
+
+
+def test_a_container_header_is_the_header_of_a_full_read(tmp_path):
     for name, tensor in _six_locations().items():
         path = tmp_path / name
         write_tensor(tensor, path)
-        header = tensorio.read_header(path)
+        header = _header(path)
         kind = name.split(".")[0]
         assert header.kind == kind
         assert header.names == list(tensorio.LAYOUTS[kind].fields or getattr(tensor, tensor.AXES[0]))
@@ -588,7 +590,7 @@ def test_each_slab_is_at_locations_of_a_full_read(tmp_path, name):
     write_tensor(_six_locations()[name], path)
     whole = read_tensor(path)
     digests = {}
-    slabs = tensorio.read_slabs(path, digests)
+    slabs = _slabs(path, digests)
     for loc in range(6):
         slab, expected = next(slabs), whole.at_locations(loc, loc + 1)
         assert type(slab) is type(expected)
@@ -609,7 +611,7 @@ def test_a_slab_holds_its_location_alone(tmp_path):
     firsts = []
     tracemalloc.start()
     try:
-        for slab in tensorio.read_slabs(path, {}):
+        for slab in _slabs(path, {}):
             firsts.append(slab.values[:, 0, 0, 0].tolist())
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -640,7 +642,7 @@ def test_a_file_renamed_over_the_path_mid_read_is_not_the_one_hashed(tmp_path, m
     monkeypatch.setattr(tensorio, "open", lambda p, mode: SwappingReader(io.FileIO(p, mode)), raising=False)
     digests = {}
     if read == "slabs":
-        values = np.concatenate([slab.values for slab in tensorio.read_slabs(path, digests)], axis=1)
+        values = np.concatenate([slab.values for slab in _slabs(path, digests)], axis=1)
         expected = old.values
     elif read == "container":
         # the rows the regime features reduce, streamed, then a selection
@@ -668,7 +670,7 @@ def test_container_blocks_stream_the_block_in_file_order_and_hash_it(tmp_path, m
     rows = _rows(tensor)
     # a block holds BLOCK_BYTES of rows at most, and one row at least
     monkeypatch.setattr(tensorio, "BLOCK_BYTES", int(block_rows * rows[0].nbytes))
-    per_block = 6 if name.endswith(".csv") else max(1, int(block_rows))
+    per_block = max(1, int(block_rows))
     digests = {}
     with tensorio.open_container(path, digests) as container:
         blocks = list(container.blocks())
@@ -724,7 +726,7 @@ def test_write_rows_that_do_not_fill_the_header_leave_the_previous_file(tmp_path
 
 def test_header_axes_build_the_tensor_of_the_header(tmp_path):
     for name, tensor in _six_locations().items():
-        header = tensorio.read_header(_written(tmp_path, name, tensor))
+        header = _header(_written(tmp_path, name, tensor))
         encoded = tensorio._encode_header(header)
         assert tensorio._encode_header(tensorio.Header.of(type(tensor), header.axes)) == encoded
         rebuilt = type(tensor)(**vars(header.axes), **{a: getattr(tensor, a) for a in tensor.ARRAYS})
