@@ -10,10 +10,13 @@ defaults do not hold is a config error.
 
 Every value must have its default's type (an int key rejects ``true``, a
 float key takes an int, a bool key takes only ``true`` or ``false``) and meet
-its key's bound or choice in ``RULES``. A run's one list of problems starts
-with the values that do not, adds missing inputs and the checks that need
-data, and exits 2 with all of them in one JSON line on stderr before any
-write. Every input file resolves relative to the output directory, where
+its key's bound or choice in ``RULES``. ``FILES`` is the one table of each
+command's input and output ``paths`` keys, and ``Runner.claim`` checks them
+before any read: an input must be a regular file, and no output may be the
+file of an input, another output or a key that some command writes. A run's
+one list of problems holds the values, then the files, then the checks that
+need data, and exits 2 with all of them in one JSON line on stderr before
+any write. Every input file resolves relative to the output directory, where
 each run writes its artifacts and a manifest of input/output hashes and the
 effective config hash. A tensor input that is not a container of its kind
 (another kind, a text file, a file cut short) is a problem of its ``paths``
@@ -202,8 +205,11 @@ def load_config(config_path, sets=(), environ=None, flags=None) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     problems = []
     if config_path:
-        with open(config_path) as fh:
-            doc = yaml.safe_load(fh) or {}
+        try:
+            with open(config_path) as fh:
+                doc = yaml.safe_load(fh) or {}
+        except (OSError, ValueError, yaml.YAMLError) as exc:  # ValueError: not UTF-8 text
+            doc, problems = {}, [f"config file {config_path}: {exc}"]
         if not isinstance(doc, dict):
             problems.append("config file must hold a mapping")
         else:
@@ -230,6 +236,34 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+# Each command's (input keys, output keys) in ``paths``; "<command> <value>"
+# is its row where simulate.source, optimize.strategy or verify.grouping
+# chooses its files. A key ending in "?" counts only when it is set.
+FILES = {
+    "synth": ((), ("observations", "forecasts")),
+    "sigma": (("forecasts",), ("sigma",)),
+    "anen": (("forecasts", "observations", "weights_file?"), ("analogs", "ensemble")),
+    "simulate ensemble": (("ensemble", "module_file?"), ("power",)),
+    "simulate forecast": (("forecasts", "module_file?"), ("power",)),
+    "simulate analysis": (("forecasts", "observations", "module_file?"), ("truth_power",)),
+    "optimize-weights": (("forecasts", "observations"), ("weights",)),
+    "optimize-weights RB": (("forecasts", "observations"), ("weights", "clustering")),
+    "cluster": (("observations",), ("clustering",)),
+    "verify": (("power", "truth_power"), ("report",)),
+    "verify region": (("power", "truth_power", "region_map"), ("report",)),
+    "workflow-run": ((), ("events",)),
+}
+WRITTEN = sorted({key for _, outputs in FILES.values() for key in outputs})
+
+
+def _file_id(path: Path):
+    """The device and inode of an existing file, so links count; else its resolved path."""
+    with contextlib.suppress(OSError):
+        st = os.stat(path)
+        return st.st_dev, st.st_ino
+    return os.path.realpath(path)
+
+
 class Runner:
     """Shared context for one subcommand run: paths, manifest, config, and the
     one list of problems that ``check`` reports."""
@@ -241,7 +275,10 @@ class Runner:
         if not isinstance(cfg["output_dir"], str):
             self.check()  # no directory to look for the inputs in
         self.out_dir = Path(cfg["output_dir"])
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file of that name, say
+            raise ConfigValidationError([*self.problems, f"output_dir: {exc}"]) from None
         self.inputs: dict = {}
         self.outputs: dict = {}
 
@@ -256,15 +293,29 @@ class Runner:
         p = Path(str(self.cfg["paths"][key]))
         return p if p.is_absolute() else self.out_dir / p
 
-    def input_path(self, key: str) -> Path:
-        """``path(key)``, checked to exist and recorded as a manifest input; a
-        missing file is a problem of ``paths.<key>``."""
-        p = self.path(key)
-        if not p.is_file():
-            self.problems.append(f"paths.{key}: file not found: {p}")
-        else:
-            self.inputs.setdefault(str(p), None)
-        return p
+    def claim(self, inputs=(), outputs=()):
+        """Check the files of this command's ``FILES`` row and the (label,
+        path) pairs ``inputs`` and ``outputs``, record the inputs for the
+        manifest and raise every problem so far: an input that is not a
+        regular file, and an output that is the file of an input, another
+        output or a ``WRITTEN`` key, a problem of the label it would overwrite."""
+        choice = {"simulate": self.cfg["simulate"]["source"], "verify": self.cfg["verify"]["grouping"],
+                  "optimize-weights": str(self.cfg["optimize"]["strategy"]).upper()}.get(self.command)
+        row = FILES.get(f"{self.command} {choice}") or FILES.get(self.command, ((), ()))
+
+        def keyed(keys):
+            return [(f"paths.{k}", self.path(k)) for k in keys]
+        inputs, outputs = (keyed(k.rstrip("?") for k in keys if not k.endswith("?") or self.cfg["paths"][k[:-1]])
+                           + list(pairs) for keys, pairs in zip(row, (inputs, outputs)))
+        self.inputs.update(dict.fromkeys(str(path) for _, path in inputs))
+        self.problems += [f"{label}: file not found: {path}" for label, path in inputs if not path.is_file()]
+        others = dict.fromkeys([*inputs, *outputs, *keyed(WRITTEN)])
+        ids = {path: _file_id(path) for _, path in others}
+        for i, (out_label, out_path) in enumerate(outputs):
+            for label, path in others:  # outputs[:i] have each met this output already
+                if (label, path) not in outputs[:i + 1] and ids[path] == ids[out_path]:
+                    self.problems.append(f"{label}: is the file of output {out_label}: {path}")
+        self.check()
 
     @contextlib.contextmanager
     def open(self, key: str, kind: str):
@@ -380,9 +431,7 @@ def _load_specs(run: Runner):
     from .pvchain import load_module_catalog, load_module_specs
 
     if run.cfg["paths"]["module_file"]:
-        module_file = run.input_path("module_file")
-        if not module_file.is_file():
-            return []
+        module_file = run.path("module_file")
         try:
             specs = load_module_specs(module_file)
         except ValueError as exc:  # a bad value, or a file that is not UTF-8 text
@@ -420,7 +469,7 @@ def cmd_synth(run: Runner, args) -> int:
     from . import synth
     from .coredata import LocationSet
 
-    run.check()
+    run.claim()
     cfg = run.cfg
     s = cfg["synth"]
     rng = np.random.default_rng(cfg["seed"])
@@ -445,8 +494,7 @@ def cmd_synth(run: Runner, args) -> int:
 def cmd_sigma(run: Runner, args) -> int:
     from .anen import compute_sigma
 
-    run.input_path("forecasts")
-    run.check()
+    run.claim()
     forecasts = run.read("forecasts", "forecast")
     _, search = _anen_split(run, len(forecasts.init_times))
     run.check()
@@ -461,10 +509,7 @@ def cmd_anen(run: Runner, args) -> int:
     from .coredata import EnsembleTensor, align_observations
 
     cfg = run.cfg
-    run.input_path("forecasts")
-    run.input_path("observations")
-    weights_file = run.input_path("weights_file") if cfg["paths"]["weights_file"] else None
-    run.check()
+    run.claim()
     forecasts = run.read("forecasts", "forecast")
     analysis = run.read("observations", "observation")
     run.pair("paths.observations", analysis, "paths.forecasts", forecasts)
@@ -473,11 +518,11 @@ def cmd_anen(run: Runner, args) -> int:
     if search:
         _check_pool(run, "anen.search_days", cfg["anen"]["search_days"], len(search))
     per_loc = None
-    if weights_file:
+    if cfg["paths"]["weights_file"]:
         from . import weights
 
         try:
-            per_loc = validate_weights(weights.read_weights_csv(weights_file, forecasts.predictor_names),
+            per_loc = validate_weights(weights.read_weights_csv(run.path("weights_file"), forecasts.predictor_names),
                                        len(forecasts.predictor_names), len(forecasts.locations))
         except ValueError as exc:
             run.problems.append(f"paths.weights_file: {exc}")
@@ -500,13 +545,7 @@ def cmd_simulate(run: Runner, args) -> int:
     from . import driver
 
     source = run.cfg["simulate"]["source"]
-    if source == "ensemble":
-        run.input_path("ensemble")
-    if source in ("forecast", "analysis"):
-        run.input_path("forecasts")
-    if source == "analysis":
-        run.input_path("observations")
-    run.check()
+    run.claim()
     specs = _load_specs(run)
     system = _system(run)
     if source == "ensemble":
@@ -551,9 +590,7 @@ def cmd_optimize_weights(run: Runner, args) -> int:
 
     cfg = run.cfg
     o = cfg["optimize"]
-    run.input_path("forecasts")
-    run.input_path("observations")
-    run.check()
+    run.claim()
     strategy = o["strategy"].upper()
     system = _system(run)
     specs = {s.code: s for s in load_module_catalog()}
@@ -645,8 +682,7 @@ def _regime_clustering(run: Runner, observations, k: int):
 
 
 def cmd_cluster(run: Runner, args) -> int:
-    run.input_path("observations")
-    run.check()
+    run.claim()
     with run.open("observations", "observation") as observations:
         k = run.cfg["optimize"]["clusters"]
         _check_regimes(run, observations.header, k)
@@ -660,18 +696,8 @@ def cmd_verify(run: Runner, args) -> int:
     from . import verify
     from .solar import precompute_solar
 
-    cfg = run.cfg
-    v = cfg["verify"]
-    run.input_path("power")
-    run.input_path("truth_power")
-    region_path = None
-    if v["grouping"] == "region":
-        if not cfg["paths"]["region_map"]:
-            run.problems.append("paths.region_map: required for region grouping")
-        else:
-            region_path = run.input_path("region_map")
-    run.check()
-
+    v = run.cfg["verify"]
+    run.claim()
     power = run.read("power", "ensemble")
     truth = run.read("truth_power", "ensemble")
     run.pair("paths.truth_power", truth, "paths.power", power)
@@ -685,9 +711,9 @@ def cmd_verify(run: Runner, args) -> int:
             run.problems.append(f"verify.module: {module!r} not in {what} file variables "
                                 f"{tensor.variable_names}")
     region_map = None
-    if region_path:
+    if v["grouping"] == "region":
         try:
-            region_map = verify.read_region_map(region_path)
+            region_map = verify.read_region_map(run.path("region_map"))
         except ValueError as exc:
             run.problems.append(f"paths.region_map: {exc}")
         else:
@@ -717,13 +743,8 @@ def cmd_verify(run: Runner, args) -> int:
 def cmd_workflow_run(run: Runner, args) -> int:
     from . import workflow
 
-    wf_path = Path(args.file)
-    if not wf_path.exists():
-        run.problems.append(f"workflow file not found: {wf_path}")
-    run.check()
-    run.inputs[str(wf_path)] = None
-    wf = workflow.load_workflow_file(wf_path)
-    handle = workflow.submit(wf)
+    run.claim([("workflow file", Path(args.file))])
+    handle = workflow.submit(workflow.load_workflow_file(Path(args.file)))
     final = handle.wait()
     # a timing record, not an output: its clock stamps differ on every run
     workflow.write_event_log(handle.events(), run.path("events"))
@@ -741,15 +762,12 @@ def cmd_report(run: Runner, args) -> int:
         run.problems.append("report: --labels count must match inputs")
     elif len(set(labels)) < len(labels):
         run.problems.append(f"report: labels must differ, got {labels} (set them with --labels)")
-    for p in args.inputs:
-        if not Path(p).exists():
-            run.problems.append(f"report: file not found: {p}")
-    run.check()
+    out = run.out_dir / (args.output or "report_wide.csv")
+    run.claim([("report", Path(p)) for p in args.inputs], [("--output", out)])
 
     metric = args.metric
     series, groups = {}, {}  # groups: a dict for its first-seen order
     for label, path in zip(labels, args.inputs):
-        run.inputs[str(Path(path))] = None
         try:
             with open(path, newline="", encoding="utf-8") as fh:
                 reader = _csv.DictReader(fh)
@@ -762,8 +780,6 @@ def cmd_report(run: Runner, args) -> int:
         series[label] = {r.get("group"): r.get(metric) for r in rows}
         groups.update(dict.fromkeys(r.get("group") for r in rows))
     run.check()
-
-    out = run.out_dir / (args.output or "report_wide.csv")
     run.outputs[str(out)] = atomic_write_csv(
         out, ["group"] + [f"{metric}_{label}" for label in labels],
         ([g] + [series[label].get(g, "") for label in labels] for g in groups))

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -15,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import anensolar
 from anensolar import anen, cli, driver, tensorio, weights, workflow
@@ -868,6 +871,170 @@ def test_no_simulate_source_or_verify_flag_writes_over_the_archive(tmp_path, cap
     assert _problems(capsys) == [f"paths.power: file not found: {out / 'observations'}"]
 
 
+def _snapshot(out: Path) -> dict:
+    return {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()}
+
+
+def _refused(problems) -> list:
+    """The {victim, output} labels of each "<victim>: is the file of output <output>: ..." problem."""
+    return [set(m.groups()) for p in problems if (m := re.match(r"(.+?): is the file of output (.+?): ", p))]
+
+
+# the file of each paths key in the directory of every_file
+FILE_OF = {**cli.DEFAULT_CONFIG["paths"], "weights_file": "given_weights.csv", "module_file": "modules.csv",
+           "region_map": "regions.csv"}
+OPTIONAL = [arg for key in ("weights_file", "module_file", "region_map")
+            for arg in ("--set", f"paths.{key}={FILE_OF[key]}")]
+# each command line, the paths keys it reads with OPTIONAL set, and the ones it writes
+COMMAND_FILES = [
+    (["synth"], (), ("observations", "forecasts")),
+    (["sigma"], ("forecasts",), ("sigma",)),
+    (["anen"], ("forecasts", "observations", "weights_file"), ("analogs", "ensemble")),
+    (["simulate", "--source", "ensemble"], ("ensemble", "module_file"), ("power",)),
+    (["simulate", "--source", "forecast"], ("forecasts", "module_file"), ("power",)),
+    (["simulate", "--source", "analysis"], ("forecasts", "observations", "module_file"), ("truth_power",)),
+    (["optimize-weights", "--strategy", "EW"], ("forecasts", "observations"), ("weights",)),
+    (["optimize-weights", "--strategy", "NN"], ("forecasts", "observations"), ("weights",)),
+    (["optimize-weights", "--strategy", "RB"], ("forecasts", "observations"), ("weights", "clustering")),
+    (["cluster"], ("observations",), ("clustering",)),
+    (["verify"], ("power", "truth_power"), ("report",)),
+    (["verify", "--grouping", "region"], ("power", "truth_power", "region_map"), ("report",)),
+    (["workflow", "run", "wf.yaml"], (), ("events",)),
+]
+WRITTEN_KEYS = sorted({key for _, _, outputs in COMMAND_FILES for key in outputs})
+
+
+@pytest.fixture(scope="module")
+def every_file(weighed_chain, tmp_path_factory):
+    """A directory that holds the file of every paths key and a workflow file."""
+    out = tmp_path_factory.mktemp("every") / "run"
+    shutil.copytree(weighed_chain, out)
+    assert main(["-o", str(out), *SMALL, "sigma"]) == 0
+    assert main(["-o", str(out), *SMALL, "cluster"]) == 0
+    shutil.copyfile(out / "weights.csv", out / FILE_OF["weights_file"])
+    catalog = read_csv(Path(anensolar.__file__).parent / "catalog" / "modules.csv")
+    (out / FILE_OF["module_file"]).write_text("\n".join(",".join(row) for row in catalog[:2]) + "\n")
+    (out / FILE_OF["region_map"]).write_text("location,region\n0,east\n1,east\n2,west\n3,west\n")
+    (out / FILE_OF["events"]).write_text("1 0.5 t0 pending scheduled\n")
+    (out / "wf.yaml").write_text("worker_budget: 1\npipelines:\n  - id: p0\n    stages:\n      - id: s0\n"
+                                 "        tasks:\n          - id: t0\n            command: [echo, one]\n")
+    assert sorted(p.name for p in out.iterdir()) == sorted({*FILE_OF.values(), "manifest.json", "wf.yaml"})
+    return out
+
+
+def test_the_written_keys_are_the_outputs_of_the_files_table():
+    assert cli.WRITTEN == WRITTEN_KEYS
+
+
+@st.composite
+def _collisions(draw):
+    argv, inputs, outputs = draw(st.sampled_from(COMMAND_FILES))
+    output = draw(st.sampled_from(outputs))
+    victim = draw(st.sampled_from(sorted({*inputs, *outputs, *WRITTEN_KEYS} - {output})))
+    return argv, output, victim
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_collisions())
+def test_an_output_on_the_file_of_another_key_exits_2_naming_both(every_file, case):
+    # the victim is an input of the command, another of its outputs, or a key
+    # that some other command writes: either way nothing is read or written
+    argv, output, victim = case
+    argv = [str(every_file / arg) if arg == "wf.yaml" else arg for arg in argv]
+    before = _snapshot(every_file)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["-o", str(every_file), *SMALL, *OPTIONAL, "--set", f"paths.{output}={FILE_OF[victim]}", *argv])
+    assert rc == 2, (case, err.getvalue())
+    problems = json.loads(err.getvalue().strip().splitlines()[-1])["problems"]
+    assert {f"paths.{output}", f"paths.{victim}"} in _refused(problems), problems
+    assert _snapshot(every_file) == before
+
+
+@pytest.mark.parametrize("setting, argv, problem", [
+    ("paths.power=observations.ansr", ["simulate", "--source", "ensemble"],
+     "paths.observations: is the file of output paths.power: observations.ansr"),
+    ("paths.forecasts=ensemble.ansr", ["anen"], "paths.forecasts: is the file of output paths.ensemble: ensemble.ansr"),
+    ("paths.analogs=ensemble.ansr", ["anen"], "paths.ensemble: is the file of output paths.analogs: ensemble.ansr"),
+    ("paths.power=symlink.ansr", ["simulate", "--source", "ensemble"],
+     "paths.observations: is the file of output paths.power: observations.ansr"),
+    ("paths.power=hardlink.ansr", ["simulate", "--source", "ensemble"],
+     "paths.observations: is the file of output paths.power: observations.ansr"),
+], ids=["simulate over the analysis", "an input", "another output", "symlink", "hard link"])
+def test_a_refused_output_is_one_problem_naming_both_keys(every_file, tmp_path, capsys, setting, argv, problem):
+    out = tmp_path / "run"
+    shutil.copytree(every_file, out)
+    (out / "symlink.ansr").symlink_to(out / "observations.ansr")
+    os.link(out / "observations.ansr", out / "hardlink.ansr")
+    before = _snapshot(out)
+    capsys.readouterr()
+    assert main(["-o", str(out), *SMALL, "--set", setting, *argv]) == 2
+    victim, _, name = problem.rpartition(": ")
+    assert _problems(capsys) == [f"{victim}: {out / name}"]
+    assert _snapshot(out) == before
+
+
+def test_report_refuses_an_output_over_its_own_input(every_file, tmp_path, capsys):
+    out = tmp_path / "run"
+    shutil.copytree(every_file, out)
+    shutil.copyfile(out / "report.csv", out / "mine.csv")
+    before = _snapshot(out)
+    capsys.readouterr()
+    assert main(["-o", str(out), "report", str(out / "mine.csv"), "--output", "mine.csv"]) == 2
+    assert _problems(capsys) == [f"report: is the file of output --output: {out / 'mine.csv'}"]
+    assert _snapshot(out) == before
+
+
+def test_workflow_run_refuses_an_event_log_over_its_workflow_file(every_file, tmp_path, capsys):
+    out = tmp_path / "run"
+    shutil.copytree(every_file, out)
+    before = _snapshot(out)
+    capsys.readouterr()
+    assert main(["-o", str(out), "--set", "paths.events=wf.yaml", "workflow", "run", str(out / "wf.yaml")]) == 2
+    assert _problems(capsys) == [f"workflow file: is the file of output paths.events: {out / 'wf.yaml'}"]
+    assert _snapshot(out) == before
+
+
+def test_the_weights_then_anen_chain_shares_one_file(chain_dir, tmp_path):
+    # paths.weights_file is read by anen alone: it may name the file that optimize-weights writes
+    out = tmp_path / "run"
+    shutil.copytree(chain_dir, out)
+    base = ["-o", str(out), *SMALL, "--set", "paths.weights_file=weights.csv"]
+    assert main([*base, "optimize-weights", "--strategy", "EW"]) == 0
+    assert main([*base, "anen"]) == 0
+    assert str(out / "weights.csv") in json.loads((out / "manifest.json").read_text())["anen"]["inputs"]
+
+
+@pytest.mark.parametrize("bad", ["missing", "not YAML", "not UTF-8"])
+def test_a_config_file_that_cannot_be_read_exits_2_naming_it(chain_dir, tmp_path, capsys, bad):
+    config = {"missing": tmp_path / "nothere.yaml", "not YAML": tmp_path / "bad.yaml",
+              "not UTF-8": chain_dir / "forecasts.ansr"}[bad]
+    if bad == "not YAML":
+        config.write_text("anen: [1")
+    capsys.readouterr()
+    assert main(["-c", str(config), "-o", str(tmp_path / "out"), "sigma"]) == 2
+    problems = _problems(capsys)
+    assert len(problems) == 1 and problems[0].startswith(f"config file {config}: "), problems
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_output_dir_that_is_a_file_exits_2(chain_dir, capsys):
+    capsys.readouterr()
+    assert main(["-o", str(chain_dir / "forecasts.ansr"), "sigma"]) == 2
+    problems = _problems(capsys)
+    assert len(problems) == 1 and problems[0].startswith("output_dir: "), problems
+
+
+@pytest.mark.parametrize("argv, label", [(["report"], "report"), (["workflow", "run"], "workflow file")],
+                         ids=["report", "workflow run"])
+def test_a_directory_given_as_an_input_file_exits_2(tmp_path, capsys, argv, label):
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["-o", str(out), *argv, str(tmp_path)]) == 2
+    assert _problems(capsys) == [f"{label}: file not found: {tmp_path}"]
+    assert list(out.iterdir()) == []
+
+
 def test_an_argument_error_is_one_json_problem(tmp_path, capsys):
     out = tmp_path / "never"
     for argv, named in [(["sigma", "--set", "seed=1"], "unrecognized arguments: --set seed=1"),
@@ -891,7 +1058,7 @@ def test_an_argument_error_is_one_json_problem(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, name, argv", [
-    ("paths.forecasts", "ensemble.ansr", ["anen"]),
+    ("paths.forecasts", "power.ansr", ["anen"]),
     ("paths.observations", "forecasts.ansr", ["anen"]),
     ("paths.ensemble", "forecasts.ansr", ["simulate"]),
     ("paths.observations", "analogs.ansr", ["cluster"]),
@@ -946,7 +1113,10 @@ def test_a_tensor_input_that_is_not_a_container_of_its_kind_exits_2(weighed_chai
     # container of another kind: each is a problem of the key, whatever its suffix
     out = tmp_path / "run"
     shutil.copytree(weighed_chain, out)
-    given = {"text": "weights.csv", "cut": "cut.ansr", "other kind": "analogs.ansr"}[bad]
+    # copies, so that no case names a file that the command itself writes
+    given = {"text": "text.csv", "cut": "cut.ansr", "other kind": "other.ansr"}[bad]
+    shutil.copyfile(out / "weights.csv", out / "text.csv")
+    shutil.copyfile(out / "analogs.ansr", out / "other.ansr")
     data = (out / Path(cli.DEFAULT_CONFIG["paths"][key])).read_bytes()
     payload = data.index(b"\x00\n") + 2
     (out / "cut.ansr").write_bytes(data[:(payload + len(data)) // 2])
