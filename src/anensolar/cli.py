@@ -8,21 +8,21 @@ file < ``ANENSOLAR_*`` environment variables (double underscore nests, e.g.
 ``ANENSOLAR_ANEN__MEMBERS=25``) < ``--set KEY=VALUE`` < flags; a key that the
 defaults do not hold is a config error.
 
-Every value must have its default's type (an int key rejects ``true``, a
-float key takes an int, a bool key takes only ``true`` or ``false``) and meet
-its key's bound or choice in ``RULES``. ``FILES`` is the one table of each
+Every value must have its default's type (an int key rejects ``true``, a float
+key takes an int, a bool key takes only ``true`` or ``false``) and meet its
+key's bound or choice in ``RULES``. ``FILES`` is the one table of each
 command's input and output ``paths`` keys, and ``Runner.claim`` checks them
-before any read: an input must be a regular file, and no output may be the
-file of an input, another output or a key that some command writes. A run's
-one list of problems holds the values, then the files, then the checks that
-need data, and exits 2 with all of them in one JSON line on stderr before
-any write. Every input file resolves relative to the output directory, where
-each run writes its artifacts and a manifest of input/output hashes and the
-effective config hash. A tensor input that is not a container of its kind
-(another kind, a text file, a file cut short) is a problem of its ``paths``
-key, whatever the file's name: ``Runner.open`` and ``Runner.read`` open every
-tensor input once under that rule. Any other failure prints a JSON error
-line and exits 1.
+before any read: an input must be a regular file, and no output may be a
+directory or the file of an input, another output or a key that some command
+writes. A run's one list of problems holds the values, then the files, then
+the checks that need data, and exits 2 with all of them in one JSON line on
+stderr before any write. Every input file resolves relative to the output
+directory, where each run writes its artifacts and a manifest of input/output
+hashes and the effective config hash. A tensor input that is not a container
+of its kind (another kind, a text file, a file cut short) is a problem of its
+``paths`` key, whatever the file's name: ``Runner.open`` and ``Runner.read``
+open every tensor input once under that rule. Any other failure prints a JSON
+error line and exits 1.
 
 Each command imports the library modules it runs inside its own function, so
 a process that runs ``sigma`` never loads the PV chain, the weight search or
@@ -297,8 +297,9 @@ class Runner:
         """Check the files of this command's ``FILES`` row and the (label,
         path) pairs ``inputs`` and ``outputs``, record the inputs for the
         manifest and raise every problem so far: an input that is not a
-        regular file, and an output that is the file of an input, another
-        output or a ``WRITTEN`` key, a problem of the label it would overwrite."""
+        regular file, an output that is a directory, and an output that is the
+        file of an input, another output or a ``WRITTEN`` key, a problem of the
+        label it would overwrite."""
         choice = {"simulate": self.cfg["simulate"]["source"], "verify": self.cfg["verify"]["grouping"],
                   "optimize-weights": str(self.cfg["optimize"]["strategy"]).upper()}.get(self.command)
         row = FILES.get(f"{self.command} {choice}") or FILES.get(self.command, ((), ()))
@@ -309,6 +310,7 @@ class Runner:
                            + list(pairs) for keys, pairs in zip(row, (inputs, outputs)))
         self.inputs.update(dict.fromkeys(str(path) for _, path in inputs))
         self.problems += [f"{label}: file not found: {path}" for label, path in inputs if not path.is_file()]
+        self.problems += [f"{label}: is a directory: {path}" for label, path in outputs if path.is_dir()]
         others = dict.fromkeys([*inputs, *outputs, *keyed(WRITTEN)])
         ids = {path: _file_id(path) for _, path in others}
         for i, (out_label, out_path) in enumerate(outputs):

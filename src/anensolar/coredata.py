@@ -35,9 +35,9 @@ class _Owned:
     ``tensorio.read_tensor`` wraps the array it read a file into, and the
     producers wrap the arrays they fill (``anen``'s search and gather,
     ``pvchain.simulate_ensemble``, ``solar.precompute_solar``,
-    ``align_observations``, ``take_locations``), so the tensor
-    keeps them without a copy; ``_Tensor.__post_init__`` freezes them in
-    place. Every other caller's array is copied, because tensors are
+    ``synth.generate``, ``align_observations``, ``take_locations``), so
+    the tensor keeps them without a copy; ``_Tensor.__post_init__`` freezes
+    them in place. Every other caller's array is copied, because tensors are
     immutable and the caller keeps its reference.
     """
 

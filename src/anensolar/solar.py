@@ -116,20 +116,11 @@ def _sun_geometry(t):
     return decl, eot
 
 
-def _noaa_arrays(epoch_seconds, latitude, longitude):
-    """Vectorized NOAA ephemeris; broadcasts over inputs.
-
-    Returns (apparent_zenith, azimuth, declination, equation_of_time).
-    Azimuth is degrees clockwise from north; zenith includes the standard
-    atmospheric refraction correction. Each intermediate of the broadcast
-    shape is computed in place in one of three buffers, which become the
-    zenith and the azimuth, so memory follows a few fields, not every step.
-    """
-    t = np.asarray(epoch_seconds, dtype=float)
-    lat = np.asarray(latitude, dtype=float)
-    lon = np.asarray(longitude, dtype=float)
-    decl, eot = _sun_geometry(t)
-
+def _true_zenith(t, lat, lon, decl, eot):
+    """Geometric zenith in degrees (no refraction) at UTC instants ``t``
+    (epoch seconds) and places ``lat``/``lon`` (degrees), broadcast together,
+    with the array its cosine was built in and where the hour angle is past
+    noon. ``decl`` and ``eot`` are ``_sun_geometry(t)``."""
     # true solar time in minutes, then the hour angle in degrees
     hour_angle = np.add(np.mod(t, 86400.0) / 60.0 + eot, 4.0 * lon,
                         out=np.empty(np.broadcast_shapes(t.shape, lat.shape, lon.shape)))
@@ -149,7 +140,44 @@ def _noaa_arrays(epoch_seconds, latitude, longitude):
     np.clip(cos_zen, -1.0, 1.0, out=cos_zen)
     zen = np.arccos(cos_zen, out=np.empty_like(cos_zen))
     np.divide(zen, _DEG, out=zen)
+    return zen, cos_zen, afternoon
 
+
+def _refract(zen):
+    """The apparent zenith: ``zen``, a geometric zenith, less the refraction
+    correction and clipped to [0, 180], in place."""
+    np.subtract(zen, _refraction_correction(90.0 - zen), out=zen)
+    np.clip(zen, 0.0, 180.0, out=zen)
+    return zen
+
+
+def _apparent_zenith(epoch_seconds, latitude, longitude):
+    """The apparent zenith of ``_noaa_arrays`` alone, in degrees; broadcasts
+    over inputs and spends nothing on the azimuth."""
+    t = np.asarray(epoch_seconds, dtype=float)
+    decl, eot = _sun_geometry(t)
+    zen, _, _ = _true_zenith(t, np.asarray(latitude, dtype=float), np.asarray(longitude, dtype=float),
+                             decl, eot)
+    return _refract(zen)
+
+
+def _noaa_arrays(epoch_seconds, latitude, longitude):
+    """Vectorized NOAA ephemeris; broadcasts over inputs.
+
+    Returns (apparent_zenith, azimuth, declination, equation_of_time).
+    Azimuth is degrees clockwise from north; zenith includes the standard
+    atmospheric refraction correction. Each intermediate of the broadcast
+    shape is computed in place in one of three buffers, which become the
+    zenith and the azimuth, so memory follows a few fields, not every step.
+    """
+    t = np.asarray(epoch_seconds, dtype=float)
+    lat = np.asarray(latitude, dtype=float)
+    lon = np.asarray(longitude, dtype=float)
+    decl, eot = _sun_geometry(t)
+    zen, cos_zen, afternoon = _true_zenith(t, lat, lon, decl, eot)
+
+    phi = lat * _DEG
+    d = decl * _DEG
     with np.errstate(invalid="ignore", divide="ignore"):
         az = np.multiply(np.sin(phi), cos_zen, out=cos_zen)  # the azimuth ratio
         np.subtract(az, np.sin(d), out=az)
@@ -168,23 +196,24 @@ def _noaa_arrays(epoch_seconds, latitude, longitude):
     np.mod(az, 360.0, out=az)
     np.copyto(az, spare, where=~afternoon)
     del spare
-
-    refraction = _refraction_correction(90.0 - zen)
-    np.subtract(zen, refraction, out=zen)
-    np.clip(zen, 0.0, 180.0, out=zen)
-    return zen, az, decl, eot
+    return _refract(zen), az, decl, eot
 
 
 def _refraction_correction(elevation_deg):
     """NOAA atmospheric refraction in degrees as a function of true elevation."""
     e = np.asarray(elevation_deg, dtype=float)
-    te = np.tan(np.clip(e, -9.0, 89.9) * _DEG)
-    # each band overwrites the one below it, one full-shape term at a time
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.divide(-20.772, te, out=np.empty_like(e))
-        np.copyto(r, 1735.0 + e * (-518.2 + e * (103.4 + e * (-12.79 + 0.711 * e))), where=e > -0.575)
-        np.copyto(r, 58.1 / te - 0.07 / te**3 + 0.000086 / te**5, where=e > 5.0)
-    r[e > 85.0] = 0.0
+    r = np.zeros_like(e)  # above 85 degrees
+    # each band's formula on the cells of that band alone; a NaN elevation
+    # falls in the lowest band, whose tangent is taken at -9 degrees or above
+    low = ~(e > -0.575)
+    mid = (e > -0.575) & (e <= 5.0)
+    high = (e > 5.0) & (e <= 85.0)
+    te = np.tan(np.maximum(e[low], -9.0) * _DEG)
+    r[low] = -20.772 / te
+    em = e[mid]
+    r[mid] = 1735.0 + em * (-518.2 + em * (103.4 + em * (-12.79 + 0.711 * em)))
+    te = np.tan(e[high] * _DEG)
+    r[high] = 58.1 / te - 0.07 / te**3 + 0.000086 / te**5
     np.divide(r, 3600.0, out=r)
     return r
 

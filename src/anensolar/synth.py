@@ -20,8 +20,9 @@ from .coredata import (
     LocationSet,
     ObservationTensor,
     TimeAxis,
+    _Owned,
 )
-from .solar import _noaa_arrays, extraterrestrial_normal
+from .solar import _apparent_zenith, extraterrestrial_normal
 
 VARIABLES = ("ghi", "temperature", "wind_speed", "albedo", "cloud_cover")
 
@@ -87,15 +88,30 @@ class SynthConfig:
                 raise ValueError(f"noise scale for {name} must be >= 0")
         if self.n_days < 1 or self.n_leads < 1:
             raise ValueError("need at least one day and one lead")
+        for name in ("regimes", "location_temp_offset"):
+            value = getattr(self, name)
+            if value is not None and np.shape(value) != (len(self.locations),):
+                raise ValueError(f"{name} must hold one value per location ({len(self.locations)}), "
+                                 f"got shape {np.shape(value)}")
+        for name, model in self.errors.items():
+            if model.bias_driver is not None and model.bias_driver not in VARIABLES:
+                raise ValueError(f"bias_driver of {name} must be one of {VARIABLES}, got {model.bias_driver!r}")
+        for regime, driver in (self.regime_drivers or {}).items():
+            if driver not in VARIABLES:
+                raise ValueError(f"regime_drivers[{regime!r}] must be one of {VARIABLES}, got {driver!r}")
 
 
-def _ar1(rng, n: int, coeff: float, scale: float) -> np.ndarray:
-    # imported here: scipy takes about a second to load, and no CLI command
-    # but synth needs it
-    from scipy.signal import lfilter
+# (AR coefficient, innovation scale) of the temperature, wind and albedo
+# processes; the sky process takes both from the configuration
+_WEATHER_AR = ((0.9, 1.0), (0.85, 1.2), (0.99, 0.01))
 
-    innov = rng.standard_normal(n) * scale
-    return lfilter([1.0], [1.0, -coeff], innov)
+
+def _anomaly(series: np.ndarray) -> np.ndarray:
+    """The standardized state tanh((x - mean) / (2 std)) of each location's row."""
+    mean = series.mean(axis=1, keepdims=True)
+    std = series.std(axis=1, keepdims=True)
+    std = np.where(std > 0, std, 1.0)
+    return np.tanh((series - mean) / (2.0 * std))
 
 
 def generate(cfg: SynthConfig):
@@ -107,6 +123,10 @@ def generate(cfg: SynthConfig):
     in [0, e0n]. Forecasts are analysis plus conditional bias plus noise,
     gathered onto the (init, lead) layout.
     """
+    # imported here: scipy takes most of a second to load, and no other
+    # command needs scipy.signal
+    from scipy.signal import lfilter
+
     locs = cfg.locations
     n_loc = len(locs)
     init_times = TimeAxis(cfg.start + 86400 * np.arange(cfg.n_days))
@@ -115,92 +135,81 @@ def generate(cfg: SynthConfig):
     valid_times = TimeAxis(cfg.start + 3600 * np.arange(n_hours))
 
     doy_e0n = extraterrestrial_normal(valid_times.instants)
-    truth = np.zeros((len(VARIABLES), n_loc, n_hours))
-    e0n_by_hour = np.broadcast_to(doy_e0n, (n_loc, n_hours))
-
-    zen, _, _, _ = _noaa_arrays(
+    zen = _apparent_zenith(
         valid_times.instants[None, :].astype(float),
         locs.latitude[:, None], locs.longitude[:, None],
     )
     cos_z = np.maximum(np.cos(np.radians(zen)), 0.0)
-    envelope = e0n_by_hour * cos_z * cfg.transmittance
+    envelope = np.broadcast_to(doy_e0n, (n_loc, n_hours)) * cos_z * cfg.transmittance
 
     doy = ((valid_times.instants - valid_times.instants[0]) // 86400 % 365).astype(float)
     seasonal = 10.0 * np.sin(2.0 * np.pi * (doy - 100.0) / 365.0)
 
-    temp_offset = cfg.location_temp_offset
-    if temp_offset is None:
-        temp_offset = np.zeros(n_loc)
+    temp_offset = np.zeros(n_loc) if cfg.location_temp_offset is None else np.asarray(cfg.location_temp_offset)
 
+    # each location's stream draws its sky, temperature, wind and albedo
+    # innovations in that order; each process is one AR(1) filter over every
+    # location's row
+    innov = np.empty((n_loc, 1 + len(_WEATHER_AR), n_hours))
     for loc in range(n_loc):
-        rng = np.random.default_rng([cfg.seed, loc])
-        sky = np.clip(cfg.sky_base + _ar1(rng, n_hours, cfg.ar_coeff, cfg.cloud_noise), 0.05, 1.0)
-        cloud = 1.0 - sky
-        ghi = envelope[loc] * sky
-        temp = (
-            12.0 + temp_offset[loc] + seasonal
-            + 7.0 * cos_z[loc]
-            + _ar1(rng, n_hours, 0.9, 1.0)
-        )
-        wind = np.clip(np.abs(3.0 + _ar1(rng, n_hours, 0.85, 1.2)), 0.0, 25.0)
-        albedo = np.clip(0.2 + _ar1(rng, n_hours, 0.99, 0.01), 0.05, 0.9)
-        truth[0, loc] = ghi
-        truth[1, loc] = np.clip(temp, -30.0, 45.0)
-        truth[2, loc] = wind
-        truth[3, loc] = albedo
-        truth[4, loc] = cloud
+        np.random.default_rng([cfg.seed, loc]).standard_normal(out=innov[loc])
+    sky, temp, wind, albedo = (
+        lfilter([1.0], [1.0, -coeff], innov[:, p] * scale)
+        for p, (coeff, scale) in enumerate(((cfg.ar_coeff, cfg.cloud_noise), *_WEATHER_AR))
+    )
+    del innov
 
-    analysis = ObservationTensor(VARIABLES, locs, valid_times, truth)
+    truth = np.empty((len(VARIABLES), n_loc, n_hours))
+    sky = np.clip(cfg.sky_base + sky, 0.05, 1.0)
+    np.multiply(envelope, sky, out=truth[0])
+    np.clip(12.0 + temp_offset[:, None] + seasonal + 7.0 * cos_z + temp, -30.0, 45.0, out=truth[1])
+    np.clip(np.abs(3.0 + wind), 0.0, 25.0, out=truth[2])
+    np.clip(0.2 + albedo, 0.05, 0.9, out=truth[3])
+    np.subtract(1.0, sky, out=truth[4])
 
-    # standardized driver states condition the planted biases
-    anomalies = {}
-    for v, name in enumerate(VARIABLES):
-        series = truth[v]
-        mean = series.mean(axis=1, keepdims=True)
-        std = series.std(axis=1, keepdims=True)
-        std = np.where(std > 0, std, 1.0)
-        anomalies[name] = np.tanh((series - mean) / (2.0 * std))
+    # standardized driver states condition the planted biases: only those of
+    # the drivers some bias reads are computed
+    models = {name: cfg.errors.get(name, PredictorErrorModel()) for name in VARIABLES}
+    drivers = {model.bias_driver for model in models.values() if model.bias_amplitude != 0.0}
+    if cfg.regimes is not None and cfg.regime_drivers is not None:
+        drivers.update(cfg.regime_drivers.values())
+    anomalies = {name: _anomaly(truth[v]) for v, name in enumerate(VARIABLES) if name in drivers}
 
     # hour index of every (init, lead) cell in the valid axis
     cell_hour = (
         (init_times.instants[:, None] + lead_times.offsets[None, :] - cfg.start) // 3600
     ).astype(np.int64)
 
-    forecasts = np.zeros((len(VARIABLES), n_loc, cfg.n_days, cfg.n_leads))
+    cells = (n_loc, cfg.n_days, cfg.n_leads)
+    forecasts = np.empty((len(VARIABLES), *cells))
     env_cells = envelope[:, cell_hour]  # (L, I, J)
-    e0n_cells = e0n_by_hour[:, cell_hour]
+    # the range each forecast variable is clipped to
+    clip_range = {"ghi": (0.0, doy_e0n[cell_hour]), "temperature": (-40.0, 50.0),
+                  "wind_speed": (0.0, 30.0), "albedo": (0.0, 1.0), "cloud_cover": (0.0, 1.0)}
     for v, name in enumerate(VARIABLES):
-        model = cfg.errors.get(name, PredictorErrorModel())
-        truth_cells = truth[v][:, cell_hour]
-        bias = np.zeros_like(truth_cells)
+        model = models[name]
+        bias = noise = 0.0  # adds as a zero array would, bit for bit
         if model.bias_amplitude != 0.0:
-            for loc in range(n_loc):
-                driver = model.bias_driver
-                if cfg.regimes is not None and cfg.regime_drivers is not None and name == "ghi":
-                    driver = cfg.regime_drivers.get(int(cfg.regimes[loc]), driver)
-                if driver is None:
-                    continue
-                state = anomalies[driver][loc, cell_hour]
-                if name == "ghi":
-                    bias[loc] = model.bias_amplitude * state * env_cells[loc]
-                else:
-                    bias[loc] = model.bias_amplitude * state
-        noise = np.zeros_like(truth_cells)
+            loc_drivers = [model.bias_driver] * n_loc
+            if cfg.regimes is not None and cfg.regime_drivers is not None and name == "ghi":
+                loc_drivers = [cfg.regime_drivers.get(int(r), model.bias_driver) for r in cfg.regimes]
+            bias = np.zeros(cells)
+            for driver in set(loc_drivers) - {None}:
+                rows = np.flatnonzero([d == driver for d in loc_drivers])
+                state = model.bias_amplitude * anomalies[driver][rows[:, None, None], cell_hour]
+                bias[rows] = state * env_cells[rows] if name == "ghi" else state
         if model.noise_scale > 0.0:
+            noise = np.empty(cells)  # C-contiguous, as the draws into it need
             for loc in range(n_loc):
-                rng = np.random.default_rng([cfg.seed, loc, 1000 + v])
-                draw = rng.standard_normal((cfg.n_days, cfg.n_leads))
-                if name == "ghi":
-                    noise[loc] = model.noise_scale * draw * env_cells[loc]
-                else:
-                    noise[loc] = model.noise_scale * draw
-        forecasts[v] = truth_cells + bias + noise
+                np.random.default_rng([cfg.seed, loc, 1000 + v]).standard_normal(out=noise[loc])
+            noise *= model.noise_scale
+            if name == "ghi":
+                noise *= env_cells
+        np.add(truth[v][:, cell_hour], bias, out=forecasts[v])
+        forecasts[v] += noise
+        np.clip(forecasts[v], *clip_range[name], out=forecasts[v])
 
-    forecasts[0] = np.clip(forecasts[0], 0.0, e0n_cells)
-    forecasts[1] = np.clip(forecasts[1], -40.0, 50.0)
-    forecasts[2] = np.clip(forecasts[2], 0.0, 30.0)
-    forecasts[3] = np.clip(forecasts[3], 0.0, 1.0)
-    forecasts[4] = np.clip(forecasts[4], 0.0, 1.0)
-
-    forecast_tensor = ForecastTensor(VARIABLES, locs, init_times, lead_times, forecasts)
+    # truth and forecasts are fresh arrays the tensors keep uncopied
+    analysis = ObservationTensor(VARIABLES, locs, valid_times, _Owned(truth))
+    forecast_tensor = ForecastTensor(VARIABLES, locs, init_times, lead_times, _Owned(forecasts))
     return analysis, forecast_tensor

@@ -26,7 +26,11 @@ than the library (no shared helpers), so agreement is meaningful:
   one-location slice, merged along the location axis; it pins the single
   search with (L, P) weights to that composition;
 - ``loop_aggregate``: grouped verification with one Python key per cell; it
-  pins the group-code ``aggregate`` to that loop.
+  pins the group-code ``aggregate`` to that loop;
+- ``whole_array_refraction``: the library's earlier refraction correction,
+  every band's formula over every cell, kept verbatim. It shares the
+  library's arithmetic: it pins the banded ``_refraction_correction`` to the
+  same bits.
 """
 
 from __future__ import annotations
@@ -100,6 +104,20 @@ def psa_position(epoch_seconds: float, latitude: float, longitude: float):
     parallax = (earth_mean_radius / astronomical_unit) * math.sin(zenith)
     zenith = (zenith + parallax) / rad
     return zenith, azimuth
+
+
+def whole_array_refraction(elevation_deg):
+    """NOAA atmospheric refraction in degrees as a function of true elevation."""
+    e = np.asarray(elevation_deg, dtype=float)
+    te = np.tan(np.clip(e, -9.0, 89.9) * (np.pi / 180.0))
+    # each band overwrites the one below it, one full-shape term at a time
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.divide(-20.772, te, out=np.empty_like(e))
+        np.copyto(r, 1735.0 + e * (-518.2 + e * (103.4 + e * (-12.79 + 0.711 * e))), where=e > -0.575)
+        np.copyto(r, 58.1 / te - 0.07 / te**3 + 0.000086 / te**5, where=e > 5.0)
+    r[e > 85.0] = 0.0
+    np.divide(r, 3600.0, out=r)
+    return r
 
 
 # -- DISC reference --------------------------------------------------------------

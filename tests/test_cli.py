@@ -1035,6 +1035,30 @@ def test_a_directory_given_as_an_input_file_exits_2(tmp_path, capsys, argv, labe
     assert list(out.iterdir()) == []
 
 
+def test_an_output_that_is_a_directory_exits_2_before_any_read(chain_dir, tmp_path, capsys):
+    out, adir = tmp_path / "run", tmp_path / "adir"
+    shutil.copytree(chain_dir, out)
+    adir.mkdir()
+    before = _snapshot(out)
+    capsys.readouterr()
+    assert main(["-o", str(out), *SMALL, "--set", f"paths.sigma={adir}", "sigma"]) == 2
+    assert _problems(capsys) == [f"paths.sigma: is a directory: {adir}"]
+    assert _snapshot(out) == before
+    assert list(adir.iterdir()) == []
+
+
+def test_report_refuses_an_output_that_is_a_directory(every_file, tmp_path, capsys):
+    out, adir = tmp_path / "run", tmp_path / "adir"
+    shutil.copytree(every_file, out)
+    adir.mkdir()
+    before = _snapshot(out)
+    capsys.readouterr()
+    assert main(["-o", str(out), "report", str(out / "report.csv"), "--output", str(adir)]) == 2
+    assert _problems(capsys) == [f"--output: is a directory: {adir}"]
+    assert _snapshot(out) == before
+    assert list(adir.iterdir()) == []
+
+
 def test_an_argument_error_is_one_json_problem(tmp_path, capsys):
     out = tmp_path / "never"
     for argv, named in [(["sigma", "--set", "seed=1"], "unrecognized arguments: --set seed=1"),

@@ -12,7 +12,7 @@ from anensolar.solar import (
 )
 
 from conftest import make_locations
-from oracles import psa_position
+from oracles import psa_position, whole_array_refraction
 
 # (epoch, lat, lon, psa zenith, psa azimuth) frozen from the PSA ephemeris oracle
 ALMANAC_SPOTS = [
@@ -190,6 +190,38 @@ class TestPrecompute:
             noon_minutes = 720.0 - 4.0 * float(locs.longitude[l]) - p.equation_of_time
             noon_epoch = int(init.instants[0]) + noon_minutes * 60.0
             assert abs(instant - noon_epoch) <= 3600.0
+
+
+class TestBandedRefraction:
+    EDGES = np.array([-9.0, -0.575, 5.0, 85.0, 89.9])
+
+    def elevations(self):
+        edges = np.concatenate([self.EDGES, np.nextafter(self.EDGES, -np.inf), np.nextafter(self.EDGES, np.inf)])
+        return np.concatenate([np.linspace(-95.0, 95.0, 190_001), edges, [np.nan, -np.inf, np.inf, 0.0, -0.0]])
+
+    def test_bit_identical_to_the_whole_array_formulas(self):
+        from anensolar.solar import _refraction_correction
+
+        e = self.elevations()
+        got = _refraction_correction(e)
+        assert got.shape == e.shape
+        np.testing.assert_array_equal(got.view(np.uint64), whole_array_refraction(e).view(np.uint64))
+        grid = e.reshape(1, -1)  # any shape, and one value alone
+        np.testing.assert_array_equal(_refraction_correction(grid).view(np.uint64),
+                                      whole_array_refraction(grid).view(np.uint64))
+        for value in [*self.EDGES, np.nan]:
+            one = _refraction_correction(value)
+            assert one.shape == () and one.view(np.uint64) == whole_array_refraction(value).view(np.uint64)
+
+    def test_the_zenith_alone_is_the_zenith_of_the_whole_ephemeris(self):
+        from anensolar.solar import _apparent_zenith, _noaa_arrays
+
+        locs = make_locations(6, seed=3)
+        t = (1546300800 + 3600 * np.arange(24 * 40))[None, :].astype(float)
+        lat, lon = locs.latitude[:, None], locs.longitude[:, None]
+        zen = _apparent_zenith(t, lat, lon)
+        np.testing.assert_array_equal(zen.view(np.uint64), _noaa_arrays(t, lat, lon)[0].view(np.uint64))
+        assert float(_apparent_zenith(1623456000.0, 40.0, -100.0)) == solar_position(1623456000, 40.0, -100.0).apparent_zenith
 
 
 class TestPrecomputeMemory:

@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+
+from anensolar import tensorio
 
 from anensolar.anen import AnEnConfig, equal_weights
 from anensolar.coredata import LocationSet
@@ -84,6 +88,33 @@ class TestGenerate:
         with pytest.raises(ValueError):
             small_config(errors=bad)
 
+    def test_the_tensors_keep_the_arrays_generate_fills(self, monkeypatch):
+        from anensolar import synth
+
+        given = []
+        for kind in ("ObservationTensor", "ForecastTensor"):
+            monkeypatch.setattr(synth, kind, lambda *a, real=getattr(synth, kind): given.append(a[-1]) or real(*a))
+        obs, fc = generate(small_config())
+        assert obs.values is given[0].array and fc.values is given[1].array
+
+    @pytest.mark.parametrize("field, value", [
+        ("regimes", np.array([0, 1])), ("regimes", np.zeros((3, 1), dtype=int)),
+        ("location_temp_offset", np.zeros(5)), ("location_temp_offset", np.zeros(2)),
+    ])
+    def test_per_location_arrays_need_one_value_per_location(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            small_config(n_loc=3, **{field: value})
+
+    def test_drivers_must_be_variables(self):
+        errors = default_error_models()
+        errors["ghi"] = PredictorErrorModel(0.3, 0.06, "cloudcover")
+        with pytest.raises(ValueError, match="bias_driver"):
+            small_config(errors=errors)
+        with pytest.raises(ValueError, match="regime_drivers"):
+            small_config(regimes=np.array([0, 0, 1]), regime_drivers={0: "wind_speed", 1: "pressure"})
+        with pytest.raises(ValueError, match="regime_drivers"):
+            small_config(regimes=np.array([0, 0, 1]), regime_drivers={0: None})
+
     def test_regime_dependent_bias_differs_by_regime(self):
         errors = default_error_models()
         errors["ghi"] = PredictorErrorModel(0.3, 0.0, "cloud_cover")
@@ -108,6 +139,47 @@ class TestGenerate:
         c_temp = np.corrcoef(err[2][sel], temp_anom[2][sel])[0, 1]
         c_wind = np.corrcoef(err[2][sel], wind_anom[2][sel])[0, 1]
         assert c_wind > abs(c_temp)
+
+
+def _quiet_errors():
+    errors = default_error_models()
+    errors["ghi"] = PredictorErrorModel(0.0, 0.06, "cloud_cover")
+    return errors
+
+
+_REGIMES = np.array([0, 0, 1, 1])
+
+# SHA-256 of the written (observations, forecasts) files of each configuration
+PINNED = {
+    "defaults": (
+        lambda: small_config(),
+        "32501d5bc0667917b42b882552ad61916893d5d9c9105f502d47e312559a16cb",
+        "4737bf5180021ffb7e3b368ceaff7a7acaa55a6b7f6a742109ef1675395a8a10",
+    ),
+    "regimes": (
+        lambda: small_config(n_loc=4, regimes=_REGIMES, regime_drivers={0: "wind_speed", 1: "albedo"},
+                             location_temp_offset=np.where(_REGIMES == 0, -6.0, 6.0)),
+        "44b892cb96716132aa200249aa8a42c4411052930f74fad2aa041d693a46929b",
+        "3133f6a45f22c8c807589130f1a7fb8d9db8691d690237e6ee0e5920fc7596c9",
+    ),
+    "no cloud noise, no AR, no ghi bias": (
+        lambda: small_config(cloud_noise=0.0, ar_coeff=0.0, errors=_quiet_errors()),
+        "bf19d5b95898696814ca2ee72cd86dc859ae9d865b42c33d12bdd0a576d7cb41",
+        "57c53ec30f50f43fd1f7c52c131cf3a8bff57629c0a87880522208946f861384",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_written_archive_bytes_are_pinned(tmp_path, name):
+    # every stream, and the order of every floating-point step, is fixed: a
+    # change to synth or the ephemeris that moves one byte fails here
+    make, *digests = PINNED[name]
+    got = []
+    for tensor, file in zip(generate(make()), ("observations.ansr", "forecasts.ansr")):
+        tensorio.write_tensor(tensor, tmp_path / file)
+        got.append(hashlib.sha256((tmp_path / file).read_bytes()).hexdigest())
+    assert got == digests
 
 
 class TestPlantedBiasRecoverable:
