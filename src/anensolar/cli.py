@@ -746,10 +746,17 @@ def cmd_workflow_run(run: Runner, args) -> int:
     from . import workflow
 
     run.claim([("workflow file", Path(args.file))])
-    handle = workflow.submit(workflow.load_workflow_file(Path(args.file)))
+    wf = workflow.load_workflow_file(Path(args.file))
+    backend = workflow.LocalProcessBackend()
+    handle = workflow.submit(wf, backend)
     final = handle.wait()
     # a timing record, not an output: its clock stamps differ on every run
     workflow.write_event_log(handle.events(), run.path("events"))
+    for task in (t for p in wf.pipelines for s in p.stages for t in s.tasks):
+        if task.state is workflow.TaskState.FAILED:
+            tail = backend.stderr_tail.get(task.id, b"").decode("utf-8", "replace")
+            print(json.dumps({"error": "task-failed", "task": task.id, "attempts": task.attempts,
+                              "stderr_tail": tail}), file=sys.stderr)
     print(f"workflow finished: {final.value}")
     return 0 if final is workflow.RunState.DONE else 1
 

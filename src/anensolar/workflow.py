@@ -5,12 +5,11 @@ stages; each stage is a set of mutually independent tasks (self-contained
 commands with a core-count resource hint). Stages run strictly in order
 within a pipeline, pipelines and intra-stage tasks run concurrently under a
 global worker budget, and failed tasks are resubmitted up to their retry
-limit. All state mutation funnels through a single coordinator thread; the
-execution backend is a black box behind ``ExecutionBackend`` so it can be
-torn down and brought back, losing only the tasks that were running.
+limit. The execution backend is a black box behind ``ExecutionBackend`` so it
+can be torn down and brought back, losing only the tasks that were running.
 
-The coordinator builds its scheduling state once and updates it only as
-tasks settle, never rescanning the workflow:
+The run builds its scheduling state once and updates it only as tasks
+settle, never rescanning the workflow:
 
 - a stage cursor per pipeline (the index of its open stage), and counts of
   non-terminal tasks per stage and for the whole run;
@@ -21,8 +20,11 @@ tasks settle, never rescanning the workflow:
   its own key; when a stage's count reaches zero the cursor moves on and
   the next stage's tasks enter the list.
 
-The run is done when the run-wide count is zero. Every state change arrives
-as a queue message, so the coordinator blocks on the queue between them.
+One condition guards that state. Each worker thread takes the next
+scheduled task, runs it with the lock released, then records its outcome,
+settles it and dispatches again, so the thread that frees cores hands them
+on itself. The run is done when the run-wide count reaches zero, and its
+workers then exit.
 
 Task state machine::
 
@@ -33,18 +35,17 @@ Task state machine::
 FAILED is terminal once attempts exceed max_retries; like DONE, it lets the
 next stage of its pipeline open (the run then ends FAILED). Completed tasks are
 never re-run. A backend loss re-executes only the tasks that were RUNNING,
-without consuming their retry budget.
+without consuming their retry budget, and no task starts until it is restored.
 """
 
 from __future__ import annotations
 
 import bisect
+import collections
 import enum
-import queue
 import subprocess
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import yaml
@@ -63,8 +64,11 @@ class TaskState(enum.Enum):
 
 TERMINAL_STATES = (TaskState.DONE, TaskState.CANCELED)
 
-# threads of the dispatch pool; a larger budget still runs at most this many tasks at once
+# worker threads of one run; a larger budget still runs at most this many tasks at once
 MAX_POOL_THREADS = 128
+
+# bytes of a failed command's standard error kept to explain the failure
+STDERR_TAIL_BYTES = 4096
 
 ALLOWED_TRANSITIONS = {
     (TaskState.PENDING, TaskState.SCHEDULED),
@@ -180,10 +184,15 @@ class ExecutionBackend:
 
 
 class LocalProcessBackend(ExecutionBackend):
-    """Runs task commands as local subprocesses."""
+    """Runs task commands as local subprocesses, discarding their output; ``stderr_tail``
+    maps each task id to the last ``STDERR_TAIL_BYTES`` of its latest standard error."""
+
+    def __init__(self):
+        self.stderr_tail = {}
 
     def run(self, task: Task) -> int:
-        proc = subprocess.run(task.argv, capture_output=True)
+        proc = subprocess.run(task.argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        self.stderr_tail[task.id] = proc.stderr[-STDERR_TAIL_BYTES:]
         return proc.returncode
 
 
@@ -207,15 +216,14 @@ class WorkflowRun:
         self.workflow = workflow
         self._backend = backend
         self._tasks = {t.id: t for p in workflow.pipelines for s in p.stages for t in s.tasks}
-        self._queue: queue.Queue = queue.Queue()
+        self._cond = threading.Condition()
         self._events: list = []
-        self._events_lock = threading.Lock()
         self._seq = 0
         self._reserved = 0
-        self._in_flight = {}
-        self._parked = []
+        self._scheduled = collections.deque()
+        self._workers = []
+        self._idle = 0
         self._degraded = False
-        self._canceled = False
         self._finished = threading.Event()
         self._final_state = RunState.RUNNING
         pipelines = workflow.pipelines
@@ -228,11 +236,10 @@ class WorkflowRun:
         self._left = sum(map(sum, self._stage_left))
         self._cursor = [0] * len(pipelines)
         self._ready = []
-        for p in range(len(pipelines)):
-            self._open_stage(p)
-        self._pool = ThreadPoolExecutor(max_workers=min(workflow.worker_budget, MAX_POOL_THREADS))
-        self._coordinator = threading.Thread(target=self._coordinate, daemon=True)
-        self._coordinator.start()
+        with self._cond:
+            for p in range(len(pipelines)):
+                self._open_stage(p)
+            self._dispatch_ready()
 
     # -- public handle API ---------------------------------------------------
 
@@ -245,30 +252,44 @@ class WorkflowRun:
         return {tid: t.state for tid, t in self._tasks.items()}
 
     def events(self) -> list:
-        with self._events_lock:
+        with self._cond:
             return list(self._events)
 
     def cancel(self):
-        self._queue.put(("cancel",))
+        with self._cond:
+            if self._finished.is_set():
+                return
+            for task in self._tasks.values():
+                if not task.is_terminal():
+                    self._record(task, TaskState.CANCELED)
+            self._finish(RunState.CANCELED)
 
     def restore_backend(self, backend: ExecutionBackend):
-        """Bring a (new) backend up after a loss; parked work resumes."""
-        self._queue.put(("restore", backend))
+        """Bring a (new) backend up after a loss; idle workers take the scheduled tasks."""
+        with self._cond:
+            self._backend = backend
+            self._degraded = False
+            self._dispatch_ready()
+            self._idle = 0
+            self._cond.notify_all()
 
     def wait(self, timeout: float | None = None) -> RunState:
         if not self._finished.wait(timeout):
             raise TimeoutError("workflow run still active")
+        if self._final_state is not RunState.CANCELED:
+            # no task is in flight, so every worker is on its way out
+            for worker in self._workers:
+                worker.join()
         return self._final_state
 
-    # -- coordinator (single stateful component) ------------------------------
+    # -- scheduling state, guarded by self._cond --------------------------------
 
     def _record(self, task: Task, to_state: TaskState):
         pair = (task.state, to_state)
         if pair not in ALLOWED_TRANSITIONS:
             raise RuntimeError(f"illegal transition {pair} for task {task.id}")
-        with self._events_lock:
-            self._seq += 1
-            self._events.append(TransitionRecord(self._seq, time.time(), task.id, task.state, to_state))
+        self._seq += 1
+        self._events.append(TransitionRecord(self._seq, time.time(), task.id, task.state, to_state))
         task.state = to_state
 
     def _open_stage(self, p: int):
@@ -298,8 +319,10 @@ class WorkflowRun:
         if self._stage_left[p][s] == 0:
             self._open_stage(p)
 
-    def _dispatch_ready(self):
-        if self._degraded or self._canceled:
+    def _dispatch_ready(self, takers: int = 0):
+        """Schedule ready tasks first-fit; the first ``takers`` are left to the
+        calling worker, each other one wakes an idle worker or starts one."""
+        if self._degraded or self._finished.is_set():
             return
         budget = self.workflow.worker_budget
         pipelines = self.workflow.pipelines
@@ -313,85 +336,61 @@ class WorkflowRun:
                 continue
             del ready[i]
             self._reserved += task.cores
-            self._in_flight[task.id] = task
             self._record(task, TaskState.SCHEDULED)
-            self._pool.submit(self._execute, task)
+            self._scheduled.append(task)
+            if takers:
+                takers -= 1
+            elif self._idle:
+                self._idle -= 1
+                self._cond.notify()
+            elif len(self._workers) < min(budget, MAX_POOL_THREADS):
+                worker = threading.Thread(target=self._work, daemon=True,
+                                          name=f"workflow-{id(self):x}-{len(self._workers)}")
+                self._workers.append(worker)
+                worker.start()
 
-    def _execute(self, task: Task):
-        if self._degraded:
-            self._queue.put(("parked", task))
-            return
-        self._queue.put(("started", task))
-        backend = self._backend
-        try:
-            code = backend.run(task)
-        except BackendUnavailableError as exc:
-            self._queue.put(("backend_lost", task, exc))
-            return
-        except Exception:
-            code = 1
-        self._queue.put(("finished", task, int(code)))
-
-    def _release(self, task: Task):
-        if task.id in self._in_flight:
-            del self._in_flight[task.id]
-            self._reserved -= task.cores
-
-    def _coordinate(self):
-        while True:
-            self._dispatch_ready()
-            if self._left == 0 and not self._in_flight:
-                break
-            msg = self._queue.get()
-            kind = msg[0]
-            if kind == "started":
-                task = msg[1]
-                if task.state is TaskState.SCHEDULED:
-                    self._record(task, TaskState.RUNNING)
-            elif kind == "finished":
-                _, task, code = msg
+    def _work(self):
+        """Take scheduled tasks, run each unlocked and settle it, until the run finishes."""
+        with self._cond:
+            while not self._finished.is_set():
+                if self._degraded or not self._scheduled:
+                    self._idle += 1  # whoever wakes this worker takes it off the count
+                    self._cond.wait()
+                    continue
+                task = self._scheduled.popleft()
+                self._record(task, TaskState.RUNNING)
+                self._cond.release()
+                try:
+                    code = int(self._backend.run(task))
+                except BackendUnavailableError:
+                    code = None
+                except Exception:
+                    code = 1
+                finally:
+                    self._cond.acquire()
                 if task.state is not TaskState.RUNNING:
                     continue  # canceled while executing; discard late result
-                task.attempts += 1
-                self._release(task)
-                self._record(task, TaskState.DONE if code == 0 else TaskState.FAILED)
-                self._settle(task)
-            elif kind == "backend_lost":
-                _, task, _exc = msg
-                self._degraded = True
-                if task.state is TaskState.RUNNING:
+                self._reserved -= task.cores
+                if code is None:
                     # no attempt consumed: the runtime failed, not the task
-                    self._release(task)
+                    self._degraded = True
                     self._record(task, TaskState.FAILED)
-                    self._settle(task)
-            elif kind == "parked":
-                if self._degraded:
-                    self._parked.append(msg[1])
                 else:
-                    # backend already restored; resume without a new transition
-                    self._pool.submit(self._execute, msg[1])
-            elif kind == "restore":
-                self._backend = msg[1]
-                self._degraded = False
-                for task in self._parked:
-                    self._pool.submit(self._execute, task)
-                self._parked = []
-            elif kind == "cancel":
-                self._canceled = True
-                for task in self._tasks.values():
-                    if not task.is_terminal():
-                        self._record(task, TaskState.CANCELED)
-                self._in_flight.clear()
-                self._reserved = 0
-                break
-        if self._canceled:
-            self._final_state = RunState.CANCELED
-        elif any(t.state is TaskState.FAILED for t in self._tasks.values()):
-            self._final_state = RunState.FAILED
-        else:
-            self._final_state = RunState.DONE
-        self._pool.shutdown(wait=False)
+                    task.attempts += 1
+                    self._record(task, TaskState.DONE if code == 0 else TaskState.FAILED)
+                self._settle(task)
+                if self._left:
+                    self._dispatch_ready(takers=1)
+                elif any(t.state is TaskState.FAILED for t in self._tasks.values()):
+                    self._finish(RunState.FAILED)
+                else:
+                    self._finish(RunState.DONE)
+
+    def _finish(self, final: RunState):
+        self._final_state = final
         self._finished.set()
+        self._idle = 0
+        self._cond.notify_all()
 
 
 def submit(workflow: Workflow, backend: ExecutionBackend | None = None) -> WorkflowRun:

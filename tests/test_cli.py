@@ -581,6 +581,21 @@ class TestCommands:
         rc = run_cli(["-o", outdir, "workflow", "run", wf])
         assert rc == 1
 
+    def test_workflow_run_prints_the_stderr_of_a_failed_task(self, outdir, tmp_path, capsys):
+        command = [sys.executable, "-c", "import sys; sys.exit('boom')"]
+        wf = tmp_path / "wf.yaml"
+        wf.write_text(
+            "worker_budget: 1\n"
+            "pipelines:\n"
+            "  - stages:\n"
+            "      - tasks:\n"
+            f"          - {{id: t0, command: {json.dumps(command)}, max_retries: 0}}\n"
+        )
+        assert run_cli(["-o", outdir, "workflow", "run", wf]) == 1
+        failed = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        assert [(f["error"], f["task"], f["attempts"]) for f in failed] == [("task-failed", "t0", 1)]
+        assert "boom" in failed[0]["stderr_tail"]
+
 
 def test_cli_import_does_not_load_scipy():
     # scipy takes about a second to import; every CLI process would pay it

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -292,6 +293,14 @@ class TestExecution:
               (TaskState.RUNNING, TaskState.FAILED)] * 2,
         ]
 
+    def test_an_exit_code_that_is_not_an_int_fails_the_attempt(self):
+        # counted as exit code 1, as a backend that raises is
+        wf = Workflow([Pipeline("p", [Stage("s", [Task("none", ("noop",), max_retries=1)])])], 2)
+        run = submit(wf, ExitBackend(None))
+        assert run.wait(10) is RunState.FAILED
+        task = wf.pipelines[0].stages[0].tasks[0]
+        assert task.state is TaskState.FAILED and task.attempts == 2
+
     def test_makespan_lower_bound(self):
         # 2 pipelines x 2 stages x 4 unit tasks of 50 ms under budget 2
         wf = simple_workflow(n_pipelines=2, n_stages=2, n_tasks=4, budget=2)
@@ -323,6 +332,49 @@ class TestExecution:
         assert all(s is TaskState.CANCELED for s in finals.values())
         backend.dead.set()  # release the worker thread
 
+    def test_cancel_while_degraded_with_tasks_scheduled(self, monkeypatch):
+        # one worker thread: it loses the backend on t0 while t1 and t2 wait SCHEDULED
+        monkeypatch.setattr(workflow, "MAX_POOL_THREADS", 1)
+        wf = simple_workflow(n_tasks=3, budget=3)
+        backend = MortalBackend()
+        backend.dead.set()
+        run = submit(wf, backend)
+        deadline = time.time() + 10
+        while run.state() is not RunState.DEGRADED and time.time() < deadline:
+            time.sleep(0.005)
+        assert run.state() is RunState.DEGRADED
+        assert [s for tid, s in run.task_states().items() if tid != "p0s0t0"] == [TaskState.SCHEDULED] * 2
+        canceled_at = len(run.events())
+        run.cancel()
+        assert run.wait(10) is RunState.CANCELED
+        records = run.events()
+        chains = validate_chains(records, all_task_ids(wf))
+        assert all(chain[-1].to_state is TaskState.CANCELED for chain in chains.values())
+        assert all(r.to_state is TaskState.CANCELED for r in records[canceled_at:])
+        assert backend.started == ["p0s0t0"]
+
+    def test_workers_start_as_tasks_need_them_and_exit_with_the_run(self):
+        class ThreadCountingBackend(ScriptedBackend):
+            """Records how many worker threads of its run are alive during each call."""
+
+            prefixes = set()
+            alive = []
+
+            def run(self, task):
+                prefix = threading.current_thread().name.rsplit("-", 1)[0] + "-"
+                self.prefixes.add(prefix)
+                self.alive.append(sum(t.name.startswith(prefix) for t in threading.enumerate()))
+                time.sleep(0.02)
+                return super().run(task)
+
+        wf = simple_workflow(n_tasks=3, budget=64)
+        backend = ThreadCountingBackend({"p0s0t1": [1, 1]})  # a retry starts no thread
+        run = submit(wf, backend)
+        assert run.wait(30) is RunState.DONE
+        assert len(backend.alive) == 5 and max(backend.alive) <= 3
+        (prefix,) = backend.prefixes
+        assert not [t.name for t in threading.enumerate() if t.name.startswith(prefix)]
+
     def test_exactly_once_success(self):
         wf = simple_workflow(n_pipelines=2, n_stages=2, n_tasks=3)
         run = submit(wf, ChaosBackend(0.2, seed=41))
@@ -337,7 +389,7 @@ class TestExecution:
 
 
 class TestDispatchOrder:
-    """The coordinator dispatches in pipeline-major, first-fit order over the
+    """Dispatch runs in pipeline-major, first-fit order over the
     open stage of every pipeline; a retry keeps its task's place."""
 
     def test_budget_one_schedule(self):
@@ -361,7 +413,7 @@ class TestDispatchOrder:
         run = submit(wf, ExitBackend(0, delay=0.01))
         assert run.wait(30) is RunState.DONE
         records = run.events()
-        # the first pass runs before any message: t0 takes 2 of 3 cores, t1 does not fit
+        # the first pass runs before any worker takes a task: t0 takes 2 of 3 cores, t1 does not fit
         assert [(r.task_id, r.to_state) for r in records[:2]] == [
             ("t0", TaskState.SCHEDULED), ("t2", TaskState.SCHEDULED)]
         assert [r.task_id for r in records if r.to_state is TaskState.SCHEDULED] == ["t0", "t2", "t1"]
@@ -421,6 +473,43 @@ class TestChaosRun:
         assert seqs == sorted(seqs)
         times = [r.timestamp for r in records]
         assert all(b >= a for a, b in zip(times, times[1:]))
+
+    def test_random_shapes_under_forced_thread_switches(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rng = random.Random(5)
+            for seed in range(30):
+                budget = rng.choice([1, 2, 3, 7])
+                wf = Workflow([
+                    Pipeline(f"p{p}", [
+                        Stage(f"p{p}s{s}", [Task(f"p{p}s{s}t{t}", ("noop",), cores=rng.randint(1, budget),
+                                                 max_retries=rng.randint(0, 2))
+                                            for t in range(rng.randint(1, 4))])
+                        for s in range(rng.randint(1, 3))])
+                    for p in range(rng.randint(1, 5))], budget)
+                backend = ChaosBackend(0.3, seed)
+                run = submit(wf, backend)
+                final = run.wait(60)
+                records = run.events()
+                chains = validate_chains(records, all_task_ids(wf))
+                check_budget(records, wf)
+                tasks = [t for p in wf.pipelines for s in p.stages for t in s.tasks]
+                for task in tasks:
+                    expected = 1
+                    while backend.would_fail(task.id, expected - 1) and expected <= task.max_retries:
+                        expected += 1
+                    assert task.attempts == expected, (seed, task.id)
+                    assert running_episodes(chains[task.id]) == expected
+                for pipe in wf.pipelines:
+                    for prev, stage in zip(pipe.stages, pipe.stages[1:]):
+                        settled = max(chains[t.id][-1].seq for t in prev.tasks)
+                        opened = min(chains[t.id][0].seq for t in stage.tasks)
+                        assert opened > settled, (seed, stage.id)
+                failed = any(chains[t.id][-1].to_state is TaskState.FAILED for t in tasks)
+                assert final is (RunState.FAILED if failed else RunState.DONE)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestBuilders:
