@@ -315,7 +315,8 @@ def _require_members(found, members, location, first_row):
 
 
 def search_analogs(forecasts: ForecastTensor, config: AnEnConfig, test_range,
-                   search_range, sigma: SigmaTensor | None = None) -> AnalogIndexSet:
+                   search_range, sigma: SigmaTensor | None = None,
+                   first_location: int = 0) -> AnalogIndexSet:
     """Find the M nearest historical forecasts per (location, test init, lead).
 
     ``test_range`` and ``search_range`` are half-open init-index intervals and
@@ -327,7 +328,9 @@ def search_analogs(forecasts: ForecastTensor, config: AnEnConfig, test_range,
     unless a precomputed table is supplied.
 
     Raises InsufficientCandidatesError when fewer than M finite-distance
-    candidates exist and partial lists are not allowed.
+    candidates exist and partial lists are not allowed. The error names the
+    location by its index plus ``first_location``: the index in the archive
+    of the first location of ``forecasts``, where they are a slab of it.
     """
     test, search, cand = _check_split(test_range, search_range, len(forecasts.init_times),
                                       config.operational)
@@ -375,7 +378,7 @@ def search_analogs(forecasts: ForecastTensor, config: AnEnConfig, test_range,
             out_dist[loc, r0:r1, :, :take] = np.where(ok, dist, MISSING).reshape(shape)
             found[r0:r1] = ok.sum(axis=1).reshape(r1 - r0, n_lead)
         if not config.allow_partial:
-            _require_members(found, m, loc, test.start)
+            _require_members(found, m, first_location + loc, test.start)
 
     return AnalogIndexSet(forecasts.locations, forecasts.init_times, np.arange(test.start, test.stop),
                           forecasts.lead_times, m, _Owned(out_idx), _Owned(out_dist))

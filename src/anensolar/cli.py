@@ -42,6 +42,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -320,25 +321,36 @@ class Runner:
         self.check()
 
     @contextlib.contextmanager
-    def open(self, key: str, kind: str):
-        """The ``tensorio.Container`` over the file of ``paths.<key>``, whose
-        rows come from that one open file and whose digest the manifest
-        records. A ``TensorFormatError`` raised while the file is opened or
-        read in the ``with`` block (no container, a block of the wrong size,
-        +-inf values, ...) is a problem of ``paths.<key>``, and so is a
-        container of a kind other than ``kind``: either is raised at once, as
-        no later step could read that file."""
-        from . import tensorio
+    def refusing(self, key: str):
+        """Make a ``TensorFormatError`` raised in the ``with`` block a problem
+        of ``paths.<key>``, raised at once, as no later step could read that file."""
         from .errors import TensorFormatError
 
         try:
-            with tensorio.open_container(self.path(key), self.inputs) as container:
-                if container.header.kind != kind:
-                    raise TensorFormatError(f"holds tensor kind {container.header.kind}, need {kind}")
-                yield container
+            yield
         except TensorFormatError as exc:
             self.problems.append(f"paths.{key}: {exc}")
             self.check()
+
+    @contextlib.contextmanager
+    def open(self, key: str, kind: str):
+        """An ``Input`` over the file of ``paths.<key>``, whose rows come from
+        that one open file and whose digest the manifest records. A
+        ``TensorFormatError`` raised while the file is opened or read (no
+        container, a block of the wrong size, +-inf values, ...) is a problem
+        of ``paths.<key>``, and so is a container of a kind other than
+        ``kind``: either is raised at once. Any other error raised in the
+        ``with`` block passes through as it is, so where several inputs are
+        open at once, each read's error names its own key."""
+        from . import tensorio
+        from .errors import TensorFormatError
+
+        with contextlib.ExitStack() as stack:
+            with self.refusing(key):
+                container = stack.enter_context(tensorio.open_container(self.path(key), self.inputs))
+                if container.header.kind != kind:
+                    raise TensorFormatError(f"holds tensor kind {container.header.kind}, need {kind}")
+            yield Input(self, key, container)
 
     def read(self, key: str, kind: str):
         """The whole tensor of ``paths.<key>``, read once by ``open``'s rule:
@@ -365,6 +377,19 @@ class Runner:
 
         self.write(key, lambda path: tensorio.write_tensor(tensor, path))
 
+    @contextlib.contextmanager
+    def rows(self, key: str, tensor_type, axes):
+        """A ``tensorio.RowWriter`` of the output ``path(key)``, a container of
+        a ``tensor_type`` tensor on ``axes`` (see ``tensorio.Header.of``),
+        whose rows the ``with`` block puts; recorded with its digest once
+        the block has put every row and the file is in place."""
+        from . import tensorio
+
+        path = self.path(key)
+        with tensorio.open_rows(tensorio.Header.of(tensor_type, axes), path) as out:
+            yield out
+        self.outputs[str(path)] = out.sha256
+
     def write_manifest(self):
         """Add this command's entry to ``manifest.json`` under a lock on the
         directory itself, so concurrent commands keep each other's entries."""
@@ -384,6 +409,28 @@ class Runner:
             atomic_write(manifest_path, [(json.dumps(data, indent=2, sort_keys=True) + "\n").encode()])
         finally:
             os.close(fd)  # releases the lock
+
+
+class Input:
+    """An input container open in a ``Runner``: its ``header``, and reads
+    whose ``TensorFormatError`` is a problem of its ``paths`` key alone (see
+    ``Runner.open``); ``tensorio.Container`` gives each read."""
+
+    def __init__(self, run: Runner, key: str, container):
+        self.header = container.header
+        self._run, self._key, self._container = run, key, container
+
+    def read(self):
+        with self._run.refusing(self._key):
+            return self._container.read()
+
+    def blocks(self):
+        with self._run.refusing(self._key):
+            yield from self._container.blocks()
+
+    def take(self, locations):
+        with self._run.refusing(self._key):
+            return self._container.take(locations)
 
 
 def _anen_split(run: Runner, n_inits: int, min_search: int = 1) -> tuple:
@@ -495,57 +542,70 @@ def cmd_synth(run: Runner, args) -> int:
 
 def cmd_sigma(run: Runner, args) -> int:
     from .anen import compute_sigma
+    from .coredata import SigmaTensor
 
     run.claim()
-    forecasts = run.read("forecasts", "forecast")
-    _, search = _anen_split(run, len(forecasts.init_times))
-    run.check()
-    sigma = compute_sigma(forecasts, search)
-    run.write_tensor("sigma", sigma)
+    with run.open("forecasts", "forecast") as forecasts:
+        header = forecasts.header
+        _, search = _anen_split(run, len(header.sections["init_times"]))
+        run.check()
+        with run.rows("sigma", SigmaTensor, header.axes) as out:
+            for loc in range(len(header.locations)):
+                for p, row in enumerate(compute_sigma(forecasts.take([loc]), search).values[:, 0]):
+                    out.put(p, loc, row)
     return 0
 
 
 def cmd_anen(run: Runner, args) -> int:
-    from . import tensorio
     from .anen import compute_sigma, ensemble_rows, search_analogs, validate_weights
-    from .coredata import EnsembleTensor, align_observations
+    from .coredata import AnalogIndexSet, EnsembleTensor, TimeAxis, align_observations
 
     cfg = run.cfg
     run.claim()
-    forecasts = run.read("forecasts", "forecast")
-    analysis = run.read("observations", "observation")
-    run.pair("paths.observations", analysis, "paths.forecasts", forecasts)
+    # one location at a time: its forecasts and observations are taken, its
+    # analogs searched and gathered, and its rows put in both outputs
+    with run.open("forecasts", "forecast") as fc, run.open("observations", "observation") as obs:
+        run.pair("paths.observations", obs.header, "paths.forecasts", fc.header, ("locations",))
+        axes = fc.header.axes
+        test, search = _anen_split(run, len(axes.init_times))
+        if search:
+            _check_pool(run, "anen.search_days", cfg["anen"]["search_days"], len(search))
+        per_loc = None
+        if cfg["paths"]["weights_file"]:
+            from . import weights
 
-    test, search = _anen_split(run, len(forecasts.init_times))
-    if search:
-        _check_pool(run, "anen.search_days", cfg["anen"]["search_days"], len(search))
-    per_loc = None
-    if cfg["paths"]["weights_file"]:
-        from . import weights
+            try:
+                per_loc = validate_weights(weights.read_weights_csv(run.path("weights_file"), fc.header.names),
+                                           len(fc.header.names), len(axes.locations))
+            except ValueError as exc:
+                run.problems.append(f"paths.weights_file: {exc}")
+        config = _anen_config(run, len(fc.header.names))
+        run.check()
 
-        try:
-            per_loc = validate_weights(weights.read_weights_csv(run.path("weights_file"), forecasts.predictor_names),
-                                       len(forecasts.predictor_names), len(forecasts.locations))
-        except ValueError as exc:
-            run.problems.append(f"paths.weights_file: {exc}")
-    config = _anen_config(run, len(forecasts.predictor_names))
-    run.check()
-    if per_loc is not None:
-        config = dataclasses.replace(config, weights=per_loc)
-
-    indices = search_analogs(forecasts, config, test, search, compute_sigma(forecasts, search))
-    run.write_tensor("analogs", indices)
-    aligned = align_observations(analysis, forecasts.init_times, forecasts.lead_times)
-    del forecasts, analysis  # the gather needs neither: release them before it runs
-    # the ensemble goes to disk one (variable, location) row at a time, never whole
-    axes, rows = ensemble_rows(indices, aligned)
-    run.write("ensemble", lambda path: tensorio.write_rows(tensorio.Header.of(EnsembleTensor, axes), rows, path))
+        members = config.members
+        analog_axes = SimpleNamespace(locations=axes.locations, init_times=axes.init_times,
+                                      test_indices=np.arange(test.start, test.stop),
+                                      lead_times=axes.lead_times, members=members)
+        ensemble_axes = SimpleNamespace(variable_names=obs.header.names, locations=axes.locations,
+                                        init_times=TimeAxis(axes.init_times.instants[test.start:test.stop]),
+                                        lead_times=axes.lead_times, members=members)
+        with run.rows("analogs", AnalogIndexSet, analog_axes) as analogs, \
+                run.rows("ensemble", EnsembleTensor, ensemble_axes) as ensemble:
+            for loc in range(len(axes.locations)):
+                forecasts = fc.take([loc])
+                if per_loc is not None:
+                    config = dataclasses.replace(config, weights=per_loc[loc:loc + 1])
+                indices = search_analogs(forecasts, config, test, search, compute_sigma(forecasts, search),
+                                         first_location=loc)
+                for field, values in enumerate((indices.search_index, indices.distance)):
+                    analogs.put(field, loc, values[0])
+                aligned = align_observations(obs.take([loc]), forecasts.init_times, forecasts.lead_times)
+                for variable, row in enumerate(ensemble_rows(indices, aligned)[1]):
+                    ensemble.put(variable, loc, row)
     return 0
 
 
 def cmd_simulate(run: Runner, args) -> int:
-    from . import driver
-
     source = run.cfg["simulate"]["source"]
     run.claim()
     specs = _load_specs(run)
@@ -555,24 +615,46 @@ def cmd_simulate(run: Runner, args) -> int:
         with run.open("ensemble", "ensemble") as ensemble:
             header = ensemble.header
             _check_weather(run, "paths.ensemble", header.names)
-            slabs = (ensemble.take([loc]) for loc in range(len(header.locations)))
-            power = driver.power_from_slabs(header.axes, slabs, specs, system)
-    else:
-        forecasts = run.read("forecasts", "forecast")
-        test, _ = _anen_split(run, len(forecasts.init_times))
-        if source == "forecast":
-            _check_weather(run, "paths.forecasts", forecasts.predictor_names)
-            power = driver.power_from_weather(driver.forecast_weather_ensemble(forecasts, test), specs, system)
-        else:
-            analysis = run.read("observations", "observation")
-            run.pair("paths.observations", analysis, "paths.forecasts", forecasts)
-            _check_weather(run, "paths.observations", analysis.variable_names)
-            weather = driver.analysis_weather_ensemble(analysis, forecasts.init_times, forecasts.lead_times, test)
-            del analysis  # the truth weather holds the aligned values it needs
-            power = driver.power_from_weather(weather, specs, system)
+            _write_power(run, "power", header.axes, (ensemble.take([loc]) for loc in range(len(header.locations))),
+                         specs, system)
+        return 0
 
-    run.write_tensor("truth_power" if source == "analysis" else "power", power)
+    from . import driver
+    from .coredata import TimeAxis
+
+    with run.open("forecasts", "forecast") as fc:
+        axes = fc.header.axes
+        test, _ = _anen_split(run, len(axes.init_times))
+        locations = range(len(axes.locations))
+        # the truth reads the forecasts' axes alone
+        with run.open("observations", "observation") if source == "analysis" else contextlib.nullcontext() as obs:
+            if obs is None:
+                _check_weather(run, "paths.forecasts", fc.header.names)
+                slabs = (driver.forecast_weather_ensemble(fc.take([loc]), test) for loc in locations)
+            else:
+                run.pair("paths.observations", obs.header, "paths.forecasts", fc.header, ("locations",))
+                _check_weather(run, "paths.observations", obs.header.names)
+                slabs = (driver.analysis_weather_ensemble(obs.take([loc]), axes.init_times, axes.lead_times, test)
+                         for loc in locations)
+            # either weather holds one member at each test init
+            weather = SimpleNamespace(locations=axes.locations, lead_times=axes.lead_times, members=1,
+                                      init_times=TimeAxis(axes.init_times.instants[test.start:test.stop]))
+            _write_power(run, "power" if obs is None else "truth_power", weather, slabs, specs, system)
     return 0
+
+
+def _write_power(run: Runner, key: str, axes, slabs, specs, system):
+    """Simulate each one-location weather slab of ``slabs``, an ensemble on
+    ``axes`` (``driver.power_from_slabs``), and put that location's power
+    rows, one per module of ``specs``, in the output ``paths.<key>``."""
+    from . import driver
+    from .coredata import EnsembleTensor
+
+    codes = [spec.code for spec in specs]
+    with run.rows(key, EnsembleTensor, SimpleNamespace(**{**vars(axes), "variable_names": codes})) as out:
+        for loc, power in enumerate(driver.power_from_slabs(axes, slabs, specs, system)):
+            for module, row in enumerate(power.values[:, 0]):
+                out.put(module, loc, row)
 
 
 def _check_weather(run: Runner, key: str, names):

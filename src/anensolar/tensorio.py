@@ -18,11 +18,18 @@ lookup-only sections. ``Header.of`` gives the header of a tensor, or of its
 axes alone, and ``Header.axes`` gives the axes back.
 
 The block is (names, locations, ...), so each location is one contiguous row
-per name. The one writer, ``write_rows(header, rows, path)``, streams those
-rows in file order as they come, so a producer such as ``anen``'s gather
-never holds its whole block; ``write_tensor`` is ``write_rows`` over a
-tensor's own header and rows. Every read of a block is through
-``open_container``, a ``Container`` over one open file:
+per name. There are two writers:
+
+- ``write_tensor`` writes a tensor it is given whole, front to back, and
+  hashes the bytes as it writes them;
+- ``open_rows(header, path)`` gives a ``RowWriter``, whose ``put(name,
+  location, row)`` writes each row at its offset in any order, so a command
+  that makes one location at a time (``sigma``, ``anen``, ``simulate``)
+  holds one location's rows, never its whole block. The file is hashed in
+  one pass when every row is in.
+
+Every read of a block is through ``open_container``, a ``Container`` over
+one open file:
 
 - ``read`` reads the payload once and front to back, straight into one
   aligned float64 array that the returned tensor keeps, so a file's values
@@ -41,15 +48,17 @@ chunked pass, so a file renamed over the path meanwhile is not hashed.
 
 A file's name means nothing to this module: every tensor file is a
 container, whatever its suffix, and a file that is not one raises a
-``TensorFormatError``. Every file goes through ``_atomic.atomic_write``, so
-a failed write leaves the previous file whole, and every writer returns the
-SHA-256 of the bytes it wrote.
+``TensorFormatError``. Every file is written to ``<path>.<pid>.tmp`` by
+``_atomic.atomic_file`` and renamed over its path once whole, so a failed
+write leaves the previous file whole, and every writer gives the SHA-256 of
+the file it wrote.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import operator
 import os
 from types import SimpleNamespace
@@ -57,7 +66,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._atomic import atomic_write, file_sha256
+from ._atomic import atomic_file, atomic_write, file_sha256
 from .coredata import (
     _Owned,
     AnalogIndexSet,
@@ -123,40 +132,74 @@ def _section(tensor, key):
 
 
 def write_tensor(tensor, path):
-    """Serialize a tensor of any kind to ``path``: ``write_rows`` of its own
-    header and the rows of its block. Returns the SHA-256 hex digest of the
-    file."""
+    """Serialize a tensor of any kind to ``path``: its own header, then its
+    block one name at a time, hashed as written. Returns the SHA-256 hex
+    digest of the file."""
     header = Header.of(type(tensor), tensor)
     # the block's first axis: the names of the values, or one stacked array per field
     by_name = [getattr(tensor, a) for a in tensor.ARRAYS] if LAYOUTS[header.kind].fields else tensor.values
-    return write_rows(header, (row for block in by_name for row in block), path)
+    return atomic_write(path, itertools.chain([_encode_header(header)],
+                                              (np.ascontiguousarray(block, dtype="<f8") for block in by_name)))
 
 
-def write_rows(header, rows, path):
-    """Write a container from its ``Header`` and the rows of its block:
-    ``rows`` yields, in file order (name, then location), one array of shape
-    ``header.shape[2:]`` per (name, location). Rows are written as they come,
-    so only one is held here at a time. A row of another shape, or a count
-    other than the header's, raises ``DimensionMismatchError`` before the
-    file is renamed into place, leaving the previous file whole. Returns the
-    SHA-256 hex digest of the file."""
-    shape = header.shape
-    count = shape[0] * shape[1]
+class RowWriter:
+    """A container being written row by row, in any order: its header is on
+    disk and the file is sized for its block. ``put`` writes one (name,
+    location) row at its offset; ``open_rows`` closes the writer, which then
+    holds the file's digest in ``sha256``."""
 
-    def chunks():
-        yield _encode_header(header)
-        n = 0
-        for n, row in enumerate(rows, 1):
-            row = np.ascontiguousarray(row, dtype="<f8")
-            if n > count or row.shape != shape[2:]:
-                raise DimensionMismatchError(
-                    f"row {n - 1} has shape {row.shape}; the header's block holds {count} rows "
-                    f"of shape {shape[2:]}")
-            yield row
-        if n != count:
-            raise DimensionMismatchError(f"{n} rows given; the header's block holds {count}")
+    def __init__(self, header, fh):
+        self.sha256 = None
+        self._fh = fh
+        head = _encode_header(header)
+        n_names, n_loc, *axes = header.shape
+        self._row_shape = tuple(axes)
+        self._row_bytes = 8 * int(np.prod(axes))
+        self._start = len(head)
+        self._missing = np.ones((n_names, n_loc), dtype=bool)  # the rows not put yet
+        fh.write(head)
+        fh.truncate(self._start + n_names * n_loc * self._row_bytes)
 
-    return atomic_write(path, chunks())
+    def put(self, name: int, location: int, row):
+        """Write ``row``, of the header's row shape ``header.shape[2:]``, as
+        the row of name index ``name`` at location index ``location``. An
+        index off the block, a row of another shape, or a row put twice
+        raises ``DimensionMismatchError``."""
+        n_names, n_loc = self._missing.shape
+        name, location = operator.index(name), operator.index(location)
+        if not (0 <= name < n_names and 0 <= location < n_loc):
+            raise DimensionMismatchError(f"row ({name}, {location}) is outside the header's block of "
+                                         f"{n_names} names x {n_loc} locations")
+        row = np.ascontiguousarray(row, dtype="<f8")
+        if row.shape != self._row_shape:
+            raise DimensionMismatchError(f"row ({name}, {location}) has shape {row.shape}; the header's "
+                                         f"rows have shape {self._row_shape}")
+        if not self._missing[name, location]:
+            raise DimensionMismatchError(f"row ({name}, {location}) is put twice")
+        self._fh.seek(self._start + (name * n_loc + location) * self._row_bytes)
+        self._fh.write(row)
+        self._missing[name, location] = False
+
+    def _close(self):
+        """Check that every row is in, then hash the file in one pass from byte 0."""
+        if self._missing.any():
+            name, location = np.argwhere(self._missing)[0]
+            raise DimensionMismatchError(f"{int(self._missing.sum())} rows never put, the first "
+                                         f"({name}, {location})")
+        self.sha256 = file_sha256(self._fh)
+
+
+@contextlib.contextmanager
+def open_rows(header, path):
+    """A ``RowWriter`` of a container of ``header`` at ``path``. It writes to
+    ``<path>.<pid>.tmp``; when the ``with`` block ends without an error, the
+    writer checks that every row was put, hashes the file into its ``sha256``
+    and renames it over ``path``. An error, raised in the block or by those
+    checks, removes the temporary file, which leaves the previous file whole."""
+    with atomic_file(path) as fh:
+        writer = RowWriter(header, fh)
+        yield writer
+        writer._close()
 
 
 def _encode_header(header) -> bytes:

@@ -36,6 +36,8 @@ FAILED is terminal once attempts exceed max_retries; like DONE, it lets the
 next stage of its pipeline open (the run then ends FAILED). Completed tasks are
 never re-run. A backend loss re-executes only the tasks that were RUNNING,
 without consuming their retry budget, and no task starts until it is restored.
+A loss that a task still running on a lost backend reports after the restore
+re-executes that task on the new backend and leaves the run up.
 """
 
 from __future__ import annotations
@@ -359,9 +361,10 @@ class WorkflowRun:
                     continue
                 task = self._scheduled.popleft()
                 self._record(task, TaskState.RUNNING)
+                backend = self._backend
                 self._cond.release()
                 try:
-                    code = int(self._backend.run(task))
+                    code = int(backend.run(task))
                 except BackendUnavailableError:
                     code = None
                 except Exception:
@@ -372,8 +375,10 @@ class WorkflowRun:
                     continue  # canceled while executing; discard late result
                 self._reserved -= task.cores
                 if code is None:
-                    # no attempt consumed: the runtime failed, not the task
-                    self._degraded = True
+                    # no attempt consumed: the runtime failed, not the task;
+                    # the loss of a backend since replaced leaves the run up
+                    if backend is self._backend:
+                        self._degraded = True
                     self._record(task, TaskState.FAILED)
                 else:
                     task.attempts += 1

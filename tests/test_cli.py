@@ -11,7 +11,6 @@ import shutil
 import subprocess
 import sys
 import time
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -301,12 +300,14 @@ class TestCommands:
         search = anen.search_analogs
 
         def counting_search(*args, **kwargs):
-            calls.append(args)
+            calls.append((args, kwargs))
             return search(*args, **kwargs)
 
         monkeypatch.setattr(anen, "search_analogs", counting_search)
         assert run_cli(["-o", outdir, *SMALL, "anen"]) == 0
-        assert len(calls) == 1
+        # each location is searched once, on its own slab, and named as itself
+        assert [(len(args[0].locations), kwargs["first_location"]) for args, kwargs in calls] == \
+            [(1, loc) for loc in range(4)]
 
         forecasts = tensorio.read_tensor(outdir / "forecasts.ansr")
         analysis = tensorio.read_tensor(outdir / "observations.ansr")
@@ -322,25 +323,19 @@ class TestCommands:
         for name in ("analogs.ansr", "ensemble.ansr"):
             assert (outdir / name).read_bytes() == (expected / name).read_bytes()
 
-    def test_anen_releases_its_inputs_before_the_gather(self, outdir, monkeypatch):
+    def test_anen_takes_its_inputs_one_location_at_a_time(self, outdir, monkeypatch):
         assert run_cli(["-o", outdir, *SMALL, "synth"]) == 0
-        read, alive_at_gather = [], []
-        real_read, real_gather = tensorio.Container.read, anen.ensemble_rows
+        taken = []
+        real_take = tensorio.Container.take
 
-        def recording_read(container):
-            tensor = real_read(container)
-            read.append(weakref.ref(tensor))
-            return tensor
+        def recording_take(container, locations):
+            taken.append((container.header.kind, list(locations)))
+            return real_take(container, locations)
 
-        def checking_gather(*args, **kwargs):
-            alive_at_gather.extend(type(ref()).__name__ for ref in read if ref() is not None)
-            return real_gather(*args, **kwargs)
-
-        monkeypatch.setattr(tensorio.Container, "read", recording_read)
-        monkeypatch.setattr(anen, "ensemble_rows", checking_gather)
+        monkeypatch.setattr(tensorio.Container, "read", lambda container: pytest.fail("an input was read whole"))
+        monkeypatch.setattr(tensorio.Container, "take", recording_take)
         assert run_cli(["-o", outdir, *SMALL, "anen"]) == 0
-        assert len(read) == 2
-        assert alive_at_gather == []
+        assert taken == [(kind, [loc]) for loc in range(4) for kind in ("forecast", "observation")]
 
     def test_anen_with_weights_file(self, outdir):
         assert run_cli(["-o", outdir, *SMALL, "synth"]) == 0
@@ -360,10 +355,12 @@ class TestCommands:
         calls = []
         search = anen.search_analogs
         monkeypatch.setattr(anen, "search_analogs",
-                            lambda *args: calls.append(args) or search(*args))
+                            lambda *args, **kwargs: calls.append(args) or search(*args, **kwargs))
         assert run_cli(["-o", outdir, *SMALL, "anen",
                         "--weights-file", str(outdir / "weights.csv")]) == 0
-        assert len(calls) == 1 and calls[0][1].weights.shape == (4, 5)
+        # each location's search takes that location's row of the file
+        rows = [[float(w) for w in row[1:]] for row in read_csv(outdir / "weights.csv")[1:]]
+        assert [args[1].weights.tolist() for args in calls] == [[row] for row in rows]
         # the EW rows equal the default weights, so the outputs do too
         for name, data in plain.items():
             assert (outdir / name).read_bytes() == data
@@ -1428,6 +1425,27 @@ def test_a_missing_analysis_value_is_skipped_and_a_location_without_one_exits_2(
         assert _problems(capsys) == ["paths.observations: lacks the variables ['cloud_cover'] that the regimes need"]
 
 
+def test_a_short_member_list_at_a_later_location_leaves_the_previous_outputs(tmp_path, capsys):
+    # the search of location 2 goes short after the rows of locations 0 and 1
+    # are in both temporary files: the command exits 1 naming location 2 of
+    # the file, and the previous analogs and ensemble stay whole
+    out = tmp_path / "q"
+    base = ["-o", str(out), *SMALL, "--set", "anen.allow_partial=false"]
+    assert main([*base, "synth"]) == 0
+    assert main([*base, "anen"]) == 0
+    forecasts = tensorio.read_tensor(out / "forecasts.ansr")
+    values = np.array(forecasts.values)
+    values[1, 2, :24, 5] = np.nan  # every search init lacks a temperature the windows of leads 4 and 6 need
+    tensorio.write_tensor(dataclasses.replace(forecasts, values=values), out / "forecasts.ansr")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main([*base, "anen"]) == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "InsufficientCandidatesError",
+                       "message": "0 finite-distance candidates for location 2, test init 24, lead 4; need 8"}
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_simulate_ensemble_holds_a_few_slabs_beyond_its_power(tmp_path):
     # The weather ensemble is read one location's slab at a time: beyond the
     # power array, the command holds the slab being simulated, the next one,
@@ -1469,6 +1487,70 @@ def test_simulate_ensemble_holds_a_few_slabs_beyond_its_power(tmp_path):
     entry = json.loads((out / "manifest.json").read_text())["simulate"]
     assert entry["inputs"] == {str(out / "ensemble.ansr"):
                                hashlib.sha256((out / "ensemble.ansr").read_bytes()).hexdigest()}
+
+
+def test_anen_holds_one_location_of_its_inputs_and_outputs(tmp_path):
+    # Each location's forecasts and observations are taken, searched and
+    # gathered, and its rows put in both outputs, so the command holds one
+    # location of each, with the search's three work buffers: measured 3.8
+    # locations' bytes at 40 locations; holding every location peaked at 19.8.
+    import tracemalloc
+
+    out = tmp_path / "out"
+    run = ["-o", str(out), "--set", "synth.n_locations=40", "--set", "synth.n_days=90",
+           "--set", "anen.search_days=60", "--set", "anen.members=21"]
+    assert main([*run, "synth"]) == 0
+    n_pred, n_init, n_lead, n_test, members = 5, 90, 24, 30, 21
+    location_bytes = 8 * (n_pred * n_init * n_lead            # forecasts
+                          + n_pred * n_init * n_lead          # observations
+                          + (2 + n_pred) * n_test * n_lead * members)  # analogs and ensemble rows
+    tracemalloc.start()
+    try:
+        assert main([*run, "anen"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    with tensorio.open_container(out / "ensemble.ansr") as ensemble:
+        assert ensemble.header.shape == (n_pred, 40, n_test, n_lead, members)
+    assert peak < 6 * location_bytes
+
+
+def test_simulate_of_every_catalog_module_holds_one_location(tmp_path):
+    # Each location's power rows are put in the file as its slab is
+    # simulated, so beyond the interpreter the command holds about one weather
+    # slab and its 11 modules' power rows, with the PV chain's temporaries
+    # (measured 2.7 of them, 29 MB); holding the whole power, 20 locations'
+    # rows, peaked at 16.6 (181 MB).
+    import tracemalloc
+
+    from anensolar.coredata import EnsembleTensor, LeadTimeAxis, TimeAxis
+    from anensolar.pvchain import load_module_catalog
+    from conftest import make_locations
+
+    n_loc, n_init, n_lead, members = 20, 180, 24, 21
+    rng = np.random.default_rng(9)
+    shape = (n_loc, n_init, n_lead, members)
+    out = tmp_path / "out"
+    out.mkdir()
+    tensorio.write_tensor(EnsembleTensor(("ghi", "albedo", "temperature", "wind_speed"), make_locations(n_loc),
+                                         TimeAxis(1_623_456_000 + 86400 * np.arange(n_init)),
+                                         LeadTimeAxis(3600 * np.arange(n_lead)), members,
+                                         np.stack([rng.uniform(0, 800, shape), rng.uniform(0.05, 0.6, shape),
+                                                   rng.uniform(-5, 35, shape), rng.uniform(0, 12, shape)])),
+                          out / "ensemble.ansr")
+    codes = [spec.code for spec in load_module_catalog()]
+    assert len(codes) == 11
+    slab_bytes = 4 * n_init * n_lead * members * 8
+    power_row_bytes = len(codes) * n_init * n_lead * members * 8
+    tracemalloc.start()
+    try:
+        assert main(["-o", str(out), "simulate", "--source", "ensemble", "--modules", ",".join(codes)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    with tensorio.open_container(out / "power.ansr") as power:
+        assert power.header.shape == (11, *shape)
+    assert peak < 4 * (slab_bytes + power_row_bytes)
 
 
 def test_weather_without_a_pv_chain_variable_exits_2_before_a_slab_is_read(chain_dir, tmp_path, capsys,

@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anensolar.coredata import (
     MISSING,
@@ -708,20 +710,63 @@ def _rows(tensor):
     return [row for block in by_name for row in block]
 
 
+def _put_rows(tensor, path, order, change=None):
+    """Put the rows of ``tensor``'s block through ``open_rows`` in the file
+    order indices ``order``; ``change`` may edit the (name, location, row)
+    puts first. Returns the writer."""
+    n_loc = len(tensor.locations)
+    rows = _rows(tensor)
+    puts = [(*divmod(k, n_loc), rows[k]) for k in order]
+    with tensorio.open_rows(tensorio.Header.of(type(tensor), tensor), path) as writer:
+        for name, location, row in change(puts) if change else puts:
+            writer.put(name, location, row)
+    return writer
+
+
 @pytest.mark.parametrize("change, match", [
-    (lambda rows: rows[:-1], "11 rows given; the header's block holds 12"),
-    (lambda rows: rows + rows[:1], "row 12 has shape"),
-    (lambda rows: rows[:3] + [rows[3][:, :, :2]] + rows[4:], r"row 3 has shape \(4, 5, 2\)"),
-], ids=["short", "long", "wrong shape"])
-def test_write_rows_that_do_not_fill_the_header_leave_the_previous_file(tmp_path, change, match):
+    (lambda puts: puts[:-1], r"1 rows never put, the first \(1, 5\)"),
+    (lambda puts: puts[:3] + puts[5:], r"2 rows never put, the first \(0, 3\)"),
+    (lambda puts: puts + puts[4:5], r"row \(0, 4\) is put twice"),
+    (lambda puts: puts[:3] + [(0, 3, puts[3][2][:, :, :2])] + puts[4:], r"row \(0, 3\) has shape \(4, 5, 2\)"),
+    (lambda puts: puts[:1] + [(2, 0, puts[1][2])] + puts[2:], r"row \(2, 0\) is outside .* 2 names x 6 locations"),
+    (lambda puts: puts[:1] + [(0, 6, puts[1][2])] + puts[2:], r"row \(0, 6\) is outside"),
+    (lambda puts: puts[:1] + [(0, -1, puts[1][2])] + puts[2:], r"row \(0, -1\) is outside"),
+], ids=["last never put", "two never put", "put twice", "wrong shape", "name off the block",
+        "location off the block", "negative location"])
+def test_a_row_writer_not_filled_exactly_once_leaves_the_previous_file(tmp_path, change, match):
     ensemble = _six_locations()["ensemble.ansr"]
     path = tmp_path / "ensemble.ansr"
     path.write_bytes(b"previous bytes")
-    header = tensorio.Header.of(EnsembleTensor, ensemble)
     with pytest.raises(DimensionMismatchError, match=match):
-        tensorio.write_rows(header, iter(change(_rows(ensemble))), path)
+        _put_rows(ensemble, path, range(12), change)
     assert path.read_bytes() == b"previous bytes"
     assert [p.name for p in tmp_path.iterdir()] == ["ensemble.ansr"]
+
+
+def test_an_error_while_rows_are_put_leaves_the_previous_file(tmp_path):
+    path = tmp_path / "sigma.ansr"
+    path.write_bytes(b"previous bytes")
+    sigma = _six_locations()["sigma.ansr"]
+    with pytest.raises(KeyError, match="stop"):
+        with tensorio.open_rows(tensorio.Header.of(SigmaTensor, sigma), path) as writer:
+            writer.put(0, 0, sigma.values[0, 0])
+            assert (tmp_path / f"sigma.ansr.{os.getpid()}.tmp").exists()
+            raise KeyError("stop")
+    assert writer.sha256 is None
+    assert path.read_bytes() == b"previous bytes"
+    assert [p.name for p in tmp_path.iterdir()] == ["sigma.ansr"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_rows_put_in_any_order_give_the_file_write_tensor_writes(tmp_path_factory, data):
+    tmp_path = tmp_path_factory.mktemp("rows")
+    tensor = data.draw(st.sampled_from(list(_six_locations().values())))
+    order = data.draw(st.permutations(range(len(_rows(tensor)))))
+    writer = _put_rows(tensor, tmp_path / "rows.ansr", order)
+    assert writer.sha256 == write_tensor(tensor, tmp_path / "whole.ansr")
+    assert (tmp_path / "rows.ansr").read_bytes() == (tmp_path / "whole.ansr").read_bytes()
+    assert writer.sha256 == hashlib.sha256((tmp_path / "rows.ansr").read_bytes()).hexdigest()
 
 
 def test_header_axes_build_the_tensor_of_the_header(tmp_path):

@@ -457,6 +457,38 @@ class TestBackendLoss:
             assert task.attempts == 1
 
 
+    def test_a_late_loss_from_a_replaced_backend_leaves_the_run_up(self):
+        # "late" is still running on the lost backend when it is restored; its
+        # loss, reported after the restore, re-executes it on the new backend
+        class LosingBackend(ExecutionBackend):
+            def __init__(self):
+                self.started, self.late, self.release = set(), threading.Event(), threading.Event()
+
+            def run(self, task):
+                self.started.add(task.id)
+                if task.id == "late":
+                    self.late.set()
+                    self.release.wait(10)
+                else:
+                    self.late.wait(10)  # lost once "late" runs on this backend too
+                raise BackendUnavailableError("runtime torn down")
+
+        tasks = [Task("late", ("noop",)), Task("first", ("noop",)), Task("queued", ("noop",))]
+        wf = Workflow([Pipeline("p", [Stage("s", tasks), Stage("next", [Task("after", ("noop",))])])], 2)
+        old = LosingBackend()
+        run = submit(wf, old)
+        deadline = time.time() + 10
+        while run.state() is not RunState.DEGRADED and time.time() < deadline:
+            time.sleep(0.005)
+        assert run.state() is RunState.DEGRADED and old.started == {"late", "first"}
+        run.restore_backend(ExitBackend(0))
+        old.release.set()
+        assert run.wait(10) is RunState.DONE
+        chains = validate_chains(run.events(), all_task_ids(wf))
+        assert running_episodes(chains["late"]) == 2 and running_episodes(chains["first"]) == 2
+        assert [task.attempts for task in tasks] == [1, 1, 1]
+
+
 class TestChaosRun:
     def test_small_chaos_run_terminates_clean(self):
         wf = simple_workflow(n_pipelines=8, n_stages=2, n_tasks=5, budget=6)
