@@ -37,7 +37,6 @@ this module applies the distance rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -52,7 +51,7 @@ from .coredata import (
     _Owned,
     axis_mismatch,
 )
-from .errors import DimensionMismatchError, InsufficientCandidatesError, MissingVariableError
+from .errors import DimensionMismatchError, InsufficientCandidatesError
 
 
 def validate_weights(weights, n_predictors: int | None = None,
@@ -468,70 +467,32 @@ class SearchTables:
         return chosen, ok
 
 
-def ensemble_rows(indices: AnalogIndexSet, aligned: AlignedObservations, variables=None):
-    """The shared-analog multivariate ensemble, one (variable, location) row
-    at a time: ``(axes, rows)``, where ``axes`` holds the ensemble's
-    ``variable_names``, ``locations``, ``init_times`` (the test inits),
-    ``lead_times`` and ``members``, and ``rows`` yields each (test init,
-    lead, member) row in file order, variable then location.
+def build_multivariate_ensemble(indices: AnalogIndexSet, aligned: AlignedObservations) -> EnsembleTensor:
+    """The shared-analog multivariate ensemble of every variable of
+    ``aligned``: one index set serves them all.
 
     Member m of variable v at (l, i, j) is the aligned observation of v at
-    (l, search_init of member m, j); one index set serves every variable.
-    Missing observations and unfilled member slots are NaN members. Every
-    check runs before this returns, so a row is never written for an
-    ensemble that cannot be built: observations off the analogs' locations,
-    init or lead times raise ``DimensionMismatchError``, an unknown variable
-    ``MissingVariableError``, and an analog off the init axis ``ValueError``.
+    (l, search_init of member m, j). Missing observations and unfilled
+    member slots are NaN members. Observations off the analogs' locations,
+    init or lead times raise ``DimensionMismatchError``, and an analog off the
+    init axis ``ValueError``.
     """
     if mismatch := axis_mismatch(aligned, indices, ("locations", "init_times", "lead_times")):
         raise DimensionMismatchError(f"aligned observations do not pair with the analogs: {mismatch}")
-    if variables is None:
-        variables = aligned.variable_names
-    var_idx = []
-    for name in variables:
-        try:
-            var_idx.append(aligned.variable_index(name))
-        except KeyError:
-            raise MissingVariableError(name) from None
+    src = indices.search_index
+    n_loc, _, n_lead, _ = src.shape
     n_init = len(aligned.init_times)
-    for src in indices.search_index:
-        safe, _ = _member_inits(src)
-        if safe.min(initial=0) < 0 or safe.max(initial=0) >= n_init:
-            raise ValueError("an analog lies outside the init axis")
-
-    axes = SimpleNamespace(variable_names=tuple(variables), locations=indices.locations,
-                           init_times=TimeAxis(indices.init_times.instants[indices.test_indices]),
-                           lead_times=indices.lead_times, members=indices.members)
-    j_ix = np.arange(len(indices.lead_times))[None, :, None]
-
-    def rows():
-        for v in var_idx:
-            for values, src in zip(aligned.values[v], indices.search_index):
-                safe, filled = _member_inits(src)
-                row = values[safe, j_ix]
-                row[~filled] = MISSING
-                yield row
-
-    return axes, rows()
-
-
-def _member_inits(src):
-    """(init positions, filled) of one location's member lists: an unfilled
-    slot reads position 0, and ``filled`` marks the slots that hold one."""
     filled = np.isfinite(src)
-    safe = np.zeros(src.shape, dtype=np.int64)
-    np.copyto(safe, src, casting="unsafe", where=filled)
-    return safe, filled
-
-
-def build_multivariate_ensemble(indices: AnalogIndexSet, aligned: AlignedObservations,
-                                variables=None) -> EnsembleTensor:
-    """The ``EnsembleTensor`` of ``ensemble_rows``: its rows gathered into
-    one array, with the same checks."""
-    axes, rows = ensemble_rows(indices, aligned, variables)
-    out = np.empty((len(axes.variable_names), len(axes.locations), len(axes.init_times),
-                    len(axes.lead_times), axes.members))
-    for slot, row in zip(out.reshape(out.shape[0] * out.shape[1], *out.shape[2:]), rows):
-        slot[...] = row
-    return EnsembleTensor(axes.variable_names, axes.locations, axes.init_times,
-                          axes.lead_times, axes.members, _Owned(out))
+    cells = np.zeros(src.shape, dtype=np.int64)  # each member's init; an unfilled slot reads init 0
+    np.copyto(cells, src, casting="unsafe", where=filled)
+    if cells.min(initial=0) < 0 or cells.max(initial=0) >= n_init:
+        raise ValueError("an analog lies outside the init axis")
+    # then, in place, its cell in a variable's flat (location, init, lead) block
+    cells += n_init * np.arange(n_loc)[:, None, None, None]
+    cells *= n_lead
+    cells += np.arange(n_lead)[:, None]
+    out = np.take(aligned.values.reshape(len(aligned.values), -1), cells, axis=1)
+    out[:, ~filled] = MISSING
+    return EnsembleTensor(aligned.variable_names, indices.locations,
+                          TimeAxis(indices.init_times.instants[indices.test_indices]),
+                          indices.lead_times, indices.members, _Owned(out))

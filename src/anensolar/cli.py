@@ -19,10 +19,10 @@ the checks that need data, and exits 2 with all of them in one JSON line on
 stderr before any write. Every input file resolves relative to the output
 directory, where each run writes its artifacts and a manifest of input/output
 hashes and the effective config hash. A tensor input that is not a container
-of its kind (another kind, a text file, a file cut short) is a problem of its
-``paths`` key, whatever the file's name: ``Runner.open`` and ``Runner.read``
-open every tensor input once under that rule. Any other failure prints a JSON
-error line and exits 1.
+of its kind (another kind, a text file, a file cut short), or that holds no
+location, is a problem of its ``paths`` key, whatever the file's name:
+``Runner.open`` and ``Runner.read`` open every tensor input once under that
+rule. Any other failure prints a JSON error line and exits 1.
 
 Each command imports the library modules it runs inside its own function, so
 a process that runs ``sigma`` never loads the PV chain, the weight search or
@@ -42,7 +42,6 @@ import json
 import os
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -339,9 +338,9 @@ class Runner:
         ``TensorFormatError`` raised while the file is opened or read (no
         container, a block of the wrong size, +-inf values, ...) is a problem
         of ``paths.<key>``, and so is a container of a kind other than
-        ``kind``: either is raised at once. Any other error raised in the
-        ``with`` block passes through as it is, so where several inputs are
-        open at once, each read's error names its own key."""
+        ``kind`` or of no location: either is raised at once. Any other error
+        raised in the ``with`` block passes through as it is, so where several
+        inputs are open at once, each read's error names its own key."""
         from . import tensorio
         from .errors import TensorFormatError
 
@@ -350,6 +349,8 @@ class Runner:
                 container = stack.enter_context(tensorio.open_container(self.path(key), self.inputs))
                 if container.header.kind != kind:
                     raise TensorFormatError(f"holds tensor kind {container.header.kind}, need {kind}")
+                if not len(container.header.locations):
+                    raise TensorFormatError("holds no location")
             yield Input(self, key, container)
 
     def read(self, key: str, kind: str):
@@ -378,15 +379,15 @@ class Runner:
         self.write(key, lambda path: tensorio.write_tensor(tensor, path))
 
     @contextlib.contextmanager
-    def rows(self, key: str, tensor_type, axes):
-        """A ``tensorio.RowWriter`` of the output ``path(key)``, a container of
-        a ``tensor_type`` tensor on ``axes`` (see ``tensorio.Header.of``),
-        whose rows the ``with`` block puts; recorded with its digest once
-        the block has put every row and the file is in place."""
+    def rows(self, key: str, locations):
+        """A ``tensorio.RowWriter`` of the output ``path(key)``, a container
+        over ``locations``, whose location slabs the ``with`` block puts;
+        recorded with its digest once the block has put every location and
+        the file is in place."""
         from . import tensorio
 
         path = self.path(key)
-        with tensorio.open_rows(tensorio.Header.of(tensor_type, axes), path) as out:
+        with tensorio.open_rows(path, locations) as out:
             yield out
         self.outputs[str(path)] = out.sha256
 
@@ -542,23 +543,21 @@ def cmd_synth(run: Runner, args) -> int:
 
 def cmd_sigma(run: Runner, args) -> int:
     from .anen import compute_sigma
-    from .coredata import SigmaTensor
 
     run.claim()
-    with run.open("forecasts", "forecast") as forecasts:
-        header = forecasts.header
-        _, search = _anen_split(run, len(header.sections["init_times"]))
+    with run.open("forecasts", "forecast") as fc:
+        locations = fc.header.locations
+        _, search = _anen_split(run, len(fc.header.sections["init_times"]))
         run.check()
-        with run.rows("sigma", SigmaTensor, header.axes) as out:
-            for loc in range(len(header.locations)):
-                for p, row in enumerate(compute_sigma(forecasts.take([loc]), search).values[:, 0]):
-                    out.put(p, loc, row)
+        with run.rows("sigma", locations) as out:
+            for loc in range(len(locations)):
+                out.put(loc, compute_sigma(fc.take([loc]), search))
     return 0
 
 
 def cmd_anen(run: Runner, args) -> int:
-    from .anen import compute_sigma, ensemble_rows, search_analogs, validate_weights
-    from .coredata import AnalogIndexSet, EnsembleTensor, TimeAxis, align_observations
+    from .anen import build_multivariate_ensemble, compute_sigma, search_analogs, validate_weights
+    from .coredata import align_observations
 
     cfg = run.cfg
     run.claim()
@@ -566,8 +565,8 @@ def cmd_anen(run: Runner, args) -> int:
     # analogs searched and gathered, and its rows put in both outputs
     with run.open("forecasts", "forecast") as fc, run.open("observations", "observation") as obs:
         run.pair("paths.observations", obs.header, "paths.forecasts", fc.header, ("locations",))
-        axes = fc.header.axes
-        test, search = _anen_split(run, len(axes.init_times))
+        locations = fc.header.locations
+        test, search = _anen_split(run, len(fc.header.sections["init_times"]))
         if search:
             _check_pool(run, "anen.search_days", cfg["anen"]["search_days"], len(search))
         per_loc = None
@@ -576,32 +575,22 @@ def cmd_anen(run: Runner, args) -> int:
 
             try:
                 per_loc = validate_weights(weights.read_weights_csv(run.path("weights_file"), fc.header.names),
-                                           len(fc.header.names), len(axes.locations))
+                                           len(fc.header.names), len(locations))
             except ValueError as exc:
                 run.problems.append(f"paths.weights_file: {exc}")
         config = _anen_config(run, len(fc.header.names))
         run.check()
 
-        members = config.members
-        analog_axes = SimpleNamespace(locations=axes.locations, init_times=axes.init_times,
-                                      test_indices=np.arange(test.start, test.stop),
-                                      lead_times=axes.lead_times, members=members)
-        ensemble_axes = SimpleNamespace(variable_names=obs.header.names, locations=axes.locations,
-                                        init_times=TimeAxis(axes.init_times.instants[test.start:test.stop]),
-                                        lead_times=axes.lead_times, members=members)
-        with run.rows("analogs", AnalogIndexSet, analog_axes) as analogs, \
-                run.rows("ensemble", EnsembleTensor, ensemble_axes) as ensemble:
-            for loc in range(len(axes.locations)):
+        with run.rows("analogs", locations) as analogs, run.rows("ensemble", locations) as ensemble:
+            for loc in range(len(locations)):
                 forecasts = fc.take([loc])
                 if per_loc is not None:
                     config = dataclasses.replace(config, weights=per_loc[loc:loc + 1])
                 indices = search_analogs(forecasts, config, test, search, compute_sigma(forecasts, search),
                                          first_location=loc)
-                for field, values in enumerate((indices.search_index, indices.distance)):
-                    analogs.put(field, loc, values[0])
+                analogs.put(loc, indices)
                 aligned = align_observations(obs.take([loc]), forecasts.init_times, forecasts.lead_times)
-                for variable, row in enumerate(ensemble_rows(indices, aligned)[1]):
-                    ensemble.put(variable, loc, row)
+                ensemble.put(loc, build_multivariate_ensemble(indices, aligned))
     return 0
 
 
@@ -615,12 +604,11 @@ def cmd_simulate(run: Runner, args) -> int:
         with run.open("ensemble", "ensemble") as ensemble:
             header = ensemble.header
             _check_weather(run, "paths.ensemble", header.names)
-            _write_power(run, "power", header.axes, (ensemble.take([loc]) for loc in range(len(header.locations))),
-                         specs, system)
+            _write_power(run, "power", header.locations,
+                         (ensemble.take([loc]) for loc in range(len(header.locations))), specs, system)
         return 0
 
     from . import driver
-    from .coredata import TimeAxis
 
     with run.open("forecasts", "forecast") as fc:
         axes = fc.header.axes
@@ -636,25 +624,19 @@ def cmd_simulate(run: Runner, args) -> int:
                 _check_weather(run, "paths.observations", obs.header.names)
                 slabs = (driver.analysis_weather_ensemble(obs.take([loc]), axes.init_times, axes.lead_times, test)
                          for loc in locations)
-            # either weather holds one member at each test init
-            weather = SimpleNamespace(locations=axes.locations, lead_times=axes.lead_times, members=1,
-                                      init_times=TimeAxis(axes.init_times.instants[test.start:test.stop]))
-            _write_power(run, "power" if obs is None else "truth_power", weather, slabs, specs, system)
+            _write_power(run, "power" if obs is None else "truth_power", axes.locations, slabs, specs, system)
     return 0
 
 
-def _write_power(run: Runner, key: str, axes, slabs, specs, system):
-    """Simulate each one-location weather slab of ``slabs``, an ensemble on
-    ``axes`` (``driver.power_from_slabs``), and put that location's power
-    rows, one per module of ``specs``, in the output ``paths.<key>``."""
+def _write_power(run: Runner, key: str, locations, slabs, specs, system):
+    """Simulate each one-location weather slab of ``slabs``, in the order of
+    ``locations``, and put its power, one variable per module of ``specs``,
+    in the output ``paths.<key>``."""
     from . import driver
-    from .coredata import EnsembleTensor
 
-    codes = [spec.code for spec in specs]
-    with run.rows(key, EnsembleTensor, SimpleNamespace(**{**vars(axes), "variable_names": codes})) as out:
-        for loc, power in enumerate(driver.power_from_slabs(axes, slabs, specs, system)):
-            for module, row in enumerate(power.values[:, 0]):
-                out.put(module, loc, row)
+    with run.rows(key, locations) as out:
+        for loc, slab in enumerate(slabs):
+            out.put(loc, driver.power_from_weather(slab, specs, system))
 
 
 def _check_weather(run: Runner, key: str, names):

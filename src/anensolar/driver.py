@@ -88,24 +88,6 @@ def power_from_weather(weather: EnsembleTensor, specs, system: SystemConfig,
     return simulate_ensemble(weather, cache, specs, system)
 
 
-def power_from_slabs(axes, slabs, specs, system: SystemConfig):
-    """The power of a weather ensemble given as its axes (the attributes
-    ``locations``, ``init_times``, ``lead_times`` and ``members``) and its
-    one-location slabs in location order, such as one open container's
-    ``take([loc])`` for each location: yields each location's power, a
-    one-location ``EnsembleTensor`` of the ``specs``' codes, as its slab is
-    simulated under that location's slab of the solar cache, which is built
-    once over every location. So one weather slab and its power are held at
-    a time, and the caller puts each location's rows where they belong
-    (``cli.cmd_simulate`` puts them in a ``tensorio.RowWriter``).
-    ``simulate_ensemble`` runs one location at a time, so each is
-    bit-identical to that location of ``power_from_weather`` of the whole
-    ensemble."""
-    cache = precompute_solar(axes.locations, axes.init_times, axes.lead_times)
-    for loc, slab in enumerate(slabs):
-        yield simulate_ensemble(slab, cache.at_locations(loc, loc + 1), specs, system)
-
-
 @dataclasses.dataclass(frozen=True)
 class _LocationTables:
     """Weight-independent tables of one location (see ``WeightObjective``),

@@ -14,19 +14,21 @@ Every kind is a ``coredata`` tensor, and this module alone knows how it is
 laid out on disk. The tensor's ``AXES`` give the block's shape and the header
 sections after the locations; ``LAYOUTS`` adds only what the tensor cannot
 say: the names-section key, the fixed field names of a stacked block, and the
-lookup-only sections. ``Header.of`` gives the header of a tensor, or of its
-axes alone, and ``Header.axes`` gives the axes back.
+lookup-only sections. ``Header.of`` gives the header of a tensor, and
+``Header.axes`` gives its axes back.
 
 The block is (names, locations, ...), so each location is one contiguous row
 per name. There are two writers:
 
 - ``write_tensor`` writes a tensor it is given whole, front to back, and
   hashes the bytes as it writes them;
-- ``open_rows(header, path)`` gives a ``RowWriter``, whose ``put(name,
-  location, row)`` writes each row at its offset in any order, so a command
-  that makes one location at a time (``sigma``, ``anen``, ``simulate``)
-  holds one location's rows, never its whole block. The file is hashed in
-  one pass when every row is in.
+- ``open_rows(path, locations)`` gives a ``RowWriter``, whose ``put(start,
+  slab)`` writes every row of a tensor over the locations ``start`` to
+  ``start + n - 1`` at their offsets, in any order, so a command that makes
+  one location at a time (``sigma``, ``anen``, ``simulate``) holds one
+  location's tensor, never its whole block. The first slab's header, with
+  the file's locations, is the file's, and every later slab must match it.
+  The file is hashed in one pass when every location is in.
 
 Every read of a block is through ``open_container``, a ``Container`` over
 one open file:
@@ -40,11 +42,11 @@ one open file:
 - ``take`` reads a location selection, one seek and one read per selected
   row.
 
-``read_tensor`` is ``read`` or ``take`` on a container of its own. A read
-that records a digest stores the SHA-256 of the whole file, whatever it
-kept: a front-to-back pass streams every byte through the hash, and
-otherwise the container hashes the file it has open from byte 0 in one
-chunked pass, so a file renamed over the path meanwhile is not hashed.
+``read_tensor`` is ``read`` on a container of its own. A read that records
+a digest stores the SHA-256 of the whole file, whatever it kept: a
+front-to-back pass streams every byte through the hash, and otherwise the
+container hashes the file it has open from byte 0 in one chunked pass, so a
+file renamed over the path meanwhile is not hashed.
 
 A file's name means nothing to this module: every tensor file is a
 container, whatever its suffix, and a file that is not one raises a
@@ -131,73 +133,81 @@ def _section(tensor, key):
     return getattr(value, _AXES[key][1]) if key in _AXES else value
 
 
+def _by_name(tensor):
+    """The tensor's block along its names axis: the names of its values, or
+    one array per stacked field."""
+    return [getattr(tensor, a) for a in tensor.ARRAYS] if LAYOUTS[_KINDS[type(tensor)]].fields else tensor.values
+
+
 def write_tensor(tensor, path):
     """Serialize a tensor of any kind to ``path``: its own header, then its
     block one name at a time, hashed as written. Returns the SHA-256 hex
     digest of the file."""
-    header = Header.of(type(tensor), tensor)
-    # the block's first axis: the names of the values, or one stacked array per field
-    by_name = [getattr(tensor, a) for a in tensor.ARRAYS] if LAYOUTS[header.kind].fields else tensor.values
-    return atomic_write(path, itertools.chain([_encode_header(header)],
-                                              (np.ascontiguousarray(block, dtype="<f8") for block in by_name)))
+    return atomic_write(path, itertools.chain([_encode_header(Header.of(tensor))],
+                                              (np.ascontiguousarray(block, dtype="<f8") for block in _by_name(tensor))))
 
 
 class RowWriter:
-    """A container being written row by row, in any order: its header is on
-    disk and the file is sized for its block. ``put`` writes one (name,
-    location) row at its offset; ``open_rows`` closes the writer, which then
-    holds the file's digest in ``sha256``."""
+    """A container of ``locations`` being written one location slab at a
+    time, in any order. ``put`` writes each slab's rows at their offsets;
+    ``open_rows`` closes the writer, which then holds the file's digest in
+    ``sha256``."""
 
-    def __init__(self, header, fh):
+    def __init__(self, fh, locations: LocationSet):
         self.sha256 = None
         self._fh = fh
-        head = _encode_header(header)
-        n_names, n_loc, *axes = header.shape
-        self._row_shape = tuple(axes)
-        self._row_bytes = 8 * int(np.prod(axes))
-        self._start = len(head)
-        self._missing = np.ones((n_names, n_loc), dtype=bool)  # the rows not put yet
-        fh.write(head)
-        fh.truncate(self._start + n_names * n_loc * self._row_bytes)
+        self._locations = locations
+        self._header = None  # the first slab's, over the file's locations
+        self._missing = np.ones(len(locations), dtype=bool)  # the locations not put yet
 
-    def put(self, name: int, location: int, row):
-        """Write ``row``, of the header's row shape ``header.shape[2:]``, as
-        the row of name index ``name`` at location index ``location``. An
-        index off the block, a row of another shape, or a row put twice
-        raises ``DimensionMismatchError``."""
-        n_names, n_loc = self._missing.shape
-        name, location = operator.index(name), operator.index(location)
-        if not (0 <= name < n_names and 0 <= location < n_loc):
-            raise DimensionMismatchError(f"row ({name}, {location}) is outside the header's block of "
-                                         f"{n_names} names x {n_loc} locations")
-        row = np.ascontiguousarray(row, dtype="<f8")
-        if row.shape != self._row_shape:
-            raise DimensionMismatchError(f"row ({name}, {location}) has shape {row.shape}; the header's "
-                                         f"rows have shape {self._row_shape}")
-        if not self._missing[name, location]:
-            raise DimensionMismatchError(f"row ({name}, {location}) is put twice")
-        self._fh.seek(self._start + (name * n_loc + location) * self._row_bytes)
-        self._fh.write(row)
-        self._missing[name, location] = False
+    def put(self, start: int, slab):
+        """Write every row of ``slab``, a tensor over the file's locations
+        ``start`` to ``start + n - 1``, at its offsets. The first slab's
+        header, with the file's locations, becomes the file's header, and the
+        file is sized for its block; every slab's header must encode to that
+        header over its own locations. A location off the file, a location
+        put twice or a slab of another header raises ``DimensionMismatchError``."""
+        header, start = Header.of(slab), operator.index(start)
+        stop, n_loc = start + len(header.locations), len(self._locations)
+        if not 0 <= start <= stop <= n_loc:
+            raise DimensionMismatchError(f"locations {start}..{stop - 1} are outside the file's 0..{n_loc - 1}")
+        if self._header is None:
+            self._header = header._replace(locations=self._locations)
+            head = _encode_header(self._header)
+            self._start, self._row_bytes = len(head), 8 * int(np.prod(self._header.shape[2:]))
+            self._fh.write(head)
+            self._fh.truncate(self._start + len(header.names) * n_loc * self._row_bytes)
+        if _encode_header(header) != _encode_header(self._header._replace(
+                locations=self._locations.take(range(start, stop)))):
+            raise DimensionMismatchError(f"the slab at locations {start}..{stop - 1} does not have the "
+                                         f"file's header there")
+        if not self._missing[start:stop].all():
+            raise DimensionMismatchError(f"location {start + int(np.argmin(self._missing[start:stop]))} is put twice")
+        for name, block in enumerate(_by_name(slab)):
+            self._fh.seek(self._start + (name * n_loc + start) * self._row_bytes)
+            self._fh.write(np.ascontiguousarray(block, dtype="<f8"))
+        self._missing[start:stop] = False
 
     def _close(self):
-        """Check that every row is in, then hash the file in one pass from byte 0."""
+        """Check that every location is in, then hash the file in one pass from byte 0."""
         if self._missing.any():
-            name, location = np.argwhere(self._missing)[0]
-            raise DimensionMismatchError(f"{int(self._missing.sum())} rows never put, the first "
-                                         f"({name}, {location})")
+            raise DimensionMismatchError(f"{int(self._missing.sum())} locations never put, the first "
+                                         f"{int(np.argmax(self._missing))}")
+        if self._header is None:
+            raise DimensionMismatchError("no slab was put to give the file its header")
         self.sha256 = file_sha256(self._fh)
 
 
 @contextlib.contextmanager
-def open_rows(header, path):
-    """A ``RowWriter`` of a container of ``header`` at ``path``. It writes to
-    ``<path>.<pid>.tmp``; when the ``with`` block ends without an error, the
-    writer checks that every row was put, hashes the file into its ``sha256``
-    and renames it over ``path``. An error, raised in the block or by those
-    checks, removes the temporary file, which leaves the previous file whole."""
+def open_rows(path, locations: LocationSet):
+    """A ``RowWriter`` of a container over ``locations`` at ``path``. It
+    writes to ``<path>.<pid>.tmp``; when the ``with`` block ends without an
+    error, the writer checks that every location was put, hashes the file
+    into its ``sha256`` and renames it over ``path``. An error, raised in the
+    block or by those checks, removes the temporary file, which leaves the
+    previous file whole."""
     with atomic_file(path) as fh:
-        writer = RowWriter(header, fh)
+        writer = RowWriter(fh, locations)
         yield writer
         writer._close()
 
@@ -308,23 +318,21 @@ class Header(NamedTuple):
     sections: dict
 
     @classmethod
-    def of(cls, tensor_type, axes) -> "Header":
-        """The header of a ``tensor_type`` tensor whose axes are the
-        attributes of ``axes``: the tensor itself, or any object that holds
-        its axes, so a block can be written before, or without, the tensor."""
-        kind = _KINDS.get(tensor_type)
+    def of(cls, tensor) -> "Header":
+        """The header of ``tensor``, a tensor of a ``LAYOUTS`` kind."""
+        kind = _KINDS.get(type(tensor))
         if kind is None:
-            raise TensorFormatError(f"cannot serialize {tensor_type.__name__}")
+            raise TensorFormatError(f"cannot serialize {type(tensor).__name__}")
         layout = LAYOUTS[kind]
-        return cls(kind, list(layout.fields or getattr(axes, tensor_type.AXES[0])), axes.locations,
-                   {key: _section(axes, key) for key in layout.sections})
+        return cls(kind, list(layout.fields or getattr(tensor, tensor.AXES[0])), tensor.locations,
+                   {key: _section(tensor, key) for key in layout.sections})
 
     @property
     def axes(self) -> SimpleNamespace:
         """The tensor's fields other than its arrays, as attributes: its
         names, unless the block stacks fixed fields, its locations, and each
         section as its axis (``TimeAxis``, ``LeadTimeAxis``), index array or
-        count. ``Header.of`` takes them back."""
+        count."""
         layout = LAYOUTS[self.kind]
         axes = {key: _AXES[key][0](self.sections[key]) if key in _AXES else self.sections[key]
                 for key in layout.sections}
@@ -388,10 +396,8 @@ def _read_head(fh):
 
 
 def _selection(locations, n_locations: int):
-    """The location rows to read: all of them, in order, for None; else the
-    given distinct indices in 0..n_locations-1, in the given order."""
-    if locations is None:
-        return range(n_locations)
+    """The distinct location indices ``locations``, each in
+    0..n_locations-1, in the given order."""
     rows = [operator.index(loc) for loc in locations]
     seen = set()
     for loc in rows:
@@ -494,27 +500,10 @@ def open_container(path, digests=None):
             digests[str(path)] = container.sha256()
 
 
-def read_tensor(path, digests=None, locations=None):
-    """Read a tensor container; returns the tensor of its kind,
-    ``LAYOUTS[kind].tensor``.
-
-    ``locations``, a list of distinct location indices, selects the tensor
-    over those locations alone, in that order, renumbered from 0: the same
-    tensor as the joined one-location ``at_locations`` slabs of a full read.
-    None selects every location.
-
-    The header is read in chunks up to its separator. The block is (names,
-    locations, ...), so each location is one contiguous row per name. The
-    payload is read straight into one aligned float64 array that the tensor
-    keeps, read-only and never copied: as its values, or, for a stacked
-    block, as one view per field. A read of every location in order is
-    ``Container.read``, and any other selection ``Container.take``. Given a
-    ``digests`` dict, the SHA-256 hex digest of the whole file, whatever the
-    selection, is stored under ``str(path)``: a full read hashes the bytes as
-    it reads them, and a selection then hashes the file it has open, so the
-    digest is always that of the file the values came from.
-    """
+def read_tensor(path, digests=None):
+    """Read a tensor container whole (``Container.read``); returns the tensor
+    of its kind, ``LAYOUTS[kind].tensor``. Given a ``digests`` dict, the
+    SHA-256 hex digest of the file, hashed as it was read, is stored under
+    ``str(path)``."""
     with open_container(path, digests) as container:
-        every = range(len(container.header.locations))
-        rows = _selection(locations, len(every))
-        return container.read() if list(rows) == list(every) else container.take(rows)
+        return container.read()

@@ -17,10 +17,8 @@ from anensolar.anen import (
     similarity,
     validate_weights,
 )
-from anensolar import tensorio
 from anensolar.coredata import (
     MISSING,
-    AlignedObservations,
     EnsembleTensor,
     ForecastTensor,
     LeadTimeAxis,
@@ -28,7 +26,7 @@ from anensolar.coredata import (
     TimeAxis,
     align_observations,
 )
-from anensolar.errors import DimensionMismatchError, InsufficientCandidatesError, MissingVariableError
+from anensolar.errors import DimensionMismatchError, InsufficientCandidatesError
 from anensolar.tensorio import read_tensor, write_tensor
 
 from conftest import make_forecast, make_locations
@@ -680,76 +678,6 @@ class TestBuildEnsemble:
         index[1, 0, 2, 1] = position
         with pytest.raises(ValueError, match="outside the init axis"):
             build_multivariate_ensemble(dataclasses.replace(out, search_index=index), aligned)
-
-    def test_variable_subset_and_missing_variable(self):
-        fc, aligned = self.make_setup(seed=94)
-        cfg = AnEnConfig(weights=equal_weights(2), members=2, half_window=0)
-        out = search_analogs(fc, cfg, (8, 10), (0, 8))
-        ens = build_multivariate_ensemble(out, aligned, variables=("b",))
-        assert ens.variable_names == ("b",)
-        with pytest.raises(MissingVariableError):
-            build_multivariate_ensemble(out, aligned, variables=("nope",))
-
-
-    def test_every_check_runs_before_the_first_row(self):
-        # the last location's analog is off the init axis: the call raises,
-        # so a writer never starts a file for an ensemble that cannot be built
-        fc, aligned = self.make_setup(seed=98)
-        cfg = AnEnConfig(weights=equal_weights(2), members=2, half_window=0)
-        out = search_analogs(fc, cfg, (8, 10), (0, 8))
-        index = out.search_index.copy()
-        index[-1, -1, -1, -1] = 10
-        with pytest.raises(ValueError, match="outside the init axis"):
-            anen.ensemble_rows(dataclasses.replace(out, search_index=index), aligned)
-        with pytest.raises(MissingVariableError):
-            anen.ensemble_rows(out, aligned, variables=("nope",))
-
-    def test_rows_are_the_ensemble_in_file_order(self, tmp_path):
-        fc, aligned = self.make_setup(seed=99, n_loc=3)
-        cfg = AnEnConfig(weights=equal_weights(2), members=3, half_window=1, allow_partial=True)
-        out = search_analogs(fc, cfg, (7, 10), (0, 7))
-        ens = build_multivariate_ensemble(out, aligned)
-        axes, rows = anen.ensemble_rows(out, aligned)
-        _put_in_file_order(axes, rows, tmp_path / "rows.ansr")
-        write_tensor(ens, tmp_path / "whole.ansr")
-        assert (tmp_path / "rows.ansr").read_bytes() == (tmp_path / "whole.ansr").read_bytes()
-
-    def test_gather_and_write_hold_one_location_not_the_ensemble(self, tmp_path):
-        # Beyond the index set and the aligned observations, streaming the
-        # rows to disk holds one row and its index temporaries at a time,
-        # about one location's rows (0.94 of them, measured); the whole
-        # ensemble is 32 locations' rows.
-        import tracemalloc
-
-        n_var, n_loc, n_init, n_test, n_lead, members = 4, 32, 60, 30, 24, 21
-        rng = np.random.default_rng(7)
-        init, lead = TimeAxis(86400 * np.arange(n_init)), LeadTimeAxis(3600 * np.arange(n_lead))
-        index = rng.integers(0, n_test, size=(n_loc, n_test, n_lead, members)).astype(float)
-        index[rng.random(index.shape) < 0.01] = MISSING
-        indices = AnalogIndexSet(make_locations(n_loc), init, np.arange(n_test, n_init), lead, members,
-                                 index, rng.random(index.shape))
-        aligned = AlignedObservations(tuple(f"v{k}" for k in range(n_var)), indices.locations, init, lead,
-                                      rng.normal(size=(n_var, n_loc, n_init, n_lead)))
-        location_bytes = n_var * n_test * n_lead * members * 8
-        path = tmp_path / "ensemble.ansr"
-        tracemalloc.start()
-        try:
-            axes, rows = anen.ensemble_rows(indices, aligned)
-            _put_in_file_order(axes, rows, path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert path.stat().st_size > n_loc * location_bytes
-        assert peak < 2 * location_bytes
-
-
-def _put_in_file_order(axes, rows, path):
-    """Put the ``ensemble_rows`` of an ensemble on ``axes`` in a row writer
-    at ``path``, as they come: name, then location."""
-    n_loc = len(axes.locations)
-    with tensorio.open_rows(tensorio.Header.of(EnsembleTensor, axes), path) as writer:
-        for k, row in enumerate(rows):
-            writer.put(*divmod(k, n_loc), row)
 
 
 class TestAnalogSerialization:

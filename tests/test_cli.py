@@ -1165,6 +1165,22 @@ def test_a_tensor_input_that_is_not_a_container_of_its_kind_exits_2(weighed_chai
     assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()} == before
 
 
+@pytest.mark.parametrize("argv, key", TENSOR_INPUTS,
+                         ids=[f"{' '.join(argv)}:{key}" for argv, key in TENSOR_INPUTS])
+def test_a_tensor_input_of_no_location_exits_2(weighed_chain, tmp_path, capsys, argv, key):
+    # the key's own file cut to no location: no command has a location to
+    # compute, and no location's tensor could give an output its header
+    out = tmp_path / "run"
+    shutil.copytree(weighed_chain, out)
+    whole = tensorio.read_tensor(out / Path(cli.DEFAULT_CONFIG["paths"][key]))
+    tensorio.write_tensor(whole.at_locations(0, 0), out / "none.ansr")
+    before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()}
+    capsys.readouterr()
+    assert main(["-o", str(out), *SMALL, "--set", f"paths.{key}=none.ansr", *argv]) == 2
+    assert _problems(capsys) == [f"paths.{key}: holds no location"]
+    assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()} == before
+
+
 @pytest.mark.parametrize("argv", [["anen"], ["optimize-weights", "--strategy", "NN"]],
                          ids=["whole", "at the samples"])
 def test_forecasts_holding_inf_exit_2_naming_their_key(chain_dir, tmp_path, capsys, argv):
@@ -1306,7 +1322,7 @@ def test_optimize_weights_reads_forecasts_at_its_samples_as_a_full_read_would(tm
 
         def __init__(self, tensor):
             self.tensor = tensor
-            self.header = tensorio.Header.of(type(tensor), tensor)
+            self.header = tensorio.Header.of(tensor)
 
         def blocks(self):
             return zip(self.header.names, self.tensor.values)

@@ -432,6 +432,13 @@ SELECTIONS = {"scattered": [4, 0, 5, 2], "reversed": [5, 4, 3, 2, 1, 0], "single
               "adjacent runs": [1, 2, 4, 5], "all": [0, 1, 2, 3, 4, 5]}
 
 
+def _take(path, digests, locations):
+    """The tensor of the file at ``path`` over ``locations`` alone, taken
+    from a container that records its digest in ``digests``."""
+    with tensorio.open_container(path, digests) as container:
+        return container.take(locations)
+
+
 def _joined_slabs(tensor, locations):
     """The one-location ``at_locations`` slabs of ``tensor``, joined in the
     order of ``locations``; the empty 0:0 slab for no location."""
@@ -453,7 +460,7 @@ def test_a_selection_reads_the_joined_location_slabs(tmp_path, name, selection):
     write_tensor(_six_locations()[name], path)
     locations = SELECTIONS[selection]
     digests = {}
-    picked = read_tensor(path, digests, locations=locations)
+    picked = _take(path, digests, locations)
     expected = _joined_slabs(read_tensor(path), locations)
     assert type(picked) is type(expected)
     assert picked.shape == expected.shape
@@ -475,7 +482,7 @@ def test_a_repeated_or_unknown_location_is_value_error(tmp_path, locations, name
     path = tmp_path / "forecast.ansr"
     write_tensor(_six_locations()["forecast.ansr"], path)
     with pytest.raises(ValueError, match=named):
-        read_tensor(path, locations=locations)
+        _take(path, None, locations)
 
 
 def test_a_selection_within_the_header_chunk(tmp_path, monkeypatch):
@@ -486,7 +493,7 @@ def test_a_selection_within_the_header_chunk(tmp_path, monkeypatch):
     write_tensor(fc, path)
     assert path.stat().st_size < tensorio._HEADER_CHUNK
     for digests in (None, {}):
-        picked = read_tensor(path, digests, locations=[5, 1])
+        picked = _take(path, digests, [5, 1])
         assert picked.values.tobytes() == fc.values[:, [5, 1]].tobytes()
     assert digests == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
 
@@ -499,8 +506,7 @@ class _CountingReader(io.BufferedReader):
         return super().readinto(buffer)
 
 
-@pytest.mark.parametrize("locations", [None, [0, 1, 2, 3]])
-def test_a_full_read_is_one_readinto_per_name_and_no_buffer(tmp_path, monkeypatch, locations):
+def test_a_full_read_is_one_readinto_per_name_and_no_buffer(tmp_path, monkeypatch):
     # each name's block is larger than the first chunk, so every block needs the file
     fc = make_forecast(n_pred=3, n_loc=4, n_init=100, n_lead=24)
     path = tmp_path / "fc.ansr"
@@ -508,7 +514,7 @@ def test_a_full_read_is_one_readinto_per_name_and_no_buffer(tmp_path, monkeypatc
     monkeypatch.setattr(_CountingReader, "readintos", 0)
     monkeypatch.setattr(tensorio, "open", lambda p, mode: _CountingReader(io.FileIO(p, mode)),
                         raising=False)
-    assert read_tensor(path, {}, locations=locations).values.tobytes() == fc.values.tobytes()
+    assert read_tensor(path, {}).values.tobytes() == fc.values.tobytes()
     assert _CountingReader.readintos == 3
 
 
@@ -521,7 +527,7 @@ def test_a_selection_holds_one_spare_row_beyond_its_output(tmp_path):
     write_tensor(fc, path)
     tracemalloc.start()
     try:
-        picked = read_tensor(path, {}, locations=[37])
+        picked = _take(path, {}, [37])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -547,7 +553,7 @@ def test_one_location_of_a_large_file_holds_that_location_alone(tmp_path):
     digests = {}
     tracemalloc.start()
     try:
-        picked = read_tensor(path, digests, locations=[37])
+        picked = _take(path, digests, [37])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -654,10 +660,10 @@ def test_a_file_renamed_over_the_path_mid_read_is_not_the_one_hashed(tmp_path, m
             picked = container.take([2, 0])
         values = np.concatenate([streamed.reshape(old.values.shape), picked.values], axis=1)
         expected = np.concatenate([old.values, old.values[:, [2, 0]]], axis=1)
+    elif read == "selection":
+        values, expected = _take(path, digests, [2, 0]).values, old.values[:, [2, 0]]
     else:
-        locations = [2, 0] if read == "selection" else None
-        values = read_tensor(path, digests, locations=locations).values
-        expected = old.values[:, locations] if locations else old.values
+        values, expected = read_tensor(path, digests).values, old.values
     assert not other.exists()
     assert hashlib.sha256(path.read_bytes()).hexdigest() != old_digest
     assert values.tobytes() == expected.tobytes()
@@ -710,46 +716,75 @@ def _rows(tensor):
     return [row for block in by_name for row in block]
 
 
-def _put_rows(tensor, path, order, change=None):
-    """Put the rows of ``tensor``'s block through ``open_rows`` in the file
-    order indices ``order``; ``change`` may edit the (name, location, row)
-    puts first. Returns the writer."""
-    n_loc = len(tensor.locations)
-    rows = _rows(tensor)
-    puts = [(*divmod(k, n_loc), rows[k]) for k in order]
-    with tensorio.open_rows(tensorio.Header.of(type(tensor), tensor), path) as writer:
-        for name, location, row in change(puts) if change else puts:
-            writer.put(name, location, row)
+def _slab_puts(tensor, bounds):
+    """(start, slab) of each location slab of ``tensor`` between consecutive ``bounds``."""
+    return [(start, tensor.at_locations(start, stop)) for start, stop in zip(bounds, bounds[1:])]
+
+
+def _put_slabs(tensor, path, puts):
+    """Put the (start, slab) ``puts`` through ``open_rows`` in a file over
+    ``tensor``'s locations; returns the writer."""
+    with tensorio.open_rows(path, tensor.locations) as writer:
+        for start, slab in puts:
+            writer.put(start, slab)
     return writer
 
 
-@pytest.mark.parametrize("change, match", [
-    (lambda puts: puts[:-1], r"1 rows never put, the first \(1, 5\)"),
-    (lambda puts: puts[:3] + puts[5:], r"2 rows never put, the first \(0, 3\)"),
-    (lambda puts: puts + puts[4:5], r"row \(0, 4\) is put twice"),
-    (lambda puts: puts[:3] + [(0, 3, puts[3][2][:, :, :2])] + puts[4:], r"row \(0, 3\) has shape \(4, 5, 2\)"),
-    (lambda puts: puts[:1] + [(2, 0, puts[1][2])] + puts[2:], r"row \(2, 0\) is outside .* 2 names x 6 locations"),
-    (lambda puts: puts[:1] + [(0, 6, puts[1][2])] + puts[2:], r"row \(0, 6\) is outside"),
-    (lambda puts: puts[:1] + [(0, -1, puts[1][2])] + puts[2:], r"row \(0, -1\) is outside"),
-], ids=["last never put", "two never put", "put twice", "wrong shape", "name off the block",
-        "location off the block", "negative location"])
-def test_a_row_writer_not_filled_exactly_once_leaves_the_previous_file(tmp_path, change, match):
+def _other_members(slab):
+    return dataclasses.replace(slab, members=2, values=slab.values[..., :2])
+
+
+def _other_leads(slab):
+    return dataclasses.replace(slab, lead_times=LeadTimeAxis(slab.lead_times.offsets + 1))
+
+
+def _another_kind(slab):
+    return SigmaTensor(slab.variable_names, slab.locations, slab.lead_times, slab.values[..., 0, :, 0])
+
+
+ONE_EACH = [0, 1, 2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("puts, match", [
+    (lambda t: _slab_puts(t, ONE_EACH[:-1]), "1 locations never put, the first 5"),
+    (lambda t: _slab_puts(t, [0, 3]) + _slab_puts(t, [5, 6]), "2 locations never put, the first 3"),
+    (lambda t: _slab_puts(t, ONE_EACH) + _slab_puts(t, [4, 5]), "location 4 is put twice"),
+    (lambda t: _slab_puts(t, [0, 3]) + _slab_puts(t, [2, 6]), "location 2 is put twice"),
+    (lambda t: [(-1, t.at_locations(0, 1))], r"locations -1\.\.-1 are outside the file's 0\.\.5"),
+    (lambda t: _slab_puts(t, [0, 5]) + [(6, t.at_locations(5, 6))], r"locations 6\.\.6 are outside"),
+    (lambda t: [(4, t.at_locations(0, 3))], r"locations 4\.\.6 are outside"),
+    (lambda t: _slab_puts(t, [0, 2]) + [(2, _other_members(t.at_locations(2, 6)))],
+     r"the slab at locations 2\.\.5 does not have the file's header"),
+    (lambda t: _slab_puts(t, [0, 2]) + [(2, _other_leads(t.at_locations(2, 6)))], "does not have the file's header"),
+    (lambda t: _slab_puts(t, [0, 2]) + [(2, _another_kind(t.at_locations(2, 6)))], "does not have the file's header"),
+    (lambda t: [(1, t.at_locations(2, 3))], r"the slab at locations 1\.\.1 does not have the file's header"),
+], ids=["last never put", "two never put", "put twice", "overlapping slabs", "negative start",
+        "start off the file", "slab past the file's end", "other members", "other leads", "another kind",
+        "other locations"])
+def test_a_slab_writer_not_filled_exactly_once_leaves_the_previous_file(tmp_path, puts, match):
     ensemble = _six_locations()["ensemble.ansr"]
     path = tmp_path / "ensemble.ansr"
     path.write_bytes(b"previous bytes")
     with pytest.raises(DimensionMismatchError, match=match):
-        _put_rows(ensemble, path, range(12), change)
+        _put_slabs(ensemble, path, puts(ensemble))
     assert path.read_bytes() == b"previous bytes"
     assert [p.name for p in tmp_path.iterdir()] == ["ensemble.ansr"]
 
 
-def test_an_error_while_rows_are_put_leaves_the_previous_file(tmp_path):
+def test_a_slab_writer_with_no_slab_has_no_header(tmp_path):
+    sigma = _six_locations()["sigma.ansr"].at_locations(0, 0)
+    with pytest.raises(DimensionMismatchError, match="no slab was put"):
+        _put_slabs(sigma, tmp_path / "sigma.ansr", [])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_error_while_slabs_are_put_leaves_the_previous_file(tmp_path):
     path = tmp_path / "sigma.ansr"
     path.write_bytes(b"previous bytes")
     sigma = _six_locations()["sigma.ansr"]
     with pytest.raises(KeyError, match="stop"):
-        with tensorio.open_rows(tensorio.Header.of(SigmaTensor, sigma), path) as writer:
-            writer.put(0, 0, sigma.values[0, 0])
+        with tensorio.open_rows(path, sigma.locations) as writer:
+            writer.put(0, sigma.at_locations(0, 1))
             assert (tmp_path / f"sigma.ansr.{os.getpid()}.tmp").exists()
             raise KeyError("stop")
     assert writer.sha256 is None
@@ -759,20 +794,19 @@ def test_an_error_while_rows_are_put_leaves_the_previous_file(tmp_path):
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_rows_put_in_any_order_give_the_file_write_tensor_writes(tmp_path_factory, data):
-    tmp_path = tmp_path_factory.mktemp("rows")
+def test_slabs_put_in_any_order_give_the_file_write_tensor_writes(tmp_path_factory, data):
+    tmp_path = tmp_path_factory.mktemp("slabs")
     tensor = data.draw(st.sampled_from(list(_six_locations().values())))
-    order = data.draw(st.permutations(range(len(_rows(tensor)))))
-    writer = _put_rows(tensor, tmp_path / "rows.ansr", order)
+    cuts = data.draw(st.sets(st.integers(1, 5)))
+    puts = data.draw(st.permutations(_slab_puts(tensor, [0, *sorted(cuts), 6])))
+    writer = _put_slabs(tensor, tmp_path / "slabs.ansr", puts)
     assert writer.sha256 == write_tensor(tensor, tmp_path / "whole.ansr")
-    assert (tmp_path / "rows.ansr").read_bytes() == (tmp_path / "whole.ansr").read_bytes()
-    assert writer.sha256 == hashlib.sha256((tmp_path / "rows.ansr").read_bytes()).hexdigest()
+    assert (tmp_path / "slabs.ansr").read_bytes() == (tmp_path / "whole.ansr").read_bytes()
+    assert writer.sha256 == hashlib.sha256((tmp_path / "slabs.ansr").read_bytes()).hexdigest()
 
 
 def test_header_axes_build_the_tensor_of_the_header(tmp_path):
     for name, tensor in _six_locations().items():
         header = _header(_written(tmp_path, name, tensor))
-        encoded = tensorio._encode_header(header)
-        assert tensorio._encode_header(tensorio.Header.of(type(tensor), header.axes)) == encoded
         rebuilt = type(tensor)(**vars(header.axes), **{a: getattr(tensor, a) for a in tensor.ARRAYS})
-        assert tensorio._encode_header(tensorio.Header.of(type(tensor), rebuilt)) == encoded
+        assert tensorio._encode_header(tensorio.Header.of(rebuilt)) == tensorio._encode_header(header)
