@@ -164,8 +164,9 @@ def similarity(forecasts: ForecastTensor, location: int, target_init: int,
 
 
 # Bytes of one (rows, n_lead, n_cand) float64 work buffer of search_analogs,
-# which holds three: small enough to stay in cache while it is reused.
-BLOCK_BYTES = 1 << 20
+# which holds three: 1.5 MiB in all, small enough to stay in a 2 MiB L2
+# cache while they are reused.
+BLOCK_BYTES = 1 << 19
 
 
 def _window_sums(d2, acc, half_window):

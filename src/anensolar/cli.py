@@ -21,8 +21,8 @@ directory, where each run writes its artifacts and a manifest of input/output
 hashes and the effective config hash. A tensor input that is not a container
 of its kind (another kind, a text file, a file cut short), or that holds no
 location, is a problem of its ``paths`` key, whatever the file's name:
-``Runner.open`` and ``Runner.read`` open every tensor input once under that
-rule. Any other failure prints a JSON error line and exits 1.
+``Runner.open`` opens every tensor input once under that rule. Any other
+failure prints a JSON error line and exits 1.
 
 Each command imports the library modules it runs inside its own function, so
 a process that runs ``sigma`` never loads the PV chain, the weight search or
@@ -353,12 +353,6 @@ class Runner:
                     raise TensorFormatError("holds no location")
             yield Input(self, key, container)
 
-    def read(self, key: str, kind: str):
-        """The whole tensor of ``paths.<key>``, read once by ``open``'s rule:
-        the same bytes, the whole file's, give the manifest hash."""
-        with self.open(key, kind) as container:
-            return container.read()
-
     def pair(self, key: str, given, ref_key: str, reference, axes=None):
         """A ``key`` problem when ``coredata.axis_mismatch`` finds an axis on
         which ``given`` differs from ``reference``, which ``ref_key`` chose."""
@@ -421,17 +415,13 @@ class Input:
         self.header = container.header
         self._run, self._key, self._container = run, key, container
 
-    def read(self):
-        with self._run.refusing(self._key):
-            return self._container.read()
-
     def blocks(self):
         with self._run.refusing(self._key):
             yield from self._container.blocks()
 
-    def take(self, locations):
+    def take(self, locations, names=None):
         with self._run.refusing(self._key):
-            return self._container.take(locations)
+            return self._container.take(locations, names)
 
 
 def _anen_split(run: Runner, n_inits: int, min_search: int = 1) -> tuple:
@@ -631,12 +621,19 @@ def cmd_simulate(run: Runner, args) -> int:
 def _write_power(run: Runner, key: str, locations, slabs, specs, system):
     """Simulate each one-location weather slab of ``slabs``, in the order of
     ``locations``, and put its power, one variable per module of ``specs``,
-    in the output ``paths.<key>``."""
+    in the output ``paths.<key>``. Every slab has the same init and lead
+    times, so the ephemeris' time-only terms are computed once, and each
+    location's solar cache adds only its place."""
     from . import driver
+    from .solar import precompute_solar, sun_terms
 
+    sun = None
     with run.rows(key, locations) as out:
         for loc, slab in enumerate(slabs):
-            out.put(loc, driver.power_from_weather(slab, specs, system))
+            if sun is None:
+                sun = sun_terms(slab.init_times, slab.lead_times)
+            cache = precompute_solar(slab.locations, slab.init_times, slab.lead_times, sun)
+            out.put(loc, driver.power_from_weather(slab, specs, system, cache))
 
 
 def _check_weather(run: Runner, key: str, names):
@@ -759,47 +756,55 @@ def cmd_cluster(run: Runner, args) -> int:
 
 
 def cmd_verify(run: Runner, args) -> int:
+    """Score one module of the power ensemble against the truth: every
+    check reads the two headers alone; then, one location at a time, the
+    module's row of each file is taken and its cells are put into the four
+    (L, I, J) fields of ``verify.CellFields``, under that location's solar
+    cache and noon alignment, which ``verify.group_cells`` reduces."""
     from . import verify
-    from .solar import precompute_solar
+    from .solar import precompute_solar, sun_terms
 
     v = run.cfg["verify"]
     run.claim()
-    power = run.read("power", "ensemble")
-    truth = run.read("truth_power", "ensemble")
-    run.pair("paths.truth_power", truth, "paths.power", power)
-    if truth.members != 1:
-        run.problems.append(f"paths.truth_power: holds {truth.members} members, need 1")
-    module = v["module"] or power.variable_names[0]
-    if v["grouping"] not in verify.GROUPINGS:
-        run.problems.append(f"verify.grouping: unknown grouping {v['grouping']!r}")
-    for what, tensor in (("power", power), ("truth", truth)):
-        if module not in tensor.variable_names:
-            run.problems.append(f"verify.module: {module!r} not in {what} file variables "
-                                f"{tensor.variable_names}")
-    region_map = None
-    if v["grouping"] == "region":
-        try:
-            region_map = verify.read_region_map(run.path("region_map"))
-        except ValueError as exc:
-            run.problems.append(f"paths.region_map: {exc}")
-        else:
-            n_loc = len(power.locations)
-            unmapped, unknown = set(range(n_loc)) - set(region_map), set(region_map) - set(range(n_loc))
-            if unmapped:
-                run.problems.append(f"paths.region_map: no region for locations {sorted(unmapped)}")
-            if unknown:
-                run.problems.append(f"paths.region_map: locations {sorted(unknown)} are outside 0..{n_loc - 1}")
-    run.check()
-    ens = power.values[power.variable_index(module)]
-    tru = truth.values[truth.variable_index(module), ..., 0]
+    with run.open("power", "ensemble") as power, run.open("truth_power", "ensemble") as truth:
+        axes = power.header.axes
+        run.pair("paths.truth_power", truth.header.axes, "paths.power", axes,
+                 ("locations", "init_times", "lead_times"))
+        if truth.header.sections["members"] != 1:
+            run.problems.append(f"paths.truth_power: holds {truth.header.sections['members']} members, need 1")
+        module = v["module"] or power.header.names[0]
+        if v["grouping"] not in verify.GROUPINGS:
+            run.problems.append(f"verify.grouping: unknown grouping {v['grouping']!r}")
+        for what, names in (("power", power.header.names), ("truth", truth.header.names)):
+            if module not in names:
+                run.problems.append(f"verify.module: {module!r} not in {what} file variables {tuple(names)}")
+        n_loc = len(axes.locations)
+        region_map = None
+        if v["grouping"] == "region":
+            try:
+                region_map = verify.read_region_map(run.path("region_map"))
+            except ValueError as exc:
+                run.problems.append(f"paths.region_map: {exc}")
+            else:
+                unmapped, unknown = set(range(n_loc)) - set(region_map), set(region_map) - set(range(n_loc))
+                if unmapped:
+                    run.problems.append(f"paths.region_map: no region for locations {sorted(unmapped)}")
+                if unknown:
+                    run.problems.append(f"paths.region_map: locations {sorted(unknown)} are outside 0..{n_loc - 1}")
+        run.check()
 
-    cache = precompute_solar(power.locations, power.init_times, power.lead_times)
-    alignment = verify.align_solar_noon(cache) if v["align_noon"] else None
-    report = verify.aggregate(
-        ens, tru, v["grouping"],
-        init_times=power.init_times,
-        alignment=alignment,
-        daylight=cache.daylight_mask(),
+        fields = verify.CellFields.empty((n_loc, len(axes.init_times), len(axes.lead_times)))
+        offsets = np.empty(n_loc, dtype=np.int64)
+        sun = sun_terms(axes.init_times, axes.lead_times)
+        for loc in range(n_loc):
+            cache = precompute_solar(axes.locations.take([loc]), axes.init_times, axes.lead_times, sun)
+            offsets[loc] = verify.align_solar_noon(cache).offsets[0]
+            fields.put(loc, power.take([loc], [module]).values[0], truth.take([loc], [module]).values[0, ..., 0],
+                       cache.daylight_mask())
+    report = verify.group_cells(
+        fields, v["grouping"],
+        init_times=axes.init_times,
+        alignment=verify.SolarNoonAlignment(offsets) if v["align_noon"] else None,
         region_map=region_map,
     )
     run.write("report", report.to_csv)

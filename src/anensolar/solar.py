@@ -10,6 +10,7 @@ correction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -161,7 +162,7 @@ def _apparent_zenith(epoch_seconds, latitude, longitude):
     return _refract(zen)
 
 
-def _noaa_arrays(epoch_seconds, latitude, longitude):
+def _noaa_arrays(epoch_seconds, latitude, longitude, geometry=None):
     """Vectorized NOAA ephemeris; broadcasts over inputs.
 
     Returns (apparent_zenith, azimuth, declination, equation_of_time).
@@ -169,11 +170,13 @@ def _noaa_arrays(epoch_seconds, latitude, longitude):
     atmospheric refraction correction. Each intermediate of the broadcast
     shape is computed in place in one of three buffers, which become the
     zenith and the azimuth, so memory follows a few fields, not every step.
+    ``geometry``, when given, is ``_sun_geometry`` of the same instants,
+    computed once for several calls.
     """
     t = np.asarray(epoch_seconds, dtype=float)
     lat = np.asarray(latitude, dtype=float)
     lon = np.asarray(longitude, dtype=float)
-    decl, eot = _sun_geometry(t)
+    decl, eot = _sun_geometry(t) if geometry is None else geometry
     zen, cos_zen, afternoon = _true_zenith(t, lat, lon, decl, eot)
 
     phi = lat * _DEG
@@ -263,15 +266,40 @@ class SolarCacheTable(_Tensor):
         return SolarSample(*(float(getattr(self, f)[idx]) for f in self.ARRAYS))
 
 
+class SunTerms(NamedTuple):
+    """The place-independent terms of the ephemeris at the valid times of
+    an (init, lead) grid, each (1, I, J): the instants, the declination, the
+    equation of time and the extraterrestrial irradiance."""
+
+    instants: np.ndarray
+    declination: np.ndarray
+    equation_of_time: np.ndarray
+    e0n: np.ndarray
+
+
+def sun_terms(init_times: TimeAxis, lead_times: LeadTimeAxis) -> SunTerms:
+    """The ``SunTerms`` of every (init, lead) valid time, which a command
+    that builds one cache per location computes once and passes to each
+    ``precompute_solar`` call."""
+    valid = init_times.instants[None, :, None] + lead_times.offsets[None, None, :]  # (1, I, J)
+    t = valid.astype(float)
+    return SunTerms(t, *_sun_geometry(t), extraterrestrial_normal(valid))
+
+
 def precompute_solar(locations: LocationSet, init_times: TimeAxis,
-                     lead_times: LeadTimeAxis) -> SolarCacheTable:
-    """Precompute sun geometry over the full location x init x lead cross product."""
-    valid = init_times.instants[:, None] + lead_times.offsets[None, :]  # (I, J)
+                     lead_times: LeadTimeAxis, sun: SunTerms | None = None) -> SolarCacheTable:
+    """Precompute sun geometry over the full location x init x lead cross
+    product. ``sun`` is ``sun_terms(init_times, lead_times)``, computed here
+    when not given; only the zenith, azimuth and air mass depend on the
+    place, so the caches of separate locations under one ``sun`` equal
+    those locations of one cache over them all, bit for bit."""
+    if sun is None:
+        sun = sun_terms(init_times, lead_times)
     lat = locations.latitude[:, None, None]
     lon = locations.longitude[:, None, None]
-    zen, az, _, _ = _noaa_arrays(valid[None, :, :].astype(float), lat, lon)
+    zen, az, _, _ = _noaa_arrays(sun.instants, lat, lon, (sun.declination, sun.equation_of_time))
     shape = (len(locations), len(init_times), len(lead_times))
-    e0n = np.broadcast_to(extraterrestrial_normal(valid), shape)
+    e0n = np.broadcast_to(sun.e0n, shape)
     am = relative_airmass(zen)
     # zen, az and am are fresh arrays the table keeps uncopied; the broadcast
     # view is copied into an array of its own

@@ -39,8 +39,8 @@ one open file:
 - ``blocks`` reads it front to back too, but yields it in blocks of rows of
   ``BLOCK_BYTES`` at most, so a reduction over rows
   (``weights.regime_features``) never holds the whole;
-- ``take`` reads a location selection, one seek and one read per selected
-  row.
+- ``take`` reads a location selection, of every name or of some, one seek
+  and one read per selected row.
 
 ``read_tensor`` is ``read`` on a container of its own. A read that records
 a digest stores the SHA-256 of the whole file, whatever it kept: a
@@ -395,17 +395,17 @@ def _read_head(fh):
     return header, head
 
 
-def _selection(locations, n_locations: int):
-    """The distinct location indices ``locations``, each in
-    0..n_locations-1, in the given order."""
-    rows = [operator.index(loc) for loc in locations]
+def _selection(indices, n: int, what: str = "location"):
+    """The distinct indices ``indices`` of ``what``, each in 0..n-1, in the
+    given order."""
+    rows = [operator.index(i) for i in indices]
     seen = set()
-    for loc in rows:
-        if not 0 <= loc < n_locations:
-            raise ValueError(f"location {loc} is outside 0..{n_locations - 1}")
-        if loc in seen:
-            raise ValueError(f"location {loc} is selected twice")
-        seen.add(loc)
+    for i in rows:
+        if not 0 <= i < n:
+            raise ValueError(f"{what} {i} is outside 0..{n - 1}")
+        if i in seen:
+            raise ValueError(f"{what} {i} is selected twice")
+        seen.add(i)
     return rows
 
 
@@ -468,19 +468,23 @@ class Container:
                 yield name, rows
         self._sha256 = digest.hexdigest()
 
-    def take(self, locations):
+    def take(self, locations, names=None):
         """The tensor over the distinct location indices ``locations`` alone,
-        in that order, renumbered from 0: one seek and one ``readinto`` per
-        selected (name, location) row."""
+        in that order, renumbered from 0, and over the distinct header
+        ``names`` alone, in that order (every name by default; a kind whose
+        block stacks fixed fields needs them all): one seek and one
+        ``readinto`` per selected (name, location) row."""
         header = self.header
         n_names, n_loc, *axes = header.shape
         rows = _selection(locations, n_loc)
-        values = np.empty((n_names, len(rows), *axes), dtype="<f8")
-        for name, block in enumerate(values):
+        picked = range(n_names) if names is None else _selection(map(header.names.index, names), n_names, "name")
+        values = np.empty((len(picked), len(rows), *axes), dtype="<f8")
+        for name, block in zip(picked, values):
             for row, loc in zip(block, rows):
                 self._fh.seek(len(self._head) + (name * n_loc + loc) * row.nbytes)
                 _fill(self._fh, row, None)
-        return _tensor(header._replace(locations=header.locations.take(rows)), values)
+        return _tensor(header._replace(names=[header.names[n] for n in picked],
+                                       locations=header.locations.take(rows)), values)
 
     def sha256(self) -> str:
         """The SHA-256 hex digest of the whole open file."""

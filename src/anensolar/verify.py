@@ -6,12 +6,20 @@ Bias is mean(pred - truth), so under-prediction is negative. Night cells
 expected to be power simulated from the analysis through the identical
 simulation chain; the reporting helpers make no attempt to verify against
 anything else.
+
+Grouped verification is two steps: ``CellFields.put`` scores a slab of
+locations into four (L, I, J) fields (validity, mean error, CRPS, spread),
+and ``group_cells`` reduces the fields to a report. Every cell's scores
+depend on that cell alone, so the ``verify`` command puts one location at a
+time, holding the fields and one location's rows, and its report equals the
+one ``aggregate`` gives on the whole field.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -161,6 +169,44 @@ def _group_codes(keys, shape):
     return labels, np.array([index.get(k, -1) for k in keys], dtype=np.int64).reshape(shape)
 
 
+class CellFields(NamedTuple):
+    """The per-cell scores of a power field over (L, I, J): ``valid`` marks
+    the cells that count (in daylight, with a finite truth and every member
+    finite), ``error`` is the member mean less the truth, and ``crps`` and
+    ``spread`` come from ``crps_field`` and ``spread_field``. Each cell's
+    scores depend on that cell alone, so fields put one location slab at a
+    time equal those of the whole field, bit for bit."""
+
+    valid: np.ndarray
+    error: np.ndarray
+    crps: np.ndarray
+    spread: np.ndarray
+
+    @classmethod
+    def empty(cls, shape) -> "CellFields":
+        """Fields of ``shape`` (L, I, J), every cell invalid until put."""
+        return cls(np.zeros(shape, dtype=bool), *(np.empty(shape) for _ in range(3)))
+
+    def put(self, start: int, ensemble, truth, daylight=None) -> "CellFields":
+        """Score the slab of locations ``start`` onward, ``ensemble`` (l, I,
+        J, M), or (l, I, J) for a deterministic field, against ``truth`` (l,
+        I, J), and write its cells; cells outside ``daylight`` do not count.
+        Returns the fields."""
+        ens = np.asarray(ensemble, dtype=float)
+        if ens.ndim == 3:
+            ens = ens[..., None]
+        tru = np.asarray(truth, dtype=float)
+        cells = slice(start, start + len(tru))
+        valid = np.isfinite(tru) & np.all(np.isfinite(ens), axis=-1)
+        if daylight is not None:
+            valid &= daylight
+        self.valid[cells] = valid
+        np.subtract(ens.mean(axis=-1), tru, out=self.error[cells])
+        self.crps[cells] = crps_field(ens, tru)
+        self.spread[cells] = spread_field(ens)
+        return self
+
+
 def aggregate(ensemble: np.ndarray, truth: np.ndarray, grouping: str, *,
               init_times: TimeAxis | None = None,
               alignment: SolarNoonAlignment | None = None,
@@ -169,33 +215,31 @@ def aggregate(ensemble: np.ndarray, truth: np.ndarray, grouping: str, *,
     """Grouped verification of an ensemble (or deterministic) power field.
 
     ``ensemble`` is (L, I, J, M) (a trailing member axis of one is added for
-    deterministic input) and ``truth`` is (L, I, J). Grouping keys: "lead"
+    deterministic input) and ``truth`` is (L, I, J). The field is scored
+    whole (``CellFields.put``) and grouped by ``group_cells``; ``verify``
+    puts one location slab at a time into the same fields instead, and
+    groups them the same way.
+    """
+    fields = CellFields.empty(np.shape(truth)).put(0, ensemble, truth, daylight)
+    return group_cells(fields, grouping, init_times=init_times, alignment=alignment, region_map=region_map)
+
+
+def group_cells(fields: CellFields, grouping: str, *,
+                init_times: TimeAxis | None = None,
+                alignment: SolarNoonAlignment | None = None,
+                region_map: dict | None = None) -> VerifyReport:
+    """The report of ``fields`` grouped by ``grouping``. Keys: "lead"
     (solar-aligned slot when an alignment is given), "location", "region"
     (requires region_map; unmapped locations are excluded), "season" (DJF/
     MAM/JJA/SON from the init time), "daypart" (aligned slots 8-10, 11-13,
-    14-16). Cells outside daylight, with missing truth, or with any missing
-    member are excluded. Group metrics recombine: bias, CRPS, spread, and
-    squared RMSE are count-weighted means. CRPS comes from one ``crps_field``
-    call over the whole field, whose sorted-member form needs no temporary
-    larger than a sorted copy of the ensemble.
+    14-16). Only valid cells count. Group metrics recombine: bias, CRPS,
+    spread, and squared RMSE are count-weighted means.
     """
     if grouping not in GROUPINGS:
         raise ValueError(f"unknown grouping key {grouping!r}")
     grouping = GROUPINGS[grouping]
-    ens = np.asarray(ensemble, dtype=float)
-    if ens.ndim == 3:
-        ens = ens[..., None]
-    tru = np.asarray(truth, dtype=float)
-    n_loc, n_init, n_lead, _ = ens.shape
-
-    valid = np.isfinite(tru) & np.all(np.isfinite(ens), axis=-1)
-    if daylight is not None:
-        valid &= daylight
-
-    mean = ens.mean(axis=-1)
-    err = mean - tru
-    crps_all = crps_field(ens, tru)
-    spread_all = spread_field(ens)
+    valid = fields.valid
+    n_loc, n_init, n_lead = valid.shape
 
     if grouping in ("lead", "daypart"):
         if alignment is not None:
@@ -226,10 +270,10 @@ def aggregate(ensemble: np.ndarray, truth: np.ndarray, grouping: str, *,
     groups = np.split(cells, np.flatnonzero(np.diff(codes[cells])) + 1) if cells.size else []
 
     rows = []
-    e2 = (err ** 2).ravel()
-    b = err.ravel()
-    c = crps_all.ravel()
-    s = spread_all.ravel()
+    e2 = (fields.error ** 2).ravel()
+    b = fields.error.ravel()
+    c = fields.crps.ravel()
+    s = fields.spread.ravel()
     for sel in groups:
         rows.append(ReportRow(
             group=labels[codes[sel[0]]],

@@ -328,9 +328,9 @@ class TestCommands:
         taken = []
         real_take = tensorio.Container.take
 
-        def recording_take(container, locations):
+        def recording_take(container, locations, names=None):
             taken.append((container.header.kind, list(locations)))
-            return real_take(container, locations)
+            return real_take(container, locations, names)
 
         monkeypatch.setattr(tensorio.Container, "read", lambda container: pytest.fail("an input was read whole"))
         monkeypatch.setattr(tensorio.Container, "take", recording_take)
@@ -1296,7 +1296,7 @@ def test_optimize_weights_reads_forecasts_at_its_samples_as_a_full_read_would(tm
 
     monkeypatch.setattr(container, "read", recording(lambda: "whole", container.read))
     monkeypatch.setattr(container, "blocks", recording(lambda: "blocks", container.blocks))
-    monkeypatch.setattr(container, "take", recording(list, container.take))
+    monkeypatch.setattr(container, "take", recording(lambda locations, names: list(locations), container.take))
     assert main([*base, "optimize-weights", "--strategy", strategy]) == 0
     names = ("weights.csv", "clustering.csv", "manifest.json")
     selective = {n: (out / n).read_bytes() for n in names if (out / n).exists()}
@@ -1609,3 +1609,109 @@ def test_the_manifest_hashes_an_unhashed_input_in_chunks(tmp_path):
     entry = json.loads((tmp_path / "manifest.json").read_text())["report"]
     assert entry["inputs"] == {str(big): hashlib.sha256(big.read_bytes()).hexdigest()}
     assert peak < 1 << 20
+
+
+def _module_files(out: Path, codes, shape, members, seed=9):
+    """A power ensemble of ``members`` over the modules ``codes`` and its
+    one-member truth, random on ``shape`` (locations, inits, leads), in
+    ``out``; returns their axes."""
+    from anensolar.coredata import EnsembleTensor, LeadTimeAxis, TimeAxis
+    from conftest import make_locations
+
+    n_loc, n_init, n_lead = shape
+    rng = np.random.default_rng(seed)
+    axes = (make_locations(n_loc), TimeAxis(1_623_456_000 + 86400 * np.arange(n_init)),
+            LeadTimeAxis(3600 * np.arange(n_lead)))
+    out.mkdir(exist_ok=True)
+    for name, m in (("power.ansr", members), ("truth_power.ansr", 1)):
+        values = rng.gamma(2.0, 300.0, size=(len(codes), *shape, m))
+        values[rng.random(values.shape) < 0.01] = np.nan
+        tensorio.write_tensor(EnsembleTensor(tuple(codes), *axes, m, values), out / name)
+    return axes
+
+
+def test_verify_of_one_module_out_of_eleven_holds_one_location_of_it(tmp_path):
+    # verify checks both headers, then takes each location's row of the
+    # scored module from both files and puts its scores into four (L, I, J)
+    # fields under that location's solar cache: beyond the fields and the
+    # cache it holds a few rows of one location (measured 4.2), against the
+    # 88 rows of the power file (11 modules x 8 locations) a whole read holds
+    import tracemalloc
+
+    from anensolar.pvchain import load_module_catalog
+    from anensolar.solar import precompute_solar
+    from anensolar.verify import aggregate, align_solar_noon
+
+    codes = [spec.code for spec in load_module_catalog()]
+    assert len(codes) == 11
+    shape, members = (8, 30, 24), 21
+    out = tmp_path / "out"
+    locations, init_times, lead_times = _module_files(out, codes, shape, members)
+    row_bytes = shape[1] * shape[2] * members * 8
+    fields_bytes = int(np.prod(shape)) * (1 + 3 * 8)
+    cache_bytes = 4 * shape[1] * shape[2] * 8
+    tracemalloc.start()
+    try:
+        assert main(["-o", str(out), "verify", "--module", "KS20"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < fields_bytes + cache_bytes + 6 * row_bytes
+    assert peak < (out / "power.ansr").stat().st_size / 10
+    # the report is that of the module's whole field
+    power, truth = (tensorio.read_tensor(out / name) for name in ("power.ansr", "truth_power.ansr"))
+    cache = precompute_solar(locations, init_times, lead_times)
+    aggregate(power.values[power.variable_index("KS20")], truth.values[truth.variable_index("KS20"), ..., 0],
+              "lead", init_times=init_times, alignment=align_solar_noon(cache),
+              daylight=cache.daylight_mask()).to_csv(tmp_path / "whole.csv")
+    assert (out / "report.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    # and the manifest records each whole file's digest
+    entry = json.loads((out / "manifest.json").read_text())["verify"]
+    assert entry["inputs"] == {str(out / name): hashlib.sha256((out / name).read_bytes()).hexdigest()
+                               for name in ("power.ansr", "truth_power.ansr")}
+
+
+def test_every_verify_problem_exits_2_before_a_row_is_read(chain_dir, tmp_path, capsys, monkeypatch):
+    from anensolar.coredata import TimeAxis
+
+    out = tmp_path / "v"
+    shutil.copytree(chain_dir, out)
+    (out / "report.csv").unlink()
+    power = tensorio.read_tensor(out / "power.ansr")
+    truth = tensorio.read_tensor(out / "truth_power.ansr")
+    tensorio.write_tensor(dataclasses.replace(power, variable_names=("KS20",)), out / "pks.ansr")
+    tensorio.write_tensor(dataclasses.replace(truth, init_times=TimeAxis(truth.init_times.instants + 86400)),
+                          out / "later.ansr")
+    (out / "regions.csv").write_text("\nlocation,region\n0,east\n")
+    monkeypatch.setattr(tensorio.Container, "take", lambda *args: pytest.fail("a row was read"))
+    cases = [
+        (["verify", "--power", "pks.ansr", "--module", "KS20"], "verify.module: 'KS20' not in truth"),
+        (["verify", "--truth", "later.ansr"], "paths.truth_power: does not pair with paths.power: init_times"),
+        (["verify", "--truth", "power.ansr"], "paths.truth_power: holds 8 members, need 1"),
+        (["--set", "paths.region_map=regions.csv", "verify", "--grouping", "region"], "paths.region_map: row 1"),
+    ]
+    for argv, problem in cases:
+        capsys.readouterr()
+        assert run_cli(["-o", out, *SMALL, *argv]) == 2, argv
+        assert any(p.startswith(problem) for p in _problems(capsys)), argv
+    assert not (out / "report.csv").exists()
+
+
+@pytest.mark.parametrize("argv, output", [(["simulate", "--source", "ensemble"], "power.ansr"),
+                                          (["simulate", "--source", "analysis"], "truth_power.ansr"),
+                                          (["verify"], "report.csv")],
+                         ids=["simulate ensemble", "simulate analysis", "verify"])
+def test_a_command_computes_the_ephemeris_time_terms_once(chain_dir, tmp_path, monkeypatch, argv, output):
+    # one solar cache per location, each adding its place to the declination,
+    # equation of time and irradiance of the command's one SunTerms
+    from anensolar import solar
+
+    out = tmp_path / "run"
+    shutil.copytree(chain_dir, out)
+    calls = []
+    geometry, precompute = solar._sun_geometry, solar.precompute_solar
+    monkeypatch.setattr(solar, "_sun_geometry", lambda t: calls.append("sun") or geometry(t))
+    monkeypatch.setattr(solar, "precompute_solar", lambda *a: calls.append(len(a[0])) or precompute(*a))
+    assert run_cli(["-o", out, *SMALL, *argv]) == 0
+    assert calls == ["sun", 1, 1, 1, 1]
+    assert (out / output).read_bytes() == (chain_dir / output).read_bytes()

@@ -9,6 +9,7 @@ from anensolar.solar import (
     precompute_solar,
     relative_airmass,
     solar_position,
+    sun_terms,
 )
 
 from conftest import make_locations
@@ -190,6 +191,23 @@ class TestPrecompute:
             noon_minutes = 720.0 - 4.0 * float(locs.longitude[l]) - p.equation_of_time
             noon_epoch = int(init.instants[0]) + noon_minutes * 60.0
             assert abs(instant - noon_epoch) <= 3600.0
+
+
+    def test_each_locations_cache_under_shared_sun_terms_is_that_location_of_the_whole(self):
+        from anensolar.verify import align_solar_noon
+
+        locs = make_locations(6, seed=7)
+        init = TimeAxis(1546300800 + 86400 * np.arange(40))
+        lead = LeadTimeAxis(3600 * np.arange(24))
+        whole = precompute_solar(locs, init, lead)
+        sun = sun_terms(init, lead)
+        for loc in range(6):
+            one = precompute_solar(locs.take([loc]), init, lead, sun)
+            assert one.shape == (1, 40, 24)
+            for field in one.ARRAYS:
+                np.testing.assert_array_equal(getattr(one, field).view(np.uint64),
+                                              getattr(whole, field)[loc:loc + 1].view(np.uint64))
+            assert align_solar_noon(one).offsets[0] == align_solar_noon(whole).offsets[loc]
 
 
 class TestBandedRefraction:

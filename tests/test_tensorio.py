@@ -485,6 +485,29 @@ def test_a_repeated_or_unknown_location_is_value_error(tmp_path, locations, name
         _take(path, None, locations)
 
 
+@pytest.mark.parametrize("name", ["forecast.ansr", "observation.ansr", "ensemble.ansr"])
+def test_a_name_selection_reads_those_names_rows_alone(tmp_path, monkeypatch, name):
+    path = _written(tmp_path, name, _six_locations()[name])
+    whole = read_tensor(path)
+    names = list(getattr(whole, whole.AXES[0]))
+    monkeypatch.setattr(tensorio, "open", lambda p, mode: _CountingReader(io.FileIO(p, mode)), raising=False)
+    digests = {}
+    with tensorio.open_container(path, digests) as container:
+        for picked_names, rows in (([names[1]], [1]), ([names[1], names[0]], [1, 0])):
+            monkeypatch.setattr(_CountingReader, "readintos", 0)
+            picked = container.take([4, 1], picked_names)
+            # one readinto per selected (name, location) row
+            assert _CountingReader.readintos == 2 * len(rows)
+            assert getattr(picked, picked.AXES[0]) == tuple(picked_names)
+            assert picked.values.tobytes() == whole.values[rows][:, [4, 1]].tobytes()
+        with pytest.raises(ValueError, match="name 0 is selected twice"):
+            container.take([0], [names[0], names[0]])
+        with pytest.raises(ValueError):
+            container.take([0], ["no_such_name"])
+    # the digest is still the whole file's
+    assert digests == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
+
+
 def test_a_selection_within_the_header_chunk(tmp_path, monkeypatch):
     # the first chunk holds the whole file: selected and skipped rows come
     # from the bytes read with the header, with and without a digest

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anensolar.coredata import LeadTimeAxis, LocationSet, TimeAxis
 from anensolar.errors import EmptySeriesError
 from anensolar.solar import precompute_solar
 from anensolar.verify import (
+    CellFields,
     SolarNoonAlignment,
     aggregate,
     align_solar_noon,
     bias,
     crps,
     crps_field,
+    group_cells,
     paired_significance,
     read_region_map,
     rmse,
@@ -304,6 +308,34 @@ def test_group_codes_match_the_per_cell_loop(grouping):
         assert report == loop_aggregate(ensemble, truth, grouping, **kwargs)
         rows += len(report.rows)
     assert rows > 12
+
+
+@settings(max_examples=60, deadline=None)
+@given(members=st.sampled_from([1, 7, 21]), n_loc=st.integers(1, 5), n_init=st.integers(1, 9),
+       n_lead=st.integers(1, 26), nan_share=st.sampled_from([0.0, 0.02, 0.3]), seed=st.integers(0, 2**32 - 1))
+def test_location_slabs_give_the_whole_fields_and_reports(members, n_loc, n_init, n_lead, nan_share, seed):
+    # verify puts one location's slab at a time; every cell's scores, and so
+    # every report, equal those of the whole field bit for bit
+    rng = np.random.default_rng(seed)
+    shape = (n_loc, n_init, n_lead)
+    ens = rng.gamma(2.0, 300.0, size=(*shape, members))
+    ens[rng.random(ens.shape) < nan_share] = np.nan
+    truth = rng.gamma(2.0, 300.0, size=shape)
+    truth[rng.random(shape) < nan_share] = np.nan
+    daylight = rng.random(shape) < 0.7
+    whole = CellFields.empty(shape).put(0, ens, truth, daylight)
+    streamed = CellFields.empty(shape)
+    for loc in range(n_loc):
+        streamed.put(loc, ens[loc:loc + 1].copy(), truth[loc:loc + 1].copy(), daylight[loc:loc + 1])
+    for got, want in zip(streamed, whole):
+        assert got.tobytes() == want.tobytes()
+    kwargs = dict(init_times=TimeAxis(1546300800 + 86400 * 23 * np.arange(n_init)),
+                  alignment=SolarNoonAlignment(rng.integers(-4, 5, n_loc)),
+                  region_map={l: str(rng.integers(0, 2)) for l in range(n_loc)})
+    for grouping in ("lead", "location", "season", "daypart", "region"):
+        report = group_cells(streamed, grouping, **kwargs)
+        assert report == aggregate(ens, truth, grouping, daylight=daylight, **kwargs)
+        assert report == loop_aggregate(ens, truth, grouping, daylight=daylight, **kwargs)
 
 
 class TestPairedSignificance:

@@ -660,3 +660,32 @@ def test_import_loads_neither_numpy_nor_hashlib():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_exactly_the_nine_allowed_transitions_pass_the_guard():
+    # all 36 (from, to) pairs of TaskState: the 9 of the state machine are
+    # recorded, every other raises and leaves the log and the task as they were
+    allowed = {(a, b) for a, targets in STATE_MACHINE.items() for b in targets}
+    assert workflow.ALLOWED_TRANSITIONS == allowed and len(allowed) == 9
+    wf = simple_workflow()
+    run = submit(wf, ExitBackend(0))
+    assert run.wait(10) is RunState.DONE
+    passed = 0
+    for a in TaskState:
+        for b in TaskState:
+            task = Task("probe", ["true"], state=a)
+            before = run.events()
+            with run._cond:
+                if (a, b) in allowed:
+                    run._record(task, b)
+                    passed += 1
+                else:
+                    with pytest.raises(RuntimeError, match="illegal transition"):
+                        run._record(task, b)
+            after = run.events()
+            if (a, b) in allowed:
+                assert after[:-1] == before and task.state is b
+                assert (after[-1].task_id, after[-1].from_state, after[-1].to_state) == ("probe", a, b)
+            else:
+                assert after == before and task.state is a
+    assert passed == 9
