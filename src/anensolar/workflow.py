@@ -11,14 +11,14 @@ can be torn down and brought back, losing only the tasks that were running.
 The run builds its scheduling state once and updates it only as tasks
 settle, never rescanning the workflow:
 
-- a stage cursor per pipeline (the index of its open stage), and counts of
-  non-terminal tasks per stage and for the whole run;
+- counts of non-terminal tasks per stage and for the whole run, taken from
+  the stage sizes, since a submitted workflow holds only PENDING tasks;
 - a sorted ready list of ``(pipeline, stage, task)`` index keys of the
   dispatchable tasks of open stages. Dispatch walks it first-fit, in the
   pipeline-major order a scan of the open stages would take, and stops once
   the reserved cores reach the budget. A retryable failure goes back in at
-  its own key; when a stage's count reaches zero the cursor moves on and
-  the next stage's tasks enter the list.
+  its own key; when a stage's count reaches zero every task of the next
+  stage of its pipeline enters the list.
 
 One condition guards that state. Each worker thread takes the next
 scheduled task, runs it with the lock released, then records its outcome,
@@ -32,12 +32,19 @@ Task state machine::
                                     -> FAILED -> SCHEDULED (retry)
     any non-terminal state -> CANCELED
 
+Every transition is checked against ``ALLOWED_TRANSITIONS`` and logged as a
+``TransitionRecord`` named tuple ``(seq, timestamp, task_id, from_state,
+to_state)``. ``TaskState`` members hash by identity, so the check hashes no
+member in Python.
+
 FAILED is terminal once attempts exceed max_retries; like DONE, it lets the
 next stage of its pipeline open (the run then ends FAILED). Completed tasks are
 never re-run. A backend loss re-executes only the tasks that were RUNNING,
 without consuming their retry budget, and no task starts until it is restored.
 A loss that a task still running on a lost backend reports after the restore
 re-executes that task on the new backend and leaves the run up.
+``cancel`` ends the run and asks the backend to stop the tasks that were
+RUNNING; ``wait`` returns once every worker of the run has exited.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ import subprocess
 import threading
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import yaml
 
@@ -56,6 +64,9 @@ from .errors import BackendUnavailableError, WorkflowValidationError
 
 
 class TaskState(enum.Enum):
+    # members are singletons compared by identity; Enum's own hash runs in Python
+    __hash__ = object.__hash__
+
     PENDING = "PENDING"
     SCHEDULED = "SCHEDULED"
     RUNNING = "RUNNING"
@@ -113,11 +124,6 @@ class Task:
         return self.state is TaskState.FAILED and self.attempts > self.max_retries
 
 
-def _dispatchable(task: Task) -> bool:
-    retryable = task.state is TaskState.FAILED and task.attempts <= task.max_retries
-    return task.state is TaskState.PENDING or retryable
-
-
 @dataclass
 class Stage:
     id: str
@@ -142,7 +148,7 @@ def validate_workflow(workflow: Workflow):
         raise WorkflowValidationError("worker budget must be >= 1")
     if not workflow.pipelines:
         raise WorkflowValidationError("workflow has no pipelines")
-    seen_tasks = set()
+    seen_tasks = {}
     seen_pipelines = set()
     for pipe in workflow.pipelines:
         if pipe.id in seen_pipelines:
@@ -158,9 +164,11 @@ def validate_workflow(workflow: Workflow):
                     # the event log is whitespace-separated text
                     raise WorkflowValidationError(
                         f"task id {task.id!r} is empty or contains whitespace")
-                if id(task) in seen_tasks:
-                    raise WorkflowValidationError("task object reused in workflow")
-                seen_tasks.add(id(task))
+                if task.id in seen_tasks:
+                    if seen_tasks[task.id] is task:
+                        raise WorkflowValidationError("task object reused in workflow")
+                    raise WorkflowValidationError("task ids are not unique (cyclic/reused task)")
+                seen_tasks[task.id] = task
                 if task.cores < 1:
                     raise WorkflowValidationError(f"task {task.id!r} needs cores >= 1")
                 if task.cores > workflow.worker_budget:
@@ -173,9 +181,6 @@ def validate_workflow(workflow: Workflow):
                     raise WorkflowValidationError(f"task {task.id!r} has an empty command")
                 if task.state is not TaskState.PENDING:
                     raise WorkflowValidationError(f"task {task.id!r} is not PENDING")
-    ids = [t.id for p in workflow.pipelines for s in p.stages for t in s.tasks]
-    if len(set(ids)) != len(ids):
-        raise WorkflowValidationError("task ids are not unique (cyclic/reused task)")
 
 
 class ExecutionBackend:
@@ -184,22 +189,48 @@ class ExecutionBackend:
     def run(self, task: Task) -> int:
         raise NotImplementedError
 
+    def cancel(self, task: Task):
+        """Stop ``task``'s execution if this backend can; by default it cannot."""
+
 
 class LocalProcessBackend(ExecutionBackend):
     """Runs task commands as local subprocesses, discarding their output; ``stderr_tail``
-    maps each task id to the last ``STDERR_TAIL_BYTES`` of its latest standard error."""
+    maps each task id to the last ``STDERR_TAIL_BYTES`` of its latest standard error.
+
+    ``cancel`` kills the task's process. A task already CANCELED when its
+    process starts is killed as soon as it starts."""
 
     def __init__(self):
         self.stderr_tail = {}
+        self._lock = threading.Lock()
+        self._procs = {}  # task id -> process of its running attempt
 
     def run(self, task: Task) -> int:
-        proc = subprocess.run(task.argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
-        self.stderr_tail[task.id] = proc.stderr[-STDERR_TAIL_BYTES:]
+        with subprocess.Popen(task.argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE) as proc:
+            with self._lock:
+                self._procs[task.id] = proc
+                # a cancel that came before the handle was kept found nothing to kill
+                if task.state is TaskState.CANCELED:
+                    proc.kill()
+            try:
+                stderr = proc.communicate()[1]
+            except BaseException:
+                proc.kill()
+                raise
+            finally:
+                with self._lock:
+                    self._procs.pop(task.id, None)
+        self.stderr_tail[task.id] = stderr[-STDERR_TAIL_BYTES:]
         return proc.returncode
 
+    def cancel(self, task: Task):
+        with self._lock:
+            proc = self._procs.get(task.id)
+            if proc is not None:
+                proc.kill()
 
-@dataclass(frozen=True)
-class TransitionRecord:
+
+class TransitionRecord(NamedTuple):
     seq: int
     timestamp: float
     task_id: str
@@ -226,6 +257,7 @@ class WorkflowRun:
         self._workers = []
         self._idle = 0
         self._degraded = False
+        self._done = False  # read by the workers on every pass; wait() waits on _finished
         self._finished = threading.Event()
         self._final_state = RunState.RUNNING
         pipelines = workflow.pipelines
@@ -233,20 +265,17 @@ class WorkflowRun:
                      for p, pipe in enumerate(pipelines)
                      for s, stage in enumerate(pipe.stages)
                      for k, t in enumerate(stage.tasks)}
-        self._stage_left = [[sum(not t.is_terminal() for t in stage.tasks) for stage in pipe.stages]
-                            for pipe in pipelines]
-        self._left = sum(map(sum, self._stage_left))
-        self._cursor = [0] * len(pipelines)
-        self._ready = []
+        self._stage_left = [[len(stage.tasks) for stage in pipe.stages] for pipe in pipelines]
+        self._left = len(self._tasks)
+        self._ready = [(p, 0, k) for p, pipe in enumerate(pipelines)
+                       for k in range(len(pipe.stages[0].tasks))]
         with self._cond:
-            for p in range(len(pipelines)):
-                self._open_stage(p)
             self._dispatch_ready()
 
     # -- public handle API ---------------------------------------------------
 
     def state(self) -> RunState:
-        if self._finished.is_set():
+        if self._done:
             return self._final_state
         return RunState.DEGRADED if self._degraded else RunState.RUNNING
 
@@ -258,13 +287,20 @@ class WorkflowRun:
             return list(self._events)
 
     def cancel(self):
+        """Mark every task that has not ended CANCELED, end the run, and ask the
+        backend to stop the tasks that were RUNNING."""
         with self._cond:
-            if self._finished.is_set():
+            if self._done:
                 return
+            backend = self._backend
+            running = [t for t in self._tasks.values() if t.state is TaskState.RUNNING]
             for task in self._tasks.values():
                 if not task.is_terminal():
                     self._record(task, TaskState.CANCELED)
             self._finish(RunState.CANCELED)
+        # unlocked, so a slow backend holds up no worker; each task is CANCELED already
+        for task in running:
+            backend.cancel(task)
 
     def restore_backend(self, backend: ExecutionBackend):
         """Bring a (new) backend up after a loss; idle workers take the scheduled tasks."""
@@ -276,12 +312,16 @@ class WorkflowRun:
             self._cond.notify_all()
 
     def wait(self, timeout: float | None = None) -> RunState:
+        """Wait until the run has ended and each of its workers has returned from
+        its backend call and exited; ``timeout`` bounds the whole wait."""
+        deadline = None if timeout is None else time.monotonic() + timeout
         if not self._finished.wait(timeout):
             raise TimeoutError("workflow run still active")
-        if self._final_state is not RunState.CANCELED:
-            # no task is in flight, so every worker is on its way out
-            for worker in self._workers:
-                worker.join()
+        for worker in self._workers:
+            worker.join(None if deadline is None else max(0.0, deadline - time.monotonic()))
+            if worker.is_alive():
+                raise TimeoutError(f"workflow run ended {self._final_state.value}, "
+                                   "but a worker is still in its backend call")
         return self._final_state
 
     # -- scheduling state, guarded by self._cond --------------------------------
@@ -291,23 +331,8 @@ class WorkflowRun:
         if pair not in ALLOWED_TRANSITIONS:
             raise RuntimeError(f"illegal transition {pair} for task {task.id}")
         self._seq += 1
-        self._events.append(TransitionRecord(self._seq, time.time(), task.id, task.state, to_state))
+        self._events.append(TransitionRecord(self._seq, time.time(), task.id, *pair))
         task.state = to_state
-
-    def _open_stage(self, p: int):
-        """Move pipeline ``p``'s cursor to its first non-terminal stage and put
-        that stage's dispatchable tasks into the ready list."""
-        left = self._stage_left[p]
-        s = self._cursor[p]
-        while s < len(left) and left[s] == 0:
-            s += 1
-        self._cursor[p] = s
-        if s == len(left):
-            return
-        tasks = self.workflow.pipelines[p].stages[s].tasks
-        # no other key of pipeline p is ready, so its keys go where (p,) sorts
-        at = bisect.bisect_left(self._ready, (p,))
-        self._ready[at:at] = [(p, s, k) for k, t in enumerate(tasks) if _dispatchable(t)]
 
     def _settle(self, task: Task):
         """Update the scheduling state after ``task`` left RUNNING."""
@@ -318,13 +343,16 @@ class WorkflowRun:
         p, s, _ = key
         self._left -= 1
         self._stage_left[p][s] -= 1
-        if self._stage_left[p][s] == 0:
-            self._open_stage(p)
+        stages = self.workflow.pipelines[p].stages
+        if self._stage_left[p][s] == 0 and s + 1 < len(stages):
+            # no other key of pipeline p is ready, so the next stage's keys go where (p,) sorts
+            at = bisect.bisect_left(self._ready, (p,))
+            self._ready[at:at] = [(p, s + 1, k) for k in range(len(stages[s + 1].tasks))]
 
     def _dispatch_ready(self, takers: int = 0):
         """Schedule ready tasks first-fit; the first ``takers`` are left to the
         calling worker, each other one wakes an idle worker or starts one."""
-        if self._degraded or self._finished.is_set():
+        if self._degraded or self._done:
             return
         budget = self.workflow.worker_budget
         pipelines = self.workflow.pipelines
@@ -354,7 +382,7 @@ class WorkflowRun:
     def _work(self):
         """Take scheduled tasks, run each unlocked and settle it, until the run finishes."""
         with self._cond:
-            while not self._finished.is_set():
+            while not self._done:
                 if self._degraded or not self._scheduled:
                     self._idle += 1  # whoever wakes this worker takes it off the count
                     self._cond.wait()
@@ -393,6 +421,7 @@ class WorkflowRun:
 
     def _finish(self, final: RunState):
         self._final_state = final
+        self._done = True
         self._finished.set()
         self._idle = 0
         self._cond.notify_all()
@@ -547,7 +576,13 @@ def load_workflow_file(path) -> Workflow:
                     raise WorkflowValidationError(f"{where} must be a mapping")
                 command = tdoc.get("command")
                 if isinstance(command, str):
-                    command = command.split()
+                    import shlex  # only a file that gives a command as one string needs it
+
+                    try:
+                        command = shlex.split(command)
+                    except ValueError as exc:
+                        raise WorkflowValidationError(
+                            f"{where}: 'command' does not split into arguments: {exc}") from None
                 if command is not None and not isinstance(command, list):
                     raise WorkflowValidationError(f"{where}: 'command' must be a string or a list")
                 tasks.append(Task(

@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import os
 import random
+import signal
 import subprocess
 import sys
 import threading
@@ -82,7 +84,7 @@ class ChaosBackend(ExecutionBackend):
 
 
 class MortalBackend(ExecutionBackend):
-    """Blocks executions until killed; records which tasks began running."""
+    """Blocks executions until killed or canceled; records which tasks began running."""
 
     def __init__(self, instant=()):
         self.instant = set(instant)
@@ -98,6 +100,9 @@ class MortalBackend(ExecutionBackend):
         while not self.dead.wait(0.005):
             pass
         raise BackendUnavailableError("runtime torn down")
+
+    def cancel(self, task):
+        self.dead.set()
 
 
 # -- helpers -----------------------------------------------------------------------
@@ -158,6 +163,15 @@ def simple_workflow(n_pipelines=1, n_stages=1, n_tasks=1, cores=1, max_retries=3
     return Workflow(pipelines, budget)
 
 
+def one_task_workflow(task, budget=2):
+    return Workflow([Pipeline("p", [Stage("s", [task])])], budget)
+
+
+def reused_task_workflow():
+    task = Task("t", ("x",))
+    return Workflow([Pipeline("p", [Stage("s0", [task]), Stage("s1", [task])])], 2)
+
+
 def all_task_ids(wf):
     return [t.id for p in wf.pipelines for s in p.stages for t in s.tasks]
 
@@ -205,6 +219,26 @@ class TestValidation:
         wf = Workflow([Pipeline("p", [Stage("s", [Task(task_id, ("x",))])])], 2)
         with pytest.raises(WorkflowValidationError, match="whitespace"):
             validate_workflow(wf)
+
+    @pytest.mark.parametrize("shape, message", [
+        (lambda: Workflow([], 2), "no pipelines"),
+        (lambda: Workflow([Pipeline("p", [Stage("s", [])])], 2), "is empty"),
+        (lambda: Workflow([Pipeline("p0", [Stage("s", [Task("t", ("x",))])]),
+                           Pipeline("p1", [Stage("s", [Task("t", ("x",))])])], 2), "not unique"),
+        (reused_task_workflow, "object reused"),
+        (lambda: one_task_workflow(Task("t", ("x",), cores=3)), "budget is 2"),
+        (lambda: one_task_workflow(Task("t", ("x",), state=TaskState.DONE)), "not PENDING"),
+        (lambda: one_task_workflow(Task("a b", ("x",))), "whitespace"),
+    ], ids=["no-pipelines", "empty-stage", "duplicate-id-across-pipelines", "reused-task",
+            "cores-over-budget", "not-pending", "whitespace-id"])
+    def test_submit_refuses_as_validation_does_and_starts_no_thread(self, shape, message):
+        with pytest.raises(WorkflowValidationError, match=message) as validated:
+            validate_workflow(shape())
+        threads = threading.active_count()
+        with pytest.raises(WorkflowValidationError) as submitted:
+            submit(shape(), ExitBackend(0))
+        assert str(submitted.value) == str(validated.value)
+        assert threading.active_count() == threads
 
 
 # -- execution ------------------------------------------------------------------------
@@ -330,7 +364,6 @@ class TestExecution:
         chains = validate_chains(records, all_task_ids(wf))
         finals = {tid: chain[-1].to_state for tid, chain in chains.items()}
         assert all(s is TaskState.CANCELED for s in finals.values())
-        backend.dead.set()  # release the worker thread
 
     def test_cancel_while_degraded_with_tasks_scheduled(self, monkeypatch):
         # one worker thread: it loses the backend on t0 while t1 and t2 wait SCHEDULED
@@ -374,6 +407,33 @@ class TestExecution:
         assert len(backend.alive) == 5 and max(backend.alive) <= 3
         (prefix,) = backend.prefixes
         assert not [t.name for t in threading.enumerate() if t.name.startswith(prefix)]
+
+    def test_cancel_kills_the_running_process_and_joins_the_workers(self, tmp_path):
+        pidfile = tmp_path / "pid"
+        code = ("import os, sys, time\n"
+                "with open(sys.argv[1], 'w') as fh: fh.write(str(os.getpid()))\n"
+                "time.sleep(8)\n")
+        wf = Workflow([Pipeline("p", [Stage("s", [
+            Task("sleeper", (sys.executable, "-c", code, str(pidfile)))])])], 1)
+        run = submit(wf, LocalProcessBackend())
+        deadline = time.time() + 10
+        while not (pidfile.exists() and pidfile.read_text()) and time.time() < deadline:
+            time.sleep(0.01)
+        pid = int(pidfile.read_text())
+        assert run.task_states()["sleeper"] is TaskState.RUNNING
+        run.cancel()
+        assert run.wait(5) is RunState.CANCELED
+        with pytest.raises(ProcessLookupError):  # exited and reaped
+            os.kill(pid, 0)
+        prefix = f"workflow-{id(run):x}-"
+        assert not [t.name for t in threading.enumerate() if t.name.startswith(prefix)]
+
+    def test_a_task_canceled_before_its_process_starts_is_killed_as_it_starts(self):
+        task = Task("late", (sys.executable, "-c", "import time; time.sleep(8)"),
+                    state=TaskState.CANCELED)
+        start = time.monotonic()
+        assert LocalProcessBackend().run(task) == -signal.SIGKILL
+        assert time.monotonic() - start < 5
 
     def test_exactly_once_success(self):
         wf = simple_workflow(n_pipelines=2, n_stages=2, n_tasks=3)
@@ -621,6 +681,58 @@ class TestFiles:
         back = read_event_log(path)
         assert [(r.task_id, r.from_state, r.to_state) for r in back] == \
             [(r.task_id, r.from_state, r.to_state) for r in records]
+
+    def test_event_log_bytes_for_a_fixed_clock(self, tmp_path, monkeypatch):
+        # one worker: the order of the transitions is fixed, and so, with a
+        # counter for a clock, is every byte of the log
+        wf = Workflow([Pipeline("p", [Stage("s0", [Task("t0", ("noop",), max_retries=1),
+                                                   Task("t1", ("noop",))]),
+                                      Stage("s1", [Task("t2", ("noop",))])])], 1)
+        ticks = itertools.count(1)
+        monkeypatch.setattr(time, "time", lambda: 1700000000.0 + 0.25 * next(ticks))
+        run = submit(wf, ScriptedBackend({"t0": [1, 0]}))
+        assert run.wait(10) is RunState.DONE
+        monkeypatch.undo()
+        path = tmp_path / "events.log"
+        write_event_log(run.events(), path)
+        assert path.read_text() == (
+            "1700000000.25 t0 PENDING SCHEDULED\n"
+            "1700000000.5 t0 SCHEDULED RUNNING\n"
+            "1700000000.75 t0 RUNNING FAILED\n"
+            "1700000001.0 t0 FAILED SCHEDULED\n"
+            "1700000001.25 t0 SCHEDULED RUNNING\n"
+            "1700000001.5 t0 RUNNING DONE\n"
+            "1700000001.75 t1 PENDING SCHEDULED\n"
+            "1700000002.0 t1 SCHEDULED RUNNING\n"
+            "1700000002.25 t1 RUNNING DONE\n"
+            "1700000002.5 t2 PENDING SCHEDULED\n"
+            "1700000002.75 t2 SCHEDULED RUNNING\n"
+            "1700000003.0 t2 RUNNING DONE\n")
+        fields = lambda records: [(r.seq, r.timestamp, r.task_id, r.from_state, r.to_state)
+                                  for r in records]
+        assert fields(read_event_log(path)) == fields(run.events())
+
+    def test_a_string_command_splits_as_a_shell_would(self, tmp_path):
+        path = tmp_path / "wf.yaml"
+        path.write_text("pipelines:\n- stages:\n  - tasks:\n"
+                        "    - {id: t, command: \"python3 -c 'import sys; sys.exit(3)'\"}\n")
+        wf = load_workflow_file(path)
+        task = wf.pipelines[0].stages[0].tasks[0]
+        assert task.argv == ("python3", "-c", "import sys; sys.exit(3)")
+        assert LocalProcessBackend().run(task) == 3
+        # written files hold lists, and read back to the same bytes
+        dump_workflow_file(wf, tmp_path / "a.yaml")
+        written = yaml.safe_load((tmp_path / "a.yaml").read_text())
+        assert written["pipelines"][0]["stages"][0]["tasks"][0]["command"] == list(task.argv)
+        dump_workflow_file(load_workflow_file(tmp_path / "a.yaml"), tmp_path / "b.yaml")
+        assert (tmp_path / "a.yaml").read_bytes() == (tmp_path / "b.yaml").read_bytes()
+
+    def test_a_string_command_with_an_unbalanced_quote_is_refused(self, tmp_path):
+        path = tmp_path / "wf.yaml"
+        path.write_text("pipelines:\n- stages:\n  - {}\n  - tasks:\n    - {command: x}\n"
+                        "    - {command: \"python3 -c 'exit(3)\"}\n")
+        with pytest.raises(WorkflowValidationError, match="^pipeline 0 stage 1 task 1: 'command'"):
+            load_workflow_file(path)
 
     def test_bad_workflow_file(self, tmp_path):
         path = tmp_path / "bad.yaml"
